@@ -473,56 +473,108 @@ impl<'a> Reader<'a> {
 // Frame encode
 // ---------------------------------------------------------------------------
 
+/// Buffer reserved up front for a frame that is not an `UpdateBatch`:
+/// header, trailer and the largest fixed-shape body (a `Join` or
+/// `Update`: a point plus a varint) fit with room to spare.
+const SMALL_FRAME_BYTES: usize = 64;
+
 /// Encodes one frame, returning the complete wire bytes (header, body
 /// and — when `crc` — the CRC32 trailer).
 pub fn encode_frame(frame: &Frame, meta: FrameMeta, crc: bool) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    let ty = encode_body(frame, &mut body);
-    finish_frame(ty, body, meta, crc)
+    if let Frame::Server(msg) = frame {
+        return encode_server_frame(msg, meta, crc);
+    }
+    let mut out = Vec::with_capacity(SMALL_FRAME_BYTES);
+    encode_frame_into(&mut out, frame, meta, crc);
+    out
 }
 
 /// Encodes a client message as a frame, without wrapping it in an
 /// owned [`Frame`] first.
 pub fn encode_client_frame(msg: &ClientToGame, meta: FrameMeta, crc: bool) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    let ty = encode_client_body(msg, &mut body);
-    finish_frame(ty, body, meta, crc)
+    let mut out = Vec::with_capacity(SMALL_FRAME_BYTES);
+    encode_client_frame_into(&mut out, msg, meta, crc);
+    out
 }
+
+/// Room reserved per batch item: the largest canonical shape, a
+/// keyframe with a velocity pair. Every lattice-representable item fits,
+/// so the buffer is allocated exactly once; a batch of wide escapes or
+/// with a trace section outgrows it and reallocates, which is still
+/// correct. (Sizing exactly with [`update_batch_frame_len`] walks the
+/// items a second time and was measured to cost more than the
+/// reallocations it saves.)
+const ITEM_RESERVE_BYTES: usize = UpdateItem::WIRE_BYTES + UpdateItem::VELOCITY_WIRE_BYTES;
 
 /// Encodes a server message as a frame, without wrapping it in an
 /// owned [`Frame`] first.
 pub fn encode_server_frame(msg: &GameToClient, meta: FrameMeta, crc: bool) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    let ty = encode_server_body(msg, &mut body);
-    finish_frame(ty, body, meta, crc)
+    let capacity = match msg {
+        GameToClient::UpdateBatch { updates } => {
+            BATCH_OVERHEAD_BYTES + updates.len() * ITEM_RESERVE_BYTES
+        }
+        _ => SMALL_FRAME_BYTES,
+    };
+    let mut out = Vec::with_capacity(capacity);
+    encode_server_frame_into(&mut out, msg, meta, crc);
+    out
 }
 
 /// Encodes a replication batch as a frame, without wrapping it in an
 /// owned [`Frame`] first (snapshots are bulky; no clone).
 pub fn encode_replica_batch_frame(batch: &ReplicaBatch, meta: FrameMeta, crc: bool) -> Vec<u8> {
-    let mut body = Vec::with_capacity(96);
-    encode_replica_body(batch, &mut body);
-    finish_frame(T_REPLICA, body, meta, crc)
+    let mut out = Vec::with_capacity(HEADER_BYTES + 96 + CRC_BYTES);
+    frame_into(&mut out, meta, crc, |body| {
+        encode_replica_body(batch, body);
+        T_REPLICA
+    });
+    out
 }
 
-fn finish_frame(ty: u8, body: Vec<u8>, meta: FrameMeta, crc: bool) -> Vec<u8> {
-    debug_assert!(
-        body.len() <= MAX_BODY_BYTES as usize,
-        "oversized frame body"
-    );
-    let mut out = Vec::with_capacity(HEADER_BYTES + body.len() + CRC_BYTES);
+/// Appends one complete frame to `out`, leaving what `out` already held
+/// untouched — a sender coalescing several frames into one write calls
+/// this once per frame on one buffer.
+pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame, meta: FrameMeta, crc: bool) {
+    frame_into(out, meta, crc, |body| encode_body(frame, body));
+}
+
+/// Appends a client message as one complete frame to `out`
+/// (see [`encode_frame_into`]).
+pub fn encode_client_frame_into(out: &mut Vec<u8>, msg: &ClientToGame, meta: FrameMeta, crc: bool) {
+    frame_into(out, meta, crc, |body| encode_client_body(msg, body));
+}
+
+/// Appends a server message as one complete frame to `out`
+/// (see [`encode_frame_into`]).
+pub fn encode_server_frame_into(out: &mut Vec<u8>, msg: &GameToClient, meta: FrameMeta, crc: bool) {
+    frame_into(out, meta, crc, |body| encode_server_body(msg, body));
+}
+
+/// The one frame writer: reserves the header at the end of `out`, lets
+/// `body` append the body in place (returning the type byte, flags
+/// included), then patches type and length and appends the CRC over
+/// this frame's own bytes.
+fn frame_into(
+    out: &mut Vec<u8>,
+    meta: FrameMeta,
+    crc: bool,
+    body: impl FnOnce(&mut Vec<u8>) -> u8,
+) {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.push(WIRE_VERSION);
-    out.push(ty | if crc { FLAG_CRC } else { 0 });
-    put_u32(&mut out, body.len() as u32);
-    put_u64(&mut out, meta.seq);
-    put_u32(&mut out, meta.stamp_ms);
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&[0; 5]); // type/flags and body length, patched below
+    put_u64(out, meta.seq);
+    put_u32(out, meta.stamp_ms);
+    let ty = body(out);
+    let len = out.len() - start - HEADER_BYTES;
+    debug_assert!(len <= MAX_BODY_BYTES as usize, "oversized frame body");
+    out[start + 3] = ty | if crc { FLAG_CRC } else { 0 };
+    out[start + 4..start + 8].copy_from_slice(&(len as u32).to_le_bytes());
     if crc {
-        let sum = crc32(&out);
-        put_u32(&mut out, sum);
+        let sum = crc32(&out[start..]);
+        put_u32(out, sum);
     }
-    out
 }
 
 fn encode_body(frame: &Frame, out: &mut Vec<u8>) -> u8 {
@@ -1466,6 +1518,11 @@ pub fn update_batch_frame_len(items: &[BatchItem], crc: bool) -> usize {
 #[derive(Debug, Default)]
 pub struct FrameAccumulator {
     buf: Vec<u8>,
+    /// Read offset: `buf[..head]` is consumed. Frames are taken by
+    /// advancing it — a chunk carrying many frames is not shifted once
+    /// per frame — and the consumed prefix is dropped on the next
+    /// [`push`](FrameAccumulator::push).
+    head: usize,
 }
 
 impl FrameAccumulator {
@@ -1476,12 +1533,14 @@ impl FrameAccumulator {
 
     /// Appends received bytes.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.head);
+        self.head = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed by a decoded frame.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     /// Attempts to decode the next frame.
@@ -1493,17 +1552,18 @@ impl FrameAccumulator {
     /// with the remainder of the stream.
     #[allow(clippy::should_implement_trait)] // streaming pop, not iteration
     pub fn next(&mut self) -> Option<Result<(Frame, FrameMeta), CodecError>> {
-        if self.buf.is_empty() {
+        let pending = &self.buf[self.head..];
+        if pending.is_empty() {
             return None;
         }
-        match decode_frame(&self.buf) {
+        match decode_frame(pending) {
             Ok(FrameStatus::Incomplete) => None,
             Ok(FrameStatus::Complete {
                 frame,
                 meta,
                 consumed,
             }) => {
-                self.buf.drain(..consumed);
+                self.head += consumed;
                 Some(Ok((frame, meta)))
             }
             Err(e) => {
@@ -1516,22 +1576,16 @@ impl FrameAccumulator {
     /// Discards bytes up to the next occurrence of the magic pair at
     /// offset ≥ 1 (or everything, when none is buffered).
     fn resync(&mut self) {
-        let next = self.buf[1..]
+        let pending = &self.buf[self.head..];
+        let next = pending[1..]
             .windows(2)
             .position(|w| w == MAGIC)
             .map(|i| i + 1);
-        match next {
-            Some(i) => {
-                self.buf.drain(..i);
-            }
-            None => {
-                // Keep a trailing lone 0xD7: it may be the first byte
-                // of a magic pair split across chunks.
-                let keep = usize::from(self.buf.last() == Some(&MAGIC[0]));
-                let len = self.buf.len();
-                self.buf.drain(..len - keep);
-            }
-        }
+        self.head += next.unwrap_or_else(|| {
+            // Keep a trailing lone 0xD7: it may be the first byte of a
+            // magic pair split across chunks.
+            pending.len() - usize::from(pending.last() == Some(&MAGIC[0]))
+        });
     }
 }
 

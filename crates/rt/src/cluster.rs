@@ -129,8 +129,20 @@ impl RtCluster {
             world: cfg.world,
             radius: cfg.radius,
         });
-        // Give the registration round-trip a moment to install tables.
-        tokio::time::sleep(std::time::Duration::from_millis(50)).await;
+        // Ready once the bootstrap node has taken the registration and
+        // reports itself active (the coordinator's overlap table for a
+        // one-server world is empty; nothing routes differently before
+        // it lands). Bounded: a node that never gets there is the
+        // caller's to discover, as it always was.
+        let active = async {
+            while let Some(snap) = bootstrap.snapshot().await {
+                if snap.lifecycle == matrix_core::Lifecycle::Active {
+                    break;
+                }
+                tokio::time::sleep(std::time::Duration::from_millis(1)).await;
+            }
+        };
+        let _ = tokio::time::timeout(std::time::Duration::from_millis(50), active).await;
 
         RtCluster {
             router,

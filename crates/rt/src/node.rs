@@ -129,6 +129,27 @@ async fn run_node(
 
     loop {
         tokio::select! {
+            // The ticker comes first: `select!` polls in declaration order,
+            // and an inbox that never runs dry must not postpone the flush
+            // (and with it every client's batch).
+            _ = ticker.tick() => {
+                let now = router.now();
+                if matrix.lifecycle() == Lifecycle::Active {
+                    let t0 = telemetry_on.then(std::time::Instant::now);
+                    // The runtime has no fluid queue model; the inbox is
+                    // the real queue and client counts drive adaptation.
+                    let game_actions = game.on_tick(now, 0.0);
+                    dispatch_game(&router, id, &mut matrix, &mut game, game_actions);
+                    if let Some(t0) = t0 {
+                        tick_hist.record(t0.elapsed().as_secs_f64() * 1e6);
+                    }
+                }
+                // The Matrix side ticks in every lifecycle: idle warm
+                // standbys heartbeat so the coordinator can tell a live
+                // standby from a dead one.
+                let matrix_actions = matrix.on_tick(now);
+                dispatch_matrix(&router, id, &mut matrix, &mut game, matrix_actions);
+            }
             maybe = rx.recv() => {
                 let Some(msg) = maybe else { break };
                 let now = router.now();
@@ -180,24 +201,6 @@ async fn run_node(
                     }
                     NodeMsg::Crash => break,
                 }
-            }
-            _ = ticker.tick() => {
-                let now = router.now();
-                if matrix.lifecycle() == Lifecycle::Active {
-                    let t0 = telemetry_on.then(std::time::Instant::now);
-                    // The runtime has no fluid queue model; the inbox is
-                    // the real queue and client counts drive adaptation.
-                    let game_actions = game.on_tick(now, 0.0);
-                    dispatch_game(&router, id, &mut matrix, &mut game, game_actions);
-                    if let Some(t0) = t0 {
-                        tick_hist.record(t0.elapsed().as_secs_f64() * 1e6);
-                    }
-                }
-                // The Matrix side ticks in every lifecycle: idle warm
-                // standbys heartbeat so the coordinator can tell a live
-                // standby from a dead one.
-                let matrix_actions = matrix.on_tick(now);
-                dispatch_matrix(&router, id, &mut matrix, &mut game, matrix_actions);
             }
         }
     }

@@ -13,7 +13,7 @@ use matrix_geometry::ServerId;
 use matrix_sim::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, LockResult, PoisonError, RwLock};
 use std::time::Instant;
 use tokio::sync::mpsc;
 
@@ -30,6 +30,15 @@ struct Inner {
     coordinator: RwLock<Option<mpsc::UnboundedSender<CoordMsg>>>,
     pool: RwLock<Option<mpsc::UnboundedSender<(ServerId, PoolMsg)>>>,
     next_client: AtomicU64,
+}
+
+/// Takes the guard of one of the router's locks whether or not a task
+/// panicked while holding it. Every update under these locks is a
+/// single map insert, remove or slot store, so the tables are valid at
+/// every step — and one panicking connection task must not take every
+/// other client's delivery path down with it.
+fn recover<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for Router {
@@ -65,77 +74,89 @@ impl Router {
 
     /// Registers a node's inbox.
     pub fn register_node(&self, id: ServerId, tx: mpsc::UnboundedSender<NodeMsg>) {
-        self.inner
-            .nodes
-            .write()
-            .expect("router lock")
-            .insert(id, tx);
+        recover(self.inner.nodes.write()).insert(id, tx);
     }
 
     /// Registers a client's inbox.
     pub fn register_client(&self, id: ClientId, tx: mpsc::UnboundedSender<GameToClient>) {
-        self.inner
-            .clients
-            .write()
-            .expect("router lock")
-            .insert(id, tx);
+        recover(self.inner.clients.write()).insert(id, tx);
     }
 
     /// Removes a client (disconnect).
     pub fn unregister_client(&self, id: ClientId) {
-        self.inner.clients.write().expect("router lock").remove(&id);
+        recover(self.inner.clients.write()).remove(&id);
     }
 
     /// Registers the coordinator's inbox.
     pub fn register_coordinator(&self, tx: mpsc::UnboundedSender<CoordMsg>) {
-        *self.inner.coordinator.write().expect("router lock") = Some(tx);
+        *recover(self.inner.coordinator.write()) = Some(tx);
     }
 
     /// Registers the pool's inbox.
     pub fn register_pool(&self, tx: mpsc::UnboundedSender<(ServerId, PoolMsg)>) {
-        *self.inner.pool.write().expect("router lock") = Some(tx);
+        *recover(self.inner.pool.write()) = Some(tx);
     }
 
     /// Sends to a node; silently drops if the node is gone (matching the
     /// network's at-most-once delivery to dead hosts).
     pub fn send_node(&self, id: ServerId, msg: NodeMsg) {
-        if let Some(tx) = self.inner.nodes.read().expect("router lock").get(&id) {
+        if let Some(tx) = recover(self.inner.nodes.read()).get(&id) {
             let _ = tx.send(msg);
         }
     }
 
     /// Sends to a client.
     pub fn send_client(&self, id: ClientId, msg: GameToClient) {
-        if let Some(tx) = self.inner.clients.read().expect("router lock").get(&id) {
+        if let Some(tx) = recover(self.inner.clients.read()).get(&id) {
             let _ = tx.send(msg);
         }
     }
 
     /// Sends to the coordinator.
     pub fn send_coordinator(&self, msg: CoordMsg) {
-        if let Some(tx) = self.inner.coordinator.read().expect("router lock").as_ref() {
+        if let Some(tx) = recover(self.inner.coordinator.read()).as_ref() {
             let _ = tx.send(msg);
         }
     }
 
     /// Sends to the pool on behalf of `from`.
     pub fn send_pool(&self, from: ServerId, msg: PoolMsg) {
-        if let Some(tx) = self.inner.pool.read().expect("router lock").as_ref() {
+        if let Some(tx) = recover(self.inner.pool.read()).as_ref() {
             let _ = tx.send((from, msg));
         }
     }
 
     /// Ids of all registered nodes.
     pub fn node_ids(&self) -> Vec<ServerId> {
-        let mut ids: Vec<ServerId> = self
-            .inner
-            .nodes
-            .read()
-            .expect("router lock")
-            .keys()
-            .copied()
-            .collect();
+        let mut ids: Vec<ServerId> = recover(self.inner.nodes.read()).keys().copied().collect();
         ids.sort_unstable();
         ids
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_poisoned_lock_does_not_stop_delivery() {
+        let router = Router::new();
+        let (tx, mut rx) = mpsc::unbounded_channel();
+        let id = router.allocate_client_id();
+        router.register_client(id, tx);
+
+        let poisoner = router.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = poisoner.inner.clients.write();
+            panic!("a connection task dies holding the client table");
+        })
+        .join();
+        assert!(died.is_err() && router.inner.clients.is_poisoned());
+
+        router.send_client(id, GameToClient::Ack { seq: 7 });
+        assert_eq!(rx.try_recv(), Ok(GameToClient::Ack { seq: 7 }));
+        router.unregister_client(id);
+        router.send_client(id, GameToClient::Ack { seq: 8 });
+        assert!(rx.try_recv().is_err(), "unregistered after the poisoning");
     }
 }

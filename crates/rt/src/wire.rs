@@ -28,12 +28,23 @@
 //! with `matrix_core::reconstruct_updates`, resetting their stream base
 //! on every (re)join exactly as [`TcpGameClient`]'s in-process
 //! counterpart (`RtClient`) does.
+//!
+//! # Transport
+//!
+//! Every game and replica socket runs with `TCP_NODELAY` on — a 20 Hz
+//! stream of small frames must not wait out a delayed ACK — and the
+//! gateway issues one write per wake-up, carrying every frame that was
+//! ready. Frame boundaries are therefore never packet or read
+//! boundaries: receivers delimit frames with the [`FrameAccumulator`]
+//! (or, on v1, by newline).
 
 use crate::node::{NodeHandle, NodeMsg};
 use crate::router::Router;
 use matrix_core::codec::{self, CodecError, StatsFormat};
 use matrix_core::codec_v2::{self, Frame, FrameAccumulator, FrameMeta};
-use matrix_core::{render_prometheus, ClientToGame, GameToClient, TelemetrySnapshot, WireCodec};
+use matrix_core::{
+    render_prometheus, ClientId, ClientToGame, GameToClient, TelemetrySnapshot, WireCodec,
+};
 use matrix_geometry::ServerId;
 use tokio::io::{AsyncBufReadExt, AsyncChunkReadExt, AsyncWriteExt, BufReader, Chunks};
 use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
@@ -256,25 +267,91 @@ impl RemoteSession {
     }
 }
 
+/// One connection's bridge onto the cluster: where the client's uploads
+/// go, and the bytes of the current wake-up on their way back.
+struct Bridge {
+    router: Router,
+    client_id: ClientId,
+    /// The server that currently owns this client, so uploads land at
+    /// the right node.
+    current: ServerId,
+    /// The client's last position, so a transparent re-join lands where
+    /// the player actually is.
+    session: RemoteSession,
+    clock: FrameClock,
+    /// Every frame of one wake-up, back to back; reused across wake-ups.
+    out: Vec<u8>,
+}
+
+impl Bridge {
+    /// Forwards one upload to the owning node.
+    fn upload(&mut self, msg: ClientToGame) {
+        self.session.observe(&msg);
+        self.router
+            .send_node(self.current, NodeMsg::FromClient(self.client_id, msg));
+    }
+
+    /// Frames `first` and everything already queued behind it in `inbox`
+    /// into one buffer, in order, for a single write: with Nagle off, a
+    /// write per frame would be a packet and a syscall per message. A
+    /// `SwitchServer` re-points the bridge (and re-joins) at its place in
+    /// the sequence. Speaks binary only when the client opened with it.
+    fn coalesce(
+        &mut self,
+        first: GameToClient,
+        inbox: &mut mpsc::UnboundedReceiver<GameToClient>,
+        binary: bool,
+    ) -> &[u8] {
+        self.out.clear();
+        let mut next = Some(first);
+        while let Some(msg) = next {
+            if let GameToClient::SwitchServer { to } = &msg {
+                self.current = *to;
+                // Transparent re-join on the client's behalf, at the
+                // client's real position and state size; the remote
+                // end still sees the SwitchServer for observability.
+                self.router.send_node(
+                    self.current,
+                    NodeMsg::FromClient(self.client_id, self.session.rejoin()),
+                );
+            }
+            if binary {
+                let meta = self.clock.meta();
+                codec_v2::encode_server_frame_into(&mut self.out, &msg, meta, self.clock.crc);
+            } else {
+                self.out
+                    .extend_from_slice(codec::encode_game_to_client(&msg).as_bytes());
+                self.out.push(b'\n');
+            }
+            next = inbox.try_recv().ok();
+        }
+        &self.out
+    }
+}
+
 async fn serve_connection(
     stream: TcpStream,
     router: Router,
     entry: ServerId,
     opts: GatewayOptions,
 ) {
+    // Best effort: a socket that refuses the option still works.
+    let _ = stream.set_nodelay(true);
     let client_id = router.allocate_client_id();
     let (inbox_tx, mut inbox_rx) = mpsc::unbounded_channel::<GameToClient>();
     router.register_client(client_id, inbox_tx);
 
     let (read_half, mut write_half) = stream.into_split();
     let mut chunks = read_half.into_chunks();
-    // The gateway tracks which server currently owns this client so
-    // uploads land at the right node, and the client's last position so
-    // a transparent re-join lands where the player actually is.
-    let mut current = entry;
-    let mut session = RemoteSession::new();
+    let mut bridge = Bridge {
+        router,
+        client_id,
+        current: entry,
+        session: RemoteSession::new(),
+        clock: FrameClock::new(opts.frame_crc),
+        out: Vec::new(),
+    };
     let mut rx = SessionCodec::Undecided;
-    let mut clock = FrameClock::new(opts.frame_crc);
 
     'conn: loop {
         tokio::select! {
@@ -302,10 +379,7 @@ async fn serve_connection(
                                 .ok()
                                 .and_then(|l| codec::decode_client_to_game(&l).ok());
                             match msg {
-                                Some(msg) => {
-                                    session.observe(&msg);
-                                    router.send_node(current, NodeMsg::FromClient(client_id, msg));
-                                }
+                                Some(msg) => bridge.upload(msg),
                                 None => break 'conn, // corrupt frame: drop the session
                             }
                         }
@@ -320,16 +394,14 @@ async fn serve_connection(
                                     let hello = Frame::Hello {
                                         version: codec_v2::WIRE_VERSION,
                                     };
+                                    let clock = &mut bridge.clock;
                                     let bytes =
                                         codec_v2::encode_frame(&hello, clock.meta(), clock.crc);
                                     if write_half.write_all(&bytes).await.is_err() {
                                         break 'conn;
                                     }
                                 }
-                                Ok((Frame::Client(msg), _)) => {
-                                    session.observe(&msg);
-                                    router.send_node(current, NodeMsg::FromClient(client_id, msg));
-                                }
+                                Ok((Frame::Client(msg), _)) => bridge.upload(msg),
                                 // A client has no business sending
                                 // server/replica/stats frames.
                                 Ok(_) => break 'conn,
@@ -345,35 +417,15 @@ async fn serve_connection(
             }
             msg = inbox_rx.recv() => {
                 let Some(msg) = msg else { break };
-                if let GameToClient::SwitchServer { to } = &msg {
-                    current = *to;
-                    // Transparent re-join on the client's behalf, at the
-                    // client's real position and state size; the remote
-                    // end still sees the SwitchServer for observability.
-                    router.send_node(
-                        current,
-                        NodeMsg::FromClient(client_id, session.rejoin()),
-                    );
-                }
-                let framed = match &rx {
-                    // Binary out only once the client opened with binary;
-                    // before that (or on a JSON session) speak v1.
-                    SessionCodec::Binary(_) => {
-                        codec_v2::encode_server_frame(&msg, clock.meta(), clock.crc)
-                    }
-                    _ => {
-                        let mut line = codec::encode_game_to_client(&msg);
-                        line.push('\n');
-                        line.into_bytes()
-                    }
-                };
-                if write_half.write_all(&framed).await.is_err() {
+                let binary = matches!(rx, SessionCodec::Binary(_));
+                let framed = bridge.coalesce(msg, &mut inbox_rx, binary);
+                if write_half.write_all(framed).await.is_err() {
                     break;
                 }
             }
         }
     }
-    router.unregister_client(client_id);
+    bridge.router.unregister_client(client_id);
 }
 
 /// Binds the live stats endpoint in front of a set of node handles.
@@ -666,6 +718,8 @@ impl ReplicaStream {
     /// Wraps a socket speaking the given codec (`frame_crc` applies to
     /// binary frames only).
     pub fn new_with(stream: TcpStream, codec: WireCodec, frame_crc: bool) -> ReplicaStream {
+        // Best effort: a socket that refuses the option still works.
+        let _ = stream.set_nodelay(true);
         let (read_half, write_half) = stream.into_split();
         ReplicaStream {
             reader: StreamReader::new(read_half, codec),
@@ -793,6 +847,8 @@ pub struct TcpGameClient {
     writer: OwnedWriteHalf,
     codec: WireCodec,
     clock: FrameClock,
+    /// The frame being sent; reused across sends.
+    out: Vec<u8>,
 }
 
 impl TcpGameClient {
@@ -830,12 +886,14 @@ impl TcpGameClient {
             WireCodec::BinaryV2 => TcpGameClient::connect_binary(addr).await,
             WireCodec::Json => {
                 let stream = TcpStream::connect(addr).await?;
+                stream.set_nodelay(true)?;
                 let (read_half, writer) = stream.into_split();
                 Ok(TcpGameClient {
                     reader: StreamReader::new(read_half, WireCodec::Json),
                     writer,
                     codec: WireCodec::Json,
                     clock: FrameClock::new(true),
+                    out: Vec::new(),
                 })
             }
         }
@@ -843,6 +901,7 @@ impl TcpGameClient {
 
     async fn connect_binary(addr: impl ToSocketAddrs) -> Result<TcpGameClient, WireError> {
         let stream = TcpStream::connect(addr).await?;
+        stream.set_nodelay(true)?;
         let (read_half, mut writer) = stream.into_split();
         let mut clock = FrameClock::new(true);
         let mut hello = codec_v2::encode_frame(
@@ -863,6 +922,7 @@ impl TcpGameClient {
                 writer,
                 codec: WireCodec::BinaryV2,
                 clock,
+                out: Vec::new(),
             }),
             _ => Err(bad_frame("expected a hello frame")),
         }
@@ -879,17 +939,19 @@ impl TcpGameClient {
     ///
     /// Returns socket errors; serialisation of these types cannot fail.
     pub async fn send(&mut self, msg: &ClientToGame) -> Result<(), WireError> {
-        let framed = match self.codec {
+        self.out.clear();
+        match self.codec {
             WireCodec::Json => {
-                let mut line = codec::encode_client_to_game(msg);
-                line.push('\n');
-                line.into_bytes()
+                self.out
+                    .extend_from_slice(codec::encode_client_to_game(msg).as_bytes());
+                self.out.push(b'\n');
             }
             WireCodec::BinaryV2 => {
-                codec_v2::encode_client_frame(msg, self.clock.meta(), self.clock.crc)
+                let meta = self.clock.meta();
+                codec_v2::encode_client_frame_into(&mut self.out, msg, meta, self.clock.crc);
             }
-        };
-        self.writer.write_all(&framed).await?;
+        }
+        self.writer.write_all(&self.out).await?;
         Ok(())
     }
 
@@ -951,6 +1013,81 @@ mod tests {
             },
             "the transparent re-join carries the real position and state"
         );
+    }
+
+    #[test]
+    fn switch_then_batch_in_one_wake_up_is_one_ordered_write() {
+        use matrix_core::{BatchItem, UpdateItem};
+
+        let router = Router::new();
+        let (node_tx, mut new_owner) = mpsc::unbounded_channel();
+        router.register_node(ServerId(2), node_tx);
+        let mut bridge = Bridge {
+            client_id: router.allocate_client_id(),
+            router,
+            current: ServerId(1),
+            session: RemoteSession::new(),
+            clock: FrameClock::new(true),
+            out: b"the last wake-up's bytes".to_vec(),
+        };
+        bridge.upload(ClientToGame::Join {
+            pos: Point::new(40.0, 30.0),
+            state_bytes: 256,
+        });
+
+        // What the node queued before the connection task woke up.
+        let switch = GameToClient::SwitchServer { to: ServerId(2) };
+        let batch = GameToClient::UpdateBatch {
+            updates: vec![BatchItem::Absolute(UpdateItem {
+                origin: Point::new(41.0, 30.0),
+                payload_bytes: 64,
+                entity: 9,
+                ring: 0,
+                vx: 0.0,
+                vy: 0.0,
+                trace: None,
+            })],
+        };
+        let (inbox_tx, mut inbox) = mpsc::unbounded_channel();
+        inbox_tx.send(batch.clone()).unwrap();
+        inbox_tx.send(GameToClient::Ack { seq: 3 }).unwrap();
+
+        // One buffer, so one `write_all`; the client's one read decodes
+        // the frames in the order the node emitted them.
+        let written = bridge.coalesce(switch.clone(), &mut inbox, true).to_vec();
+        let mut acc = FrameAccumulator::new();
+        acc.push(&written);
+        let mut seen = Vec::new();
+        while let Some(item) = acc.next() {
+            let (frame, meta) = item.expect("valid frame");
+            seen.push((meta.seq, frame));
+        }
+        assert_eq!(
+            seen,
+            vec![
+                (0, Frame::Server(switch)),
+                (1, Frame::Server(batch)),
+                (2, Frame::Server(GameToClient::Ack { seq: 3 })),
+            ]
+        );
+        assert!(inbox.try_recv().is_err(), "the inbox was drained");
+
+        // The switch took effect at its place in the sequence: the
+        // re-join went to the new owner, and so does the next upload.
+        assert_eq!(bridge.current, ServerId(2));
+        let rejoin = ClientToGame::Join {
+            pos: Point::new(40.0, 30.0),
+            state_bytes: 256,
+        };
+        assert!(matches!(
+            new_owner.try_recv(),
+            Ok(NodeMsg::FromClient(id, msg)) if id == bridge.client_id && msg == rejoin
+        ));
+        bridge.upload(ClientToGame::Leave);
+        assert!(matches!(
+            new_owner.try_recv(),
+            Ok(NodeMsg::FromClient(_, ClientToGame::Leave))
+        ));
     }
 
     #[test]

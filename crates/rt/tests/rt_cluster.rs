@@ -548,6 +548,95 @@ async fn tcp_gateway_round_trip() {
 }
 
 #[tokio::test]
+async fn tcp_ack_is_not_nagle_bound() {
+    // A 20 Hz client stream — move, move, move, action — whose small
+    // writes must each leave at once. With Nagle on, a write waits for
+    // the ACK of the one before it, and a gateway socket that also
+    // carries batches the other way delays its ACKs (the kernel expects
+    // to piggyback them): the action→Ack round trip then reads tens of
+    // milliseconds where the path itself takes a fraction of one.
+    let cluster = RtCluster::start(RtConfig::default()).await;
+    let addr = wire::spawn_gateway(
+        "127.0.0.1:0",
+        cluster.router().clone(),
+        cluster.bootstrap_id(),
+    )
+    .await
+    .expect("bind gateway");
+    let mut remote = wire::TcpGameClient::connect(addr).await.expect("connect");
+    let pos = Point::new(50.0, 50.0);
+    remote
+        .send(&ClientToGame::Join {
+            pos,
+            state_bytes: 64,
+        })
+        .await
+        .expect("send join");
+    let msg = tokio::time::timeout(Duration::from_secs(2), remote.recv())
+        .await
+        .expect("join reply within deadline")
+        .expect("valid frame");
+    assert!(matches!(msg, GameToClient::Joined { .. }), "{msg:?}");
+
+    // A neighbour in view, acting all along: the batches every game
+    // client receives, which is what makes the kernel delay its ACKs.
+    let mut neighbour = cluster.client(Point::new(55.0, 50.0));
+    let _ = tokio::time::timeout(Duration::from_secs(2), neighbour.recv())
+        .await
+        .expect("neighbour joined");
+    let acting = tokio::spawn(async move {
+        for _ in 0..70 {
+            neighbour.action(64);
+            tokio::time::sleep(Duration::from_millis(30)).await;
+        }
+    });
+
+    let start = std::time::Instant::now();
+    let mut ack_times = Vec::new();
+    for op in 0u32.. {
+        let due = Duration::from_millis(19) * op;
+        if due > Duration::from_secs(2) {
+            break;
+        }
+        tokio::time::sleep(due.saturating_sub(start.elapsed())).await;
+        if op % 4 != 3 {
+            remote
+                .send(&ClientToGame::Move { pos })
+                .await
+                .expect("send move");
+            continue;
+        }
+        let sent = std::time::Instant::now();
+        remote
+            .send(&ClientToGame::Action {
+                pos,
+                payload_bytes: 64,
+            })
+            .await
+            .expect("send action");
+        loop {
+            let msg = tokio::time::timeout(Duration::from_secs(2), remote.recv())
+                .await
+                .expect("ack within deadline")
+                .expect("valid frame");
+            if matches!(msg, GameToClient::Ack { .. }) {
+                break;
+            }
+        }
+        ack_times.push(sent.elapsed());
+    }
+    ack_times.sort();
+    let median = ack_times[ack_times.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median action→Ack {median:?} over {} actions: {ack_times:?}",
+        ack_times.len()
+    );
+    acting.await.expect("neighbour task");
+    cluster.shutdown().await;
+}
+
+#[tokio::test]
 async fn ring_tagged_updates_cross_the_real_wire() {
     // Multi-ring AOI over the TCP gateway: a mid-ring observer's frames
     // carry the ring tag (`[x,y,bytes,entity,ring]`), and the in-process

@@ -14,14 +14,18 @@
 //!   are mutex-and-waker implementations with tokio's closed/disconnect
 //!   semantics.
 //! * **Timers** — one global timer thread wakes sleepers; `sleep`,
-//!   `timeout` and `interval` (with `MissedTickBehavior::Delay`
-//!   semantics) build on it.
+//!   `timeout` and `interval` build on it. `Interval` is fixed-rate
+//!   like the real one: ticks stay on the `start + k·period` lattice,
+//!   and only a tick observed more than 5 ms late re-anchors it
+//!   (`MissedTickBehavior::Delay`). A pending timer holds one timer
+//!   entry however often it is polled, and none once dropped.
 //! * **select!** — supports the two- and three-branch `pat = expr =>
 //!   block` form used in this workspace, polling branches in declaration
 //!   order (i.e. like `tokio::select! { biased; ... }`).
-//! * **TCP** — `net::TcpListener`/`TcpStream` wrap the std types;
-//!   `io::BufReader::lines` pumps a blocking reader thread into an async
-//!   channel so reads compose with `select!`.
+//! * **TCP** — `net::TcpListener`/`TcpStream` wrap the std types
+//!   (`TcpStream::set_nodelay` included); `io::BufReader::lines` pumps a
+//!   blocking reader thread into an async channel so reads compose with
+//!   `select!`.
 //!
 //! Swap the real tokio back in by removing this shim from the workspace;
 //! the API subset is call-compatible.
@@ -412,23 +416,53 @@ pub mod sync {
 
 pub mod time {
     //! Timers: sleep, timeout, interval.
+    //!
+    //! One global timer thread owns a deadline-ordered table of wakers.
+    //! Every timer future holds a `Registration`: at most one table
+    //! entry per deadline however often the future is polled, removed
+    //! again when the future is dropped.
 
+    use std::collections::BTreeMap;
     use std::future::Future;
     use std::pin::Pin;
-    use std::sync::{Condvar, Mutex, OnceLock};
+    use std::sync::{Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError};
     use std::task::{Context, Poll, Waker};
     use std::time::{Duration, Instant};
 
+    /// A timer-table key: the deadline, then a unique id so equal
+    /// deadlines coexist.
+    type Key = (Instant, u64);
+
+    #[derive(Default)]
+    struct Entries {
+        wakers: BTreeMap<Key, Waker>,
+        next_id: u64,
+    }
+
     struct TimerQueue {
-        entries: Mutex<Vec<(Instant, Waker)>>,
+        entries: Mutex<Entries>,
         cond: Condvar,
+    }
+
+    /// Takes the timer lock's guard even if a thread panicked holding
+    /// it: wakers are only ever woken outside the lock and every table
+    /// update is a single map operation, so the table is valid at every
+    /// step (and a `Drop` that unregisters must not panic).
+    fn recover<G>(guard: LockResult<G>) -> G {
+        guard.unwrap_or_else(PoisonError::into_inner)
+    }
+
+    impl TimerQueue {
+        fn lock(&self) -> MutexGuard<'_, Entries> {
+            recover(self.entries.lock())
+        }
     }
 
     fn timer() -> &'static TimerQueue {
         static TIMER: OnceLock<&'static TimerQueue> = OnceLock::new();
         TIMER.get_or_init(|| {
             let q: &'static TimerQueue = Box::leak(Box::new(TimerQueue {
-                entries: Mutex::new(Vec::new()),
+                entries: Mutex::new(Entries::default()),
                 cond: Condvar::new(),
             }));
             std::thread::Builder::new()
@@ -440,57 +474,97 @@ pub mod time {
     }
 
     fn timer_loop(q: &'static TimerQueue) {
-        let mut entries = q.entries.lock().expect("timer lock");
+        let mut entries = q.lock();
         loop {
             let now = Instant::now();
             let mut due = Vec::new();
-            entries.retain(|(at, w)| {
-                if *at <= now {
-                    due.push(w.clone());
-                    false
-                } else {
-                    true
+            while let Some(first) = entries.wakers.first_entry() {
+                if first.key().0 > now {
+                    break;
                 }
-            });
+                due.push(first.remove());
+            }
             if !due.is_empty() {
                 drop(entries);
                 for w in due {
                     w.wake();
                 }
-                entries = q.entries.lock().expect("timer lock");
+                entries = q.lock();
                 continue;
             }
-            entries = match entries.iter().map(|(at, _)| *at).min() {
-                Some(next) => {
-                    let wait = next.saturating_duration_since(now);
-                    q.cond.wait_timeout(entries, wait).expect("timer lock").0
+            let next = entries.wakers.first_key_value().map(|((at, _), _)| *at);
+            entries = match next {
+                Some(at) => {
+                    let wait = at.saturating_duration_since(now);
+                    recover(q.cond.wait_timeout(entries, wait)).0
                 }
-                None => q.cond.wait(entries).expect("timer lock"),
+                None => recover(q.cond.wait(entries)),
             };
         }
     }
 
-    fn register(deadline: Instant, waker: Waker) {
-        let q = timer();
-        q.entries
-            .lock()
-            .expect("timer lock")
-            .push((deadline, waker));
-        q.cond.notify_one();
+    /// A timer future's claim on the timer table: the entry it has live
+    /// (if any) and the waker that entry holds.
+    #[derive(Default)]
+    struct Registration {
+        armed: Option<(Key, Waker)>,
+    }
+
+    impl Registration {
+        /// Makes the table wake `waker` at `deadline`, replacing whatever
+        /// this registration had live. Re-arming for the same deadline
+        /// and task touches neither the table nor the timer thread, so a
+        /// `select!` loop may poll a pending timer once per message for
+        /// free. (An entry only leaves the table by firing — after which
+        /// the owning future completes instead of arming — or through
+        /// this registration, so "armed for this deadline" means "live".)
+        fn arm(&mut self, deadline: Instant, waker: &Waker) {
+            if let Some((key, w)) = &self.armed {
+                if key.0 == deadline && w.will_wake(waker) {
+                    return;
+                }
+            }
+            let q = timer();
+            let mut entries = q.lock();
+            if let Some((old, _)) = self.armed.take() {
+                entries.wakers.remove(&old);
+            }
+            let key = (deadline, entries.next_id);
+            entries.next_id += 1;
+            entries.wakers.insert(key, waker.clone());
+            // The timer thread sleeps until the earliest deadline it
+            // knew of; only an earlier one needs to interrupt it.
+            let earliest = entries.wakers.first_key_value().map(|(k, _)| *k) == Some(key);
+            drop(entries);
+            if earliest {
+                q.cond.notify_one();
+            }
+            self.armed = Some((key, waker.clone()));
+        }
+    }
+
+    impl Drop for Registration {
+        fn drop(&mut self) {
+            if let Some((key, _)) = self.armed.take() {
+                timer().lock().wakers.remove(&key);
+            }
+        }
     }
 
     /// Future returned by [`sleep`].
     pub struct Sleep {
         deadline: Instant,
+        reg: Registration,
     }
 
     impl Future for Sleep {
         type Output = ();
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
             if Instant::now() >= self.deadline {
                 Poll::Ready(())
             } else {
-                register(self.deadline, cx.waker().clone());
+                let deadline = self.deadline;
+                self.reg.arm(deadline, cx.waker());
                 Poll::Pending
             }
         }
@@ -500,6 +574,7 @@ pub mod time {
     pub fn sleep(duration: Duration) -> Sleep {
         Sleep {
             deadline: Instant::now() + duration,
+            reg: Registration::default(),
         }
     }
 
@@ -519,6 +594,7 @@ pub mod time {
     pub struct Timeout<F> {
         fut: Pin<Box<F>>,
         deadline: Instant,
+        reg: Registration,
     }
 
     impl<F: Future> Future for Timeout<F> {
@@ -530,7 +606,8 @@ pub mod time {
             if Instant::now() >= self.deadline {
                 return Poll::Ready(Err(Elapsed));
             }
-            register(self.deadline, cx.waker().clone());
+            let deadline = self.deadline;
+            self.reg.arm(deadline, cx.waker());
             Poll::Pending
         }
     }
@@ -540,12 +617,13 @@ pub mod time {
         Timeout {
             fut: Box::pin(fut),
             deadline: Instant::now() + duration,
+            reg: Registration::default(),
         }
     }
 
     /// What to do when interval ticks are missed. The shim always behaves
-    /// like [`MissedTickBehavior::Delay`] (next tick is re-anchored to
-    /// "now + period"), which is the behaviour this workspace selects.
+    /// like [`MissedTickBehavior::Delay`], which is the behaviour this
+    /// workspace selects (see [`Interval`]).
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub enum MissedTickBehavior {
         /// Fire missed ticks back to back.
@@ -557,10 +635,22 @@ pub mod time {
         Skip,
     }
 
+    /// How late a tick may be observed and still count as on time — the
+    /// same 5 ms real tokio allows before a tick is "missed".
+    const LATE_TOLERANCE: Duration = Duration::from_millis(5);
+
     /// A periodic timer; the first tick completes immediately.
+    ///
+    /// Fixed rate: ticks fall on the lattice `start + k·period`, so the
+    /// lateness of one wake-up does not push every later tick back. Only
+    /// a tick observed more than 5 ms late re-anchors the lattice to
+    /// `now + period` (`MissedTickBehavior::Delay`).
     pub struct Interval {
         next: Instant,
         period: Duration,
+        // Held here, not in `Tick`: a `select!` loop creates and drops a
+        // `Tick` per iteration, and the entry must survive that.
+        reg: Registration,
     }
 
     impl Interval {
@@ -572,9 +662,25 @@ pub mod time {
         /// Accepted for API compatibility; the shim always uses `Delay`
         /// semantics.
         pub fn set_missed_tick_behavior(&mut self, _behavior: MissedTickBehavior) {}
+
+        /// The instant the tick due at `now` was scheduled for, if one is
+        /// due; schedules the one after it.
+        fn fire(&mut self, now: Instant) -> Option<Instant> {
+            if now < self.next {
+                return None;
+            }
+            let scheduled = self.next;
+            self.next = if now > scheduled + LATE_TOLERANCE {
+                now + self.period
+            } else {
+                scheduled + self.period
+            };
+            Some(scheduled)
+        }
     }
 
-    /// Future returned by [`Interval::tick`].
+    /// Future returned by [`Interval::tick`]; yields the instant the tick
+    /// was scheduled for.
     pub struct Tick<'a> {
         interval: &'a mut Interval,
     }
@@ -582,14 +688,14 @@ pub mod time {
     impl Future for Tick<'_> {
         type Output = Instant;
         fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Instant> {
-            let now = Instant::now();
-            if now >= self.interval.next {
-                let period = self.interval.period;
-                self.interval.next = now + period;
-                return Poll::Ready(now);
+            let interval = &mut *self.interval;
+            match interval.fire(Instant::now()) {
+                Some(scheduled) => Poll::Ready(scheduled),
+                None => {
+                    interval.reg.arm(interval.next, cx.waker());
+                    Poll::Pending
+                }
             }
-            register(self.interval.next, cx.waker().clone());
-            Poll::Pending
         }
     }
 
@@ -598,6 +704,66 @@ pub mod time {
         Interval {
             next: Instant::now(),
             period,
+            reg: Registration::default(),
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// Live timer-table entries for exactly this deadline (the table
+        /// is process-wide, so tests count at a deadline of their own).
+        fn entries_at(deadline: Instant) -> usize {
+            timer()
+                .lock()
+                .wakers
+                .range((deadline, 0)..=(deadline, u64::MAX))
+                .count()
+        }
+
+        #[test]
+        fn polling_a_pending_timer_keeps_one_entry_and_drop_removes_it() {
+            let mut cx = Context::from_waker(Waker::noop());
+            let mut ticker = interval(Duration::from_secs(3600));
+            assert!(Pin::new(&mut ticker.tick()).poll(&mut cx).is_ready());
+            let deadline = ticker.next;
+            for _ in 0..1_000 {
+                // A fresh `Tick` per poll, as a `select!` loop makes.
+                assert!(Pin::new(&mut ticker.tick()).poll(&mut cx).is_pending());
+            }
+            assert_eq!(entries_at(deadline), 1, "one entry per deadline");
+            drop(ticker);
+            assert_eq!(entries_at(deadline), 0, "a dropped interval leaves none");
+
+            let mut nap = sleep(Duration::from_secs(3600));
+            let deadline = nap.deadline;
+            for _ in 0..1_000 {
+                assert!(Pin::new(&mut nap).poll(&mut cx).is_pending());
+            }
+            assert_eq!(entries_at(deadline), 1);
+            drop(nap);
+            assert_eq!(entries_at(deadline), 0, "a dropped sleep leaves none");
+        }
+
+        #[test]
+        fn interval_ticks_stay_on_the_lattice_unless_missed() {
+            let ms = Duration::from_millis;
+            let t0 = Instant::now();
+            let mut ticker = Interval {
+                next: t0,
+                period: ms(10),
+                reg: Registration::default(),
+            };
+            assert_eq!(ticker.fire(t0), Some(t0), "first tick is immediate");
+            assert_eq!(ticker.fire(t0 + ms(9)), None);
+            // Observed 2 ms late: the tick after it is due 8 ms later, on
+            // the lattice, not a full period after the late wake-up.
+            assert_eq!(ticker.fire(t0 + ms(12)), Some(t0 + ms(10)));
+            assert_eq!(ticker.next, t0 + ms(20));
+            // Observed 7 ms late — missed: re-anchor (`Delay`).
+            assert_eq!(ticker.fire(t0 + ms(27)), Some(t0 + ms(20)));
+            assert_eq!(ticker.next, t0 + ms(37));
         }
     }
 }
@@ -643,6 +809,12 @@ pub mod net {
         /// Connects to the first resolvable address.
         pub async fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<TcpStream> {
             Ok(TcpStream(std::net::TcpStream::connect(addr)?))
+        }
+
+        /// Sets `TCP_NODELAY`: when on, small writes go out at once
+        /// instead of waiting for the previous segment's ACK (Nagle).
+        pub fn set_nodelay(&self, nodelay: bool) -> io::Result<()> {
+            self.0.set_nodelay(nodelay)
         }
 
         /// Splits into independently owned read/write halves.

@@ -10,7 +10,7 @@
 //! property-testing framework, keeping the build offline-friendly.
 
 use matrix_middleware::core::codec;
-use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
+use matrix_middleware::core::codec_v2::{self, Frame, FrameAccumulator, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
     BatchItem, ClientId, ClientToGame, DeltaItem, GameToClient, LoadReport, RegionSnapshot,
     ReplicaBatch, ReplicaOp, UpdateItem, MAX_RINGS,
@@ -525,6 +525,66 @@ fn frame_len_predicts_the_encoder_exactly() {
             codec_v2::frame_overhead(true) + item_sum + trace_section,
             "case {case}: per-item lengths must compose"
         );
+    }
+}
+
+#[test]
+fn appending_encoders_equal_the_concatenated_owned_encoders() {
+    // A sender coalescing one wake-up's frames into a single write
+    // appends them to one buffer. Whatever the buffer already holds,
+    // each appended frame must be byte-for-byte the frame the owning
+    // encoder returns (the CRC covers the frame's own bytes only), and
+    // the receiver must get every frame back out of a single `push`.
+    let mut rng = SimRng::seed_from_u64(0xC0DE_C00A);
+    for case in 0..CASES {
+        let crc = rng.chance(0.5);
+        let prefix: Vec<u8> = (0..rng.uniform_u64(1, 40))
+            .map(|_| rng.uniform_u64(0, 256) as u8)
+            .collect();
+        let mut appended = prefix.clone();
+        let mut concatenated = prefix.clone();
+        let mut sent = Vec::new();
+        for _ in 0..rng.uniform_u64(1, 9) {
+            let m = meta(&mut rng);
+            let frame = match rng.uniform_u64(0, 4) {
+                0 => {
+                    let msg = client_msg(&mut rng);
+                    codec_v2::encode_client_frame_into(&mut appended, &msg, m, crc);
+                    concatenated.extend(codec_v2::encode_client_frame(&msg, m, crc));
+                    Frame::Client(msg)
+                }
+                1 | 2 => {
+                    let msg = server_msg(&mut rng);
+                    codec_v2::encode_server_frame_into(&mut appended, &msg, m, crc);
+                    concatenated.extend(codec_v2::encode_server_frame(&msg, m, crc));
+                    Frame::Server(msg)
+                }
+                _ => {
+                    let frame = match rng.uniform_u64(0, 3) {
+                        0 => Frame::Load(Box::new(load_report(&mut rng))),
+                        1 => Frame::Replica(Box::new(replica_batch(&mut rng))),
+                        _ => Frame::Server(server_msg(&mut rng)),
+                    };
+                    codec_v2::encode_frame_into(&mut appended, &frame, m, crc);
+                    concatenated.extend(codec_v2::encode_frame(&frame, m, crc));
+                    frame
+                }
+            };
+            sent.push((frame, m));
+        }
+        assert_eq!(appended, concatenated, "case {case} crc={crc}");
+
+        let mut acc = FrameAccumulator::new();
+        acc.push(&appended[prefix.len()..]);
+        for (i, expected) in sent.iter().enumerate() {
+            let got = acc.next().expect("a frame per frame sent");
+            assert_eq!(got.as_ref(), Ok(expected), "case {case} frame {i}");
+        }
+        assert!(
+            acc.next().is_none(),
+            "case {case}: no frame beyond the last"
+        );
+        assert_eq!(acc.pending_bytes(), 0, "case {case}: nothing left over");
     }
 }
 
