@@ -448,86 +448,100 @@ pub fn encode_game_to_client(msg: &GameToClient) -> String {
             push_f64(&mut s, origin.y);
             let _ = write!(s, ",\"bytes\":{payload_bytes}}}");
         }
-        GameToClient::UpdateBatch { updates } => {
-            s.push_str("{\"t\":\"batch\",\"updates\":[");
-            for (i, item) in updates.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                match item {
-                    BatchItem::Absolute(u) => {
-                        let vel = u.has_velocity();
-                        s.push('[');
-                        push_f64(&mut s, u.origin.x);
-                        s.push(',');
-                        push_f64(&mut s, u.origin.y);
-                        let _ = write!(s, ",{}", u.payload_bytes);
-                        if u.entity != 0 || u.ring != 0 || vel {
-                            let _ = write!(s, ",{}", u.entity);
-                        }
-                        if u.ring != 0 || vel {
-                            let _ = write!(s, ",{}", u.ring);
-                        }
-                        if vel {
-                            s.push(',');
-                            push_f64(&mut s, u.vx);
-                            s.push(',');
-                            push_f64(&mut s, u.vy);
-                        }
-                        s.push(']');
-                    }
-                    BatchItem::Delta(d) => {
-                        let vel = d.has_velocity();
-                        s.push_str("[\"d\",");
-                        push_f64(&mut s, d.dx);
-                        s.push(',');
-                        push_f64(&mut s, d.dy);
-                        let _ = write!(s, ",{}", d.payload_bytes);
-                        if d.entity != 0 || d.ring != 0 || vel {
-                            let _ = write!(s, ",{}", d.entity);
-                        }
-                        if d.ring != 0 || vel {
-                            let _ = write!(s, ",{}", d.ring);
-                        }
-                        if vel {
-                            s.push(',');
-                            push_f64(&mut s, d.vx);
-                            s.push(',');
-                            push_f64(&mut s, d.vy);
-                        }
-                        s.push(']');
-                    }
-                }
-            }
-            s.push(']');
-            // Sampled causal traces, keyed by item index so the item
-            // arrays stay untouched (untraced batches are byte-identical
-            // to pre-trace frames).
-            if updates.iter().any(|u| u.trace().is_some()) {
-                s.push_str(",\"tr\":[");
-                let mut first = true;
-                for (i, item) in updates.iter().enumerate() {
-                    if let Some(tag) = item.trace() {
-                        if !first {
-                            s.push(',');
-                        }
-                        first = false;
-                        let _ = write!(
-                            s,
-                            "[{i},{},{},{},{}]",
-                            tag.origin, tag.seq, tag.ingest_us, tag.stale_us
-                        );
-                    }
-                }
-                s.push(']');
-            }
-            s.push('}');
-        }
+        GameToClient::UpdateBatch { updates } => push_update_batch(&mut s, updates),
         GameToClient::SwitchServer { to } => {
             let _ = write!(s, "{{\"t\":\"switch\",\"to\":{}}}", to.0);
         }
     }
     s
+}
+
+/// Appends the `batch` line of `updates` (no newline) to `s`.
+fn push_update_batch(s: &mut String, updates: &[BatchItem]) {
+    s.push_str("{\"t\":\"batch\",\"updates\":[");
+    for (i, item) in updates.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        match item {
+            BatchItem::Absolute(u) => {
+                let vel = u.has_velocity();
+                s.push('[');
+                push_f64(s, u.origin.x);
+                s.push(',');
+                push_f64(s, u.origin.y);
+                let _ = write!(s, ",{}", u.payload_bytes);
+                if u.entity != 0 || u.ring != 0 || vel {
+                    let _ = write!(s, ",{}", u.entity);
+                }
+                if u.ring != 0 || vel {
+                    let _ = write!(s, ",{}", u.ring);
+                }
+                if vel {
+                    s.push(',');
+                    push_f64(s, u.vx);
+                    s.push(',');
+                    push_f64(s, u.vy);
+                }
+                s.push(']');
+            }
+            BatchItem::Delta(d) => {
+                let vel = d.has_velocity();
+                s.push_str("[\"d\",");
+                push_f64(s, d.dx);
+                s.push(',');
+                push_f64(s, d.dy);
+                let _ = write!(s, ",{}", d.payload_bytes);
+                if d.entity != 0 || d.ring != 0 || vel {
+                    let _ = write!(s, ",{}", d.entity);
+                }
+                if d.ring != 0 || vel {
+                    let _ = write!(s, ",{}", d.ring);
+                }
+                if vel {
+                    s.push(',');
+                    push_f64(s, d.vx);
+                    s.push(',');
+                    push_f64(s, d.vy);
+                }
+                s.push(']');
+            }
+        }
+    }
+    s.push(']');
+    // Sampled causal traces, keyed by item index so the item
+    // arrays stay untouched (untraced batches are byte-identical
+    // to pre-trace frames).
+    if updates.iter().any(|u| u.trace().is_some()) {
+        s.push_str(",\"tr\":[");
+        let mut first = true;
+        for (i, item) in updates.iter().enumerate() {
+            if let Some(tag) = item.trace() {
+                if !first {
+                    s.push(',');
+                }
+                first = false;
+                let _ = write!(
+                    s,
+                    "[{i},{},{},{},{}]",
+                    tag.origin, tag.seq, tag.ingest_us, tag.stale_us
+                );
+            }
+        }
+        s.push(']');
+    }
+    s.push('}');
+}
+
+/// Wire length of the `batch` line carrying `updates`, newline
+/// terminator included — what byte accounting charges a JSON client for
+/// one flush. JSON has no arithmetic mirror of its encoder (shortest
+/// round-trip floats), so this encodes the line; it borrows the items,
+/// leaving them to the caller to ship.
+pub fn update_batch_line_len(updates: &[BatchItem]) -> usize {
+    let mut line = String::with_capacity(32 * updates.len() + 32);
+    push_update_batch(&mut line, updates);
+    line.len() + 1
 }
 
 /// Decodes one server→client JSON line.

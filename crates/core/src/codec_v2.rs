@@ -1493,12 +1493,20 @@ pub fn batch_item_wire_len(item: &BatchItem) -> usize {
 /// item.
 pub fn update_batch_frame_len(items: &[BatchItem], crc: bool) -> usize {
     let traced = items.iter().filter(|u| u.trace().is_some()).count();
+    let item_bytes = items.iter().map(batch_item_wire_len).sum();
+    update_batch_frame_len_of(item_bytes, traced, crc)
+}
+
+/// [`update_batch_frame_len`] for a caller that already summed its
+/// items' [`batch_item_wire_len`]s and counted the traced ones while
+/// building the batch.
+pub fn update_batch_frame_len_of(item_bytes: usize, traced: usize, crc: bool) -> usize {
     let trace_section = if traced > 0 {
         2 + traced * TRACE_ENTRY_BYTES
     } else {
         0
     };
-    frame_overhead(crc) + trace_section + items.iter().map(batch_item_wire_len).sum::<usize>()
+    frame_overhead(crc) + trace_section + item_bytes
 }
 
 // ---------------------------------------------------------------------------

@@ -168,6 +168,20 @@ impl FlushStatsDelta {
     }
 }
 
+/// What `flush_updates` counts per client batch while it builds the
+/// batch's wire items (the pipeline's per-batch accumulator).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct BatchTally {
+    keyframe_items: u64,
+    ring_items: [u64; MAX_RINGS],
+    /// Declared payload sizes, summed.
+    payload_bytes: usize,
+    /// Binary codec only: the items' encoded sizes, summed, and how
+    /// many carry a trace tag — the two inputs of the frame length.
+    item_wire_bytes: usize,
+    traced_items: usize,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ClientRecord {
     pos: Point,
@@ -736,7 +750,9 @@ impl GameServerNode {
     /// surviving origins are chained as exact delta offsets with
     /// periodic keyframes, shrinking each item from
     /// [`UpdateItem::WIRE_BYTES`] to [`DeltaItem::WIRE_BYTES`] of
-    /// framing.
+    /// framing. Each delivered item is moved once — from its receiver's
+    /// queue into the `Vec<BatchItem>` the `UpdateBatch` carries — and
+    /// ring, keyframe and byte accounting ride in that same pass.
     ///
     /// Drivers call this from their tick path (both the discrete-event
     /// harness and the async runtime tick through [`GameServerNode::on_tick`],
@@ -753,26 +769,17 @@ impl GameServerNode {
         // A client may have switched away between queueing and flush:
         // the pipeline orphans its items instead of delivering them.
         let clients = &self.clients;
-        let outcome = self
-            .pipeline
-            .flush(|cid| clients.get(&cid).map(|rec| rec.pos));
-        // Accumulate this flush's stat contributions locally and merge
-        // them into the node totals exactly once at the end — batches
-        // from concurrent shards never interleave `+=` on the shared
-        // counters.
-        let mut delta = FlushStatsDelta {
-            updates_dropped: outcome.orphaned,
-            ..FlushStatsDelta::default()
-        };
-        let mut out = Vec::with_capacity(outcome.batches.len());
-        for batch in outcome.batches {
-            delta.updates_rate_limited += batch.rate_limited;
-            delta.batches_flushed += 1;
-            delta.updates_batched += batch.items.len() as u64;
-            let mut items = Vec::with_capacity(batch.items.len());
-            for (u, encoded) in batch.items.into_iter().zip(batch.origins) {
+        let wire = self.cfg.codec;
+        // The pipeline's stage 5 hands each surviving item over with
+        // its encoded origin; this turns it into the wire item and
+        // tallies the batch in the same pass (on the flush worker that
+        // owns the receiver, when there are several).
+        let outcome = self.pipeline.flush(
+            |cid| clients.get(&cid).map(|rec| rec.pos),
+            |tally: &mut BatchTally, u: UpdateItem, encoded| {
                 let item = match encoded {
                     EncodedOrigin::Absolute(origin) => {
+                        tally.keyframe_items += 1;
                         BatchItem::Absolute(UpdateItem { origin, ..u })
                     }
                     EncodedOrigin::Offset { dx, dy } => BatchItem::Delta(DeltaItem {
@@ -786,15 +793,36 @@ impl GameServerNode {
                         trace: u.trace,
                     }),
                 };
-                delta.ring_items[(u.ring as usize).min(MAX_RINGS - 1)] += 1;
-                if item.is_keyframe() {
-                    delta.keyframe_items += 1;
-                } else {
-                    delta.delta_items += 1;
-                    delta.delta_bytes_saved +=
-                        (UpdateItem::WIRE_BYTES - DeltaItem::WIRE_BYTES) as u64;
+                tally.ring_items[(u.ring as usize).min(MAX_RINGS - 1)] += 1;
+                tally.payload_bytes += u.payload_bytes;
+                if wire == WireCodec::BinaryV2 {
+                    tally.item_wire_bytes += codec_v2::batch_item_wire_len(&item);
+                    tally.traced_items += usize::from(u.trace.is_some());
                 }
-                items.push(item);
+                item
+            },
+        );
+        // Accumulate this flush's stat contributions locally and merge
+        // them into the node totals exactly once at the end — batches
+        // from concurrent shards never interleave `+=` on the shared
+        // counters.
+        let mut delta = FlushStatsDelta {
+            updates_dropped: outcome.orphaned,
+            ..FlushStatsDelta::default()
+        };
+        let mut out = Vec::with_capacity(outcome.batches.len());
+        for batch in outcome.batches {
+            let tally = batch.tally;
+            let delta_items = batch.items.len() as u64 - tally.keyframe_items;
+            delta.updates_rate_limited += batch.rate_limited;
+            delta.batches_flushed += 1;
+            delta.updates_batched += batch.items.len() as u64;
+            delta.keyframe_items += tally.keyframe_items;
+            delta.delta_items += delta_items;
+            delta.delta_bytes_saved +=
+                delta_items * (UpdateItem::WIRE_BYTES - DeltaItem::WIRE_BYTES) as u64;
+            for (total, n) in delta.ring_items.iter_mut().zip(tally.ring_items) {
+                *total += n;
             }
             // Bytes-on-wire accounting is *measured* against the active
             // codec, not modelled: the binary frame length comes from
@@ -802,23 +830,20 @@ impl GameServerNode {
             // equal by the property suite), the JSON length from
             // actually encoding the line. Declared payload sizes ride
             // on top in both — the sim ships sizes, not state.
-            let payload: usize = items.iter().map(|i| i.payload_bytes()).sum();
-            let frame = match self.cfg.codec {
-                WireCodec::BinaryV2 => codec_v2::update_batch_frame_len(&items, self.cfg.frame_crc),
-                WireCodec::Json => {
-                    let msg = GameToClient::UpdateBatch { updates: items };
-                    let len = codec::encode_game_to_client(&msg).len() + 1;
-                    let GameToClient::UpdateBatch { updates } = msg else {
-                        unreachable!("constructed an UpdateBatch above");
-                    };
-                    items = updates;
-                    len
-                }
+            let frame = match wire {
+                WireCodec::BinaryV2 => codec_v2::update_batch_frame_len_of(
+                    tally.item_wire_bytes,
+                    tally.traced_items,
+                    self.cfg.frame_crc,
+                ),
+                WireCodec::Json => codec::update_batch_line_len(&batch.items),
             };
-            delta.batch_bytes += (frame + payload) as u64;
+            delta.batch_bytes += (frame + tally.payload_bytes) as u64;
             out.push(GameAction::ToClient(
                 batch.receiver,
-                GameToClient::UpdateBatch { updates: items },
+                GameToClient::UpdateBatch {
+                    updates: batch.items,
+                },
             ));
         }
         delta.merge_into(&mut self.stats);
@@ -2037,6 +2062,40 @@ mod tests {
         let b = restored.flush_updates(SimTime::from_millis(200));
         assert_eq!(a, b);
         assert!(!a.is_empty(), "the pending update must flush");
+    }
+
+    #[test]
+    fn snapshot_lists_no_receiver_without_pending_items() {
+        let mut g = GameServerNode::new(ServerId(1), GameServerConfig::default()).with_fanout();
+        g.register(world(), 50.0);
+        for id in 1..=3 {
+            join(&mut g, id, Point::new(100.0 + id as f64, 100.0));
+        }
+        let act = |g: &mut GameServerNode, ms: u64, id: u64| {
+            g.on_client(
+                SimTime::from_millis(ms),
+                ClientId(id),
+                ClientToGame::Action {
+                    pos: Point::new(100.0 + id as f64, 100.0),
+                    payload_bytes: 10,
+                },
+            );
+        };
+        act(&mut g, 0, 1);
+        assert_eq!(g.snapshot().pending.len(), 2, "clients 2 and 3 saw it");
+        // Right after a flush every queue the batcher retained is
+        // empty; the snapshot must not mention any of them.
+        assert!(!g.flush_updates(SimTime::from_millis(100)).is_empty());
+        assert!(g.snapshot().pending.is_empty());
+        // Refill one queue (client 3 acts: 1 and 2 see it; 1 leaves).
+        act(&mut g, 120, 3);
+        g.on_client(SimTime::from_millis(130), ClientId(1), ClientToGame::Leave);
+        let snap = g.snapshot();
+        assert_eq!(
+            snap.pending.keys().copied().collect::<Vec<_>>(),
+            vec![ClientId(2)]
+        );
+        assert!(snap.pending.values().all(|items| !items.is_empty()));
     }
 
     #[test]

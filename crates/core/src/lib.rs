@@ -109,8 +109,8 @@ pub use server::{Action, Lifecycle, MatrixServer, ServerStats};
 // delta codec and flush policy are reused by clients and test suites.
 pub use matrix_interest::{
     quantize, AutoTuner, AutoTunerConfig, DeltaEncoder, DeltaStream, Disseminated,
-    DisseminationPipeline, EncodedOrigin, FlushPolicy, InterestGrid, PipelineConfig, RingSampler,
-    RingSet, Selection, UpdateBatcher, ANON_ENTITY, MAX_RINGS,
+    DisseminationPipeline, EncodedOrigin, FlushPolicy, InterestGrid, PipelineConfig, PolicyScratch,
+    RingSampler, RingSet, UpdateBatcher, ANON_ENTITY, MAX_RINGS,
 };
 
 // Re-export the dead-reckoning subsystem: receivers run an

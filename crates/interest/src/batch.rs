@@ -1,6 +1,25 @@
 //! Per-receiver update coalescing.
+//!
+//! A receiver's queue outlives the flush that empties it: the flush
+//! visits each queue in place and clears it, so the next interval's
+//! pushes land in memory that is already there instead of regrowing a
+//! fresh `Vec` 0 → 4 → … → n every interval. Retained memory stays
+//! bounded per receiver — a queue whose capacity exceeds four times what
+//! the last two flushes used is shrunk, a queue two flushes idle is
+//! released, and a departed receiver's entry is removed outright — and
+//! every observer ([`UpdateBatcher::receivers`], [`UpdateBatcher::peek`])
+//! reports only receivers that actually have something queued.
 
 use std::collections::BTreeMap;
+
+/// One receiver's queue, plus how much of it the previous flush used
+/// (the memory bound looks two flushes back, so one quiet interval does
+/// not throw a busy receiver's capacity away).
+#[derive(Debug, Clone)]
+struct Queue<U> {
+    items: Vec<U>,
+    prev_used: usize,
+}
 
 /// Accumulates updates per receiver and releases them in batches.
 ///
@@ -18,7 +37,7 @@ use std::collections::BTreeMap;
 /// so flush order is deterministic under the simulation.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateBatcher<K: Ord, U> {
-    pending: BTreeMap<K, Vec<U>>,
+    pending: BTreeMap<K, Queue<U>>,
     queued: usize,
 }
 
@@ -33,7 +52,14 @@ impl<K: Ord + Copy, U> UpdateBatcher<K, U> {
 
     /// Queues one update for `receiver`.
     pub fn push(&mut self, receiver: K, update: U) {
-        self.pending.entry(receiver).or_default().push(update);
+        self.pending
+            .entry(receiver)
+            .or_insert_with(|| Queue {
+                items: Vec::new(),
+                prev_used: 0,
+            })
+            .items
+            .push(update);
         self.queued += 1;
     }
 
@@ -44,7 +70,7 @@ impl<K: Ord + Copy, U> UpdateBatcher<K, U> {
 
     /// Number of receivers with at least one queued update.
     pub fn receivers(&self) -> usize {
-        self.pending.len()
+        self.peek().count()
     }
 
     /// Whether nothing is queued.
@@ -52,31 +78,81 @@ impl<K: Ord + Copy, U> UpdateBatcher<K, U> {
         self.queued == 0
     }
 
-    /// Drops any queue for `receiver` (it disconnected or switched
-    /// servers); returns how many updates were discarded.
+    /// Drops `receiver`'s queue, memory included (it disconnected or
+    /// switched servers); returns how many updates were discarded.
     pub fn forget(&mut self, receiver: K) -> usize {
-        let dropped = self.pending.remove(&receiver).map(|v| v.len()).unwrap_or(0);
+        let dropped = self.pending.remove(&receiver).map_or(0, |q| q.items.len());
         self.queued -= dropped;
         dropped
     }
 
-    /// Takes every queued batch, in receiver order, leaving the batcher
-    /// empty. Batches are non-empty by construction.
-    pub fn drain(&mut self) -> Vec<(K, Vec<U>)> {
+    /// Flushes every queued batch: `visit` sees each non-empty queue in
+    /// receiver order, and the queue is cleared behind it with its
+    /// memory kept for the next interval. `visit` returns whether the
+    /// receiver still exists; `false` removes its queue entry outright.
+    ///
+    /// Retained capacity is bounded on the way: a queue holding more
+    /// than four times what this flush and the previous one used is
+    /// shrunk to twice that, and a queue idle for two flushes in a row
+    /// is released.
+    pub fn drain_each(&mut self, mut visit: impl FnMut(K, &[U]) -> bool) {
         self.queued = 0;
-        std::mem::take(&mut self.pending).into_iter().collect()
+        self.pending.retain(|&receiver, queue| {
+            let used = queue.items.len();
+            let keep = if used > 0 {
+                visit(receiver, &queue.items)
+            } else {
+                queue.prev_used > 0
+            };
+            queue.items.clear();
+            let peak = used.max(queue.prev_used);
+            if queue.items.capacity() > 4 * peak {
+                queue.items.shrink_to(2 * peak);
+            }
+            queue.prev_used = used;
+            keep
+        });
+    }
+
+    /// Releases every queue that holds nothing right now. Callers that
+    /// re-anchor their receiver set use it so receivers that left with
+    /// the old set keep no retained memory behind.
+    pub fn release_idle(&mut self) {
+        self.pending.retain(|_, queue| !queue.items.is_empty());
     }
 
     /// Visits every queued batch without consuming it, in receiver
     /// order — the region-snapshot path reads pending updates this way.
+    /// Batches are non-empty: a queue retained only for its memory is
+    /// not listed.
     pub fn peek(&self) -> impl Iterator<Item = (&K, &[U])> {
-        self.pending.iter().map(|(k, v)| (k, v.as_slice()))
+        self.pending
+            .iter()
+            .filter(|(_, q)| !q.items.is_empty())
+            .map(|(k, q)| (k, q.items.as_slice()))
+    }
+
+    /// Queue entries held, idle ones included (the memory-bound tests'
+    /// view; everything public reports non-empty queues only).
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> usize {
+        self.pending.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Flushes the batcher into owned batches.
+    fn drain<K: Ord + Copy, U: Clone>(b: &mut UpdateBatcher<K, U>) -> Vec<(K, Vec<U>)> {
+        let mut out = Vec::new();
+        b.drain_each(|k, items| {
+            out.push((k, items.to_vec()));
+            true
+        });
+        out
+    }
 
     #[test]
     fn push_drain_round_trip() {
@@ -86,10 +162,10 @@ mod tests {
         b.push(2, "b2");
         assert_eq!(b.queued(), 3);
         assert_eq!(b.receivers(), 2);
-        let drained = b.drain();
+        let drained = drain(&mut b);
         assert_eq!(drained, vec![(1, vec!["a1"]), (2, vec!["b1", "b2"])]);
         assert!(b.is_empty());
-        assert!(b.drain().is_empty());
+        assert!(drain(&mut b).is_empty());
     }
 
     #[test]
@@ -101,7 +177,7 @@ mod tests {
         assert_eq!(b.forget(1), 2);
         assert_eq!(b.forget(1), 0);
         assert_eq!(b.queued(), 1);
-        assert_eq!(b.drain(), vec![(2, vec![2])]);
+        assert_eq!(drain(&mut b), vec![(2, vec![2])]);
     }
 
     #[test]
@@ -112,7 +188,7 @@ mod tests {
         let seen: Vec<(u32, Vec<u8>)> = b.peek().map(|(k, v)| (*k, v.to_vec())).collect();
         assert_eq!(seen, vec![(1, vec![7]), (2, vec![9])]);
         assert_eq!(b.queued(), 2, "peek leaves the queue intact");
-        assert_eq!(b.drain(), vec![(1, vec![7]), (2, vec![9])]);
+        assert_eq!(drain(&mut b), vec![(1, vec![7]), (2, vec![9])]);
     }
 
     #[test]
@@ -121,7 +197,69 @@ mod tests {
         for k in [5u32, 3, 9, 1] {
             b.push(k, 0);
         }
-        let order: Vec<u32> = b.drain().into_iter().map(|(k, _)| k).collect();
+        let order: Vec<u32> = drain(&mut b).into_iter().map(|(k, _)| k).collect();
         assert_eq!(order, vec![1, 3, 5, 9]);
+    }
+
+    #[test]
+    fn retained_queues_are_invisible_until_refilled() {
+        let mut b: UpdateBatcher<u32, u8> = UpdateBatcher::new();
+        b.push(1, 0);
+        b.push(2, 0);
+        drain(&mut b);
+        assert_eq!(b.entries(), 2, "both queues keep their memory");
+        assert_eq!(b.receivers(), 0);
+        assert_eq!(b.peek().count(), 0);
+        b.push(2, 1);
+        assert_eq!(b.receivers(), 1);
+        let seen: Vec<u32> = b.peek().map(|(k, _)| *k).collect();
+        assert_eq!(seen, vec![2]);
+        assert_eq!(
+            drain(&mut b),
+            vec![(2, vec![1])],
+            "idle queues are not visited"
+        );
+    }
+
+    #[test]
+    fn a_spike_does_not_pin_its_peak_capacity() {
+        let mut b: UpdateBatcher<u32, u64> = UpdateBatcher::new();
+        for i in 0..500 {
+            b.push(1, i);
+        }
+        drain(&mut b);
+        assert!(
+            b.pending[&1].items.capacity() >= 500,
+            "kept for the next interval"
+        );
+        for i in 0..10 {
+            b.push(1, i);
+            assert_eq!(drain(&mut b), vec![(1, vec![i])]);
+        }
+        let cap = b.pending[&1].items.capacity();
+        assert!(cap < 64, "one flash crowd pinned {cap} slots");
+    }
+
+    #[test]
+    fn departed_and_idle_receivers_leave_nothing_behind() {
+        let mut b: UpdateBatcher<u32, u8> = UpdateBatcher::new();
+        b.push(1, 0);
+        b.push(2, 0);
+        b.push(3, 0);
+        // Receiver 2 vanished between enqueue and flush.
+        b.drain_each(|k, _| k != 2);
+        assert_eq!(b.entries(), 2);
+        b.forget(1);
+        assert_eq!(b.entries(), 1);
+        // Receiver 3 stays subscribed but falls silent: one idle flush
+        // keeps its memory, the second releases it.
+        b.push(9, 0);
+        drain(&mut b);
+        assert_eq!(b.entries(), 2);
+        b.push(9, 0);
+        drain(&mut b);
+        assert_eq!(b.entries(), 1, "two idle flushes release the queue");
+        b.release_idle();
+        assert_eq!(b.entries(), 0);
     }
 }

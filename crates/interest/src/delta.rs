@@ -28,6 +28,11 @@
 //! and deltas alike) to `GameServerConfig::origin_quantum` before they
 //! enter the dissemination pipeline, which is what real game netcode
 //! does with fixed-point network positions.
+//!
+//! The encoder is *streaming*: a flush is opened per client
+//! ([`DeltaEncoder::begin_flush`]), fed one origin at a time and
+//! committed at the end, so the caller builds its wire items in the same
+//! pass and never materialises a list of origins or of encodings.
 
 use matrix_geometry::Point;
 use std::collections::BTreeMap;
@@ -69,10 +74,11 @@ struct StreamState {
 /// periodic keyframes.
 ///
 /// One encoder serves every client of a game server; each client has an
-/// independent stream. The caller drives it once per flush with the
-/// origins it is about to send (already priority-ordered — see
-/// [`FlushPolicy`](crate::FlushPolicy)) and transmits the returned
-/// [`EncodedOrigin`]s in order.
+/// independent stream. The caller opens it once per flush
+/// ([`DeltaEncoder::begin_flush`]), feeds it the origins it is about to
+/// send one by one (already priority-ordered — see
+/// [`FlushPolicy`](crate::FlushPolicy)) and transmits each returned
+/// [`EncodedOrigin`] in that order.
 ///
 /// # Keyframes
 ///
@@ -171,56 +177,22 @@ impl<K: Ord + Copy> DeltaEncoder<K> {
         exact.then_some(EncodedOrigin::Offset { dx, dy })
     }
 
-    /// Encodes one flush of origins for `client`, in order, updating the
-    /// stream state. The first item is absolute when the client has no
-    /// stream (fresh or reset) or the keyframe countdown expired;
-    /// otherwise every item chains off the previous reconstructed origin.
-    pub fn encode_flush(&mut self, client: K, origins: &[Point]) -> Vec<EncodedOrigin> {
-        if origins.is_empty() {
-            return Vec::new();
-        }
-        if self.keyframe_every == 0 {
-            return origins
-                .iter()
-                .map(|&p| EncodedOrigin::Absolute(p))
-                .collect();
-        }
+    /// Opens one flush of `client`'s stream. Feed the returned
+    /// [`FlushEncoder`] the origins about to be sent, in order, then
+    /// [`finish`](FlushEncoder::finish) it to commit the stream state.
+    /// The first item is absolute when the client has no stream (fresh
+    /// or reset) or the keyframe countdown expired; otherwise every item
+    /// chains off the previous reconstructed origin.
+    pub fn begin_flush(&mut self, client: K) -> FlushEncoder<'_, K> {
         let state = self.streams.get(&client).copied();
-        let force_keyframe = match state {
-            None => true,
-            Some(s) => s.flushes_until_keyframe == 0,
-        };
-        let mut out = Vec::with_capacity(origins.len());
-        let mut sent_keyframe = false;
-        let mut base = state.map(|s| s.base);
-        for &origin in origins {
-            let encoded = match base {
-                Some(b) if !(force_keyframe && out.is_empty()) => self
-                    .try_offset(b, origin)
-                    .unwrap_or(EncodedOrigin::Absolute(origin)),
-                _ => EncodedOrigin::Absolute(origin),
-            };
-            sent_keyframe |= encoded.is_keyframe();
-            out.push(encoded);
-            // Offsets reconstruct exactly, so the receiver's base after
-            // this item is the true origin on both sides.
-            base = Some(origin);
-        }
-        let countdown = if sent_keyframe {
-            self.keyframe_every.saturating_sub(1)
-        } else {
-            state
-                .map(|s| s.flushes_until_keyframe.saturating_sub(1))
-                .unwrap_or(0)
-        };
-        self.streams.insert(
+        FlushEncoder {
             client,
-            StreamState {
-                base: base.expect("non-empty flush"),
-                flushes_until_keyframe: countdown,
-            },
-        );
-        out
+            countdown: state.map(|s| s.flushes_until_keyframe),
+            base: state.map(|s| s.base),
+            emitted: false,
+            sent_keyframe: false,
+            encoder: self,
+        }
     }
 
     /// Exports every stream's state as `(client, base, countdown)`
@@ -266,6 +238,72 @@ impl<K: Ord + Copy> DeltaEncoder<K> {
     /// rejoins gets a keyframe, never a delta against a base it lost.
     pub fn clear(&mut self) {
         self.streams.clear();
+    }
+}
+
+/// One flush of one client's delta stream, in progress
+/// ([`DeltaEncoder::begin_flush`]). Items are encoded one at a time, so
+/// a caller assembling wire items needs no intermediate origin or
+/// encoding buffer.
+#[derive(Debug)]
+#[must_use = "finish() commits the stream state the emitted items assume"]
+pub struct FlushEncoder<'a, K: Ord> {
+    encoder: &'a mut DeltaEncoder<K>,
+    client: K,
+    /// The keyframe countdown the stream entered this flush with
+    /// (`None` = no stream: fresh or reset).
+    countdown: Option<u32>,
+    /// The origin the receiver holds after the items emitted so far.
+    base: Option<Point>,
+    emitted: bool,
+    sent_keyframe: bool,
+}
+
+impl<K: Ord + Copy> FlushEncoder<'_, K> {
+    /// Encodes the flush's next origin.
+    pub fn encode(&mut self, origin: Point) -> EncodedOrigin {
+        if self.encoder.keyframe_every == 0 {
+            return EncodedOrigin::Absolute(origin);
+        }
+        // A stream without a base, or one whose countdown expired,
+        // opens the flush with a keyframe.
+        let force_keyframe = !self.emitted && self.countdown.unwrap_or(0) == 0;
+        let encoded = match self.base {
+            Some(b) if !force_keyframe => self
+                .encoder
+                .try_offset(b, origin)
+                .unwrap_or(EncodedOrigin::Absolute(origin)),
+            _ => EncodedOrigin::Absolute(origin),
+        };
+        self.emitted = true;
+        self.sent_keyframe |= encoded.is_keyframe();
+        // Offsets reconstruct exactly, so the receiver's base after
+        // this item is the true origin on both sides.
+        self.base = Some(origin);
+        encoded
+    }
+
+    /// Commits the stream state: the last origin becomes the base of
+    /// the next flush, and the keyframe countdown restarts if this
+    /// flush carried a keyframe and ticks down otherwise. An empty
+    /// flush, and absolute-only mode, leave the encoder untouched.
+    pub fn finish(self) {
+        if !self.emitted {
+            return;
+        }
+        let base = self.base.expect("every emitted item sets the base");
+        let flushes_until_keyframe = if self.sent_keyframe {
+            self.encoder.keyframe_every.saturating_sub(1)
+        } else {
+            self.countdown.unwrap_or(0).saturating_sub(1)
+        };
+        self.encoder.streams.insert(
+            self.client,
+            StreamState {
+                base,
+                flushes_until_keyframe,
+            },
+        );
     }
 }
 
@@ -336,6 +374,18 @@ impl DeltaStream {
 mod tests {
     use super::*;
 
+    /// One whole flush through the streaming encoder, collected.
+    fn encode_flush(
+        enc: &mut DeltaEncoder<u32>,
+        client: u32,
+        origins: &[Point],
+    ) -> Vec<EncodedOrigin> {
+        let mut flush = enc.begin_flush(client);
+        let out = origins.iter().map(|&p| flush.encode(p)).collect();
+        flush.finish();
+        out
+    }
+
     fn decode(items: &[EncodedOrigin], stream: &mut DeltaStream) -> Vec<Point> {
         items
             .iter()
@@ -351,7 +401,7 @@ mod tests {
             Point::new(11.5, 10.0),
             Point::new(12.0, 9.0),
         ];
-        let items = enc.encode_flush(1, &origins);
+        let items = encode_flush(&mut enc, 1, &origins);
         assert!(items[0].is_keyframe());
         assert!(!items[1].is_keyframe());
         assert!(!items[2].is_keyframe());
@@ -360,7 +410,7 @@ mod tests {
 
         // Next flush chains off the last origin without a keyframe.
         let next = [Point::new(12.5, 9.0)];
-        let items = enc.encode_flush(1, &next);
+        let items = encode_flush(&mut enc, 1, &next);
         assert!(!items[0].is_keyframe());
         assert_eq!(decode(&items, &mut stream), next);
     }
@@ -369,17 +419,17 @@ mod tests {
     fn keyframe_interval_forces_absolute() {
         let mut enc: DeltaEncoder<u32> = DeltaEncoder::new(2);
         let p = |i: u64| [Point::new(10.0 + i as f64, 10.0)];
-        assert!(enc.encode_flush(1, &p(0))[0].is_keyframe()); // flush 1: key
-        assert!(!enc.encode_flush(1, &p(1))[0].is_keyframe()); // flush 2: delta
-        assert!(enc.encode_flush(1, &p(2))[0].is_keyframe()); // flush 3: forced
-        assert!(!enc.encode_flush(1, &p(3))[0].is_keyframe());
+        assert!(encode_flush(&mut enc, 1, &p(0))[0].is_keyframe()); // flush 1: key
+        assert!(!encode_flush(&mut enc, 1, &p(1))[0].is_keyframe()); // flush 2: delta
+        assert!(encode_flush(&mut enc, 1, &p(2))[0].is_keyframe()); // flush 3: forced
+        assert!(!encode_flush(&mut enc, 1, &p(3))[0].is_keyframe());
     }
 
     #[test]
     fn zero_interval_disables_deltas() {
         let mut enc: DeltaEncoder<u32> = DeltaEncoder::new(0);
         for i in 0..5u64 {
-            let items = enc.encode_flush(1, &[Point::new(i as f64, 0.0)]);
+            let items = encode_flush(&mut enc, 1, &[Point::new(i as f64, 0.0)]);
             assert!(items[0].is_keyframe());
         }
         assert_eq!(enc.streams(), 0, "absolute-only mode keeps no state");
@@ -388,29 +438,29 @@ mod tests {
     #[test]
     fn teleports_and_extreme_magnitudes_fall_back_to_keyframes() {
         let mut enc: DeltaEncoder<u32> = DeltaEncoder::new(8);
-        enc.encode_flush(1, &[Point::new(0.0, 0.0)]);
+        encode_flush(&mut enc, 1, &[Point::new(0.0, 0.0)]);
         // Beyond the threshold: absolute.
-        let far = enc.encode_flush(1, &[Point::new(1.0e5, 0.0)]);
+        let far = encode_flush(&mut enc, 1, &[Point::new(1.0e5, 0.0)]);
         assert!(far[0].is_keyframe());
         // Magnitudes whose difference cannot round-trip: absolute.
-        enc.encode_flush(1, &[Point::new(1.0e16, 0.0)]);
-        let tiny = enc.encode_flush(1, &[Point::new(1.0, 0.0)]);
+        encode_flush(&mut enc, 1, &[Point::new(1.0e16, 0.0)]);
+        let tiny = encode_flush(&mut enc, 1, &[Point::new(1.0, 0.0)]);
         assert!(tiny[0].is_keyframe());
     }
 
     #[test]
     fn off_lattice_offsets_fall_back_to_keyframes() {
         let mut enc: DeltaEncoder<u32> = DeltaEncoder::new(8);
-        enc.encode_flush(1, &[Point::new(0.0, 0.0)]);
+        encode_flush(&mut enc, 1, &[Point::new(0.0, 0.0)]);
         // 0.1 is not a multiple of 1/256: the compact fixed-point frame
         // cannot carry it exactly, so the item ships absolute.
-        let off = enc.encode_flush(1, &[Point::new(0.1, 0.0)]);
+        let off = encode_flush(&mut enc, 1, &[Point::new(0.1, 0.0)]);
         assert!(off[0].is_keyframe());
         // Snapped onto the lattice it deltas fine.
         let p = quantize(Point::new(0.1, 0.0), DeltaEncoder::<u32>::DEFAULT_QUANTUM);
         enc.reset(1);
-        enc.encode_flush(1, &[Point::new(0.0, 0.0)]);
-        let on = enc.encode_flush(1, &[p]);
+        encode_flush(&mut enc, 1, &[Point::new(0.0, 0.0)]);
+        let on = encode_flush(&mut enc, 1, &[p]);
         assert!(!on[0].is_keyframe());
     }
 
@@ -432,38 +482,44 @@ mod tests {
     #[test]
     fn reset_forces_resync_keyframe() {
         let mut enc: DeltaEncoder<u32> = DeltaEncoder::new(100);
-        enc.encode_flush(7, &[Point::new(5.0, 5.0)]);
-        assert!(!enc.encode_flush(7, &[Point::new(6.0, 5.0)])[0].is_keyframe());
+        encode_flush(&mut enc, 7, &[Point::new(5.0, 5.0)]);
+        assert!(!encode_flush(&mut enc, 7, &[Point::new(6.0, 5.0)])[0].is_keyframe());
         enc.reset(7);
-        assert!(enc.encode_flush(7, &[Point::new(7.0, 5.0)])[0].is_keyframe());
+        assert!(encode_flush(&mut enc, 7, &[Point::new(7.0, 5.0)])[0].is_keyframe());
     }
 
     #[test]
     fn clear_wipes_every_stream() {
         let mut enc: DeltaEncoder<u32> = DeltaEncoder::new(8);
-        enc.encode_flush(1, &[Point::new(1.0, 1.0)]);
-        enc.encode_flush(2, &[Point::new(2.0, 2.0)]);
+        encode_flush(&mut enc, 1, &[Point::new(1.0, 1.0)]);
+        encode_flush(&mut enc, 2, &[Point::new(2.0, 2.0)]);
         assert_eq!(enc.streams(), 2);
         enc.clear();
         assert_eq!(enc.streams(), 0);
-        assert!(enc.encode_flush(1, &[Point::new(1.5, 1.0)])[0].is_keyframe());
+        assert!(encode_flush(&mut enc, 1, &[Point::new(1.5, 1.0)])[0].is_keyframe());
     }
 
     #[test]
     fn exported_streams_restore_into_an_equivalent_encoder() {
         let mut enc: DeltaEncoder<u32> = DeltaEncoder::new(3);
-        enc.encode_flush(1, &[Point::new(1.0, 2.0)]);
-        enc.encode_flush(1, &[Point::new(1.5, 2.0)]);
-        enc.encode_flush(2, &[Point::new(9.0, 9.0)]);
+        encode_flush(&mut enc, 1, &[Point::new(1.0, 2.0)]);
+        encode_flush(&mut enc, 1, &[Point::new(1.5, 2.0)]);
+        encode_flush(&mut enc, 2, &[Point::new(9.0, 9.0)]);
 
         let mut restored: DeltaEncoder<u32> = DeltaEncoder::new(3);
         restored.import_streams(enc.export_streams());
         assert_eq!(restored.streams(), 2);
         // Both encoders produce identical items for the same next flush.
         let next = [Point::new(2.0, 2.0)];
-        assert_eq!(enc.encode_flush(1, &next), restored.encode_flush(1, &next));
+        assert_eq!(
+            encode_flush(&mut enc, 1, &next),
+            encode_flush(&mut restored, 1, &next)
+        );
         let far = [Point::new(9.5, 9.0)];
-        assert_eq!(enc.encode_flush(2, &far), restored.encode_flush(2, &far));
+        assert_eq!(
+            encode_flush(&mut enc, 2, &far),
+            encode_flush(&mut restored, 2, &far)
+        );
     }
 
     #[test]

@@ -17,13 +17,15 @@
 //!   boundary from churning between buckets.
 //! * [`UpdateBatcher`] — a coalescing layer that accumulates per-client
 //!   updates and flushes them in batches on an interval, cutting
-//!   per-message overhead and giving the transport large writes.
+//!   per-message overhead and giving the transport large writes. Queues
+//!   are flushed in place and keep their (bounded) memory.
 //! * [`FlushPolicy`] — priority-aware rate limiting applied at every
 //!   flush: items are ranked by relevance (distance to the receiving
 //!   client), duplicate origins are merged, and the farthest items are
 //!   dropped first until the per-client count/byte budgets fit, so slow
 //!   or crowded clients degrade gracefully instead of queueing
-//!   unboundedly.
+//!   unboundedly. It ranks indices in a reusable [`PolicyScratch`]; the
+//!   items themselves never move.
 //! * [`DeltaEncoder`] / [`DeltaStream`] — per-client delta compression
 //!   of update origins: each item is encoded as an offset from the
 //!   previous one, with periodic and threshold-triggered absolute
@@ -70,7 +72,7 @@ mod shard;
 mod tuner;
 
 pub use batch::UpdateBatcher;
-pub use delta::{quantize, DeltaEncoder, DeltaStream, EncodedOrigin};
+pub use delta::{quantize, DeltaEncoder, DeltaStream, EncodedOrigin, FlushEncoder};
 pub use grid::InterestGrid;
 pub use matrix_predict::{
     extrapolate, quantize_velocity, Admission, Basis, Extrapolator, MotionModel, PredictedStream,
@@ -79,7 +81,7 @@ pub use pipeline::{
     DisseminateStats, Disseminated, DisseminationPipeline, FlushBatch, FlushOutcome,
     PipelineConfig, PredictorConfig,
 };
-pub use policy::{FlushPolicy, Selection, ANON_ENTITY};
+pub use policy::{FlushPolicy, PolicyScratch, ANON_ENTITY};
 pub use rings::{RingSampler, RingSet, MAX_RINGS};
 pub use shard::{shard_of, ShardKey};
 pub use tuner::{AutoTuner, AutoTunerConfig};

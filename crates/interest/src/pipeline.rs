@@ -28,9 +28,19 @@
 //! 4. **entity merge + budget policy** —
 //!    [`FlushPolicy`](crate::FlushPolicy) ranks the queued items by
 //!    relevance, supersedes per-entity duplicates under pressure and
-//!    enforces the count/byte budgets;
+//!    enforces the count/byte budgets — over 16-byte keys into the
+//!    receiver's queue, which stays where it is;
 //! 5. **delta encoding** — [`DeltaEncoder`](crate::DeltaEncoder) turns
-//!    surviving origins into exact offsets with periodic keyframes.
+//!    surviving origins into exact offsets with periodic keyframes,
+//!    one item at a time, and the caller's emitter turns each
+//!    `(payload, encoded origin)` pair straight into its wire item.
+//!
+//! A flush therefore moves each delivered item once — out of the queue,
+//! into the finished per-receiver list — and allocates once per
+//! receiver, for that list. The queues
+//! ([`UpdateBatcher`](crate::UpdateBatcher)) and the ranking scratch
+//! ([`PolicyScratch`](crate::PolicyScratch), one per shard) keep their
+//! memory from flush to flush.
 //!
 //! A density-driven [`AutoTuner`](crate::AutoTuner) re-picks the grid
 //! resolution as the subscriber count drifts (stage 1's only tunable),
@@ -66,7 +76,7 @@
 
 use crate::delta::{DeltaEncoder, EncodedOrigin};
 use crate::grid::InterestGrid;
-use crate::policy::{FlushPolicy, ANON_ENTITY};
+use crate::policy::{FlushPolicy, PolicyScratch, ANON_ENTITY};
 use crate::rings::{RingSampler, RingSet, MAX_RINGS};
 use crate::shard::{shard_of, ShardKey};
 use crate::tuner::{AutoTuner, AutoTunerConfig};
@@ -221,29 +231,31 @@ pub struct PipelineConfig {
     pub telemetry: bool,
 }
 
-/// One receiver's flushed batch. `items` and `origins` are parallel —
-/// handing back the two vectors the policy and encoder stages already
-/// produced keeps the flush hot path free of intermediate copies (the
-/// caller zips them while assembling its wire messages).
+/// One receiver's flushed batch, already in the caller's wire form:
+/// the flush hands every kept payload and its [`EncodedOrigin`] to the
+/// caller's emitter ([`DisseminationPipeline::flush`]) and collects what
+/// it returns, so no intermediate list of payloads or encodings exists.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FlushBatch<K, U> {
+pub struct FlushBatch<K, B, A> {
     /// The receiving subscriber.
     pub receiver: K,
-    /// Kept payloads, most relevant first. Never empty. Each carries
-    /// its ring tag ([`Disseminated::ring`]).
-    pub items: Vec<U>,
-    /// How each item's origin travels on the wire (parallel to
-    /// `items`).
-    pub origins: Vec<EncodedOrigin>,
+    /// The emitter's output per kept payload, most relevant first.
+    /// Never empty.
+    pub items: Vec<B>,
+    /// The emitter's accumulator for this batch (starts at
+    /// `A::default()`, sees every item): whatever the caller counts per
+    /// batch — rings, keyframes, wire bytes — in the pass that builds
+    /// `items`.
+    pub tally: A,
     /// Items merged or dropped by the budget policy for this receiver.
     pub rate_limited: u64,
 }
 
 /// Everything one flush produced.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlushOutcome<K, U> {
+pub struct FlushOutcome<K, B, A> {
     /// Per-receiver batches, in receiver order.
-    pub batches: Vec<FlushBatch<K, U>>,
+    pub batches: Vec<FlushBatch<K, B, A>>,
     /// Queued items discarded because their receiver vanished between
     /// enqueue and flush.
     pub orphaned: u64,
@@ -294,6 +306,12 @@ struct Shard<K: Ord, U> {
     /// item. Empty — and never touched — unless trace charging is
     /// armed.
     charges: std::collections::HashMap<u64, std::collections::HashMap<K, u64>>,
+    /// Stage 4's ranking memory, reused across receivers and flushes.
+    /// Per shard, so parallel flush workers share nothing.
+    ranking: PolicyScratch,
+    /// Queue indices of the traced items the policy kept for the
+    /// receiver at hand (trace charging only).
+    kept_traced: Vec<usize>,
 }
 
 /// The composed dissemination pipeline (see the module docs for the
@@ -441,6 +459,8 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             predicted: PredictedStream::new(),
             spans: StageSpans::new(self.telemetry),
             charges: std::collections::HashMap::new(),
+            ranking: PolicyScratch::default(),
+            kept_traced: Vec::new(),
         }
     }
 
@@ -523,6 +543,11 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         self.grid = Self::make_grid(bounds, self.tuner.current());
         for (key, pos) in subscribers {
             self.grid.insert(key, pos);
+        }
+        // Receivers that left with the old set must not keep a retained
+        // (empty) queue behind; queues with items in them stay pending.
+        for shard in &mut self.shards {
+            shard.batcher.release_idle();
         }
     }
 
@@ -827,32 +852,37 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// shard by shard. `viewer_of` resolves a receiver's current
     /// position; `None` means the receiver vanished between enqueue and
     /// flush (its items are discarded and counted in
-    /// [`FlushOutcome::orphaned`]). Sequential by default; behind
-    /// [`DisseminationPipeline::with_parallel_flush`] each shard runs
-    /// on its own scoped worker thread. Either way the batches come
+    /// [`FlushOutcome::orphaned`]). `emit` turns each kept payload and
+    /// its encoded origin into the caller's wire item, in delivery
+    /// order, with a per-batch accumulator for whatever the caller
+    /// tallies on the way ([`FlushBatch::tally`]). Sequential by default;
+    /// behind [`DisseminationPipeline::with_parallel_flush`] each shard
+    /// runs on its own scoped worker thread. Either way the batches come
     /// back in global receiver order and the outcome is byte-identical
     /// for any shard count.
-    pub fn flush(&mut self, viewer_of: impl Fn(K) -> Option<Point> + Sync) -> FlushOutcome<K, U>
+    pub fn flush<A, B>(
+        &mut self,
+        viewer_of: impl Fn(K) -> Option<Point> + Sync,
+        emit: impl Fn(&mut A, U, EncodedOrigin) -> B + Sync,
+    ) -> FlushOutcome<K, B, A>
     where
         K: Send + Sync,
-        U: Send,
+        U: Clone + Send,
+        A: Default + Send,
+        B: Send,
     {
         let metric = self.metric;
         let policy = self.policy;
         let charging = self.trace_charging;
-        let mut outcome = FlushOutcome {
-            batches: Vec::new(),
-            orphaned: 0,
-        };
-        if self.parallel && self.shards.len() > 1 {
-            let viewer_of = &viewer_of;
-            let results: Vec<(Vec<FlushBatch<K, U>>, u64)> = std::thread::scope(|s| {
+        let per_shard: Vec<FlushOutcome<K, B, A>> = if self.parallel && self.shards.len() > 1 {
+            let (viewer_of, emit) = (&viewer_of, &emit);
+            std::thread::scope(|s| {
                 let handles: Vec<_> = self
                     .shards
                     .iter_mut()
                     .map(|shard| {
                         s.spawn(move || {
-                            Self::flush_shard(shard, metric, policy, charging, viewer_of)
+                            Self::flush_shard(shard, metric, policy, charging, viewer_of, emit)
                         })
                     })
                     .collect();
@@ -860,18 +890,18 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                     .into_iter()
                     .map(|h| h.join().expect("flush worker panicked"))
                     .collect()
-            });
-            for (batches, orphaned) in results {
-                outcome.batches.extend(batches);
-                outcome.orphaned += orphaned;
-            }
+            })
         } else {
-            for shard in &mut self.shards {
-                let (batches, orphaned) =
-                    Self::flush_shard(shard, metric, policy, charging, &viewer_of);
-                outcome.batches.extend(batches);
-                outcome.orphaned += orphaned;
-            }
+            self.shards
+                .iter_mut()
+                .map(|shard| Self::flush_shard(shard, metric, policy, charging, &viewer_of, &emit))
+                .collect()
+        };
+        let mut per_shard = per_shard.into_iter();
+        let mut outcome = per_shard.next().expect("a pipeline has at least one shard");
+        for shard in per_shard {
+            outcome.batches.extend(shard.batches);
+            outcome.orphaned += shard.orphaned;
         }
         // Receivers partition across shards and each shard drains in
         // receiver order, so one sort by receiver reconstructs the
@@ -889,78 +919,76 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// Stages 4–5 over one shard. Touches nothing outside the shard, so
     /// concurrent calls on distinct shards are race-free by
     /// construction.
-    fn flush_shard(
+    fn flush_shard<A: Default, B>(
         shard: &mut Shard<K, U>,
         metric: Metric,
         policy: FlushPolicy,
         charging: bool,
-        viewer_of: &(impl Fn(K) -> Option<Point> + Sync),
-    ) -> (Vec<FlushBatch<K, U>>, u64) {
-        let mut batches = Vec::new();
+        viewer_of: &impl Fn(K) -> Option<Point>,
+        emit: &impl Fn(&mut A, U, EncodedOrigin) -> B,
+    ) -> FlushOutcome<K, B, A>
+    where
+        U: Clone,
+    {
+        let Shard {
+            batcher,
+            encoder,
+            predicted,
+            spans,
+            charges,
+            ranking,
+            kept_traced,
+            ..
+        } = shard;
+        let mut batches = Vec::with_capacity(batcher.receivers());
         let mut orphaned = 0u64;
-        shard.spans.begin();
-        for (receiver, queued) in shard.batcher.drain() {
+        spans.begin();
+        batcher.drain_each(|receiver, queued| {
             let Some(viewer) = viewer_of(receiver) else {
                 orphaned += queued.len() as u64;
-                shard.encoder.forget(receiver);
+                encoder.forget(receiver);
                 // The prediction mirror dies with the stream: these
                 // queued rebases never reached the receiver, so bases
                 // recorded for them describe state nobody holds.
-                shard.predicted.forget_receiver(receiver);
+                predicted.forget_receiver(receiver);
                 // And so do its staleness charges: nobody is left to
                 // deliver them to.
-                if !shard.charges.is_empty() {
-                    shard.charges.retain(|_, owed| {
+                if !charges.is_empty() {
+                    charges.retain(|_, owed| {
                         owed.remove(&receiver);
                         !owed.is_empty()
                     });
                 }
-                continue;
+                return false;
             };
-            // Traced items the policy is about to judge: remember each
-            // one's identity and earliest vouched-for event time so a
-            // drop can re-charge it below.
-            let queued_len = queued.len();
-            let queued_traced: Vec<(u64, u32, u64)> = if charging {
-                queued
-                    .iter()
-                    .filter_map(|u| u.trace().map(|t| (u.entity(), t.seq, t.charge_origin_us())))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let selection = policy.select(
+            // Stage 4 ranks indices into the queue; nothing moves yet.
+            let dropped = policy.select(
                 viewer,
                 metric,
-                |u: &U| u.origin(),
-                |u: &U| u.entity(),
-                |u: &U| u.wire_bytes(),
+                U::origin,
+                U::entity,
+                U::wire_bytes,
                 queued,
+                ranking,
             );
-            // When the policy kept everything verbatim (no cap, under
-            // budget), every traced item survived by construction —
-            // skip the survivor matching entirely.
-            if charging
-                && !queued_traced.is_empty()
-                && (selection.dropped > 0 || selection.kept.len() != queued_len)
-            {
+            // When the policy kept everything, every traced item
+            // survived by construction — nothing to re-charge.
+            if charging && dropped > 0 {
                 // A traced item the policy merged or dropped leaves the
                 // same gap a suppression does: re-charge it so the next
                 // delivered rebase of its entity carries the full age
                 // (chained drops keep compounding via charge_origin).
-                // One pass collects the surviving trace identities so
-                // the per-item check is against the (tiny) traced
-                // subset, not the whole kept list.
-                let kept_traced: Vec<(u64, u32)> = selection
-                    .kept
-                    .iter()
-                    .filter_map(|u| u.trace().map(|t| (u.entity(), t.seq)))
-                    .collect();
-                for (entity, seq, first_us) in queued_traced {
-                    if !kept_traced.contains(&(entity, seq)) {
-                        shard
-                            .charges
-                            .entry(entity)
+                // One pass collects the surviving traced items so the
+                // per-item check is against that (tiny) subset, not the
+                // whole kept list.
+                kept_traced.clear();
+                kept_traced.extend(ranking.kept().filter(|&i| queued[i].trace().is_some()));
+                for (i, u) in queued.iter().enumerate() {
+                    let Some(tag) = u.trace() else { continue };
+                    if !kept_traced.contains(&i) {
+                        let first_us = tag.charge_origin_us();
+                        charges
+                            .entry(u.entity())
                             .or_default()
                             .entry(receiver)
                             .and_modify(|t| *t = (*t).min(first_us))
@@ -968,19 +996,30 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                     }
                 }
             }
-            shard.spans.lap(Stage::Policy);
-            let kept_origins: Vec<Point> = selection.kept.iter().map(|u| u.origin()).collect();
-            let origins = shard.encoder.encode_flush(receiver, &kept_origins);
+            spans.lap(Stage::Policy);
+            // Stage 5, fused with the caller's wire-item assembly: each
+            // survivor leaves the queue once, straight into the finished
+            // list — the flush's one allocation for this receiver.
+            let mut tally = A::default();
+            let mut items = Vec::with_capacity(ranking.kept().len());
+            let mut stream = encoder.begin_flush(receiver);
+            for i in ranking.kept() {
+                let item = queued[i].clone();
+                let origin = stream.encode(item.origin());
+                items.push(emit(&mut tally, item, origin));
+            }
+            stream.finish();
             batches.push(FlushBatch {
                 receiver,
-                items: selection.kept,
-                origins,
-                rate_limited: selection.dropped as u64,
+                items,
+                tally,
+                rate_limited: dropped as u64,
             });
-            shard.spans.lap(Stage::Delta);
-        }
-        shard.spans.end_flush();
-        (batches, orphaned)
+            spans.lap(Stage::Delta);
+            true
+        });
+        spans.end_flush();
+        FlushOutcome { batches, orphaned }
     }
 
     // -- delta-stream bookkeeping --------------------------------------------
@@ -1151,6 +1190,17 @@ mod tests {
         }
     }
 
+    /// What the unit suite flushes into: each kept payload beside its
+    /// encoded origin, nothing tallied.
+    type Pairs<U> = FlushOutcome<u32, (U, EncodedOrigin), ()>;
+
+    fn flush_pairs<U: Disseminated + Clone + Send>(
+        p: &mut DisseminationPipeline<u32, U>,
+        viewer_of: impl Fn(u32) -> Option<Point> + Sync,
+    ) -> Pairs<U> {
+        p.flush(viewer_of, |_: &mut (), item, origin| (item, origin))
+    }
+
     fn cfg() -> PipelineConfig {
         PipelineConfig {
             metric: Metric::Euclidean,
@@ -1194,11 +1244,11 @@ mod tests {
         assert_eq!(stats.delivered, 1, "only subscriber 2 is in radius");
         assert_eq!(stats.sampled_out, 0);
         assert_eq!(stats.suppressed, 0);
-        let out = p.flush(|_| Some(Point::new(130.0, 100.0)));
+        let out = flush_pairs(&mut p, |_| Some(Point::new(130.0, 100.0)));
         assert_eq!(out.batches.len(), 1);
         assert_eq!(out.batches[0].receiver, 2);
-        assert_eq!(out.batches[0].items[0].ring, 0);
-        assert!(out.batches[0].origins[0].is_keyframe());
+        assert_eq!(out.batches[0].items[0].0.ring, 0);
+        assert!(out.batches[0].items[0].1.is_keyframe());
     }
 
     #[test]
@@ -1213,7 +1263,7 @@ mod tests {
                 ev(origin, ring)
             });
         }
-        let out = p.flush(|k| {
+        let out = flush_pairs(&mut p, |k| {
             Some(if k == 1 {
                 Point::new(100.0, 100.0)
             } else {
@@ -1223,10 +1273,9 @@ mod tests {
         let near = out.batches.iter().find(|b| b.receiver == 1).unwrap();
         let far = out.batches.iter().find(|b| b.receiver == 2).unwrap();
         assert_eq!(near.items.len(), 4, "near ring gets every event");
-        assert!(near.items.iter().all(|i| i.ring == 0));
-        assert_eq!(near.origins.len(), 4);
+        assert!(near.items.iter().all(|i| i.0.ring == 0));
         assert_eq!(far.items.len(), 2, "far ring at rate 2 gets half");
-        assert!(far.items.iter().all(|i| i.ring == 1));
+        assert!(far.items.iter().all(|i| i.0.ring == 1));
     }
 
     #[test]
@@ -1237,10 +1286,64 @@ mod tests {
         p.disseminate(origin, origin, 1, 0.0, true, None, true, |ring, _| {
             ev(origin, ring)
         });
-        let out = p.flush(|_| None);
+        let out = flush_pairs(&mut p, |_| None);
         assert!(out.batches.is_empty());
         assert_eq!(out.orphaned, 1);
         assert_eq!(p.streams(), 0, "orphaning clears the delta stream");
+    }
+
+    // -- bounded queue memory ------------------------------------------------
+
+    fn queue_entries(p: &DisseminationPipeline<u32, Ev>) -> usize {
+        p.shards.iter().map(|s| s.batcher.entries()).sum()
+    }
+
+    #[test]
+    fn departed_receivers_leave_no_queue_behind() {
+        let mut p = pipe(RingSet::single(50.0)).with_shards(3);
+        let at = Point::new(100.0, 100.0);
+        p.subscribe(0, at); // the resident event source
+        for k in 1..=10_000u32 {
+            p.subscribe(k, at);
+            p.disseminate(at, at, 1, 0.0, true, Some(0), true, |ring, _| ev(at, ring));
+            assert_eq!(p.unsubscribe(k), 1, "its one queued item dies with it");
+        }
+        assert_eq!(queue_entries(&p), 0);
+        assert!(!p.has_pending());
+    }
+
+    #[test]
+    fn every_path_that_drops_a_receiver_drops_its_queue() {
+        let mut p = pipe(RingSet::single(50.0));
+        let at = Point::new(100.0, 100.0);
+        let event = |p: &mut DisseminationPipeline<u32, Ev>| {
+            p.disseminate(at, at, 1, 0.0, true, None, true, |ring, _| ev(at, ring));
+        };
+        for k in 0..4u32 {
+            p.subscribe(k, at);
+        }
+        event(&mut p);
+        // Receiver 3 vanished between enqueue and flush.
+        let out = flush_pairs(&mut p, |k| (k != 3).then_some(at));
+        assert_eq!(out.orphaned, 1);
+        assert_eq!(queue_entries(&p), 3, "the flushed queues keep their memory");
+        // Right after a flush every retained queue is empty, and nothing
+        // that reports pending work may list one.
+        assert!(!p.has_pending());
+        assert_eq!(p.pending().count(), 0);
+        assert!(p.shards.iter().all(|s| s.batcher.receivers() == 0));
+        // A re-anchor releases the idle queues and keeps the busy one.
+        p.enqueue(2, ev(at, 0));
+        p.reset(world(), [(2, at)]);
+        assert_eq!(queue_entries(&p), 1);
+        assert_eq!(
+            p.pending()
+                .map(|(k, items)| (*k, items.len()))
+                .collect::<Vec<_>>(),
+            [(2, 1)]
+        );
+        p.clear_pending();
+        assert_eq!(queue_entries(&p), 0);
     }
 
     #[test]
@@ -1342,7 +1445,7 @@ mod tests {
         assert!(stats.pred_error_max <= 2.0, "{stats:?}");
         assert!(p.prediction_receivers() > 0);
         // Only the transmitted events were queued.
-        let out = p.flush(|_| Some(Point::new(100.0, 300.0)));
+        let out = flush_pairs(&mut p, |_| Some(Point::new(100.0, 300.0)));
         assert_eq!(out.batches[0].items.len() as u64, stats.delivered);
     }
 
@@ -1436,7 +1539,7 @@ mod tests {
             ev(origin, ring)
         });
         assert_eq!(stats.stripped, 1, "only the far item degrades");
-        let out = p.flush(|k| {
+        let out = flush_pairs(&mut p, |k| {
             Some(if k == 1 {
                 Point::new(100.0, 100.0)
             } else {
@@ -1445,8 +1548,8 @@ mod tests {
         });
         let near = out.batches.iter().find(|b| b.receiver == 1).unwrap();
         let far = out.batches.iter().find(|b| b.receiver == 2).unwrap();
-        assert_eq!(near.items[0].bytes, 8, "near ships the full payload");
-        assert_eq!(far.items[0].bytes, 0, "far ships position-only");
+        assert_eq!(near.items[0].0.bytes, 8, "near ships the full payload");
+        assert_eq!(far.items[0].0.bytes, 0, "far ships position-only");
     }
 
     // -- sharding ------------------------------------------------------------
@@ -1454,7 +1557,7 @@ mod tests {
     /// Drives a moderately messy workload — joins, moves, tiered
     /// disseminations, an unsubscribe, a vanished receiver — and
     /// returns every flush outcome.
-    fn drive_workload(p: &mut DisseminationPipeline<u32, Ev>) -> Vec<FlushOutcome<u32, Ev>> {
+    fn drive_workload(p: &mut DisseminationPipeline<u32, Ev>) -> Vec<Pairs<Ev>> {
         let mut rng: u64 = 0x5eed;
         let mut next = move || {
             rng ^= rng << 13;
@@ -1493,7 +1596,7 @@ mod tests {
                 p.unsubscribe(7);
             }
             let gone = 5 + round; // receiver vanished between enqueue and flush
-            outs.push(p.flush(move |k| {
+            outs.push(flush_pairs(p, move |k| {
                 if k == gone {
                     None
                 } else {
@@ -1569,7 +1672,7 @@ mod tests {
                 ev(at, ring)
             });
         }
-        primary.flush(|_| Some(Point::new(100.0, 300.0)));
+        flush_pairs(&mut primary, |_| Some(Point::new(100.0, 300.0)));
         // Promote onto a standby running a different worker count (the
         // gameserver restore flow: re-anchor the grid, then import).
         let mut standby = make(2);
@@ -1586,8 +1689,8 @@ mod tests {
         let sp = primary.disseminate(at, at, 9, 1.1, true, None, true, |ring, _| ev(at, ring));
         let sq = standby.disseminate(at, at, 9, 1.1, true, None, true, |ring, _| ev(at, ring));
         assert_eq!(sp, sq);
-        let fp = primary.flush(|_| Some(Point::new(100.0, 300.0)));
-        let fq = standby.flush(|_| Some(Point::new(100.0, 300.0)));
+        let fp = flush_pairs(&mut primary, |_| Some(Point::new(100.0, 300.0)));
+        let fq = flush_pairs(&mut standby, |_| Some(Point::new(100.0, 300.0)));
         assert_eq!(fp, fq);
     }
 
@@ -1612,7 +1715,7 @@ mod tests {
             p.disseminate(origin, origin, 1, 0.0, true, None, true, |ring, _| {
                 ev(origin, ring)
             });
-            p.flush(|_| Some(origin));
+            flush_pairs(&mut p, |_| Some(origin));
         }
         // Driver-thread stages: one sample per flush.
         assert_eq!(p.stage_histogram(Stage::Query).count(), 3);
@@ -1700,10 +1803,10 @@ mod tests {
             expected.iter().any(|&(_, stale)| stale > 0),
             "the drive must produce at least one charged rebase: {expected:?}"
         );
-        let out = p.flush(|_| Some(Point::new(100.0, 300.0)));
+        let out = flush_pairs(&mut p, |_| Some(Point::new(100.0, 300.0)));
         let items = &out.batches[0].items;
         assert_eq!(items.len(), expected.len());
-        for (item, (seq, stale)) in items.iter().zip(expected) {
+        for ((item, _), (seq, stale)) in items.iter().zip(expected) {
             let tag = item.tag.expect("every delivered item stays traced");
             assert_eq!(tag.seq, seq);
             assert_eq!(
@@ -1750,14 +1853,14 @@ mod tests {
         // entity 9, so the 1-item budget drops it.
         send(&mut p, 8, 120.0, 0, 0);
         send(&mut p, 9, 105.0, 1, 100_000);
-        let out = p.flush(|_| Some(Point::new(100.0, 100.0)));
+        let out = flush_pairs(&mut p, |_| Some(Point::new(100.0, 100.0)));
         assert_eq!(out.batches[0].items.len(), 1);
-        assert_eq!(out.batches[0].items[0].entity, 9);
+        assert_eq!(out.batches[0].items[0].0.entity, 9);
         assert_eq!(out.batches[0].rate_limited, 1);
         // The next rebase of entity 8 carries the dropped event's age.
         send(&mut p, 8, 121.0, 2, 300_000);
-        let out = p.flush(|_| Some(Point::new(100.0, 100.0)));
-        let tag = out.batches[0].items[0].tag.unwrap();
+        let out = flush_pairs(&mut p, |_| Some(Point::new(100.0, 100.0)));
+        let tag = out.batches[0].items[0].0.tag.unwrap();
         assert_eq!(tag.seq, 2);
         assert_eq!(tag.stale_us, 300_000, "charged from the dropped seq 0");
         assert_eq!(tag.staleness_us(450_000), 150_000 + 300_000);

@@ -10,9 +10,17 @@
 //! items first. Dropped items are not lost state — the next flush
 //! re-describes whatever is still relevant — so a budgeted client sees a
 //! slightly staler periphery instead of a growing queue.
+//!
+//! Ranking only pays if it costs less than the traffic it sheds, and the
+//! receivers that need it most are exactly the ones with the longest
+//! queues. [`FlushPolicy::select`] therefore never moves an item: it
+//! ranks 16-byte `(distance, arrival index)` keys over the borrowed
+//! queue, supersedes and merges by compacting that key array, and leaves
+//! the surviving *indices* in a reusable [`PolicyScratch`] for the caller
+//! to gather from — one pass over the survivors, no per-receiver
+//! allocation once the scratch has grown to the largest queue.
 
 use matrix_geometry::{Metric, Point};
-use std::collections::BTreeMap;
 
 /// Entity id marking an item as anonymous: no per-entity superseding is
 /// applied to it (only the exact-duplicate-origin merge).
@@ -34,13 +42,29 @@ pub struct FlushPolicy {
     pub budget_bytes: usize,
 }
 
-/// Result of applying a [`FlushPolicy`] to one client's pending items.
-#[derive(Debug, Clone)]
-pub struct Selection<U> {
-    /// Items to deliver, most relevant (nearest) first.
-    pub kept: Vec<U>,
-    /// Items merged away or dropped to fit the budgets.
-    pub dropped: usize,
+/// Reusable working memory of [`FlushPolicy::select`], and the place its
+/// result lands: after a call, [`PolicyScratch::kept`] yields the
+/// indices of the items to deliver, most relevant first. One scratch
+/// serves any number of receivers and flushes; it only ever grows to the
+/// longest queue it has ranked.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyScratch {
+    /// `(distance to the viewer, arrival index)` of every item still in
+    /// the running; the arrival index makes each key unique, so an
+    /// unstable sort is deterministic and equals the stable order.
+    ranked: Vec<(f64, usize)>,
+    /// `(entity, size, arrival index)` of the non-anonymous items of a
+    /// degraded flush: sorted, each run's last element is the newest
+    /// update of that entity at that size.
+    groups: Vec<(u64, usize, usize)>,
+}
+
+impl PolicyScratch {
+    /// Indices (into the slice last passed to [`FlushPolicy::select`])
+    /// of the items to deliver, most relevant (nearest) first.
+    pub fn kept(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.ranked.iter().map(|&(_, i)| i)
+    }
 }
 
 impl FlushPolicy {
@@ -54,15 +78,18 @@ impl FlushPolicy {
         self.max_items == 0 && self.budget_bytes == 0
     }
 
-    /// Orders `items` by relevance to a viewer at `viewer` (nearest
-    /// first, ties in arrival order) and enforces the budgets,
-    /// merging/dropping the farthest items first.
+    /// Orders `items` (in arrival order) by relevance to a viewer at
+    /// `viewer` — nearest first, ties in arrival order — and enforces
+    /// the budgets, merging/dropping the farthest items first. The
+    /// survivors' indices land in `scratch` ([`PolicyScratch::kept`]);
+    /// the return value is how many items were merged away or dropped.
     ///
     /// `origin_of`, `entity_of` and `size_of` project an item's
     /// position, source entity and estimated wire cost; the policy
     /// stays generic over the payload type so drivers and tests can
     /// reuse it. Pass [`ANON_ENTITY`] from `entity_of` to opt an item
     /// out of per-entity superseding.
+    #[allow(clippy::too_many_arguments)] // three projections + the scratch, by design
     pub fn select<U>(
         &self,
         viewer: Point,
@@ -70,84 +97,122 @@ impl FlushPolicy {
         origin_of: impl Fn(&U) -> Point,
         entity_of: impl Fn(&U) -> u64,
         size_of: impl Fn(&U) -> usize,
-        items: Vec<U>,
-    ) -> Selection<U> {
-        let total = items.len();
-        let mut ranked: Vec<(f64, usize, U)> = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, u)| (origin_of(&u).distance_by(viewer, metric), i, u))
-            .collect();
-        // Stable relevance order: distance, then arrival.
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        items: &[U],
+        scratch: &mut PolicyScratch,
+    ) -> usize {
+        let PolicyScratch { ranked, groups } = scratch;
+        ranked.clear();
+        let key = |i: usize| (origin_of(&items[i]).distance_by(viewer, metric), i);
 
-        let over_count = self.max_items > 0 && ranked.len() > self.max_items;
-        let over_bytes = self.budget_bytes > 0
-            && ranked.iter().map(|(_, _, u)| size_of(u)).sum::<usize>() > self.budget_bytes;
-        if over_count || over_bytes {
+        let over_count = self.max_items > 0 && items.len() > self.max_items;
+        let over_bytes =
+            self.budget_bytes > 0 && items.iter().map(&size_of).sum::<usize>() > self.budget_bytes;
+        let degraded = over_count || over_bytes;
+        if degraded {
             // Supersede per entity: repeated same-sized updates from one
             // moving entity inside a flush interval re-describe the same
             // state, so only the newest needs to ship once the flush is
             // degraded. Size-equality keeps distinct events (an action
             // with a different payload) from merging with position
             // updates, since items carry no finer type information here.
-            let mut newest: BTreeMap<(u64, usize), usize> = BTreeMap::new();
-            for (_, i, u) in &ranked {
-                let entity = entity_of(u);
-                if entity != ANON_ENTITY {
-                    let slot = newest.entry((entity, size_of(u))).or_insert(*i);
-                    *slot = (*slot).max(*i);
+            // Superseded items never get a key, so they cost neither a
+            // distance nor a place in the sort.
+            groups.clear();
+            for (i, u) in items.iter().enumerate() {
+                match entity_of(u) {
+                    ANON_ENTITY => ranked.push(key(i)),
+                    entity => groups.push((entity, size_of(u), i)),
                 }
             }
-            ranked.retain(|(_, i, u)| {
-                let entity = entity_of(u);
-                entity == ANON_ENTITY || newest[&(entity, size_of(u))] == *i
-            });
+            groups.sort_unstable();
+            for (g, &(entity, size, i)) in groups.iter().enumerate() {
+                let newest = groups
+                    .get(g + 1)
+                    .is_none_or(|&(e, s, _)| (e, s) != (entity, size));
+                if newest {
+                    ranked.push(key(i));
+                }
+            }
+        } else {
+            ranked.extend((0..items.len()).map(key));
+        }
+        // Relevance order: distance, then arrival.
+        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        if degraded {
             // Merge exact-duplicate origins down to the most recent item:
             // repeated events from one point inside a single flush
             // interval supersede each other once the flush is degraded.
-            let mut merged: Vec<(f64, usize, U)> = Vec::with_capacity(ranked.len());
-            for (d, i, u) in ranked {
-                match merged.last_mut() {
-                    Some(last) if last.0 == d && origin_of(&last.2) == origin_of(&u) => {
-                        // Same origin sorts adjacently (equal distance,
-                        // arrival order): keep the newest.
-                        *last = (d, i, u);
+            // Same origin sorts adjacently (equal distance, arrival
+            // order), so compacting in place keeps the newest.
+            let mut len = 0;
+            for r in 0..ranked.len() {
+                let (d, i) = ranked[r];
+                if len > 0 && ranked[len - 1].0 == d {
+                    let last = ranked[len - 1].1;
+                    if origin_of(&items[last]) == origin_of(&items[i]) {
+                        ranked[len - 1] = (d, i);
+                        continue;
                     }
-                    _ => merged.push((d, i, u)),
                 }
+                ranked[len] = (d, i);
+                len += 1;
             }
-            ranked = merged;
-        }
-
-        let kept_cap = if self.max_items > 0 {
-            ranked.len().min(self.max_items)
-        } else {
-            ranked.len()
-        };
-        let mut kept = Vec::with_capacity(kept_cap);
-        let mut bytes = 0usize;
-        for (_, _, u) in ranked {
-            if self.max_items > 0 && kept.len() >= self.max_items {
-                break;
+            ranked.truncate(len);
+            // Deliver the nearest prefix that fits (never fewer than one
+            // item). An undegraded flush fits whole by definition.
+            let mut kept = 0;
+            let mut bytes = 0usize;
+            for &(_, i) in ranked.iter() {
+                if self.max_items > 0 && kept >= self.max_items {
+                    break;
+                }
+                let cost = size_of(&items[i]);
+                if self.budget_bytes > 0 && kept > 0 && bytes + cost > self.budget_bytes {
+                    break;
+                }
+                bytes += cost;
+                kept += 1;
             }
-            let cost = size_of(&u);
-            if self.budget_bytes > 0 && !kept.is_empty() && bytes + cost > self.budget_bytes {
-                break;
-            }
-            bytes += cost;
-            kept.push(u);
+            ranked.truncate(kept);
         }
-        Selection {
-            dropped: total - kept.len(),
-            kept,
-        }
+        items.len() - ranked.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What a caller gathers from one `select`.
+    struct Selection<U> {
+        kept: Vec<U>,
+        dropped: usize,
+    }
+
+    fn select_by<U: Copy>(
+        policy: FlushPolicy,
+        viewer: Point,
+        origin_of: impl Fn(&U) -> Point,
+        entity_of: impl Fn(&U) -> u64,
+        size_of: impl Fn(&U) -> usize,
+        items: Vec<U>,
+    ) -> Selection<U> {
+        let mut scratch = PolicyScratch::default();
+        let dropped = policy.select(
+            viewer,
+            Metric::Euclidean,
+            origin_of,
+            entity_of,
+            size_of,
+            &items,
+            &mut scratch,
+        );
+        Selection {
+            kept: scratch.kept().map(|i| items[i]).collect(),
+            dropped,
+        }
+    }
 
     fn item(x: f64, y: f64, bytes: usize) -> (Point, usize) {
         (Point::new(x, y), bytes)
@@ -158,14 +223,7 @@ mod tests {
         viewer: Point,
         items: Vec<(Point, usize)>,
     ) -> Selection<(Point, usize)> {
-        policy.select(
-            viewer,
-            Metric::Euclidean,
-            |u| u.0,
-            |_| ANON_ENTITY,
-            |u| u.1,
-            items,
-        )
+        select_by(policy, viewer, |u| u.0, |_| ANON_ENTITY, |u| u.1, items)
     }
 
     #[test]
@@ -261,11 +319,11 @@ mod tests {
             (Point::new(13.0, 0.0), 64, 7), // action payload: kept apart
             (Point::new(30.0, 0.0), 8, ANON_ENTITY),
         ];
-        let sel = FlushPolicy {
+        let policy = FlushPolicy {
             max_items: 3,
             budget_bytes: 0,
-        }
-        .select(viewer, Metric::Euclidean, |u| u.0, |u| u.2, |u| u.1, items);
+        };
+        let sel = select_by(policy, viewer, |u| u.0, |u| u.2, |u| u.1, items);
         assert_eq!(sel.dropped, 2);
         let kept: Vec<(f64, usize)> = sel.kept.iter().map(|u| (u.0.x, u.1)).collect();
         assert_eq!(
@@ -280,9 +338,9 @@ mod tests {
         let viewer = Point::new(0.0, 0.0);
         let items: Vec<(Point, usize, u64)> =
             vec![(Point::new(10.0, 0.0), 8, 7), (Point::new(12.0, 0.0), 8, 7)];
-        let sel = FlushPolicy::unlimited().select(
+        let sel = select_by(
+            FlushPolicy::unlimited(),
             viewer,
-            Metric::Euclidean,
             |u| u.0,
             |u| u.2,
             |u| u.1,

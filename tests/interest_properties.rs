@@ -23,6 +23,13 @@
 //! and ticks — the refactor is a pure re-seaming, not a behaviour
 //! change.
 //!
+//! **Flush-policy oracle**: the index-ranking `FlushPolicy::select`
+//! must keep exactly the items, in exactly the order, that the policy
+//! as first written (`reference_select` below: tuple sort, map-based
+//! superseding, merge pass) keeps — over anonymous and repeated
+//! entities, repeated origins, distance ties, mixed sizes and every
+//! budget edge.
+//!
 //! **Shard-count invariance**: a node flushing through any
 //! `flush_workers` in 1..=8 — shards walked sequentially or on real
 //! threads — must emit byte-identical wire frames in the same order;
@@ -44,15 +51,98 @@
 //! Randomization is driven by the workspace's own seeded [`SimRng`]
 //! (fixed seeds, so failures are reproducible).
 
-use matrix_middleware::core::InterestGrid;
+use matrix_middleware::core::{
+    DeltaEncoder, EncodedOrigin, FlushPolicy, InterestGrid, PolicyScratch, ANON_ENTITY,
+};
 use matrix_middleware::geometry::{Metric, Point, Rect};
 use matrix_middleware::sim::SimRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const METRICS: [Metric; 3] = [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev];
 
 fn metric_of(sel: u64) -> Metric {
     METRICS[(sel % 3) as usize]
+}
+
+/// One whole flush through the streaming delta encoder, collected.
+fn encode_flush<K: Ord + Copy>(
+    enc: &mut DeltaEncoder<K>,
+    client: K,
+    origins: &[Point],
+) -> Vec<EncodedOrigin> {
+    let mut flush = enc.begin_flush(client);
+    let out = origins.iter().map(|&p| flush.encode(p)).collect();
+    flush.finish();
+    out
+}
+
+/// The flush policy as first written, kept verbatim as the oracle the
+/// index-ranking `FlushPolicy::select` is held to: sort `(distance,
+/// arrival, item)` tuples, supersede per `(entity, size)` through a
+/// map, merge duplicate origins into a second vector, keep the prefix
+/// that fits. Returns the kept items in delivery order and the number
+/// merged away or dropped.
+fn reference_select<U>(
+    policy: FlushPolicy,
+    viewer: Point,
+    metric: Metric,
+    origin_of: impl Fn(&U) -> Point,
+    entity_of: impl Fn(&U) -> u64,
+    size_of: impl Fn(&U) -> usize,
+    items: Vec<U>,
+) -> (Vec<U>, usize) {
+    let total = items.len();
+    let mut ranked: Vec<(f64, usize, U)> = items
+        .into_iter()
+        .enumerate()
+        .map(|(i, u)| (origin_of(&u).distance_by(viewer, metric), i, u))
+        .collect();
+    // Stable relevance order: distance, then arrival.
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+    let over_count = policy.max_items > 0 && ranked.len() > policy.max_items;
+    let over_bytes = policy.budget_bytes > 0
+        && ranked.iter().map(|(_, _, u)| size_of(u)).sum::<usize>() > policy.budget_bytes;
+    if over_count || over_bytes {
+        let mut newest: BTreeMap<(u64, usize), usize> = BTreeMap::new();
+        for (_, i, u) in &ranked {
+            let entity = entity_of(u);
+            if entity != ANON_ENTITY {
+                let slot = newest.entry((entity, size_of(u))).or_insert(*i);
+                *slot = (*slot).max(*i);
+            }
+        }
+        ranked.retain(|(_, i, u)| {
+            let entity = entity_of(u);
+            entity == ANON_ENTITY || newest[&(entity, size_of(u))] == *i
+        });
+        let mut merged: Vec<(f64, usize, U)> = Vec::with_capacity(ranked.len());
+        for (d, i, u) in ranked {
+            match merged.last_mut() {
+                Some(last) if last.0 == d && origin_of(&last.2) == origin_of(&u) => {
+                    *last = (d, i, u);
+                }
+                _ => merged.push((d, i, u)),
+            }
+        }
+        ranked = merged;
+    }
+
+    let mut kept = Vec::new();
+    let mut bytes = 0usize;
+    for (_, _, u) in ranked {
+        if policy.max_items > 0 && kept.len() >= policy.max_items {
+            break;
+        }
+        let cost = size_of(&u);
+        if policy.budget_bytes > 0 && !kept.is_empty() && bytes + cost > policy.budget_bytes {
+            break;
+        }
+        bytes += cost;
+        kept.push(u);
+    }
+    let dropped = total - kept.len();
+    (kept, dropped)
 }
 
 /// Brute-force receiver set over the mirror position map.
@@ -321,7 +411,7 @@ fn gameserver_fanout_counts_match_linear_scan() {
 /// magnitudes), decoding reproduces the absolute origins bit-for-bit.
 #[test]
 fn delta_codec_reconstructs_absolute_streams_exactly() {
-    use matrix_middleware::core::{quantize, DeltaEncoder, DeltaStream};
+    use matrix_middleware::core::{quantize, DeltaStream};
 
     let quantum = DeltaEncoder::<u32>::DEFAULT_QUANTUM;
     let mut rng = SimRng::seed_from_u64(0x0DE1_7A57);
@@ -367,7 +457,7 @@ fn delta_codec_reconstructs_absolute_streams_exactly() {
                     next
                 })
                 .collect();
-            let encoded = enc.encode_flush(cid, &origins);
+            let encoded = encode_flush(&mut enc, cid, &origins);
             assert_eq!(encoded.len(), origins.len());
             deltas_seen += encoded.iter().filter(|e| !e.is_keyframe()).count();
             let decoded: Vec<Point> = encoded
@@ -621,6 +711,102 @@ fn delta_node_streams_reconstruct_absolute_node_streams() {
 }
 
 // ---------------------------------------------------------------------------
+// Flush-policy oracle
+// ---------------------------------------------------------------------------
+
+/// `FlushPolicy::select` against `reference_select`: same kept items,
+/// same order, same `dropped`, on queues built to hit every branch —
+/// anonymous and repeated entities, origins repeated exactly, distinct
+/// origins at exactly equal distance (integer offsets mirrored around
+/// the viewer tie under every metric), mixed item sizes — under every
+/// count cap in {0, 1, n−1, n, n+1} crossed with byte budgets of 0,
+/// less than one item, about half the queue and more than all of it.
+/// One scratch serves every case, as it serves every receiver of a
+/// shard.
+#[test]
+fn select_matches_the_reference_policy() {
+    /// `(origin, size, entity, arrival)` — the arrival index identifies
+    /// the item in the comparison.
+    type Item = (Point, usize, u64, usize);
+
+    let mut rng = SimRng::seed_from_u64(0x5E1E_C7ED);
+    let mut scratch = PolicyScratch::default();
+    let viewer = Point::new(100.0, 100.0);
+    let (mut cases, mut degraded, mut ties) = (0u32, 0u32, 0u32);
+    for set in 0..150u64 {
+        let metric = metric_of(set);
+        let n = rng.uniform_u64(0, 41) as usize;
+        let spread = rng.uniform_u64(1, 7) as i64;
+        let items: Vec<Item> = (0..n)
+            .map(|i| {
+                let dx = rng.uniform_u64(0, 2 * spread as u64 + 1) as i64 - spread;
+                let dy = rng.uniform_u64(0, 2 * spread as u64 + 1) as i64 - spread;
+                let origin = Point::new(viewer.x + dx as f64, viewer.y + dy as f64);
+                let entity = if rng.chance(0.3) {
+                    ANON_ENTITY
+                } else {
+                    rng.uniform_u64(1, 6)
+                };
+                let size = [8usize, 8, 8, 30, 64][rng.uniform_u64(0, 5) as usize];
+                (origin, size, entity, i)
+            })
+            .collect();
+        let total: usize = items.iter().map(|u| u.1).sum();
+        ties += items
+            .iter()
+            .filter(|a| {
+                items.iter().any(|b| {
+                    a.0 != b.0 && a.0.distance_by(viewer, metric) == b.0.distance_by(viewer, metric)
+                })
+            })
+            .count() as u32;
+        for max_items in [0, 1, n.saturating_sub(1), n, n + 1] {
+            for budget_bytes in [0, 5, total / 2, total + 1] {
+                let policy = FlushPolicy {
+                    max_items,
+                    budget_bytes,
+                };
+                let (want, want_dropped) = reference_select(
+                    policy,
+                    viewer,
+                    metric,
+                    |u: &Item| u.0,
+                    |u: &Item| u.2,
+                    |u: &Item| u.1,
+                    items.clone(),
+                );
+                let dropped = policy.select(
+                    viewer,
+                    metric,
+                    |u: &Item| u.0,
+                    |u: &Item| u.2,
+                    |u: &Item| u.1,
+                    &items,
+                    &mut scratch,
+                );
+                let got: Vec<Item> = scratch.kept().map(|i| items[i]).collect();
+                assert_eq!(
+                    got, want,
+                    "set {set} ({metric:?}, n={n}) {policy:?}: kept items or their order"
+                );
+                assert_eq!(dropped, want_dropped, "set {set} {policy:?}: dropped");
+                cases += 1;
+                degraded += u32::from(dropped > 0);
+            }
+        }
+    }
+    assert!(cases >= 2000, "{cases} cases");
+    assert!(
+        degraded > cases / 4,
+        "only {degraded} of {cases} cases degraded"
+    );
+    assert!(
+        ties > 100,
+        "only {ties} equal-distance items from distinct origins"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Pipeline equivalence (the refactor-safety pin)
 // ---------------------------------------------------------------------------
 
@@ -629,18 +815,18 @@ fn delta_node_streams_reconstruct_absolute_node_streams() {
 /// pre-refactor hand-wired flush path produced: same receivers, same
 /// batch boundaries, same item order, same keyframe/delta decisions,
 /// same encoded JSON. The reference below *is* that pre-refactor path —
-/// `InterestGrid` + `UpdateBatcher` + `FlushPolicy` + `DeltaEncoder`
+/// `InterestGrid` + `UpdateBatcher` + the flush policy + `DeltaEncoder`
 /// glued together exactly as `GameServerNode::flush_updates` wired them
-/// before the `DisseminationPipeline` existed.
+/// before the `DisseminationPipeline` existed. Its policy stage is
+/// `reference_select`, so the oracle shares no ranking code with the
+/// pipeline it checks.
 #[test]
 fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
     use matrix_middleware::core::{
-        codec, quantize, BatchItem, ClientId, ClientToGame, DeltaEncoder, DeltaItem, FlushPolicy,
-        GameAction, GameServerConfig, GameServerNode, GameToClient, ServerId, UpdateBatcher,
-        UpdateItem,
+        codec, quantize, BatchItem, ClientId, ClientToGame, DeltaItem, GameAction,
+        GameServerConfig, GameServerNode, GameToClient, ServerId, UpdateBatcher, UpdateItem,
     };
     use matrix_middleware::sim::{SimDuration, SimTime};
-    use std::collections::BTreeMap;
 
     /// The pre-refactor send path, reproduced verbatim.
     struct Reference {
@@ -738,13 +924,19 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
                 max_items: self.cfg.max_updates_per_flush as usize,
                 budget_bytes: self.cfg.client_budget_bytes as usize,
             };
+            let mut queued = Vec::new();
+            self.batcher.drain_each(|cid, updates| {
+                queued.push((cid, updates.to_vec()));
+                true
+            });
             let mut out = Vec::new();
-            for (cid, updates) in self.batcher.drain() {
+            for (cid, updates) in queued {
                 let Some(viewer) = self.clients.get(&cid).copied() else {
                     self.encoder.forget(cid);
                     continue;
                 };
-                let selection = policy.select(
+                let (kept, _) = reference_select(
+                    policy,
                     viewer,
                     self.cfg.metric,
                     |u: &UpdateItem| u.origin,
@@ -752,10 +944,9 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
                     |u: &UpdateItem| UpdateItem::WIRE_BYTES + u.payload_bytes,
                     updates,
                 );
-                let origins: Vec<Point> = selection.kept.iter().map(|u| u.origin).collect();
-                let encoded = self.encoder.encode_flush(cid, &origins);
-                let items: Vec<BatchItem> = selection
-                    .kept
+                let origins: Vec<Point> = kept.iter().map(|u| u.origin).collect();
+                let encoded = encode_flush(&mut self.encoder, cid, &origins);
+                let items: Vec<BatchItem> = kept
                     .into_iter()
                     .zip(encoded)
                     .map(|(u, e)| match e {
@@ -1093,7 +1284,7 @@ fn flush_worker_count_is_wire_invariant() {
 #[test]
 fn ring_membership_and_sampling_are_exact() {
     use matrix_middleware::core::{
-        AutoTunerConfig, DisseminationPipeline, FlushPolicy, PipelineConfig, RingSet, UpdateItem,
+        AutoTunerConfig, DisseminationPipeline, PipelineConfig, RingSet, UpdateItem,
     };
 
     let mut rng = SimRng::seed_from_u64(0x0812_6512);
@@ -1159,7 +1350,10 @@ fn ring_membership_and_sampling_are_exact() {
             }
         }
 
-        let outcome = pipe.flush(|k| positions.get(k as usize).copied());
+        let outcome = pipe.flush(
+            |k| positions.get(k as usize).copied(),
+            |_: &mut (), item, _| item,
+        );
         assert_eq!(outcome.orphaned, 0);
         let mut delivered: HashMap<(u32, u8), u64> = HashMap::new();
         for batch in &outcome.batches {
