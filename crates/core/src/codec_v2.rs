@@ -1,13 +1,13 @@
-//! Wire protocol v2: length-prefixed binary framing for the hot path.
+//! The wire protocol: length-prefixed binary frames.
 //!
-//! Every frame the JSON-lines codec ([`crate::codec`]) speaks — plus the
-//! version-negotiation `Hello` and the load-report heartbeat — has a
-//! compact binary form here. The two codecs serialize the *same* Rust
-//! values; JSON stays the debug/interop format (protocol v1), binary is
-//! the canonical one (v2). A peer advertises v2 by opening with a
-//! binary [`Frame::Hello`]; a byte stream is self-identifying, because
-//! no JSON line can start with the magic byte `0xD7` and no binary
-//! frame starts with `{`.
+//! Every message the middleware puts on a real wire — the client
+//! session, replication, the load-report heartbeat and the stats
+//! query/reply — is one [`Frame`] here; `docs/WIRE.md` is the byte-level
+//! reference. A session opens with a [`Frame::Hello`] carrying the
+//! protocol version, which the gateway answers with its own. The only
+//! other format in the program is the operator stats port's JSON line
+//! and Prometheus text ([`crate::codec`]); a stream is self-identifying
+//! there, because no JSON line starts with the magic byte `0xD7`.
 //!
 //! # Frame layout
 //!
@@ -55,7 +55,7 @@
 //! = 12, a velocity pair [`UpdateItem::VELOCITY_WIRE_BYTES`] = 6 (the
 //! wire-bytes audit in `tests/codec_v2_properties.rs` pins this).
 //! Payload *content* is never materialized: the length is a declared
-//! number in both codecs — the simulation ships sizes, not state.
+//! number — the simulation ships sizes, not state.
 //!
 //! # Robustness
 //!
@@ -221,10 +221,9 @@ pub struct FrameMeta {
 /// wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Version negotiation: the sender speaks binary protocol
-    /// `version`. A v2 peer replies with its own `Hello`; a legacy
-    /// JSON peer fails to parse the frame and drops the connection,
-    /// which the sender treats as "fall back to v1".
+    /// Version handshake: the sender speaks protocol `version`. A
+    /// client opens with one and the gateway replies with its own
+    /// before any session traffic flows.
     Hello {
         /// Highest protocol version the sender speaks.
         version: u8,
@@ -1772,6 +1771,22 @@ mod tests {
         );
         assert!(errors >= 1, "the corrupt frame must surface as an error");
         assert_eq!(acc.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn unsupported_snapshot_versions_are_rejected() {
+        // A standby must fail loudly, not mis-decode state it is about
+        // to adopt a region from. The replication format version leads
+        // the replica body.
+        let batch = ReplicaBatch {
+            seq: 4,
+            payload: ReplicaPayload::Ops(vec![]),
+        };
+        let mut bytes = encode_replica_batch_frame(&batch, FrameMeta::default(), false);
+        assert_eq!(u32::from(bytes[HEADER_BYTES]), RegionSnapshot::VERSION);
+        bytes[HEADER_BYTES] += 1;
+        let err = decode_frame(&bytes).unwrap_err();
+        assert!(err.reason.contains("version"), "{err}");
     }
 
     #[test]

@@ -4,23 +4,16 @@ use matrix_geometry::{Metric, SplitStrategy};
 use matrix_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// Which wire codec frames client-visible traffic.
+/// The wire codec that frames client-visible traffic.
 ///
-/// Both codecs serialize the same messages; they differ in format and
-/// cost. The runtime negotiates per connection (a binary `Hello` opens
-/// v2; a JSON opener falls back to v1), so the knob chooses what a
-/// node *speaks by preference* and which codec the simulation's byte
-/// accounting measures frame sizes from.
+/// There is one: wire protocol v2 (`matrix_core::codec_v2`,
+/// `docs/WIRE.md`). The enum and the `codec` field that holds it select
+/// nothing; they remain because the repository's benchmark names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum WireCodec {
-    /// Wire protocol v2: length-prefixed binary frames
-    /// (`matrix_core::codec_v2`). The canonical codec.
+    /// Wire protocol v2: length-prefixed binary frames.
     #[default]
     BinaryV2,
-    /// Wire protocol v1: newline-delimited JSON (`matrix_core::codec`).
-    /// The debug/interop codec — any language can speak it with no
-    /// binary tooling.
-    Json,
 }
 
 /// Configuration of a Matrix server's adaptive behaviour.
@@ -178,10 +171,9 @@ pub struct GameServerConfig {
     /// in world units per second (`0.0` = the origin lattice).
     /// Velocities tolerate a far coarser lattice than origins — the
     /// quantization drift over a basis lifetime stays well inside any
-    /// usable ring budget — and every halving of the resolution
-    /// shortens the tag on the JSON codec. Keep it a power-of-two
-    /// multiple of `origin_quantum` so the binary codec's fixed-point
-    /// velocity field carries the snapped value exactly.
+    /// usable ring budget. Keep it a power-of-two multiple of
+    /// `origin_quantum` so the codec's fixed-point velocity field
+    /// carries the snapped value exactly.
     pub velocity_quantum: f64,
     /// Ring index from which batch items ship position-only (payload
     /// stripped, origin and velocity kept); `0` disables payload
@@ -242,14 +234,12 @@ pub struct GameServerConfig {
     /// with `telemetry` on. The coordinator's own recorder is always on
     /// and sized independently.
     pub telemetry_events: u32,
-    /// Which wire codec frames the client-facing protocol — and, in the
-    /// simulation, which codec the byte accounting measures frame sizes
-    /// from (`docs/WIRE.md`).
+    /// Inert: [`WireCodec`] has one value. Kept for the benchmark's
+    /// pinned surface.
     pub codec: WireCodec,
-    /// Whether binary frames carry the CRC32 trailer (4 bytes per
-    /// frame). On by default: corrupted frames are then rejected and
-    /// the stream resynchronizes at the next magic boundary. Ignored by
-    /// the JSON codec.
+    /// Whether frames carry the CRC32 trailer (4 bytes per frame). On
+    /// by default: corrupted frames are then rejected and the stream
+    /// resynchronizes at the next magic boundary.
     pub frame_crc: bool,
     /// Number of shards the dissemination flush is partitioned into
     /// (clamped to ≥ 1). Per-client send-path state (delta streams,

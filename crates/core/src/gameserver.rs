@@ -9,9 +9,8 @@
 //! mirroring how Matrix "supports the distributed operation of various
 //! MMOGs without actually needing to understand the game logic".
 
-use crate::codec;
 use crate::codec_v2;
-use crate::config::{GameServerConfig, WireCodec};
+use crate::config::GameServerConfig;
 use crate::messages::{
     BatchItem, ClientToGame, DeltaItem, GameToClient, GameToMatrix, LoadReport, MatrixToGame,
     RegionSnapshot, ReplicaOp, UpdateItem,
@@ -176,7 +175,7 @@ struct BatchTally {
     ring_items: [u64; MAX_RINGS],
     /// Declared payload sizes, summed.
     payload_bytes: usize,
-    /// Binary codec only: the items' encoded sizes, summed, and how
+    /// The items' encoded sizes, summed, and how
     /// many carry a trace tag — the two inputs of the frame length.
     item_wire_bytes: usize,
     traced_items: usize,
@@ -769,7 +768,6 @@ impl GameServerNode {
         // A client may have switched away between queueing and flush:
         // the pipeline orphans its items instead of delivering them.
         let clients = &self.clients;
-        let wire = self.cfg.codec;
         // The pipeline's stage 5 hands each surviving item over with
         // its encoded origin; this turns it into the wire item and
         // tallies the batch in the same pass (on the flush worker that
@@ -795,10 +793,8 @@ impl GameServerNode {
                 };
                 tally.ring_items[(u.ring as usize).min(MAX_RINGS - 1)] += 1;
                 tally.payload_bytes += u.payload_bytes;
-                if wire == WireCodec::BinaryV2 {
-                    tally.item_wire_bytes += codec_v2::batch_item_wire_len(&item);
-                    tally.traced_items += usize::from(u.trace.is_some());
-                }
+                tally.item_wire_bytes += codec_v2::batch_item_wire_len(&item);
+                tally.traced_items += usize::from(u.trace.is_some());
                 item
             },
         );
@@ -824,20 +820,16 @@ impl GameServerNode {
             for (total, n) in delta.ring_items.iter_mut().zip(tally.ring_items) {
                 *total += n;
             }
-            // Bytes-on-wire accounting is *measured* against the active
-            // codec, not modelled: the binary frame length comes from
-            // the codec's arithmetic mirror of its encoder (pinned
-            // equal by the property suite), the JSON length from
-            // actually encoding the line. Declared payload sizes ride
-            // on top in both — the sim ships sizes, not state.
-            let frame = match wire {
-                WireCodec::BinaryV2 => codec_v2::update_batch_frame_len_of(
-                    tally.item_wire_bytes,
-                    tally.traced_items,
-                    self.cfg.frame_crc,
-                ),
-                WireCodec::Json => codec::update_batch_line_len(&batch.items),
-            };
+            // Bytes-on-wire accounting is *measured* against the codec,
+            // not modelled: the frame length comes from the codec's
+            // arithmetic mirror of its encoder (pinned equal by the
+            // property suite). Declared payload sizes ride on top — the
+            // sim ships sizes, not state.
+            let frame = codec_v2::update_batch_frame_len_of(
+                tally.item_wire_bytes,
+                tally.traced_items,
+                self.cfg.frame_crc,
+            );
             delta.batch_bytes += (frame + tally.payload_bytes) as u64;
             out.push(GameAction::ToClient(
                 batch.receiver,

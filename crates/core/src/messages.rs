@@ -100,8 +100,8 @@ pub struct UpdateItem {
     pub vy: f64,
     /// Causal trace tag, present on the sampled subset of events
     /// (`trace_sample_rate`) and absent otherwise. Untraced items encode
-    /// byte-identically to the pre-trace wire (both codecs omit the
-    /// field/section entirely), so tracing-off frames are pinned
+    /// byte-identically to the pre-trace wire (the codec omits the
+    /// trace section entirely), so tracing-off frames are pinned
     /// unchanged.
     pub trace: Option<matrix_telemetry::TraceTag>,
 }
@@ -887,15 +887,21 @@ mod tests {
 
     #[test]
     fn client_protocol_round_trips_through_codec() {
-        // The client-facing half of the protocol crosses real sockets via
-        // the hand-written JSON codec; every variant must round-trip.
-        use crate::codec;
+        // The client-facing half of the protocol crosses real sockets as
+        // wire frames; both directions must round-trip.
+        use crate::codec_v2::{self, Frame, FrameMeta, FrameStatus};
+        let round_trip = |bytes: Vec<u8>| match codec_v2::decode_frame(&bytes).unwrap() {
+            FrameStatus::Complete {
+                frame, consumed, ..
+            } if consumed == bytes.len() => frame,
+            other => panic!("expected one whole frame, got {other:?}"),
+        };
         let up = ClientToGame::Join {
             pos: Point::new(1.5, -2.25),
             state_bytes: 64,
         };
-        let line = codec::encode_client_to_game(&up);
-        assert_eq!(codec::decode_client_to_game(&line).unwrap(), up);
+        let bytes = codec_v2::encode_client_frame(&up, FrameMeta::default(), true);
+        assert_eq!(round_trip(bytes), Frame::Client(up));
 
         let down = GameToClient::UpdateBatch {
             updates: vec![
@@ -920,8 +926,8 @@ mod tests {
                 }),
             ],
         };
-        let line = codec::encode_game_to_client(&down);
-        assert_eq!(codec::decode_game_to_client(&line).unwrap(), down);
+        let bytes = codec_v2::encode_server_frame(&down, FrameMeta::default(), true);
+        assert_eq!(round_trip(bytes), Frame::Server(down));
     }
 
     #[test]

@@ -53,8 +53,7 @@
 
 use matrix_core::{
     quantize, reconstruct_updates, ClientId, ClientToGame, Extrapolator, GameAction,
-    GameServerConfig, GameServerNode, GameStats, GameToClient, RingSet, ServerId, WireCodec,
-    MAX_RINGS,
+    GameServerConfig, GameServerNode, GameStats, GameToClient, RingSet, ServerId, MAX_RINGS,
 };
 use matrix_games::{ClientPop, GameSpec, Placement, PopulationEvent};
 use matrix_geometry::Point;
@@ -142,7 +141,7 @@ impl PredictRow {
 /// recommended ring tiers, per-event flushes, caps off (E14's
 /// arrangement — the AOI machinery, not the budget limiter, decides
 /// what ships).
-pub fn server_config(spec: &GameSpec, mode: Mode, codec: WireCodec) -> GameServerConfig {
+pub fn server_config(spec: &GameSpec, mode: Mode) -> GameServerConfig {
     let (radii, rates) = spec.ring_tiers();
     let mut game = GameServerConfig {
         metric: spec.metric,
@@ -158,9 +157,6 @@ pub fn server_config(spec: &GameSpec, mode: Mode, codec: WireCodec) -> GameServe
             Mode::PredictStrip => (radii.len() as u8).saturating_sub(1),
             _ => 0,
         },
-        // The bytes columns are measured on whichever wire codec is
-        // active (v2 binary by default; `--codec json` re-measures v1).
-        codec,
         ..GameServerConfig::default()
     };
     match mode {
@@ -178,15 +174,9 @@ pub fn server_config(spec: &GameSpec, mode: Mode, codec: WireCodec) -> GameServe
 
 /// Runs one mode of the scenario, mirroring every receiver's
 /// extrapolation state to measure the real position error.
-pub fn run_one(
-    spec: &GameSpec,
-    mode: Mode,
-    seed: u64,
-    scale: Scale,
-    codec: WireCodec,
-) -> PredictRow {
+pub fn run_one(spec: &GameSpec, mode: Mode, seed: u64, scale: Scale) -> PredictRow {
     let started = std::time::Instant::now();
-    let gcfg = server_config(spec, mode, codec);
+    let gcfg = server_config(spec, mode);
     let rings = RingSet::from_tiers(&gcfg.ring_radii, &gcfg.ring_sample_rates);
     let mut node = GameServerNode::new(ServerId(1), gcfg).with_fanout();
     node.register(spec.world, spec.radius);
@@ -274,12 +264,12 @@ pub fn run_one(
 }
 
 /// Runs all three modes on the racer crowd.
-pub fn run(seed: u64, scale: Scale, codec: WireCodec) -> Vec<PredictRow> {
+pub fn run(seed: u64, scale: Scale) -> Vec<PredictRow> {
     let spec = GameSpec::racer();
     vec![
-        run_one(&spec, Mode::Rings, seed, scale, codec),
-        run_one(&spec, Mode::Predict, seed, scale, codec),
-        run_one(&spec, Mode::PredictStrip, seed, scale, codec),
+        run_one(&spec, Mode::Rings, seed, scale),
+        run_one(&spec, Mode::Predict, seed, scale),
+        run_one(&spec, Mode::PredictStrip, seed, scale),
     ]
 }
 
@@ -456,7 +446,7 @@ mod tests {
     #[test]
     fn smoke_scale_meets_the_acceptance_bounds() {
         let spec = GameSpec::racer();
-        let rows = run(42, Scale::smoke(), WireCodec::BinaryV2);
+        let rows = run(42, Scale::smoke());
         let verdict = verdict(&rows, &spec).expect("predict acceptance");
         assert!(verdict.contains("predict OK"), "{verdict}");
         // The strip row composes: strictly fewer payload bytes than

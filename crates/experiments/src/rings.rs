@@ -32,7 +32,6 @@
 //! no longer compete for the per-flush caps).
 
 use crate::harness::{Cluster, ClusterConfig, ClusterReport};
-use matrix_core::WireCodec;
 use matrix_games::{GameSpec, Placement, PopulationEvent, WorkloadSchedule};
 use matrix_metrics::Table;
 use matrix_sim::SimTime;
@@ -98,7 +97,7 @@ pub struct RingsRow {
 }
 
 /// Builds the single-server dense-crowd configuration for one mode.
-pub fn config(spec: &GameSpec, mode: Mode, seed: u64, codec: WireCodec) -> ClusterConfig {
+pub fn config(spec: &GameSpec, mode: Mode, seed: u64) -> ClusterConfig {
     let mut spec = spec.clone();
     spec.update_rate_hz = spec.update_rate_hz.min(2.0);
     let (radii, rates) = spec.ring_tiers();
@@ -124,15 +123,12 @@ pub fn config(spec: &GameSpec, mode: Mode, seed: u64, codec: WireCodec) -> Clust
     // the AOI grading itself. The two levers compose in production.
     cfg.game.max_updates_per_flush = 0;
     cfg.game.client_budget_bytes = 0;
-    // The bytes columns are measured on whichever wire codec is active
-    // (v2 binary frames by default; `--codec json` re-measures on v1).
-    cfg.game.codec = codec;
     cfg
 }
 
 /// Runs one mode of the scenario.
-pub fn run_one(spec: &GameSpec, mode: Mode, seed: u64, scale: Scale, codec: WireCodec) -> RingsRow {
-    let cfg = config(spec, mode, seed, codec);
+pub fn run_one(spec: &GameSpec, mode: Mode, seed: u64, scale: Scale) -> RingsRow {
+    let cfg = config(spec, mode, seed);
     let horizon = SimTime::from_secs(scale.horizon_secs);
     let hotspot = cfg.spec.hotspot_a();
     let spread = cfg.spec.radius * 0.5;
@@ -156,12 +152,12 @@ pub fn run_one(spec: &GameSpec, mode: Mode, seed: u64, scale: Scale, codec: Wire
 }
 
 /// Runs all three modes on the BzFlag crowd.
-pub fn run(seed: u64, scale: Scale, codec: WireCodec) -> Vec<RingsRow> {
+pub fn run(seed: u64, scale: Scale) -> Vec<RingsRow> {
     let spec = GameSpec::bzflag();
     vec![
-        run_one(&spec, Mode::Binary, seed, scale, codec),
-        run_one(&spec, Mode::Rings, seed, scale, codec),
-        run_one(&spec, Mode::RingsTuned, seed, scale, codec),
+        run_one(&spec, Mode::Binary, seed, scale),
+        run_one(&spec, Mode::Rings, seed, scale),
+        run_one(&spec, Mode::RingsTuned, seed, scale),
     ]
 }
 
@@ -294,7 +290,7 @@ mod tests {
 
     #[test]
     fn smoke_scale_meets_the_acceptance_bounds() {
-        let rows = run(42, Scale::smoke(), WireCodec::BinaryV2);
+        let rows = run(42, Scale::smoke());
         let verdict = verdict(&rows).expect("rings acceptance");
         assert!(verdict.contains("rings OK"), "{verdict}");
         // The tuned row actually retuned: a 300-client crowd on an

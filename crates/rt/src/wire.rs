@@ -1,33 +1,25 @@
-//! TCP gateway: dual-codec framing for remote game clients.
+//! TCP gateway: remote game clients over the wire protocol.
 //!
 //! Demonstrates the middleware across a real socket: remote clients speak
-//! [`ClientToGame`]/[`GameToClient`] either as wire protocol v2 —
-//! length-prefixed binary frames (`matrix_core::codec_v2`,
-//! `docs/WIRE.md`) — or as v1 newline-delimited JSON
-//! (`matrix_core::codec`). The gateway bridges each connection onto the
-//! in-process cluster, keeping the client's current server in sync with
-//! `SwitchServer` instructions it relays (so the remote client stays
-//! oblivious to topology, §3.2.1).
+//! [`ClientToGame`]/[`GameToClient`] as length-prefixed binary frames
+//! (`matrix_core::codec_v2`, `docs/WIRE.md`). The gateway bridges each
+//! connection onto the in-process cluster, keeping the client's current
+//! server in sync with `SwitchServer` instructions it relays (so the
+//! remote client stays oblivious to topology, §3.2.1).
 //!
-//! # Version negotiation
+//! # Session opening
 //!
-//! A byte stream is self-identifying: no JSON line starts with the
-//! binary magic byte `0xD7`, and no binary frame starts with `{`. The
-//! gateway sniffs the first byte of each connection and speaks whatever
-//! the client opened with. A v2 client opens with a binary
-//! [`Frame::Hello`] followed by a single newline pad byte: a v2 gateway
-//! skips the pad (stream resync) and answers with its own `Hello`,
-//! while a legacy v1 gateway reads one garbage "line", fails to parse
-//! it and closes — which the client treats as "fall back to JSON and
-//! reconnect" ([`TcpGameClient::connect`]).
+//! A client opens with a [`Frame::Hello`] carrying its protocol version
+//! and waits for the gateway's own `Hello` before it joins
+//! ([`TcpGameClient::connect`]). A connection whose first byte is not
+//! the frame magic is not a client of this protocol and is closed.
 //!
-//! `UpdateBatch` frames arrive delta-compressed in both codecs (see
-//! `matrix_core::codec` for the JSON item grammar and
-//! `matrix_core::codec_v2` for the binary item layout); the gateway
-//! relays them verbatim, and remote clients rebuild absolute origins
-//! with `matrix_core::reconstruct_updates`, resetting their stream base
-//! on every (re)join exactly as [`TcpGameClient`]'s in-process
-//! counterpart (`RtClient`) does.
+//! `UpdateBatch` frames arrive delta-compressed (see
+//! `matrix_core::codec_v2` for the item layout); the gateway relays them
+//! verbatim, and remote clients rebuild absolute origins with
+//! `matrix_core::reconstruct_updates`, resetting their stream base on
+//! every (re)join exactly as [`TcpGameClient`]'s in-process counterpart
+//! (`RtClient`) does.
 //!
 //! # Transport
 //!
@@ -35,8 +27,14 @@
 //! stream of small frames must not wait out a delayed ACK — and the
 //! gateway issues one write per wake-up, carrying every frame that was
 //! ready. Frame boundaries are therefore never packet or read
-//! boundaries: receivers delimit frames with the [`FrameAccumulator`]
-//! (or, on v1, by newline).
+//! boundaries: receivers delimit frames with the [`FrameAccumulator`].
+//!
+//! # Stats port
+//!
+//! The one place another format is spoken: the operator stats endpoint
+//! ([`spawn_stats_endpoint`]) also takes its query as a JSON line
+//! (`matrix_core::codec`) and can answer in JSON or Prometheus text, so
+//! `nc` can scrape it.
 
 use crate::node::{NodeHandle, NodeMsg};
 use crate::router::Router;
@@ -47,7 +45,7 @@ use matrix_core::{
 };
 use matrix_geometry::ServerId;
 use tokio::io::{AsyncBufReadExt, AsyncChunkReadExt, AsyncWriteExt, BufReader, Chunks};
-use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
+use tokio::net::tcp::OwnedWriteHalf;
 use tokio::net::{TcpListener, TcpStream, ToSocketAddrs};
 use tokio::sync::mpsc;
 
@@ -56,7 +54,7 @@ use tokio::sync::mpsc;
 pub enum WireError {
     /// Socket-level failure.
     Io(std::io::Error),
-    /// A frame was not valid (JSON or binary) for the expected message
+    /// A frame (or stats line) was not valid for the expected message
     /// type.
     BadFrame(CodecError),
     /// The peer closed the connection.
@@ -93,8 +91,8 @@ fn bad_frame(reason: impl Into<String>) -> WireError {
     })
 }
 
-/// Outgoing binary-frame bookkeeping: the per-connection sequence
-/// counter and millisecond clock stamped into every v2 frame header.
+/// Outgoing frame bookkeeping: the per-connection sequence counter and
+/// millisecond clock stamped into every frame header.
 struct FrameClock {
     seq: u64,
     started: std::time::Instant,
@@ -120,8 +118,13 @@ impl FrameClock {
     }
 }
 
-/// Assembles newline-delimited lines from raw chunks — used on sniffed
-/// connections, where a dedicated line reader cannot own the socket.
+/// Longest stats-query line the endpoint buffers. A well-formed query
+/// is under 64 bytes; the port is open to anyone, so a peer that never
+/// sends a newline must not grow the buffer without limit.
+const MAX_QUERY_LINE_BYTES: usize = 4096;
+
+/// Assembles the stats port's newline-delimited query line from raw
+/// chunks (the socket is sniffed, so a line reader cannot own it).
 #[derive(Debug, Default)]
 struct LineAssembler {
     buf: Vec<u8>,
@@ -132,8 +135,19 @@ impl LineAssembler {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// The next completed line; `None` while it is still arriving.
+    /// A line longer than [`MAX_QUERY_LINE_BYTES`] is an error whether
+    /// or not its newline has arrived.
     fn next_line(&mut self) -> Option<Result<String, CodecError>> {
-        let pos = self.buf.iter().position(|&b| b == b'\n')?;
+        let pos = match self.buf.iter().position(|&b| b == b'\n') {
+            Some(pos) if pos <= MAX_QUERY_LINE_BYTES => pos,
+            None if self.buf.len() <= MAX_QUERY_LINE_BYTES => return None,
+            _ => {
+                return Some(Err(CodecError {
+                    reason: "line too long".into(),
+                }))
+            }
+        };
         let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
         line.pop();
         while line.last() == Some(&b'\r') {
@@ -145,49 +159,31 @@ impl LineAssembler {
     }
 }
 
-/// Per-connection receive state: undecided until the first byte
-/// arrives, then pinned to whichever codec the client opened with.
-enum SessionCodec {
-    Undecided,
-    Json(LineAssembler),
-    Binary(FrameAccumulator),
-}
-
 /// Gateway behaviour knobs (see [`spawn_gateway_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayOptions {
-    /// Accept binary (v2) openers. Off simulates a legacy v1 gateway:
-    /// binary openers are dropped, which is exactly what a JSON-only
-    /// peer's parse-and-close does — used to exercise client fallback.
-    pub accept_binary: bool,
-    /// Append CRC32 trailers to outgoing binary frames.
+    /// Append CRC32 trailers to outgoing frames.
     pub frame_crc: bool,
 }
 
 impl Default for GatewayOptions {
     fn default() -> Self {
-        GatewayOptions {
-            accept_binary: true,
-            frame_crc: true,
-        }
+        GatewayOptions { frame_crc: true }
     }
 }
 
 impl GatewayOptions {
-    /// Options matching a game-server config: the gateway accepts
-    /// binary unless the node is pinned to the JSON codec, and mirrors
-    /// its CRC policy.
+    /// Options matching a game-server config: mirrors its CRC policy.
     pub fn from_config(cfg: &matrix_core::GameServerConfig) -> GatewayOptions {
         GatewayOptions {
-            accept_binary: cfg.codec == WireCodec::BinaryV2,
             frame_crc: cfg.frame_crc,
         }
     }
 }
 
 /// Binds a TCP gateway in front of a running cluster with default
-/// options (binary accepted, CRC on). Returns the local address; the
-/// accept loop runs until the listener task is dropped.
+/// options (CRC on). Returns the local address; the accept loop runs
+/// until the listener task is dropped.
 ///
 /// # Errors
 ///
@@ -295,12 +291,11 @@ impl Bridge {
     /// into one buffer, in order, for a single write: with Nagle off, a
     /// write per frame would be a packet and a syscall per message. A
     /// `SwitchServer` re-points the bridge (and re-joins) at its place in
-    /// the sequence. Speaks binary only when the client opened with it.
+    /// the sequence.
     fn coalesce(
         &mut self,
         first: GameToClient,
         inbox: &mut mpsc::UnboundedReceiver<GameToClient>,
-        binary: bool,
     ) -> &[u8] {
         self.out.clear();
         let mut next = Some(first);
@@ -315,14 +310,8 @@ impl Bridge {
                     NodeMsg::FromClient(self.client_id, self.session.rejoin()),
                 );
             }
-            if binary {
-                let meta = self.clock.meta();
-                codec_v2::encode_server_frame_into(&mut self.out, &msg, meta, self.clock.crc);
-            } else {
-                self.out
-                    .extend_from_slice(codec::encode_game_to_client(&msg).as_bytes());
-                self.out.push(b'\n');
-            }
+            let meta = self.clock.meta();
+            codec_v2::encode_server_frame_into(&mut self.out, &msg, meta, self.clock.crc);
             next = inbox.try_recv().ok();
         }
         &self.out
@@ -351,74 +340,50 @@ async fn serve_connection(
         clock: FrameClock::new(opts.frame_crc),
         out: Vec::new(),
     };
-    let mut rx = SessionCodec::Undecided;
+    let mut acc = FrameAccumulator::new();
+    let mut opened = false;
 
     'conn: loop {
         tokio::select! {
             chunk = chunks.next_chunk() => {
                 let Ok(Some(bytes)) = chunk else { break };
-                if bytes.is_empty() {
-                    continue;
-                }
-                if let SessionCodec::Undecided = rx {
-                    rx = if bytes[0] == codec_v2::MAGIC[0] {
-                        if !opts.accept_binary {
-                            break; // legacy gateway: binary opener is garbage
-                        }
-                        SessionCodec::Binary(FrameAccumulator::new())
-                    } else {
-                        SessionCodec::Json(LineAssembler::default())
-                    };
-                }
-                match &mut rx {
-                    SessionCodec::Undecided => unreachable!("decided above"),
-                    SessionCodec::Json(lines) => {
-                        lines.push(&bytes);
-                        while let Some(line) = lines.next_line() {
-                            let msg = line
-                                .ok()
-                                .and_then(|l| codec::decode_client_to_game(&l).ok());
-                            match msg {
-                                Some(msg) => bridge.upload(msg),
-                                None => break 'conn, // corrupt frame: drop the session
-                            }
-                        }
+                if !opened {
+                    // The accumulator resyncs past garbage *between*
+                    // frames; a stream that does not even open with the
+                    // frame magic is not a client of this protocol.
+                    if bytes.first() != Some(&codec_v2::MAGIC[0]) {
+                        break;
                     }
-                    SessionCodec::Binary(acc) => {
-                        acc.push(&bytes);
-                        while let Some(item) = acc.next() {
-                            match item {
-                                Ok((Frame::Hello { .. }, _)) => {
-                                    // Advertise v2 back; the client is
-                                    // waiting on this before it joins.
-                                    let hello = Frame::Hello {
-                                        version: codec_v2::WIRE_VERSION,
-                                    };
-                                    let clock = &mut bridge.clock;
-                                    let bytes =
-                                        codec_v2::encode_frame(&hello, clock.meta(), clock.crc);
-                                    if write_half.write_all(&bytes).await.is_err() {
-                                        break 'conn;
-                                    }
-                                }
-                                Ok((Frame::Client(msg), _)) => bridge.upload(msg),
-                                // A client has no business sending
-                                // server/replica/stats frames.
-                                Ok(_) => break 'conn,
-                                // Corrupt region: the accumulator already
-                                // resynced at the next magic boundary (this
-                                // also swallows the newline pad after the
-                                // client's Hello).
-                                Err(_) => continue,
+                    opened = true;
+                }
+                acc.push(&bytes);
+                while let Some(item) = acc.next() {
+                    match item {
+                        Ok((Frame::Hello { .. }, _)) => {
+                            // Advertise our version back; the client is
+                            // waiting on this before it joins.
+                            let hello = Frame::Hello {
+                                version: codec_v2::WIRE_VERSION,
+                            };
+                            let clock = &mut bridge.clock;
+                            let bytes = codec_v2::encode_frame(&hello, clock.meta(), clock.crc);
+                            if write_half.write_all(&bytes).await.is_err() {
+                                break 'conn;
                             }
                         }
+                        Ok((Frame::Client(msg), _)) => bridge.upload(msg),
+                        // A client has no business sending
+                        // server/replica/stats frames.
+                        Ok(_) => break 'conn,
+                        // Corrupt region: the accumulator already
+                        // resynced at the next magic boundary.
+                        Err(_) => continue,
                     }
                 }
             }
             msg = inbox_rx.recv() => {
                 let Some(msg) = msg else { break };
-                let binary = matches!(rx, SessionCodec::Binary(_));
-                let framed = bridge.coalesce(msg, &mut inbox_rx, binary);
+                let framed = bridge.coalesce(msg, &mut inbox_rx);
                 if write_half.write_all(framed).await.is_err() {
                     break;
                 }
@@ -434,12 +399,12 @@ async fn serve_connection(
 ///
 /// Protocol: one stats query per connection — either a JSON line
 /// (`matrix_core::codec::encode_stats_query`) or a binary
-/// `Frame::StatsQuery` (sniffed, like the gateway) — answered in the
-/// same codec: a stats-reply line or frame for [`StatsFormat::Json`],
+/// `Frame::StatsQuery`, told apart by the first byte — answered in the
+/// same form: a stats-reply line or frame for [`StatsFormat::Json`],
 /// or Prometheus-style text exposition for [`StatsFormat::Prom`]
-/// (always plain text, in both codecs), then the server closes the
-/// connection. Nodes with telemetry off contribute nothing, so the
-/// reply is empty — not an error — on a dark cluster.
+/// (always plain text), then the server closes the connection. Nodes
+/// with telemetry off contribute nothing, so the reply is empty — not
+/// an error — on a dark cluster.
 ///
 /// When an `slo` probe is supplied, the coordinator's freshness-SLO
 /// gauges (`slo_*`) are appended as pseudo-node `ServerId(0)` — the
@@ -469,50 +434,33 @@ pub async fn spawn_stats_endpoint(
     Ok(local)
 }
 
-/// Reads one stats query off the socket, in whichever codec the peer
+/// Reads one stats query off the socket, in whichever form the peer
 /// opened with. Returns the format and whether the query was binary.
 async fn read_stats_query(chunks: &mut Chunks) -> Option<(StatsFormat, bool)> {
-    let mut rx = SessionCodec::Undecided;
-    loop {
-        let bytes = chunks.next_chunk().await.ok()??;
-        if bytes.is_empty() {
-            continue;
-        }
-        if let SessionCodec::Undecided = rx {
-            rx = if bytes[0] == codec_v2::MAGIC[0] {
-                SessionCodec::Binary(FrameAccumulator::new())
-            } else {
-                SessionCodec::Json(LineAssembler::default())
-            };
-        }
-        match &mut rx {
-            SessionCodec::Undecided => unreachable!("decided above"),
-            SessionCodec::Json(lines) => {
-                if let Some(line) = lines.next_line_after(&bytes) {
-                    let fmt = codec::decode_stats_query(&line.ok()?).ok()?;
-                    return Some((fmt, false));
+    let mut bytes = chunks.next_chunk().await.ok()??;
+    if bytes.first() == Some(&codec_v2::MAGIC[0]) {
+        let mut acc = FrameAccumulator::new();
+        loop {
+            acc.push(&bytes);
+            while let Some(item) = acc.next() {
+                match item {
+                    Ok((Frame::StatsQuery(fmt), _)) => return Some((fmt, true)),
+                    Ok(_) => return None, // wrong frame type: drop
+                    Err(_) => continue,   // resync and keep reading
                 }
             }
-            SessionCodec::Binary(acc) => {
-                acc.push(&bytes);
-                while let Some(item) = acc.next() {
-                    match item {
-                        Ok((Frame::StatsQuery(fmt), _)) => return Some((fmt, true)),
-                        Ok(_) => return None, // wrong frame type: drop
-                        Err(_) => continue,   // resync and keep reading
-                    }
-                }
-            }
+            bytes = chunks.next_chunk().await.ok()??;
         }
     }
-}
-
-impl LineAssembler {
-    /// Pushes `bytes`, then pops the first completed line (the stats
-    /// path only ever wants one).
-    fn next_line_after(&mut self, bytes: &[u8]) -> Option<Result<String, CodecError>> {
-        self.push(bytes);
-        self.next_line()
+    let mut lines = LineAssembler::default();
+    loop {
+        lines.push(&bytes);
+        if let Some(line) = lines.next_line() {
+            // Oversized, non-UTF-8 or malformed: drop the session.
+            let fmt = codec::decode_stats_query(&line.ok()?).ok()?;
+            return Some((fmt, false));
+        }
+        bytes = chunks.next_chunk().await.ok()??;
     }
 }
 
@@ -569,7 +517,7 @@ pub struct TcpStatsClient;
 
 impl TcpStatsClient {
     /// Fetches the cluster's per-node telemetry snapshots as structured
-    /// data over the v1 JSON codec (any language can speak it).
+    /// data over the JSON line form (any language can speak it).
     ///
     /// # Errors
     ///
@@ -588,7 +536,7 @@ impl TcpStatsClient {
         Ok(codec::decode_stats_reply(&line)?)
     }
 
-    /// Fetches the same structured snapshots over the v2 binary codec.
+    /// Fetches the same structured snapshots as binary frames.
     ///
     /// # Errors
     ///
@@ -599,27 +547,16 @@ impl TcpStatsClient {
         addr: impl ToSocketAddrs,
     ) -> Result<Vec<(ServerId, TelemetrySnapshot)>, WireError> {
         let stream = TcpStream::connect(addr).await?;
-        let (read_half, mut write_half) = stream.into_split();
+        let (mut reader, mut write_half) = split_framed(stream);
         let query = codec_v2::encode_frame(
             &Frame::StatsQuery(StatsFormat::Json),
             FrameMeta::default(),
             true,
         );
         write_half.write_all(&query).await?;
-        let mut chunks = read_half.into_chunks();
-        let mut acc = FrameAccumulator::new();
-        loop {
-            if let Some(item) = acc.next() {
-                match item {
-                    Ok((Frame::StatsReply(nodes), _)) => return Ok(nodes),
-                    Ok(_) => return Err(bad_frame("expected a stats-reply frame")),
-                    Err(e) => return Err(WireError::BadFrame(e)),
-                }
-            }
-            match chunks.next_chunk().await? {
-                Some(bytes) => acc.push(&bytes),
-                None => return Err(WireError::Closed),
-            }
+        match reader.next_frame().await? {
+            Frame::StatsReply(nodes) => Ok(nodes),
+            _ => Err(bad_frame("expected a stats-reply frame")),
         }
     }
 
@@ -645,125 +582,82 @@ impl TcpStatsClient {
     }
 }
 
-/// Receive side of a dual-codec stream: a line reader for v1, a chunk
-/// reader plus frame accumulator for v2.
-enum StreamReader {
-    Json(tokio::io::Lines<BufReader<OwnedReadHalf>>),
-    Binary(Chunks, FrameAccumulator),
+/// Receive side of a frame stream: a chunk reader feeding a frame
+/// accumulator.
+struct FrameReader {
+    chunks: Chunks,
+    acc: FrameAccumulator,
 }
 
-impl StreamReader {
-    fn new(read_half: OwnedReadHalf, codec: WireCodec) -> StreamReader {
-        match codec {
-            WireCodec::Json => StreamReader::Json(BufReader::new(read_half).lines()),
-            WireCodec::BinaryV2 => {
-                StreamReader::Binary(read_half.into_chunks(), FrameAccumulator::new())
-            }
-        }
-    }
-
-    /// Next binary frame (only valid on a binary reader).
+impl FrameReader {
     async fn next_frame(&mut self) -> Result<Frame, WireError> {
-        let StreamReader::Binary(chunks, acc) = self else {
-            unreachable!("next_frame on a JSON reader");
-        };
         loop {
-            if let Some(item) = acc.next() {
+            if let Some(item) = self.acc.next() {
                 match item {
                     Ok((frame, _)) => return Ok(frame),
                     Err(e) => return Err(WireError::BadFrame(e)),
                 }
             }
-            match chunks.next_chunk().await? {
-                Some(bytes) => acc.push(&bytes),
+            match self.chunks.next_chunk().await? {
+                Some(bytes) => self.acc.push(&bytes),
                 None => return Err(WireError::Closed),
             }
         }
     }
-
-    /// Next line (only valid on a JSON reader).
-    async fn next_json_line(&mut self) -> Result<String, WireError> {
-        let StreamReader::Json(lines) = self else {
-            unreachable!("next_json_line on a binary reader");
-        };
-        lines.next_line().await?.ok_or(WireError::Closed)
-    }
 }
 
-/// A replication stream over a real TCP socket, in either codec: v1
-/// newline-delimited versioned JSON frames
-/// (`matrix_core::codec::encode_replica_batch` / `encode_replica_ack`)
-/// or v2 binary frames (`Frame::Replica` / `Frame::ReplicaAck`).
+/// Splits a connected socket into the frame reader and the write half.
+fn split_framed(stream: TcpStream) -> (FrameReader, OwnedWriteHalf) {
+    let (read_half, write_half) = stream.into_split();
+    let reader = FrameReader {
+        chunks: read_half.into_chunks(),
+        acc: FrameAccumulator::new(),
+    };
+    (reader, write_half)
+}
+
+/// A replication stream over a real TCP socket: `Frame::Replica` /
+/// `Frame::ReplicaAck` frames.
 ///
 /// The in-process cluster ships replica batches over the router; this
 /// endpoint carries the same batches between *machines* — a primary
 /// connects to its standby's listener (or vice versa; the framing is
 /// symmetric) and streams snapshots + ops, reading acks off the same
-/// socket. Both ends are deployed from the same config, so the codec is
-/// chosen explicitly rather than negotiated. Version mismatches surface
-/// as [`WireError::BadFrame`] before any state is adopted.
+/// socket. Replication-format version mismatches surface as
+/// [`WireError::BadFrame`] before any state is adopted.
 pub struct ReplicaStream {
-    reader: StreamReader,
+    reader: FrameReader,
     writer: OwnedWriteHalf,
-    codec: WireCodec,
     clock: FrameClock,
 }
 
 impl ReplicaStream {
-    /// Wraps an accepted or established socket speaking v1 JSON.
-    pub fn new(stream: TcpStream) -> ReplicaStream {
-        ReplicaStream::new_with(stream, WireCodec::Json, true)
-    }
-
-    /// Wraps a socket speaking the given codec (`frame_crc` applies to
-    /// binary frames only).
-    pub fn new_with(stream: TcpStream, codec: WireCodec, frame_crc: bool) -> ReplicaStream {
+    /// Wraps an accepted or established socket; `frame_crc` appends
+    /// CRC32 trailers to outgoing frames.
+    pub fn new(stream: TcpStream, frame_crc: bool) -> ReplicaStream {
         // Best effort: a socket that refuses the option still works.
         let _ = stream.set_nodelay(true);
-        let (read_half, write_half) = stream.into_split();
+        let (reader, writer) = split_framed(stream);
         ReplicaStream {
-            reader: StreamReader::new(read_half, codec),
-            writer: write_half,
-            codec,
+            reader,
+            writer,
             clock: FrameClock::new(frame_crc),
         }
     }
 
-    /// Connects to a listening peer, speaking v1 JSON.
+    /// Connects to a listening peer.
     ///
     /// # Errors
     ///
     /// Returns connection errors from the operating system.
-    pub async fn connect(addr: impl ToSocketAddrs) -> Result<ReplicaStream, WireError> {
-        Ok(ReplicaStream::new(TcpStream::connect(addr).await?))
-    }
-
-    /// Connects to a listening peer, speaking the given codec.
-    ///
-    /// # Errors
-    ///
-    /// Returns connection errors from the operating system.
-    pub async fn connect_with(
+    pub async fn connect(
         addr: impl ToSocketAddrs,
-        codec: WireCodec,
         frame_crc: bool,
     ) -> Result<ReplicaStream, WireError> {
-        Ok(ReplicaStream::new_with(
+        Ok(ReplicaStream::new(
             TcpStream::connect(addr).await?,
-            codec,
             frame_crc,
         ))
-    }
-
-    /// The codec this stream speaks.
-    pub fn codec(&self) -> WireCodec {
-        self.codec
-    }
-
-    async fn send_line(&mut self, mut line: String) -> Result<(), WireError> {
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).await?;
-        Ok(())
     }
 
     /// Ships one replication batch (snapshot or ops).
@@ -772,15 +666,9 @@ impl ReplicaStream {
     ///
     /// Socket errors; encoding cannot fail.
     pub async fn send_batch(&mut self, batch: &matrix_core::ReplicaBatch) -> Result<(), WireError> {
-        match self.codec {
-            WireCodec::Json => self.send_line(codec::encode_replica_batch(batch)).await,
-            WireCodec::BinaryV2 => {
-                let bytes =
-                    codec_v2::encode_replica_batch_frame(batch, self.clock.meta(), self.clock.crc);
-                self.writer.write_all(&bytes).await?;
-                Ok(())
-            }
-        }
+        let bytes = codec_v2::encode_replica_batch_frame(batch, self.clock.meta(), self.clock.crc);
+        self.writer.write_all(&bytes).await?;
+        Ok(())
     }
 
     /// Receives the next replication batch.
@@ -790,15 +678,9 @@ impl ReplicaStream {
     /// [`WireError::Closed`] on hangup; [`WireError::BadFrame`] for
     /// malformed frames or an unsupported replication format version.
     pub async fn recv_batch(&mut self) -> Result<matrix_core::ReplicaBatch, WireError> {
-        match self.codec {
-            WireCodec::Json => {
-                let line = self.reader.next_json_line().await?;
-                Ok(codec::decode_replica_batch(&line)?)
-            }
-            WireCodec::BinaryV2 => match self.reader.next_frame().await? {
-                Frame::Replica(batch) => Ok(*batch),
-                _ => Err(bad_frame("expected a replica frame")),
-            },
+        match self.reader.next_frame().await? {
+            Frame::Replica(batch) => Ok(*batch),
+            _ => Err(bad_frame("expected a replica frame")),
         }
     }
 
@@ -808,15 +690,10 @@ impl ReplicaStream {
     ///
     /// Socket errors; encoding cannot fail.
     pub async fn send_ack(&mut self, seq: u64, resync: bool) -> Result<(), WireError> {
-        match self.codec {
-            WireCodec::Json => self.send_line(codec::encode_replica_ack(seq, resync)).await,
-            WireCodec::BinaryV2 => {
-                let frame = Frame::ReplicaAck { seq, resync };
-                let bytes = codec_v2::encode_frame(&frame, self.clock.meta(), self.clock.crc);
-                self.writer.write_all(&bytes).await?;
-                Ok(())
-            }
-        }
+        let frame = Frame::ReplicaAck { seq, resync };
+        let bytes = codec_v2::encode_frame(&frame, self.clock.meta(), self.clock.crc);
+        self.writer.write_all(&bytes).await?;
+        Ok(())
     }
 
     /// Receives the next acknowledgement as `(seq, resync)`.
@@ -826,101 +703,48 @@ impl ReplicaStream {
     /// [`WireError::Closed`] on hangup; [`WireError::BadFrame`] for
     /// malformed or version-mismatched frames.
     pub async fn recv_ack(&mut self) -> Result<(u64, bool), WireError> {
-        match self.codec {
-            WireCodec::Json => {
-                let line = self.reader.next_json_line().await?;
-                Ok(codec::decode_replica_ack(&line)?)
-            }
-            WireCodec::BinaryV2 => match self.reader.next_frame().await? {
-                Frame::ReplicaAck { seq, resync } => Ok((seq, resync)),
-                _ => Err(bad_frame("expected a replica-ack frame")),
-            },
+        match self.reader.next_frame().await? {
+            Frame::ReplicaAck { seq, resync } => Ok((seq, resync)),
+            _ => Err(bad_frame("expected a replica-ack frame")),
         }
     }
 }
 
-/// A remote TCP game client speaking whichever protocol version the
-/// gateway supports: it advertises v2 with a binary `Hello` and falls
-/// back to v1 JSON when the peer hangs up instead of answering.
+/// A remote TCP game client.
 pub struct TcpGameClient {
-    reader: StreamReader,
+    reader: FrameReader,
     writer: OwnedWriteHalf,
-    codec: WireCodec,
     clock: FrameClock,
     /// The frame being sent; reused across sends.
     out: Vec<u8>,
 }
 
 impl TcpGameClient {
-    /// Connects to a gateway, negotiating the protocol version: opens
-    /// with a binary `Hello` (plus a newline pad, so a v1 JSON gateway
-    /// completes a line read, fails to parse and closes), and falls
-    /// back to a fresh v1 JSON connection if the peer hangs up without
-    /// answering.
+    /// Connects to a gateway: opens with a `Hello` carrying the
+    /// protocol version and waits for the gateway's own.
     ///
     /// # Errors
     ///
-    /// Returns connection errors from the operating system.
-    pub async fn connect(addr: impl ToSocketAddrs + Clone) -> Result<TcpGameClient, WireError> {
-        match TcpGameClient::connect_binary(addr.clone()).await {
-            Ok(client) => Ok(client),
-            // The peer hung up on (or garbled) our Hello: it speaks v1.
-            Err(WireError::Closed | WireError::BadFrame(_) | WireError::Io(_)) => {
-                TcpGameClient::connect_with(addr, WireCodec::Json).await
-            }
-        }
-    }
-
-    /// Connects speaking exactly the given codec — no negotiation, no
-    /// fallback.
-    ///
-    /// # Errors
-    ///
-    /// Connection errors; for [`WireCodec::BinaryV2`] additionally
-    /// [`WireError::Closed`] when the peer does not speak v2.
-    pub async fn connect_with(
-        addr: impl ToSocketAddrs,
-        codec: WireCodec,
-    ) -> Result<TcpGameClient, WireError> {
-        match codec {
-            WireCodec::BinaryV2 => TcpGameClient::connect_binary(addr).await,
-            WireCodec::Json => {
-                let stream = TcpStream::connect(addr).await?;
-                stream.set_nodelay(true)?;
-                let (read_half, writer) = stream.into_split();
-                Ok(TcpGameClient {
-                    reader: StreamReader::new(read_half, WireCodec::Json),
-                    writer,
-                    codec: WireCodec::Json,
-                    clock: FrameClock::new(true),
-                    out: Vec::new(),
-                })
-            }
-        }
-    }
-
-    async fn connect_binary(addr: impl ToSocketAddrs) -> Result<TcpGameClient, WireError> {
+    /// Connection errors; [`WireError::Closed`] or
+    /// [`WireError::BadFrame`] when the peer does not answer the
+    /// `Hello` with one.
+    pub async fn connect(addr: impl ToSocketAddrs) -> Result<TcpGameClient, WireError> {
         let stream = TcpStream::connect(addr).await?;
         stream.set_nodelay(true)?;
-        let (read_half, mut writer) = stream.into_split();
+        let (mut reader, mut writer) = split_framed(stream);
         let mut clock = FrameClock::new(true);
-        let mut hello = codec_v2::encode_frame(
+        let hello = codec_v2::encode_frame(
             &Frame::Hello {
                 version: codec_v2::WIRE_VERSION,
             },
             clock.meta(),
             clock.crc,
         );
-        // Newline pad: lets a v1 line reader complete (and reject) a
-        // read instead of blocking forever on a frame with no newline.
-        hello.push(b'\n');
         writer.write_all(&hello).await?;
-        let mut reader = StreamReader::new(read_half, WireCodec::BinaryV2);
         match reader.next_frame().await? {
             Frame::Hello { .. } => Ok(TcpGameClient {
                 reader,
                 writer,
-                codec: WireCodec::BinaryV2,
                 clock,
                 out: Vec::new(),
             }),
@@ -928,9 +752,19 @@ impl TcpGameClient {
         }
     }
 
-    /// The protocol the negotiation settled on.
-    pub fn codec(&self) -> WireCodec {
-        self.codec
+    /// [`connect`](TcpGameClient::connect), spelled with the codec: the
+    /// signature the repository's benchmark calls.
+    ///
+    /// # Errors
+    ///
+    /// As [`connect`](TcpGameClient::connect).
+    pub async fn connect_with(
+        addr: impl ToSocketAddrs,
+        codec: WireCodec,
+    ) -> Result<TcpGameClient, WireError> {
+        match codec {
+            WireCodec::BinaryV2 => TcpGameClient::connect(addr).await,
+        }
     }
 
     /// Sends one client message.
@@ -940,17 +774,8 @@ impl TcpGameClient {
     /// Returns socket errors; serialisation of these types cannot fail.
     pub async fn send(&mut self, msg: &ClientToGame) -> Result<(), WireError> {
         self.out.clear();
-        match self.codec {
-            WireCodec::Json => {
-                self.out
-                    .extend_from_slice(codec::encode_client_to_game(msg).as_bytes());
-                self.out.push(b'\n');
-            }
-            WireCodec::BinaryV2 => {
-                let meta = self.clock.meta();
-                codec_v2::encode_client_frame_into(&mut self.out, msg, meta, self.clock.crc);
-            }
-        }
+        let meta = self.clock.meta();
+        codec_v2::encode_client_frame_into(&mut self.out, msg, meta, self.clock.crc);
         self.writer.write_all(&self.out).await?;
         Ok(())
     }
@@ -962,18 +787,12 @@ impl TcpGameClient {
     /// [`WireError::Closed`] when the server hangs up, or socket/frame
     /// errors.
     pub async fn recv(&mut self) -> Result<GameToClient, WireError> {
-        match self.codec {
-            WireCodec::Json => {
-                let line = self.reader.next_json_line().await?;
-                Ok(codec::decode_game_to_client(&line)?)
+        loop {
+            match self.reader.next_frame().await? {
+                Frame::Server(msg) => return Ok(msg),
+                Frame::Hello { .. } => continue, // late re-advertisement
+                _ => return Err(bad_frame("unexpected frame from gateway")),
             }
-            WireCodec::BinaryV2 => loop {
-                match self.reader.next_frame().await? {
-                    Frame::Server(msg) => return Ok(msg),
-                    Frame::Hello { .. } => continue, // late re-advertisement
-                    _ => return Err(bad_frame("unexpected frame from gateway")),
-                }
-            },
         }
     }
 }
@@ -1054,7 +873,7 @@ mod tests {
 
         // One buffer, so one `write_all`; the client's one read decodes
         // the frames in the order the node emitted them.
-        let written = bridge.coalesce(switch.clone(), &mut inbox, true).to_vec();
+        let written = bridge.coalesce(switch.clone(), &mut inbox).to_vec();
         let mut acc = FrameAccumulator::new();
         acc.push(&written);
         let mut seen = Vec::new();
@@ -1100,5 +919,10 @@ mod tests {
         assert!(lines.next_line().is_none(), "second line incomplete");
         lines.push(b"\"leave\"}\n");
         assert_eq!(lines.next_line().unwrap().unwrap(), "{\"t\":\"leave\"}");
+        // A line that outgrows the cap is an error before its newline.
+        lines.push(&[b'a'; MAX_QUERY_LINE_BYTES]);
+        assert!(lines.next_line().is_none(), "at the cap, still waiting");
+        lines.push(b"a");
+        assert!(lines.next_line().unwrap().is_err());
     }
 }

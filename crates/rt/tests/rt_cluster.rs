@@ -445,8 +445,9 @@ async fn gateway_client_resumes_at_its_real_position_after_failover() {
 async fn replica_batches_cross_a_real_tcp_socket() {
     use matrix_core::{ReplicaPayload, ReplicaReceiver};
 
-    // A primary-shaped snapshot travels the wire and lands in a standby
-    // receiver on the other end, which acks back over the same socket.
+    // A primary-shaped snapshot travels the wire (frames without CRC
+    // trailers) and lands in a standby receiver on the other end, which
+    // acks back over the same socket.
     let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
         .await
         .expect("bind");
@@ -454,7 +455,7 @@ async fn replica_batches_cross_a_real_tcp_socket() {
 
     let standby = tokio::spawn(async move {
         let (stream, _) = listener.accept().await.expect("accept");
-        let mut link = wire::ReplicaStream::new(stream);
+        let mut link = wire::ReplicaStream::new(stream, false);
         let mut receiver: ReplicaReceiver<matrix_core::ClientId> = ReplicaReceiver::new();
         // Snapshot, then one ops batch.
         for _ in 0..2 {
@@ -465,7 +466,9 @@ async fn replica_batches_cross_a_real_tcp_socket() {
         receiver
     });
 
-    let mut link = wire::ReplicaStream::connect(addr).await.expect("connect");
+    let mut link = wire::ReplicaStream::connect(addr, false)
+        .await
+        .expect("connect");
     let mut snapshot = matrix_core::RegionSnapshot {
         range: Some(matrix_geometry::Rect::from_coords(0.0, 0.0, 800.0, 800.0)),
         radius: 100.0,
@@ -783,8 +786,9 @@ async fn stats_endpoint_is_empty_with_telemetry_off() {
 
 #[tokio::test]
 async fn gateway_negotiates_the_binary_protocol_by_default() {
-    // A default gateway answers the client's binary Hello, so the whole
-    // session — join, ack, updates — runs over wire protocol v2.
+    // A default gateway answers the client's Hello (`connect` returns
+    // only once it has), after which the session — join, ack, updates —
+    // runs over the wire protocol.
     let cluster = RtCluster::start(RtConfig::default()).await;
     let addr = wire::spawn_gateway(
         "127.0.0.1:0",
@@ -795,11 +799,6 @@ async fn gateway_negotiates_the_binary_protocol_by_default() {
     .expect("bind gateway");
 
     let mut remote = wire::TcpGameClient::connect(addr).await.expect("connect");
-    assert_eq!(
-        remote.codec(),
-        matrix_core::WireCodec::BinaryV2,
-        "a v2 gateway answers Hello, pinning the session to binary"
-    );
     remote
         .send(&ClientToGame::Join {
             pos: Point::new(60.0, 60.0),
@@ -816,30 +815,35 @@ async fn gateway_negotiates_the_binary_protocol_by_default() {
 }
 
 #[tokio::test]
-async fn client_falls_back_to_json_against_a_legacy_gateway() {
-    // accept_binary = false simulates a v1-only gateway: it drops the
-    // binary opener exactly as a JSON line parser would. The client's
-    // negotiation must survive the hangup and reconnect speaking v1 —
-    // and the session must still work end to end.
+async fn gateway_closes_a_connection_that_does_not_open_with_a_frame() {
+    use std::io::{Read, Write};
+
     let cluster = RtCluster::start(RtConfig::default()).await;
-    let addr = wire::spawn_gateway_with(
+    let addr = wire::spawn_gateway(
         "127.0.0.1:0",
         cluster.router().clone(),
         cluster.bootstrap_id(),
-        wire::GatewayOptions {
-            accept_binary: false,
-            frame_crc: false,
-        },
     )
     .await
     .expect("bind gateway");
 
+    // A line of the retired JSON session protocol: the gateway must hang
+    // up without answering, not wait for a frame that will never come.
+    let mut stale = std::net::TcpStream::connect(addr).expect("connect");
+    stale
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    stale
+        .write_all(b"{\"t\":\"join\",\"x\":1.0,\"y\":1.0,\"state\":0}\n")
+        .expect("write");
+    let mut reply = Vec::new();
+    stale
+        .read_to_end(&mut reply)
+        .expect("EOF within the timeout");
+    assert!(reply.is_empty(), "no Joined, no Hello: {reply:?}");
+
+    // The gateway itself is unharmed.
     let mut remote = wire::TcpGameClient::connect(addr).await.expect("connect");
-    assert_eq!(
-        remote.codec(),
-        matrix_core::WireCodec::Json,
-        "the legacy gateway hangs up on Hello; the client falls back"
-    );
     remote
         .send(&ClientToGame::Join {
             pos: Point::new(60.0, 60.0),
@@ -856,73 +860,45 @@ async fn client_falls_back_to_json_against_a_legacy_gateway() {
 }
 
 #[tokio::test]
-async fn mixed_codec_clients_share_one_gateway() {
-    // One gateway, one binary client and one JSON-pinned client, both
-    // observing the same in-process actor: codec choice is strictly
-    // per-connection, not per-gateway.
-    let cluster = RtCluster::start(RtConfig::default()).await;
-    let addr = wire::spawn_gateway(
-        "127.0.0.1:0",
-        cluster.router().clone(),
-        cluster.bootstrap_id(),
+async fn stats_endpoint_drops_a_query_line_that_never_ends() {
+    use std::io::{Read, Write};
+
+    let mut cfg = fast_config();
+    cfg.game.telemetry = true;
+    let cluster = RtCluster::start(cfg).await;
+    let addr = cluster.serve_stats("127.0.0.1:0").await.expect("bind");
+
+    // 64 KiB and no newline: the endpoint must hang up rather than
+    // buffer it. The write may fail part-way once it has.
+    let mut flood = std::net::TcpStream::connect(addr).expect("connect");
+    flood
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let _ = flood.write_all(&[b'a'; 64 * 1024]);
+    let mut reply = Vec::new();
+    match flood.read_to_end(&mut reply) {
+        Ok(_) => assert!(reply.is_empty(), "no reply to an oversized line"),
+        // The peer closed with our bytes still unread: a reset is a close.
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+
+    let text = tokio::time::timeout(
+        Duration::from_secs(2),
+        wire::TcpStatsClient::fetch_text(addr),
     )
     .await
-    .expect("bind gateway");
-
-    let mut binary = wire::TcpGameClient::connect(addr)
-        .await
-        .expect("connect v2");
-    let mut json = wire::TcpGameClient::connect_with(addr, matrix_core::WireCodec::Json)
-        .await
-        .expect("connect v1");
-    assert_eq!(binary.codec(), matrix_core::WireCodec::BinaryV2);
-    assert_eq!(json.codec(), matrix_core::WireCodec::Json);
-
-    for remote in [&mut binary, &mut json] {
-        remote
-            .send(&ClientToGame::Join {
-                pos: Point::new(100.0, 100.0),
-                state_bytes: 64,
-            })
-            .await
-            .expect("send join");
-        let msg = tokio::time::timeout(Duration::from_secs(2), remote.recv())
-            .await
-            .expect("join reply")
-            .expect("valid frame");
-        assert!(matches!(msg, GameToClient::Joined { .. }), "{msg:?}");
-    }
-
-    // An actor both observe; each codec must deliver the same batch.
-    let mut alice = cluster.client(Point::new(110.0, 100.0));
-    let _ = tokio::time::timeout(Duration::from_secs(2), alice.recv())
-        .await
-        .unwrap();
-    alice.action(64);
-    for (remote, codec) in [(&mut binary, "binary"), (&mut json, "json")] {
-        let deadline = std::time::Instant::now() + Duration::from_secs(3);
-        let mut saw_update = false;
-        while std::time::Instant::now() < deadline {
-            match tokio::time::timeout(Duration::from_millis(500), remote.recv()).await {
-                Ok(Ok(GameToClient::UpdateBatch { .. })) => {
-                    saw_update = true;
-                    break;
-                }
-                Ok(Ok(_)) => {}
-                _ => break,
-            }
-        }
-        assert!(saw_update, "the {codec} client must see alice's action");
-    }
+    .expect("text reply within deadline")
+    .expect("well-formed query is still answered");
+    assert!(text.contains("# TYPE"), "{text}");
     cluster.shutdown().await;
 }
 
 #[tokio::test]
 async fn replica_batches_cross_the_socket_in_binary() {
-    use matrix_core::{ReplicaPayload, ReplicaReceiver, WireCodec};
+    use matrix_core::{ReplicaPayload, ReplicaReceiver};
 
-    // Same primary/standby exchange as the JSON test above, but over v2
-    // binary frames with CRC trailers.
+    // Same primary/standby exchange as the test above, with CRC
+    // trailers on both directions.
     let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
         .await
         .expect("bind");
@@ -930,7 +906,7 @@ async fn replica_batches_cross_the_socket_in_binary() {
 
     let standby = tokio::spawn(async move {
         let (stream, _) = listener.accept().await.expect("accept");
-        let mut link = wire::ReplicaStream::new_with(stream, WireCodec::BinaryV2, true);
+        let mut link = wire::ReplicaStream::new(stream, true);
         let mut receiver: ReplicaReceiver<matrix_core::ClientId> = ReplicaReceiver::new();
         for _ in 0..2 {
             let batch = link.recv_batch().await.expect("batch");
@@ -940,7 +916,7 @@ async fn replica_batches_cross_the_socket_in_binary() {
         receiver
     });
 
-    let mut link = wire::ReplicaStream::connect_with(addr, WireCodec::BinaryV2, true)
+    let mut link = wire::ReplicaStream::connect(addr, true)
         .await
         .expect("connect");
     let mut snapshot = matrix_core::RegionSnapshot {
@@ -986,8 +962,9 @@ async fn replica_batches_cross_the_socket_in_binary() {
 
 #[tokio::test]
 async fn stats_endpoint_answers_binary_queries() {
-    // The stats endpoint sniffs like the gateway: the same snapshots
-    // come back whether the query is a v1 JSON line or a v2 frame.
+    // The stats endpoint tells the two query forms apart by their first
+    // byte: the same snapshots come back whether the query is a JSON
+    // line or a binary frame.
     let mut cfg = fast_config();
     cfg.game.telemetry = true;
     let cluster = RtCluster::start(cfg).await;
@@ -1014,7 +991,7 @@ async fn stats_endpoint_answers_binary_queries() {
     assert_eq!(
         v2.len(),
         v1.len(),
-        "both codecs expose the same set of nodes"
+        "both forms expose the same set of nodes"
     );
     let joins = |nodes: &[(matrix_geometry::ServerId, matrix_core::TelemetrySnapshot)]| {
         nodes

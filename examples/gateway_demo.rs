@@ -1,34 +1,32 @@
 //! TCP gateway demo: expose an in-process Matrix cluster on a real
-//! socket and serve remote game clients speaking either wire protocol
-//! v2 (length-prefixed binary frames, `docs/WIRE.md`) or v1
-//! newline-delimited JSON — sniffed per connection.
+//! socket and serve remote game clients speaking the wire protocol
+//! (length-prefixed binary frames, `docs/WIRE.md`).
 //!
 //! ```sh
 //! cargo run --release --example gateway_demo            # random port
 //! cargo run --release --example gateway_demo -- 4177    # fixed port
-//! cargo run --release --example gateway_demo -- --codec json   # v1-only
 //! ```
 //!
-//! Then, from any language, e.g.:
+//! Once bound, the demo is its own first client: it connects two
+//! `TcpGameClient`s, joins both ten units apart, has the first send
+//! one action, and prints every message either receives:
 //!
 //! ```text
-//! $ nc 127.0.0.1 4177
-//! {"t":"join","x":100.0,"y":100.0,"state":64}
-//! {"t":"joined","server":1}
-//! {"t":"action","x":100.0,"y":100.0,"bytes":32}
-//! {"t":"ack","seq":0}
+//! alice <- Joined { server: ServerId(1) }
+//! alice <- Ack { seq: 0 }
+//! bob <- Joined { server: ServerId(1) }
+//! bob <- UpdateBatch { updates: [Absolute(UpdateItem { origin: Point { x: 100.0, y: 100.0 }, payload_bytes: 32, entity: 1, ring: 0, vx: 0.0, vy: 0.0, trace: None })] }
 //! ```
 //!
-//! The gateway keeps each remote client pinned to whichever server the
-//! middleware redirects it to; nearby clients receive each other's
-//! events as `{"t":"batch",...}` updates.
+//! Then it keeps serving. The gateway keeps each remote client pinned
+//! to whichever server the middleware redirects it to; nearby clients
+//! receive each other's events as `UpdateBatch` frames.
 //!
 //! Pass `--predict` to enable the dead-reckoning pipeline (vision
 //! rings + per-ring error budgets, per-event flushes): outer-ring
-//! receivers then see velocity-tagged items
-//! (`[x,y,bytes,entity,ring,vx,vy]`) and straight-line movement is
-//! suppressed on the wire while their extrapolation stays within the
-//! ring's budget.
+//! receivers then see velocity-tagged items and straight-line movement
+//! is suppressed on the wire while their extrapolation stays within
+//! the ring's budget.
 //!
 //! Pass `--telemetry` to turn the telemetry plane on
 //! (`docs/OBSERVABILITY.md`); a live stats endpoint then answers
@@ -42,7 +40,8 @@
 //! ...
 //! ```
 
-use matrix_middleware::core::WireCodec;
+use matrix_middleware::core::ClientToGame;
+use matrix_middleware::geometry::Point;
 use matrix_middleware::rt::{wire, RtCluster, RtConfig};
 use matrix_middleware::sim::SimDuration;
 use std::time::Duration;
@@ -52,29 +51,15 @@ async fn main() {
     let mut port: u16 = 0;
     let mut predict = false;
     let mut telemetry = false;
-    let mut codec = WireCodec::BinaryV2;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--predict" => predict = true,
             "--telemetry" => telemetry = true,
-            "--codec" => {
-                codec = match args.next().as_deref() {
-                    Some("binary") => WireCodec::BinaryV2,
-                    Some("json") => WireCodec::Json,
-                    other => panic!("--codec binary|json, got {other:?}"),
-                }
-            }
-            p => {
-                port = p
-                    .parse()
-                    .expect("args: [port] [--predict] [--telemetry] [--codec binary|json]")
-            }
+            p => port = p.parse().expect("args: [port] [--predict] [--telemetry]"),
         }
     }
     let mut cfg = RtConfig::default();
     cfg.game.telemetry = telemetry;
-    cfg.game.codec = codec;
     if predict {
         cfg.game.batch_interval = SimDuration::from_millis(0);
         cfg.game.predict = true;
@@ -93,15 +78,6 @@ async fn main() {
     .await
     .expect("bind gateway");
     println!("gateway listening on {addr}");
-    match codec {
-        WireCodec::BinaryV2 => println!(
-            "binary v2 accepted (open with a Hello frame); JSON lines also work, \
-             e.g.: {{\"t\":\"join\",\"x\":100.0,\"y\":100.0,\"state\":64}}"
-        ),
-        WireCodec::Json => {
-            println!("v1 JSON only, e.g.: {{\"t\":\"join\",\"x\":100.0,\"y\":100.0,\"state\":64}}")
-        }
-    }
     if telemetry {
         let stats = cluster
             .serve_stats(("127.0.0.1", 0))
@@ -109,6 +85,34 @@ async fn main() {
             .expect("bind stats endpoint");
         println!("stats endpoint on {stats} (query: {{\"t\":\"stats\",\"v\":1,\"fmt\":\"prom\"}})");
     }
+
+    // Two real sockets through the gateway: alice acts, bob watches.
+    let alice_pos = Point::new(100.0, 100.0);
+    let mut clients = Vec::new();
+    for (name, pos) in [("alice", alice_pos), ("bob", Point::new(110.0, 100.0))] {
+        let mut client = wire::TcpGameClient::connect(addr).await.expect("connect");
+        let join = ClientToGame::Join {
+            pos,
+            state_bytes: 64,
+        };
+        client.send(&join).await.expect("send join");
+        clients.push((name, client));
+    }
+    let action = ClientToGame::Action {
+        pos: alice_pos,
+        payload_bytes: 32,
+    };
+    clients[0].1.send(&action).await.expect("send action");
+    for (name, client) in &mut clients {
+        // Batches leave on the game tick; half a second of silence
+        // means this client has seen everything.
+        while let Ok(Ok(msg)) =
+            tokio::time::timeout(Duration::from_millis(500), client.recv()).await
+        {
+            println!("{name} <- {msg:?}");
+        }
+    }
+    drop(clients);
 
     // Serve until interrupted.
     loop {

@@ -823,8 +823,9 @@ fn select_matches_the_reference_policy() {
 #[test]
 fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
     use matrix_middleware::core::{
-        codec, quantize, BatchItem, ClientId, ClientToGame, DeltaItem, GameAction,
-        GameServerConfig, GameServerNode, GameToClient, ServerId, UpdateBatcher, UpdateItem,
+        codec_v2::{self, FrameMeta},
+        quantize, BatchItem, ClientId, ClientToGame, DeltaItem, GameAction, GameServerConfig,
+        GameServerNode, GameToClient, ServerId, UpdateBatcher, UpdateItem,
     };
     use matrix_middleware::sim::{SimDuration, SimTime};
 
@@ -1097,15 +1098,19 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
             for ((nc, nb), (rc, rb)) in node_batches.iter().zip(&ref_batches) {
                 assert_eq!(nc, rc, "case {case} step {step}: receiver order");
                 // Byte-identical on the actual wire: compare the encoded
-                // JSON frames, not just the structs.
-                let node_line = codec::encode_game_to_client(&GameToClient::UpdateBatch {
-                    updates: nb.clone(),
-                });
-                let ref_line = codec::encode_game_to_client(&GameToClient::UpdateBatch {
-                    updates: rb.clone(),
-                });
+                // frames (under one fixed header), not just the structs.
+                let frame = |updates: &Vec<BatchItem>| {
+                    codec_v2::encode_server_frame(
+                        &GameToClient::UpdateBatch {
+                            updates: updates.clone(),
+                        },
+                        FrameMeta::default(),
+                        true,
+                    )
+                };
                 assert_eq!(
-                    node_line, ref_line,
+                    frame(nb),
+                    frame(rb),
                     "case {case} step {step} {nc:?}: wire bytes diverged"
                 );
             }
@@ -1128,8 +1133,8 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
 #[test]
 fn flush_worker_count_is_wire_invariant() {
     use matrix_middleware::core::{
-        codec, ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode, GameToClient,
-        ServerId,
+        codec_v2, ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode,
+        GameToClient, ServerId,
     };
     use matrix_middleware::sim::{SimDuration, SimTime};
 
@@ -1147,7 +1152,7 @@ fn flush_worker_count_is_wire_invariant() {
         world: Rect,
         radius: f64,
         script: &[Step],
-    ) -> Vec<(ClientId, String)> {
+    ) -> Vec<(ClientId, Vec<u8>)> {
         let mut node = GameServerNode::new(ServerId(1), cfg).with_fanout();
         if parallel {
             node = node.with_parallel_flush();
@@ -1157,7 +1162,8 @@ fn flush_worker_count_is_wire_invariant() {
         let mut collect = |actions: Vec<GameAction>| {
             for a in actions {
                 if let GameAction::ToClient(cid, msg @ GameToClient::UpdateBatch { .. }) = a {
-                    frames.push((cid, codec::encode_game_to_client(&msg)));
+                    let meta = codec_v2::FrameMeta::default();
+                    frames.push((cid, codec_v2::encode_server_frame(&msg, meta, true)));
                 }
             }
         };

@@ -16,12 +16,12 @@
 //! the — identical — simulation stayed within budget).
 //!
 //! **Velocity codec round-trips**: velocity-tagged batch items survive
-//! encode/decode exactly, velocity-free items encode byte-identically
-//! to the pre-prediction grammar, and legacy (pre-velocity) frames
-//! still decode.
+//! encode/decode exactly and cost exactly
+//! `UpdateItem::VELOCITY_WIRE_BYTES`; velocity-free items keep their
+//! pre-prediction size and decode as velocity-free.
 //!
 //! **Byte-identical when off**: with `predict` off, a ringed node's
-//! wire frames stay inside the PR 4 grammar — no velocity elements, no
+//! wire items keep their PR 4 sizes — no velocity bytes, no
 //! suppression — so switching the feature off really does restore the
 //! previous deployment's bytes. (The untiered half of this pin lives in
 //! `tests/interest_properties.rs`:
@@ -31,31 +31,30 @@
 //! (fixed seeds, so failures are reproducible).
 
 use matrix_middleware::core::{
-    codec, quantize, reconstruct_updates, ClientId, ClientToGame, Extrapolator, GameAction,
-    GameServerConfig, GameServerNode, GameToClient, RingSet, ServerId,
+    codec_v2, quantize, reconstruct_updates, BatchItem, ClientId, ClientToGame, DeltaItem,
+    Extrapolator, GameAction, GameServerConfig, GameServerNode, GameToClient, RingSet, ServerId,
+    UpdateItem,
 };
 use matrix_middleware::geometry::{Point, Rect};
-use matrix_middleware::predict::{extrapolate, Admission, PredictedStream};
+use matrix_middleware::predict::{extrapolate, quantize_velocity, Admission, PredictedStream};
 use matrix_middleware::sim::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 
-/// Splits an encoded `{"t":"batch",...}` line into its per-item array
-/// bodies, so grammar checks can count elements per item. An absolute
-/// item has 3–5 elements (2–4 commas), a delta 4–6 (3–5 commas); only a
-/// velocity pair pushes an item to 6+ commas.
-fn item_chunks(line: &str) -> Vec<&str> {
-    let inner = line
-        .strip_prefix("{\"t\":\"batch\",\"updates\":[")
-        .and_then(|s| s.strip_suffix("]}"))
-        .expect("batch frame shape");
-    if inner.is_empty() {
-        return Vec::new();
-    }
-    inner
-        .trim_start_matches('[')
-        .trim_end_matches(']')
-        .split("],[")
-        .collect()
+/// Encodes `msg` (an `UpdateBatch`) as a wire frame, checks the frame
+/// is exactly the frame overhead plus the codec's arithmetic item
+/// lengths, and returns those per-item lengths with the frame bytes.
+fn measured_items(msg: &GameToClient) -> (Vec<usize>, Vec<u8>) {
+    let GameToClient::UpdateBatch { updates } = msg else {
+        panic!("expected a batch");
+    };
+    let bytes = codec_v2::encode_server_frame(msg, codec_v2::FrameMeta::default(), true);
+    let lens: Vec<usize> = updates.iter().map(codec_v2::batch_item_wire_len).collect();
+    assert_eq!(
+        bytes.len(),
+        codec_v2::frame_overhead(true) + lens.iter().sum::<usize>(),
+        "the arithmetic item lengths are the encoded bytes"
+    );
+    (lens, bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -236,17 +235,19 @@ fn suppression_never_exceeds_the_ring_budget_end_to_end() {
 // Velocity codec
 // ---------------------------------------------------------------------------
 
-/// Random velocity-tagged batches round-trip exactly; velocity-free
-/// items stay inside the pre-prediction grammar; legacy frames decode.
+/// Random velocity-tagged batches round-trip exactly; a velocity pair
+/// (on the lattice senders snap to) costs exactly
+/// `VELOCITY_WIRE_BYTES` and a velocity-free item carries none of it —
+/// the pre-prediction item shape, which decodes as velocity-free.
 #[test]
 fn velocity_fields_round_trip_and_legacy_frames_decode() {
-    use matrix_middleware::core::{BatchItem, DeltaItem, UpdateItem};
     let mut rng = SimRng::seed_from_u64(0x7E10C17);
     for case in 0..200 {
         let mut updates = Vec::new();
         for _ in 0..rng.uniform_u64(1, 8) {
             let vel = if rng.chance(0.5) {
-                (rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0))
+                let raw = (rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0));
+                quantize_velocity(raw, 1.0 / 256.0)
             } else {
                 (0.0, 0.0)
             };
@@ -277,49 +278,36 @@ fn velocity_fields_round_trip_and_legacy_frames_decode() {
         let msg = GameToClient::UpdateBatch {
             updates: updates.clone(),
         };
-        let line = codec::encode_game_to_client(&msg);
-        let decoded = codec::decode_game_to_client(&line)
-            .unwrap_or_else(|e| panic!("case {case}: {e}\n{line}"));
-        assert_eq!(decoded, msg, "case {case}: {line}");
-        // Velocity-free items never grow the item arrays beyond the
-        // PR 4 grammar (≤ 5 elements absolute, ≤ 6 delta); a velocity
-        // pair always shows up as a 7/8-element item.
-        let max_commas = item_chunks(&line)
-            .iter()
-            .map(|c| c.matches(',').count())
-            .max()
-            .unwrap_or(0);
-        if updates.iter().all(|u| !u.has_velocity()) {
-            assert!(
-                max_commas <= 5,
-                "case {case}: velocity-free frame outside the legacy grammar: {line}"
-            );
-        } else {
-            assert!(
-                max_commas >= 6,
-                "case {case}: a velocity pair must be visible on the wire: {line}"
-            );
+        let (lens, bytes) = measured_items(&msg);
+        match codec_v2::decode_frame(&bytes) {
+            Ok(codec_v2::FrameStatus::Complete {
+                frame: codec_v2::Frame::Server(decoded),
+                ..
+            }) => assert_eq!(decoded, msg, "case {case}"),
+            other => panic!("case {case}: {other:?}"),
+        }
+        // Entities and payloads here are narrow and the raw delta
+        // offsets take the wide escape (as large as a keyframe's
+        // coordinates), so every item is the pre-prediction keyframe
+        // size plus the velocity pair, when it has one.
+        for (item, len) in updates.iter().zip(lens) {
+            let vel = if item.has_velocity() {
+                UpdateItem::VELOCITY_WIRE_BYTES
+            } else {
+                0
+            };
+            assert_eq!(len, UpdateItem::WIRE_BYTES + vel, "case {case}: {item:?}");
         }
     }
-    // Pre-velocity (and pre-entity/ring) frames still decode as
-    // velocity-free items.
-    let legacy = codec::decode_game_to_client(
-        "{\"t\":\"batch\",\"updates\":[[1.0,2.0,8],[\"d\",0.5,0.5,4,9,2]]}",
-    )
-    .unwrap();
-    let GameToClient::UpdateBatch { updates } = legacy else {
-        panic!("expected a batch");
-    };
-    assert!(updates.iter().all(|u| !u.has_velocity()));
 }
 
 // ---------------------------------------------------------------------------
 // Byte-identical when off
 // ---------------------------------------------------------------------------
 
-/// With `predict` off, a ringed node emits frames from the PR 4
-/// grammar: nothing is suppressed and no item carries a velocity — the
-/// feature leaves no trace on the wire when disabled.
+/// With `predict` off, a ringed node emits items of the PR 4 sizes:
+/// nothing is suppressed and no item carries a velocity — the feature
+/// leaves no trace on the wire when disabled.
 #[test]
 fn predict_off_leaves_the_wire_in_the_pr4_grammar() {
     let mut rng = SimRng::seed_from_u64(0x0FF0FF);
@@ -374,11 +362,10 @@ fn predict_off_leaves_the_wire_in_the_pr4_grammar() {
                     updates.iter().all(|u| !u.has_velocity()),
                     "case {case}: velocity leaked onto a predict-off wire"
                 );
-                let line = codec::encode_game_to_client(&msg);
-                for item in item_chunks(&line) {
+                for len in measured_items(&msg).0 {
                     assert!(
-                        item.matches(',').count() <= 5,
-                        "case {case}: frame outside the PR 4 grammar: {line}"
+                        len == UpdateItem::WIRE_BYTES || len == DeltaItem::WIRE_BYTES,
+                        "case {case}: a {len}-byte item is outside the PR 4 sizes: {msg:?}"
                     );
                 }
             }

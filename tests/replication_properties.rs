@@ -9,7 +9,7 @@
 //! included.
 //!
 //! **Codec transparency**: a snapshot that crosses the versioned wire
-//! format (`matrix_core::codec`) must restore exactly like one that
+//! format (`Frame::Replica` of `matrix_core::codec_v2`) must restore exactly like one that
 //! never left the process.
 //!
 //! **Op-maintained convergence**: a standby fed the primary's replica
@@ -26,9 +26,10 @@
 //! Randomization is driven by the workspace's own seeded [`SimRng`]
 //! (fixed seeds, so failures are reproducible).
 
-use matrix_middleware::core::codec;
+use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
-    ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode, ReplicaOp,
+    ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode, ReplicaBatch, ReplicaOp,
+    ReplicaPayload,
 };
 use matrix_middleware::geometry::{Point, Rect, ServerId};
 use matrix_middleware::replication::{ReplicaLog, ReplicaReceiver};
@@ -182,9 +183,21 @@ fn snapshot_survives_the_versioned_wire_format() {
         let mut g = node(1);
         let mut population = random_drive(&mut g, &mut rng, 100);
         let snap = g.snapshot();
-        let line = codec::encode_region_snapshot(&snap);
-        let decoded = codec::decode_region_snapshot(&line)
-            .unwrap_or_else(|e| panic!("case {case}: {e}\n{line}"));
+        let batch = ReplicaBatch {
+            seq: case as u64,
+            payload: ReplicaPayload::Full(snap.clone()),
+        };
+        let bytes = codec_v2::encode_replica_batch_frame(&batch, FrameMeta::default(), true);
+        let decoded = match codec_v2::decode_frame(&bytes) {
+            Ok(FrameStatus::Complete {
+                frame: Frame::Replica(got),
+                ..
+            }) => match got.payload {
+                ReplicaPayload::Full(decoded) => decoded,
+                other => panic!("case {case}: {other:?}"),
+            },
+            other => panic!("case {case}: {other:?}"),
+        };
         assert_eq!(decoded, snap, "case {case}: codec must be transparent");
         let mut restored =
             GameServerNode::new(ServerId(1), GameServerConfig::default()).with_fanout();

@@ -7,9 +7,9 @@
 //! property-testing framework, keeping the build offline-friendly.
 
 use matrix_middleware::core::codec::{
-    decode_client_to_game, decode_stats_reply, encode_client_to_game, encode_stats_query,
-    encode_stats_reply, StatsFormat,
+    decode_stats_query, decode_stats_reply, encode_stats_query, encode_stats_reply, StatsFormat,
 };
+use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
     ClientId, ClientToGame, EventKind, FlightRecorder, GameServerConfig, GameServerNode,
     HistSnapshot, Histogram, Stage, TelemetrySnapshot,
@@ -185,9 +185,11 @@ fn stats_reply_round_trips_random_snapshots() {
     }
 }
 
-/// The stats frames are additive: the legacy client codec still
-/// round-trips every message bit-for-bit, and neither codec accepts the
-/// other's frames.
+/// The stats plane is additive and isolated: every client message
+/// still round-trips bit-for-bit as a session frame, a stats query is
+/// never mistaken for one, and the stats port's line decoders reject a
+/// session message spelled as a JSON line (the retired v1 form — what
+/// a stale client would send).
 #[test]
 fn legacy_frames_are_unaffected_by_stats_frames() {
     let mut rng = SimRng::seed_from_u64(0x1E64C7);
@@ -206,18 +208,37 @@ fn legacy_frames_are_unaffected_by_stats_frames() {
             },
             _ => ClientToGame::Leave,
         };
-        let line = encode_client_to_game(&msg);
-        assert_eq!(
-            decode_client_to_game(&line).expect("legacy round trip"),
-            msg,
-            "case {case}"
-        );
+        let decode = |bytes: &[u8]| match codec_v2::decode_frame(bytes) {
+            Ok(FrameStatus::Complete { frame, .. }) => frame,
+            other => panic!("case {case}: {other:?}"),
+        };
+        let meta = FrameMeta::default();
+        let bytes = codec_v2::encode_client_frame(&msg, meta, true);
+        assert_eq!(decode(&bytes), Frame::Client(msg.clone()), "case {case}");
         // Cross-type isolation: a stats query is not a client frame.
-        assert!(
-            decode_client_to_game(&encode_stats_query(StatsFormat::Json)).is_err(),
+        let query = codec_v2::encode_frame(&Frame::StatsQuery(StatsFormat::Json), meta, true);
+        assert_eq!(
+            decode(&query),
+            Frame::StatsQuery(StatsFormat::Json),
             "case {case}"
         );
-        assert!(decode_stats_reply(&line).is_err(), "case {case}");
+        let line = match msg {
+            ClientToGame::Join { pos, state_bytes } => format!(
+                "{{\"t\":\"join\",\"x\":{:?},\"y\":{:?},\"state\":{state_bytes}}}",
+                pos.x, pos.y
+            ),
+            ClientToGame::Move { pos } => {
+                format!("{{\"t\":\"move\",\"x\":{:?},\"y\":{:?}}}", pos.x, pos.y)
+            }
+            ClientToGame::Action { pos, payload_bytes } => format!(
+                "{{\"t\":\"action\",\"x\":{:?},\"y\":{:?},\"bytes\":{payload_bytes}}}",
+                pos.x, pos.y
+            ),
+            _ => "{\"t\":\"leave\"}".to_string(),
+        };
+        assert!(decode_stats_query(&line).is_err(), "case {case}: {line}");
+        assert!(decode_stats_reply(&line).is_err(), "case {case}: {line}");
+        assert!(decode_stats_reply(&encode_stats_query(StatsFormat::Json)).is_err());
     }
 }
 
