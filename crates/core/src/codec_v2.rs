@@ -1,13 +1,12 @@
 //! The wire protocol: length-prefixed binary frames.
 //!
 //! Every message the middleware puts on a real wire — the client
-//! session, replication, the load-report heartbeat and the stats
-//! query/reply — is one [`Frame`] here; `docs/WIRE.md` is the byte-level
-//! reference. A session opens with a [`Frame::Hello`] carrying the
-//! protocol version, which the gateway answers with its own. The only
-//! other format in the program is the operator stats port's JSON line
-//! and Prometheus text ([`crate::codec`]); a stream is self-identifying
-//! there, because no JSON line starts with the magic byte `0xD7`.
+//! session and replication — is one [`Frame`] here; `docs/WIRE.md` is
+//! the byte-level reference. A session opens with a [`Frame::Hello`]
+//! carrying the protocol version, which the gateway answers with its
+//! own. The only other format in the program is the operator stats
+//! port's JSON line and Prometheus text ([`crate::codec`]), which
+//! never carries a frame.
 //!
 //! # Frame layout
 //!
@@ -67,10 +66,10 @@
 //! magic boundary. The fuzz suite (`tests/codec_v2_fuzz.rs`) drives
 //! random bytes, truncations and bit flips through every decoder.
 
-use crate::codec::{CodecError, StatsFormat, STATS_VERSION};
+use crate::codec::CodecError;
 use crate::messages::{
-    BatchItem, ClientToGame, DeltaItem, GameToClient, LoadReport, RegionSnapshot, ReplicaBatch,
-    ReplicaOp, UpdateItem,
+    BatchItem, ClientToGame, DeltaItem, GameToClient, RegionSnapshot, ReplicaBatch, ReplicaOp,
+    UpdateItem,
 };
 use crate::packet::ClientId;
 use matrix_geometry::{Point, Rect, ServerId};
@@ -78,7 +77,6 @@ use matrix_replication::{
     PendingUpdate, PredictBasis, ReplicaPayload, SessionState, StreamBase, TunerState,
 };
 use matrix_sim::SimTime;
-use matrix_telemetry::{HistSnapshot, TelemetrySnapshot};
 
 /// The two bytes every binary frame opens with.
 pub const MAGIC: [u8; 2] = [0xD7, 0x4D];
@@ -129,9 +127,9 @@ const T_BATCH: u8 = 8;
 const T_SWITCH: u8 = 9;
 const T_REPLICA: u8 = 10;
 const T_REPLICA_ACK: u8 = 11;
-const T_STATS_QUERY: u8 = 12;
-const T_STATS_REPLY: u8 = 13;
-const T_LOAD: u8 = 14;
+/// Type codes 12–14 are reserved: unassigned, and a frame bearing one
+/// is rejected as unknown.
+const RESERVED_TYPES: std::ops::RangeInclusive<u8> = 12..=14;
 const T_TRACE_ACK: u8 = 15;
 
 /// Wire size of one trace-section entry (item index + origin + seq +
@@ -243,13 +241,6 @@ pub enum Frame {
         /// Whether the standby needs a full snapshot resync.
         resync: bool,
     },
-    /// A live-stats query for the given exposition format.
-    StatsQuery(StatsFormat),
-    /// A live-stats reply: one telemetry snapshot per node.
-    StatsReply(Vec<(ServerId, TelemetrySnapshot)>),
-    /// A load-report heartbeat. Boxed for the same reason the in-memory
-    /// message boxes its telemetry: reports are frequent and bulky.
-    Load(Box<LoadReport>),
 }
 
 /// Outcome of [`decode_frame`] on a (possibly partial) buffer.
@@ -314,12 +305,6 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
-}
-
-/// Length-prefixed UTF-8 string (varint length).
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
 }
 
 /// Snaps `v` onto the 1/256 lattice as an i24, or `None` if it is not
@@ -448,13 +433,6 @@ impl<'a> Reader<'a> {
             1 => Ok(true),
             b => Err(CodecError::new(format!("{what} must be 0 or 1, got {b}"))),
         }
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, CodecError> {
-        let len = self.count(what)?;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CodecError::new(format!("{what} is not UTF-8")))
     }
 
     fn finish(self, what: &str) -> Result<(), CodecError> {
@@ -592,39 +570,6 @@ fn encode_body(frame: &Frame, out: &mut Vec<u8>) -> u8 {
             put_varint(out, *seq);
             out.push(u8::from(*resync));
             T_REPLICA_ACK
-        }
-        Frame::StatsQuery(fmt) => {
-            put_varint(out, STATS_VERSION as u64);
-            out.push(match fmt {
-                StatsFormat::Json => 0,
-                StatsFormat::Prom => 1,
-            });
-            T_STATS_QUERY
-        }
-        Frame::StatsReply(nodes) => {
-            put_varint(out, STATS_VERSION as u64);
-            put_varint(out, nodes.len() as u64);
-            for (id, snap) in nodes {
-                put_varint(out, id.0 as u64);
-                put_telemetry(out, snap);
-            }
-            T_STATS_REPLY
-        }
-        Frame::Load(report) => {
-            put_varint(out, report.clients as u64);
-            put_f64(out, report.queue_backlog);
-            put_varint(out, report.positions.len() as u64);
-            for p in &report.positions {
-                put_point(out, *p);
-            }
-            match &report.telemetry {
-                Some(snap) => {
-                    out.push(1);
-                    put_telemetry(out, snap);
-                }
-                None => out.push(0),
-            }
-            T_LOAD
         }
     }
 }
@@ -791,29 +736,6 @@ fn encode_batch_item(out: &mut Vec<u8>, item: &BatchItem) {
             }
         }
     }
-}
-
-fn put_telemetry(out: &mut Vec<u8>, snap: &TelemetrySnapshot) {
-    put_varint(out, snap.counters.len() as u64);
-    for (name, v) in &snap.counters {
-        put_str(out, name);
-        put_varint(out, *v);
-    }
-    put_varint(out, snap.hists.len() as u64);
-    for h in &snap.hists {
-        put_str(out, &h.name);
-        put_varint(out, h.count);
-        put_f64(out, h.sum);
-        put_f64(out, h.min);
-        put_f64(out, h.max);
-        put_varint(out, h.buckets.len() as u64);
-        for (idx, n) in &h.buckets {
-            put_varint(out, *idx as u64);
-            put_varint(out, *n);
-        }
-    }
-    put_varint(out, snap.events_dropped);
-    put_varint(out, snap.events_seen);
 }
 
 fn encode_replica_body(batch: &ReplicaBatch, out: &mut Vec<u8>) {
@@ -991,7 +913,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<FrameStatus, CodecError> {
         return Err(CodecError::new("reserved frame flags set"));
     }
     let ty = ty_flags & TYPE_MASK;
-    if ty > T_TRACE_ACK {
+    if ty > T_TRACE_ACK || RESERVED_TYPES.contains(&ty) {
         return Err(CodecError::new(format!("unknown frame type {ty}")));
     }
     let traced = ty_flags & FLAG_TRACE != 0;
@@ -1114,44 +1036,6 @@ fn decode_body(ty: u8, traced: bool, body: &[u8]) -> Result<Frame, CodecError> {
             seq: r.varint("replica-ack sequence")?,
             resync: r.bool("replica-ack resync")?,
         },
-        T_STATS_QUERY => {
-            check_stats_version(&mut r)?;
-            Frame::StatsQuery(match r.u8("stats format")? {
-                0 => StatsFormat::Json,
-                1 => StatsFormat::Prom,
-                f => return Err(CodecError::new(format!("unknown stats format {f}"))),
-            })
-        }
-        T_STATS_REPLY => {
-            check_stats_version(&mut r)?;
-            let n = r.count("stats node count")?;
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = ServerId(r.varu32("stats node id")?);
-                nodes.push((id, decode_telemetry(&mut r)?));
-            }
-            Frame::StatsReply(nodes)
-        }
-        T_LOAD => {
-            let clients = r.varu32("load client count")?;
-            let queue_backlog = r.f64("load backlog")?;
-            let n = r.count("load position count")?;
-            let mut positions = Vec::with_capacity(n);
-            for _ in 0..n {
-                positions.push(r.point("load position")?);
-            }
-            let telemetry = if r.bool("load telemetry flag")? {
-                Some(Box::new(decode_telemetry(&mut r)?))
-            } else {
-                None
-            };
-            Frame::Load(Box::new(LoadReport {
-                clients,
-                queue_backlog,
-                positions,
-                telemetry,
-            }))
-        }
         _ => unreachable!("type range checked by decode_frame"),
     };
     let what = frame_name(ty);
@@ -1173,22 +1057,9 @@ fn frame_name(ty: u8) -> &'static str {
         T_SWITCH => "switch",
         T_REPLICA => "replica",
         T_REPLICA_ACK => "replica-ack",
-        T_STATS_QUERY => "stats",
-        T_STATS_REPLY => "stats-reply",
-        T_LOAD => "load",
         T_TRACE_ACK => "trace-ack",
         _ => "unknown",
     }
-}
-
-fn check_stats_version(r: &mut Reader<'_>) -> Result<(), CodecError> {
-    let v = r.varu32("stats version")?;
-    if v != STATS_VERSION {
-        return Err(CodecError::new(format!(
-            "unsupported stats format version {v} (expected {STATS_VERSION})"
-        )));
-    }
-    Ok(())
 }
 
 fn decode_batch_item(r: &mut Reader<'_>) -> Result<BatchItem, CodecError> {
@@ -1260,40 +1131,6 @@ fn decode_item_velocity(r: &mut Reader<'_>, h: u8) -> Result<(f64, f64), CodecEr
             r.i24("item velocity")? as f64 / LATTICE,
         ))
     }
-}
-
-fn decode_telemetry(r: &mut Reader<'_>) -> Result<TelemetrySnapshot, CodecError> {
-    let mut snap = TelemetrySnapshot::new();
-    let n = r.count("counter count")?;
-    for _ in 0..n {
-        let name = r.str("counter name")?;
-        let v = r.varint("counter value")?;
-        snap.counters.push((name, v));
-    }
-    let n = r.count("histogram count")?;
-    for _ in 0..n {
-        let name = r.str("histogram name")?;
-        let count = r.varint("histogram count")?;
-        let sum = r.f64("histogram sum")?;
-        let min = r.f64("histogram min")?;
-        let max = r.f64("histogram max")?;
-        let b = r.count("bucket count")?;
-        let mut buckets = Vec::with_capacity(b);
-        for _ in 0..b {
-            buckets.push((r.varu32("bucket index")?, r.varint("bucket value")?));
-        }
-        snap.hists.push(HistSnapshot {
-            name,
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-        });
-    }
-    snap.events_dropped = r.varint("dropped events")?;
-    snap.events_seen = r.varint("seen events")?;
-    Ok(snap)
 }
 
 fn decode_replica_body(r: &mut Reader<'_>) -> Result<ReplicaBatch, CodecError> {
@@ -1652,14 +1489,33 @@ mod tests {
             seq: 42,
             resync: true,
         });
-        round_trip(Frame::StatsQuery(StatsFormat::Prom));
-        round_trip(Frame::StatsReply(vec![]));
-        round_trip(Frame::Load(Box::new(LoadReport {
-            clients: 12,
-            queue_backlog: 3.5,
-            positions: vec![Point::new(1.0, 2.0)],
-            telemetry: None,
-        })));
+    }
+
+    #[test]
+    fn reserved_frame_types_are_rejected() {
+        // Well-formed bodies of the frames these codes once carried (a
+        // stats query, an empty stats reply, a bare load report), so the
+        // type code is the only thing on trial.
+        let bodies: [(u8, &[u8]); 3] = [
+            (12, &[1, 0]),
+            (13, &[1, 0]),
+            (14, &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ];
+        for (ty, body) in bodies {
+            for crc in [true, false] {
+                let mut bytes = Vec::new();
+                frame_into(&mut bytes, FrameMeta::default(), crc, |out| {
+                    out.extend_from_slice(body);
+                    ty
+                });
+                let err = decode_frame(&bytes).expect_err("reserved type must be rejected");
+                assert!(
+                    err.to_string()
+                        .contains(&format!("unknown frame type {ty}")),
+                    "type {ty}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

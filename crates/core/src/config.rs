@@ -32,10 +32,6 @@ pub struct MatrixConfig {
     /// Client count below which a server counts as underloaded
     /// (Figure 2: "underloaded (< 150 clients)").
     pub underload_clients: u32,
-    /// Receive-queue backlog (work units) that also flags overload, so CPU
-    /// hotspots without many clients still trigger splits ("or via system
-    /// performance measurements", §3.2.3).
-    pub overload_backlog: f64,
     /// Consecutive overloaded load reports required before splitting.
     pub overload_streak: u32,
     /// Consecutive underloaded reports required before reclaiming a child.
@@ -52,10 +48,6 @@ pub struct MatrixConfig {
     pub split_strategy: SplitStrategy,
     /// Interval between heartbeats to the coordinator.
     pub heartbeat_every: SimDuration,
-    /// When true, `WhereIs` point-resolution queries are answered from the
-    /// locally cached partition directory; when false every query goes to
-    /// the coordinator (used by the E5 microbenchmark to measure MC load).
-    pub resolve_locally: bool,
     /// When true, every active server pairs with a warm standby drawn
     /// from the resource pool and streams region state to it (see
     /// `GameServerConfig::replica_interval`); on the primary's liveness
@@ -72,14 +64,12 @@ impl Default for MatrixConfig {
             adaptive: true,
             overload_clients: 300,
             underload_clients: 150,
-            overload_backlog: 5_000.0,
             overload_streak: 2,
             underload_streak: 3,
             reclaim_headroom: 0.7,
             cooldown: SimDuration::from_secs(5),
             split_strategy: SplitStrategy::SplitToLeft,
             heartbeat_every: SimDuration::from_secs(1),
-            resolve_locally: true,
             standby_replication: false,
             metric: Metric::Euclidean,
         }
@@ -111,9 +101,6 @@ pub struct GameServerConfig {
     /// Dynamic global state transferred to a newly split server (map
     /// objects such as trees and buildings), in bytes.
     pub global_state_bytes: u64,
-    /// Whether load reports carry client positions, enabling the
-    /// load-aware split strategy.
-    pub report_positions: bool,
     /// Roaming hysteresis: a client is only handed off once it strays
     /// further than this outside the server's range, so crowds jittering
     /// on a partition boundary do not thrash between servers.
@@ -183,6 +170,7 @@ pub struct GameServerConfig {
     /// Whether client-bound update fan-out is emitted as real messages
     /// (true under the runtime, where clients are live connections) or
     /// only counted (discrete-event runs that model fan-out as load).
+    /// `GameServerNode::with_fanout` sets it.
     pub emit_updates: bool,
     /// Per-client cap on items per `UpdateBatch` flush (`0` = unlimited).
     /// When a flush exceeds the cap, the least relevant (farthest)
@@ -195,9 +183,8 @@ pub struct GameServerConfig {
     pub client_budget_bytes: u32,
     /// Delta-compression keyframe interval: force an absolute-origin
     /// keyframe item at least every this many flushes per client.
-    /// `0` disables delta encoding (every item absolute — the v1 wire
-    /// format); `1` keyframes every flush but still delta-encodes items
-    /// within a batch.
+    /// `0` disables delta encoding (every item absolute); `1` keyframes
+    /// every flush but still delta-encodes items within a batch.
     pub keyframe_every: u32,
     /// Fixed-point resolution batch origins are snapped to before
     /// dissemination (`0.0` = no quantisation). Offsets between lattice
@@ -217,23 +204,15 @@ pub struct GameServerConfig {
     /// Replication itself is armed per server by
     /// `MatrixConfig::standby_replication`.
     pub replica_interval: SimDuration,
-    /// Backlog bound for the replica log: once this many session ops
-    /// queue unshipped, a batch ships immediately regardless of
-    /// `replica_interval` (`0` = interval-only). Caps standby staleness
-    /// under bursty load without shrinking the steady-state interval.
-    pub replica_lag_cap: u32,
     /// Master telemetry switch: per-stage pipeline span timers, tick and
-    /// flush latency histograms, the per-node flight recorder, and the
-    /// telemetry snapshot attached to load reports (which then rides the
+    /// flush latency histograms, the per-node flight recorder (including
+    /// the per-shard span dump of any flush that overran its cadence,
+    /// [`matrix_telemetry::EventKind::SlowFlush`]), and the telemetry
+    /// snapshot attached to load reports (which then rides the
     /// heartbeat to the coordinator — snapshot cadence is therefore
     /// `report_every_ticks`). Off (the default), every instrumentation
     /// point is a branch-only no-op: no clock reads, no recording.
     pub telemetry: bool,
-    /// Capacity of the per-node flight recorder ring, in events; older
-    /// events are evicted (and counted) once it fills. Only meaningful
-    /// with `telemetry` on. The coordinator's own recorder is always on
-    /// and sized independently.
-    pub telemetry_events: u32,
     /// Inert: [`WireCodec`] has one value. Kept for the benchmark's
     /// pinned surface.
     pub codec: WireCodec,
@@ -261,12 +240,6 @@ pub struct GameServerConfig {
     /// skip span clocks, but the ack histograms only surface through
     /// telemetry snapshots, so end-to-end runs enable both.
     pub trace_sample_rate: u32,
-    /// Slow-flush capture threshold in µs (`0` = off): when a whole
-    /// flush takes longer than this, that flush's per-stage, per-shard
-    /// span breakdown is dumped into the node's flight recorder as
-    /// [`matrix_telemetry::EventKind::SlowFlush`] events (one per
-    /// shard). Needs `telemetry` on — the spans are the data source.
-    pub slow_flush_threshold_us: u64,
 }
 
 impl Default for GameServerConfig {
@@ -276,7 +249,6 @@ impl Default for GameServerConfig {
             report_every_ticks: 10,
             client_state_bytes: 2_048,
             global_state_bytes: 4_000_000,
-            report_positions: true,
             handoff_margin: 0.0,
             metric: Metric::Euclidean,
             vision_radius: 0.0,
@@ -296,14 +268,11 @@ impl Default for GameServerConfig {
             keyframe_every: 8,
             origin_quantum: 1.0 / 256.0,
             replica_interval: SimDuration::from_millis(200),
-            replica_lag_cap: 256,
             telemetry: false,
-            telemetry_events: 256,
             codec: WireCodec::BinaryV2,
             frame_crc: true,
             flush_workers: 1,
             trace_sample_rate: 0,
-            slow_flush_threshold_us: 0,
         }
     }
 }

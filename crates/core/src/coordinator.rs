@@ -24,7 +24,8 @@ pub enum CoordAction {
     Send(ServerId, CoordReply),
 }
 
-/// Counters for the E5 microbenchmark (coordinator overhead).
+/// Coordinator activity counters (E5's traffic-share table and the
+/// failover experiment read them).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct CoordinatorStats {
     /// Overlap-table recomputations performed.

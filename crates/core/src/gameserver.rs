@@ -30,6 +30,15 @@ use matrix_telemetry::{EventKind, FlightRecorder, Histogram, Stage, TelemetrySna
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// Backlog bound for the replica log: once this many session ops queue
+/// unshipped, a batch ships at once regardless of `replica_interval`,
+/// which caps standby staleness under bursty load.
+const REPLICA_LAG_CAP: u32 = 256;
+
+/// Capacity of a node's flight-recorder ring, in events; the oldest are
+/// evicted (and counted) once it fills.
+const RECORDER_EVENTS: usize = 256;
+
 /// An effect the game server asks its driver to carry out.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GameAction {
@@ -85,7 +94,7 @@ pub struct GameStats {
     /// Delta-encoded items flushed to clients.
     pub delta_items: u64,
     /// Bytes saved by delta-encoding item origins, relative to sending
-    /// every item with absolute coordinates (the v1 wire format).
+    /// every item with absolute coordinates.
     pub delta_bytes_saved: u64,
     /// Replication batches shipped to the warm standby.
     pub replica_batches_out: u64,
@@ -213,9 +222,6 @@ pub struct GameServerNode {
     /// Standby-side replica state (this node mirroring a peer).
     receiver: ReplicaReceiver<ClientId>,
     last_flush: SimTime,
-    /// Whether update fan-out to clients is emitted as real messages
-    /// (true in the async runtime) or only counted (discrete-event runs).
-    emit_fanout: bool,
     ready: bool,
     ticks: u64,
     seq: u64,
@@ -252,10 +258,9 @@ impl GameServerNode {
             clients: BTreeMap::new(),
             pipeline: Self::make_pipeline(Rect::from_coords(0.0, 0.0, 1.0, 1.0), &cfg, 0.0),
             standby: None,
-            replica: ReplicaLog::new(cfg.replica_interval, cfg.replica_lag_cap),
+            replica: ReplicaLog::new(cfg.replica_interval, REPLICA_LAG_CAP),
             receiver: ReplicaReceiver::new(),
             last_flush: SimTime::ZERO,
-            emit_fanout: cfg.emit_updates,
             ready: false,
             ticks: 0,
             seq: 0,
@@ -265,11 +270,7 @@ impl GameServerNode {
             trace_latency: std::array::from_fn(|_| Histogram::new()),
             trace_staleness: std::array::from_fn(|_| Histogram::new()),
             stats: GameStats::default(),
-            recorder: FlightRecorder::new(if cfg.telemetry {
-                cfg.telemetry_events as usize
-            } else {
-                0
-            }),
+            recorder: FlightRecorder::new(if cfg.telemetry { RECORDER_EVENTS } else { 0 }),
             flush_hist: Histogram::new(),
             cfg,
         }
@@ -278,7 +279,7 @@ impl GameServerNode {
     /// Enables per-client update emission (used by the async runtime
     /// where clients are real connections).
     pub fn with_fanout(mut self) -> GameServerNode {
-        self.emit_fanout = true;
+        self.cfg.emit_updates = true;
         self
     }
 
@@ -712,7 +713,7 @@ impl GameServerNode {
             now.as_secs_f64(),
             suppressible,
             exclude,
-            self.emit_fanout,
+            self.cfg.emit_updates,
             |ring, (vx, vy)| UpdateItem {
                 origin: wire_origin,
                 payload_bytes,
@@ -842,12 +843,16 @@ impl GameServerNode {
         if let Some(t0) = t0 {
             let us = t0.elapsed().as_secs_f64() * 1e6;
             self.flush_hist.record(us);
-            // Slow-flush capture: when one flush blows the configured
-            // threshold, dump its per-stage, per-shard span breakdown
-            // into the flight recorder — the post-mortem answers "which
-            // stage, which shard" without re-running the workload.
-            let threshold = self.cfg.slow_flush_threshold_us;
-            if threshold > 0 && us as u64 >= threshold {
+            // Slow-flush capture: a flush is slow when it overran the
+            // cadence it runs on. Its per-stage, per-shard span
+            // breakdown goes into the flight recorder — the post-mortem
+            // answers "which stage, which shard" without re-running the
+            // workload.
+            let cadence_us = match self.cfg.batch_interval.as_micros() {
+                0 => self.cfg.tick.as_micros(),
+                interval => interval,
+            };
+            if us as u64 >= cadence_us {
                 for (shard, spans) in self.pipeline.last_flush_spans().into_iter().enumerate() {
                     self.recorder.record(
                         now,
@@ -1343,15 +1348,10 @@ impl GameServerNode {
             .ticks
             .is_multiple_of(self.cfg.report_every_ticks.max(1) as u64)
         {
-            let positions = if self.cfg.report_positions {
-                self.client_positions()
-            } else {
-                Vec::new()
-            };
             out.push(GameAction::ToMatrix(GameToMatrix::Load(LoadReport {
                 clients: self.clients.len() as u32,
                 queue_backlog,
-                positions,
+                positions: self.client_positions(),
                 telemetry: self.telemetry_snapshot().map(Box::new),
             })));
         }
@@ -2591,6 +2591,65 @@ mod tests {
                 &base_stats,
                 "{workers}-shard (parallel={parallel}) stats diverged"
             );
+        }
+    }
+
+    #[test]
+    fn a_flush_that_overruns_its_cadence_is_captured_per_shard() {
+        // Nothing sets a threshold: with telemetry on, a flush slower
+        // than the cadence it runs on (here a 1 µs batch interval, so
+        // any real flush) dumps one span breakdown per shard.
+        let slow_flushes = |telemetry: bool, workers: u32| {
+            let cfg = GameServerConfig {
+                telemetry,
+                batch_interval: matrix_sim::SimDuration::from_micros(1),
+                flush_workers: workers,
+                ..GameServerConfig::default()
+            };
+            let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
+            g.register(world(), 120.0);
+            // Everything queues at t = 0 (no interval has elapsed), so
+            // the explicit flush below is the only one.
+            let pos =
+                |i: u64| Point::new(150.0 + (i % 20) as f64 * 4.0, 150.0 + (i / 20) as f64 * 4.0);
+            for i in 0..200 {
+                join(&mut g, i, pos(i));
+            }
+            for i in 0..200 {
+                g.on_client(
+                    SimTime::ZERO,
+                    ClientId(i),
+                    ClientToGame::Move { pos: pos(i) },
+                );
+            }
+            assert_eq!(g.stats().batches_flushed, 0);
+            let out = g.flush_updates(SimTime::from_millis(1));
+            assert_eq!(out.len(), 200, "one batch per receiver");
+            g.recorder()
+                .events()
+                .filter_map(|e| match e.kind {
+                    EventKind::SlowFlush {
+                        shard,
+                        total_us,
+                        stages,
+                        ..
+                    } => Some((shard, total_us, stages)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert!(slow_flushes(false, 1).is_empty(), "telemetry off: nothing");
+        for workers in [1u32, 4] {
+            let events = slow_flushes(true, workers);
+            let shards: Vec<u32> = events.iter().map(|e| e.0).collect();
+            assert_eq!(shards, (0..workers).collect::<Vec<_>>());
+            for (shard, total_us, stages) in events {
+                assert!(total_us >= 1, "shard {shard}");
+                // Stages 4–5 are the shard's share of this flush; 1–3
+                // accrue at ingest, outside the flush timer.
+                let own = stages[Stage::Policy as usize] + stages[Stage::Delta as usize];
+                assert!(own <= total_us, "shard {shard}: {stages:?} vs {total_us}");
+            }
         }
     }
 

@@ -13,6 +13,11 @@ use crate::messages::LoadReport;
 use matrix_geometry::Point;
 use matrix_sim::SimTime;
 
+/// Receive-queue backlog (work units) that flags overload on its own, so
+/// CPU hotspots without many clients still trigger splits ("or via
+/// system performance measurements", §3.2.3).
+const OVERLOAD_BACKLOG: f64 = 5_000.0;
+
 /// Rolling view of the co-located game server's load.
 #[derive(Debug, Clone, Default)]
 pub struct LoadTracker {
@@ -31,9 +36,9 @@ impl LoadTracker {
     /// Ingests one load report, updating both hysteresis streaks.
     pub fn observe(&mut self, cfg: &MatrixConfig, report: LoadReport) {
         let over =
-            report.clients >= cfg.overload_clients || report.queue_backlog >= cfg.overload_backlog;
-        let under = report.clients < cfg.underload_clients
-            && report.queue_backlog < cfg.overload_backlog / 2.0;
+            report.clients >= cfg.overload_clients || report.queue_backlog >= OVERLOAD_BACKLOG;
+        let under =
+            report.clients < cfg.underload_clients && report.queue_backlog < OVERLOAD_BACKLOG / 2.0;
         if over {
             self.overload_streak += 1;
         } else {

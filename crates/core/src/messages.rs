@@ -392,8 +392,7 @@ pub struct LoadReport {
     /// Receive-queue backlog in work units (0 if the game server does not
     /// measure it).
     pub queue_backlog: f64,
-    /// Client positions, if `GameServerConfig::report_positions` — enables
-    /// the load-aware split strategy.
+    /// Client positions, which the load-aware split strategy cuts by.
     pub positions: Vec<Point>,
     /// Telemetry snapshot, if `GameServerConfig::telemetry` — rides the
     /// load report to the local Matrix server, which forwards it on its

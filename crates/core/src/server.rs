@@ -410,36 +410,34 @@ impl MatrixServer {
 
     fn route_non_proximal(&mut self, pkt: GamePacket, dest: Point) -> Vec<Action> {
         let radius = pkt.tag.radius_override.unwrap_or(self.radius);
-        if self.cfg.resolve_locally {
-            if let Some(map) = &self.map {
-                self.stats.local_resolves += 1;
-                let owner = self
-                    .map_index
-                    .as_ref()
-                    .and_then(|i| i.owner_of(dest))
-                    .or_else(|| map.owner_of(dest));
-                let parts: Vec<(ServerId, Rect)> = map.iter().collect();
-                let mut set =
-                    consistency_set_from_rects(&parts, dest, self.id, radius, self.cfg.metric);
-                if let Some(o) = owner {
-                    if o != self.id && !set.contains(&o) {
-                        set.push(o);
-                    }
+        if let Some(map) = &self.map {
+            self.stats.local_resolves += 1;
+            let owner = self
+                .map_index
+                .as_ref()
+                .and_then(|i| i.owner_of(dest))
+                .or_else(|| map.owner_of(dest));
+            let parts: Vec<(ServerId, Rect)> = map.iter().collect();
+            let mut set =
+                consistency_set_from_rects(&parts, dest, self.id, radius, self.cfg.metric);
+            if let Some(o) = owner {
+                if o != self.id && !set.contains(&o) {
+                    set.push(o);
                 }
-                let mut out = Vec::new();
-                for peer in set {
-                    self.stats.peer_updates_out += 1;
-                    self.stats.bytes_to_peers += pkt.wire_size() as u64;
-                    out.push(Action::ToPeer(peer, PeerMsg::Update(pkt.clone())));
-                }
-                if owner == Some(self.id) {
-                    out.push(Action::ToGame(MatrixToGame::Deliver(pkt)));
-                }
-                return out;
             }
+            let mut out = Vec::new();
+            for peer in set {
+                self.stats.peer_updates_out += 1;
+                self.stats.bytes_to_peers += pkt.wire_size() as u64;
+                out.push(Action::ToPeer(peer, PeerMsg::Update(pkt.clone())));
+            }
+            if owner == Some(self.id) {
+                out.push(Action::ToGame(MatrixToGame::Deliver(pkt)));
+            }
+            return out;
         }
-        // Rare path the paper describes: ask the MC for the consistency set
-        // of this particular interaction (§3.2.4).
+        // No directory yet (before the first table push): ask the MC for
+        // the consistency set of this particular interaction (§3.2.4).
         self.stats.coordinator_resolves += 1;
         let client = pkt.client.unwrap_or_default();
         self.pending_resolves.push(PendingResolve {
@@ -461,15 +459,13 @@ impl MatrixServer {
         point: Point,
         packet: Option<GamePacket>,
     ) -> Vec<Action> {
-        if self.cfg.resolve_locally {
-            if let Some(index) = &self.map_index {
-                self.stats.local_resolves += 1;
-                return vec![Action::ToGame(MatrixToGame::Owner {
-                    client,
-                    point,
-                    owner: index.owner_of(point),
-                })];
-            }
+        if let Some(index) = &self.map_index {
+            self.stats.local_resolves += 1;
+            return vec![Action::ToGame(MatrixToGame::Owner {
+                client,
+                point,
+                owner: index.owner_of(point),
+            })];
         }
         self.stats.coordinator_resolves += 1;
         self.pending_resolves.push(PendingResolve {
@@ -1451,10 +1447,9 @@ mod tests {
     }
 
     #[test]
-    fn where_is_via_coordinator_when_configured() {
-        let mut cfg = cfg();
-        cfg.resolve_locally = false;
-        let mut s = MatrixServer::with_range(ServerId(1), cfg, world(), 50.0);
+    fn where_is_via_coordinator_before_the_first_table() {
+        // `with_range` alone: no directory has been pushed yet.
+        let mut s = MatrixServer::with_range(ServerId(1), cfg(), world(), 50.0);
         let actions = s.on_game(
             SimTime::ZERO,
             GameToMatrix::WhereIs {

@@ -17,10 +17,9 @@
 //! the per-client rate limiter merged/dropped to keep each flush inside
 //! `max_updates_per_flush` / `client_budget_bytes` (those events are
 //! *deferred*, re-described by a later flush if still relevant, rather
-//! than queued without bound). The companion Criterion benches
-//! (`benches/fanout.rs`, `benches/delta.rs`) measure the grid speedup
-//! and the encoding savings in isolation; this run shows the subsystem
-//! working end to end under the full protocol.
+//! than queued without bound). The companion Criterion bench
+//! (`benches/fanout.rs`) measures the grid speedup in isolation; this
+//! run shows the subsystem working end to end under the full protocol.
 
 use crate::harness::{Cluster, ClusterConfig, ClusterReport};
 use matrix_games::{GameSpec, Placement, PopulationEvent, WorkloadSchedule};
@@ -82,21 +81,19 @@ pub fn config(spec: GameSpec, seed: u64) -> ClusterConfig {
     cfg
 }
 
-/// Runs the dense-crowd scenario for one crowd size and per-client
-/// downlink budget (`0` = keep the game preset's own budget).
+/// Runs the dense-crowd scenario for one crowd size, per-client
+/// downlink budget (`0` = unlimited) and flush shard count.
 pub fn run_one(
     spec: &GameSpec,
     clients: u32,
     budget_bytes: u32,
+    flush_workers: u32,
     horizon_secs: u64,
     seed: u64,
 ) -> DenseCrowdRow {
     let mut spec = spec.clone();
     // Keep event volume tractable while still dense: moderate update rate.
     spec.update_rate_hz = spec.update_rate_hz.min(2.0);
-    if budget_bytes != 0 {
-        spec.client_budget_bytes = budget_bytes;
-    }
     let horizon = SimTime::from_secs(horizon_secs);
     let schedule = WorkloadSchedule::new(horizon).at(
         SimTime::from_secs(0),
@@ -108,7 +105,10 @@ pub fn run_one(
             },
         },
     );
-    let report = Cluster::new(config(spec, seed), schedule).run();
+    let mut cfg = config(spec, seed);
+    cfg.game.client_budget_bytes = budget_bytes;
+    cfg.game.flush_workers = flush_workers;
+    let report = Cluster::new(cfg, schedule).run();
     DenseCrowdRow {
         clients,
         budget_bytes,
@@ -123,14 +123,15 @@ pub fn run_one(
 /// property the table must come out identical for any value — which is
 /// exactly what the CI smoke run at 4 workers pins.
 pub fn run(seed: u64, scale: Scale, flush_workers: u32) -> Vec<DenseCrowdRow> {
-    let spec = GameSpec::bzflag().with_flush_workers(flush_workers);
+    let spec = GameSpec::bzflag();
     let max = scale.max_crowd;
+    let row = |n, budget| run_one(&spec, n, budget, flush_workers, scale.horizon_secs, seed);
     let mut rows: Vec<DenseCrowdRow> = [max / 4, max / 2, max]
         .into_iter()
-        .map(|n| run_one(&spec, n, 0, scale.horizon_secs, seed))
+        .map(|n| row(n, 0))
         .collect();
     // The same largest crowd on a 2 KiB-per-flush client downlink.
-    rows.push(run_one(&spec, max, 2048, scale.horizon_secs, seed));
+    rows.push(row(max, 2048));
     rows
 }
 
@@ -234,7 +235,7 @@ mod tests {
     #[test]
     fn dense_crowd_delivers_batched_updates_end_to_end() {
         let spec = GameSpec::bzflag();
-        let row = run_one(&spec, 300, 0, 20, 7);
+        let row = run_one(&spec, 300, 0, 1, 20, 7);
         let r = &row.report;
         assert!(r.update_batches_delivered > 0, "batches must reach clients");
         assert!(r.batched_updates_delivered >= r.update_batches_delivered);
@@ -252,8 +253,8 @@ mod tests {
     #[test]
     fn bigger_crowds_fan_out_more() {
         let spec = GameSpec::bzflag();
-        let small = run_one(&spec, 100, 0, 20, 11).report.updates_fanned;
-        let large = run_one(&spec, 400, 0, 20, 11).report.updates_fanned;
+        let small = run_one(&spec, 100, 0, 1, 20, 11).report.updates_fanned;
+        let large = run_one(&spec, 400, 0, 1, 20, 11).report.updates_fanned;
         assert!(
             large > 4 * small,
             "fan-out grows superlinearly with crowd density: {small} -> {large}"
@@ -263,8 +264,8 @@ mod tests {
     #[test]
     fn tight_downlink_budget_rate_limits_instead_of_queueing() {
         let spec = GameSpec::bzflag();
-        let free = run_one(&spec, 300, 0, 20, 13).report;
-        let tight = run_one(&spec, 300, 512, 20, 13).report;
+        let free = run_one(&spec, 300, 0, 1, 20, 13).report;
+        let tight = run_one(&spec, 300, 512, 1, 20, 13).report;
         assert!(
             tight.updates_rate_limited > free.updates_rate_limited,
             "a 512-byte downlink must defer updates: {} vs {}",

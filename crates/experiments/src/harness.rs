@@ -97,23 +97,7 @@ impl ClusterConfig {
             metric: spec.metric,
             ..MatrixConfig::default()
         };
-        let mut game = GameServerConfig {
-            client_state_bytes: spec.client_state_bytes,
-            global_state_bytes: spec.global_state_bytes,
-            metric: spec.metric,
-            handoff_margin: spec.radius * 0.15,
-            vision_radius: spec.vision_radius,
-            max_updates_per_flush: spec.max_updates_per_flush,
-            client_budget_bytes: spec.client_budget_bytes,
-            grid_autotune: spec.grid_autotune,
-            predict: spec.predict,
-            motion_window: spec.motion_window,
-            position_only_ring: spec.position_only_ring,
-            flush_workers: spec.flush_workers,
-            ..GameServerConfig::default()
-        };
-        game.set_rings(&spec.ring_radii, &spec.ring_sample_rates);
-        game.set_error_budgets(&spec.error_budgets);
+        let game = spec.game_config();
         ClusterConfig {
             spec,
             matrix,

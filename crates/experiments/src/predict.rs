@@ -144,20 +144,16 @@ impl PredictRow {
 pub fn server_config(spec: &GameSpec, mode: Mode) -> GameServerConfig {
     let (radii, rates) = spec.ring_tiers();
     let mut game = GameServerConfig {
-        metric: spec.metric,
-        vision_radius: spec.vision_radius,
         emit_updates: true,
         batch_interval: SimDuration::from_millis(0),
         max_updates_per_flush: 0,
-        client_budget_bytes: 0,
         predict: mode != Mode::Rings,
-        motion_window: spec.motion_window,
         velocity_quantum: spec.velocity_quantum(),
         position_only_ring: match mode {
             Mode::PredictStrip => (radii.len() as u8).saturating_sub(1),
             _ => 0,
         },
-        ..GameServerConfig::default()
+        ..spec.game_config()
     };
     match mode {
         // The PR 4 baseline: outer tiers decimated by rate.

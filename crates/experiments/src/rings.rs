@@ -101,16 +101,15 @@ pub fn config(spec: &GameSpec, mode: Mode, seed: u64) -> ClusterConfig {
     let mut spec = spec.clone();
     spec.update_rate_hz = spec.update_rate_hz.min(2.0);
     let (radii, rates) = spec.ring_tiers();
-    spec.ring_radii = radii;
-    spec.ring_sample_rates = match mode {
-        // Same boundaries, sampling off: byte-identical to the plain
-        // binary radius, but with per-tier delivery accounting.
-        Mode::Binary => vec![1; spec.ring_radii.len()],
-        _ => rates,
-    };
-    spec.grid_autotune = mode == Mode::RingsTuned;
     let mut cfg = ClusterConfig::static_partition(spec, 1);
     cfg.seed = seed;
+    match mode {
+        // Same boundaries, sampling off: byte-identical to the plain
+        // binary radius, but with per-tier delivery accounting.
+        Mode::Binary => cfg.game.set_rings(&radii, &[]),
+        _ => cfg.game.set_rings(&radii, &rates),
+    }
+    cfg.game.grid_autotune = mode == Mode::RingsTuned;
     // Delivered batches are the point, not queue drops: unbounded
     // capacity, real per-client emission (the E12 arrangement).
     cfg.queue_capacity = None;

@@ -159,10 +159,9 @@ pub struct PredictorConfig {
     /// Velocities tolerate a much coarser lattice than origins: a
     /// quantization error of `q/2` per axis drifts the receiver by at
     /// most `q/√2 · t` over a basis lifetime `t`, far inside any usable
-    /// ring budget — while every halving of the resolution shortens the
-    /// tag on the text codec. Keep it a power-of-two multiple of the
-    /// origin quantum so the binary codec's fixed-point field carries
-    /// the snapped value exactly.
+    /// ring budget. Keep it a power-of-two multiple of the origin
+    /// quantum so the codec's fixed-point field carries the snapped
+    /// value exactly.
     pub velocity_quantum: f64,
 }
 

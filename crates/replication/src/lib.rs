@@ -22,7 +22,7 @@
 //! * [`ReplicaLog`] — the primary-side shipping policy: a full snapshot
 //!   until the standby acknowledges one, then ops on a configurable
 //!   interval (`replica_interval`), force-shipped when the unshipped
-//!   backlog exceeds `replica_lag_cap`, with ack/resync tracking.
+//!   backlog exceeds the caller's lag cap, with ack/resync tracking.
 //! * [`ReplicaReceiver`] — the standby side: applies batches in
 //!   sequence, requests a resync on any gap, and surrenders the
 //!   snapshot at promotion time.

@@ -397,14 +397,12 @@ async fn serve_connection(
 /// Returns the local address; the accept loop runs until the listener
 /// task is dropped.
 ///
-/// Protocol: one stats query per connection — either a JSON line
-/// (`matrix_core::codec::encode_stats_query`) or a binary
-/// `Frame::StatsQuery`, told apart by the first byte — answered in the
-/// same form: a stats-reply line or frame for [`StatsFormat::Json`],
-/// or Prometheus-style text exposition for [`StatsFormat::Prom`]
-/// (always plain text), then the server closes the connection. Nodes
-/// with telemetry off contribute nothing, so the reply is empty — not
-/// an error — on a dark cluster.
+/// Protocol: one stats query per connection — a JSON line
+/// (`matrix_core::codec::encode_stats_query`) — answered by a
+/// stats-reply line for [`StatsFormat::Json`] or Prometheus-style text
+/// exposition for [`StatsFormat::Prom`], then the server closes the
+/// connection. Nodes with telemetry off contribute nothing, so the
+/// reply is empty — not an error — on a dark cluster.
 ///
 /// When an `slo` probe is supplied, the coordinator's freshness-SLO
 /// gauges (`slo_*`) are appended as pseudo-node `ServerId(0)` — the
@@ -434,33 +432,15 @@ pub async fn spawn_stats_endpoint(
     Ok(local)
 }
 
-/// Reads one stats query off the socket, in whichever form the peer
-/// opened with. Returns the format and whether the query was binary.
-async fn read_stats_query(chunks: &mut Chunks) -> Option<(StatsFormat, bool)> {
-    let mut bytes = chunks.next_chunk().await.ok()??;
-    if bytes.first() == Some(&codec_v2::MAGIC[0]) {
-        let mut acc = FrameAccumulator::new();
-        loop {
-            acc.push(&bytes);
-            while let Some(item) = acc.next() {
-                match item {
-                    Ok((Frame::StatsQuery(fmt), _)) => return Some((fmt, true)),
-                    Ok(_) => return None, // wrong frame type: drop
-                    Err(_) => continue,   // resync and keep reading
-                }
-            }
-            bytes = chunks.next_chunk().await.ok()??;
-        }
-    }
+/// Reads the one stats query line off the socket. Oversized, non-UTF-8
+/// or malformed: `None`, and the session is dropped.
+async fn read_stats_query(chunks: &mut Chunks) -> Option<StatsFormat> {
     let mut lines = LineAssembler::default();
     loop {
-        lines.push(&bytes);
+        lines.push(&chunks.next_chunk().await.ok()??);
         if let Some(line) = lines.next_line() {
-            // Oversized, non-UTF-8 or malformed: drop the session.
-            let fmt = codec::decode_stats_query(&line.ok()?).ok()?;
-            return Some((fmt, false));
+            return codec::decode_stats_query(&line.ok()?).ok();
         }
-        bytes = chunks.next_chunk().await.ok()??;
     }
 }
 
@@ -471,7 +451,7 @@ async fn serve_stats(
 ) {
     let (read_half, mut write_half) = stream.into_split();
     let mut chunks = read_half.into_chunks();
-    let Some((fmt, binary)) = read_stats_query(&mut chunks).await else {
+    let Some(fmt) = read_stats_query(&mut chunks).await else {
         return; // malformed or wrong-version query: drop the session
     };
     let mut snaps: Vec<(ServerId, TelemetrySnapshot)> = Vec::new();
@@ -489,24 +469,14 @@ async fn serve_stats(
             }
         }
     }
-    let reply: Vec<u8> = match (fmt, binary) {
-        (StatsFormat::Json, true) => {
-            codec_v2::encode_frame(&Frame::StatsReply(snaps), FrameMeta::default(), true)
-        }
-        (StatsFormat::Json, false) => {
-            let mut line = codec::encode_stats_reply(&snaps);
-            line.push('\n');
-            line.into_bytes()
-        }
-        (StatsFormat::Prom, _) => {
-            let mut text = render_prometheus(&snaps);
-            if !text.ends_with('\n') {
-                text.push('\n');
-            }
-            text.into_bytes()
-        }
+    let mut reply = match fmt {
+        StatsFormat::Json => codec::encode_stats_reply(&snaps),
+        StatsFormat::Prom => render_prometheus(&snaps),
     };
-    let _ = write_half.write_all(&reply).await;
+    if !reply.ends_with('\n') {
+        reply.push('\n');
+    }
+    let _ = write_half.write_all(reply.as_bytes()).await;
     // Both halves drop here, closing the socket: the client reads to
     // EOF, which is what ends a multi-line Prometheus response.
 }
@@ -534,30 +504,6 @@ impl TcpStatsClient {
         let mut lines = BufReader::new(read_half).lines();
         let line = lines.next_line().await?.ok_or(WireError::Closed)?;
         Ok(codec::decode_stats_reply(&line)?)
-    }
-
-    /// Fetches the same structured snapshots as binary frames.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Closed`] if the endpoint hangs up without replying,
-    /// socket errors, or [`WireError::BadFrame`] for a malformed or
-    /// unexpected reply frame.
-    pub async fn fetch_json_v2(
-        addr: impl ToSocketAddrs,
-    ) -> Result<Vec<(ServerId, TelemetrySnapshot)>, WireError> {
-        let stream = TcpStream::connect(addr).await?;
-        let (mut reader, mut write_half) = split_framed(stream);
-        let query = codec_v2::encode_frame(
-            &Frame::StatsQuery(StatsFormat::Json),
-            FrameMeta::default(),
-            true,
-        );
-        write_half.write_all(&query).await?;
-        match reader.next_frame().await? {
-            Frame::StatsReply(nodes) => Ok(nodes),
-            _ => Err(bad_frame("expected a stats-reply frame")),
-        }
     }
 
     /// Fetches the Prometheus-style text exposition (reads to EOF).

@@ -959,47 +959,3 @@ async fn replica_batches_cross_the_socket_in_binary() {
         "the op applied on the far side of the binary socket"
     );
 }
-
-#[tokio::test]
-async fn stats_endpoint_answers_binary_queries() {
-    // The stats endpoint tells the two query forms apart by their first
-    // byte: the same snapshots come back whether the query is a JSON
-    // line or a binary frame.
-    let mut cfg = fast_config();
-    cfg.game.telemetry = true;
-    let cluster = RtCluster::start(cfg).await;
-    let addr = cluster.serve_stats("127.0.0.1:0").await.expect("bind");
-    let mut alice = cluster.client(Point::new(100.0, 100.0));
-    let _ = tokio::time::timeout(Duration::from_secs(2), alice.recv())
-        .await
-        .unwrap();
-
-    let v2 = tokio::time::timeout(
-        Duration::from_secs(2),
-        wire::TcpStatsClient::fetch_json_v2(addr),
-    )
-    .await
-    .expect("binary stats reply within deadline")
-    .expect("decoded stats frame");
-    let v1 = tokio::time::timeout(
-        Duration::from_secs(2),
-        wire::TcpStatsClient::fetch_json(addr),
-    )
-    .await
-    .expect("json stats reply within deadline")
-    .expect("decoded stats reply");
-    assert_eq!(
-        v2.len(),
-        v1.len(),
-        "both forms expose the same set of nodes"
-    );
-    let joins = |nodes: &[(matrix_geometry::ServerId, matrix_core::TelemetrySnapshot)]| {
-        nodes
-            .iter()
-            .map(|(_, s)| s.get_counter("joins").unwrap_or(0))
-            .sum::<u64>()
-    };
-    assert!(joins(&v2) >= 1, "the join is visible through the v2 query");
-    assert_eq!(joins(&v2), joins(&v1));
-    cluster.shutdown().await;
-}

@@ -1,22 +1,8 @@
 //! Exposition: Prometheus-style text rendering and structured stderr
 //! diagnostics.
 
-use crate::snapshot::TelemetrySnapshot;
+use crate::snapshot::{is_gauge, TelemetrySnapshot};
 use matrix_geometry::ServerId;
-
-/// Metric kind by name: point-in-time metrics (recorder occupancy, SLO
-/// burn state, shard imbalance) are gauges, everything else counted by
-/// the nodes is a monotone counter.
-fn metric_kind(name: &str) -> &'static str {
-    if name.starts_with("slo_")
-        || name.starts_with("recorder_")
-        || name == "flush_shard_imbalance_bp"
-    {
-        "gauge"
-    } else {
-        "counter"
-    }
-}
 
 /// One-line `# HELP` text per metric name (a stable generic line for
 /// names without a curated description — Prometheus requires the line,
@@ -66,7 +52,8 @@ pub fn render_prometheus(nodes: &[(ServerId, TelemetrySnapshot)]) -> String {
     for (server, snap) in nodes {
         let sid = server.0;
         for (name, value) in &snap.counters {
-            note_type(&mut typed, &mut out, name, metric_kind(name));
+            let kind = if is_gauge(name) { "gauge" } else { "counter" };
+            note_type(&mut typed, &mut out, name, kind);
             let _ = writeln!(out, "matrix_{name}{{server=\"{sid}\"}} {value}");
         }
         for hist in &snap.hists {

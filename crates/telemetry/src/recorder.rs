@@ -97,15 +97,16 @@ pub enum EventKind {
         /// Burn rate in basis points (10 000 = 1.0).
         burn_bp: u64,
     },
-    /// A flush exceeded the node's `slow_flush_threshold_us`: one event
-    /// per shard, carrying that flush's per-stage span breakdown (µs;
+    /// A flush overran the cadence it runs on (the node's
+    /// `batch_interval`, or `tick` when that is zero): one event per
+    /// shard, carrying that flush's per-stage span breakdown (µs;
     /// stages 1–3 are pipeline-wide, 4–5 are this shard's own).
     SlowFlush {
         /// The flushing server.
         server: ServerId,
         /// Shard index within the flush (0 when unsharded).
         shard: u32,
-        /// Whole-flush duration (µs) that tripped the threshold.
+        /// Whole-flush duration (µs).
         total_us: u64,
         /// Per-stage time of this flush, [`STAGE_COUNT`] slots in
         /// pipeline order (query, tier, predict, policy, delta).

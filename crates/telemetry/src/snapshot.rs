@@ -70,6 +70,14 @@ pub struct TelemetrySnapshot {
     pub events_seen: u64,
 }
 
+/// Whether a name-keyed metric is a point-in-time gauge (recorder
+/// occupancy, SLO burn state, shard imbalance) rather than a monotone
+/// counter. The exposition types it accordingly and a merge keeps the
+/// larger reading instead of adding ratios and capacities up.
+pub(crate) fn is_gauge(name: &str) -> bool {
+    name.starts_with("slo_") || name.starts_with("recorder_") || name == "flush_shard_imbalance_bp"
+}
+
 impl TelemetrySnapshot {
     /// An empty snapshot.
     pub fn new() -> TelemetrySnapshot {
@@ -108,10 +116,16 @@ impl TelemetrySnapshot {
     }
 
     /// Folds another node's snapshot into this one: counters sum by
-    /// name, histograms merge by name, recorder tallies add up.
+    /// name, gauges (`slo_*`, `recorder_*`, `flush_shard_imbalance_bp`)
+    /// keep the larger reading, histograms merge by name, recorder
+    /// tallies add up.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         for (name, v) in &other.counters {
-            self.counter(name.clone(), *v);
+            match self.counters.iter_mut().find(|(n, _)| n == name) {
+                Some((_, mine)) if is_gauge(name) => *mine = (*mine).max(*v),
+                Some((_, mine)) => *mine += v,
+                None => self.counters.push((name.clone(), *v)),
+            }
         }
         for h in &other.hists {
             match self.hists.iter_mut().find(|mine| mine.name == h.name) {
@@ -180,6 +194,26 @@ mod tests {
         assert_eq!(a.get_hist("tick_us").unwrap().count, 3);
         assert_eq!(a.events_dropped, 1);
         assert_eq!(a.events_seen, 7);
+    }
+
+    #[test]
+    fn merged_gauges_take_the_max() {
+        // Three perfectly balanced nodes are a balanced cluster, not a
+        // "3× imbalance"; a ring capacity is not a running total.
+        let node = |imbalance, joins| {
+            let mut s = TelemetrySnapshot::new();
+            s.counter("flush_shard_imbalance_bp", imbalance);
+            s.counter("recorder_capacity", 256);
+            s.counter("joins", joins);
+            s
+        };
+        let mut merged = TelemetrySnapshot::new();
+        for snap in [node(10_000, 2), node(12_500, 3), node(10_000, 4)] {
+            merged.merge(&snap);
+        }
+        assert_eq!(merged.get_counter("flush_shard_imbalance_bp"), Some(12_500));
+        assert_eq!(merged.get_counter("recorder_capacity"), Some(256));
+        assert_eq!(merged.get_counter("joins"), Some(9), "counters still add");
     }
 
     #[test]

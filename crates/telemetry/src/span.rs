@@ -63,7 +63,7 @@ pub struct StageSpans {
     acc_us: [f64; STAGE_COUNT],
     /// The most recent *completed* flush's per-stage times, retained so
     /// a slow-flush capture can dump the breakdown of the flush that
-    /// tripped the threshold (the histograms only keep aggregates).
+    /// overran (the histograms only keep aggregates).
     last_us: [f64; STAGE_COUNT],
     hists: Box<[Histogram; STAGE_COUNT]>,
 }

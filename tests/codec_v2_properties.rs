@@ -1,7 +1,6 @@
 //! Property tests of the wire protocol (`docs/WIRE.md`): for every
 //! frame type, the round-trip is the identity over random messages,
-//! full-width integers and wide escapes included; the stats frames
-//! also agree with the stats port's JSON line form. Also pins the
+//! full-width integers and wide escapes included. Also pins the
 //! interest layer's `WIRE_BYTES` constants to the *measured* encoded
 //! lengths of the corresponding items.
 //!
@@ -9,18 +8,16 @@
 //! (fixed seeds, so failures are reproducible) instead of an external
 //! property-testing framework, keeping the build offline-friendly.
 
-use matrix_middleware::core::codec;
 use matrix_middleware::core::codec_v2::{self, Frame, FrameAccumulator, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
-    BatchItem, ClientId, ClientToGame, DeltaItem, GameToClient, LoadReport, RegionSnapshot,
-    ReplicaBatch, ReplicaOp, UpdateItem, MAX_RINGS,
+    BatchItem, ClientId, ClientToGame, DeltaItem, GameToClient, RegionSnapshot, ReplicaBatch,
+    ReplicaOp, UpdateItem, MAX_RINGS,
 };
 use matrix_middleware::geometry::{Point, Rect, ServerId};
 use matrix_middleware::replication::{
     PendingUpdate, PredictBasis, ReplicaPayload, SessionState, StreamBase, TunerState,
 };
 use matrix_middleware::sim::{SimRng, SimTime};
-use matrix_middleware::telemetry::{HistSnapshot, TelemetrySnapshot};
 
 const CASES: usize = 64;
 
@@ -177,30 +174,6 @@ fn server_msg(rng: &mut SimRng) -> GameToClient {
     }
 }
 
-/// Integers stay below 2^53: the stats reply still has a JSON line
-/// form, whose numbers ride `f64`.
-fn telemetry(rng: &mut SimRng) -> TelemetrySnapshot {
-    let mut snap = TelemetrySnapshot::new();
-    for i in 0..rng.uniform_u64(0, 5) {
-        snap.counter(format!("c{i}"), rng.uniform_u64(0, 1 << 40));
-    }
-    for i in 0..rng.uniform_u64(0, 3) {
-        snap.hists.push(HistSnapshot {
-            name: format!("h{i}"),
-            count: rng.uniform_u64(0, 1 << 20),
-            sum: rng.uniform(0.0, 1.0e9),
-            min: rng.uniform(0.0, 10.0),
-            max: rng.uniform(10.0, 1.0e6),
-            buckets: (0..rng.uniform_u64(0, 6))
-                .map(|b| (b as u32 * 3, rng.uniform_u64(1, 1 << 30)))
-                .collect(),
-        });
-    }
-    snap.events_dropped = rng.uniform_u64(0, 1 << 30);
-    snap.events_seen = rng.uniform_u64(0, 1 << 40);
-    snap
-}
-
 fn snapshot(rng: &mut SimRng) -> RegionSnapshot {
     let mut snap = RegionSnapshot {
         range: if rng.chance(0.8) {
@@ -318,21 +291,6 @@ fn replica_batch(rng: &mut SimRng) -> ReplicaBatch {
     }
 }
 
-fn load_report(rng: &mut SimRng) -> LoadReport {
-    LoadReport {
-        clients: rng.uniform_u64(0, 1 << 20) as u32,
-        queue_backlog: rng.uniform(0.0, 1.0e4),
-        positions: (0..rng.uniform_u64(0, 10))
-            .map(|_| any_point(rng))
-            .collect(),
-        telemetry: if rng.chance(0.5) {
-            Some(Box::new(telemetry(rng)))
-        } else {
-            None
-        },
-    }
-}
-
 fn meta(rng: &mut SimRng) -> FrameMeta {
     FrameMeta {
         seq: rng.uniform_u64(0, u64::MAX),
@@ -406,42 +364,6 @@ fn replica_frames_roundtrip() {
 
         let (seq, resync) = (rng.uniform_u64(0, u64::MAX), rng.chance(0.5));
         assert_binary_roundtrip(case, &Frame::ReplicaAck { seq, resync }, m, true);
-    }
-}
-
-#[test]
-fn stats_and_load_frames_agree_across_codecs() {
-    use matrix_middleware::core::codec::StatsFormat;
-    let mut rng = SimRng::seed_from_u64(0xC0DE_C005);
-    for case in 0..CASES {
-        for fmt in [StatsFormat::Json, StatsFormat::Prom] {
-            assert_binary_roundtrip(case, &Frame::StatsQuery(fmt), meta(&mut rng), true);
-            assert_eq!(
-                codec::decode_stats_query(&codec::encode_stats_query(fmt)).expect("json"),
-                fmt
-            );
-        }
-
-        let nodes: Vec<(ServerId, TelemetrySnapshot)> = (0..rng.uniform_u64(0, 4))
-            .map(|i| (ServerId(i as u32 + 1), telemetry(&mut rng)))
-            .collect();
-        assert_binary_roundtrip(
-            case,
-            &Frame::StatsReply(nodes.clone()),
-            meta(&mut rng),
-            rng.chance(0.5),
-        );
-        let json =
-            codec::decode_stats_reply(&codec::encode_stats_reply(&nodes)).expect("json round-trip");
-        assert_eq!(json, nodes, "case {case}: the JSON line form disagrees");
-
-        let report = load_report(&mut rng);
-        assert_binary_roundtrip(
-            case,
-            &Frame::Load(Box::new(report)),
-            meta(&mut rng),
-            rng.chance(0.5),
-        );
     }
 }
 
@@ -526,7 +448,10 @@ fn appending_encoders_equal_the_concatenated_owned_encoders() {
                 }
                 _ => {
                     let frame = match rng.uniform_u64(0, 3) {
-                        0 => Frame::Load(Box::new(load_report(&mut rng))),
+                        0 => Frame::ReplicaAck {
+                            seq: rng.uniform_u64(0, u64::MAX),
+                            resync: rng.chance(0.5),
+                        },
                         1 => Frame::Replica(Box::new(replica_batch(&mut rng))),
                         _ => Frame::Server(server_msg(&mut rng)),
                     };
