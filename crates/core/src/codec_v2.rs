@@ -73,10 +73,8 @@ use crate::messages::{
 };
 use crate::packet::ClientId;
 use matrix_geometry::{Point, Rect, ServerId};
-use matrix_replication::{
-    PendingUpdate, PredictBasis, ReplicaPayload, SessionState, StreamBase, TunerState,
-};
-use matrix_sim::SimTime;
+use matrix_predict::Basis;
+use matrix_replication::{ReplicaPayload, SessionState, TunerState};
 
 /// The two bytes every binary frame opens with.
 pub const MAGIC: [u8; 2] = [0xD7, 0x4D];
@@ -803,7 +801,6 @@ fn encode_snapshot_body(snap: &RegionSnapshot, out: &mut Vec<u8>) {
     }
     put_f64(out, snap.radius);
     put_varint(out, snap.seq);
-    put_varint(out, snap.last_flush.as_micros());
     if let Some(t) = &snap.tuner {
         put_varint(out, t.cells as u64);
         put_varint(out, t.streak as u64);
@@ -815,56 +812,16 @@ fn encode_snapshot_body(snap: &RegionSnapshot, out: &mut Vec<u8>) {
         put_point(out, s.pos);
         put_varint(out, s.state_bytes);
     }
-    put_varint(out, snap.streams.len() as u64);
-    for (id, s) in &snap.streams {
-        put_varint(out, id.0);
-        put_point(out, s.base);
-        put_varint(out, s.countdown as u64);
-    }
-    put_varint(out, snap.pending.len() as u64);
-    for (id, items) in &snap.pending {
-        put_varint(out, id.0);
-        put_varint(out, items.len() as u64);
-        for u in items {
-            // The leading byte is a bitflag set (bit 0: velocity pair,
-            // bit 1: trace tag). Pre-trace encoders only ever wrote 0
-            // or 1 here, so old frames decode unchanged and old decoders
-            // reject traced frames loudly (strict 0..=1 check).
-            let vel = u.vx != 0.0 || u.vy != 0.0;
-            let mut flags = 0u8;
-            if vel {
-                flags |= 0x01;
-            }
-            if u.trace.is_some() {
-                flags |= 0x02;
-            }
-            out.push(flags);
-            out.push(u.ring);
-            put_point(out, u.origin);
-            put_varint(out, u.payload_bytes as u64);
-            put_varint(out, u.entity);
-            if vel {
-                put_f64(out, u.vx);
-                put_f64(out, u.vy);
-            }
-            if let Some(tag) = u.trace {
-                put_varint(out, tag.origin as u64);
-                put_varint(out, tag.seq as u64);
-                put_varint(out, tag.ingest_us);
-                put_varint(out, tag.stale_us);
-            }
-        }
-    }
     put_varint(out, snap.bases.len() as u64);
     for (id, bases) in &snap.bases {
         put_varint(out, id.0);
         put_varint(out, bases.len() as u64);
-        for b in bases {
-            put_varint(out, b.entity);
+        for (entity, b) in bases {
+            put_varint(out, *entity);
             put_point(out, b.pos);
-            put_f64(out, b.vx);
-            put_f64(out, b.vy);
-            put_f64(out, b.time_secs);
+            put_f64(out, b.vel.0);
+            put_f64(out, b.vel.1);
+            put_f64(out, b.time);
         }
     }
 }
@@ -1196,7 +1153,6 @@ fn decode_snapshot_body(r: &mut Reader<'_>) -> Result<RegionSnapshot, CodecError
     }
     snap.radius = r.f64("snapshot radius")?;
     snap.seq = r.varint("snapshot sequence")?;
-    snap.last_flush = SimTime::from_micros(r.varint("snapshot flush time")?);
     if flags & 0x04 != 0 {
         snap.tuner = Some(TunerState {
             cells: r.varu32("tuner cells")?,
@@ -1211,68 +1167,20 @@ fn decode_snapshot_body(r: &mut Reader<'_>) -> Result<RegionSnapshot, CodecError
         let state_bytes = r.varint("client state size")?;
         snap.clients.insert(id, SessionState { pos, state_bytes });
     }
-    let n = r.count("stream count")?;
-    for _ in 0..n {
-        let id = ClientId(r.varint("stream id")?);
-        let base = r.point("stream base")?;
-        let countdown = r.varu32("stream countdown")?;
-        snap.streams.insert(id, StreamBase { base, countdown });
-    }
-    let n = r.count("pending count")?;
-    for _ in 0..n {
-        let id = ClientId(r.varint("pending id")?);
-        let k = r.count("pending item count")?;
-        let mut items = Vec::with_capacity(k);
-        for _ in 0..k {
-            let flags = r.u8("pending item flags")?;
-            if flags & !0x03 != 0 {
-                return Err(CodecError::new("reserved pending item flags set"));
-            }
-            let vel = flags & 0x01 != 0;
-            let ring = r.u8("pending ring")?;
-            let origin = r.point("pending origin")?;
-            let payload_bytes = r.varint("pending payload size")? as usize;
-            let entity = r.varint("pending entity")?;
-            let (vx, vy) = if vel {
-                (r.f64("pending velocity")?, r.f64("pending velocity")?)
-            } else {
-                (0.0, 0.0)
-            };
-            let trace = if flags & 0x02 != 0 {
-                Some(matrix_telemetry::TraceTag {
-                    origin: r.varu32("pending trace origin")?,
-                    seq: r.varu32("pending trace seq")?,
-                    ingest_us: r.varint("pending trace ingest")?,
-                    stale_us: r.varint("pending trace staleness")?,
-                })
-            } else {
-                None
-            };
-            items.push(PendingUpdate {
-                origin,
-                payload_bytes,
-                entity,
-                ring,
-                vx,
-                vy,
-                trace,
-            });
-        }
-        snap.pending.insert(id, items);
-    }
     let n = r.count("basis count")?;
     for _ in 0..n {
         let id = ClientId(r.varint("basis id")?);
         let k = r.count("basis entry count")?;
         let mut bases = Vec::with_capacity(k);
         for _ in 0..k {
-            bases.push(PredictBasis {
-                entity: r.varint("basis entity")?,
-                pos: r.point("basis position")?,
-                vx: r.f64("basis velocity")?,
-                vy: r.f64("basis velocity")?,
-                time_secs: r.f64("basis time")?,
-            });
+            bases.push((
+                r.varint("basis entity")?,
+                Basis {
+                    pos: r.point("basis position")?,
+                    vel: (r.f64("basis velocity")?, r.f64("basis velocity")?),
+                    time: r.f64("basis time")?,
+                },
+            ));
         }
         snap.bases.insert(id, bases);
     }
@@ -1640,9 +1548,13 @@ mod tests {
         };
         let mut bytes = encode_replica_batch_frame(&batch, FrameMeta::default(), false);
         assert_eq!(u32::from(bytes[HEADER_BYTES]), RegionSnapshot::VERSION);
-        bytes[HEADER_BYTES] += 1;
-        let err = decode_frame(&bytes).unwrap_err();
-        assert!(err.reason.contains("version"), "{err}");
+        // Version 1 (the snapshot that still carried delta bases, queued
+        // updates and the flush clock) and a future version alike.
+        for version in [1, RegionSnapshot::VERSION as u8 + 1] {
+            bytes[HEADER_BYTES] = version;
+            let err = decode_frame(&bytes).unwrap_err();
+            assert!(err.reason.contains(&format!("version {version}")), "{err}");
+        }
     }
 
     #[test]

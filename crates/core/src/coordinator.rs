@@ -263,12 +263,6 @@ impl Coordinator {
         self.slo.snapshot()
     }
 
-    /// The latest telemetry snapshot each node shipped on a heartbeat,
-    /// id-ascending. Empty until nodes run with telemetry on.
-    pub fn node_telemetry(&self) -> impl Iterator<Item = (ServerId, &TelemetrySnapshot)> {
-        self.telemetry.iter().map(|(s, t)| (*s, t))
-    }
-
     /// All node snapshots folded into one cluster aggregate.
     pub fn merged_telemetry(&self) -> TelemetrySnapshot {
         let mut merged = TelemetrySnapshot::new();

@@ -19,12 +19,10 @@ use crate::packet::{ClientId, GamePacket, SpatialTag};
 use bytes::Bytes;
 use matrix_geometry::{Point, Rect, ServerId};
 use matrix_interest::{
-    AutoTunerConfig, Basis, DisseminationPipeline, EncodedOrigin, FlushPolicy, PipelineConfig,
+    AutoTunerConfig, DisseminationPipeline, EncodedOrigin, FlushPolicy, PipelineConfig,
     PredictorConfig, RingSet, MAX_RINGS,
 };
-use matrix_replication::{
-    PendingUpdate, PredictBasis, ReplicaLog, ReplicaReceiver, SessionState, StreamBase, TunerState,
-};
+use matrix_replication::{ReplicaLog, ReplicaReceiver, SessionState, TunerState};
 use matrix_sim::SimTime;
 use matrix_telemetry::{EventKind, FlightRecorder, Histogram, Stage, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
@@ -138,42 +136,6 @@ pub struct GameStats {
     /// Largest simulated receiver prediction error among the suppressed
     /// deliveries (bounded by the largest configured ring budget).
     pub pred_error_max: f64,
-}
-
-/// The stat deltas one flush produces. Batches arrive from
-/// `flush_workers` shards (possibly real worker threads); their
-/// contributions accumulate here — plain local arithmetic, no shared
-/// counters — and merge into [`GameStats`] exactly once per flush, so
-/// the totals are independent of how many shards produced them (pinned
-/// by a unit test below).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct FlushStatsDelta {
-    batches_flushed: u64,
-    updates_batched: u64,
-    batch_bytes: u64,
-    updates_dropped: u64,
-    updates_rate_limited: u64,
-    keyframe_items: u64,
-    delta_items: u64,
-    delta_bytes_saved: u64,
-    ring_items: [u64; MAX_RINGS],
-}
-
-impl FlushStatsDelta {
-    /// Folds this flush's deltas into the node totals.
-    fn merge_into(&self, stats: &mut GameStats) {
-        stats.batches_flushed += self.batches_flushed;
-        stats.updates_batched += self.updates_batched;
-        stats.batch_bytes += self.batch_bytes;
-        stats.updates_dropped += self.updates_dropped;
-        stats.updates_rate_limited += self.updates_rate_limited;
-        stats.keyframe_items += self.keyframe_items;
-        stats.delta_items += self.delta_items;
-        stats.delta_bytes_saved += self.delta_bytes_saved;
-        for (total, d) in stats.ring_items.iter_mut().zip(self.ring_items) {
-            *total += d;
-        }
-    }
 }
 
 /// What `flush_updates` counts per client batch while it builds the
@@ -799,26 +761,19 @@ impl GameServerNode {
                 item
             },
         );
-        // Accumulate this flush's stat contributions locally and merge
-        // them into the node totals exactly once at the end — batches
-        // from concurrent shards never interleave `+=` on the shared
-        // counters.
-        let mut delta = FlushStatsDelta {
-            updates_dropped: outcome.orphaned,
-            ..FlushStatsDelta::default()
-        };
+        self.stats.updates_dropped += outcome.orphaned;
         let mut out = Vec::with_capacity(outcome.batches.len());
         for batch in outcome.batches {
             let tally = batch.tally;
             let delta_items = batch.items.len() as u64 - tally.keyframe_items;
-            delta.updates_rate_limited += batch.rate_limited;
-            delta.batches_flushed += 1;
-            delta.updates_batched += batch.items.len() as u64;
-            delta.keyframe_items += tally.keyframe_items;
-            delta.delta_items += delta_items;
-            delta.delta_bytes_saved +=
+            self.stats.updates_rate_limited += batch.rate_limited;
+            self.stats.batches_flushed += 1;
+            self.stats.updates_batched += batch.items.len() as u64;
+            self.stats.keyframe_items += tally.keyframe_items;
+            self.stats.delta_items += delta_items;
+            self.stats.delta_bytes_saved +=
                 delta_items * (UpdateItem::WIRE_BYTES - DeltaItem::WIRE_BYTES) as u64;
-            for (total, n) in delta.ring_items.iter_mut().zip(tally.ring_items) {
+            for (total, n) in self.stats.ring_items.iter_mut().zip(tally.ring_items) {
                 *total += n;
             }
             // Bytes-on-wire accounting is *measured* against the codec,
@@ -831,7 +786,7 @@ impl GameServerNode {
                 tally.traced_items,
                 self.cfg.frame_crc,
             );
-            delta.batch_bytes += (frame + tally.payload_bytes) as u64;
+            self.stats.batch_bytes += (frame + tally.payload_bytes) as u64;
             out.push(GameAction::ToClient(
                 batch.receiver,
                 GameToClient::UpdateBatch {
@@ -839,7 +794,6 @@ impl GameServerNode {
                 },
             ));
         }
-        delta.merge_into(&mut self.stats);
         if let Some(t0) = t0 {
             let us = t0.elapsed().as_secs_f64() * 1e6;
             self.flush_hist.record(us);
@@ -892,13 +846,6 @@ impl GameServerNode {
     /// (observability for drivers and tests).
     pub fn delta_streams(&self) -> usize {
         self.pipeline.streams()
-    }
-
-    /// The interest grid's current resolution (cells per axis) — the
-    /// configured value, or whatever the density-driven auto-tuner last
-    /// picked when `grid_autotune` is on.
-    pub fn grid_cells_per_axis(&self) -> u32 {
-        self.pipeline.cells_per_axis()
     }
 
     /// Ships the next replication batch to the warm standby when one is
@@ -1048,15 +995,46 @@ impl GameServerNode {
     }
 
     /// Failover: adopt a dead primary's region from the replicated
-    /// snapshot. The restored clients stay connected — each gets a
-    /// `SwitchServer` pointing here, and their delta streams resync
-    /// through the ordinary keyframe-on-handover machinery (the
-    /// snapshot's encoder bases may trail what the clients last
-    /// reconstructed, so every stream restarts with a keyframe).
+    /// snapshot — sessions, tuner state and prediction bases — under
+    /// the range the coordinator assigns. The restored clients stay
+    /// connected: each gets a `SwitchServer` pointing here. A promoted
+    /// node starts with no delta stream and no queue, so every client's
+    /// first batch opens with a keyframe. The node's own config (vision
+    /// radius, budgets, quantum) is kept.
     fn promote(&mut self, now: SimTime, range: Rect, radius: f64) -> Vec<GameAction> {
-        if let Some(snapshot) = self.receiver.take() {
-            self.stats.clients_restored += snapshot.client_count() as u64;
-            self.restore(snapshot);
+        if let Some(snap) = self.receiver.take() {
+            self.stats.clients_restored += snap.client_count() as u64;
+            if snap.radius > 0.0 {
+                self.radius = snap.radius;
+            }
+            self.seq = self.seq.max(snap.seq);
+            self.clients = snap
+                .clients
+                .iter()
+                .map(|(cid, s)| {
+                    (
+                        *cid,
+                        ClientRecord {
+                            pos: s.pos,
+                            state_bytes: s.state_bytes,
+                            resolving: false,
+                        },
+                    )
+                })
+                .collect();
+            if let Some(t) = snap.tuner {
+                // Inherit the primary's tuned resolution *before* the
+                // grid rebuild below, so the restored population is
+                // indexed once, at the final resolution.
+                self.pipeline.restore_tuner(t.cells, t.streak, t.pending);
+            }
+            // Unlike a delta base, a trailing prediction basis cannot
+            // corrupt decode — it only mis-estimates error toward the
+            // budget — and keeping it means the promoted region
+            // suppresses consistently instead of retransmitting every
+            // visible entity in its first flushes.
+            self.pipeline.clear_bases();
+            self.pipeline.import_bases(snap.bases);
         }
         self.range = Some(range);
         if radius > 0.0 {
@@ -1064,21 +1042,6 @@ impl GameServerNode {
         }
         self.ready = true;
         self.rebuild_grid(range);
-        // The snapshot's flush-pipeline state describes the *pairing*
-        // moment, not the crash: the primary kept flushing afterwards,
-        // so the captured delta bases trail what clients last decoded
-        // and the captured pending updates were almost certainly
-        // delivered long ago. Drop both — streams resync through
-        // keyframes, and fresh events refill the batcher immediately.
-        // (The tuner state restored above survives: the promoted grid
-        // keeps the dead primary's tuned resolution. The dead-reckoning
-        // bases survive too: unlike a delta base, a trailing prediction
-        // basis cannot corrupt decode — it only mis-estimates error
-        // toward the budget — and keeping it means the promoted region
-        // suppresses consistently instead of retransmitting every
-        // visible entity in its first flushes. Any client that does
-        // reconnect resets its bases through the ordinary subscribe
-        // path.)
         self.pipeline.clear_streams();
         self.pipeline.clear_pending();
         self.stats.promotions += 1;
@@ -1093,18 +1056,17 @@ impl GameServerNode {
 
     // -- region snapshots --------------------------------------------------------
 
-    /// Captures the region as a transferable [`RegionSnapshot`]:
-    /// clients and positions, per-client delta-stream bases and the
-    /// pending (unflushed) updates. [`GameServerNode::restore`] of the
-    /// result reproduces the region observably — same client set, same
-    /// receiver sets, same next flush.
+    /// Captures the region as a transferable [`RegionSnapshot`]: what a
+    /// standby installs at promotion — clients and positions, range,
+    /// tuner state and the dead-reckoning bases each receiver
+    /// extrapolates from.
     pub fn snapshot(&self) -> RegionSnapshot {
         let mut snap = RegionSnapshot {
             range: self.range,
             radius: self.radius,
             ready: self.ready,
             seq: self.seq,
-            last_flush: self.last_flush,
+            bases: self.pipeline.export_bases().into_iter().collect(),
             ..RegionSnapshot::default()
         };
         for (cid, rec) in &self.clients {
@@ -1114,45 +1076,6 @@ impl GameServerNode {
                     pos: rec.pos,
                     state_bytes: rec.state_bytes,
                 },
-            );
-        }
-        for (cid, base, countdown) in self.pipeline.export_streams() {
-            snap.streams.insert(cid, StreamBase { base, countdown });
-        }
-        for (cid, items) in self.pipeline.pending() {
-            snap.pending.insert(
-                *cid,
-                items
-                    .iter()
-                    .map(|u| PendingUpdate {
-                        origin: u.origin,
-                        payload_bytes: u.payload_bytes,
-                        entity: u.entity,
-                        ring: u.ring,
-                        vx: u.vx,
-                        vy: u.vy,
-                        trace: u.trace,
-                    })
-                    .collect(),
-            );
-        }
-        // Dead-reckoning bases: what each receiver extrapolates each
-        // entity from. Shipped so a promoted standby keeps suppressing
-        // consistently with the receivers' actual state instead of
-        // rebasing (and retransmitting) every visible entity.
-        for (cid, bases) in self.pipeline.export_bases() {
-            snap.bases.insert(
-                cid,
-                bases
-                    .into_iter()
-                    .map(|(entity, b)| PredictBasis {
-                        entity,
-                        pos: b.pos,
-                        vx: b.vel.0,
-                        vy: b.vel.1,
-                        time_secs: b.time,
-                    })
-                    .collect(),
             );
         }
         // Ship the tuner state whenever there is something to inherit:
@@ -1169,87 +1092,6 @@ impl GameServerNode {
             });
         }
         snap
-    }
-
-    /// Rebuilds the region from a snapshot: client records, the
-    /// interest grid, delta-stream bases and pending batches. The
-    /// node's own config (vision radius, budgets, quantum) is kept.
-    pub fn restore(&mut self, snap: RegionSnapshot) {
-        self.range = snap.range;
-        if snap.radius > 0.0 {
-            self.radius = snap.radius;
-        }
-        self.ready = snap.ready;
-        self.seq = self.seq.max(snap.seq);
-        self.last_flush = snap.last_flush;
-        self.clients = snap
-            .clients
-            .iter()
-            .map(|(cid, s)| {
-                (
-                    *cid,
-                    ClientRecord {
-                        pos: s.pos,
-                        state_bytes: s.state_bytes,
-                        resolving: false,
-                    },
-                )
-            })
-            .collect();
-        let bounds = snap.range.unwrap_or(self.pipeline.grid().bounds());
-        if let Some(t) = snap.tuner {
-            // Inherit the primary's tuned resolution *before* the grid
-            // rebuild below, so the restored population is indexed once
-            // at the final resolution (on a fresh standby the pipeline
-            // is empty here, making this adoption free).
-            self.pipeline.restore_tuner(t.cells, t.streak, t.pending);
-        }
-        self.rebuild_grid(bounds);
-        self.pipeline.clear_streams();
-        self.pipeline.import_streams(
-            snap.streams
-                .into_iter()
-                .map(|(cid, s)| (cid, s.base, s.countdown)),
-        );
-        self.pipeline.clear_bases();
-        self.pipeline
-            .import_bases(snap.bases.into_iter().map(|(cid, bases)| {
-                (
-                    cid,
-                    bases
-                        .into_iter()
-                        .map(|b| {
-                            (
-                                b.entity,
-                                Basis {
-                                    pos: b.pos,
-                                    vel: (b.vx, b.vy),
-                                    time: b.time_secs,
-                                },
-                            )
-                        })
-                        .collect(),
-                )
-            }));
-        self.pipeline.clear_pending();
-        for (cid, items) in snap.pending {
-            for u in items {
-                // Already admitted by the primary's ring sampler: queue
-                // directly, bypassing re-sampling.
-                self.pipeline.enqueue(
-                    cid,
-                    UpdateItem {
-                        origin: u.origin,
-                        payload_bytes: u.payload_bytes,
-                        entity: u.entity,
-                        ring: u.ring,
-                        vx: u.vx,
-                        vy: u.vy,
-                        trace: u.trace,
-                    },
-                );
-            }
-        }
     }
 
     /// Split shedding: push out everyone inside `region`, plus one bulk
@@ -2012,6 +1854,33 @@ mod tests {
         assert!(batch[0].is_keyframe(), "resync path must keyframe");
     }
 
+    /// Failover as production runs it: `standby` is handed the
+    /// primary's full snapshot as a replica batch, then promoted.
+    fn promote_from(
+        primary: &GameServerNode,
+        mut standby: GameServerNode,
+        at: SimTime,
+    ) -> GameServerNode {
+        standby.on_matrix(
+            at,
+            MatrixToGame::ReplicaBatch {
+                from: primary.id(),
+                batch: crate::messages::ReplicaBatch {
+                    seq: 1,
+                    payload: matrix_replication::ReplicaPayload::Full(primary.snapshot()),
+                },
+            },
+        );
+        standby.on_matrix(
+            at,
+            MatrixToGame::Promote {
+                range: world(),
+                radius: primary.radius,
+            },
+        );
+        standby
+    }
+
     #[test]
     fn snapshot_restore_reproduces_the_region() {
         let mut g = GameServerNode::new(ServerId(1), GameServerConfig::default()).with_fanout();
@@ -2019,7 +1888,7 @@ mod tests {
         join(&mut g, 1, Point::new(100.0, 100.0));
         join(&mut g, 2, Point::new(110.0, 100.0));
         // Warm the delta streams with a flushed batch, then queue one
-        // pending (unflushed) update.
+        // pending (unflushed) update: neither is part of the snapshot.
         g.on_client(
             SimTime::ZERO,
             ClientId(1),
@@ -2037,57 +1906,35 @@ mod tests {
                 payload_bytes: 10,
             },
         );
+        assert!(g.delta_streams() > 0 && g.pipeline.has_pending());
 
-        let snap = g.snapshot();
-        let mut restored =
-            GameServerNode::new(ServerId(1), GameServerConfig::default()).with_fanout();
-        restored.restore(snap);
-
-        assert_eq!(restored.client_count(), g.client_count());
-        assert_eq!(restored.client_positions(), g.client_positions());
-        assert_eq!(restored.delta_streams(), g.delta_streams());
-        assert_eq!(restored.range(), g.range());
-        assert!(restored.is_ready());
-        // The next flush is byte-identical: same receivers, same items,
-        // same keyframe/delta decisions.
-        let a = g.flush_updates(SimTime::from_millis(200));
-        let b = restored.flush_updates(SimTime::from_millis(200));
-        assert_eq!(a, b);
-        assert!(!a.is_empty(), "the pending update must flush");
-    }
-
-    #[test]
-    fn snapshot_lists_no_receiver_without_pending_items() {
-        let mut g = GameServerNode::new(ServerId(1), GameServerConfig::default()).with_fanout();
-        g.register(world(), 50.0);
-        for id in 1..=3 {
-            join(&mut g, id, Point::new(100.0 + id as f64, 100.0));
-        }
-        let act = |g: &mut GameServerNode, ms: u64, id: u64| {
-            g.on_client(
-                SimTime::from_millis(ms),
-                ClientId(id),
-                ClientToGame::Action {
-                    pos: Point::new(100.0 + id as f64, 100.0),
-                    payload_bytes: 10,
-                },
-            );
-        };
-        act(&mut g, 0, 1);
-        assert_eq!(g.snapshot().pending.len(), 2, "clients 2 and 3 saw it");
-        // Right after a flush every queue the batcher retained is
-        // empty; the snapshot must not mention any of them.
-        assert!(!g.flush_updates(SimTime::from_millis(100)).is_empty());
-        assert!(g.snapshot().pending.is_empty());
-        // Refill one queue (client 3 acts: 1 and 2 see it; 1 leaves).
-        act(&mut g, 120, 3);
-        g.on_client(SimTime::from_millis(130), ClientId(1), ClientToGame::Leave);
-        let snap = g.snapshot();
-        assert_eq!(
-            snap.pending.keys().copied().collect::<Vec<_>>(),
-            vec![ClientId(2)]
+        let mut promoted = promote_from(
+            &g,
+            GameServerNode::new(ServerId(9), GameServerConfig::default()).with_fanout(),
+            SimTime::from_secs(6),
         );
-        assert!(snap.pending.values().all(|items| !items.is_empty()));
+        // Same sessions, positions, range and readiness.
+        assert_eq!(promoted.snapshot(), g.snapshot());
+        assert_eq!(promoted.client_count(), 2);
+        // A promoted node starts with no stream and no queue...
+        assert_eq!(promoted.delta_streams(), 0);
+        assert!(promoted.flush_updates(SimTime::from_secs(6)).is_empty());
+        // ...and serves the next event to the same receiver, keyframe
+        // first.
+        let mut actions = promoted.on_client(
+            SimTime::from_secs(7),
+            ClientId(1),
+            ClientToGame::Action {
+                pos: Point::new(102.0, 100.0),
+                payload_bytes: 10,
+            },
+        );
+        actions.extend(promoted.on_tick(SimTime::from_secs(8), 0.0));
+        let batch = batch_for(&actions, ClientId(2)).expect("client 2 still sees client 1");
+        let items = crate::messages::reconstruct_updates(&mut None, &batch)
+            .expect("a fresh stream decodes with no prior base");
+        assert_eq!(items.len(), 1);
+        assert_eq!(items[0].origin, Point::new(102.0, 100.0));
     }
 
     #[test]
@@ -2155,7 +2002,19 @@ mod tests {
                 standby: ServerId(9),
             },
         );
+        // An update for client 2 sits queued, inside the batch interval,
+        // when the snapshot ships...
+        primary.flush_updates(SimTime::from_millis(60));
+        primary.on_client(
+            SimTime::from_millis(90),
+            ClientId(1),
+            ClientToGame::Action {
+                pos: Point::new(100.0, 100.0),
+                payload_bytes: 10,
+            },
+        );
         let actions = primary.on_tick(SimTime::from_millis(100), 0.0);
+        assert!(batch_for(&actions, ClientId(2)).is_none() && primary.pipeline.has_pending());
         let batch = actions
             .iter()
             .find_map(|a| match a {
@@ -2196,6 +2055,9 @@ mod tests {
                 GameAction::ToClient(c, GameToClient::SwitchServer { to })
                     if *c == cid && *to == ServerId(9))));
         }
+        // What the primary had queued when the snapshot shipped is not
+        // replicated: the promoted node has nothing to flush.
+        assert!(standby.flush_updates(SimTime::from_secs(6)).is_empty());
         // The promoted region keeps serving: an event near client 2
         // reaches it, starting with a keyframe (streams resynced).
         let mut actions = standby.on_client(
@@ -2442,12 +2304,11 @@ mod tests {
             "snapshot must carry the prediction bases"
         );
 
-        // A fresh standby with the same config adopts the snapshot.
-        let mut restored = predicting_node();
-        restored.restore(snap);
+        // A fresh standby with the same config is promoted from it.
+        let mut restored = promote_from(&g, predicting_node(), SimTime::from_millis(950));
         assert!(
             restored.prediction_receivers() > 0,
-            "restore must import the bases"
+            "promotion must import the bases"
         );
         // The same on-track continuation is suppressed on both nodes:
         // the admit decision is basis-driven, and the bases replicated.
@@ -2669,29 +2530,39 @@ mod tests {
             g.register(world(), 50.0);
             g
         };
-        let mut primary = make(4);
-        for i in 0..12u64 {
-            join(&mut primary, i, Point::new(100.0 + i as f64 * 4.0, 100.0));
-        }
-        for step in 0..4u64 {
+        let drive = |g: &mut GameServerNode, step: u64| {
+            let mut out = Vec::new();
             for i in 0..12u64 {
-                primary.on_client(
+                out.extend(g.on_client(
                     SimTime::from_millis(step * 100 + i),
                     ClientId(i),
                     ClientToGame::Move {
                         pos: Point::new(100.0 + i as f64 * 4.0 + step as f64, 100.0),
                     },
-                );
+                ));
             }
-            primary.on_tick(SimTime::from_millis((step + 1) * 100), 0.0);
+            out.extend(g.on_tick(SimTime::from_millis((step + 1) * 100), 0.0));
+            out
+        };
+        let mut primary = make(4);
+        for i in 0..12u64 {
+            join(&mut primary, i, Point::new(100.0 + i as f64 * 4.0, 100.0));
         }
-        let snapshot = primary.snapshot();
-        let mut standby = make(2);
-        standby.restore(snapshot);
-        // Same pending state, same streams, same flush output.
-        assert_eq!(standby.delta_streams(), primary.delta_streams());
-        let a = primary.flush_updates(SimTime::from_millis(1000));
-        let b = standby.flush_updates(SimTime::from_millis(1000));
-        assert_eq!(a, b, "restored node must flush identically");
+        for s in 0..4 {
+            drive(&mut primary, s);
+        }
+        let at = SimTime::from_millis(450);
+        let mut two = promote_from(&primary, make(2), at);
+        let mut four = promote_from(&primary, make(4), at);
+        // Same sessions and prediction bases, same output from there on.
+        assert_eq!(two.snapshot(), primary.snapshot());
+        assert_eq!(two.prediction_receivers(), primary.prediction_receivers());
+        assert!(two.prediction_receivers() > 0);
+        for s in 5..9 {
+            let actions = drive(&mut two, s);
+            assert!(!actions.is_empty());
+            assert_eq!(actions, drive(&mut four, s), "step {s}");
+        }
+        assert_eq!(two.stats(), four.stats());
     }
 }

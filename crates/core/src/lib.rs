@@ -125,8 +125,7 @@ pub use matrix_interest::{
 // batches and snapshots, and the standby/primary state machines are
 // reused by the runtime and the property suites.
 pub use matrix_replication::{
-    PendingUpdate, PredictBasis, ReplicaApply, ReplicaLog, ReplicaLogStats, ReplicaPayload,
-    ReplicaReceiver, SessionState, StreamBase,
+    ReplicaApply, ReplicaLog, ReplicaLogStats, ReplicaPayload, ReplicaReceiver, SessionState,
 };
 
 // Re-export the telemetry plane: drivers assemble and merge

@@ -12,16 +12,6 @@ pub enum Axis {
     Y,
 }
 
-impl Axis {
-    /// The other axis.
-    pub fn perpendicular(self) -> Axis {
-        match self {
-            Axis::X => Axis::Y,
-            Axis::Y => Axis::X,
-        }
-    }
-}
-
 /// An axis-aligned rectangle, `min` inclusive and `max` exclusive on the
 /// boundary shared with a neighbouring partition.
 ///
@@ -77,14 +67,6 @@ impl Rect {
     /// Height along the Y axis.
     pub fn height(&self) -> f64 {
         self.max.y - self.min.y
-    }
-
-    /// Extent along the given axis.
-    pub fn extent(&self, axis: Axis) -> f64 {
-        match axis {
-            Axis::X => self.width(),
-            Axis::Y => self.height(),
-        }
     }
 
     /// Surface area.

@@ -7,8 +7,8 @@
 //! bounded per receiver — a queue whose capacity exceeds four times what
 //! the last two flushes used is shrunk, a queue two flushes idle is
 //! released, and a departed receiver's entry is removed outright — and
-//! every observer ([`UpdateBatcher::receivers`], [`UpdateBatcher::peek`])
-//! reports only receivers that actually have something queued.
+//! [`UpdateBatcher::receivers`] counts only receivers that actually
+//! have something queued.
 
 use std::collections::BTreeMap;
 
@@ -70,7 +70,10 @@ impl<K: Ord + Copy, U> UpdateBatcher<K, U> {
 
     /// Number of receivers with at least one queued update.
     pub fn receivers(&self) -> usize {
-        self.peek().count()
+        self.pending
+            .values()
+            .filter(|q| !q.items.is_empty())
+            .count()
     }
 
     /// Whether nothing is queued.
@@ -119,17 +122,6 @@ impl<K: Ord + Copy, U> UpdateBatcher<K, U> {
     /// the old set keep no retained memory behind.
     pub fn release_idle(&mut self) {
         self.pending.retain(|_, queue| !queue.items.is_empty());
-    }
-
-    /// Visits every queued batch without consuming it, in receiver
-    /// order — the region-snapshot path reads pending updates this way.
-    /// Batches are non-empty: a queue retained only for its memory is
-    /// not listed.
-    pub fn peek(&self) -> impl Iterator<Item = (&K, &[U])> {
-        self.pending
-            .iter()
-            .filter(|(_, q)| !q.items.is_empty())
-            .map(|(k, q)| (k, q.items.as_slice()))
     }
 
     /// Queue entries held, idle ones included (the memory-bound tests'
@@ -181,17 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_reads_without_consuming() {
-        let mut b: UpdateBatcher<u32, u8> = UpdateBatcher::new();
-        b.push(2, 9);
-        b.push(1, 7);
-        let seen: Vec<(u32, Vec<u8>)> = b.peek().map(|(k, v)| (*k, v.to_vec())).collect();
-        assert_eq!(seen, vec![(1, vec![7]), (2, vec![9])]);
-        assert_eq!(b.queued(), 2, "peek leaves the queue intact");
-        assert_eq!(drain(&mut b), vec![(1, vec![7]), (2, vec![9])]);
-    }
-
-    #[test]
     fn drain_order_is_deterministic() {
         let mut b: UpdateBatcher<u32, u8> = UpdateBatcher::new();
         for k in [5u32, 3, 9, 1] {
@@ -209,11 +190,8 @@ mod tests {
         drain(&mut b);
         assert_eq!(b.entries(), 2, "both queues keep their memory");
         assert_eq!(b.receivers(), 0);
-        assert_eq!(b.peek().count(), 0);
         b.push(2, 1);
         assert_eq!(b.receivers(), 1);
-        let seen: Vec<u32> = b.peek().map(|(k, _)| *k).collect();
-        assert_eq!(seen, vec![2]);
         assert_eq!(
             drain(&mut b),
             vec![(2, vec![1])],

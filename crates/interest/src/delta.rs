@@ -99,7 +99,6 @@ struct StreamState {
 #[derive(Debug, Clone)]
 pub struct DeltaEncoder<K: Ord> {
     keyframe_every: u32,
-    max_delta: f64,
     quantum: f64,
     streams: BTreeMap<K, StreamState>,
 }
@@ -122,17 +121,9 @@ impl<K: Ord + Copy> DeltaEncoder<K> {
     pub fn new(keyframe_every: u32) -> DeltaEncoder<K> {
         DeltaEncoder {
             keyframe_every,
-            max_delta: Self::DEFAULT_MAX_DELTA,
             quantum: Self::DEFAULT_QUANTUM,
             streams: BTreeMap::new(),
         }
-    }
-
-    /// Overrides the offset-magnitude threshold above which items are
-    /// sent absolute.
-    pub fn with_max_delta(mut self, max_delta: f64) -> DeltaEncoder<K> {
-        self.max_delta = max_delta;
-        self
     }
 
     /// Overrides the fixed-point offset resolution (`0.0` drops the
@@ -168,8 +159,8 @@ impl<K: Ord + Copy> DeltaEncoder<K> {
         let dy = next.y - base.y;
         let exact = dx.is_finite()
             && dy.is_finite()
-            && dx.abs() <= self.max_delta
-            && dy.abs() <= self.max_delta
+            && dx.abs() <= Self::DEFAULT_MAX_DELTA
+            && dy.abs() <= Self::DEFAULT_MAX_DELTA
             && self.fits_fixed_point(dx)
             && self.fits_fixed_point(dy)
             && base.x + dx == next.x
@@ -193,34 +184,6 @@ impl<K: Ord + Copy> DeltaEncoder<K> {
             sent_keyframe: false,
             encoder: self,
         }
-    }
-
-    /// Exports every stream's state as `(client, base, countdown)`
-    /// triples, in key order — the region-snapshot form used by the
-    /// replication layer. Importing the result into a fresh encoder
-    /// (same `keyframe_every`) reproduces the next flush exactly.
-    pub fn export_streams(&self) -> Vec<(K, Point, u32)> {
-        self.streams
-            .iter()
-            .map(|(k, s)| (*k, s.base, s.flushes_until_keyframe))
-            .collect()
-    }
-
-    /// Replaces the stream table with previously exported state (the
-    /// restore half of [`DeltaEncoder::export_streams`]).
-    pub fn import_streams(&mut self, streams: impl IntoIterator<Item = (K, Point, u32)>) {
-        self.streams = streams
-            .into_iter()
-            .map(|(k, base, flushes_until_keyframe)| {
-                (
-                    k,
-                    StreamState {
-                        base,
-                        flushes_until_keyframe,
-                    },
-                )
-            })
-            .collect();
     }
 
     /// Resync: the receiver may have lost its base (join, re-join,
@@ -497,29 +460,6 @@ mod tests {
         enc.clear();
         assert_eq!(enc.streams(), 0);
         assert!(encode_flush(&mut enc, 1, &[Point::new(1.5, 1.0)])[0].is_keyframe());
-    }
-
-    #[test]
-    fn exported_streams_restore_into_an_equivalent_encoder() {
-        let mut enc: DeltaEncoder<u32> = DeltaEncoder::new(3);
-        encode_flush(&mut enc, 1, &[Point::new(1.0, 2.0)]);
-        encode_flush(&mut enc, 1, &[Point::new(1.5, 2.0)]);
-        encode_flush(&mut enc, 2, &[Point::new(9.0, 9.0)]);
-
-        let mut restored: DeltaEncoder<u32> = DeltaEncoder::new(3);
-        restored.import_streams(enc.export_streams());
-        assert_eq!(restored.streams(), 2);
-        // Both encoders produce identical items for the same next flush.
-        let next = [Point::new(2.0, 2.0)];
-        assert_eq!(
-            encode_flush(&mut enc, 1, &next),
-            encode_flush(&mut restored, 1, &next)
-        );
-        let far = [Point::new(9.5, 9.0)];
-        assert_eq!(
-            encode_flush(&mut enc, 2, &far),
-            encode_flush(&mut restored, 2, &far)
-        );
     }
 
     #[test]

@@ -814,29 +814,13 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         stats
     }
 
-    /// Queues one already-admitted item directly (snapshot restore: the
-    /// item passed sampling on the primary; it must not be re-sampled).
-    pub fn enqueue(&mut self, key: K, item: U) {
-        let si = self.shard_ix(key);
-        self.shards[si].batcher.push(key, item);
-    }
-
     /// Whether any updates are queued.
     pub fn has_pending(&self) -> bool {
         self.shards.iter().any(|s| !s.batcher.is_empty())
     }
 
-    /// Visits every queued batch without consuming it (snapshots), in
-    /// global receiver order regardless of the shard count.
-    pub fn pending(&self) -> impl Iterator<Item = (&K, &[U])> {
-        let mut all: Vec<(&K, &[U])> = self.shards.iter().flat_map(|s| s.batcher.peek()).collect();
-        all.sort_by(|a, b| a.0.cmp(b.0));
-        all.into_iter()
-    }
-
-    /// Drops every queued update and all sampling phase (promotions:
-    /// the captured pending set describes the pairing moment, not the
-    /// crash).
+    /// Drops every queued update and all sampling phase (promotions: a
+    /// promoted node starts with no queue).
     pub fn clear_pending(&mut self) {
         for shard in &mut self.shards {
             shard.batcher = UpdateBatcher::new();
@@ -1023,12 +1007,6 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
 
     // -- delta-stream bookkeeping --------------------------------------------
 
-    /// Marks a receiver's delta stream dirty (next flush keyframes).
-    pub fn reset_stream(&mut self, key: K) {
-        let si = self.shard_ix(key);
-        self.shards[si].encoder.reset(key);
-    }
-
     /// Wipes every delta stream (driver shutdown, promotions).
     pub fn clear_streams(&mut self) {
         for shard in &mut self.shards {
@@ -1039,32 +1017,6 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// Number of receivers currently holding a delta base.
     pub fn streams(&self) -> usize {
         self.shards.iter().map(|s| s.encoder.streams()).sum()
-    }
-
-    /// Exports every delta stream as `(key, base, countdown)` in global
-    /// key order (region snapshots) — canonical regardless of the shard
-    /// count, so a standby with a different `flush_workers` imports the
-    /// same bytes.
-    pub fn export_streams(&self) -> Vec<(K, Point, u32)> {
-        let mut out: Vec<(K, Point, u32)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.encoder.export_streams())
-            .collect();
-        out.sort_by_key(|(k, _, _)| *k);
-        out
-    }
-
-    /// Replaces the delta-stream table with exported state, re-routing
-    /// each entry to its shard under the *local* shard count.
-    pub fn import_streams(&mut self, streams: impl IntoIterator<Item = (K, Point, u32)>) {
-        let mut per_shard: Vec<Vec<(K, Point, u32)>> = vec![Vec::new(); self.shards.len()];
-        for entry in streams {
-            per_shard[self.shard_ix(entry.0)].push(entry);
-        }
-        for (shard, entries) in self.shards.iter_mut().zip(per_shard) {
-            shard.encoder.import_streams(entries);
-        }
     }
 
     // -- prediction bases ----------------------------------------------------
@@ -1329,18 +1281,16 @@ mod tests {
         // Right after a flush every retained queue is empty, and nothing
         // that reports pending work may list one.
         assert!(!p.has_pending());
-        assert_eq!(p.pending().count(), 0);
         assert!(p.shards.iter().all(|s| s.batcher.receivers() == 0));
-        // A re-anchor releases the idle queues and keeps the busy one.
-        p.enqueue(2, ev(at, 0));
+        // A re-anchor releases the idle queues and keeps the busy one
+        // (only receiver 2 is still in range of the event).
+        for k in [0, 1, 3] {
+            p.reposition(k, Point::new(350.0, 350.0));
+        }
+        event(&mut p);
         p.reset(world(), [(2, at)]);
         assert_eq!(queue_entries(&p), 1);
-        assert_eq!(
-            p.pending()
-                .map(|(k, items)| (*k, items.len()))
-                .collect::<Vec<_>>(),
-            [(2, 1)]
-        );
+        assert!(p.has_pending());
         p.clear_pending();
         assert_eq!(queue_entries(&p), 0);
     }
@@ -1673,24 +1623,28 @@ mod tests {
         }
         flush_pairs(&mut primary, |_| Some(Point::new(100.0, 300.0)));
         // Promote onto a standby running a different worker count (the
-        // gameserver restore flow: re-anchor the grid, then import).
+        // promotion flow: re-anchor the grid, then import the bases).
         let mut standby = make(2);
         let subs: Vec<(u32, Point)> = primary.grid().subscribers().collect();
         standby.reset(world(), subs);
-        standby.import_streams(primary.export_streams());
         standby.import_bases(primary.export_bases());
-        assert_eq!(standby.streams(), primary.streams());
-        assert_eq!(standby.export_streams(), primary.export_streams());
         assert_eq!(standby.export_bases(), primary.export_bases());
-        // Both make identical decisions on the next event and encode the
-        // next flush identically.
+        // Both make identical decisions on the next event and flush the
+        // same payloads; the standby, holding no stream, keyframes.
         let at = Point::new(111.0, 200.0);
         let sp = primary.disseminate(at, at, 9, 1.1, true, None, true, |ring, _| ev(at, ring));
         let sq = standby.disseminate(at, at, 9, 1.1, true, None, true, |ring, _| ev(at, ring));
         assert_eq!(sp, sq);
-        let fp = flush_pairs(&mut primary, |_| Some(Point::new(100.0, 300.0)));
+        let payloads = |out: Pairs<Ev>| -> Vec<(u32, Vec<Ev>)> {
+            out.batches
+                .into_iter()
+                .map(|b| (b.receiver, b.items.into_iter().map(|i| i.0).collect()))
+                .collect()
+        };
         let fq = flush_pairs(&mut standby, |_| Some(Point::new(100.0, 300.0)));
-        assert_eq!(fp, fq);
+        assert!(fq.batches.iter().all(|b| b.items[0].1.is_keyframe()));
+        let fp = flush_pairs(&mut primary, |_| Some(Point::new(100.0, 300.0)));
+        assert_eq!(payloads(fp), payloads(fq));
     }
 
     #[test]

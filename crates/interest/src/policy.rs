@@ -73,11 +73,6 @@ impl FlushPolicy {
         FlushPolicy::default()
     }
 
-    /// Whether neither limit is configured.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_items == 0 && self.budget_bytes == 0
-    }
-
     /// Orders `items` (in arrival order) by relevance to a viewer at
     /// `viewer` — nearest first, ties in arrival order — and enforces
     /// the budgets, merging/dropping the farthest items first. The

@@ -12,10 +12,10 @@
 //!
 //! * [`RegionSnapshot`] — the durable, transferable image of one game
 //!   server's region: connected clients with positions and session
-//!   state sizes, per-client delta-encoder bases, and the pending
-//!   (unflushed) update batches. Restoring a snapshot into a fresh node
-//!   reproduces the region observably: same client set, same receiver
-//!   sets, same next flush.
+//!   state sizes, the managed range, the grid tuner's learned state and
+//!   the per-client dead-reckoning bases. Promoting a standby from it
+//!   reproduces the region's client set and receiver sets; every delta
+//!   stream restarts with a keyframe and the update queues start empty.
 //! * [`ReplicaOp`] / [`ReplicaBatch`] — the incremental log entries a
 //!   primary ships between full snapshots: joins, moves, leaves and
 //!   range changes, enough to keep a standby's snapshot current.
@@ -31,7 +31,7 @@
 //! key and independent of the middleware's message taxonomy:
 //! `matrix-core` instantiates it with `ClientId`, wraps batches in
 //! protocol messages, and gives them a versioned wire form in
-//! `matrix_core::codec`.
+//! `matrix_core::codec_v2`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +42,4 @@ mod snapshot;
 
 pub use log::{ReplicaBatch, ReplicaLog, ReplicaLogStats, ReplicaPayload};
 pub use receiver::{ReplicaApply, ReplicaReceiver};
-pub use snapshot::{
-    PendingUpdate, PredictBasis, RegionSnapshot, ReplicaOp, SessionState, StreamBase, TunerState,
-};
+pub use snapshot::{RegionSnapshot, ReplicaOp, SessionState, TunerState};

@@ -1,7 +1,7 @@
 //! The transferable image of one game server's region.
 
 use matrix_geometry::{Point, Rect};
-use matrix_sim::SimTime;
+use matrix_predict::Basis;
 use std::collections::BTreeMap;
 
 /// One connected client's session, as the snapshot carries it.
@@ -11,60 +11,6 @@ pub struct SessionState {
     pub pos: Point,
     /// Serialised per-client state size in bytes (travels on switches).
     pub state_bytes: u64,
-}
-
-/// One client's delta-compression stream state: the base origin the
-/// *receiver* holds and the flushes left before a forced keyframe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamBase {
-    /// Origin of the last item flushed to this client.
-    pub base: Point,
-    /// Flushes left before an absolute keyframe is forced.
-    pub countdown: u32,
-}
-
-/// One queued-but-unflushed update, as the snapshot carries it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PendingUpdate {
-    /// Where the event happened (already lattice-snapped).
-    pub origin: Point,
-    /// Payload size in bytes.
-    pub payload_bytes: usize,
-    /// Source entity id (`0` = anonymous).
-    pub entity: u64,
-    /// The vision ring the receiver was graded into when the update was
-    /// admitted (`0` = near). Preserved so a restored node flushes the
-    /// identical ring-tagged items the primary would have.
-    pub ring: u8,
-    /// Dead-reckoning velocity shipped with the item, x axis
-    /// (`0.0, 0.0` = none; prediction off).
-    pub vx: f64,
-    /// Dead-reckoning velocity, y axis.
-    pub vy: f64,
-    /// Causal trace tag carried by the queued event, if sampled.
-    /// Replicated so a promoted standby delivers the traced item with
-    /// its original ingest time intact — the end-to-end latency a client
-    /// measures across a failover includes the failover itself.
-    pub trace: Option<matrix_telemetry::TraceTag>,
-}
-
-/// One dead-reckoning basis: what a receiver extrapolates one entity
-/// from — the last transmitted position, velocity and instant.
-/// Replicated so a promoted standby keeps suppressing consistently with
-/// what the receivers actually hold, instead of rebasing (and
-/// retransmitting) every visible entity at failover.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictBasis {
-    /// The extrapolated entity.
-    pub entity: u64,
-    /// Last transmitted (wire) position.
-    pub pos: Point,
-    /// Transmitted velocity, x axis (world units/second).
-    pub vx: f64,
-    /// Transmitted velocity, y axis.
-    pub vy: f64,
-    /// Transmission instant, in seconds.
-    pub time_secs: f64,
 }
 
 /// The interest-grid auto-tuner's learned state, replicated so a
@@ -85,12 +31,13 @@ pub struct TunerState {
 /// needs to take over a dead primary's game server without the clients
 /// reconnecting.
 ///
-/// The snapshot is plain data — applying it to a node and re-deriving
-/// the node's interest grid from the client positions reproduces the
-/// region observably (client set, receiver sets, next flush). The wire
-/// form lives in `matrix_core::codec` and carries
-/// [`RegionSnapshot::VERSION`] so incompatible peers fail loudly
-/// instead of mis-decoding.
+/// The snapshot is plain data, and exactly what promotion installs:
+/// sessions, range, tuner state and prediction bases. The send path's
+/// in-flight state (delta bases, queued updates, the flush clock) is
+/// not part of it — a promoted node starts every stream with a
+/// keyframe and an empty queue. The wire form lives in
+/// `matrix_core::codec_v2` and carries [`RegionSnapshot::VERSION`] so
+/// incompatible peers fail loudly instead of mis-decoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionSnapshot<K: Ord> {
     /// Managed map range, if one was assigned.
@@ -101,22 +48,19 @@ pub struct RegionSnapshot<K: Ord> {
     pub ready: bool,
     /// The packet sequence counter at snapshot time.
     pub seq: u64,
-    /// When the last batch flush ran.
-    pub last_flush: SimTime,
     /// The grid auto-tuner's learned state (`None` when the primary
     /// runs a static grid; the wire form omits it then, keeping
     /// static-grid frames identical to pre-tuner ones).
     pub tuner: Option<TunerState>,
     /// Connected clients and their sessions.
     pub clients: BTreeMap<K, SessionState>,
-    /// Per-client delta-encoder stream state.
-    pub streams: BTreeMap<K, StreamBase>,
-    /// Per-client pending (queued, unflushed) updates.
-    pub pending: BTreeMap<K, Vec<PendingUpdate>>,
-    /// Per-client dead-reckoning bases, one per visible entity (empty
-    /// when prediction is off; the wire form omits it then, keeping
-    /// prediction-free frames identical to pre-prediction ones).
-    pub bases: BTreeMap<K, Vec<PredictBasis>>,
+    /// Per-client dead-reckoning bases, one `(entity, basis)` per
+    /// visible entity: what the receiver extrapolates that entity from.
+    /// Replicated so a promoted standby keeps suppressing consistently
+    /// with what the receivers actually hold, instead of rebasing (and
+    /// retransmitting) every visible entity at failover. Empty when
+    /// prediction is off.
+    pub bases: BTreeMap<K, Vec<(u64, Basis)>>,
 }
 
 impl<K: Ord> Default for RegionSnapshot<K> {
@@ -126,11 +70,8 @@ impl<K: Ord> Default for RegionSnapshot<K> {
             radius: 0.0,
             ready: false,
             seq: 0,
-            last_flush: SimTime::ZERO,
             tuner: None,
             clients: BTreeMap::new(),
-            streams: BTreeMap::new(),
-            pending: BTreeMap::new(),
             bases: BTreeMap::new(),
         }
     }
@@ -140,9 +81,9 @@ impl<K: Ord + Copy> RegionSnapshot<K> {
     /// Wire-format version of the snapshot codec. Bumped on any
     /// incompatible change to the snapshot's field set; decoders reject
     /// other versions. Optional, default-omitted extensions (the tuner
-    /// state, per-item ring tags) stay within a version — frames without
-    /// them decode to the defaults, and defaults encode without them.
-    pub const VERSION: u32 = 1;
+    /// state) stay within a version — frames without them decode to the
+    /// defaults, and defaults encode without them.
+    pub const VERSION: u32 = 2;
 
     /// Connected client count.
     pub fn client_count(&self) -> usize {
@@ -152,12 +93,9 @@ impl<K: Ord + Copy> RegionSnapshot<K> {
     /// Applies one incremental op, keeping the snapshot current with the
     /// primary's session state.
     ///
-    /// Ops deliberately cover only *session* state (who is connected,
-    /// where, what range). The flush-pipeline state (delta bases,
-    /// pending batches) rides on full snapshots only: at promotion time
-    /// every client resyncs through a keyframe anyway, because the
-    /// primary kept flushing after the last full snapshot and the
-    /// clients' receiver-side bases are unknowable to the standby.
+    /// Ops cover only *session* state (who is connected, where, what
+    /// range); prediction bases ride on full snapshots and are dropped
+    /// here for a client whose connection restarted or ended.
     pub fn apply(&mut self, op: &ReplicaOp<K>) {
         match *op {
             ReplicaOp::Join {
@@ -167,10 +105,7 @@ impl<K: Ord + Copy> RegionSnapshot<K> {
             } => {
                 self.clients
                     .insert(client, SessionState { pos, state_bytes });
-                // A (re)join resets the client's delta stream and its
-                // dead-reckoning bases (a fresh connection extrapolates
-                // from nothing).
-                self.streams.remove(&client);
+                // A (re)joined connection extrapolates from nothing.
                 self.bases.remove(&client);
             }
             ReplicaOp::Move { client, pos } => {
@@ -180,8 +115,6 @@ impl<K: Ord + Copy> RegionSnapshot<K> {
             }
             ReplicaOp::Leave { client } => {
                 self.clients.remove(&client);
-                self.streams.remove(&client);
-                self.pending.remove(&client);
                 self.bases.remove(&client);
             }
             ReplicaOp::Range { range, radius } => {
@@ -198,13 +131,14 @@ impl<K: Ord + Copy> RegionSnapshot<K> {
     /// accounting (coordinates as 8-byte floats, ids as 8 bytes, small
     /// framing constants).
     pub fn wire_bytes(&self) -> usize {
-        let header = 48; // version, seq, flags, range, radius, timestamps
+        let header = 40; // version, seq, flags, range, radius
         let clients = self.clients.len() * 32; // id + pos + state size
-        let streams = self.streams.len() * 28; // id + base + countdown
-        let pending: usize = self.pending.values().map(|v| 16 + v.len() * 32).sum();
-        // id + per basis: entity + pos + vel + time
-        let bases: usize = self.bases.values().map(|v| 16 + v.len() * 48).sum();
-        header + clients + streams + pending + bases
+        let bases: usize = self
+            .bases
+            .values()
+            .map(|v| 16 + v.len() * 48) // id + per basis: entity + pos + vel + time
+            .sum();
+        header + clients + bases
     }
 }
 
@@ -282,53 +216,24 @@ mod tests {
             pos: Point::new(6.0, 5.0),
         });
         assert_eq!(s.clients[&1].pos, Point::new(6.0, 5.0));
-        s.apply(&ReplicaOp::Leave { client: 1 });
-        assert_eq!(s.client_count(), 0);
-    }
-
-    #[test]
-    fn join_resets_the_clients_stream() {
-        let mut s = snap();
-        s.streams.insert(
-            1,
-            StreamBase {
-                base: Point::new(5.0, 5.0),
-                countdown: 3,
-            },
-        );
+        // Prediction bases die with the connection they describe: on a
+        // rejoin and on a leave.
+        let basis = Basis {
+            pos: Point::new(1.0, 1.0),
+            vel: (0.0, 0.0),
+            time: 0.0,
+        };
+        s.bases.insert(1, vec![(2, basis)]);
         s.apply(&ReplicaOp::Join {
             client: 1,
             pos: Point::new(7.0, 7.0),
             state_bytes: 64,
         });
-        assert!(s.streams.is_empty(), "rejoin invalidates the delta base");
-    }
-
-    #[test]
-    fn leave_drops_pending_and_stream() {
-        let mut s = snap();
-        s.pending.insert(
-            1,
-            vec![PendingUpdate {
-                origin: Point::new(1.0, 1.0),
-                payload_bytes: 8,
-                entity: 2,
-                ring: 0,
-                vx: 0.0,
-                vy: 0.0,
-                trace: None,
-            }],
-        );
-        s.streams.insert(
-            1,
-            StreamBase {
-                base: Point::new(5.0, 5.0),
-                countdown: 1,
-            },
-        );
+        assert!(s.bases.is_empty(), "a rejoin extrapolates from nothing");
+        s.bases.insert(1, vec![(2, basis)]);
         s.apply(&ReplicaOp::Leave { client: 1 });
-        assert!(s.pending.is_empty());
-        assert!(s.streams.is_empty());
+        assert_eq!(s.client_count(), 0);
+        assert!(s.bases.is_empty());
     }
 
     #[test]

@@ -188,12 +188,6 @@ impl RtCluster {
             .count()
     }
 
-    /// A probe onto the coordinator's freshness-SLO tracker (the same
-    /// gauges the stats endpoint exposes, as structured data).
-    pub fn slo_probe(&self) -> SloProbe {
-        self.slo.clone()
-    }
-
     /// Binds a live stats endpoint over every node in the cluster (see
     /// [`crate::wire::spawn_stats_endpoint`]); returns the bound
     /// address. Query it with [`crate::wire::TcpStatsClient`]. The

@@ -14,10 +14,9 @@ use matrix_middleware::core::{
     ReplicaOp, UpdateItem, MAX_RINGS,
 };
 use matrix_middleware::geometry::{Point, Rect, ServerId};
-use matrix_middleware::replication::{
-    PendingUpdate, PredictBasis, ReplicaPayload, SessionState, StreamBase, TunerState,
-};
-use matrix_middleware::sim::{SimRng, SimTime};
+use matrix_middleware::predict::Basis;
+use matrix_middleware::replication::{ReplicaPayload, SessionState, TunerState};
+use matrix_middleware::sim::SimRng;
 
 const CASES: usize = 64;
 
@@ -190,7 +189,6 @@ fn snapshot(rng: &mut SimRng) -> RegionSnapshot {
         radius: rng.uniform(0.0, 500.0),
         ready: rng.chance(0.5),
         seq: rng.uniform_u64(0, u64::MAX),
-        last_flush: SimTime::from_micros(rng.uniform_u64(0, 1 << 50)),
         tuner: if rng.chance(0.5) {
             Some(TunerState {
                 cells: rng.uniform_u64(1, 512) as u32,
@@ -211,42 +209,17 @@ fn snapshot(rng: &mut SimRng) -> RegionSnapshot {
                 state_bytes: rng.uniform_u64(0, 1 << 32),
             },
         );
-        if rng.chance(0.6) {
-            snap.streams.insert(
-                id,
-                StreamBase {
-                    base: any_point(rng),
-                    countdown: rng.uniform_u64(0, 64) as u32,
-                },
-            );
-        }
-        if rng.chance(0.4) {
-            let (vx, vy) = velocity(rng);
-            snap.pending.insert(
-                id,
-                (0..rng.uniform_u64(1, 4))
-                    .map(|_| PendingUpdate {
-                        origin: any_point(rng),
-                        payload_bytes: payload(rng),
-                        entity: entity(rng),
-                        ring: ring(rng),
-                        vx,
-                        vy,
-                        trace: trace(rng),
-                    })
-                    .collect(),
-            );
-        }
         if rng.chance(0.3) {
             snap.bases.insert(
                 id,
                 (0..rng.uniform_u64(1, 3))
-                    .map(|_| PredictBasis {
-                        entity: entity(rng),
-                        pos: any_point(rng),
-                        vx: rng.uniform(-50.0, 50.0),
-                        vy: rng.uniform(-50.0, 50.0),
-                        time_secs: rng.uniform(0.0, 1.0e6),
+                    .map(|_| {
+                        let basis = Basis {
+                            pos: any_point(rng),
+                            vel: (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)),
+                            time: rng.uniform(0.0, 1.0e6),
+                        };
+                        (entity(rng), basis)
                     })
                     .collect(),
             );

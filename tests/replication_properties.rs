@@ -1,16 +1,19 @@
 //! Replication-layer property suites.
 //!
-//! **Snapshot/restore equivalence**: for any randomly driven game
-//! server, `restore(snapshot(node))` must reproduce the region
-//! *observably* — the same client set, the same receiver sets, and
-//! byte-identical future output: feeding both nodes an identical event
-//! stream (including the next flush of whatever was pending at snapshot
-//! time) must produce identical action lists, keyframe/delta decisions
-//! included.
+//! **Failover equivalence**: for any randomly driven primary, a fresh
+//! standby fed the primary's own `ReplicaBatch` and then promoted (the
+//! path production runs: `MatrixToGame::ReplicaBatch` → `Promote`) holds
+//! the primary's client set, positions, range, readiness, tuner state
+//! and prediction bases; two such standbys — differing in
+//! `flush_workers` — produce identical action lists for an identical
+//! future event stream; and every client's post-promotion stream opens
+//! with a keyframe and decodes with no missing base onto the wire
+//! lattice. Delta bases, queued updates and the flush clock are *not*
+//! replicated: a promoted node starts with no stream and no queue.
 //!
-//! **Codec transparency**: a snapshot that crosses the versioned wire
-//! format (`Frame::Replica` of `matrix_core::codec_v2`) must restore exactly like one that
-//! never left the process.
+//! **Codec transparency**: a standby fed the batch as `Frame::Replica`
+//! bytes of the versioned wire format (`matrix_core::codec_v2`) must
+//! promote exactly like one whose batch never left the process.
 //!
 //! **Op-maintained convergence**: a standby fed the primary's replica
 //! stream (one full snapshot, then incremental ops, with the log's
@@ -28,12 +31,13 @@
 
 use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
-    ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode, ReplicaBatch, ReplicaOp,
-    ReplicaPayload,
+    reconstruct_updates, ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode,
+    GameToClient, GameToMatrix, MatrixToGame, ReplicaBatch, ReplicaOp,
 };
 use matrix_middleware::geometry::{Point, Rect, ServerId};
 use matrix_middleware::replication::{ReplicaLog, ReplicaReceiver};
 use matrix_middleware::sim::{SimDuration, SimRng, SimTime};
+use std::collections::BTreeMap;
 
 fn world() -> Rect {
     Rect::from_coords(0.0, 0.0, 1000.0, 1000.0)
@@ -45,10 +49,27 @@ fn node(id: u32) -> GameServerNode {
     g
 }
 
+/// The failover suites' node config: odd cases run rings, dead
+/// reckoning and the grid auto-tuner, so the snapshot's tuner state and
+/// prediction bases are exercised, not just carried empty.
+fn failover_cfg(case: usize, flush_workers: u32) -> GameServerConfig {
+    let mut cfg = GameServerConfig {
+        flush_workers,
+        ..GameServerConfig::default()
+    };
+    if case % 2 == 1 {
+        cfg.predict = true;
+        cfg.grid_autotune = true;
+        cfg.set_rings(&[40.0, 80.0], &[1, 2]);
+        cfg.set_error_budgets(&[0.0, 2.0]);
+    }
+    cfg
+}
+
 fn random_pos(rng: &mut SimRng) -> Point {
     // Interior positions only: the equivalence drive must not trip the
     // roaming path, whose in-flight `resolving` flag is deliberately
-    // not part of a snapshot (an owner query is re-asked after restore).
+    // not part of a snapshot (an owner query is re-asked after promotion).
     Point::new(rng.uniform(50.0, 950.0), rng.uniform(50.0, 950.0))
 }
 
@@ -112,37 +133,95 @@ fn random_drive(g: &mut GameServerNode, rng: &mut SimRng, steps: u32) -> Vec<u64
     population
 }
 
-/// Feeds both nodes the same post-snapshot script and asserts identical
-/// observable output, starting with the flush of pending updates.
-fn assert_future_equivalence(
-    original: &mut GameServerNode,
-    restored: &mut GameServerNode,
+/// Pairs the primary with a standby and returns the full-snapshot
+/// batch its next tick ships — the bytes-to-be a real standby is fed.
+fn ship_full_snapshot(primary: &mut GameServerNode) -> ReplicaBatch {
+    let now = SimTime::from_secs(50);
+    primary.on_matrix(
+        now,
+        MatrixToGame::SetStandby {
+            standby: ServerId(9),
+        },
+    );
+    let batch = primary
+        .on_tick(now, 0.0)
+        .into_iter()
+        .find_map(|a| match a {
+            GameAction::ToMatrix(GameToMatrix::Replica { batch, .. }) => Some(batch),
+            _ => None,
+        })
+        .expect("a fresh pairing ships on the next tick");
+    assert!(batch.is_full());
+    batch
+}
+
+/// A fresh standby applies `batch` and is promoted.
+fn promoted_standby(cfg: GameServerConfig, batch: ReplicaBatch) -> GameServerNode {
+    let mut standby = GameServerNode::new(ServerId(9), cfg).with_fanout();
+    let now = SimTime::from_secs(100);
+    standby.on_matrix(
+        now,
+        MatrixToGame::ReplicaBatch {
+            from: ServerId(1),
+            batch,
+        },
+    );
+    let switched = standby.on_matrix(
+        now,
+        MatrixToGame::Promote {
+            range: world(),
+            radius: 80.0,
+        },
+    );
+    assert_eq!(switched.len(), standby.client_count(), "one switch each");
+    standby
+}
+
+/// The guarantee failover gives: both promoted standbys hold the
+/// primary's replicated state, answer the same future script with
+/// identical actions, and every client decodes its post-promotion
+/// stream from nothing. Returns how many batches were decoded.
+fn assert_failover_guarantee(
+    primary: &GameServerNode,
+    a: &mut GameServerNode,
+    b: &mut GameServerNode,
     population: &mut Vec<u64>,
     case: usize,
-) {
-    assert_eq!(
-        restored.client_ids(),
-        original.client_ids(),
-        "case {case}: client set"
-    );
-    assert_eq!(
-        restored.client_positions(),
-        original.client_positions(),
-        "case {case}: positions"
-    );
-    assert_eq!(
-        restored.delta_streams(),
-        original.delta_streams(),
-        "case {case}: delta-stream table"
-    );
-    // The pending flush: same receiver sets, same items, same bytes.
-    let now = SimTime::from_secs(100);
-    assert_eq!(
-        original.flush_updates(now),
-        restored.flush_updates(now),
-        "case {case}: next flush"
-    );
-    // And the future stays identical: same events in, same actions out.
+) -> usize {
+    for standby in [&*a, &*b] {
+        // Everything a snapshot carries: client set, positions, range,
+        // readiness, tuned `cells_per_axis`, prediction bases.
+        assert_eq!(standby.snapshot(), primary.snapshot(), "case {case}");
+        assert_eq!(
+            standby.prediction_receivers(),
+            primary.prediction_receivers(),
+            "case {case}: prediction receivers"
+        );
+        assert_eq!(standby.delta_streams(), 0, "case {case}: no stream yet");
+    }
+    // Each client's receiver-side delta base: nothing survives the
+    // switch, so a stream that does not open with a keyframe cannot be
+    // decoded.
+    let mut bases: BTreeMap<ClientId, Option<Point>> = BTreeMap::new();
+    let mut decoded = 0;
+    let mut decode = |actions: &[GameAction], at: &str| {
+        for action in actions {
+            let GameAction::ToClient(client, GameToClient::UpdateBatch { updates }) = action else {
+                continue;
+            };
+            let base = bases.entry(*client).or_default();
+            if base.is_none() {
+                assert!(updates[0].is_keyframe(), "case {case} {at}: {client:?}");
+            }
+            let items = reconstruct_updates(base, updates)
+                .unwrap_or_else(|| panic!("case {case} {at}: {client:?} lacks a base"));
+            for u in items {
+                let on_lattice = |v: f64| (v * 256.0).fract() == 0.0;
+                assert!(on_lattice(u.origin.x) && on_lattice(u.origin.y), "{u:?}");
+            }
+            decoded += 1;
+        }
+    };
     let mut next_id = 100_000;
     for step in 0..40 {
         let now = SimTime::from_secs(101) + SimDuration::from_millis(step * 37);
@@ -150,60 +229,65 @@ fn assert_future_equivalence(
         let mut rng_b = SimRng::seed_from_u64(case as u64 * 1000 + step);
         let id_before = next_id;
         let mut pop_b = population.clone();
-        let a = random_event(original, &mut rng_a, now, population, &mut next_id);
+        let acts_a = random_event(a, &mut rng_a, now, population, &mut next_id);
         let mut next_id_b = id_before;
-        let b = random_event(restored, &mut rng_b, now, &mut pop_b, &mut next_id_b);
-        assert_eq!(a, b, "case {case} step {step}: diverging actions");
+        let acts_b = random_event(b, &mut rng_b, now, &mut pop_b, &mut next_id_b);
+        assert_eq!(acts_a, acts_b, "case {case} step {step}: diverging actions");
         assert_eq!(next_id, next_id_b, "case {case} step {step}: id drift");
         *population = pop_b;
+        decode(&acts_a, &format!("step {step}"));
     }
-    let flush_a = original.flush_updates(SimTime::from_secs(200));
-    let flush_b = restored.flush_updates(SimTime::from_secs(200));
+    let flush_a = a.flush_updates(SimTime::from_secs(200));
+    let flush_b = b.flush_updates(SimTime::from_secs(200));
     assert_eq!(flush_a, flush_b, "case {case}: final flush");
+    decode(&flush_a, "final flush");
+    assert_eq!(a.stats(), b.stats(), "case {case}: stats");
+    decoded
 }
 
 #[test]
 fn restore_of_snapshot_is_observably_equivalent() {
     let mut rng = SimRng::seed_from_u64(0xFA11_0E57);
+    let mut decoded = 0;
     for case in 0..25 {
-        let mut g = node(1);
+        let mut g = GameServerNode::new(ServerId(1), failover_cfg(case, 1)).with_fanout();
+        g.register(world(), 80.0);
         let mut population = random_drive(&mut g, &mut rng, 120);
-        let snap = g.snapshot();
-        let mut restored =
-            GameServerNode::new(ServerId(1), GameServerConfig::default()).with_fanout();
-        restored.restore(snap);
-        assert_future_equivalence(&mut g, &mut restored, &mut population, case);
+        let batch = ship_full_snapshot(&mut g);
+        // A standby's own flush_workers must not show.
+        let mut a = promoted_standby(failover_cfg(case, 1), batch.clone());
+        let mut b = promoted_standby(failover_cfg(case, 4), batch);
+        decoded += assert_failover_guarantee(&g, &mut a, &mut b, &mut population, case);
     }
+    assert!(decoded > 100, "the drive must deliver batches: {decoded}");
 }
 
 #[test]
 fn snapshot_survives_the_versioned_wire_format() {
     let mut rng = SimRng::seed_from_u64(0x57AB_1E57);
+    let mut decoded = 0;
     for case in 0..25 {
-        let mut g = node(1);
+        let mut g = GameServerNode::new(ServerId(1), failover_cfg(case, 1)).with_fanout();
+        g.register(world(), 80.0);
         let mut population = random_drive(&mut g, &mut rng, 100);
-        let snap = g.snapshot();
-        let batch = ReplicaBatch {
-            seq: case as u64,
-            payload: ReplicaPayload::Full(snap.clone()),
-        };
+        let batch = ship_full_snapshot(&mut g);
         let bytes = codec_v2::encode_replica_batch_frame(&batch, FrameMeta::default(), true);
-        let decoded = match codec_v2::decode_frame(&bytes) {
+        let over_the_wire = match codec_v2::decode_frame(&bytes) {
             Ok(FrameStatus::Complete {
                 frame: Frame::Replica(got),
                 ..
-            }) => match got.payload {
-                ReplicaPayload::Full(decoded) => decoded,
-                other => panic!("case {case}: {other:?}"),
-            },
+            }) => *got,
             other => panic!("case {case}: {other:?}"),
         };
-        assert_eq!(decoded, snap, "case {case}: codec must be transparent");
-        let mut restored =
-            GameServerNode::new(ServerId(1), GameServerConfig::default()).with_fanout();
-        restored.restore(decoded);
-        assert_future_equivalence(&mut g, &mut restored, &mut population, case);
+        assert_eq!(
+            over_the_wire, batch,
+            "case {case}: codec must be transparent"
+        );
+        let mut a = promoted_standby(failover_cfg(case, 1), batch);
+        let mut b = promoted_standby(failover_cfg(case, 1), over_the_wire);
+        decoded += assert_failover_guarantee(&g, &mut a, &mut b, &mut population, case);
     }
+    assert!(decoded > 100, "the drive must deliver batches: {decoded}");
 }
 
 #[test]
