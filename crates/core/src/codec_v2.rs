@@ -4,9 +4,10 @@
 //! session and replication — is one [`Frame`] here; `docs/WIRE.md` is
 //! the byte-level reference. A session opens with a [`Frame::Hello`]
 //! carrying the protocol version, which the gateway answers with its
-//! own. The only other format in the program is the operator stats
-//! port's JSON line and Prometheus text ([`crate::codec`]), which
-//! never carries a frame.
+//! own. The only other format in the program is the Prometheus text
+//! the operator stats port writes (`matrix_telemetry::render_prometheus`);
+//! that port reads nothing, so frames are the only input parsed off a
+//! socket.
 //!
 //! # Frame layout
 //!
@@ -66,7 +67,6 @@
 //! magic boundary. The fuzz suite (`tests/codec_v2_fuzz.rs`) drives
 //! random bytes, truncations and bit flips through every decoder.
 
-use crate::codec::CodecError;
 use crate::messages::{
     BatchItem, ClientToGame, DeltaItem, GameToClient, RegionSnapshot, ReplicaBatch, ReplicaOp,
     UpdateItem,
@@ -75,6 +75,29 @@ use crate::packet::ClientId;
 use matrix_geometry::{Point, Rect, ServerId};
 use matrix_predict::Basis;
 use matrix_replication::{ReplicaPayload, SessionState, TunerState};
+
+/// A malformed frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CodecError {
+    /// What went wrong, for diagnostics.
+    pub reason: String,
+}
+
+impl CodecError {
+    fn new(reason: impl Into<String>) -> CodecError {
+        CodecError {
+            reason: reason.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "bad frame: {}", self.reason)
+    }
+}
+
+impl std::error::Error for CodecError {}
 
 /// The two bytes every binary frame opens with.
 pub const MAGIC: [u8; 2] = [0xD7, 0x4D];

@@ -341,9 +341,33 @@ impl Default for CoordinatorConfig {
     }
 }
 
+impl CoordinatorConfig {
+    /// How often a driver runs `Coordinator::check_liveness`: half the
+    /// heartbeat timeout, bounded to [100 ms, 1 s], so a short timeout
+    /// is honoured without waiting out a fixed one-second cadence. The
+    /// sim and rt drivers both sweep on this clock.
+    pub fn sweep_interval(&self) -> SimDuration {
+        SimDuration::from_micros((self.heartbeat_timeout.as_micros() / 2).clamp(100_000, 1_000_000))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sweep_interval_is_half_the_timeout_within_its_bounds() {
+        let sweep_ms = |timeout_ms| {
+            let cfg = CoordinatorConfig {
+                heartbeat_timeout: SimDuration::from_millis(timeout_ms),
+                ..CoordinatorConfig::default()
+            };
+            cfg.sweep_interval().as_micros() / 1_000
+        };
+        assert_eq!(sweep_ms(100), 100, "floor");
+        assert_eq!(sweep_ms(500), 250, "half the timeout");
+        assert_eq!(sweep_ms(5_000), 1_000, "cap");
+    }
 
     #[test]
     fn defaults_match_figure_2_thresholds() {

@@ -80,7 +80,6 @@
 
 pub mod analysis;
 pub mod baseline;
-pub mod codec;
 pub mod codec_v2;
 mod config;
 mod coordinator;
@@ -130,7 +129,7 @@ pub use matrix_replication::{
 
 // Re-export the telemetry plane: drivers assemble and merge
 // `TelemetrySnapshot`s, read the coordinator's flight recorder, and
-// render Prometheus text from the same types the wire codec carries.
+// render Prometheus text from them.
 pub use matrix_telemetry::{
     diag_line, emit_diag, render_prometheus, EventKind, FlightRecorder, HistSnapshot, Histogram,
     SloTargets, SloTracker, Stage, StageSpans, TelemetryEvent, TelemetrySnapshot, TraceTag,

@@ -536,8 +536,10 @@ impl Cluster {
             self.queue
                 .schedule(SimTime::ZERO + self.cfg.game.tick, Event::NodeTick(id));
         }
-        self.queue
-            .schedule(SimTime::from_secs(1), Event::CoordSweep);
+        self.queue.schedule(
+            SimTime::ZERO + self.cfg.coordinator.sweep_interval(),
+            Event::CoordSweep,
+        );
         self.queue
             .schedule(SimTime::ZERO + self.cfg.sample_every, Event::Sample);
         let crashes = self.cfg.crashes.clone();
@@ -627,8 +629,10 @@ impl Cluster {
                 // side-channel probing of replies.
                 let actions = self.coordinator.check_liveness(self.now);
                 self.process_coord_actions(actions);
-                self.queue
-                    .schedule(self.now + SimDuration::from_secs(1), Event::CoordSweep);
+                self.queue.schedule(
+                    self.now + self.cfg.coordinator.sweep_interval(),
+                    Event::CoordSweep,
+                );
             }
             Event::Sample => self.sample(),
             Event::Crash(victim) => {

@@ -190,7 +190,7 @@ impl RtCluster {
 
     /// Binds a live stats endpoint over every node in the cluster (see
     /// [`crate::wire::spawn_stats_endpoint`]); returns the bound
-    /// address. Query it with [`crate::wire::TcpStatsClient`]. The
+    /// address. Read it with [`crate::wire::TcpStatsClient`]. The
     /// coordinator's freshness-SLO gauges ride along as pseudo-node
     /// `ServerId(0)` whenever any ring carries a staleness target.
     ///
@@ -232,11 +232,8 @@ async fn run_coordinator(
     mut slo_rx: mpsc::UnboundedReceiver<oneshot::Sender<TelemetrySnapshot>>,
 ) {
     let mut coordinator = Coordinator::new(cfg);
-    // Sweep at half the heartbeat timeout (bounded to [100ms, 1s]) so a
-    // short timeout — as failover tests configure — is honoured without
-    // waiting for a fixed one-second cadence.
-    let sweep_every = (cfg.heartbeat_timeout.as_micros() / 2).clamp(100_000, 1_000_000);
-    let mut sweep = tokio::time::interval(std::time::Duration::from_micros(sweep_every));
+    let sweep_every = std::time::Duration::from_micros(cfg.sweep_interval().as_micros());
+    let mut sweep = tokio::time::interval(sweep_every);
     loop {
         tokio::select! {
             maybe = rx.recv() => {

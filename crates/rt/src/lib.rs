@@ -10,7 +10,7 @@
 //! With `GameServerConfig::telemetry` on, every node snapshot carries a
 //! `TelemetrySnapshot` (stage/flush/tick latency histograms plus the
 //! counters), and [`RtCluster::serve_stats`] exposes them live over TCP
-//! as versioned JSON or Prometheus-style text ([`wire::TcpStatsClient`]).
+//! as Prometheus-style text ([`wire::TcpStatsClient`]).
 //!
 //! # Example
 //!

@@ -32,14 +32,12 @@
 //! # Stats port
 //!
 //! The one place another format is spoken: the operator stats endpoint
-//! ([`spawn_stats_endpoint`]) also takes its query as a JSON line
-//! (`matrix_core::codec`) and can answer in JSON or Prometheus text, so
-//! `nc` can scrape it.
+//! ([`spawn_stats_endpoint`]) writes Prometheus text at whoever
+//! connects and closes, so `nc host port` scrapes it. It reads nothing.
 
 use crate::node::{NodeHandle, NodeMsg};
 use crate::router::Router;
-use matrix_core::codec::{self, CodecError, StatsFormat};
-use matrix_core::codec_v2::{self, Frame, FrameAccumulator, FrameMeta};
+use matrix_core::codec_v2::{self, CodecError, Frame, FrameAccumulator, FrameMeta};
 use matrix_core::{
     render_prometheus, ClientId, ClientToGame, GameToClient, TelemetrySnapshot, WireCodec,
 };
@@ -54,8 +52,7 @@ use tokio::sync::mpsc;
 pub enum WireError {
     /// Socket-level failure.
     Io(std::io::Error),
-    /// A frame (or stats line) was not valid for the expected message
-    /// type.
+    /// A frame was not valid for the expected message type.
     BadFrame(CodecError),
     /// The peer closed the connection.
     Closed,
@@ -115,47 +112,6 @@ impl FrameClock {
         };
         self.seq += 1;
         meta
-    }
-}
-
-/// Longest stats-query line the endpoint buffers. A well-formed query
-/// is under 64 bytes; the port is open to anyone, so a peer that never
-/// sends a newline must not grow the buffer without limit.
-const MAX_QUERY_LINE_BYTES: usize = 4096;
-
-/// Assembles the stats port's newline-delimited query line from raw
-/// chunks (the socket is sniffed, so a line reader cannot own it).
-#[derive(Debug, Default)]
-struct LineAssembler {
-    buf: Vec<u8>,
-}
-
-impl LineAssembler {
-    fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// The next completed line; `None` while it is still arriving.
-    /// A line longer than [`MAX_QUERY_LINE_BYTES`] is an error whether
-    /// or not its newline has arrived.
-    fn next_line(&mut self) -> Option<Result<String, CodecError>> {
-        let pos = match self.buf.iter().position(|&b| b == b'\n') {
-            Some(pos) if pos <= MAX_QUERY_LINE_BYTES => pos,
-            None if self.buf.len() <= MAX_QUERY_LINE_BYTES => return None,
-            _ => {
-                return Some(Err(CodecError {
-                    reason: "line too long".into(),
-                }))
-            }
-        };
-        let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-        line.pop();
-        while line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        Some(String::from_utf8(line).map_err(|_| CodecError {
-            reason: "line is not UTF-8".into(),
-        }))
     }
 }
 
@@ -372,8 +328,8 @@ async fn serve_connection(
                             }
                         }
                         Ok((Frame::Client(msg), _)) => bridge.upload(msg),
-                        // A client has no business sending
-                        // server/replica/stats frames.
+                        // A client has no business sending server or
+                        // replica frames.
                         Ok(_) => break 'conn,
                         // Corrupt region: the accumulator already
                         // resynced at the next magic boundary.
@@ -397,19 +353,17 @@ async fn serve_connection(
 /// Returns the local address; the accept loop runs until the listener
 /// task is dropped.
 ///
-/// Protocol: one stats query per connection — a JSON line
-/// (`matrix_core::codec::encode_stats_query`) — answered by a
-/// stats-reply line for [`StatsFormat::Json`] or Prometheus-style text
-/// exposition for [`StatsFormat::Prom`], then the server closes the
-/// connection. Nodes with telemetry off contribute nothing, so the
-/// reply is empty — not an error — on a dark cluster.
+/// Protocol: connect and read to EOF. The endpoint writes the
+/// Prometheus-style text exposition ([`render_prometheus`]) of every
+/// node's snapshot and closes; it reads nothing from the socket. Nodes
+/// with telemetry off contribute nothing, so the body is empty — not an
+/// error — on a dark cluster.
 ///
 /// When an `slo` probe is supplied, the coordinator's freshness-SLO
 /// gauges (`slo_*`) are appended as pseudo-node `ServerId(0)` — the
 /// coordinator is not a game server, but its tracker is cluster state
 /// an operator scrapes from the same port. A dark tracker (no ring
-/// targets configured) contributes nothing, keeping pre-SLO replies
-/// byte-identical.
+/// targets configured) contributes nothing.
 ///
 /// # Errors
 ///
@@ -432,28 +386,11 @@ pub async fn spawn_stats_endpoint(
     Ok(local)
 }
 
-/// Reads the one stats query line off the socket. Oversized, non-UTF-8
-/// or malformed: `None`, and the session is dropped.
-async fn read_stats_query(chunks: &mut Chunks) -> Option<StatsFormat> {
-    let mut lines = LineAssembler::default();
-    loop {
-        lines.push(&chunks.next_chunk().await.ok()??);
-        if let Some(line) = lines.next_line() {
-            return codec::decode_stats_query(&line.ok()?).ok();
-        }
-    }
-}
-
 async fn serve_stats(
     stream: TcpStream,
     nodes: Vec<NodeHandle>,
     slo: Option<crate::cluster::SloProbe>,
 ) {
-    let (read_half, mut write_half) = stream.into_split();
-    let mut chunks = read_half.into_chunks();
-    let Some(fmt) = read_stats_query(&mut chunks).await else {
-        return; // malformed or wrong-version query: drop the session
-    };
     let mut snaps: Vec<(ServerId, TelemetrySnapshot)> = Vec::new();
     if let Some(probe) = &slo {
         if let Some(snap) = probe.snapshot().await {
@@ -469,55 +406,28 @@ async fn serve_stats(
             }
         }
     }
-    let mut reply = match fmt {
-        StatsFormat::Json => codec::encode_stats_reply(&snaps),
-        StatsFormat::Prom => render_prometheus(&snaps),
-    };
-    if !reply.ends_with('\n') {
-        reply.push('\n');
-    }
-    let _ = write_half.write_all(reply.as_bytes()).await;
-    // Both halves drop here, closing the socket: the client reads to
-    // EOF, which is what ends a multi-line Prometheus response.
+    // Nothing is read from the peer: the read half is dropped unused.
+    let (_, mut write_half) = stream.into_split();
+    let _ = write_half
+        .write_all(render_prometheus(&snaps).as_bytes())
+        .await;
+    // The socket closes here: the reader's EOF is what ends the text.
 }
 
-/// A remote consumer of the live stats endpoint: one query per
+/// A remote consumer of the live stats endpoint: one read per
 /// connection, like `curl` against a metrics port.
 pub struct TcpStatsClient;
 
 impl TcpStatsClient {
-    /// Fetches the cluster's per-node telemetry snapshots as structured
-    /// data over the JSON line form (any language can speak it).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Closed`] if the endpoint hangs up without replying,
-    /// socket errors, or [`WireError::BadFrame`] for a malformed reply.
-    pub async fn fetch_json(
-        addr: impl ToSocketAddrs,
-    ) -> Result<Vec<(ServerId, TelemetrySnapshot)>, WireError> {
-        let stream = TcpStream::connect(addr).await?;
-        let (read_half, mut write_half) = stream.into_split();
-        let mut framed = codec::encode_stats_query(StatsFormat::Json);
-        framed.push('\n');
-        write_half.write_all(framed.as_bytes()).await?;
-        let mut lines = BufReader::new(read_half).lines();
-        let line = lines.next_line().await?.ok_or(WireError::Closed)?;
-        Ok(codec::decode_stats_reply(&line)?)
-    }
-
     /// Fetches the Prometheus-style text exposition (reads to EOF).
     ///
     /// # Errors
     ///
-    /// Socket errors from connecting, writing the query or reading the
-    /// response.
+    /// Socket errors from connecting or reading the response.
     pub async fn fetch_text(addr: impl ToSocketAddrs) -> Result<String, WireError> {
         let stream = TcpStream::connect(addr).await?;
-        let (read_half, mut write_half) = stream.into_split();
-        let mut framed = codec::encode_stats_query(StatsFormat::Prom);
-        framed.push('\n');
-        write_half.write_all(framed.as_bytes()).await?;
+        // Dropping the write half would shut the socket down both ways.
+        let (read_half, _write_half) = stream.into_split();
         let mut lines = BufReader::new(read_half).lines();
         let mut out = String::new();
         while let Some(line) = lines.next_line().await? {
@@ -853,22 +763,5 @@ mod tests {
             new_owner.try_recv(),
             Ok(NodeMsg::FromClient(_, ClientToGame::Leave))
         ));
-    }
-
-    #[test]
-    fn line_assembler_splits_on_newlines_across_chunks() {
-        let mut lines = LineAssembler::default();
-        lines.push(b"{\"t\":\"le");
-        assert!(lines.next_line().is_none(), "no newline yet");
-        lines.push(b"ave\"}\r\n{\"t\":");
-        assert_eq!(lines.next_line().unwrap().unwrap(), "{\"t\":\"leave\"}");
-        assert!(lines.next_line().is_none(), "second line incomplete");
-        lines.push(b"\"leave\"}\n");
-        assert_eq!(lines.next_line().unwrap().unwrap(), "{\"t\":\"leave\"}");
-        // A line that outgrows the cap is an error before its newline.
-        lines.push(&[b'a'; MAX_QUERY_LINE_BYTES]);
-        assert!(lines.next_line().is_none(), "at the cap, still waiting");
-        lines.push(b"a");
-        assert!(lines.next_line().unwrap().is_err());
     }
 }

@@ -693,8 +693,8 @@ async fn ring_tagged_updates_cross_the_real_wire() {
 #[tokio::test]
 async fn stats_endpoint_serves_live_telemetry_over_tcp() {
     // E2E observability: with telemetry on, the cluster's stats endpoint
-    // answers both wire formats over a real socket — structured JSON
-    // (per-node counters + sparse histograms) and Prometheus-style text.
+    // writes every node's counters and histograms as Prometheus-style
+    // text at a real socket that sent it nothing.
     let mut cfg = fast_config();
     cfg.game.telemetry = true;
     cfg.game.emit_updates = true;
@@ -716,38 +716,6 @@ async fn stats_endpoint_serves_live_telemetry_over_tcp() {
         .expect("update delivered")
         .expect("channel open");
 
-    let nodes = tokio::time::timeout(
-        Duration::from_secs(2),
-        wire::TcpStatsClient::fetch_json(addr),
-    )
-    .await
-    .expect("stats reply within deadline")
-    .expect("decoded stats reply");
-    assert!(
-        !nodes.is_empty(),
-        "telemetry-on nodes must expose snapshots"
-    );
-    let merged = nodes.iter().fold(
-        matrix_core::TelemetrySnapshot::new(),
-        |mut acc, (_, snap)| {
-            acc.merge(snap);
-            acc
-        },
-    );
-    assert!(
-        merged.get_counter("joins").unwrap_or(0) >= 2,
-        "both joins must be counted: {:?}",
-        merged.counters
-    );
-    assert!(
-        merged.get_hist("rt_tick_us").is_some(),
-        "the runtime's tick histogram must ride the snapshot"
-    );
-    assert!(
-        merged.get_hist("flush_us").is_some(),
-        "a flush with pending work must be timed"
-    );
-
     let text = tokio::time::timeout(
         Duration::from_secs(2),
         wire::TcpStatsClient::fetch_text(addr),
@@ -756,31 +724,41 @@ async fn stats_endpoint_serves_live_telemetry_over_tcp() {
     .expect("prometheus text within deadline")
     .expect("read to EOF");
     assert!(text.contains("# TYPE matrix_joins counter"), "{text}");
-    assert!(text.contains("matrix_rt_tick_us_count"), "{text}");
+    let joins: u64 = text
+        .lines()
+        .filter(|l| l.starts_with("matrix_joins{"))
+        .map(|l| l.rsplit_once(' ').expect(l).1.parse::<u64>().expect(l))
+        .sum();
+    assert!(joins >= 2, "both joins must be counted: {text}");
+    assert!(
+        text.contains("matrix_rt_tick_us_count"),
+        "the runtime's tick histogram must ride the snapshot: {text}"
+    );
+    assert!(
+        text.contains("matrix_flush_us_count"),
+        "a flush with pending work must be timed: {text}"
+    );
     cluster.shutdown().await;
 }
 
 #[tokio::test]
 async fn stats_endpoint_is_empty_with_telemetry_off() {
     // Telemetry off is the default, and it must mean *zero* exposure:
-    // the endpoint still answers, with no node snapshots.
+    // the endpoint still answers — an empty body and a clean EOF.
     let cluster = RtCluster::start(fast_config()).await;
     let addr = cluster.serve_stats("127.0.0.1:0").await.expect("bind");
     let mut client = cluster.client(Point::new(100.0, 100.0));
     let _ = tokio::time::timeout(Duration::from_secs(2), client.recv())
         .await
         .unwrap();
-    let nodes = tokio::time::timeout(
+    let text = tokio::time::timeout(
         Duration::from_secs(2),
-        wire::TcpStatsClient::fetch_json(addr),
+        wire::TcpStatsClient::fetch_text(addr),
     )
     .await
     .expect("stats reply within deadline")
-    .expect("decoded stats reply");
-    assert!(
-        nodes.is_empty(),
-        "dark cluster must expose nothing: {nodes:?}"
-    );
+    .expect("clean EOF");
+    assert!(text.is_empty(), "dark cluster must expose nothing: {text}");
     cluster.shutdown().await;
 }
 
@@ -860,27 +838,19 @@ async fn gateway_closes_a_connection_that_does_not_open_with_a_frame() {
 }
 
 #[tokio::test]
-async fn stats_endpoint_drops_a_query_line_that_never_ends() {
-    use std::io::{Read, Write};
+async fn stats_endpoint_outlives_a_peer_that_floods_it() {
+    use std::io::Write;
 
     let mut cfg = fast_config();
     cfg.game.telemetry = true;
     let cluster = RtCluster::start(cfg).await;
     let addr = cluster.serve_stats("127.0.0.1:0").await.expect("bind");
 
-    // 64 KiB and no newline: the endpoint must hang up rather than
-    // buffer it. The write may fail part-way once it has.
+    // 64 KiB at a port that never reads: the endpoint writes its text
+    // and hangs up with the bytes unread. The write may fail part-way
+    // once it has (a reset is a close).
     let mut flood = std::net::TcpStream::connect(addr).expect("connect");
-    flood
-        .set_read_timeout(Some(Duration::from_secs(1)))
-        .expect("timeout");
     let _ = flood.write_all(&[b'a'; 64 * 1024]);
-    let mut reply = Vec::new();
-    match flood.read_to_end(&mut reply) {
-        Ok(_) => assert!(reply.is_empty(), "no reply to an oversized line"),
-        // The peer closed with our bytes still unread: a reset is a close.
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
-    }
 
     let text = tokio::time::timeout(
         Duration::from_secs(2),
@@ -888,7 +858,7 @@ async fn stats_endpoint_drops_a_query_line_that_never_ends() {
     )
     .await
     .expect("text reply within deadline")
-    .expect("well-formed query is still answered");
+    .expect("the next reader is still answered");
     assert!(text.contains("# TYPE"), "{text}");
     cluster.shutdown().await;
 }

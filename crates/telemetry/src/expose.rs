@@ -10,7 +10,6 @@ use matrix_geometry::ServerId;
 fn metric_help(name: &str) -> &'static str {
     match name {
         "recorder_capacity" => "Flight-recorder ring capacity in events (0 = disabled)",
-        "recorder_dropped" => "Flight-recorder events evicted before being read",
         "events_seen" => "Flight-recorder events ever recorded",
         "events_dropped" => "Flight-recorder events evicted before being read",
         "flush_shard_imbalance_bp" => {
@@ -92,15 +91,6 @@ pub fn render_prometheus(nodes: &[(ServerId, TelemetrySnapshot)]) -> String {
             "matrix_events_dropped{{server=\"{sid}\"}} {}",
             snap.events_dropped
         );
-        // The recorder's health as point-in-time gauges: how many events
-        // the ring has evicted unread (its capacity gauge rides the
-        // name-keyed counters when the node reports one).
-        note_type(&mut typed, &mut out, "recorder_dropped", "gauge");
-        let _ = writeln!(
-            out,
-            "matrix_recorder_dropped{{server=\"{sid}\"}} {}",
-            snap.events_dropped
-        );
     }
     out
 }
@@ -169,10 +159,10 @@ mod tests {
         assert!(text.contains("matrix_recorder_capacity{server=\"1\"} 256"));
         assert!(text.contains("# TYPE matrix_slo_burn_bp_r0 gauge"));
         assert!(text.contains("matrix_slo_burn_bp_r0{server=\"1\"} 5000"));
-        assert!(text.contains("# TYPE matrix_recorder_dropped gauge"));
-        assert!(text.contains("matrix_recorder_dropped{server=\"1\"} 7"));
-        // The legacy counter stays for dashboards that already scrape it.
+        // The ring's eviction count is one field and one metric.
+        assert!(text.contains("# TYPE matrix_events_dropped counter"));
         assert!(text.contains("matrix_events_dropped{server=\"1\"} 7"));
+        assert!(!text.contains("recorder_dropped"), "{text}");
     }
 
     #[test]

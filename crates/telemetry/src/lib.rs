@@ -19,9 +19,10 @@
 //!   hand-rolled by harness probes.
 //! * [`TelemetrySnapshot`] — the wire-friendly aggregate (named counters
 //!   plus sparse-bucket [`HistSnapshot`]s) that rides load reports and
-//!   heartbeats to the coordinator and answers the `matrix-rt` stats
-//!   query. Snapshots [`merge`](TelemetrySnapshot::merge) by name, so
-//!   per-node histograms aggregate into cluster-wide distributions.
+//!   heartbeats to the coordinator and is rendered as text by the
+//!   `matrix-rt` stats port. Snapshots
+//!   [`merge`](TelemetrySnapshot::merge) by name, so per-node
+//!   histograms aggregate into cluster-wide distributions.
 //! * [`TraceTag`] — the causal trace plane: a compact tag stamped on a
 //!   sampled subset of ingested events (`trace_sample_rate`), carried
 //!   through every pipeline stage, the sharded flush and the wire, and

@@ -56,8 +56,8 @@ impl HistSnapshot {
 
 /// One node's telemetry at a point in time: named counters, histogram
 /// snapshots and flight-recorder occupancy. Rides load reports and
-/// heartbeats to the coordinator; crosses the real wire in the
-/// `matrix-rt` stats reply (`matrix_core::codec`).
+/// heartbeats to the coordinator in process; the `matrix-rt` stats
+/// port serves its Prometheus rendering (`crate::render_prometheus`).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Monotone counters, name-ascending once assembled.
@@ -72,10 +72,21 @@ pub struct TelemetrySnapshot {
 
 /// Whether a name-keyed metric is a point-in-time gauge (recorder
 /// occupancy, SLO burn state, shard imbalance) rather than a monotone
-/// counter. The exposition types it accordingly and a merge keeps the
-/// larger reading instead of adding ratios and capacities up.
+/// counter. The exposition types it accordingly and a second reading
+/// of the same name keeps the larger one instead of adding ratios and
+/// capacities up.
 pub(crate) fn is_gauge(name: &str) -> bool {
     name.starts_with("slo_") || name.starts_with("recorder_") || name == "flush_shard_imbalance_bp"
+}
+
+/// Folds a second reading of `name` into `mine`: counters add, gauges
+/// keep the larger reading.
+fn combine(name: &str, mine: &mut u64, value: u64) {
+    if is_gauge(name) {
+        *mine = (*mine).max(value);
+    } else {
+        *mine += value;
+    }
 }
 
 impl TelemetrySnapshot {
@@ -84,11 +95,13 @@ impl TelemetrySnapshot {
         TelemetrySnapshot::default()
     }
 
-    /// Adds (or bumps) a named counter.
+    /// Adds a named counter; a name already present is combined as
+    /// [`merge`](TelemetrySnapshot::merge) would (counters add, gauges
+    /// keep the larger reading).
     pub fn counter(&mut self, name: impl Into<String>, value: u64) {
         let name = name.into();
         match self.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += value,
+            Some((_, mine)) => combine(&name, mine, value),
             None => self.counters.push((name, value)),
         }
     }
@@ -122,8 +135,7 @@ impl TelemetrySnapshot {
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         for (name, v) in &other.counters {
             match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) if is_gauge(name) => *mine = (*mine).max(*v),
-                Some((_, mine)) => *mine += v,
+                Some((_, mine)) => combine(name, mine, *v),
                 None => self.counters.push((name.clone(), *v)),
             }
         }
@@ -214,6 +226,21 @@ mod tests {
         assert_eq!(merged.get_counter("flush_shard_imbalance_bp"), Some(12_500));
         assert_eq!(merged.get_counter("recorder_capacity"), Some(256));
         assert_eq!(merged.get_counter("joins"), Some(9), "counters still add");
+    }
+
+    #[test]
+    fn a_repeated_gauge_keeps_the_larger_reading() {
+        // A node that names its ring capacity twice still has one ring.
+        let mut s = TelemetrySnapshot::new();
+        for _ in 0..2 {
+            s.counter("recorder_capacity", 256);
+            s.counter("joins", 3);
+        }
+        s.counter("slo_burn_bp_r0", 4_000);
+        s.counter("slo_burn_bp_r0", 2_500);
+        assert_eq!(s.get_counter("recorder_capacity"), Some(256));
+        assert_eq!(s.get_counter("slo_burn_bp_r0"), Some(4_000));
+        assert_eq!(s.get_counter("joins"), Some(6), "counters still add");
     }
 
     #[test]

@@ -29,12 +29,12 @@
 //! the ring's budget.
 //!
 //! Pass `--telemetry` to turn the telemetry plane on
-//! (`docs/OBSERVABILITY.md`); a live stats endpoint then answers
-//! versioned queries on a second port:
+//! (`docs/OBSERVABILITY.md`); a live stats endpoint then writes
+//! Prometheus text at whoever connects to a second port:
 //!
 //! ```text
 //! $ nc 127.0.0.1 <stats port>
-//! {"t":"stats","v":1,"fmt":"prom"}
+//! # HELP matrix_joins Matrix telemetry metric
 //! # TYPE matrix_joins counter
 //! matrix_joins{server="1"} 2
 //! ...
@@ -83,7 +83,7 @@ async fn main() {
             .serve_stats(("127.0.0.1", 0))
             .await
             .expect("bind stats endpoint");
-        println!("stats endpoint on {stats} (query: {{\"t\":\"stats\",\"v\":1,\"fmt\":\"prom\"}})");
+        println!("stats endpoint on {stats} (connect and read to EOF)");
     }
 
     // Two real sockets through the gateway: alice acts, bob watches.

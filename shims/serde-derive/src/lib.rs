@@ -3,7 +3,7 @@
 //! This workspace builds in environments with no network access and no
 //! crates.io mirror, so the real `serde` cannot be fetched. The project
 //! never serialises through serde at runtime (the wire codec in
-//! `matrix-core::codec` is hand-written), but the sources keep the
+//! `matrix-core::codec_v2` is hand-written), but the sources keep the
 //! idiomatic `#[derive(Serialize, Deserialize)]` annotations so they can
 //! be switched to the real serde by swapping this shim out of the
 //! workspace. The derives therefore expand to nothing; the sibling

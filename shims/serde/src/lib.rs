@@ -2,7 +2,7 @@
 //!
 //! The workspace builds with no network access, so the real serde cannot
 //! be fetched. Runtime serialisation goes through the hand-written codec
-//! in `matrix-core::codec`; the `#[derive(Serialize, Deserialize)]`
+//! in `matrix-core::codec_v2`; the `#[derive(Serialize, Deserialize)]`
 //! annotations across the workspace are kept as documentation of which
 //! types form the wire surface, and so the real serde can be dropped back
 //! in later. Here the traits are blanket-implemented markers and the

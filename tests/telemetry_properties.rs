@@ -1,18 +1,15 @@
 //! Property-based tests of the telemetry plane: histogram quantile and
-//! merge laws, the stats wire codec, the flight-recorder ring, and the
-//! end-to-end on/off contract of the instrumented game server.
+//! merge laws, the Prometheus text the stats port serves, the
+//! flight-recorder ring, and the end-to-end on/off contract of the
+//! instrumented game server.
 //!
 //! Randomization is driven by the workspace's own seeded [`SimRng`]
 //! (fixed seeds, so failures are reproducible) instead of an external
 //! property-testing framework, keeping the build offline-friendly.
 
-use matrix_middleware::core::codec::{
-    decode_stats_query, decode_stats_reply, encode_stats_query, encode_stats_reply, StatsFormat,
-};
-use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
-    ClientId, ClientToGame, EventKind, FlightRecorder, GameServerConfig, GameServerNode,
-    HistSnapshot, Histogram, Stage, TelemetrySnapshot,
+    render_prometheus, ClientId, ClientToGame, EventKind, FlightRecorder, GameServerConfig,
+    GameServerNode, HistSnapshot, Histogram, Stage, TelemetrySnapshot,
 };
 use matrix_middleware::geometry::{Point, Rect, ServerId};
 use matrix_middleware::sim::{SimRng, SimTime};
@@ -153,84 +150,109 @@ fn random_snapshot(rng: &mut SimRng) -> TelemetrySnapshot {
     snap
 }
 
-/// The stats wire codec round-trips arbitrary snapshot sets exactly:
-/// counters, sparse histogram buckets, extrema and drop counters all
-/// survive, for any number of nodes including zero.
+/// The text the stats port serves carries every snapshot set in full:
+/// each counter once per server with its exact value under the right
+/// type, each histogram's count, sum and ascending quantiles, one
+/// `# HELP`/`# TYPE` pair per metric name, and nothing a line-oriented
+/// scraper cannot split — for any number of nodes including zero.
 #[test]
-fn stats_reply_round_trips_random_snapshots() {
+fn prometheus_text_carries_every_counter_and_histogram_once() {
     let mut rng = SimRng::seed_from_u64(0xC0DEC);
     for case in 0..CASES {
-        let nodes: Vec<(ServerId, TelemetrySnapshot)> = (0..rng.uniform_u64(0, 5))
+        let mut nodes: Vec<(ServerId, TelemetrySnapshot)> = (0..rng.uniform_u64(0, 5))
             .map(|i| (ServerId(i as u32 + 1), random_snapshot(&mut rng)))
             .collect();
-        let line = encode_stats_reply(&nodes);
-        let back = decode_stats_reply(&line).expect("round trip");
-        assert_eq!(back.len(), nodes.len(), "case {case}");
-        for ((sid, snap), (bid, bsnap)) in nodes.iter().zip(&back) {
-            assert_eq!(sid, bid, "case {case}");
-            assert_eq!(snap.counters, bsnap.counters, "case {case}");
-            assert_eq!(snap.events_seen, bsnap.events_seen, "case {case}");
-            assert_eq!(snap.events_dropped, bsnap.events_dropped, "case {case}");
-            assert_eq!(snap.hists.len(), bsnap.hists.len(), "case {case}");
-            for (h, bh) in snap.hists.iter().zip(&bsnap.hists) {
-                assert_eq!(h.name, bh.name, "case {case}");
-                assert_eq!(h.count, bh.count, "case {case}");
-                assert_eq!(h.buckets, bh.buckets, "case {case}");
-                let (orig, dec) = (h.to_histogram(), bh.to_histogram());
-                assert_eq!(orig.min(), dec.min(), "case {case}");
-                assert_eq!(orig.max(), dec.max(), "case {case}");
-                assert_eq!(orig.quantile(0.99), dec.quantile(0.99), "case {case}");
+        // One gauge somewhere, so both `# TYPE`s are on trial.
+        if let Some((_, snap)) = nodes.first_mut() {
+            snap.counter("recorder_capacity", 256);
+        }
+        let text = render_prometheus(&nodes);
+        assert_eq!(text.is_empty(), nodes.is_empty(), "case {case}");
+
+        // Every line is a comment or `name{labels} value`, value finite.
+        let (comments, lines): (Vec<&str>, Vec<&str>) =
+            text.lines().partition(|l| l.starts_with('#'));
+        let samples: Vec<(&str, &str, &str)> = lines
+            .iter()
+            .map(|line| {
+                let (series, value) = line.rsplit_once(' ').expect(line);
+                let (name, labels) = series.split_once('{').expect(line);
+                assert!(value.parse::<f64>().expect(line).is_finite(), "{line}");
+                (name, labels.strip_suffix('}').expect(line), value)
+            })
+            .collect();
+        // The values of one series, as printed.
+        let sample = |name: &str, labels: &str| -> Vec<&str> {
+            samples
+                .iter()
+                .filter(|(n, l, _)| *n == name && *l == labels)
+                .map(|(_, _, v)| *v)
+                .collect()
+        };
+        // The `(metric name, rest)` of each comment line of one kind.
+        let declared = |prefix: &str| -> Vec<(&str, &str)> {
+            comments
+                .iter()
+                .filter_map(|c| c.strip_prefix(prefix)?.split_once(' '))
+                .collect()
+        };
+        // `# HELP` then `# TYPE`, once per metric name.
+        let types = declared("# TYPE ");
+        let names: Vec<&str> = types.iter().map(|(n, _)| *n).collect();
+        let helped: Vec<&str> = declared("# HELP ").iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, helped, "case {case}: HELP and TYPE pair up in order");
+        assert_eq!(comments.len(), 2 * names.len(), "case {case}");
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "case {case}: one pair per name");
+        let kind_of = |name: &str| types.iter().find(|(n, _)| *n == name).map(|(_, k)| *k);
+
+        for (sid, snap) in &nodes {
+            let server = format!("server=\"{}\"", sid.0);
+            let mut counters = snap.counters.clone();
+            counters.push(("events_seen".into(), snap.events_seen));
+            counters.push(("events_dropped".into(), snap.events_dropped));
+            for (name, v) in &counters {
+                let name = format!("matrix_{name}");
+                assert_eq!(
+                    sample(&name, &server),
+                    [v.to_string()],
+                    "case {case}: {name}"
+                );
+                let kind = if name == "matrix_recorder_capacity" {
+                    "gauge"
+                } else {
+                    "counter"
+                };
+                assert_eq!(kind_of(&name), Some(kind), "case {case}: {name}");
+            }
+            for h in &snap.hists {
+                let name = format!("matrix_{}", h.name);
+                assert_eq!(kind_of(&name), Some("summary"), "case {case}: {name}");
+                let count = sample(&format!("{name}_count"), &server);
+                assert_eq!(count, [h.count.to_string()], "case {case}: {name}");
+                let sum = sample(&format!("{name}_sum"), &server);
+                assert_eq!(sum, [h.sum.to_string()], "case {case}: {name}");
+                let quantiles: Vec<f64> = ["0.5", "0.95", "0.99", "0.999"]
+                    .iter()
+                    .flat_map(|q| sample(&name, &format!("{server},quantile=\"{q}\"")))
+                    .map(|v| v.parse().unwrap())
+                    .collect();
+                assert_eq!(quantiles.len(), 4, "case {case}: one sample per quantile");
+                assert!(
+                    quantiles.windows(2).all(|w| w[0] <= w[1]),
+                    "case {case}: {quantiles:?}"
+                );
             }
         }
-    }
-}
-
-/// The stats plane is isolated from the session protocol: every client
-/// message round-trips bit-for-bit as a session frame, and the stats
-/// port's line decoders reject a session message spelled as a JSON line
-/// (the retired v1 form — what a stale client would send).
-#[test]
-fn legacy_frames_are_unaffected_by_stats_frames() {
-    let mut rng = SimRng::seed_from_u64(0x1E64C7);
-    for case in 0..CASES {
-        let msg = match rng.uniform_u64(0, 4) {
-            0 => ClientToGame::Join {
-                pos: Point::new(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-                state_bytes: rng.uniform_u64(0, 1 << 20),
-            },
-            1 => ClientToGame::Move {
-                pos: Point::new(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-            },
-            2 => ClientToGame::Action {
-                pos: Point::new(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-                payload_bytes: rng.uniform_u64(0, 4096) as usize,
-            },
-            _ => ClientToGame::Leave,
-        };
-        let decode = |bytes: &[u8]| match codec_v2::decode_frame(bytes) {
-            Ok(FrameStatus::Complete { frame, .. }) => frame,
-            other => panic!("case {case}: {other:?}"),
-        };
-        let meta = FrameMeta::default();
-        let bytes = codec_v2::encode_client_frame(&msg, meta, true);
-        assert_eq!(decode(&bytes), Frame::Client(msg.clone()), "case {case}");
-        let line = match msg {
-            ClientToGame::Join { pos, state_bytes } => format!(
-                "{{\"t\":\"join\",\"x\":{:?},\"y\":{:?},\"state\":{state_bytes}}}",
-                pos.x, pos.y
-            ),
-            ClientToGame::Move { pos } => {
-                format!("{{\"t\":\"move\",\"x\":{:?},\"y\":{:?}}}", pos.x, pos.y)
-            }
-            ClientToGame::Action { pos, payload_bytes } => format!(
-                "{{\"t\":\"action\",\"x\":{:?},\"y\":{:?},\"bytes\":{payload_bytes}}}",
-                pos.x, pos.y
-            ),
-            _ => "{\"t\":\"leave\"}".to_string(),
-        };
-        assert!(decode_stats_query(&line).is_err(), "case {case}: {line}");
-        assert!(decode_stats_reply(&line).is_err(), "case {case}: {line}");
-        assert!(decode_stats_reply(&encode_stats_query(StatsFormat::Json)).is_err());
+        // Nothing beyond what the snapshots hold: 2 recorder tallies per
+        // node, one line per counter, 6 per histogram.
+        let expected: usize = nodes
+            .iter()
+            .map(|(_, s)| 2 + s.counters.len() + 6 * s.hists.len())
+            .sum();
+        assert_eq!(samples.len(), expected, "case {case}");
     }
 }
 
