@@ -186,11 +186,14 @@ const OP_LEAVE: u8 = 2;
 const OP_RANGE: u8 = 3;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-driven, built at compile time
+// CRC32 (IEEE), table-driven eight bytes per step, built at compile time
 // ---------------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `[0]` is the classic bytewise table, and `[k][b]`
+/// is the CRC state after byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the state with eight independent lookups.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -203,19 +206,55 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC32 (IEEE 802.3 polynomial) of `bytes`.
+/// CRC32 (IEEE 802.3 polynomial) of `bytes`: eight bytes per step, the
+/// tail (fewer than eight) one byte at a time through table 0.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// The one-lookup-per-byte form, kept as the reference the word-wide
+/// [`crc32`] is tested against.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -995,7 +1034,10 @@ fn decode_body(ty: u8, traced: bool, body: &[u8]) -> Result<Frame, CodecError> {
                     ));
                 }
             }
-            let mut updates = Vec::new();
+            // The smallest item is a narrow delta, so the bytes left
+            // bound the item count: one allocation, never more than the
+            // frame could hold.
+            let mut updates = Vec::with_capacity(r.remaining() / DeltaItem::WIRE_BYTES);
             while r.remaining() > 0 {
                 updates.push(decode_batch_item(&mut r)?);
             }
@@ -1505,6 +1547,33 @@ mod tests {
         round_trip(Frame::Server(GameToClient::UpdateBatch {
             updates: vec![item],
         }));
+    }
+
+    #[test]
+    fn crc_known_answers() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "the CRC-32 check value");
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn word_wide_crc_equals_the_bytewise_reference() {
+        // Every length 0..=80 at every start offset 0..8: the head, whole
+        // eight-byte steps and every tail length, at every alignment.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..96)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=80 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,15 @@
 //! released, and a departed receiver's entry is removed outright — and
 //! [`UpdateBatcher::receivers`] counts only receivers that actually
 //! have something queued.
+//!
+//! The queues sit in a hash table over the receiver id
+//! ([`IdHashMap`]): a push — once per delivery, the hottest probe on the
+//! event path — is one multiply-mix and one bucket, not a tree walk. The
+//! table holds no order; the flush, which runs once per interval, sorts
+//! the receiver keys and visits the queues in that order.
 
-use std::collections::BTreeMap;
+use matrix_predict::IdHashMap;
+use std::hash::Hash;
 
 /// One receiver's queue, plus how much of it the previous flush used
 /// (the memory bound looks two flushes back, so one quiet interval does
@@ -33,20 +40,26 @@ struct Queue<U> {
 /// The batcher is deliberately runtime-agnostic: callers decide *when* to
 /// flush (the discrete-event harness flushes on simulated ticks, the
 /// async runtime on its tick timer, both gated by the configured batch
-/// interval) and *what* an update is. Receivers are ordered (`BTreeMap`)
-/// so flush order is deterministic under the simulation.
+/// interval) and *what* an update is. Flush order is receiver-key order
+/// — established by [`UpdateBatcher::drain_each`] when it runs, not
+/// stored — so it is deterministic under the simulation whatever order
+/// receivers were first pushed, forgotten or re-added in.
 #[derive(Debug, Clone, Default)]
-pub struct UpdateBatcher<K: Ord, U> {
-    pending: BTreeMap<K, Queue<U>>,
+pub struct UpdateBatcher<K, U> {
+    pending: IdHashMap<K, Queue<U>>,
     queued: usize,
+    /// The receiver keys of one flush, sorted; kept between flushes so a
+    /// steady-state flush allocates nothing for it.
+    order: Vec<K>,
 }
 
-impl<K: Ord + Copy, U> UpdateBatcher<K, U> {
+impl<K: Ord + Copy + Hash, U> UpdateBatcher<K, U> {
     /// Creates an empty batcher.
     pub fn new() -> UpdateBatcher<K, U> {
         UpdateBatcher {
-            pending: BTreeMap::new(),
+            pending: IdHashMap::default(),
             queued: 0,
+            order: Vec::new(),
         }
     }
 
@@ -100,21 +113,33 @@ impl<K: Ord + Copy, U> UpdateBatcher<K, U> {
     /// is released.
     pub fn drain_each(&mut self, mut visit: impl FnMut(K, &[U]) -> bool) {
         self.queued = 0;
-        self.pending.retain(|&receiver, queue| {
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend(self.pending.keys().copied());
+        order.sort_unstable();
+        for &receiver in &order {
+            let queue = self
+                .pending
+                .get_mut(&receiver)
+                .expect("key just read from the table");
             let used = queue.items.len();
             let keep = if used > 0 {
                 visit(receiver, &queue.items)
             } else {
                 queue.prev_used > 0
             };
+            if !keep {
+                self.pending.remove(&receiver);
+                continue;
+            }
             queue.items.clear();
             let peak = used.max(queue.prev_used);
             if queue.items.capacity() > 4 * peak {
                 queue.items.shrink_to(2 * peak);
             }
             queue.prev_used = used;
-            keep
-        });
+        }
+        self.order = order;
     }
 
     /// Releases every queue that holds nothing right now. Callers that
@@ -137,7 +162,7 @@ mod tests {
     use super::*;
 
     /// Flushes the batcher into owned batches.
-    fn drain<K: Ord + Copy, U: Clone>(b: &mut UpdateBatcher<K, U>) -> Vec<(K, Vec<U>)> {
+    fn drain<K: Ord + Copy + Hash, U: Clone>(b: &mut UpdateBatcher<K, U>) -> Vec<(K, Vec<U>)> {
         let mut out = Vec::new();
         b.drain_each(|k, items| {
             out.push((k, items.to_vec()));
@@ -178,8 +203,27 @@ mod tests {
         for k in [5u32, 3, 9, 1] {
             b.push(k, 0);
         }
-        let order: Vec<u32> = drain(&mut b).into_iter().map(|(k, _)| k).collect();
-        assert_eq!(order, vec![1, 3, 5, 9]);
+        let order = |b: &mut UpdateBatcher<u32, u8>| -> Vec<u32> {
+            drain(b).into_iter().map(|(k, _)| k).collect()
+        };
+        assert_eq!(order(&mut b), vec![1, 3, 5, 9]);
+        // The order is made at flush time, so history does not show:
+        // forgetting a receiver and re-adding it after later arrivals
+        // (and after a flush that left retained idle queues behind) puts
+        // it back in key order, not at the end.
+        for k in [9u32, 5, 3, 1] {
+            b.push(k, 1);
+        }
+        b.forget(3);
+        b.push(7, 1);
+        b.push(3, 2);
+        b.push(2, 1);
+        assert_eq!(order(&mut b), vec![1, 2, 3, 5, 7, 9]);
+        b.forget(1);
+        for k in [400u32, 3, 1, 77] {
+            b.push(k, 3);
+        }
+        assert_eq!(order(&mut b), vec![1, 3, 77, 400]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::rings::RingSet;
 use matrix_geometry::{Metric, Point, Rect};
-use std::collections::HashMap;
+use matrix_predict::IdHashMap;
 use std::hash::Hash;
 
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +46,7 @@ pub struct InterestGrid<K> {
     /// `positions` array (same memory shape as a brute-force scan over a
     /// position vector) and touches `keys` only for actual matches.
     cells: Vec<CellBucket<K>>,
-    index: HashMap<K, Entry>,
+    index: IdHashMap<K, Entry>,
 }
 
 #[derive(Debug, Clone)]
@@ -77,7 +77,7 @@ impl<K: Copy + Eq + Hash> InterestGrid<K> {
             cell_h: (bounds.height() / cells_per_axis as f64).max(f64::MIN_POSITIVE),
             hysteresis: 0.0,
             cells: (0..n).map(|_| CellBucket::default()).collect(),
-            index: HashMap::new(),
+            index: IdHashMap::default(),
         }
     }
 

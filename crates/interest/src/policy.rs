@@ -15,12 +15,22 @@
 //! receivers that need it most are exactly the ones with the longest
 //! queues. [`FlushPolicy::select`] therefore never moves an item: it
 //! ranks 16-byte `(distance, arrival index)` keys over the borrowed
-//! queue, supersedes and merges by compacting that key array, and leaves
-//! the surviving *indices* in a reusable [`PolicyScratch`] for the caller
-//! to gather from — one pass over the survivors, no per-receiver
-//! allocation once the scratch has grown to the largest queue.
+//! queue, merges by compacting that key array, and leaves the surviving
+//! *indices* in a reusable [`PolicyScratch`] for the caller to gather
+//! from — one pass over the survivors, no per-receiver allocation once
+//! the scratch has grown to the largest queue.
+//!
+//! Per-entity superseding happens before any key exists: one pass over
+//! the queue from its newest item to its oldest, asking a small
+//! open-addressed set whether this `(entity, size)` has been seen. The
+//! first sighting is the newest update and gets a key; every later one
+//! is superseded and costs neither a distance nor a place in the sort.
+//! The set is stamped rather than cleared — a slot belongs to the
+//! current call only if it carries the call's stamp — so a shard's
+//! thousand receivers share one table without a thousand wipes.
 
 use matrix_geometry::{Metric, Point};
+use matrix_predict::mix64;
 
 /// Entity id marking an item as anonymous: no per-entity superseding is
 /// applied to it (only the exact-duplicate-origin merge).
@@ -53,10 +63,68 @@ pub struct PolicyScratch {
     /// the running; the arrival index makes each key unique, so an
     /// unstable sort is deterministic and equals the stable order.
     ranked: Vec<(f64, usize)>,
-    /// `(entity, size, arrival index)` of the non-anonymous items of a
-    /// degraded flush: sorted, each run's last element is the newest
-    /// update of that entity at that size.
-    groups: Vec<(u64, usize, usize)>,
+    /// The `(entity, size)` pairs a degraded flush has met so far on
+    /// its way from the newest item to the oldest.
+    seen: SeenSet,
+}
+
+/// One slot of [`SeenSet`]: occupied in the current call iff `stamp`
+/// equals the set's.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    stamp: u32,
+    entity: u64,
+    size: usize,
+}
+
+/// An open-addressed (linear probing) set of `(entity, size)` pairs that
+/// is emptied by bumping a stamp instead of touching its slots. The
+/// table is a power of two at most half full, and only ever grows.
+#[derive(Debug, Clone, Default)]
+struct SeenSet {
+    slots: Vec<Slot>,
+    /// The current call's stamp; never `0`, which marks a slot no call
+    /// has used.
+    stamp: u32,
+}
+
+impl SeenSet {
+    /// Empties the set and makes room for `n` insertions.
+    fn begin(&mut self, n: usize) {
+        let want = (2 * n).next_power_of_two().max(16);
+        if self.slots.len() < want {
+            self.slots.clear();
+            self.slots.resize(want, Slot::default());
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: a slot stamped 2³² calls ago would read as
+            // current. Wipe once, start over.
+            self.slots.fill(Slot::default());
+            self.stamp = 1;
+        }
+    }
+
+    /// Adds the pair; `true` if it was not in the set yet.
+    fn insert(&mut self, entity: u64, size: usize) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut at = mix64(entity ^ (size as u64).rotate_left(32)) as usize & mask;
+        loop {
+            let slot = &mut self.slots[at];
+            if slot.stamp != self.stamp {
+                *slot = Slot {
+                    stamp: self.stamp,
+                    entity,
+                    size,
+                };
+                return true;
+            }
+            if slot.entity == entity && slot.size == size {
+                return false;
+            }
+            at = (at + 1) & mask;
+        }
+    }
 }
 
 impl PolicyScratch {
@@ -95,7 +163,7 @@ impl FlushPolicy {
         items: &[U],
         scratch: &mut PolicyScratch,
     ) -> usize {
-        let PolicyScratch { ranked, groups } = scratch;
+        let PolicyScratch { ranked, seen } = scratch;
         ranked.clear();
         let key = |i: usize| (origin_of(&items[i]).distance_by(viewer, metric), i);
 
@@ -110,21 +178,14 @@ impl FlushPolicy {
             // degraded. Size-equality keeps distinct events (an action
             // with a different payload) from merging with position
             // updates, since items carry no finer type information here.
-            // Superseded items never get a key, so they cost neither a
-            // distance nor a place in the sort.
-            groups.clear();
-            for (i, u) in items.iter().enumerate() {
-                match entity_of(u) {
-                    ANON_ENTITY => ranked.push(key(i)),
-                    entity => groups.push((entity, size_of(u), i)),
-                }
-            }
-            groups.sort_unstable();
-            for (g, &(entity, size, i)) in groups.iter().enumerate() {
-                let newest = groups
-                    .get(g + 1)
-                    .is_none_or(|&(e, s, _)| (e, s) != (entity, size));
-                if newest {
+            // Newest first, so the first sighting of an `(entity, size)`
+            // is the one to keep. Superseded items never get a key, so
+            // they cost neither a distance nor a place in the sort (which
+            // orders the keys whatever order they were pushed in).
+            seen.begin(items.len());
+            for (i, u) in items.iter().enumerate().rev() {
+                let entity = entity_of(u);
+                if entity == ANON_ENTITY || seen.insert(entity, size_of(u)) {
                     ranked.push(key(i));
                 }
             }
@@ -326,6 +387,47 @@ mod tests {
             vec![(13.0, 64), (14.0, 8), (30.0, 8)],
             "newest position per entity, the action, and the anonymous item"
         );
+    }
+
+    #[test]
+    fn supersede_stamp_survives_its_wrap_around() {
+        // Items: (origin, bytes, entity); three entities, two sizes,
+        // every pair repeated, so each call supersedes.
+        let items: Vec<(Point, usize, u64)> = (0..24u64)
+            .map(|i| {
+                let size = if i % 2 == 0 { 32 } else { 64 };
+                (Point::new(1.0 + i as f64, 0.0), size, 1 + i % 3)
+            })
+            .collect();
+        let policy = FlushPolicy {
+            max_items: 5,
+            budget_bytes: 0,
+        };
+        let run = |scratch: &mut PolicyScratch| {
+            let dropped = policy.select(
+                Point::new(0.0, 0.0),
+                Metric::Euclidean,
+                |u: &(Point, usize, u64)| u.0,
+                |u| u.2,
+                |u| u.1,
+                &items,
+                scratch,
+            );
+            (scratch.kept().collect::<Vec<usize>>(), dropped)
+        };
+        let expected = run(&mut PolicyScratch::default());
+        assert_eq!(expected, (vec![18, 19, 20, 21, 22], 19));
+        // A long-lived scratch whose stamp is about to wrap: slots
+        // written just before the wrap carry stamps the counter will
+        // reach again, and must not read as "seen".
+        let mut scratch = PolicyScratch::default();
+        run(&mut scratch);
+        scratch.seen.stamp = u32::MAX - 2;
+        for call in 0..6 {
+            assert_eq!(run(&mut scratch), expected, "call {call} across the wrap");
+            assert_ne!(scratch.seen.stamp, 0, "0 marks a never-used slot");
+        }
+        assert!(scratch.seen.stamp < 8, "the stamp wrapped and restarted");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! sampled out), which is what keeps the tiered pipeline byte-identical
 //! to the untiered one when rings are disabled.
 
-use std::collections::HashMap;
+use matrix_predict::IdHashMap;
 use std::hash::Hash;
 
 /// Maximum number of concentric rings a [`RingSet`] can carry (the
@@ -127,14 +127,14 @@ impl RingSet {
 /// with the first, reproducible run to run.
 #[derive(Debug, Clone, Default)]
 pub struct RingSampler<K> {
-    counters: HashMap<K, [u32; MAX_RINGS]>,
+    counters: IdHashMap<K, [u32; MAX_RINGS]>,
 }
 
 impl<K: Copy + Eq + Hash> RingSampler<K> {
     /// An empty sampler.
     pub fn new() -> RingSampler<K> {
         RingSampler {
-            counters: HashMap::new(),
+            counters: IdHashMap::default(),
         }
     }
 

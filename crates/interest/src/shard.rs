@@ -11,6 +11,8 @@
 //! such guarantee (`RandomState` is seeded per process), so sharding
 //! gets its own tiny trait instead.
 
+use matrix_predict::mix64;
+
 /// A key with a stable, platform-independent 64-bit hash used only for
 /// shard routing. Implementations must be pure functions of the key's
 /// value.
@@ -34,15 +36,12 @@ macro_rules! impl_shard_key {
 impl_shard_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// Maps a stable hash onto `shards` buckets via the splitmix64
-/// finalizer — sequential client ids (the common case) spread uniformly
-/// instead of striping.
+/// finalizer ([`mix64`], the mixer the id-keyed tables hash with) —
+/// sequential client ids (the common case) spread uniformly instead of
+/// striping.
 pub fn shard_of(hash: u64, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    let mut z = hash.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % shards as u64) as usize
+    (mix64(hash) % shards as u64) as usize
 }
 
 #[cfg(test)]

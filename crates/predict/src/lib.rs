@@ -34,12 +34,22 @@
 //! A budget of `0.0` disables suppression entirely (every event ships),
 //! which is how the near vision ring keeps PR 4's delivery guarantee:
 //! near means every event, predicted or not.
+//!
+//! All three keep their per-entity / per-receiver state in
+//! [`IdHashMap`]s. This crate is the lowest one both users of that
+//! hasher (here and `matrix-interest`) can see, so [`IdHasher`] and its
+//! mixer [`mix64`] live here too — read its module's safety note before
+//! keying anything else with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod idhash;
+
+pub use idhash::{mix64, IdBuildHasher, IdHashMap, IdHasher};
+
 use matrix_geometry::Point;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::Hash;
 
 /// Advances a transmitted basis (`pos`, `vel`) by `dt` seconds.
@@ -91,7 +101,7 @@ pub fn quantize_velocity(vel: (f64, f64), quantum: f64) -> (f64, f64) {
 #[derive(Debug, Clone)]
 pub struct MotionModel {
     window: usize,
-    tracks: HashMap<u64, VecDeque<(f64, Point)>>,
+    tracks: IdHashMap<u64, VecDeque<(f64, Point)>>,
 }
 
 impl MotionModel {
@@ -100,7 +110,7 @@ impl MotionModel {
     pub fn new(window: u32) -> MotionModel {
         MotionModel {
             window: (window as usize).max(2),
-            tracks: HashMap::new(),
+            tracks: IdHashMap::default(),
         }
     }
 
@@ -212,14 +222,14 @@ impl Admission {
 /// receiver-side error at every event instant.
 #[derive(Debug, Clone, Default)]
 pub struct PredictedStream<K> {
-    bases: HashMap<K, BTreeMap<u64, Basis>>,
+    bases: IdHashMap<K, IdHashMap<u64, Basis>>,
 }
 
 impl<K: Copy + Eq + Hash + Ord> PredictedStream<K> {
     /// An empty stream set.
     pub fn new() -> PredictedStream<K> {
         PredictedStream {
-            bases: HashMap::new(),
+            bases: IdHashMap::default(),
         }
     }
 
@@ -289,15 +299,21 @@ impl<K: Copy + Eq + Hash + Ord> PredictedStream<K> {
 
     /// Exports every basis as `(receiver, [(entity, basis)])`, receivers
     /// and entities in key order — the region-snapshot form used by the
-    /// replication layer. Importing the result into a fresh stream
-    /// reproduces every admit decision exactly.
+    /// replication layer. The tables hold no order, so both levels are
+    /// sorted here, on the way out. Importing the result into a fresh
+    /// stream reproduces every admit decision exactly.
     pub fn export(&self) -> Vec<(K, Vec<(u64, Basis)>)> {
         let mut out: Vec<(K, Vec<(u64, Basis)>)> = self
             .bases
             .iter()
-            .map(|(k, per_entity)| (*k, per_entity.iter().map(|(e, b)| (*e, *b)).collect()))
+            .map(|(k, per_entity)| {
+                let mut bases: Vec<(u64, Basis)> =
+                    per_entity.iter().map(|(e, b)| (*e, *b)).collect();
+                bases.sort_unstable_by_key(|(e, _)| *e);
+                (*k, bases)
+            })
             .collect();
-        out.sort_by_key(|(k, _)| *k);
+        out.sort_unstable_by_key(|(k, _)| *k);
         out
     }
 
@@ -324,7 +340,7 @@ impl<K: Copy + Eq + Hash + Ord> PredictedStream<K> {
 /// server switch) — exactly when the delta stream's base drops.
 #[derive(Debug, Clone, Default)]
 pub struct Extrapolator {
-    bases: BTreeMap<u64, Basis>,
+    bases: IdHashMap<u64, Basis>,
 }
 
 impl Extrapolator {
@@ -515,6 +531,31 @@ mod tests {
             t.admit(1, 7, probe, (-1.0, 0.0), 1.0, 2.0),
         );
         assert_eq!(s.export(), t.export());
+    }
+
+    #[test]
+    fn export_is_key_ordered_whatever_the_insertion_order() {
+        // Two streams fed the same admits in different orders hold the
+        // same bases; the export sorts receivers and entities on the way
+        // out, so neither insertion order nor table layout shows.
+        let admits: Vec<(u32, u64)> = (0..40u64)
+            .map(|i| (((i * 7) % 5) as u32 + 1, (i * 11) % 13 + 1))
+            .collect();
+        let feed = |order: &mut dyn Iterator<Item = &(u32, u64)>| {
+            let mut s: PredictedStream<u32> = PredictedStream::new();
+            for &(receiver, entity) in order {
+                let pos = Point::new(receiver as f64, entity as f64);
+                s.admit(receiver, entity, pos, (1.0, 0.0), 0.5, 0.0);
+            }
+            s.export()
+        };
+        let forward = feed(&mut admits.iter());
+        let backward = feed(&mut admits.iter().rev());
+        assert_eq!(forward, backward);
+        assert!(forward.windows(2).all(|w| w[0].0 < w[1].0), "receivers");
+        for (_, bases) in &forward {
+            assert!(bases.windows(2).all(|w| w[0].0 < w[1].0), "entities");
+        }
     }
 
     #[test]

@@ -806,6 +806,140 @@ fn select_matches_the_reference_policy() {
     );
 }
 
+/// The selection `FlushPolicy::select` made while it still found the
+/// newest item per `(entity, size)` by comparison-sorting `(entity,
+/// size, arrival)` triples: kept indices in delivery order, and the
+/// dropped count. The linear supersede pass must be this function.
+fn sort_based_select(
+    policy: FlushPolicy,
+    viewer: Point,
+    metric: Metric,
+    items: &[(Point, usize, u64)],
+) -> (Vec<usize>, usize) {
+    let key = |i: usize| (items[i].0.distance_by(viewer, metric), i);
+    let over_count = policy.max_items > 0 && items.len() > policy.max_items;
+    let over_bytes =
+        policy.budget_bytes > 0 && items.iter().map(|u| u.1).sum::<usize>() > policy.budget_bytes;
+    let degraded = over_count || over_bytes;
+    let mut ranked: Vec<(f64, usize)> = Vec::new();
+    if degraded {
+        let mut groups: Vec<(u64, usize, usize)> = Vec::new();
+        for (i, u) in items.iter().enumerate() {
+            match u.2 {
+                ANON_ENTITY => ranked.push(key(i)),
+                entity => groups.push((entity, u.1, i)),
+            }
+        }
+        groups.sort_unstable();
+        for (g, &(entity, size, i)) in groups.iter().enumerate() {
+            let newest = groups
+                .get(g + 1)
+                .is_none_or(|&(e, s, _)| (e, s) != (entity, size));
+            if newest {
+                ranked.push(key(i));
+            }
+        }
+    } else {
+        ranked.extend((0..items.len()).map(key));
+    }
+    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    if degraded {
+        let mut merged: Vec<(f64, usize)> = Vec::new();
+        for (d, i) in ranked {
+            match merged.last_mut() {
+                Some(last) if last.0 == d && items[last.1].0 == items[i].0 => *last = (d, i),
+                _ => merged.push((d, i)),
+            }
+        }
+        ranked = merged;
+        let (mut kept, mut bytes) = (0, 0usize);
+        for &(_, i) in &ranked {
+            if policy.max_items > 0 && kept >= policy.max_items {
+                break;
+            }
+            let cost = items[i].1;
+            if policy.budget_bytes > 0 && kept > 0 && bytes + cost > policy.budget_bytes {
+                break;
+            }
+            bytes += cost;
+            kept += 1;
+        }
+        ranked.truncate(kept);
+    }
+    let kept: Vec<usize> = ranked.into_iter().map(|(_, i)| i).collect();
+    let dropped = items.len() - kept.len();
+    (kept, dropped)
+}
+
+/// The supersede pass is the same selection: over queues of entities
+/// from a pool small enough to repeat, sizes from {32, 64} and anonymous
+/// items mixed in, `select` keeps the same indices in the same order and
+/// drops the same count as the sort-based selection — under every count
+/// cap 1..=n with the byte budget off and on. One scratch serves queues
+/// that grow, shrink and grow again, so a table sized for a long queue
+/// is probed by a short one and regrown by a longer one.
+#[test]
+fn supersede_pass_matches_the_sort_based_selection() {
+    let mut rng = SimRng::seed_from_u64(0x5EED_5E75);
+    let mut scratch = PolicyScratch::default();
+    let viewer = Point::new(0.0, 0.0);
+    let (mut cases, mut superseding) = (0u32, 0u32);
+    for (set, n) in [6usize, 40, 3, 150, 1, 17, 90, 2, 260, 9, 33]
+        .into_iter()
+        .enumerate()
+    {
+        let metric = metric_of(set as u64);
+        let pool = rng.uniform_u64(2, 2 + n as u64 / 3);
+        let items: Vec<(Point, usize, u64)> = (0..n)
+            .map(|_| {
+                let origin = Point::new(
+                    rng.uniform_u64(0, 64) as f64 * 0.25,
+                    rng.uniform_u64(0, 64) as f64 * 0.25,
+                );
+                let entity = if rng.chance(0.15) {
+                    ANON_ENTITY
+                } else {
+                    rng.uniform_u64(1, 1 + pool)
+                };
+                let size = if rng.chance(0.5) { 32 } else { 64 };
+                (origin, size, entity)
+            })
+            .collect();
+        let total: usize = items.iter().map(|u| u.1).sum();
+        for max_items in 1..=n {
+            for budget_bytes in [0, total / 3] {
+                let policy = FlushPolicy {
+                    max_items,
+                    budget_bytes,
+                };
+                let (want, want_dropped) = sort_based_select(policy, viewer, metric, &items);
+                let dropped = policy.select(
+                    viewer,
+                    metric,
+                    |u: &(Point, usize, u64)| u.0,
+                    |u| u.2,
+                    |u| u.1,
+                    &items,
+                    &mut scratch,
+                );
+                let got: Vec<usize> = scratch.kept().collect();
+                assert_eq!(got, want, "set {set} (n={n}) {policy:?}: kept indices");
+                assert_eq!(
+                    dropped, want_dropped,
+                    "set {set} (n={n}) {policy:?}: dropped"
+                );
+                cases += 1;
+                superseding += u32::from(dropped > n - max_items.min(n));
+            }
+        }
+    }
+    assert!(cases >= 1000, "{cases} cases");
+    assert!(
+        superseding > cases / 2,
+        "only {superseding} of {cases} cases superseded or merged anything"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline equivalence (the refactor-safety pin)
 // ---------------------------------------------------------------------------
