@@ -33,6 +33,9 @@ use std::collections::BTreeMap;
 /// which caps standby staleness under bursty load.
 const REPLICA_LAG_CAP: u32 = 256;
 
+/// Payload of a movement packet: position + orientation + velocity.
+const MOVE_BYTES: usize = 32;
+
 /// Capacity of a node's flight-recorder ring, in events; the oldest are
 /// evicted (and counted) once it fills.
 const RECORDER_EVENTS: usize = 256;
@@ -136,6 +139,33 @@ pub struct GameStats {
     /// Largest simulated receiver prediction error among the suppressed
     /// deliveries (bounded by the largest configured ring budget).
     pub pred_error_max: f64,
+}
+
+impl GameStats {
+    /// Folds another node's counters into these for a cluster-wide
+    /// total: every counter adds, `pred_error_max` keeps the larger.
+    pub fn absorb(&mut self, other: &GameStats) {
+        // Destructured, so a new field cannot be left out of the total.
+        macro_rules! add {
+            ($($field:ident),*) => {
+                let GameStats { $($field,)* ring_items: _, pred_error_max: _ } = *other;
+                $(self.$field += $field;)*
+            };
+        }
+        add! {
+            joins, leaves, moves, actions, remote_updates, updates_fanned, redirects_out,
+            client_states_in, state_bytes_in, whereis_queries, joins_before_ready,
+            batches_flushed, updates_batched, batch_bytes, updates_dropped,
+            updates_rate_limited, keyframe_items, delta_items, delta_bytes_saved,
+            replica_batches_out, replica_bytes_out, replica_acks_in, replica_batches_in,
+            replica_resyncs, promotions, clients_restored, updates_sampled_out, grid_retunes,
+            updates_suppressed, payloads_stripped, pred_error_sum
+        }
+        for (total, ring) in self.ring_items.iter_mut().zip(other.ring_items) {
+            *total += ring;
+        }
+        self.pred_error_max = self.pred_error_max.max(other.pred_error_max);
+    }
 }
 
 /// What `flush_updates` counts per client batch while it builds the
@@ -536,11 +566,11 @@ impl GameServerNode {
                 rec.pos = pos;
                 self.pipeline.reposition(client, pos);
                 self.replicate(ReplicaOp::Move { client, pos });
-                let mut out = self.forward_event(client, pos, self.cfg_move_bytes());
+                let mut out = self.forward_event(client, pos, MOVE_BYTES);
                 out.extend(self.fan_out(
                     now,
                     pos,
-                    self.cfg_move_bytes(),
+                    MOVE_BYTES,
                     Some(client),
                     client.0,
                     // A pure position update: receivers reconstruct it
@@ -601,10 +631,6 @@ impl GameServerNode {
                 Vec::new()
             }
         }
-    }
-
-    fn cfg_move_bytes(&self) -> usize {
-        32 // position + orientation + velocity
     }
 
     /// Spatially tags an event and forwards it to Matrix (§3.1).
@@ -1767,6 +1793,36 @@ mod tests {
             "the farthest event (145) is dropped first, nearest ships first"
         );
         assert!(g.stats().updates_rate_limited >= 1);
+    }
+
+    #[test]
+    fn absorbed_stats_add_up_and_keep_the_largest_error() {
+        let mut total = GameStats {
+            moves: 3,
+            ring_items: [1, 2, 0, 0],
+            pred_error_sum: 1.5,
+            pred_error_max: 0.75,
+            ..GameStats::default()
+        };
+        total.absorb(&GameStats {
+            moves: 4,
+            batch_bytes: 100,
+            ring_items: [10, 0, 5, 0],
+            pred_error_sum: 0.25,
+            pred_error_max: 0.5,
+            ..GameStats::default()
+        });
+        assert_eq!(
+            total,
+            GameStats {
+                moves: 7,
+                batch_bytes: 100,
+                ring_items: [11, 2, 5, 0],
+                pred_error_sum: 1.75,
+                pred_error_max: 0.75,
+                ..GameStats::default()
+            }
+        );
     }
 
     #[test]

@@ -40,9 +40,14 @@
 //!   and drain, and replicates its learned state to warm standbys.
 //!
 //! Every component is a **sans-io state machine**: handlers take one input
-//! message and return the actions to perform. The discrete-event harness
-//! (`matrix-experiments`) and the tokio runtime (`matrix-rt`) drive the
-//! same code, so simulation results and deployments cannot drift apart.
+//! message and return the actions to perform. A [`Host`] owns one
+//! machine's game server and Matrix server and is the only code that
+//! carries their actions to each other: [`Host::step`] takes a
+//! [`HostInput`], runs the pair to quiescence and returns what leaves the
+//! machine as [`Outbound`] entries. The discrete-event harness
+//! (`matrix-experiments`) and the tokio runtime (`matrix-rt`) both call
+//! that one `step` and supply only a transport, so simulation results and
+//! deployments cannot drift apart.
 //!
 //! # Example
 //!
@@ -84,6 +89,7 @@ pub mod codec_v2;
 mod config;
 mod coordinator;
 mod gameserver;
+mod host;
 mod load;
 mod messages;
 mod packet;
@@ -93,11 +99,12 @@ mod server;
 pub use config::{CoordinatorConfig, GameServerConfig, MatrixConfig, WireCodec};
 pub use coordinator::{CoordAction, CoordLog, Coordinator, CoordinatorStats};
 pub use gameserver::{GameAction, GameServerNode, GameStats};
+pub use host::{Host, HostInput, LocalDelivery, Outbound};
 pub use load::{Cooldown, LoadTracker};
 pub use messages::{
-    reconstruct_updates, BatchItem, ClientToGame, CoordMsg, CoordReply, DeltaItem, Envelope,
-    GameToClient, GameToMatrix, LoadReport, LoadSnapshot, MatrixToGame, PeerMsg, PoolMsg,
-    PoolPurpose, PoolReply, RegionSnapshot, ReplicaBatch, ReplicaOp, UpdateItem,
+    reconstruct_updates, BatchItem, ClientToGame, CoordMsg, CoordReply, DeltaItem, GameToClient,
+    GameToMatrix, LoadReport, LoadSnapshot, MatrixToGame, PeerMsg, PoolMsg, PoolPurpose, PoolReply,
+    RegionSnapshot, ReplicaBatch, ReplicaOp, UpdateItem,
 };
 pub use packet::{ClientId, GamePacket, SpatialTag};
 pub use pool::{PoolStats, ResourcePool};

@@ -8,7 +8,6 @@
 
 use crate::packet::{ClientId, GamePacket};
 use matrix_geometry::{OverlapTable, PartitionMap, Point, Rect, ServerId};
-use matrix_sim::SimTime;
 use matrix_telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -858,15 +857,6 @@ pub enum PoolReply {
         /// The purpose echoed from the request.
         purpose: PoolPurpose,
     },
-}
-
-/// Timestamped envelope used by drivers that need send-time bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Envelope<M> {
-    /// When the message was sent.
-    pub sent_at: SimTime,
-    /// The message.
-    pub msg: M,
 }
 
 #[cfg(test)]

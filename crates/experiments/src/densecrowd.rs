@@ -149,13 +149,13 @@ pub fn verdict(rows: &[DenseCrowdRow]) -> Result<String, String> {
         if r.update_batches_delivered == 0 {
             return Err(format!("{label}: no update batches delivered"));
         }
-        if r.delta_items <= r.keyframe_items {
+        if r.game.delta_items <= r.game.keyframe_items {
             return Err(format!(
                 "{label}: stream not delta-dominated ({} deltas vs {} keyframes)",
-                r.delta_items, r.keyframe_items
+                r.game.delta_items, r.game.keyframe_items
             ));
         }
-        if r.delta_bytes_saved == 0 {
+        if r.game.delta_bytes_saved == 0 {
             return Err(format!("{label}: no delta savings accounted"));
         }
         if r.splits != 0 {
@@ -194,19 +194,19 @@ pub fn table(rows: &[DenseCrowdRow]) -> Table {
         } else {
             r.batched_updates_delivered as f64 / r.update_batches_delivered as f64
         };
-        let items = r.delta_items + r.keyframe_items;
+        let items = r.game.delta_items + r.game.keyframe_items;
         let delta_share = if items == 0 {
             0.0
         } else {
-            100.0 * r.delta_items as f64 / items as f64
+            100.0 * r.game.delta_items as f64 / items as f64
         };
         // Staleness proxy: the fraction of relevant updates deferred by
         // the per-client budgets instead of delivered in their flush.
-        let relevant = items + r.updates_rate_limited;
+        let relevant = items + r.game.updates_rate_limited;
         let stale = if relevant == 0 {
             0.0
         } else {
-            100.0 * r.updates_rate_limited as f64 / relevant as f64
+            100.0 * r.game.updates_rate_limited as f64 / relevant as f64
         };
         t.push_row(&[
             format!("{}", row.clients),
@@ -215,13 +215,13 @@ pub fn table(rows: &[DenseCrowdRow]) -> Table {
             } else {
                 format!("{}B", row.budget_bytes)
             },
-            format!("{}", r.updates_fanned),
+            format!("{}", r.game.updates_fanned),
             format!("{}", r.update_batches_delivered),
             format!("{}", r.batched_updates_delivered),
             format!("{per_batch:.1}"),
-            format!("{:.1}", r.batch_bytes as f64 / 1e6),
+            format!("{:.1}", r.game.batch_bytes as f64 / 1e6),
             format!("{delta_share:.0}"),
-            format!("{:.0}", r.delta_bytes_saved as f64 / 1e3),
+            format!("{:.0}", r.game.delta_bytes_saved as f64 / 1e3),
             format!("{stale:.0}"),
         ]);
     }
@@ -239,22 +239,25 @@ mod tests {
         let r = &row.report;
         assert!(r.update_batches_delivered > 0, "batches must reach clients");
         assert!(r.batched_updates_delivered >= r.update_batches_delivered);
-        assert!(r.batch_bytes > 0, "bandwidth accounting must tick");
+        assert!(r.game.batch_bytes > 0, "bandwidth accounting must tick");
         assert_eq!(r.splits, 0, "single static server must not split");
         assert!(
-            r.delta_items > r.keyframe_items,
+            r.game.delta_items > r.game.keyframe_items,
             "a steady crowd stream must be dominated by deltas: {} deltas vs {} keyframes",
-            r.delta_items,
-            r.keyframe_items
+            r.game.delta_items,
+            r.game.keyframe_items
         );
-        assert!(r.delta_bytes_saved > 0, "delta savings must be accounted");
+        assert!(
+            r.game.delta_bytes_saved > 0,
+            "delta savings must be accounted"
+        );
     }
 
     #[test]
     fn bigger_crowds_fan_out_more() {
         let spec = GameSpec::bzflag();
-        let small = run_one(&spec, 100, 0, 1, 20, 11).report.updates_fanned;
-        let large = run_one(&spec, 400, 0, 1, 20, 11).report.updates_fanned;
+        let small = run_one(&spec, 100, 0, 1, 20, 11).report.game.updates_fanned;
+        let large = run_one(&spec, 400, 0, 1, 20, 11).report.game.updates_fanned;
         assert!(
             large > 4 * small,
             "fan-out grows superlinearly with crowd density: {small} -> {large}"
@@ -267,16 +270,16 @@ mod tests {
         let free = run_one(&spec, 300, 0, 1, 20, 13).report;
         let tight = run_one(&spec, 300, 512, 1, 20, 13).report;
         assert!(
-            tight.updates_rate_limited > free.updates_rate_limited,
+            tight.game.updates_rate_limited > free.game.updates_rate_limited,
             "a 512-byte downlink must defer updates: {} vs {}",
-            tight.updates_rate_limited,
-            free.updates_rate_limited
+            tight.game.updates_rate_limited,
+            free.game.updates_rate_limited
         );
         assert!(
-            tight.batch_bytes < free.batch_bytes,
+            tight.game.batch_bytes < free.game.batch_bytes,
             "budgeted clients must receive fewer bytes: {} vs {}",
-            tight.batch_bytes,
-            free.batch_bytes
+            tight.game.batch_bytes,
+            free.game.batch_bytes
         );
         assert!(
             tight.update_batches_delivered > 0,

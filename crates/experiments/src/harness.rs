@@ -9,16 +9,15 @@
 //! deterministically for a given seed.
 
 use matrix_core::{
-    Action, ClientId, ClientToGame, CoordAction, CoordMsg, CoordReply, Coordinator,
-    CoordinatorConfig, GameAction, GameServerConfig, GameServerNode, GameToClient, MatrixConfig,
-    MatrixServer, MatrixToGame, PeerMsg, PoolMsg, PoolReply, ResourcePool,
+    ClientId, ClientToGame, CoordAction, CoordMsg, CoordReply, Coordinator, CoordinatorConfig,
+    GameServerConfig, GameServerNode, GameStats, GameToClient, Host, HostInput, LocalDelivery,
+    MatrixConfig, MatrixServer, MatrixToGame, Outbound, PeerMsg, PoolMsg, PoolReply, ResourcePool,
 };
 use matrix_games::{ClientPop, GameSpec, PopulationEvent, WorkloadSchedule};
 use matrix_geometry::{Point, ServerId};
 use matrix_metrics::{Histogram, TimeSeries};
 use matrix_sim::{EventQueue, LinkModel, ServiceQueue, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 /// Network shape of the deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,10 +139,10 @@ impl ClusterConfig {
     }
 }
 
-/// One co-located game-server + Matrix-server pair.
+/// One machine: the co-located pair, and what only the simulation
+/// knows about it — its modelled receive queue and whether it crashed.
 struct Node {
-    matrix: MatrixServer,
-    game: GameServerNode,
+    host: Host,
     queue: ServiceQueue,
     alive: bool,
     clients_series: TimeSeries,
@@ -274,45 +273,10 @@ pub struct ClusterReport {
     pub inter_server_bytes: u64,
     /// Total client updates processed by game servers.
     pub updates_processed: u64,
-    /// Total per-receiver update deliveries counted by the interest
-    /// layer (each event counts once per client whose AOI contains it).
-    pub updates_fanned: u64,
-    /// Estimated client-bound batch traffic in bytes (headers + items +
-    /// payloads), as accounted by the game servers' batching layer.
-    pub batch_bytes: u64,
-    /// Bytes saved by delta-encoding batch-item origins, relative to the
-    /// absolute-origin wire format.
-    pub delta_bytes_saved: u64,
-    /// Delta-encoded items flushed to clients.
-    pub delta_items: u64,
-    /// Absolute (keyframe) items flushed to clients.
-    pub keyframe_items: u64,
-    /// Updates merged/dropped by the per-client flush policy — the
-    /// staleness the rate limiter traded for bounded downlinks.
-    pub updates_rate_limited: u64,
-    /// Candidate receivers whose outer vision ring sampled an event out
-    /// (multi-tier AOI periphery decimation).
-    pub updates_sampled_out: u64,
-    /// Delivered batch items per vision ring (index 0 = near; with
-    /// rings disabled everything is ring 0).
-    pub ring_items: [u64; matrix_core::MAX_RINGS],
-    /// Interest-grid resolution retunes performed by the density-driven
-    /// auto-tuner.
-    pub grid_retunes: u64,
-    /// Candidate deliveries suppressed by dead reckoning (predictive
-    /// dissemination: the receiver's extrapolation stood in for the
-    /// transmission).
-    pub updates_suppressed: u64,
-    /// Batch items degraded to position-only by the per-ring payload
-    /// policy.
-    pub payloads_stripped: u64,
-    /// Sum of simulated receiver prediction errors over suppressed
-    /// deliveries (world units; divide by `updates_suppressed` for the
-    /// mean).
-    pub pred_error_sum: f64,
-    /// Largest simulated receiver prediction error among suppressed
-    /// deliveries.
-    pub pred_error_max: f64,
+    /// Every node's game-server counters, summed (`pred_error_max` is
+    /// the largest): fan-out, batch bytes, delta/keyframe items, rate
+    /// limiting, ring sampling, retunes, suppression and the rest.
+    pub game: GameStats,
     /// Work units dropped at full queues (static-baseline failure mode).
     pub dropped_work: f64,
     /// Total client switches (handoffs) completed.
@@ -467,14 +431,22 @@ impl Cluster {
         cluster
     }
 
+    /// A fresh machine: an idle Matrix server, as the pool hands them out.
     fn make_node(&self, id: ServerId) -> Node {
+        self.node_around(
+            GameServerNode::new(id, self.cfg.game),
+            MatrixServer::new(id, self.cfg.matrix),
+        )
+    }
+
+    fn node_around(&self, game: GameServerNode, matrix: MatrixServer) -> Node {
+        let id = game.id();
         let mut queue = ServiceQueue::new(self.cfg.spec.server_capacity);
         if let Some(cap) = self.cfg.queue_capacity {
             queue = queue.with_capacity(cap);
         }
         Node {
-            matrix: MatrixServer::new(id, self.cfg.matrix),
-            game: GameServerNode::new(id, self.cfg.game),
+            host: Host::new(game, matrix),
             queue,
             alive: true,
             clients_series: TimeSeries::new(format!("{id} clients")),
@@ -489,10 +461,9 @@ impl Cluster {
             // Adaptive bootstrap: one server registers the world.
             let id = ServerId(1);
             self.bootstrap = id;
-            let mut node = self.make_node(id);
-            let actions = node.game.register(world, radius);
+            let node = self.make_node(id);
             self.nodes.insert(id, node);
-            self.process_game_actions(id, actions);
+            self.step(id, HostInput::Register { world, radius });
         } else {
             // Static grid: K servers with fixed ranges, tables pushed once.
             let servers: Vec<ServerId> = (1..=self.cfg.initial_servers).map(ServerId).collect();
@@ -500,24 +471,19 @@ impl Cluster {
             let map = matrix_geometry::PartitionMap::static_grid(world, &servers)
                 .expect("static grid construction");
             for &s in &servers {
-                let mut node = self.make_node(s);
-                node.matrix =
-                    MatrixServer::with_range(s, self.cfg.matrix, map.range_of(s).unwrap(), radius);
-                let _ = node.game.register(world, radius); // registers radius
-                node.game.on_matrix(
-                    SimTime::ZERO,
-                    MatrixToGame::SetRange {
-                        range: map.range_of(s).unwrap(),
-                        radius,
-                    },
-                );
-                self.nodes.insert(s, node);
+                // Both halves start in place: no registration handshake.
+                let range = map.range_of(s).expect("grid covers every server");
+                let mut game = GameServerNode::new(s, self.cfg.game);
+                let _ = game.register(world, radius); // registers radius
+                game.on_matrix(SimTime::ZERO, MatrixToGame::SetRange { range, radius });
+                let matrix = MatrixServer::with_range(s, self.cfg.matrix, range, radius);
+                self.nodes.insert(s, self.node_around(game, matrix));
             }
             let (coordinator, actions) = Coordinator::with_map(self.cfg.coordinator, map, radius);
             self.coordinator = coordinator;
             for a in actions {
                 let CoordAction::Send(to, reply) = a;
-                self.deliver_coord_reply_now(to, reply);
+                self.step(to, HostInput::Coord(reply));
             }
         }
         // Schedule the script, node ticks, sweeps, samples, crashes.
@@ -570,26 +536,21 @@ impl Cluster {
             Event::Population(idx) => self.population_event(idx),
             Event::ClientJoin(id, server) => self.client_join(id, server),
             Event::Peer { to, from, msg } => {
-                if let Some(node) = self.nodes.get_mut(&to) {
-                    if node.alive {
-                        let actions = node.matrix.on_peer(self.now, from, msg);
-                        self.process_matrix_actions(to, actions);
+                // Unknown (or dead) target: a fresh pool server being
+                // adopted for a split, or armed as a warm standby.
+                if !self.nodes.get(&to).is_some_and(|n| n.alive) {
+                    if !matches!(
+                        msg,
+                        PeerMsg::AdoptPartition { .. } | PeerMsg::StandbyAssign { .. }
+                    ) {
                         return;
                     }
-                }
-                // Unknown target: a fresh pool server being adopted for a
-                // split, or armed as a warm standby.
-                if matches!(
-                    msg,
-                    PeerMsg::AdoptPartition { .. } | PeerMsg::StandbyAssign { .. }
-                ) {
-                    let mut node = self.make_node(to);
-                    let actions = node.matrix.on_peer(self.now, from, msg);
+                    let node = self.make_node(to);
                     self.nodes.insert(to, node);
                     self.queue
                         .schedule(self.now + self.cfg.game.tick, Event::NodeTick(to));
-                    self.process_matrix_actions(to, actions);
                 }
+                self.step(to, HostInput::Peer { from, msg });
             }
             Event::Coord(msg) => {
                 // Splits, reclaims and orphaned ranges land in the
@@ -598,14 +559,7 @@ impl Cluster {
                 let actions = self.coordinator.handle(self.now, msg);
                 self.process_coord_actions(actions);
             }
-            Event::CoordReply(to, reply) => {
-                if let Some(node) = self.nodes.get_mut(&to) {
-                    if node.alive {
-                        let actions = node.matrix.on_coord(self.now, reply);
-                        self.process_matrix_actions(to, actions);
-                    }
-                }
-            }
+            Event::CoordReply(to, reply) => self.step(to, HostInput::Coord(reply)),
             Event::Pool(requester, msg) => {
                 let reply = self.pool.handle(msg);
                 if let Some(reply) = reply {
@@ -613,14 +567,7 @@ impl Cluster {
                     self.queue.schedule(at, Event::PoolReply(requester, reply));
                 }
             }
-            Event::PoolReply(to, reply) => {
-                if let Some(node) = self.nodes.get_mut(&to) {
-                    if node.alive {
-                        let actions = node.matrix.on_pool(self.now, reply);
-                        self.process_matrix_actions(to, actions);
-                    }
-                }
-            }
+            Event::PoolReply(to, reply) => self.step(to, HostInput::Pool(reply)),
             Event::NodeTick(id) => self.node_tick(id),
             Event::CoordSweep => {
                 // Failure declarations, failovers and promotions are
@@ -643,7 +590,7 @@ impl Cluster {
                     self.probes.push(FailureProbe {
                         victim,
                         crashed_at: self.now,
-                        affected: node.game.client_ids(),
+                        affected: node.host.game().client_ids(),
                         first_delivery: None,
                     });
                 }
@@ -704,50 +651,49 @@ impl Cluster {
                 .schedule(self.now + interval, Event::ClientUpdate(id));
             return;
         }
-        if let Some(node) = self.nodes.get_mut(&server) {
-            if node.alive {
-                // Move packet.
-                let fanned_before = node.game.stats().updates_fanned;
-                let mut actions = node
-                    .game
-                    .on_client(self.now, id, ClientToGame::Move { pos });
-                if action {
-                    actions.extend(node.game.on_client(
-                        self.now,
-                        id,
-                        ClientToGame::Action {
-                            pos,
-                            payload_bytes: spec.action_bytes,
-                        },
-                    ));
+        let node = self.nodes.get_mut(&server).expect("alive, so present");
+        // The cycle's move and (sometimes) action arrive together: both
+        // are handled before the Matrix server answers either.
+        let fanned_before = node.host.game().stats().updates_fanned;
+        let mut out = Vec::new();
+        let mv = ClientToGame::Move { pos };
+        if action {
+            node.host.stage_client(self.now, id, mv);
+            let act = ClientToGame::Action {
+                pos,
+                payload_bytes: spec.action_bytes,
+            };
+            node.host
+                .step(self.now, HostInput::Client(id, act), &mut out);
+        } else {
+            node.host
+                .step(self.now, HostInput::Client(id, mv), &mut out);
+        }
+        let fanned = node.host.game().stats().updates_fanned - fanned_before;
+        let packets = if action { 2.0 } else { 1.0 };
+        let work = packets * spec.packet_work + spec.fanout_work * fanned as f64;
+        node.queue.arrive(self.now, work);
+        // Response latency sample for actions: uplink + queueing +
+        // downlink.
+        if action {
+            let mut rng = self.rng.fork();
+            let up = self
+                .cfg
+                .net
+                .client_link
+                .delay_for(spec.action_bytes, &mut rng);
+            let down = self.cfg.net.client_link.delay_for(64, &mut rng);
+            if let (Some(up), Some(down)) = (up, down) {
+                let queueing = node.queue.drain_time(self.now);
+                let total = up + queueing + down;
+                self.response_latency.record(total.as_micros() as f64);
+                self.samples += 1;
+                if total >= self.late_threshold {
+                    self.late += 1;
                 }
-                let fanned = node.game.stats().updates_fanned - fanned_before;
-                let packets = if action { 2.0 } else { 1.0 };
-                let work = packets * spec.packet_work + spec.fanout_work * fanned as f64;
-                node.queue.arrive(self.now, work);
-                // Response latency sample for actions: uplink + queueing +
-                // downlink.
-                if action {
-                    let mut rng = self.rng.fork();
-                    let up = self
-                        .cfg
-                        .net
-                        .client_link
-                        .delay_for(spec.action_bytes, &mut rng);
-                    let down = self.cfg.net.client_link.delay_for(64, &mut rng);
-                    if let (Some(up), Some(down)) = (up, down) {
-                        let queueing = node.queue.drain_time(self.now);
-                        let total = up + queueing + down;
-                        self.response_latency.record(total.as_micros() as f64);
-                        self.samples += 1;
-                        if total >= self.late_threshold {
-                            self.late += 1;
-                        }
-                    }
-                }
-                self.process_game_actions(server, actions);
             }
         }
+        self.route(server, out);
         self.queue
             .schedule(self.now + interval, Event::ClientUpdate(id));
     }
@@ -780,14 +726,11 @@ impl Cluster {
                     let hosts: Vec<ServerId> = self
                         .nodes
                         .iter()
-                        .filter(|(_, n)| n.game.has_client(id))
+                        .filter(|(_, n)| n.host.game().has_client(id))
                         .map(|(s, _)| *s)
                         .collect();
                     for s in hosts {
-                        if let Some(node) = self.nodes.get_mut(&s) {
-                            let actions = node.game.on_client(self.now, id, ClientToGame::Leave);
-                            self.process_game_actions(s, actions);
-                        }
+                        self.step(s, HostInput::Client(id, ClientToGame::Leave));
                     }
                 }
             }
@@ -805,7 +748,7 @@ impl Cluster {
         let target = if self
             .nodes
             .get(&server)
-            .map(|n| n.alive && n.matrix.lifecycle() == matrix_core::Lifecycle::Active)
+            .map(|n| n.alive && n.host.matrix().lifecycle() == matrix_core::Lifecycle::Active)
             .unwrap_or(false)
         {
             server
@@ -814,12 +757,10 @@ impl Cluster {
         };
         self.keepalive_deadline.remove(&id);
         if let Some(node) = self.nodes.get_mut(&target) {
-            let actions =
-                node.game
-                    .on_client(self.now, id, ClientToGame::Join { pos, state_bytes });
             node.queue.arrive(self.now, self.cfg.spec.packet_work);
             self.pop.set_server(id, target);
-            self.process_game_actions(target, actions);
+            let join = ClientToGame::Join { pos, state_bytes };
+            self.step(target, HostInput::Client(id, join));
         }
         // Handoff latency bookkeeping.
         if let Some(started) = self.switch_started.remove(&id) {
@@ -843,20 +784,13 @@ impl Cluster {
         }
         // Retired nodes keep ticking (cheaply, producing no actions): the
         // pool can hand their id out again, and the resurrected server must
-        // resume load reports and heartbeats immediately. Idle nodes tick
-        // their Matrix side too — warm standbys heartbeat while idle.
-        if node.matrix.lifecycle() == matrix_core::Lifecycle::Active {
-            let t0 = self.cfg.game.telemetry.then(std::time::Instant::now);
-            let backlog = node.queue.backlog_at(self.now);
-            let game_actions = node.game.on_tick(self.now, backlog);
-            self.process_game_actions(id, game_actions);
-            if let Some(t0) = t0 {
-                self.tick_hist.record(t0.elapsed().as_secs_f64() * 1e6);
-            }
-        }
-        if let Some(node) = self.nodes.get_mut(&id) {
-            let matrix_actions = node.matrix.on_tick(self.now);
-            self.process_matrix_actions(id, matrix_actions);
+        // resume load reports and heartbeats immediately.
+        let active = node.host.matrix().lifecycle() == matrix_core::Lifecycle::Active;
+        let t0 = (self.cfg.game.telemetry && active).then(std::time::Instant::now);
+        let queue_backlog = node.queue.backlog_at(self.now);
+        self.step(id, HostInput::Tick { queue_backlog });
+        if let Some(t0) = t0 {
+            self.tick_hist.record(t0.elapsed().as_secs_f64() * 1e6);
         }
         self.queue
             .schedule(self.now + self.cfg.game.tick, Event::NodeTick(id));
@@ -866,12 +800,13 @@ impl Cluster {
         let t = self.now.as_secs_f64();
         let mut active = 0;
         for node in self.nodes.values_mut() {
-            let is_active = node.alive && node.matrix.lifecycle() == matrix_core::Lifecycle::Active;
+            let is_active =
+                node.alive && node.host.matrix().lifecycle() == matrix_core::Lifecycle::Active;
             if is_active {
                 active += 1;
             }
             let clients = if node.alive {
-                node.game.client_count() as f64
+                node.host.game().client_count() as f64
             } else {
                 0.0
             };
@@ -888,100 +823,31 @@ impl Cluster {
             .schedule(self.now + self.cfg.sample_every, Event::Sample);
     }
 
-    // -- action dispatch -------------------------------------------------------
+    // -- the transport -----------------------------------------------------------
 
-    /// Applies game-server actions: local Matrix deliveries are processed
-    /// iteratively; client messages are interpreted by the client driver.
-    fn process_game_actions(&mut self, server: ServerId, actions: Vec<GameAction>) {
-        let mut work: VecDeque<(ServerId, GameAction)> =
-            actions.into_iter().map(|a| (server, a)).collect();
-        while let Some((at, action)) = work.pop_front() {
-            match action {
-                GameAction::ToMatrix(msg) => {
-                    let Some(node) = self.nodes.get_mut(&at) else {
-                        continue;
-                    };
-                    if !node.alive {
-                        continue;
-                    }
-                    let matrix_actions = node.matrix.on_game(self.now, msg);
-                    self.dispatch_matrix(at, matrix_actions, &mut work);
-                }
-                GameAction::ToClient(client, msg) => self.client_message(at, client, msg),
-            }
+    /// Hands one input to a live machine and routes what it leaves. A
+    /// crashed machine takes nothing.
+    fn step(&mut self, id: ServerId, input: HostInput) {
+        let Some(node) = self.nodes.get_mut(&id) else {
+            return;
+        };
+        if !node.alive {
+            return;
         }
+        let mut out = Vec::new();
+        node.host.step(self.now, input, &mut out);
+        self.route(id, out);
     }
 
-    /// Applies Matrix-server actions (wrapper around the shared dispatcher).
-    fn process_matrix_actions(&mut self, server: ServerId, actions: Vec<Action>) {
-        let mut work: VecDeque<(ServerId, GameAction)> = VecDeque::new();
-        self.dispatch_matrix(server, actions, &mut work);
-        while let Some((at, action)) = work.pop_front() {
-            match action {
-                GameAction::ToMatrix(msg) => {
-                    let Some(node) = self.nodes.get_mut(&at) else {
-                        continue;
-                    };
-                    if !node.alive {
-                        continue;
-                    }
-                    let matrix_actions = node.matrix.on_game(self.now, msg);
-                    self.dispatch_matrix(at, matrix_actions, &mut work);
-                }
-                GameAction::ToClient(client, msg) => self.client_message(at, client, msg),
-            }
-        }
-    }
-
-    /// Routes Matrix actions: local game deliveries are processed
-    /// immediately (same machine, §3.2.2) with queue accounting; remote
-    /// sends become events with link latency.
-    fn dispatch_matrix(
-        &mut self,
-        from: ServerId,
-        actions: Vec<Action>,
-        work: &mut VecDeque<(ServerId, GameAction)>,
-    ) {
-        for action in actions {
-            match action {
-                Action::ToGame(msg) => {
-                    let Some(node) = self.nodes.get_mut(&from) else {
-                        continue;
-                    };
-                    if !node.alive {
-                        continue;
-                    }
-                    // Charge delivered peer updates as receive-queue work.
-                    if let MatrixToGame::Deliver(ref pkt) = msg {
-                        let fanned_before = node.game.stats().updates_fanned;
-                        let spec = &self.cfg.spec;
-                        let ga = node.game.on_matrix(self.now, msg.clone());
-                        let fanned = node.game.stats().updates_fanned - fanned_before;
-                        let w = spec.work_for_remote(fanned as usize);
-                        node.queue.arrive(self.now, w);
-                        let _ = pkt;
-                        for a in ga {
-                            work.push_back((from, a));
-                        }
-                    } else {
-                        let redirect = matches!(
-                            msg,
-                            MatrixToGame::RedirectClients { .. } | MatrixToGame::RedirectAll { .. }
-                        );
-                        let before = node.game.client_count();
-                        let ga = node.game.on_matrix(self.now, msg);
-                        if redirect && before > 0 {
-                            // The buffered work of redirected connections
-                            // leaves with them.
-                            let kept = node.game.client_count() as f64 / before as f64;
-                            node.queue.scale_backlog(self.now, kept);
-                        }
-                        for a in ga {
-                            work.push_back((from, a));
-                        }
-                    }
-                }
-                Action::ToPeer(to, msg) => {
+    /// Carries out what a step on `from` left, in the order it came up:
+    /// remote sends become events with link latency, client messages are
+    /// interpreted by the client driver, and local deliveries are charged
+    /// to the machine's receive queue.
+    fn route(&mut self, from: ServerId, outbound: Vec<Outbound>) {
+        for entry in outbound {
+            match entry {
+                Outbound::ToClient(client, msg) => self.client_message(from, client, msg),
+                Outbound::ToPeer(to, msg) => {
                     let bytes = peer_msg_bytes(&msg);
                     if matches!(msg, PeerMsg::Replica { .. } | PeerMsg::ReplicaAck { .. }) {
                         self.replica_bytes += bytes as u64;
@@ -992,14 +858,32 @@ impl Cluster {
                             .schedule(self.now + delay, Event::Peer { to, from, msg });
                     }
                 }
-                Action::ToCoord(msg) => {
+                Outbound::ToCoord(msg) => {
                     let mut rng = self.rng.fork();
                     if let Some(delay) = self.cfg.net.coord_link.delay_for(256, &mut rng) {
                         self.queue.schedule(self.now + delay, Event::Coord(msg));
                     }
                 }
-                Action::ToPool(msg) => {
+                Outbound::ToPool(msg) => {
                     self.queue.schedule(self.now, Event::Pool(from, msg));
+                }
+                Outbound::Local(delivery) => {
+                    let node = self.nodes.get_mut(&from).expect("it just stepped");
+                    match delivery {
+                        // Delivered peer updates are receive-queue work.
+                        LocalDelivery::PeerUpdate { fanned } => {
+                            let work = self.cfg.spec.work_for_remote(fanned as usize);
+                            node.queue.arrive(self.now, work);
+                        }
+                        // The buffered work of redirected connections
+                        // leaves with them.
+                        LocalDelivery::Redirect { before, after } => {
+                            if before > 0 {
+                                let kept = after as f64 / before as f64;
+                                node.queue.scale_backlog(self.now, kept);
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -1012,13 +896,6 @@ impl Cluster {
                 self.queue
                     .schedule(self.now + delay, Event::CoordReply(to, reply));
             }
-        }
-    }
-
-    fn deliver_coord_reply_now(&mut self, to: ServerId, reply: CoordReply) {
-        if let Some(node) = self.nodes.get_mut(&to) {
-            let actions = node.matrix.on_coord(self.now, reply);
-            self.process_matrix_actions(to, actions);
         }
     }
 
@@ -1047,19 +924,12 @@ impl Cluster {
                 for item in &updates {
                     if let Some(tag) = item.trace() {
                         self.traced_deliveries += 1;
-                        if let Some(node) = self.nodes.get_mut(&from) {
-                            // TraceAck produces no actions, so the
-                            // result needs no dispatch.
-                            let _ = node.game.on_client(
-                                self.now,
-                                client,
-                                ClientToGame::TraceAck {
-                                    ring: item.ring(),
-                                    latency_us: tag.latency_us(apply_us),
-                                    staleness_us: tag.staleness_us(apply_us),
-                                },
-                            );
-                        }
+                        let ack = ClientToGame::TraceAck {
+                            ring: item.ring(),
+                            latency_us: tag.latency_us(apply_us),
+                            staleness_us: tag.staleness_us(apply_us),
+                        };
+                        self.step(from, HostInput::Client(client, ack));
                     }
                 }
                 // Failure probes: the first delivery to a crashed
@@ -1081,7 +951,7 @@ impl Cluster {
                 if self
                     .nodes
                     .get(&to)
-                    .is_some_and(|n| n.alive && n.game.has_client(client))
+                    .is_some_and(|n| n.alive && n.host.game().has_client(client))
                 {
                     self.pop.set_server(client, to);
                     self.keepalive_deadline.remove(&client);
@@ -1124,24 +994,11 @@ impl Cluster {
 
     // -- reporting ---------------------------------------------------------------
 
-    fn report(mut self) -> ClusterReport {
+    fn report(self) -> ClusterReport {
         let mut clients_per_server = Vec::new();
         let mut queue_per_server = Vec::new();
         let mut inter_server_bytes = 0;
-        let mut updates_processed = 0;
-        let mut updates_fanned = 0;
-        let mut batch_bytes = 0;
-        let mut delta_bytes_saved = 0;
-        let mut delta_items = 0;
-        let mut keyframe_items = 0;
-        let mut updates_rate_limited = 0;
-        let mut updates_sampled_out = 0;
-        let mut ring_items = [0u64; matrix_core::MAX_RINGS];
-        let mut grid_retunes = 0;
-        let mut updates_suppressed = 0;
-        let mut payloads_stripped = 0;
-        let mut pred_error_sum = 0.0;
-        let mut pred_error_max = 0.0f64;
+        let mut game = GameStats::default();
         let mut dropped = 0.0;
         let mut splits = 0;
         let mut reclaims = 0;
@@ -1150,35 +1007,21 @@ impl Cluster {
             .map(|_| (Histogram::new(), Histogram::new()))
             .collect();
         let mut trace_acks_by_server = Vec::new();
-        for node in self.nodes.values_mut() {
-            let (latency, staleness) = node.game.trace_histograms();
+        for node in self.nodes.values() {
+            let (host_game, host_matrix) = (node.host.game(), node.host.matrix());
+            let (latency, staleness) = host_game.trace_histograms();
             for (ring, slot) in trace_freshness.iter_mut().enumerate() {
                 slot.0.merge(&latency[ring]);
                 slot.1.merge(&staleness[ring]);
             }
-            if node.game.trace_acks() > 0 {
-                trace_acks_by_server.push((node.game.id(), node.game.trace_acks()));
+            if host_game.trace_acks() > 0 {
+                trace_acks_by_server.push((host_game.id(), host_game.trace_acks()));
             }
-            inter_server_bytes += node.matrix.stats().bytes_to_peers;
-            updates_processed += node.game.stats().moves + node.game.stats().actions;
-            updates_fanned += node.game.stats().updates_fanned;
-            batch_bytes += node.game.stats().batch_bytes;
-            delta_bytes_saved += node.game.stats().delta_bytes_saved;
-            delta_items += node.game.stats().delta_items;
-            keyframe_items += node.game.stats().keyframe_items;
-            updates_rate_limited += node.game.stats().updates_rate_limited;
-            updates_sampled_out += node.game.stats().updates_sampled_out;
-            for (total, per_node) in ring_items.iter_mut().zip(node.game.stats().ring_items) {
-                *total += per_node;
-            }
-            grid_retunes += node.game.stats().grid_retunes;
-            updates_suppressed += node.game.stats().updates_suppressed;
-            payloads_stripped += node.game.stats().payloads_stripped;
-            pred_error_sum += node.game.stats().pred_error_sum;
-            pred_error_max = pred_error_max.max(node.game.stats().pred_error_max);
+            game.absorb(host_game.stats());
+            inter_server_bytes += host_matrix.stats().bytes_to_peers;
+            splits += host_matrix.stats().splits;
+            reclaims += host_matrix.stats().reclaims;
             dropped += node.queue.total_dropped();
-            splits += node.matrix.stats().splits;
-            reclaims += node.matrix.stats().reclaims;
             peak_queue = peak_queue.max(node.queue_series.max_value().unwrap_or(0.0));
             clients_per_server.push(node.clients_series.clone());
             queue_per_server.push(node.queue_series.clone());
@@ -1237,20 +1080,8 @@ impl Cluster {
             switch_latency_us: self.switch_latency,
             late_fraction,
             inter_server_bytes,
-            updates_processed,
-            updates_fanned,
-            batch_bytes,
-            delta_bytes_saved,
-            delta_items,
-            keyframe_items,
-            updates_rate_limited,
-            updates_sampled_out,
-            ring_items,
-            grid_retunes,
-            updates_suppressed,
-            payloads_stripped,
-            pred_error_sum,
-            pred_error_max,
+            updates_processed: game.moves + game.actions,
+            game,
             dropped_work: dropped,
             switches: self.switches,
             resumes: self.resumes,

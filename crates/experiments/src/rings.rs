@@ -165,7 +165,7 @@ pub fn table(rows: &[RingsRow]) -> Table {
     let baseline_bytes = rows
         .iter()
         .find(|r| r.mode == Mode::Binary)
-        .map(|r| r.report.batch_bytes)
+        .map(|r| r.report.game.batch_bytes)
         .unwrap_or(0);
     let mut t = Table::new(
         "E14 — tiered dissemination on the dense crowd (multi-ring AOI + grid auto-tuning)",
@@ -176,32 +176,32 @@ pub fn table(rows: &[RingsRow]) -> Table {
     );
     for row in rows {
         let r = &row.report;
-        let items = r.keyframe_items + r.delta_items;
-        let relevant = items + r.updates_rate_limited;
+        let items = r.game.keyframe_items + r.game.delta_items;
+        let relevant = items + r.game.updates_rate_limited;
         let stale = if relevant == 0 {
             0.0
         } else {
-            100.0 * r.updates_rate_limited as f64 / relevant as f64
+            100.0 * r.game.updates_rate_limited as f64 / relevant as f64
         };
         let delta = if baseline_bytes == 0 || row.mode == Mode::Binary {
             "—".into()
         } else {
             format!(
                 "{:+.1}%",
-                100.0 * (r.batch_bytes as f64 - baseline_bytes as f64) / baseline_bytes as f64
+                100.0 * (r.game.batch_bytes as f64 - baseline_bytes as f64) / baseline_bytes as f64
             )
         };
         t.push_row(&[
             row.mode.label().into(),
-            format!("{}", r.updates_fanned),
-            format!("{}", r.updates_sampled_out),
-            format!("{}", r.ring_items[0]),
-            format!("{}", r.ring_items[1]),
-            format!("{}", r.ring_items[2]),
-            format!("{:.1}", r.batch_bytes as f64 / 1e6),
+            format!("{}", r.game.updates_fanned),
+            format!("{}", r.game.updates_sampled_out),
+            format!("{}", r.game.ring_items[0]),
+            format!("{}", r.game.ring_items[1]),
+            format!("{}", r.game.ring_items[2]),
+            format!("{:.1}", r.game.batch_bytes as f64 / 1e6),
             delta,
             format!("{stale:.0}"),
-            format!("{}", r.grid_retunes),
+            format!("{}", r.game.grid_retunes),
             format!("{}", row.wall_ms),
         ]);
     }
@@ -220,40 +220,41 @@ pub fn verdict(rows: &[RingsRow]) -> Result<String, String> {
         .iter()
         .find(|r| r.mode == Mode::Rings)
         .ok_or("no rings row")?;
-    if binary.report.batch_bytes == 0 {
+    if binary.report.game.batch_bytes == 0 {
         return Err("binary row shipped no bytes".into());
     }
-    if binary.report.updates_sampled_out != 0 {
+    if binary.report.game.updates_sampled_out != 0 {
         return Err("binary row sampled events out — rates were not 1".into());
     }
-    if rings.report.updates_sampled_out == 0 {
+    if rings.report.game.updates_sampled_out == 0 {
         return Err("ringed row sampled nothing — tiers were not in effect".into());
     }
-    let reduction = 1.0 - rings.report.batch_bytes as f64 / binary.report.batch_bytes as f64;
+    let reduction =
+        1.0 - rings.report.game.batch_bytes as f64 / binary.report.game.batch_bytes as f64;
     if reduction < 0.25 {
         return Err(format!(
             "bytes-on-wire reduction {:.1}% < 25% ({} -> {} bytes)",
             reduction * 100.0,
-            binary.report.batch_bytes,
-            rings.report.batch_bytes
+            binary.report.game.batch_bytes,
+            rings.report.game.batch_bytes
         ));
     }
     // Near-ring staleness must not worsen: ring 0 is never sampled, so
     // its delivered count can only be depressed by a regression.
-    if rings.report.ring_items[0] < binary.report.ring_items[0] {
+    if rings.report.game.ring_items[0] < binary.report.game.ring_items[0] {
         return Err(format!(
             "near-ring delivery dropped: {} < {}",
-            rings.report.ring_items[0], binary.report.ring_items[0]
+            rings.report.game.ring_items[0], binary.report.game.ring_items[0]
         ));
     }
     let tuned = rows.iter().find(|r| r.mode == Mode::RingsTuned);
-    let retunes = tuned.map(|r| r.report.grid_retunes).unwrap_or(0);
+    let retunes = tuned.map(|r| r.report.game.grid_retunes).unwrap_or(0);
     Ok(format!(
         "rings OK: -{:.1}% bytes-on-wire at unchanged near-ring delivery \
          ({} near items both ways, {} far events sampled out, {} grid retunes in tuned mode)",
         reduction * 100.0,
-        rings.report.ring_items[0],
-        rings.report.updates_sampled_out,
+        rings.report.game.ring_items[0],
+        rings.report.game.updates_sampled_out,
         retunes
     ))
 }
@@ -269,14 +270,14 @@ pub fn to_csv(rows: &[RingsRow]) -> String {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{}\n",
             row.mode.label(),
-            r.updates_fanned,
-            r.updates_sampled_out,
-            r.ring_items[0],
-            r.ring_items[1],
-            r.ring_items[2],
-            r.batch_bytes,
-            r.updates_rate_limited,
-            r.grid_retunes,
+            r.game.updates_fanned,
+            r.game.updates_sampled_out,
+            r.game.ring_items[0],
+            r.game.ring_items[1],
+            r.game.ring_items[2],
+            r.game.batch_bytes,
+            r.game.updates_rate_limited,
+            r.game.grid_retunes,
             row.wall_ms,
         ));
     }
@@ -296,7 +297,7 @@ mod tests {
         // 800×800 world wants a much coarser grid than the static 32.
         let tuned = rows.iter().find(|r| r.mode == Mode::RingsTuned).unwrap();
         assert!(
-            tuned.report.grid_retunes > 0,
+            tuned.report.game.grid_retunes > 0,
             "the density tuner must re-pick the resolution"
         );
         // Tiering only decimates the periphery: the near ring is never
@@ -306,10 +307,10 @@ mod tests {
         let binary = rows.iter().find(|r| r.mode == Mode::Binary).unwrap();
         let rings = rows.iter().find(|r| r.mode == Mode::Rings).unwrap();
         assert!(
-            rings.report.ring_items[0] >= binary.report.ring_items[0],
+            rings.report.game.ring_items[0] >= binary.report.game.ring_items[0],
             "near ring regressed: {} < {}",
-            rings.report.ring_items[0],
-            binary.report.ring_items[0]
+            rings.report.game.ring_items[0],
+            binary.report.game.ring_items[0]
         );
     }
 }

@@ -21,7 +21,9 @@
 
 use crate::node::NodeMsg;
 use crate::router::Router;
-use matrix_core::{reconstruct_updates, ClientId, ClientToGame, Extrapolator, GameToClient};
+use matrix_core::{
+    reconstruct_updates, ClientId, ClientToGame, Extrapolator, GameToClient, HostInput,
+};
 use matrix_geometry::{Point, ServerId};
 use matrix_sim::SimTime;
 use tokio::sync::mpsc;
@@ -146,7 +148,7 @@ impl RtClient {
 
     fn send(&self, msg: ClientToGame) {
         self.router
-            .send_node(self.server, NodeMsg::FromClient(self.id, msg));
+            .send_node(self.server, NodeMsg::Input(HostInput::Client(self.id, msg)));
     }
 
     /// Moves to `pos` and tells the server.

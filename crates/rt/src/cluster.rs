@@ -4,8 +4,8 @@ use crate::client::RtClient;
 use crate::node::{spawn_node, NodeHandle, NodeMsg, NodeSnapshot};
 use crate::router::Router;
 use matrix_core::{
-    CoordAction, CoordMsg, Coordinator, CoordinatorConfig, GameServerConfig, MatrixConfig, PoolMsg,
-    ResourcePool, TelemetrySnapshot,
+    CoordAction, CoordMsg, Coordinator, CoordinatorConfig, GameServerConfig, HostInput,
+    MatrixConfig, PoolMsg, ResourcePool, TelemetrySnapshot,
 };
 use matrix_geometry::{Point, Rect, ServerId};
 use tokio::sync::{mpsc, oneshot};
@@ -125,10 +125,10 @@ impl RtCluster {
         }
 
         // Developer bootstrap: register the game on the first node.
-        bootstrap.send(NodeMsg::Register {
+        bootstrap.send(NodeMsg::Input(HostInput::Register {
             world: cfg.world,
             radius: cfg.radius,
-        });
+        }));
         // Ready once the bootstrap node has taken the registration and
         // reports itself active (the coordinator's overlap table for a
         // one-server world is empty; nothing routes differently before
@@ -207,7 +207,7 @@ impl RtCluster {
     /// Stops every node task.
     pub async fn shutdown(self) {
         for node in &self.nodes {
-            node.send(NodeMsg::Shutdown);
+            node.send(NodeMsg::Input(HostInput::Shutdown));
         }
     }
 
@@ -256,7 +256,7 @@ async fn run_coordinator(
 
 fn deliver(router: &Router, actions: Vec<CoordAction>) {
     for CoordAction::Send(to, reply) in actions {
-        router.send_node(to, NodeMsg::Coord(reply));
+        router.send_node(to, NodeMsg::Input(HostInput::Coord(reply)));
     }
 }
 
@@ -267,7 +267,7 @@ async fn run_pool(
 ) {
     while let Some((from, msg)) = rx.recv().await {
         if let Some(reply) = pool.handle(msg) {
-            router.send_node(from, NodeMsg::Pool(reply));
+            router.send_node(from, NodeMsg::Input(HostInput::Pool(reply)));
         }
     }
 }

@@ -1,47 +1,32 @@
 //! A node task: one co-located game server + Matrix server pair.
 //!
-//! The task owns the two sans-io state machines and a tick timer. Inputs
-//! arrive on the inbox; outputs are routed through the [`Router`]. Local
-//! game↔matrix deliveries are processed in place (same machine, as the
-//! paper deploys them), exactly mirroring the discrete-event harness.
+//! The task owns a [`Host`] and a tick timer. Inputs arrive on the
+//! inbox, [`Host::step`] runs the pair to quiescence (same machine, as
+//! the paper deploys them), and what leaves the machine is sent through
+//! the [`Router`] — the same `Host::step` the discrete-event harness
+//! executes, under a different transport.
 
 use crate::router::Router;
 use matrix_core::{
-    Action, ClientId, ClientToGame, CoordReply, GameAction, GameServerConfig, GameServerNode,
-    GameStats, Histogram, Lifecycle, MatrixConfig, MatrixServer, PeerMsg, PoolReply, ServerStats,
-    TelemetrySnapshot,
+    GameServerConfig, GameServerNode, GameStats, Histogram, Host, HostInput, Lifecycle,
+    MatrixConfig, MatrixServer, Outbound, ServerStats, TelemetrySnapshot,
 };
 use matrix_geometry::{Rect, ServerId};
-use std::collections::VecDeque;
 use tokio::sync::{mpsc, oneshot};
 
 /// Messages a node task accepts.
+// Nearly every message is an `Input`; boxing it would buy the two rare
+// variants a smaller enum with an allocation per client packet.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum NodeMsg {
-    /// A client packet addressed to this game server.
-    FromClient(ClientId, ClientToGame),
-    /// A peer Matrix server's message.
-    Peer {
-        /// Sending server.
-        from: ServerId,
-        /// The message.
-        msg: PeerMsg,
-    },
-    /// A coordinator reply.
-    Coord(CoordReply),
-    /// A pool reply.
-    Pool(PoolReply),
-    /// Developer bootstrap: register the game world on this node.
-    Register {
-        /// The world rectangle.
-        world: Rect,
-        /// Radius of visibility.
-        radius: f64,
-    },
+    /// Something for the host to handle: a client packet, a peer,
+    /// coordinator or pool message, the bootstrap registration, or
+    /// `HostInput::Shutdown` — the graceful stop, after whose final
+    /// flush the task exits.
+    Input(HostInput),
     /// Point-in-time observability snapshot.
     Snapshot(oneshot::Sender<NodeSnapshot>),
-    /// Graceful stop.
-    Shutdown,
     /// Simulated process death (failover tests): the task exits
     /// immediately — no final flush, no goodbye, heartbeats just stop,
     /// exactly as a crashed machine would look to the cluster.
@@ -110,17 +95,18 @@ async fn run_node(
     router: Router,
     mut rx: mpsc::UnboundedReceiver<NodeMsg>,
 ) {
-    let mut matrix = MatrixServer::new(id, mcfg);
-    // Real clients hang off this runtime, so fan-out is emitted for real.
-    let mut game = GameServerNode::new(id, gcfg).with_fanout();
-    if gcfg.flush_workers > 1 {
-        // Spread the flush across real threads: each shard's policy
-        // ranking and delta encoding runs on its own scoped worker.
-        game = game.with_parallel_flush();
-    }
-    // Driver-side tick latency: how long a whole active game tick takes
-    // (flush included) on the real runtime. The clock reads are the very
-    // cost being measured, so they are gated on the telemetry switch.
+    // Real clients hang off this runtime, so fan-out is emitted for real,
+    // and a sharded flush runs each shard's policy ranking and delta
+    // encoding on its own scoped worker.
+    let game = GameServerNode::new(id, gcfg)
+        .with_fanout()
+        .with_parallel_flush();
+    let mut host = Host::new(game, MatrixServer::new(id, mcfg));
+    let mut out = Vec::new();
+    // Driver-side tick latency: how long a whole active tick takes
+    // (flush and sends included) on the real runtime. The clock reads are
+    // the very cost being measured, so they are gated on the telemetry
+    // switch.
     let telemetry_on = gcfg.telemetry;
     let mut tick_hist = Histogram::new();
     let tick = std::time::Duration::from_micros(gcfg.tick.as_micros());
@@ -133,48 +119,29 @@ async fn run_node(
             // and an inbox that never runs dry must not postpone the flush
             // (and with it every client's batch).
             _ = ticker.tick() => {
-                let now = router.now();
-                if matrix.lifecycle() == Lifecycle::Active {
-                    let t0 = telemetry_on.then(std::time::Instant::now);
-                    // The runtime has no fluid queue model; the inbox is
-                    // the real queue and client counts drive adaptation.
-                    let game_actions = game.on_tick(now, 0.0);
-                    dispatch_game(&router, id, &mut matrix, &mut game, game_actions);
-                    if let Some(t0) = t0 {
-                        tick_hist.record(t0.elapsed().as_secs_f64() * 1e6);
-                    }
+                let active = host.matrix().lifecycle() == Lifecycle::Active;
+                let t0 = (telemetry_on && active).then(std::time::Instant::now);
+                // The runtime has no fluid queue model; the inbox is the
+                // real queue and client counts drive adaptation.
+                host.step(router.now(), HostInput::Tick { queue_backlog: 0.0 }, &mut out);
+                send(&router, id, &mut out);
+                if let Some(t0) = t0 {
+                    tick_hist.record(t0.elapsed().as_secs_f64() * 1e6);
                 }
-                // The Matrix side ticks in every lifecycle: idle warm
-                // standbys heartbeat so the coordinator can tell a live
-                // standby from a dead one.
-                let matrix_actions = matrix.on_tick(now);
-                dispatch_matrix(&router, id, &mut matrix, &mut game, matrix_actions);
             }
             maybe = rx.recv() => {
                 let Some(msg) = maybe else { break };
-                let now = router.now();
                 match msg {
-                    NodeMsg::FromClient(client, m) => {
-                        let actions = game.on_client(now, client, m);
-                        dispatch_game(&router, id, &mut matrix, &mut game, actions);
-                    }
-                    NodeMsg::Peer { from, msg } => {
-                        let actions = matrix.on_peer(now, from, msg);
-                        dispatch_matrix(&router, id, &mut matrix, &mut game, actions);
-                    }
-                    NodeMsg::Coord(reply) => {
-                        let actions = matrix.on_coord(now, reply);
-                        dispatch_matrix(&router, id, &mut matrix, &mut game, actions);
-                    }
-                    NodeMsg::Pool(reply) => {
-                        let actions = matrix.on_pool(now, reply);
-                        dispatch_matrix(&router, id, &mut matrix, &mut game, actions);
-                    }
-                    NodeMsg::Register { world, radius } => {
-                        let actions = game.register(world, radius);
-                        dispatch_game(&router, id, &mut matrix, &mut game, actions);
+                    NodeMsg::Input(input) => {
+                        let stop = matches!(input, HostInput::Shutdown);
+                        host.step(router.now(), input, &mut out);
+                        send(&router, id, &mut out);
+                        if stop {
+                            break;
+                        }
                     }
                     NodeMsg::Snapshot(reply) => {
+                        let (game, matrix) = (host.game(), host.matrix());
                         let telemetry = game.telemetry_snapshot().map(|mut snap| {
                             snap.hist("rt_tick_us", &tick_hist);
                             snap
@@ -189,16 +156,6 @@ async fn run_node(
                             telemetry,
                         });
                     }
-                    NodeMsg::Shutdown => {
-                        // Deliver what the batcher still holds so a
-                        // graceful stop cannot eat the last interval's
-                        // updates — and clear per-client delta bases so a
-                        // client rejoining a restarted node receives a
-                        // keyframe, never a delta against lost state.
-                        let actions = game.shutdown_flush(now);
-                        dispatch_game(&router, id, &mut matrix, &mut game, actions);
-                        break;
-                    }
                     NodeMsg::Crash => break,
                 }
             }
@@ -206,65 +163,18 @@ async fn run_node(
     }
 }
 
-/// Routes game-server actions, processing local matrix deliveries inline.
-fn dispatch_game(
-    router: &Router,
-    id: ServerId,
-    matrix: &mut MatrixServer,
-    game: &mut GameServerNode,
-    actions: Vec<GameAction>,
-) {
-    let mut queue: VecDeque<GameAction> = actions.into();
-    while let Some(action) = queue.pop_front() {
-        match action {
-            GameAction::ToMatrix(msg) => {
-                let now = router.now();
-                let matrix_actions = matrix.on_game(now, msg);
-                route_matrix(router, id, game, matrix_actions, &mut queue);
+/// The transport half: hands everything a step left to the router.
+fn send(router: &Router, id: ServerId, out: &mut Vec<Outbound>) {
+    for outbound in out.drain(..) {
+        match outbound {
+            Outbound::ToClient(client, msg) => router.send_client(client, msg),
+            Outbound::ToPeer(peer, msg) => {
+                router.send_node(peer, NodeMsg::Input(HostInput::Peer { from: id, msg }))
             }
-            GameAction::ToClient(client, msg) => router.send_client(client, msg),
-        }
-    }
-}
-
-/// Routes Matrix-server actions, processing local game deliveries inline.
-fn dispatch_matrix(
-    router: &Router,
-    id: ServerId,
-    matrix: &mut MatrixServer,
-    game: &mut GameServerNode,
-    actions: Vec<Action>,
-) {
-    let mut queue: VecDeque<GameAction> = VecDeque::new();
-    route_matrix(router, id, game, actions, &mut queue);
-    while let Some(action) = queue.pop_front() {
-        match action {
-            GameAction::ToMatrix(msg) => {
-                let now = router.now();
-                let matrix_actions = matrix.on_game(now, msg);
-                route_matrix(router, id, game, matrix_actions, &mut queue);
-            }
-            GameAction::ToClient(client, msg) => router.send_client(client, msg),
-        }
-    }
-}
-
-fn route_matrix(
-    router: &Router,
-    id: ServerId,
-    game: &mut GameServerNode,
-    actions: Vec<Action>,
-    queue: &mut VecDeque<GameAction>,
-) {
-    for action in actions {
-        match action {
-            Action::ToGame(msg) => {
-                let now = router.now();
-                queue.extend(game.on_matrix(now, msg));
-            }
-            Action::ToPeer(peer, msg) => router.send_node(peer, NodeMsg::Peer { from: id, msg }),
-            Action::ToCoord(msg) => router.send_coordinator(msg),
-            Action::ToPool(msg) => router.send_pool(id, msg),
+            Outbound::ToCoord(msg) => router.send_coordinator(msg),
+            Outbound::ToPool(msg) => router.send_pool(id, msg),
+            // The inbox is a real queue; there is no model to charge.
+            Outbound::Local(_) => {}
         }
     }
 }

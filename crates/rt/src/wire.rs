@@ -39,10 +39,11 @@ use crate::node::{NodeHandle, NodeMsg};
 use crate::router::Router;
 use matrix_core::codec_v2::{self, CodecError, Frame, FrameAccumulator, FrameMeta};
 use matrix_core::{
-    render_prometheus, ClientId, ClientToGame, GameToClient, TelemetrySnapshot, WireCodec,
+    render_prometheus, ClientId, ClientToGame, GameToClient, HostInput, TelemetrySnapshot,
+    WireCodec,
 };
 use matrix_geometry::ServerId;
-use tokio::io::{AsyncBufReadExt, AsyncChunkReadExt, AsyncWriteExt, BufReader, Chunks};
+use tokio::io::{AsyncChunkReadExt, AsyncWriteExt, Chunks};
 use tokio::net::tcp::OwnedWriteHalf;
 use tokio::net::{TcpListener, TcpStream, ToSocketAddrs};
 use tokio::sync::mpsc;
@@ -239,8 +240,10 @@ impl Bridge {
     /// Forwards one upload to the owning node.
     fn upload(&mut self, msg: ClientToGame) {
         self.session.observe(&msg);
-        self.router
-            .send_node(self.current, NodeMsg::FromClient(self.client_id, msg));
+        self.router.send_node(
+            self.current,
+            NodeMsg::Input(HostInput::Client(self.client_id, msg)),
+        );
     }
 
     /// Frames `first` and everything already queued behind it in `inbox`
@@ -263,7 +266,7 @@ impl Bridge {
                 // end still sees the SwitchServer for observability.
                 self.router.send_node(
                     self.current,
-                    NodeMsg::FromClient(self.client_id, self.session.rejoin()),
+                    NodeMsg::Input(HostInput::Client(self.client_id, self.session.rejoin())),
                 );
             }
             let meta = self.clock.meta();
@@ -423,18 +426,20 @@ impl TcpStatsClient {
     ///
     /// # Errors
     ///
-    /// Socket errors from connecting or reading the response.
+    /// Socket errors from connecting or reading the response; a reply
+    /// that is not UTF-8 is [`WireError::Io`] with `InvalidData`, as
+    /// `read_to_string` reports it.
     pub async fn fetch_text(addr: impl ToSocketAddrs) -> Result<String, WireError> {
         let stream = TcpStream::connect(addr).await?;
         // Dropping the write half would shut the socket down both ways.
         let (read_half, _write_half) = stream.into_split();
-        let mut lines = BufReader::new(read_half).lines();
-        let mut out = String::new();
-        while let Some(line) = lines.next_line().await? {
-            out.push_str(&line);
-            out.push('\n');
+        let mut chunks = read_half.into_chunks();
+        let mut reply = Vec::new();
+        while let Some(chunk) = chunks.next_chunk().await? {
+            reply.extend_from_slice(&chunk);
         }
-        Ok(out)
+        String::from_utf8(reply)
+            .map_err(|e| WireError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))
     }
 }
 
@@ -659,6 +664,29 @@ mod tests {
     use matrix_geometry::Point;
 
     #[test]
+    fn a_stats_reply_that_is_not_text_is_an_error() {
+        use std::io::Write;
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for reply in [&b"matrix_joins 2\n"[..], &b"matrix_joins \xff\xfe\n"[..]] {
+                let (mut peer, _) = listener.accept().unwrap();
+                peer.write_all(reply).unwrap();
+                // Dropped here: the reader's EOF ends the reply.
+            }
+        });
+        let text = tokio::runtime::block_on(TcpStatsClient::fetch_text(addr));
+        assert_eq!(text.unwrap(), "matrix_joins 2\n");
+        let garbage = tokio::runtime::block_on(TcpStatsClient::fetch_text(addr));
+        assert!(
+            matches!(&garbage, Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData),
+            "{garbage:?}"
+        );
+        server.join().unwrap();
+    }
+
+    #[test]
     fn remote_session_tracks_the_last_uploaded_position() {
         let mut s = RemoteSession::new();
         assert_eq!(
@@ -756,12 +784,12 @@ mod tests {
         };
         assert!(matches!(
             new_owner.try_recv(),
-            Ok(NodeMsg::FromClient(id, msg)) if id == bridge.client_id && msg == rejoin
+            Ok(NodeMsg::Input(HostInput::Client(id, msg))) if id == bridge.client_id && msg == rejoin
         ));
         bridge.upload(ClientToGame::Leave);
         assert!(matches!(
             new_owner.try_recv(),
-            Ok(NodeMsg::FromClient(_, ClientToGame::Leave))
+            Ok(NodeMsg::Input(HostInput::Client(_, ClientToGame::Leave)))
         ));
     }
 }
