@@ -738,9 +738,11 @@ impl GameServerNode {
     /// surviving origins are chained as exact delta offsets with
     /// periodic keyframes, shrinking each item from
     /// [`UpdateItem::WIRE_BYTES`] to [`DeltaItem::WIRE_BYTES`] of
-    /// framing. Each delivered item is moved once — from its receiver's
-    /// queue into the `Vec<BatchItem>` the `UpdateBatch` carries — and
-    /// ring, keyframe and byte accounting ride in that same pass.
+    /// framing. Each delivered item is copied once — out of the
+    /// pipeline's event log, which holds one payload per event and ring
+    /// however many receivers queued it, into the `Vec<BatchItem>` the
+    /// `UpdateBatch` carries — and ring, keyframe and byte accounting
+    /// ride in that same pass.
     ///
     /// Drivers call this from their tick path (both the discrete-event
     /// harness and the async runtime tick through [`GameServerNode::on_tick`],

@@ -1,5 +1,13 @@
 //! Per-receiver update coalescing.
 //!
+//! What a queue entry *is* is the caller's choice (`U`). The
+//! dissemination pipeline queues `u32` indices into its shared event
+//! log — an event seen by two hundred receivers is stored once and
+//! queued as two hundred 4-byte entries — so a push moves four bytes
+//! and a flush walks a dense index array; the property suites and the
+//! hand-wired reference path queue whole payloads through the same
+//! code.
+//!
 //! A receiver's queue outlives the flush that empties it: the flush
 //! visits each queue in place and clears it, so the next interval's
 //! pushes land in memory that is already there instead of regrowing a

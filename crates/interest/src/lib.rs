@@ -18,7 +18,9 @@
 //! * [`UpdateBatcher`] — a coalescing layer that accumulates per-client
 //!   updates and flushes them in batches on an interval, cutting
 //!   per-message overhead and giving the transport large writes. Queues
-//!   are flushed in place and keep their (bounded) memory.
+//!   are flushed in place and keep their (bounded) memory; inside the
+//!   pipeline a queue entry is a 4-byte index into the shared event
+//!   log, not a payload.
 //! * [`FlushPolicy`] — priority-aware rate limiting applied at every
 //!   flush: items are ranked by relevance (distance to the receiving
 //!   client), duplicate origins are merged, and the farthest items are

@@ -28,17 +28,29 @@
 //! 4. **entity merge + budget policy** —
 //!    [`FlushPolicy`](crate::FlushPolicy) ranks the queued items by
 //!    relevance, supersedes per-entity duplicates under pressure and
-//!    enforces the count/byte budgets — over 16-byte keys into the
-//!    receiver's queue, which stays where it is;
+//!    enforces the count/byte budgets — over one integer key per queue
+//!    entry, the queue staying where it is;
 //! 5. **delta encoding** — [`DeltaEncoder`](crate::DeltaEncoder) turns
 //!    surviving origins into exact offsets with periodic keyframes,
 //!    one item at a time, and the caller's emitter turns each
 //!    `(payload, encoded origin)` pair straight into its wire item.
 //!
-//! A flush therefore moves each delivered item once — out of the queue,
-//! into the finished per-receiver list — and allocates once per
-//! receiver, for that list. The queues
-//! ([`UpdateBatcher`](crate::UpdateBatcher)) and the ranking scratch
+//! # One event, many receivers
+//!
+//! An event's payload is stored once per flush interval, not once per
+//! receiver. Stage 3 builds it once per *(event, ring)* — the copies of
+//! one event differ in nothing but the ring tag and what the ring
+//! strips — into the pipeline's **event log**, and what a receiver's
+//! queue ([`UpdateBatcher`](crate::UpdateBatcher)) holds is the 4-byte
+//! index of that log entry. The one per-receiver payload is the rare
+//! item that picks up a staleness charge
+//! ([`Disseminated::trace_charge`]), which gets a log entry of its own.
+//! Stage 4 ranks a queue through the log, stage 5 clones each survivor
+//! out of it — the flush's one copy per delivered item, into the
+//! finished per-receiver list, which is its one allocation per receiver
+//! — and the log is emptied, its memory kept, whenever nothing is left
+//! queued: at the end of a flush, and when the last queued receiver
+//! departs between flushes. The queues, the log and the ranking scratch
 //! ([`PolicyScratch`](crate::PolicyScratch), one per shard) keep their
 //! memory from flush to flush.
 //!
@@ -82,7 +94,9 @@ use crate::shard::{shard_of, ShardKey};
 use crate::tuner::{AutoTuner, AutoTunerConfig};
 use crate::UpdateBatcher;
 use matrix_geometry::{Metric, Point, Rect};
-use matrix_predict::{quantize_velocity, Admission, Basis, MotionModel, PredictedStream};
+use matrix_predict::{
+    quantize_velocity, Admission, Basis, IdHashMap, MotionModel, PredictedStream,
+};
 use matrix_telemetry::{Histogram, Stage, StageSpans};
 use std::hash::Hash;
 
@@ -287,9 +301,10 @@ pub struct DisseminateStats {
 /// receiver's entry, so shards are fully independent during a flush —
 /// the invariant the parallel path rests on.
 #[derive(Debug, Clone)]
-struct Shard<K: Ord, U> {
+struct Shard<K: Ord> {
     sampler: RingSampler<K>,
-    batcher: UpdateBatcher<K, U>,
+    /// Per-receiver queues of indices into the pipeline's event log.
+    batcher: UpdateBatcher<K, u32>,
     encoder: DeltaEncoder<K>,
     predicted: PredictedStream<K>,
     /// Stage-4/5 lap timers; stages 1–3 run on the driver thread and
@@ -303,12 +318,14 @@ struct Shard<K: Ord, U> {
     /// fan-out hot loop pays one lookup per *event* (the entity is
     /// fixed across its whole receiver set), not one per delivered
     /// item. Empty — and never touched — unless trace charging is
-    /// armed.
-    charges: std::collections::HashMap<u64, std::collections::HashMap<K, u64>>,
+    /// armed. Both levels hash router-assigned ids ([`IdHashMap`]);
+    /// nothing reads either in table order — every access is a probe by
+    /// key or an order-blind `retain`.
+    charges: IdHashMap<u64, IdHashMap<K, u64>>,
     /// Stage 4's ranking memory, reused across receivers and flushes.
     /// Per shard, so parallel flush workers share nothing.
     ranking: PolicyScratch,
-    /// Queue indices of the traced items the policy kept for the
+    /// Queue positions of the traced items the policy kept for the
     /// receiver at hand (trace charging only).
     kept_traced: Vec<usize>,
 }
@@ -336,7 +353,13 @@ pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
     /// Per-receiver state, partitioned by stable receiver hash. Always
     /// at least one shard; the single-shard default is exactly the
     /// pre-sharding pipeline.
-    shards: Vec<Shard<K, U>>,
+    shards: Vec<Shard<K>>,
+    /// The event log of the open flush interval: every payload queued
+    /// since the last flush, once per *(event, ring)* plus once per
+    /// charged delivery. The shards' queues index into it; it is
+    /// emptied (capacity kept) on every path that leaves nothing
+    /// queued, so its length is bounded by one interval's events.
+    log: Vec<U>,
     /// Whether `flush` runs the shards on real `std::thread` workers
     /// (one per shard) instead of in index order on the caller.
     parallel: bool,
@@ -385,6 +408,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             motion: MotionModel::new(cfg.predict.motion_window),
             spans: StageSpans::new(cfg.telemetry),
             shards: Vec::new(),
+            log: Vec::new(),
             parallel: false,
             trace_charging: false,
             scratch: Vec::new(),
@@ -401,6 +425,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     pub fn with_shards(mut self, shards: u32) -> DisseminationPipeline<K, U> {
         let n = (shards as usize).max(1);
         self.shards = (0..n).map(|_| self.make_shard()).collect();
+        self.log.clear();
         self
     }
 
@@ -450,14 +475,14 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         self.parallel
     }
 
-    fn make_shard(&self) -> Shard<K, U> {
+    fn make_shard(&self) -> Shard<K> {
         Shard {
             sampler: RingSampler::new(),
             batcher: UpdateBatcher::new(),
             encoder: DeltaEncoder::new(self.keyframe_every).with_quantum(self.origin_quantum),
             predicted: PredictedStream::new(),
             spans: StageSpans::new(self.telemetry),
-            charges: std::collections::HashMap::new(),
+            charges: IdHashMap::default(),
             ranking: PolicyScratch::default(),
             kept_traced: Vec::new(),
         }
@@ -517,7 +542,15 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 !owed.is_empty()
             });
         }
-        shard.batcher.forget(key)
+        let dropped = shard.batcher.forget(key);
+        // If that was the last queued item, nothing refers to the log
+        // any more — and no flush may come to empty it: a driver that
+        // sees nothing pending skips the flush, so entries left behind
+        // by departed receivers would pile up interval after interval.
+        if dropped > 0 && !self.has_pending() {
+            self.log.clear();
+        }
+        dropped
     }
 
     /// Drops every trace of a departed *entity* (motion track and every
@@ -640,16 +673,19 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// ring — grading each receiver's ring in the same pass, whole
     /// cells at a time where the cell's distance bounds allow — then
     /// samples the outer tiers, runs dead-reckoning suppression against
-    /// each receiver's prediction basis, and (when `emit`) queues one
-    /// item per admitted receiver. `origin` is the true event position
-    /// (AOI distances); `wire_origin` is the lattice-snapped position
-    /// receivers reconstruct — prediction bases are kept in wire
-    /// coordinates so the sender's error simulation matches the
-    /// receiver bit-for-bit. `make` produces the payload per admitted
-    /// receiver, embedding the ring it was admitted under and the
-    /// velocity shipped with the item (`(0.0, 0.0)` whenever prediction
-    /// is off). An untiered ring set with prediction off costs exactly
-    /// what the binary-radius fan-out did.
+    /// each receiver's prediction basis, and (when `emit`) queues the
+    /// event for every admitted receiver. `origin` is the true event
+    /// position (AOI distances); `wire_origin` is the lattice-snapped
+    /// position receivers reconstruct — prediction bases are kept in
+    /// wire coordinates so the sender's error simulation matches the
+    /// receiver bit-for-bit. `make` produces the payload, embedding the
+    /// ring it is admitted under and the velocity shipped with the item
+    /// (`(0.0, 0.0)` whenever prediction is off). It is called once per
+    /// event and ring that admitted anyone — every receiver of that
+    /// ring shares the one logged payload — plus once per delivery that
+    /// picks up a staleness charge, so it must be a pure function of
+    /// its arguments. An untiered ring set with prediction off costs
+    /// exactly what the binary-radius fan-out did.
     ///
     /// `suppressible` marks events whose content a receiver can
     /// reconstruct by extrapolation — pure position updates. Events
@@ -740,6 +776,9 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 .extend(self.shards.iter().map(|s| s.charges.contains_key(&entity)));
         }
         // Stage 3: dead-reckoning admission, payload stripping, queueing.
+        // The payload is built and logged once per ring that admits
+        // anyone; `logged` remembers where.
+        let mut logged: [Option<u32>; MAX_RINGS] = [None; MAX_RINGS];
         for &(key, _, ring) in &candidates {
             let si = self.shard_ix(key);
             if predicting {
@@ -788,24 +827,36 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 stats.stripped += 1;
             }
             if emit {
-                let mut item = make(ring, vel);
-                if strip {
-                    item.strip_payload();
-                }
+                let mut variant = || {
+                    let mut item = make(ring, vel);
+                    if strip {
+                        item.strip_payload();
+                    }
+                    item
+                };
+                // A delivered rebase closes the gap: pick up the pending
+                // charge (observed only if this item is traced — sampled
+                // observability) and clear it.
+                let mut owed_since = None;
                 if charging && self.charged[si] {
-                    // A delivered rebase closes the gap: pick up the
-                    // pending charge (observed only if this item is
-                    // traced — sampled observability) and clear it.
                     if let Some(owed) = self.shards[si].charges.get_mut(&entity) {
-                        if let Some(first_us) = owed.remove(&key) {
-                            item.trace_charge(now_us.saturating_sub(first_us));
-                            if owed.is_empty() {
-                                self.shards[si].charges.remove(&entity);
-                            }
+                        owed_since = owed.remove(&key);
+                        if owed.is_empty() {
+                            self.shards[si].charges.remove(&entity);
                         }
                     }
                 }
-                self.shards[si].batcher.push(key, item);
+                let at = if let Some(first_us) = owed_since {
+                    // The charge makes this receiver's copy differ from
+                    // everyone else's: it gets a log entry of its own.
+                    let mut item = variant();
+                    item.trace_charge(now_us.saturating_sub(first_us));
+                    push_logged(&mut self.log, item)
+                } else {
+                    *logged[(ring as usize).min(MAX_RINGS - 1)]
+                        .get_or_insert_with(|| push_logged(&mut self.log, variant()))
+                };
+                self.shards[si].batcher.push(key, at);
             }
         }
         self.spans.lap(Stage::Predict);
@@ -827,6 +878,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             shard.sampler.clear();
             shard.charges.clear();
         }
+        self.log.clear();
     }
 
     // -- stages 4+5: merge, budget, encode -----------------------------------
@@ -850,13 +902,15 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     ) -> FlushOutcome<K, B, A>
     where
         K: Send + Sync,
-        U: Clone + Send,
+        U: Clone + Send + Sync,
         A: Default + Send,
         B: Send,
     {
         let metric = self.metric;
         let policy = self.policy;
         let charging = self.trace_charging;
+        // Every shard reads the same log; none writes it.
+        let log = &self.log[..];
         let per_shard: Vec<FlushOutcome<K, B, A>> = if self.parallel && self.shards.len() > 1 {
             let (viewer_of, emit) = (&viewer_of, &emit);
             std::thread::scope(|s| {
@@ -865,7 +919,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                     .iter_mut()
                     .map(|shard| {
                         s.spawn(move || {
-                            Self::flush_shard(shard, metric, policy, charging, viewer_of, emit)
+                            Self::flush_shard(shard, log, metric, policy, charging, viewer_of, emit)
                         })
                     })
                     .collect();
@@ -877,7 +931,9 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         } else {
             self.shards
                 .iter_mut()
-                .map(|shard| Self::flush_shard(shard, metric, policy, charging, &viewer_of, &emit))
+                .map(|shard| {
+                    Self::flush_shard(shard, log, metric, policy, charging, &viewer_of, &emit)
+                })
                 .collect()
         };
         let mut per_shard = per_shard.into_iter();
@@ -896,14 +952,17 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         // disseminations attributed to stages 1–3 into one histogram
         // sample each (the shard spans did the same for stages 4–5).
         self.spans.end_flush();
+        // Every queue was drained, so nothing refers to the log now.
+        self.log.clear();
         outcome
     }
 
-    /// Stages 4–5 over one shard. Touches nothing outside the shard, so
-    /// concurrent calls on distinct shards are race-free by
-    /// construction.
+    /// Stages 4–5 over one shard. Writes nothing outside the shard (the
+    /// event log is only read), so concurrent calls on distinct shards
+    /// are race-free by construction.
     fn flush_shard<A: Default, B>(
-        shard: &mut Shard<K, U>,
+        shard: &mut Shard<K>,
+        log: &[U],
         metric: Metric,
         policy: FlushPolicy,
         charging: bool,
@@ -944,13 +1003,15 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 }
                 return false;
             };
-            // Stage 4 ranks indices into the queue; nothing moves yet.
+            // Stage 4 ranks positions in the queue, reading each entry's
+            // payload through the log; nothing moves yet.
+            let logged = |at: &u32| &log[*at as usize];
             let dropped = policy.select(
                 viewer,
                 metric,
-                U::origin,
-                U::entity,
-                U::wire_bytes,
+                |at| logged(at).origin(),
+                |at| logged(at).entity(),
+                |at| logged(at).wire_bytes(),
                 queued,
                 ranking,
             );
@@ -965,8 +1026,12 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 // per-item check is against that (tiny) subset, not the
                 // whole kept list.
                 kept_traced.clear();
-                kept_traced.extend(ranking.kept().filter(|&i| queued[i].trace().is_some()));
-                for (i, u) in queued.iter().enumerate() {
+                kept_traced.extend(
+                    ranking
+                        .kept()
+                        .filter(|&i| logged(&queued[i]).trace().is_some()),
+                );
+                for (i, u) in queued.iter().map(logged).enumerate() {
                     let Some(tag) = u.trace() else { continue };
                     if !kept_traced.contains(&i) {
                         let first_us = tag.charge_origin_us();
@@ -981,13 +1046,14 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             }
             spans.lap(Stage::Policy);
             // Stage 5, fused with the caller's wire-item assembly: each
-            // survivor leaves the queue once, straight into the finished
-            // list — the flush's one allocation for this receiver.
+            // survivor is copied out of the log once, straight into the
+            // finished list — the flush's one allocation for this
+            // receiver.
             let mut tally = A::default();
             let mut items = Vec::with_capacity(ranking.kept().len());
             let mut stream = encoder.begin_flush(receiver);
             for i in ranking.kept() {
-                let item = queued[i].clone();
+                let item = logged(&queued[i]).clone();
                 let origin = stream.encode(item.origin());
                 items.push(emit(&mut tally, item, origin));
             }
@@ -1110,6 +1176,15 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     }
 }
 
+/// Appends `item` to the event log and returns its index, in the width
+/// the queues store.
+fn push_logged<U>(log: &mut Vec<U>, item: U) -> u32 {
+    let at =
+        u32::try_from(log.len()).expect("more than u32::MAX payloads logged in one flush interval");
+    log.push(item);
+    at
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1145,7 +1220,7 @@ mod tests {
     /// encoded origin, nothing tallied.
     type Pairs<U> = FlushOutcome<u32, (U, EncodedOrigin), ()>;
 
-    fn flush_pairs<U: Disseminated + Clone + Send>(
+    fn flush_pairs<U: Disseminated + Clone + Send + Sync>(
         p: &mut DisseminationPipeline<u32, U>,
         viewer_of: impl Fn(u32) -> Option<Point> + Sync,
     ) -> Pairs<U> {
@@ -1293,6 +1368,68 @@ mod tests {
         assert!(p.has_pending());
         p.clear_pending();
         assert_eq!(queue_entries(&p), 0);
+    }
+
+    #[test]
+    fn the_event_log_lives_exactly_as_long_as_the_queues() {
+        // A driver flushes only when something is pending
+        // (`GameServerNode::flush_updates` returns early otherwise), so
+        // a log emptied by `flush` alone would keep every event whose
+        // receivers all left before the next tick.
+        fn tick(p: &mut DisseminationPipeline<u32, Ev>, viewer: Point) -> usize {
+            if !p.has_pending() {
+                return 0;
+            }
+            flush_pairs(p, |_| Some(viewer)).batches.len()
+        }
+        const EVENTS: usize = 3;
+        // One interval's worth: no delivery is charged here.
+        const BOUND: usize = EVENTS * MAX_RINGS;
+        let rings = RingSet::from_tiers(&[20.0, 200.0], &[1, 1]);
+        let mut p = pipe(rings).with_shards(3).with_trace_charging();
+        let at = Point::new(100.0, 100.0);
+        let far = Point::new(100.0, 250.0);
+        p.subscribe(0, at); // the resident event source
+        for round in 1..=10_000u32 {
+            let (near_k, far_k) = (2 * round, 2 * round + 1);
+            p.subscribe(near_k, at);
+            p.subscribe(far_k, far);
+            for _ in 0..EVENTS {
+                p.disseminate(at, at, 1, 0.0, true, Some(0), true, |ring, _| ev(at, ring));
+            }
+            assert_eq!(p.log.len(), 2 * EVENTS, "one entry per event and ring");
+            assert_eq!(p.unsubscribe(near_k), EVENTS);
+            if round % 7 == 0 {
+                // Someone is still queued: the log must outlive the
+                // departure, and the tick's flush ends it.
+                assert_eq!(p.log.len(), 2 * EVENTS);
+                assert_eq!(tick(&mut p, far), 1);
+                assert_eq!(p.unsubscribe(far_k), 0);
+            } else {
+                assert_eq!(p.unsubscribe(far_k), EVENTS);
+                assert_eq!(tick(&mut p, far), 0, "nothing pending, no flush");
+            }
+            assert!(
+                p.log.is_empty(),
+                "round {round}: {} entries leaked",
+                p.log.len()
+            );
+            assert!(
+                p.log.capacity() <= BOUND,
+                "round {round}: log capacity {} for at most {BOUND} entries an interval",
+                p.log.capacity()
+            );
+        }
+        // The other two ways a queue ends: its receiver vanished by
+        // flush time, and a promotion's clean slate.
+        p.subscribe(1, at);
+        p.disseminate(at, at, 1, 0.0, true, Some(0), true, |ring, _| ev(at, ring));
+        assert_eq!(flush_pairs(&mut p, |_| None).orphaned, 1);
+        assert!(p.log.is_empty());
+        p.disseminate(at, at, 1, 0.0, true, Some(0), true, |ring, _| ev(at, ring));
+        assert_eq!(p.log.len(), 1);
+        p.clear_pending();
+        assert!(p.log.is_empty() && !p.has_pending());
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //! Ranking only pays if it costs less than the traffic it sheds, and the
 //! receivers that need it most are exactly the ones with the longest
 //! queues. [`FlushPolicy::select`] therefore never moves an item: it
-//! ranks 16-byte `(distance, arrival index)` keys over the borrowed
-//! queue, merges by compacting that key array, and leaves the surviving
-//! *indices* in a reusable [`PolicyScratch`] for the caller to gather
-//! from — one pass over the survivors, no per-receiver allocation once
-//! the scratch has grown to the largest queue.
+//! ranks one `u128` key per item over the borrowed queue — the bits of
+//! the item's distance above its arrival index, so relevance order is a
+//! plain integer sort — merges by compacting that key array, and leaves
+//! the surviving *indices* in a reusable [`PolicyScratch`] for the
+//! caller to gather from — one pass over the survivors, no per-receiver
+//! allocation once the scratch has grown to the largest queue. What the
+//! queue holds is the caller's business: the dissemination pipeline
+//! hands it 4-byte indices into its shared event log and projections
+//! that read through them.
 //!
 //! Per-entity superseding happens before any key exists: one pass over
 //! the queue from its newest item to its oldest, asking a small
@@ -59,10 +63,10 @@ pub struct FlushPolicy {
 /// longest queue it has ranked.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyScratch {
-    /// `(distance to the viewer, arrival index)` of every item still in
-    /// the running; the arrival index makes each key unique, so an
-    /// unstable sort is deterministic and equals the stable order.
-    ranked: Vec<(f64, usize)>,
+    /// One [`rank_key`] per item still in the running; the arrival
+    /// index in the low half makes each key unique, so an unstable sort
+    /// is deterministic and equals the stable order.
+    ranked: Vec<u128>,
     /// The `(entity, size)` pairs a degraded flush has met so far on
     /// its way from the newest item to the oldest.
     seen: SeenSet,
@@ -127,11 +131,41 @@ impl SeenSet {
     }
 }
 
+/// The ranking key of the item that arrived `index`-th at `distance`
+/// from the viewer: the distance's bit pattern in the high 64 bits, the
+/// arrival index in the low 64. A non-negative, non-NaN `f64` orders by
+/// its bits exactly as it orders by value, so comparing two keys as
+/// integers is comparing `(distance, index)` — "nearest first, ties in
+/// arrival order" — with no float comparison in the sort.
+#[inline]
+fn rank_key(distance: f64, index: usize) -> u128 {
+    debug_assert!(
+        distance >= 0.0,
+        "distances are non-negative and never NaN, got {distance}"
+    );
+    // `+ 0.0` turns a `-0.0` (equal to `0.0`, but with the sign bit
+    // set) into `+0.0`; every other value is unchanged.
+    (u128::from((distance + 0.0).to_bits()) << 64) | index as u128
+}
+
+/// The distance half of a [`rank_key`], as bits (equal bits ⇔ equal
+/// distances, given the key's precondition).
+#[inline]
+fn key_distance_bits(key: u128) -> u64 {
+    (key >> 64) as u64
+}
+
+/// The arrival-index half of a [`rank_key`].
+#[inline]
+fn key_index(key: u128) -> usize {
+    key as u64 as usize
+}
+
 impl PolicyScratch {
     /// Indices (into the slice last passed to [`FlushPolicy::select`])
     /// of the items to deliver, most relevant (nearest) first.
     pub fn kept(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
-        self.ranked.iter().map(|&(_, i)| i)
+        self.ranked.iter().map(|&key| key_index(key))
     }
 }
 
@@ -165,7 +199,7 @@ impl FlushPolicy {
     ) -> usize {
         let PolicyScratch { ranked, seen } = scratch;
         ranked.clear();
-        let key = |i: usize| (origin_of(&items[i]).distance_by(viewer, metric), i);
+        let key = |i: usize| rank_key(origin_of(&items[i]).distance_by(viewer, metric), i);
 
         let over_count = self.max_items > 0 && items.len() > self.max_items;
         let over_bytes =
@@ -192,8 +226,9 @@ impl FlushPolicy {
         } else {
             ranked.extend((0..items.len()).map(key));
         }
-        // Relevance order: distance, then arrival.
-        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        // Relevance order: distance, then arrival — one integer compare
+        // per pair (see `rank_key`).
+        ranked.sort_unstable();
 
         if degraded {
             // Merge exact-duplicate origins down to the most recent item:
@@ -203,15 +238,15 @@ impl FlushPolicy {
             // order), so compacting in place keeps the newest.
             let mut len = 0;
             for r in 0..ranked.len() {
-                let (d, i) = ranked[r];
-                if len > 0 && ranked[len - 1].0 == d {
-                    let last = ranked[len - 1].1;
-                    if origin_of(&items[last]) == origin_of(&items[i]) {
-                        ranked[len - 1] = (d, i);
+                let key = ranked[r];
+                if len > 0 && key_distance_bits(ranked[len - 1]) == key_distance_bits(key) {
+                    let last = key_index(ranked[len - 1]);
+                    if origin_of(&items[last]) == origin_of(&items[key_index(key)]) {
+                        ranked[len - 1] = key;
                         continue;
                     }
                 }
-                ranked[len] = (d, i);
+                ranked[len] = key;
                 len += 1;
             }
             ranked.truncate(len);
@@ -219,11 +254,11 @@ impl FlushPolicy {
             // item). An undegraded flush fits whole by definition.
             let mut kept = 0;
             let mut bytes = 0usize;
-            for &(_, i) in ranked.iter() {
+            for &key in ranked.iter() {
                 if self.max_items > 0 && kept >= self.max_items {
                     break;
                 }
-                let cost = size_of(&items[i]);
+                let cost = size_of(&items[key_index(key)]);
                 if self.budget_bytes > 0 && kept > 0 && bytes + cost > self.budget_bytes {
                     break;
                 }
@@ -428,6 +463,81 @@ mod tests {
             assert_ne!(scratch.seen.stamp, 0, "0 marks a never-used slot");
         }
         assert!(scratch.seen.stamp < 8, "the stamp wrapped and restarted");
+    }
+
+    #[test]
+    fn integer_rank_keys_order_exactly_like_distance_then_arrival() {
+        // The comparator the keys replaced.
+        let by_distance_then_arrival =
+            |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let check = |mut pairs: Vec<(f64, usize)>| {
+            let mut keys: Vec<u128> = pairs.iter().map(|&(d, i)| rank_key(d, i)).collect();
+            keys.sort_unstable();
+            pairs.sort_by(by_distance_then_arrival);
+            assert_eq!(keys.len(), pairs.len());
+            for (key, (d, i)) in keys.into_iter().zip(pairs) {
+                assert_eq!((key_distance_bits(key), key_index(key)), (d.to_bits(), i));
+            }
+        };
+        // Every distance at several arrival indices, highest index
+        // first, so equal distances must be told apart by arrival alone.
+        let distances = [
+            0.0,
+            5e-324, // the smallest subnormal
+            2.2e-308,
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e154,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let indices = [usize::MAX, u32::MAX as usize + 1, 7, 1, 0];
+        check(
+            distances
+                .iter()
+                .rev()
+                .flat_map(|&d| indices.iter().map(move |&i| (d, i)))
+                .collect(),
+        );
+        // The same through what `select` really feeds the keys:
+        // `distance_by` under each metric, over coordinates that
+        // underflow, cancel exactly and overflow.
+        let coords = [
+            0.0,
+            5e-324,
+            -5e-324,
+            1e-160,
+            1.0,
+            -1.0,
+            3.0,
+            1e154,
+            -1e300,
+            f64::MAX,
+        ];
+        let points: Vec<Point> = coords
+            .iter()
+            .flat_map(|&x| coords.iter().map(move |&y| Point::new(x, y)))
+            .collect();
+        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
+            for viewer in [
+                Point::new(0.0, 0.0),
+                Point::new(1.0, -1.0),
+                Point::new(f64::MAX, 3.0),
+            ] {
+                check(
+                    points
+                        .iter()
+                        .enumerate()
+                        .map(|(i, p)| (p.distance_by(viewer, metric), i))
+                        .collect(),
+                );
+            }
+        }
+        // No distance is `-0.0`; were one to appear it must rank as the
+        // `0.0` it equals, not by its sign bit.
+        assert_eq!(rank_key(-0.0, 3), rank_key(0.0, 3));
     }
 
     #[test]

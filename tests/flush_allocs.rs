@@ -2,8 +2,9 @@
 //!
 //! A flush allocates once per receiver — the finished `Vec<BatchItem>`
 //! that travels in the `UpdateBatch` — plus a constant for the action
-//! and batch lists; ingesting a move allocates a constant, because every
-//! receiver's queue keeps its memory across flushes. This test holds
+//! and batch lists; ingesting a move allocates a constant, because the
+//! event log and every receiver's queue keep their memory across
+//! flushes. This test holds
 //! both to a ceiling with its own counting `#[global_allocator]`, so a
 //! later change to the send path that reintroduces a per-item or
 //! per-receiver-per-stage allocation fails here, by count, on any
@@ -157,6 +158,9 @@ fn steady_state_send_path_allocations_stay_under_the_ceiling() {
         "on_client(Move) made up to {worst_move} allocations (mean {:.2})",
         move_allocs as f64 / moves as f64
     );
+    // No move pays for growth: the event log keeps its memory across
+    // flushes as the queues do, so every steady-state move costs alike.
+    assert_eq!(move_allocs, worst_move * moves, "some moves allocate more");
     println!(
         "flush_updates: {:.1} allocations per flush over {:.0} receivers; \
          on_client(Move): {:.2} per move (worst {worst_move})",

@@ -36,6 +36,13 @@
 //! the sharded flush engine is a throughput knob, never a behaviour
 //! knob.
 //!
+//! **Shared event log**: storing an event's payload once per ring in a
+//! shared log, with 4-byte indices in the per-receiver queues, must
+//! flush exactly what one owned payload per delivery flushes — under
+//! tiered and sampled rings, position-only rings, prediction budgets,
+//! caps, trace charging and churn, at any shard count, and without
+//! calling the producer's `make` per receiver.
+//!
 //! **Ring membership / sampling**: every delivered item carries the
 //! ring its receiver's enqueue-time distance falls in, nothing outside
 //! the outermost ring is delivered, the near ring is never sampled,
@@ -1410,6 +1417,469 @@ fn flush_worker_count_is_wire_invariant() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Shared event log (one payload per event and ring) vs one per delivery
+// ---------------------------------------------------------------------------
+
+/// The pipeline stores an event's payload once per *(event, ring)* in a
+/// shared log and queues 4-byte indices per receiver. The oracle below
+/// is the send path with the storage it had before: one owned payload
+/// per delivery — `make(ring, vel)`, strip, charge, push onto that
+/// receiver's own `Vec` — found by a brute-force scan instead of the
+/// grid, flushed by one unsharded walk. Over random crowds with tiered
+/// and sampled rings, position-only outer rings, dead-reckoning
+/// budgets, count and byte caps, trace charging, departures, rejoins
+/// and receivers that vanish between enqueue and flush, every flush of
+/// the pipeline — at 1, 2 and 4 shards, walked in order and on real
+/// threads — must equal the oracle's: receivers, item order, ring tags,
+/// stripped payloads, `stale_us` charges, encoded origins,
+/// `rate_limited` and `orphaned` counts. And `make` runs at most once
+/// per ring plus once per charged delivery, never once per receiver.
+#[test]
+fn shared_event_log_matches_one_payload_per_delivery() {
+    use matrix_middleware::core::{
+        quantize, quantize_velocity, Admission, AutoTunerConfig, Disseminated,
+        DisseminationPipeline, MotionModel, PipelineConfig, PredictedStream, PredictorConfig,
+        RingSampler, RingSet, UpdateItem, MAX_RINGS,
+    };
+    use matrix_middleware::telemetry::TraceTag;
+    use std::cell::Cell;
+
+    /// One receiver's batch: `(receiver, items in delivery order,
+    /// rate_limited)`.
+    type Batch = (u32, Vec<(UpdateItem, EncodedOrigin)>, u64);
+
+    /// One flush, in comparable form.
+    #[derive(Debug, PartialEq)]
+    struct Flushed {
+        batches: Vec<Batch>,
+        orphaned: u64,
+    }
+
+    /// What one dissemination did: `(delivered, sampled_out,
+    /// suppressed, stripped)`.
+    type Counts = (u64, u64, u64, u64);
+
+    struct Oracle {
+        cfg: PipelineConfig,
+        rings: RingSet,
+        positions: BTreeMap<u32, Point>,
+        sampler: RingSampler<u32>,
+        motion: MotionModel,
+        predicted: PredictedStream<u32>,
+        /// `(entity, receiver)` → earliest undelivered event time (µs).
+        charges: BTreeMap<(u64, u32), u64>,
+        /// One owned payload per delivery.
+        queues: BTreeMap<u32, Vec<UpdateItem>>,
+        encoder: DeltaEncoder<u32>,
+        scratch: PolicyScratch,
+    }
+
+    impl Oracle {
+        fn new(cfg: PipelineConfig, rings: RingSet) -> Oracle {
+            Oracle {
+                cfg,
+                rings,
+                positions: BTreeMap::new(),
+                sampler: RingSampler::new(),
+                motion: MotionModel::new(cfg.predict.motion_window),
+                predicted: PredictedStream::new(),
+                charges: BTreeMap::new(),
+                queues: BTreeMap::new(),
+                encoder: DeltaEncoder::new(cfg.keyframe_every).with_quantum(cfg.origin_quantum),
+                scratch: PolicyScratch::default(),
+            }
+        }
+
+        fn subscribe(&mut self, key: u32, pos: Point) {
+            self.positions.insert(key, pos);
+            self.encoder.reset(key);
+            self.predicted.forget_receiver(key);
+        }
+
+        fn drop_receiver_state(&mut self, key: u32) {
+            self.encoder.forget(key);
+            self.predicted.forget_receiver(key);
+            self.charges.retain(|&(_, receiver), _| receiver != key);
+        }
+
+        fn unsubscribe(&mut self, key: u32) -> usize {
+            self.positions.remove(&key);
+            self.sampler.forget(key);
+            self.drop_receiver_state(key);
+            self.queues.remove(&key).map_or(0, |q| q.len())
+        }
+
+        fn forget_entity(&mut self, entity: u64) {
+            self.motion.forget(entity);
+            self.predicted.forget_entity(entity);
+            self.charges.retain(|&(e, _), _| e != entity);
+        }
+
+        /// Returns the counts and how many deliveries picked up a
+        /// staleness charge.
+        #[allow(clippy::too_many_arguments)]
+        fn disseminate(
+            &mut self,
+            origin: Point,
+            wire_origin: Point,
+            entity: u64,
+            now_secs: f64,
+            suppressible: bool,
+            exclude: Option<u32>,
+            make: impl Fn(u8, (f64, f64)) -> UpdateItem,
+        ) -> (Counts, u64) {
+            let (mut delivered, mut sampled_out, mut suppressed, mut stripped) = (0, 0, 0, 0);
+            let mut charged = 0;
+            let now_us = (now_secs * 1e6) as u64;
+            let predicting = self.cfg.predict.enabled && entity != ANON_ENTITY;
+            let vel = if predicting {
+                self.motion.observe(entity, wire_origin, now_secs);
+                quantize_velocity(
+                    self.motion.velocity(entity),
+                    self.cfg.predict.velocity_quantum,
+                )
+            } else {
+                (0.0, 0.0)
+            };
+            let candidates: Vec<(u32, u8)> = self
+                .positions
+                .iter()
+                .filter(|(&key, _)| Some(key) != exclude)
+                .filter_map(|(&key, pos)| {
+                    let ring = self
+                        .rings
+                        .ring_of(pos.distance_by(origin, self.cfg.metric))?;
+                    Some((key, ring))
+                })
+                .collect();
+            for (key, ring) in candidates {
+                if !self.sampler.admit(&self.rings, key, ring) {
+                    sampled_out += 1;
+                    continue;
+                }
+                if predicting {
+                    let budget = if suppressible {
+                        self.cfg.predict.budget_for(ring)
+                    } else {
+                        0.0
+                    };
+                    let admission =
+                        self.predicted
+                            .admit(key, entity, wire_origin, vel, now_secs, budget);
+                    if let Admission::Suppress { .. } = admission {
+                        suppressed += 1;
+                        let first = self.charges.entry((entity, key)).or_insert(now_us);
+                        *first = (*first).min(now_us);
+                        continue;
+                    }
+                }
+                delivered += 1;
+                let mut item = make(ring, vel);
+                if self.cfg.position_only_ring > 0 && ring >= self.cfg.position_only_ring {
+                    stripped += 1;
+                    item.strip_payload();
+                }
+                if let Some(first_us) = self.charges.remove(&(entity, key)) {
+                    charged += 1;
+                    item.trace_charge(now_us.saturating_sub(first_us));
+                }
+                self.queues.entry(key).or_default().push(item);
+            }
+            ((delivered, sampled_out, suppressed, stripped), charged)
+        }
+
+        fn flush(&mut self, gone: Option<u32>) -> Flushed {
+            let mut out = Flushed {
+                batches: Vec::new(),
+                orphaned: 0,
+            };
+            for (receiver, queued) in std::mem::take(&mut self.queues) {
+                if Some(receiver) == gone {
+                    out.orphaned += queued.len() as u64;
+                    self.drop_receiver_state(receiver);
+                    continue;
+                }
+                let dropped = self.cfg.policy.select(
+                    self.positions[&receiver],
+                    self.cfg.metric,
+                    UpdateItem::origin,
+                    UpdateItem::entity,
+                    UpdateItem::wire_bytes,
+                    &queued,
+                    &mut self.scratch,
+                );
+                let kept: Vec<usize> = self.scratch.kept().collect();
+                for (i, u) in queued.iter().enumerate() {
+                    let Some(tag) = u.trace else { continue };
+                    if !kept.contains(&i) {
+                        let first_us = tag.charge_origin_us();
+                        let first = self.charges.entry((u.entity, receiver)).or_insert(first_us);
+                        *first = (*first).min(first_us);
+                    }
+                }
+                let mut stream = self.encoder.begin_flush(receiver);
+                let items = kept
+                    .iter()
+                    .map(|&i| (queued[i], stream.encode(queued[i].origin)))
+                    .collect();
+                stream.finish();
+                out.batches.push((receiver, items, dropped as u64));
+            }
+            out
+        }
+    }
+
+    let world = Rect::from_coords(0.0, 0.0, 400.0, 400.0);
+    let mut rng = SimRng::seed_from_u64(0x0024_106f);
+    let (mut cases_charged, mut cases_stripped, mut cases_limited, mut cases_two_rings) =
+        (0, 0, 0, 0);
+    for case in 0..24 {
+        // 2–4 ascending tiers; the near ring ships every event, outer
+        // rings sample 1-in-1…3.
+        let tiers = rng.uniform_u64(2, MAX_RINGS as u64 + 1) as usize;
+        let mut radii: Vec<f64> = (0..tiers).map(|_| rng.uniform(15.0, 160.0)).collect();
+        radii.sort_by(|a, b| a.total_cmp(b));
+        let mut rates: Vec<u32> = (0..tiers).map(|_| rng.uniform_u64(1, 4) as u32).collect();
+        rates[0] = 1;
+        let rings = RingSet::from_tiers(&radii, &rates);
+        let budgets: Vec<f64> = (0..tiers)
+            .map(|_| {
+                if rng.chance(0.7) {
+                    rng.uniform(0.5, 4.0)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let cfg = PipelineConfig {
+            metric: metric_of(rng.uniform_u64(0, 3)),
+            policy: FlushPolicy {
+                max_items: if rng.chance(0.6) {
+                    rng.uniform_u64(2, 9) as usize
+                } else {
+                    0
+                },
+                budget_bytes: if rng.chance(0.3) {
+                    rng.uniform_u64(80, 600) as usize
+                } else {
+                    0
+                },
+            },
+            keyframe_every: rng.uniform_u64(0, 6) as u32,
+            origin_quantum: 1.0 / 16.0,
+            autotune: AutoTunerConfig::default(),
+            predict: if rng.chance(0.75) {
+                PredictorConfig::with_budgets(&budgets)
+            } else {
+                PredictorConfig::default()
+            },
+            position_only_ring: rng.uniform_u64(0, tiers as u64) as u8,
+            telemetry: false,
+        };
+        let trace_every = rng.uniform_u64(1, 4);
+
+        let mut oracle = Oracle::new(cfg, rings);
+        // (shards, parallel): the sequential walk and real threads.
+        let layouts = [(1, false), (2, false), (4, false), (2, true), (4, true)];
+        let mut pipes: Vec<DisseminationPipeline<u32, UpdateItem>> = layouts
+            .iter()
+            .map(|&(shards, parallel)| {
+                let mut p =
+                    DisseminationPipeline::new(world, rng.uniform_u64(1, 24) as u32, rings, cfg)
+                        .with_shards(shards)
+                        .with_trace_charging();
+                p.set_parallel_flush(parallel);
+                p
+            })
+            .collect();
+
+        // A crowd around one spot, wide enough to span every ring.
+        let n = rng.uniform_u64(8, 28) as u32;
+        let centre = Point::new(rng.uniform(150.0, 250.0), rng.uniform(150.0, 250.0));
+        let spread = radii[tiers - 1] * 0.8;
+        let mut bodies: Vec<(Point, (f64, f64))> = (0..n)
+            .map(|_| {
+                let pos = Point::new(
+                    (centre.x + rng.uniform(-spread, spread)).clamp(1.0, 399.0),
+                    (centre.y + rng.uniform(-spread, spread)).clamp(1.0, 399.0),
+                );
+                (pos, (rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)))
+            })
+            .collect();
+        let mut present = vec![true; n as usize];
+        for (k, (pos, _)) in bodies.iter().enumerate() {
+            oracle.subscribe(k as u32, *pos);
+            for p in &mut pipes {
+                p.subscribe(k as u32, *pos);
+            }
+        }
+
+        let (mut seq, mut now) = (0u64, 0.0f64);
+        let (mut charged_total, mut stripped_total, mut limited_total) = (0u64, 0u64, 0u64);
+        let mut rings_used = [false; MAX_RINGS];
+        for round in 0..30 {
+            for _ in 0..rng.uniform_u64(1, 3 * n as u64) {
+                now += 0.004;
+                seq += 1;
+                let trace = (seq % trace_every == 0)
+                    .then(|| TraceTag::new(1, seq as u32, (now * 1e6) as u64));
+                // A move (suppressible), an action (never suppressed,
+                // another size) or an anonymous effect.
+                let k = rng.uniform_u64(0, n as u64) as usize;
+                let kind = rng.uniform_u64(0, 10);
+                let (entity, exclude, suppressible, payload_bytes) = match kind {
+                    0 => (ANON_ENTITY, None, false, 24),
+                    1 | 2 => (k as u64 + 1, Some(k as u32), false, 48),
+                    _ => (k as u64 + 1, Some(k as u32), true, 16),
+                };
+                if kind > 2 {
+                    // Mostly straight, sometimes a turn — so dead
+                    // reckoning both suppresses and gives up.
+                    let (pos, vel) = &mut bodies[k];
+                    if rng.chance(0.15) {
+                        *vel = (rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0));
+                    }
+                    *pos = Point::new(
+                        (pos.x + vel.0 * 0.05).clamp(1.0, 399.0),
+                        (pos.y + vel.1 * 0.05).clamp(1.0, 399.0),
+                    );
+                    if present[k] {
+                        oracle.positions.insert(k as u32, *pos);
+                        for p in &mut pipes {
+                            p.reposition(k as u32, *pos);
+                        }
+                    }
+                }
+                let origin = bodies[k].0;
+                let wire_origin = quantize(origin, cfg.origin_quantum);
+                let make = |ring: u8, (vx, vy): (f64, f64)| UpdateItem {
+                    origin: wire_origin,
+                    payload_bytes,
+                    entity,
+                    ring,
+                    vx,
+                    vy,
+                    trace,
+                };
+                let (counts, charged) = oracle.disseminate(
+                    origin,
+                    wire_origin,
+                    entity,
+                    now,
+                    suppressible,
+                    exclude,
+                    make,
+                );
+                charged_total += charged;
+                stripped_total += counts.3;
+                for (p, layout) in pipes.iter_mut().zip(layouts) {
+                    let made = Cell::new(0u64);
+                    let stats = p.disseminate(
+                        origin,
+                        wire_origin,
+                        entity,
+                        now,
+                        suppressible,
+                        exclude,
+                        true,
+                        |ring, vel| {
+                            made.set(made.get() + 1);
+                            rings_used[ring as usize] = true;
+                            make(ring, vel)
+                        },
+                    );
+                    assert_eq!(
+                        (
+                            stats.delivered,
+                            stats.sampled_out,
+                            stats.suppressed,
+                            stats.stripped
+                        ),
+                        counts,
+                        "case {case} round {round} event {seq} {layout:?}"
+                    );
+                    assert!(
+                        made.get() <= MAX_RINGS as u64 + charged,
+                        "case {case} event {seq} {layout:?}: make ran {} times for {} \
+                         deliveries ({charged} charged)",
+                        made.get(),
+                        counts.0
+                    );
+                }
+            }
+            // Churn between flushes: someone leaves with a queue
+            // behind them, someone comes back.
+            if rng.chance(0.3) {
+                let k = rng.uniform_u64(0, n as u64) as usize;
+                if present[k] {
+                    let dropped = oracle.unsubscribe(k as u32);
+                    oracle.forget_entity(k as u64 + 1);
+                    for p in &mut pipes {
+                        assert_eq!(p.unsubscribe(k as u32), dropped, "case {case}");
+                        p.forget_entity(k as u64 + 1);
+                    }
+                } else {
+                    oracle.subscribe(k as u32, bodies[k].0);
+                    for p in &mut pipes {
+                        p.subscribe(k as u32, bodies[k].0);
+                    }
+                }
+                present[k] = !present[k];
+            }
+            // One receiver in ten flushes has vanished by flush time.
+            let gone = rng.chance(0.1).then(|| rng.uniform_u64(0, n as u64) as u32);
+            let expected = oracle.flush(gone);
+            limited_total += expected.batches.iter().map(|b| b.2).sum::<u64>();
+            for (p, layout) in pipes.iter_mut().zip(layouts) {
+                let positions = &oracle.positions;
+                let outcome = p.flush(
+                    |key| (Some(key) != gone).then(|| positions[&key]),
+                    |_: &mut (), item, encoded| (item, encoded),
+                );
+                let got = Flushed {
+                    batches: outcome
+                        .batches
+                        .into_iter()
+                        .map(|b| (b.receiver, b.items, b.rate_limited))
+                        .collect(),
+                    orphaned: outcome.orphaned,
+                };
+                assert_eq!(got, expected, "case {case} round {round} {layout:?}");
+                assert!(!p.has_pending());
+            }
+            if let Some(key) = gone {
+                // The driver's view catches up with the vanished
+                // receiver (its queue is already gone).
+                if std::mem::take(&mut present[key as usize]) {
+                    oracle.unsubscribe(key);
+                    for p in &mut pipes {
+                        p.unsubscribe(key);
+                    }
+                }
+            }
+        }
+        cases_charged += usize::from(charged_total > 0);
+        cases_stripped += usize::from(stripped_total > 0);
+        cases_limited += usize::from(limited_total > 0);
+        cases_two_rings += usize::from(rings_used.iter().filter(|&&used| used).count() > 1);
+    }
+    // The generator reaches what the property is about.
+    assert!(
+        cases_two_rings >= 20,
+        "two variants of one event: {cases_two_rings}/24"
+    );
+    assert!(cases_charged >= 8, "charged deliveries: {cases_charged}/24");
+    assert!(
+        cases_stripped >= 8,
+        "stripped payloads: {cases_stripped}/24"
+    );
+    assert!(
+        cases_limited >= 8,
+        "rate-limited flushes: {cases_limited}/24"
+    );
 }
 
 // ---------------------------------------------------------------------------
