@@ -49,30 +49,36 @@
 //! followed by the entity id, the payload length, the coordinates
 //! (absolute: always 2×f64; delta: 2×i24 fixed-point on the 1/256
 //! lattice, or 2×f64 when the wide bit is set) and, when present, the
-//! velocity pair (same i24/f64 split). The canonical shapes measure
-//! exactly what the accounting constants claim: an absolute item is
-//! [`UpdateItem::WIRE_BYTES`] = 22, a delta [`DeltaItem::WIRE_BYTES`]
-//! = 12, a velocity pair [`UpdateItem::VELOCITY_WIRE_BYTES`] = 6 (the
-//! wire-bytes audit in `tests/codec_v2_properties.rs` pins this).
-//! Payload *content* is never materialized: the length is a declared
-//! number — the simulation ships sizes, not state.
+//! velocity pair (same i24/f64 split). An item is one [`BatchItem`]
+//! whose [`EncodedOrigin`] picks keyframe or delta; one function decides
+//! its header byte and lattice values, and both the encoder and the
+//! arithmetic [`batch_item_wire_len`] follow it. The canonical shapes
+//! measure exactly what the accounting constants claim: an absolute
+//! item is [`UpdateItem::WIRE_BYTES`] = 22, a delta
+//! [`BatchItem::DELTA_WIRE_BYTES`] = 12, a velocity pair
+//! [`UpdateItem::VELOCITY_WIRE_BYTES`] = 6 (the wire-bytes audit in
+//! `tests/codec_v2_properties.rs` pins this). Payload *content* is never
+//! materialized: the length is a declared number — the simulation ships
+//! sizes, not state.
 //!
 //! # Robustness
 //!
 //! Decoders never panic and never read past the buffer: every read is
 //! bounds-checked, trailing body bytes are rejected, and unknown
-//! versions, frame types or flag bits fail loudly. A CRC-carrying
+//! versions, frame types or flag bits fail loudly, as does a client
+//! position (`Join`, `Move`, `Action`) with a NaN or infinite
+//! coordinate — nothing downstream has a meaning for one. A CRC-carrying
 //! frame rejects any corruption of header or body; the
 //! [`FrameAccumulator`] then resynchronizes the stream at the next
 //! magic boundary. The fuzz suite (`tests/codec_v2_fuzz.rs`) drives
 //! random bytes, truncations and bit flips through every decoder.
 
 use crate::messages::{
-    BatchItem, ClientToGame, DeltaItem, GameToClient, RegionSnapshot, ReplicaBatch, ReplicaOp,
-    UpdateItem,
+    BatchItem, ClientToGame, GameToClient, RegionSnapshot, ReplicaBatch, ReplicaOp, UpdateItem,
 };
 use crate::packet::ClientId;
 use matrix_geometry::{Point, Rect, ServerId};
+use matrix_interest::EncodedOrigin;
 use matrix_predict::Basis;
 use matrix_replication::{ReplicaPayload, SessionState, TunerState};
 
@@ -371,18 +377,36 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// exactly representable there (off-lattice value or out of range).
 fn lattice_i24(v: f64) -> Option<i32> {
     let scaled = v * LATTICE;
-    // Integral, in range, and exactly recoverable: x/256 is exact in
-    // binary floating point for any integral x, so the round trip is
-    // bit-faithful whenever `scaled` is an in-range integer.
-    if scaled.fract() != 0.0 || scaled.abs() > I24_MAX as f64 {
+    if scaled.abs() > I24_MAX as f64 {
         return None;
     }
-    Some(scaled as i32)
+    // In range the cast truncates exactly, so it round-trips iff
+    // `scaled` is integral (NaN never does) — and x/256 is exact in
+    // binary floating point for any integral x, so decoding is
+    // bit-faithful. A cast rather than `fract()`: `trunc` is a libm
+    // call on baseline x86-64, and this runs twice per delta item.
+    let i = scaled as i32;
+    (i as f64 == scaled).then_some(i)
 }
 
-/// Whether a velocity pair fits the compact lattice encoding.
-fn lattice_vel(vx: f64, vy: f64) -> Option<(i32, i32)> {
-    Some((lattice_i24(vx)?, lattice_i24(vy)?))
+/// A pair (offsets or velocity) in its compact lattice form, or `None`
+/// when either component needs the wide escape.
+fn lattice_pair(x: f64, y: f64) -> Option<(i32, i32)> {
+    Some((lattice_i24(x)?, lattice_i24(y)?))
+}
+
+/// Writes a pair as 2×i24 when it has a lattice form, else as 2×f64.
+fn put_pair(out: &mut Vec<u8>, lattice: Option<(i32, i32)>, x: f64, y: f64) {
+    match lattice {
+        Some((a, b)) => {
+            put_i24(out, a);
+            put_i24(out, b);
+        }
+        None => {
+            put_f64(out, x);
+            put_f64(out, y);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -451,6 +475,30 @@ impl<'a> Reader<'a> {
 
     fn point(&mut self, what: &str) -> Result<Point, CodecError> {
         Ok(Point::new(self.f64(what)?, self.f64(what)?))
+    }
+
+    /// A client-reported position: NaN and ±∞ are rejected here, at
+    /// ingest, rather than reaching the grid and the flush ranking.
+    fn finite_point(&mut self, what: &str) -> Result<Point, CodecError> {
+        let p = self.point(what)?;
+        if p.x.is_finite() && p.y.is_finite() {
+            Ok(p)
+        } else {
+            Err(CodecError::new(format!("non-finite {what}")))
+        }
+    }
+
+    /// A pair written by `put_pair`: 2×f64 when `wide`, else 2×i24 on
+    /// the lattice.
+    fn pair(&mut self, wide: bool, what: &str) -> Result<(f64, f64), CodecError> {
+        if wide {
+            Ok((self.f64(what)?, self.f64(what)?))
+        } else {
+            Ok((
+                self.i24(what)? as f64 / LATTICE,
+                self.i24(what)? as f64 / LATTICE,
+            ))
+        }
     }
 
     fn varint(&mut self, what: &str) -> Result<u64, CodecError> {
@@ -687,7 +735,7 @@ fn encode_server_body(msg: &GameToClient, out: &mut Vec<u8>) -> u8 {
             // is traced (the frame then carries `FLAG_TRACE` in its type
             // byte); untraced batches encode byte-identically to
             // pre-trace frames.
-            let traced = updates.iter().filter(|u| u.trace().is_some()).count();
+            let traced = updates.iter().filter(|u| u.trace.is_some()).count();
             debug_assert!(
                 updates.len() <= u16::MAX as usize,
                 "batch exceeds the u16 trace index space"
@@ -695,7 +743,7 @@ fn encode_server_body(msg: &GameToClient, out: &mut Vec<u8>) -> u8 {
             if traced > 0 {
                 put_u16(out, traced as u16);
                 for (i, item) in updates.iter().enumerate() {
-                    if let Some(tag) = item.trace() {
+                    if let Some(tag) = item.trace {
                         put_u16(out, i as u16);
                         put_u32(out, tag.origin);
                         put_u32(out, tag.seq);
@@ -720,81 +768,81 @@ fn encode_server_body(msg: &GameToClient, out: &mut Vec<u8>) -> u8 {
     }
 }
 
-/// Appends one batch item in its most compact admissible shape.
+/// How one batch item goes on the wire: its header byte (delta, ring,
+/// velocity and wide bits) and the lattice forms of its offsets and
+/// velocity where they have one. [`item_shape`] is the only place these
+/// are decided; the encoder writes what it says and
+/// [`batch_item_wire_len`] measures it.
+struct ItemShape {
+    header: u8,
+    offsets: Option<(i32, i32)>,
+    velocity: Option<(i32, i32)>,
+}
+
+/// The most compact admissible shape of `item`.
 ///
 /// Encoder contract: `ring < MAX_RINGS` (4) — the header byte has two
 /// ring bits, exactly matching the pipeline's ring cap.
-fn encode_batch_item(out: &mut Vec<u8>, item: &BatchItem) {
-    let (entity, ring) = (item.entity(), item.ring());
-    debug_assert!(ring < 4, "ring {ring} does not fit the v2 item header");
-    let plen = item.payload_bytes() as u64;
-    let (vx, vy) = item.velocity();
-    let vel = item.has_velocity();
-    let vel_lattice = if vel { lattice_vel(vx, vy) } else { None };
-
-    let mut h = 0u8;
-    h |= (ring & 0x03) << ITEM_RING_SHIFT;
-    if vel {
-        h |= ITEM_VEL;
-        if vel_lattice.is_none() {
-            h |= ITEM_WIDE_VEL;
+fn item_shape(item: &BatchItem) -> ItemShape {
+    debug_assert!(
+        item.ring < 4,
+        "ring {} does not fit the v2 item header",
+        item.ring
+    );
+    let mut header = (item.ring & 0x03) << ITEM_RING_SHIFT;
+    if item.entity > 0x00FF_FFFF {
+        header |= ITEM_WIDE_ENTITY;
+    }
+    if item.payload_bytes > u16::MAX as usize {
+        header |= ITEM_WIDE_LEN;
+    }
+    let offsets = match item.origin {
+        EncodedOrigin::Absolute(_) => None,
+        EncodedOrigin::Offset { dx, dy } => {
+            header |= ITEM_DELTA;
+            let lattice = lattice_pair(dx, dy);
+            if lattice.is_none() {
+                header |= ITEM_WIDE_COORDS;
+            }
+            lattice
+        }
+    };
+    let mut velocity = None;
+    if item.has_velocity() {
+        header |= ITEM_VEL;
+        velocity = lattice_pair(item.vx, item.vy);
+        if velocity.is_none() {
+            header |= ITEM_WIDE_VEL;
         }
     }
-    if entity > 0x00FF_FFFF {
-        h |= ITEM_WIDE_ENTITY;
+    ItemShape {
+        header,
+        offsets,
+        velocity,
     }
-    if plen > u16::MAX as u64 {
-        h |= ITEM_WIDE_LEN;
-    }
-    let delta_lattice = match item {
-        BatchItem::Absolute(_) => None,
-        BatchItem::Delta(d) => match (lattice_i24(d.dx), lattice_i24(d.dy)) {
-            (Some(dx), Some(dy)) => Some((dx, dy)),
-            _ => {
-                h |= ITEM_WIDE_COORDS;
-                None
-            }
-        },
-    };
-    if matches!(item, BatchItem::Delta(_)) {
-        h |= ITEM_DELTA;
-    }
-    out.push(h);
+}
 
+/// Appends one batch item in its most compact admissible shape.
+fn encode_batch_item(out: &mut Vec<u8>, item: &BatchItem) {
+    let shape = item_shape(item);
+    let h = shape.header;
+    out.push(h);
     if h & ITEM_WIDE_ENTITY != 0 {
-        put_u64(out, entity);
+        put_u64(out, item.entity);
     } else {
-        put_u24(out, entity as u32);
+        put_u24(out, item.entity as u32);
     }
     if h & ITEM_WIDE_LEN != 0 {
-        put_u64(out, plen);
+        put_u64(out, item.payload_bytes as u64);
     } else {
-        put_u16(out, plen as u16);
+        put_u16(out, item.payload_bytes as u16);
     }
-    match item {
-        BatchItem::Absolute(u) => put_point(out, u.origin),
-        BatchItem::Delta(d) => match delta_lattice {
-            Some((dx, dy)) => {
-                put_i24(out, dx);
-                put_i24(out, dy);
-            }
-            None => {
-                put_f64(out, d.dx);
-                put_f64(out, d.dy);
-            }
-        },
+    match item.origin {
+        EncodedOrigin::Absolute(p) => put_point(out, p),
+        EncodedOrigin::Offset { dx, dy } => put_pair(out, shape.offsets, dx, dy),
     }
-    if vel {
-        match vel_lattice {
-            Some((x, y)) => {
-                put_i24(out, x);
-                put_i24(out, y);
-            }
-            None => {
-                put_f64(out, vx);
-                put_f64(out, vy);
-            }
-        }
+    if h & ITEM_VEL != 0 {
+        put_pair(out, shape.velocity, item.vx, item.vy);
     }
 }
 
@@ -982,14 +1030,14 @@ fn decode_body(ty: u8, traced: bool, body: &[u8]) -> Result<Frame, CodecError> {
             version: r.u8("hello version")?,
         },
         T_JOIN => Frame::Client(ClientToGame::Join {
-            pos: r.point("join position")?,
+            pos: r.finite_point("join position")?,
             state_bytes: r.varint("join state size")?,
         }),
         T_MOVE => Frame::Client(ClientToGame::Move {
-            pos: r.point("move position")?,
+            pos: r.finite_point("move position")?,
         }),
         T_ACTION => Frame::Client(ClientToGame::Action {
-            pos: r.point("action position")?,
+            pos: r.finite_point("action position")?,
             payload_bytes: r.varint("action payload size")? as usize,
         }),
         T_LEAVE => Frame::Client(ClientToGame::Leave),
@@ -1037,16 +1085,15 @@ fn decode_body(ty: u8, traced: bool, body: &[u8]) -> Result<Frame, CodecError> {
             // The smallest item is a narrow delta, so the bytes left
             // bound the item count: one allocation, never more than the
             // frame could hold.
-            let mut updates = Vec::with_capacity(r.remaining() / DeltaItem::WIRE_BYTES);
+            let mut updates = Vec::with_capacity(r.remaining() / BatchItem::DELTA_WIRE_BYTES);
             while r.remaining() > 0 {
                 updates.push(decode_batch_item(&mut r)?);
             }
             for (idx, tag) in tags {
-                match updates.get_mut(idx) {
-                    Some(BatchItem::Absolute(u)) => u.trace = Some(tag),
-                    Some(BatchItem::Delta(d)) => d.trace = Some(tag),
-                    None => return Err(CodecError::new("trace entry index out of range")),
-                }
+                let item = updates
+                    .get_mut(idx)
+                    .ok_or_else(|| CodecError::new("trace entry index out of range"))?;
+                item.trace = Some(tag);
             }
             Frame::Server(GameToClient::UpdateBatch { updates })
         }
@@ -1105,54 +1152,26 @@ fn decode_batch_item(r: &mut Reader<'_>) -> Result<BatchItem, CodecError> {
     } else {
         r.u16("item payload size")? as usize
     };
-    let item = if delta {
-        let (dx, dy) = if h & ITEM_WIDE_COORDS != 0 {
-            (r.f64("item offsets")?, r.f64("item offsets")?)
-        } else {
-            (
-                r.i24("item offsets")? as f64 / LATTICE,
-                r.i24("item offsets")? as f64 / LATTICE,
-            )
-        };
-        let (vx, vy) = decode_item_velocity(r, h)?;
-        BatchItem::Delta(DeltaItem {
-            dx,
-            dy,
-            payload_bytes,
-            entity,
-            ring,
-            vx,
-            vy,
-            trace: None,
-        })
+    let origin = if delta {
+        let (dx, dy) = r.pair(h & ITEM_WIDE_COORDS != 0, "item offsets")?;
+        EncodedOrigin::Offset { dx, dy }
     } else {
-        let origin = r.point("item origin")?;
-        let (vx, vy) = decode_item_velocity(r, h)?;
-        BatchItem::Absolute(UpdateItem {
-            origin,
-            payload_bytes,
-            entity,
-            ring,
-            vx,
-            vy,
-            trace: None,
-        })
+        EncodedOrigin::Absolute(r.point("item origin")?)
     };
-    Ok(item)
-}
-
-fn decode_item_velocity(r: &mut Reader<'_>, h: u8) -> Result<(f64, f64), CodecError> {
-    if h & ITEM_VEL == 0 {
-        return Ok((0.0, 0.0));
-    }
-    if h & ITEM_WIDE_VEL != 0 {
-        Ok((r.f64("item velocity")?, r.f64("item velocity")?))
+    let (vx, vy) = if h & ITEM_VEL != 0 {
+        r.pair(h & ITEM_WIDE_VEL != 0, "item velocity")?
     } else {
-        Ok((
-            r.i24("item velocity")? as f64 / LATTICE,
-            r.i24("item velocity")? as f64 / LATTICE,
-        ))
-    }
+        (0.0, 0.0)
+    };
+    Ok(BatchItem {
+        origin,
+        payload_bytes,
+        entity,
+        ring,
+        vx,
+        vy,
+        trace: None,
+    })
 }
 
 fn decode_replica_body(r: &mut Reader<'_>) -> Result<ReplicaBatch, CodecError> {
@@ -1261,33 +1280,24 @@ pub fn frame_overhead(crc: bool) -> usize {
     HEADER_BYTES + if crc { CRC_BYTES } else { 0 }
 }
 
-/// Encoded size of one batch item, computed arithmetically. Pinned
-/// equal to the length [`encode_frame`] actually produces by the
-/// property suite, so byte accounting can skip the allocation.
+/// Encoded size of one batch item, computed arithmetically from the
+/// header byte the encoder would write (the header alone fixes every
+/// field's width). Pinned equal to the length [`encode_frame`] actually
+/// produces by the property suite, so byte accounting can skip the
+/// allocation.
 pub fn batch_item_wire_len(item: &BatchItem) -> usize {
-    let entity = if item.entity() > 0x00FF_FFFF { 8 } else { 3 };
-    let plen = if item.payload_bytes() > u16::MAX as usize {
-        8
+    let h = item_shape(item).header;
+    // A pair is 2×i24 on the lattice or 2×f64 under its wide bit.
+    let pair = |wide_bit: u8| if h & wide_bit != 0 { 16 } else { 6 };
+    let entity = if h & ITEM_WIDE_ENTITY != 0 { 8 } else { 3 };
+    let plen = if h & ITEM_WIDE_LEN != 0 { 8 } else { 2 };
+    let coords = if h & ITEM_DELTA != 0 {
+        pair(ITEM_WIDE_COORDS)
     } else {
-        2
+        16
     };
-    let coords = match item {
-        BatchItem::Absolute(_) => 16,
-        BatchItem::Delta(d) => {
-            if lattice_i24(d.dx).is_some() && lattice_i24(d.dy).is_some() {
-                6
-            } else {
-                16
-            }
-        }
-    };
-    let vel = if item.has_velocity() {
-        let (vx, vy) = item.velocity();
-        if lattice_vel(vx, vy).is_some() {
-            6
-        } else {
-            16
-        }
+    let vel = if h & ITEM_VEL != 0 {
+        pair(ITEM_WIDE_VEL)
     } else {
         0
     };
@@ -1301,7 +1311,7 @@ pub fn batch_item_wire_len(item: &BatchItem) -> usize {
 /// tag) adds its count prefix plus one fixed-width entry per traced
 /// item.
 pub fn update_batch_frame_len(items: &[BatchItem], crc: bool) -> usize {
-    let traced = items.iter().filter(|u| u.trace().is_some()).count();
+    let traced = items.iter().filter(|u| u.trace.is_some()).count();
     let item_bytes = items.iter().map(batch_item_wire_len).sum();
     update_batch_frame_len_of(item_bytes, traced, crc)
 }
@@ -1492,30 +1502,95 @@ mod tests {
     }
 
     #[test]
+    fn lattice_check_agrees_with_the_fract_rule() {
+        // The rule as first written: integral after scaling, and in range.
+        let reference = |v: f64| {
+            let s = v * LATTICE;
+            (s.fract() == 0.0 && s.abs() <= I24_MAX as f64).then_some(s as i32)
+        };
+        let max = I24_MAX as f64 / LATTICE;
+        let edges = [
+            0.0,
+            -0.0,
+            1.0 / LATTICE,
+            0.5 / LATTICE,
+            0.1,
+            max,
+            -max,
+            max + 1.0 / LATTICE,
+            -max - 2.0 / LATTICE,
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let randoms = (0..20_000).map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 3.0 * max;
+            // Every other value snapped onto the lattice.
+            if i % 2 == 0 {
+                (v * LATTICE).round() / LATTICE
+            } else {
+                v
+            }
+        });
+        for v in edges.into_iter().chain(randoms) {
+            assert_eq!(lattice_i24(v), reference(v), "{v:e}");
+        }
+    }
+
+    #[test]
+    fn non_finite_client_positions_are_rejected() {
+        let kinds: [fn(Point) -> ClientToGame; 3] = [
+            |pos| ClientToGame::Join {
+                pos,
+                state_bytes: 64,
+            },
+            |pos| ClientToGame::Move { pos },
+            |pos| ClientToGame::Action {
+                pos,
+                payload_bytes: 90,
+            },
+        ];
+        for kind in kinds {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for pos in [Point::new(bad, 2.0), Point::new(1.0, bad)] {
+                    let bytes = encode_frame(&Frame::Client(kind(pos)), FrameMeta::default(), true);
+                    let err = decode_frame(&bytes).expect_err("non-finite position must fail");
+                    assert!(err.reason.contains("non-finite"), "{pos:?}: {err}");
+                }
+            }
+            round_trip(Frame::Client(kind(Point::new(-1.0e9, 0.125))));
+        }
+    }
+
+    #[test]
     fn batch_items_hit_the_documented_constants() {
-        let abs = BatchItem::Absolute(UpdateItem {
-            origin: Point::new(10.0, 20.0),
+        let abs = BatchItem {
+            origin: EncodedOrigin::Absolute(Point::new(10.0, 20.0)),
             payload_bytes: 64,
             entity: 9,
             ring: 1,
             vx: 0.0,
             vy: 0.0,
             trace: None,
-        });
-        let delta = BatchItem::Delta(DeltaItem {
-            dx: 0.5,
-            dy: -0.25,
+        };
+        let delta = BatchItem {
+            origin: EncodedOrigin::Offset { dx: 0.5, dy: -0.25 },
             payload_bytes: 32,
-            entity: 9,
             ring: 0,
             vx: 1.5,
             vy: -2.0,
-            trace: None,
-        });
+            ..abs
+        };
         assert_eq!(batch_item_wire_len(&abs), UpdateItem::WIRE_BYTES);
         assert_eq!(
             batch_item_wire_len(&delta),
-            DeltaItem::WIRE_BYTES + UpdateItem::VELOCITY_WIRE_BYTES
+            BatchItem::DELTA_WIRE_BYTES + UpdateItem::VELOCITY_WIRE_BYTES
         );
         let frame = Frame::Server(GameToClient::UpdateBatch {
             updates: vec![abs, delta],
@@ -1533,16 +1608,19 @@ mod tests {
     fn wide_escapes_round_trip() {
         // Entity beyond u24, payload beyond u16, off-lattice delta and
         // velocity: every wide bit at once.
-        let item = BatchItem::Delta(DeltaItem {
-            dx: 0.1, // not a 1/256 multiple
-            dy: 9000.0,
+        let item = BatchItem {
+            // 0.1 is not a 1/256 multiple
+            origin: EncodedOrigin::Offset {
+                dx: 0.1,
+                dy: 9000.0,
+            },
             payload_bytes: 100_000,
             entity: u64::MAX,
             ring: 3,
             vx: 0.3,
             vy: 0.0,
             trace: None,
-        });
+        };
         assert_eq!(batch_item_wire_len(&item), 1 + 8 + 8 + 16 + 16);
         round_trip(Frame::Server(GameToClient::UpdateBatch {
             updates: vec![item],

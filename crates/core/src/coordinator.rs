@@ -15,7 +15,6 @@ use matrix_sim::SimTime;
 use matrix_telemetry::{EventKind, FlightRecorder, SloTracker, TelemetrySnapshot, SLO_RINGS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// An effect the coordinator asks its driver to carry out.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,45 +47,15 @@ pub struct CoordinatorStats {
     pub standbys_lost: u64,
     /// Directory divergences tolerated: a reported split/reclaim did
     /// not match the directory and the coordinator resynchronised
-    /// instead of failing. Chaos runs watch this counter (and the log
-    /// hook) rather than stderr.
+    /// instead of failing. Chaos runs watch this counter (each one is
+    /// also an `EventKind::Divergence` in the recorder) rather than
+    /// stderr.
     pub divergences: u64,
     /// Targeted table re-pushes triggered by stale-epoch heartbeats.
     pub table_refreshes: u64,
     /// Freshness-SLO breach edges recorded: a ring's error-budget burn
     /// rate crossed 1.0 (each also lands in the flight recorder).
     pub slo_breaches: u64,
-}
-
-/// The shared function type behind a [`CoordLog`] hook.
-type LogFn = Arc<dyn Fn(&str) + Send + Sync>;
-
-/// Diagnostic sink for divergence and failure logs. `None` is silent —
-/// the counters in [`CoordinatorStats`] always record regardless.
-#[derive(Clone, Default)]
-pub struct CoordLog(Option<LogFn>);
-
-impl CoordLog {
-    /// A hook forwarding every diagnostic line to `f`.
-    pub fn new(f: impl Fn(&str) + Send + Sync + 'static) -> CoordLog {
-        CoordLog(Some(Arc::new(f)))
-    }
-
-    fn emit(&self, msg: impl FnOnce() -> String) {
-        if let Some(hook) = &self.0 {
-            hook(&msg());
-        }
-    }
-}
-
-impl std::fmt::Debug for CoordLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "CoordLog(hooked)"
-        } else {
-            "CoordLog(silent)"
-        })
-    }
 }
 
 /// The coordinator state machine.
@@ -107,7 +76,6 @@ pub struct Coordinator {
     /// Warm-standby pairings (primary → standby) announced by primaries;
     /// a dead primary with an entry here is failed over, not absorbed.
     standbys: BTreeMap<ServerId, ServerId>,
-    log: CoordLog,
     stats: CoordinatorStats,
     /// Structured topology events (splits, reclaims, failovers, …).
     /// Always on: the coordinator is off the hot path, and the cluster's
@@ -140,7 +108,6 @@ impl Coordinator {
             heartbeats: BTreeMap::new(),
             parents: BTreeMap::new(),
             standbys: BTreeMap::new(),
-            log: CoordLog::default(),
             stats: CoordinatorStats::default(),
             recorder: FlightRecorder::new(1024),
             telemetry: BTreeMap::new(),
@@ -149,19 +116,11 @@ impl Coordinator {
         }
     }
 
-    /// Installs a diagnostic log hook (divergences, failure
-    /// declarations, failovers). Without one the coordinator is silent;
-    /// the [`CoordinatorStats`] counters record either way.
-    pub fn set_log_hook(&mut self, log: CoordLog) {
-        self.log = log;
-    }
-
-    /// Records a directory divergence: counted, and reported through
-    /// the log hook when one is installed.
-    fn note_divergence(&mut self, now: SimTime, msg: impl FnOnce() -> String) {
+    /// Records a directory divergence: counted in
+    /// [`CoordinatorStats::divergences`] and timestamped in the recorder.
+    fn note_divergence(&mut self, now: SimTime) {
         self.stats.divergences += 1;
         self.recorder.record(now, EventKind::Divergence);
-        self.log.emit(msg);
     }
 
     /// Bootstraps with a pre-built multi-server map (static baseline and
@@ -244,9 +203,6 @@ impl Coordinator {
                         burn_bp,
                     },
                 );
-                self.log.emit(|| {
-                    format!("slo breach: ring {ring} burning at {burn_bp}bp (10000bp = budget)")
-                });
             }
         }
     }
@@ -317,27 +273,13 @@ impl Coordinator {
                 if let Some(map) = &mut self.map {
                     // Reconstruct the move: the directory must mirror what
                     // the splitting server decided locally.
-                    let _ = parent_range;
                     if map.contains_server(parent) && !map.contains_server(child) {
                         // Apply by direct surgery: shrink parent, add child.
-                        let ok = Self::apply_split(map, parent, child, parent_range, child_range);
-                        if !ok {
-                            let dir = map.range_of(parent);
-                            self.note_divergence(now, || {
-                                format!(
-                                    "split {parent}->{child}: dir={dir:?} report \
-                                     par={parent_range:?} child={child_range:?}"
-                                )
-                            });
+                        if !Self::apply_split(map, parent, child, parent_range, child_range) {
+                            self.note_divergence(now);
                         }
                     } else {
-                        let (p, c) = (map.contains_server(parent), map.contains_server(child));
-                        self.note_divergence(now, || {
-                            format!(
-                                "split skipped {parent}->{child}: parent in dir={p} \
-                                 child in dir={c}"
-                            )
-                        });
+                        self.note_divergence(now);
                     }
                 }
                 self.recompute()
@@ -367,31 +309,14 @@ impl Coordinator {
                 self.parents.remove(&child);
                 self.standbys.remove(&child);
                 if let Some(map) = &mut self.map {
-                    if map.contains_server(child) {
-                        if let Err(e) = map.reclaim(parent, child) {
-                            let (p, c) = (map.range_of(parent), map.range_of(child));
-                            self.note_divergence(now, || {
-                                format!(
-                                    "reclaim {parent}<-{child}: {e}; dir parent={p:?} \
-                                     child={c:?} reported merged={merged_range:?}"
-                                )
-                            });
-                        }
-                    } else {
-                        self.note_divergence(now, || {
-                            format!("reclaim: child {child} not in directory")
-                        });
+                    if !map.contains_server(child) || map.reclaim(parent, child).is_err() {
+                        self.note_divergence(now);
                     }
                     let merged = self.map.as_ref().and_then(|m| m.range_of(parent));
                     if merged != Some(merged_range) {
                         // Tolerated, like every divergence: the directory
                         // resynchronises on the next topology report.
-                        self.note_divergence(now, || {
-                            format!(
-                                "reclaim {parent}<-{child}: dir merged={merged:?} \
-                                 reported={merged_range:?}"
-                            )
-                        });
+                        self.note_divergence(now);
                     }
                 }
                 self.recompute()
@@ -659,8 +584,6 @@ impl Coordinator {
                         standby: failed,
                     },
                 );
-                self.log
-                    .emit(|| format!("standby {failed} of {primary} dead at {now}"));
                 actions.push(CoordAction::Send(
                     primary,
                     CoordReply::StandbyLost { standby: failed },
@@ -686,9 +609,6 @@ impl Coordinator {
                             standby,
                         },
                     );
-                    self.log.emit(|| {
-                        format!("standby {standby} died with its primary {failed} at {now}")
-                    });
                 }
             }
             actions.extend(self.absorb_dead(now, failed));
@@ -745,8 +665,6 @@ impl Coordinator {
         );
         self.recorder
             .record(now, EventKind::Failover { failed, standby });
-        self.log
-            .emit(|| format!("failover {failed} -> {standby} at {now}"));
         let mut actions = vec![CoordAction::Send(
             standby,
             CoordReply::Promote {
@@ -791,8 +709,6 @@ impl Coordinator {
         self.standbys.remove(&failed);
         self.recorder
             .record(now, EventKind::FailureDeclared { failed, heir });
-        self.log
-            .emit(|| format!("declare dead {failed} heir {heir} at {now}"));
         let mut actions = vec![CoordAction::Send(
             heir,
             CoordReply::AbsorbFailed { failed, range },
@@ -1356,38 +1272,13 @@ mod tests {
     }
 
     #[test]
-    fn divergences_count_and_reach_the_log_hook() {
-        use std::sync::{Arc, Mutex};
-        let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = lines.clone();
+    fn divergences_count_and_reach_the_recorder() {
         let (mut c, _) = registered();
-        c.set_log_hook(CoordLog::new(move |msg| {
-            sink.lock().unwrap().push(msg.to_string());
-        }));
-        // A reclaim for a child the directory never saw: a divergence.
+        // A reclaim for a child the directory never saw: a divergence,
+        // tolerated without a panic or a line on stderr.
+        let at = SimTime::from_secs(1);
         c.handle(
-            SimTime::from_secs(1),
-            CoordMsg::ReclaimOccurred {
-                parent: ServerId(1),
-                child: ServerId(42),
-                merged_range: world(),
-            },
-        );
-        assert!(c.stats().divergences >= 1);
-        let lines = lines.lock().unwrap();
-        assert!(
-            lines.iter().any(|l| l.contains("not in directory")),
-            "{lines:?}"
-        );
-    }
-
-    #[test]
-    fn divergences_are_silent_without_a_hook() {
-        // No hook installed: only the counter records (chaos runs must
-        // not spam stderr).
-        let (mut c, _) = registered();
-        c.handle(
-            SimTime::from_secs(1),
+            at,
             CoordMsg::ReclaimOccurred {
                 parent: ServerId(1),
                 child: ServerId(42),
@@ -1395,6 +1286,13 @@ mod tests {
             },
         );
         assert_eq!(c.stats().divergences, 1);
+        let divergences: Vec<SimTime> = c
+            .recorder()
+            .events()
+            .filter(|e| e.kind == EventKind::Divergence)
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(divergences, vec![at], "one recorder event per divergence");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use crate::codec_v2;
 use crate::config::GameServerConfig;
 use crate::messages::{
-    BatchItem, ClientToGame, DeltaItem, GameToClient, GameToMatrix, LoadReport, MatrixToGame,
-    RegionSnapshot, ReplicaOp, UpdateItem,
+    BatchItem, ClientToGame, GameToClient, GameToMatrix, LoadReport, MatrixToGame, RegionSnapshot,
+    ReplicaOp, UpdateItem,
 };
 use crate::packet::{ClientId, GamePacket, SpatialTag};
 use bytes::Bytes;
@@ -737,12 +737,13 @@ impl GameServerNode {
     /// until `max_updates_per_flush` / `client_budget_bytes` fit, then
     /// surviving origins are chained as exact delta offsets with
     /// periodic keyframes, shrinking each item from
-    /// [`UpdateItem::WIRE_BYTES`] to [`DeltaItem::WIRE_BYTES`] of
+    /// [`UpdateItem::WIRE_BYTES`] to [`BatchItem::DELTA_WIRE_BYTES`] of
     /// framing. Each delivered item is copied once — out of the
     /// pipeline's event log, which holds one payload per event and ring
-    /// however many receivers queued it, into the `Vec<BatchItem>` the
-    /// `UpdateBatch` carries — and ring, keyframe and byte accounting
-    /// ride in that same pass.
+    /// however many receivers queued it, into a [`BatchItem`] (its
+    /// fields plus stage 5's [`EncodedOrigin`]) in the `Vec<BatchItem>`
+    /// the `UpdateBatch` carries — and ring, keyframe and byte
+    /// accounting ride in that same pass.
     ///
     /// Drivers call this from their tick path (both the discrete-event
     /// harness and the async runtime tick through [`GameServerNode::on_tick`],
@@ -765,23 +766,17 @@ impl GameServerNode {
         // owns the receiver, when there are several).
         let outcome = self.pipeline.flush(
             |cid| clients.get(&cid).map(|rec| rec.pos),
-            |tally: &mut BatchTally, u: UpdateItem, encoded| {
-                let item = match encoded {
-                    EncodedOrigin::Absolute(origin) => {
-                        tally.keyframe_items += 1;
-                        BatchItem::Absolute(UpdateItem { origin, ..u })
-                    }
-                    EncodedOrigin::Offset { dx, dy } => BatchItem::Delta(DeltaItem {
-                        dx,
-                        dy,
-                        payload_bytes: u.payload_bytes,
-                        entity: u.entity,
-                        ring: u.ring,
-                        vx: u.vx,
-                        vy: u.vy,
-                        trace: u.trace,
-                    }),
+            |tally: &mut BatchTally, u: UpdateItem, origin: EncodedOrigin| {
+                let item = BatchItem {
+                    origin,
+                    payload_bytes: u.payload_bytes,
+                    entity: u.entity,
+                    ring: u.ring,
+                    vx: u.vx,
+                    vy: u.vy,
+                    trace: u.trace,
                 };
+                tally.keyframe_items += u64::from(origin.is_keyframe());
                 tally.ring_items[(u.ring as usize).min(MAX_RINGS - 1)] += 1;
                 tally.payload_bytes += u.payload_bytes;
                 tally.item_wire_bytes += codec_v2::batch_item_wire_len(&item);
@@ -800,7 +795,7 @@ impl GameServerNode {
             self.stats.keyframe_items += tally.keyframe_items;
             self.stats.delta_items += delta_items;
             self.stats.delta_bytes_saved +=
-                delta_items * (UpdateItem::WIRE_BYTES - DeltaItem::WIRE_BYTES) as u64;
+                delta_items * (UpdateItem::WIRE_BYTES - BatchItem::DELTA_WIRE_BYTES) as u64;
             for (total, n) in self.stats.ring_items.iter_mut().zip(tally.ring_items) {
                 *total += n;
             }
@@ -1358,7 +1353,7 @@ mod tests {
         let actions = g.on_tick(SimTime::from_millis(100), 0.0);
         assert!(actions.iter().any(|a| matches!(a,
             GameAction::ToClient(c, GameToClient::UpdateBatch { updates })
-                if *c == ClientId(2) && updates.len() == 1 && updates[0].payload_bytes() == 10)));
+                if *c == ClientId(2) && updates.len() == 1 && updates[0].payload_bytes == 10)));
         assert_eq!(g.stats().batches_flushed, 1);
         assert_eq!(g.stats().updates_batched, 1);
         assert!(g.stats().batch_bytes > 0);
@@ -1734,7 +1729,7 @@ mod tests {
             },
         );
         let first = batch_for(&g.on_tick(SimTime::from_millis(100), 0.0), ClientId(2)).unwrap();
-        assert!(first[0].is_keyframe());
+        assert!(first[0].origin.is_keyframe());
 
         let mut actions = g.on_client(
             SimTime::from_millis(150),
@@ -1747,13 +1742,13 @@ mod tests {
         actions.extend(g.on_tick(SimTime::from_millis(200), 0.0));
         let second = batch_for(&actions, ClientId(2)).unwrap();
         assert!(
-            !second[0].is_keyframe(),
+            !second[0].origin.is_keyframe(),
             "nearby follow-up must ship as a delta: {second:?}"
         );
         assert_eq!(g.stats().delta_items, 1);
         assert_eq!(
             g.stats().delta_bytes_saved,
-            (UpdateItem::WIRE_BYTES - DeltaItem::WIRE_BYTES) as u64
+            (UpdateItem::WIRE_BYTES - BatchItem::DELTA_WIRE_BYTES) as u64
         );
 
         // The receiver reconstructs the exact absolute origins.
@@ -1874,7 +1869,7 @@ mod tests {
         actions.extend(g.on_tick(SimTime::from_millis(300), 0.0));
         let batch = batch_for(&actions, ClientId(2)).unwrap();
         assert!(
-            batch[0].is_keyframe(),
+            batch[0].origin.is_keyframe(),
             "post-shutdown stream must restart with a keyframe: {batch:?}"
         );
     }
@@ -1909,7 +1904,7 @@ mod tests {
         );
         actions.extend(g.on_tick(SimTime::from_millis(400), 0.0));
         let batch = batch_for(&actions, ClientId(2)).unwrap();
-        assert!(batch[0].is_keyframe(), "resync path must keyframe");
+        assert!(batch[0].origin.is_keyframe(), "resync path must keyframe");
     }
 
     /// Failover as production runs it: `standby` is handed the
@@ -2128,7 +2123,10 @@ mod tests {
         );
         actions.extend(standby.on_tick(SimTime::from_secs(8), 0.0));
         let batch = batch_for(&actions, ClientId(2)).expect("updates keep flowing");
-        assert!(batch[0].is_keyframe(), "post-failover streams resync");
+        assert!(
+            batch[0].origin.is_keyframe(),
+            "post-failover streams resync"
+        );
     }
 
     #[test]
@@ -2288,7 +2286,7 @@ mod tests {
         // Once the motion model locks on, transmitted items carry the
         // 10 u/s velocity for the receiver to extrapolate with.
         assert!(
-            batches.iter().flatten().any(|item| item.velocity().0 > 5.0),
+            batches.iter().flatten().any(|item| item.vx > 5.0),
             "rebasing items must ship the estimated velocity: {batches:?}"
         );
         assert!(g.prediction_receivers() > 0);
@@ -2412,8 +2410,8 @@ mod tests {
         );
         let near = batch_for(&actions, ClientId(2)).unwrap();
         let far = batch_for(&actions, ClientId(3)).unwrap();
-        assert_eq!(near[0].payload_bytes(), 64);
-        assert_eq!(far[0].payload_bytes(), 0, "far ring ships position-only");
+        assert_eq!(near[0].payload_bytes, 64);
+        assert_eq!(far[0].payload_bytes, 0, "far ring ships position-only");
         assert_eq!(g.stats().payloads_stripped, 1);
     }
 

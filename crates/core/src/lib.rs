@@ -32,12 +32,13 @@
 //!   [`FlushPolicy`] ranks pending items by relevance and merges/drops
 //!   the farthest first to fit the `max_updates_per_flush` /
 //!   `client_budget_bytes` budgets, and a [`DeltaEncoder`] compresses
-//!   item origins into exact deltas ([`BatchItem::Delta`]) with
-//!   periodic keyframes (`keyframe_every`) and resync on join/handover
-//!   — receivers rebuild absolute positions with
-//!   [`reconstruct_updates`]. A density-driven [`AutoTuner`]
-//!   (`grid_autotune`) re-picks the grid resolution as regions fill
-//!   and drain, and replicates its learned state to warm standbys.
+//!   item origins into exact deltas (a [`BatchItem`] whose
+//!   [`EncodedOrigin`] is an offset) with periodic keyframes
+//!   (`keyframe_every`) and resync on join/handover — receivers rebuild
+//!   absolute positions with [`reconstruct_updates`]. A density-driven
+//!   [`AutoTuner`] (`grid_autotune`) re-picks the grid resolution as
+//!   regions fill and drain, and replicates its learned state to warm
+//!   standbys.
 //!
 //! Every component is a **sans-io state machine**: handlers take one input
 //! message and return the actions to perform. A [`Host`] owns one
@@ -97,13 +98,13 @@ mod pool;
 mod server;
 
 pub use config::{CoordinatorConfig, GameServerConfig, MatrixConfig, WireCodec};
-pub use coordinator::{CoordAction, CoordLog, Coordinator, CoordinatorStats};
+pub use coordinator::{CoordAction, Coordinator, CoordinatorStats};
 pub use gameserver::{GameAction, GameServerNode, GameStats};
 pub use host::{Host, HostInput, LocalDelivery, Outbound};
 pub use load::{Cooldown, LoadTracker};
 pub use messages::{
-    reconstruct_updates, BatchItem, ClientToGame, CoordMsg, CoordReply, DeltaItem, GameToClient,
-    GameToMatrix, LoadReport, LoadSnapshot, MatrixToGame, PeerMsg, PoolMsg, PoolPurpose, PoolReply,
+    reconstruct_updates, BatchItem, ClientToGame, CoordMsg, CoordReply, GameToClient, GameToMatrix,
+    LoadReport, LoadSnapshot, MatrixToGame, PeerMsg, PoolMsg, PoolPurpose, PoolReply,
     RegionSnapshot, ReplicaBatch, ReplicaOp, UpdateItem,
 };
 pub use packet::{ClientId, GamePacket, SpatialTag};
@@ -114,9 +115,9 @@ pub use server::{Action, Lifecycle, MatrixServer, ServerStats};
 // servers own an `InterestGrid` and drivers may want to query it; the
 // delta codec and flush policy are reused by clients and test suites.
 pub use matrix_interest::{
-    quantize, AutoTuner, AutoTunerConfig, DeltaEncoder, DeltaStream, Disseminated,
-    DisseminationPipeline, EncodedOrigin, FlushPolicy, InterestGrid, PipelineConfig, PolicyScratch,
-    RingSampler, RingSet, UpdateBatcher, ANON_ENTITY, MAX_RINGS,
+    quantize, AutoTuner, AutoTunerConfig, DeltaEncoder, Disseminated, DisseminationPipeline,
+    EncodedOrigin, FlushPolicy, InterestGrid, PipelineConfig, PolicyScratch, RingSampler, RingSet,
+    UpdateBatcher, ANON_ENTITY, MAX_RINGS,
 };
 
 // Re-export the dead-reckoning subsystem: receivers run an

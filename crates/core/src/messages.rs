@@ -5,9 +5,16 @@
 //! Matrix servers talk to peer Matrix servers, the coordinator, and the
 //! resource pool. All messages are plain data so the same protocol runs
 //! under the discrete-event harness and the tokio runtime.
+//!
+//! A client-bound [`GameToClient::UpdateBatch`] carries one
+//! [`BatchItem`] per event: the fields of an [`UpdateItem`] with the
+//! origin in the [`EncodedOrigin`] form the delta encoder produced
+//! (keyframe or offset). Receivers turn a batch back into
+//! [`UpdateItem`]s with [`reconstruct_updates`].
 
 use crate::packet::{ClientId, GamePacket};
 use matrix_geometry::{OverlapTable, PartitionMap, Point, Rect, ServerId};
+use matrix_interest::EncodedOrigin;
 use matrix_telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -131,133 +138,56 @@ impl UpdateItem {
     }
 }
 
-/// A delta-encoded event inside a [`GameToClient::UpdateBatch`]: its
-/// origin is an offset from the previous item's reconstructed origin
-/// (for the first item of a batch, from the last origin of the previous
-/// batch on the same client stream).
+/// One item of a [`GameToClient::UpdateBatch`]: an [`UpdateItem`] whose
+/// origin travels as the delta encoder emitted it — an absolute keyframe
+/// or an offset from the previous item's reconstructed origin (for the
+/// first item of a batch, from the last origin of the previous batch on
+/// the same client stream).
 ///
-/// Senders only emit deltas when `base + (dx, dy)` reproduces the
-/// absolute origin bit-for-bit (see
-/// [`DeltaEncoder`](matrix_interest::DeltaEncoder)), so reconstruction
-/// through [`reconstruct_updates`] is exact, never approximate.
+/// Senders only emit offsets that reproduce the absolute origin
+/// bit-for-bit (see [`DeltaEncoder`](matrix_interest::DeltaEncoder)), so
+/// reconstruction through [`reconstruct_updates`] is exact, never
+/// approximate. Every other field means what it does on [`UpdateItem`];
+/// a traced event stays traced whether it ships as a keyframe or a
+/// delta.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeltaItem {
-    /// X offset from the base origin.
-    pub dx: f64,
-    /// Y offset from the base origin.
-    pub dy: f64,
+pub struct BatchItem {
+    /// The origin as it travels: keyframe or offset.
+    pub origin: EncodedOrigin,
     /// Payload size in bytes.
     pub payload_bytes: usize,
-    /// Source entity id (`0` = anonymous), same as
-    /// [`UpdateItem::entity`].
+    /// Source entity id (see [`UpdateItem::entity`]).
     pub entity: u64,
-    /// The vision ring the receiver saw this event through, same as
-    /// [`UpdateItem::ring`].
+    /// The vision ring the receiver saw this event through (see
+    /// [`UpdateItem::ring`]).
     pub ring: u8,
-    /// Dead-reckoning velocity, x axis, same as [`UpdateItem::vx`].
+    /// Dead-reckoning velocity, x axis (see [`UpdateItem::vx`]).
     pub vx: f64,
-    /// Dead-reckoning velocity, y axis, same as [`UpdateItem::vy`].
+    /// Dead-reckoning velocity, y axis.
     pub vy: f64,
-    /// Causal trace tag, same as [`UpdateItem::trace`]. Delta encoding
-    /// preserves the tag: a traced event stays traced whether it ships
-    /// as a keyframe or a delta.
+    /// Causal trace tag (see [`UpdateItem::trace`]).
     pub trace: Option<matrix_telemetry::TraceTag>,
 }
 
-impl DeltaItem {
-    /// Whether this item carries a dead-reckoning velocity (see
+// Stage 5 writes one of these per delivered item — megabytes per flush
+// in a crowd — so its size is a send-path cost: hold it at 96 bytes.
+const _: () = assert!(std::mem::size_of::<BatchItem>() <= 96);
+
+impl BatchItem {
+    /// Per-item overhead on the wire of a delta item beyond the payload,
+    /// the counterpart of [`UpdateItem::WIRE_BYTES`]: two 3-byte signed
+    /// fixed-point offsets, a 2-byte length and a 4-byte entity tag (a
+    /// header byte plus a 3-byte id) instead of the keyframe's full
+    /// coordinates — attainable because the encoder only emits offsets
+    /// that are exact multiples of the 1/256 wire quantum within the
+    /// ±4096 threshold (21 bits per axis); anything else ships as an
+    /// absolute keyframe.
+    pub const DELTA_WIRE_BYTES: usize = 12;
+
+    /// Whether this item carries a dead-reckoning velocity (the rule of
     /// [`UpdateItem::has_velocity`]).
     pub fn has_velocity(&self) -> bool {
         self.vx != 0.0 || self.vy != 0.0
-    }
-    /// Per-item overhead on the wire beyond the payload, used for
-    /// bandwidth accounting. The v2 binary framing
-    /// (`matrix_core::codec_v2`) carries two 3-byte signed fixed-point
-    /// offsets, a 2-byte length and a 4-byte entity tag (a header byte
-    /// plus a 3-byte id) instead of the keyframe's full coordinates —
-    /// attainable because the encoder only emits deltas that are exact
-    /// multiples of the 1/256 wire quantum within the ±4096 threshold
-    /// (21 bits per axis); anything else ships as an absolute keyframe.
-    /// The ring tier rides in two spare bits of the entity tag's header
-    /// byte, so it costs no extra wire bytes.
-    pub const WIRE_BYTES: usize = 12;
-}
-
-/// One item of a [`GameToClient::UpdateBatch`]: an absolute keyframe or
-/// a delta against the stream so far.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum BatchItem {
-    /// Absolute origin — a keyframe, decodable regardless of receiver
-    /// state.
-    Absolute(UpdateItem),
-    /// Origin offset from the previous reconstructed origin.
-    Delta(DeltaItem),
-}
-
-impl BatchItem {
-    /// Payload size carried by this item.
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            BatchItem::Absolute(u) => u.payload_bytes,
-            BatchItem::Delta(d) => d.payload_bytes,
-        }
-    }
-
-    /// Estimated wire size of the item (per-item overhead + payload +
-    /// velocity tag when present).
-    pub fn wire_bytes(&self) -> usize {
-        let vel = if self.has_velocity() {
-            UpdateItem::VELOCITY_WIRE_BYTES
-        } else {
-            0
-        };
-        vel + match self {
-            BatchItem::Absolute(u) => UpdateItem::WIRE_BYTES + u.payload_bytes,
-            BatchItem::Delta(d) => DeltaItem::WIRE_BYTES + d.payload_bytes,
-        }
-    }
-
-    /// Whether this item is an absolute keyframe.
-    pub fn is_keyframe(&self) -> bool {
-        matches!(self, BatchItem::Absolute(_))
-    }
-
-    /// Source entity id carried by this item (`0` = anonymous).
-    pub fn entity(&self) -> u64 {
-        match self {
-            BatchItem::Absolute(u) => u.entity,
-            BatchItem::Delta(d) => d.entity,
-        }
-    }
-
-    /// The vision ring the receiver saw this event through (`0` = near).
-    pub fn ring(&self) -> u8 {
-        match self {
-            BatchItem::Absolute(u) => u.ring,
-            BatchItem::Delta(d) => d.ring,
-        }
-    }
-
-    /// The dead-reckoning velocity carried by this item (`(0.0, 0.0)` =
-    /// none).
-    pub fn velocity(&self) -> (f64, f64) {
-        match self {
-            BatchItem::Absolute(u) => (u.vx, u.vy),
-            BatchItem::Delta(d) => (d.vx, d.vy),
-        }
-    }
-
-    /// Whether this item carries a dead-reckoning velocity.
-    pub fn has_velocity(&self) -> bool {
-        self.velocity() != (0.0, 0.0)
-    }
-
-    /// The causal trace tag carried by this item, if sampled.
-    pub fn trace(&self) -> Option<matrix_telemetry::TraceTag> {
-        match self {
-            BatchItem::Absolute(u) => u.trace,
-            BatchItem::Delta(d) => d.trace,
-        }
     }
 }
 
@@ -273,23 +203,14 @@ pub fn reconstruct_updates(
 ) -> Option<Vec<UpdateItem>> {
     let mut out = Vec::with_capacity(items.len());
     for item in items {
-        let origin = match *item {
-            BatchItem::Absolute(u) => u.origin,
-            BatchItem::Delta(d) => {
-                let b = (*base)?;
-                Point::new(b.x + d.dx, b.y + d.dy)
-            }
-        };
-        *base = Some(origin);
-        let (vx, vy) = item.velocity();
         out.push(UpdateItem {
-            origin,
-            payload_bytes: item.payload_bytes(),
-            entity: item.entity(),
-            ring: item.ring(),
-            vx,
-            vy,
-            trace: item.trace(),
+            origin: item.origin.decode(base)?,
+            payload_bytes: item.payload_bytes,
+            entity: item.entity,
+            ring: item.ring,
+            vx: item.vx,
+            vy: item.vy,
+            trace: item.trace,
         });
     }
     Some(out)
@@ -894,29 +815,25 @@ mod tests {
 
         let down = GameToClient::UpdateBatch {
             updates: vec![
-                BatchItem::Absolute(UpdateItem {
-                    origin: Point::new(0.1, 0.2),
-                    payload_bytes: 90,
-                    entity: 7,
-                    ring: 0,
-                    vx: 0.0,
-                    vy: 0.0,
-                    trace: None,
-                }),
-                BatchItem::Delta(DeltaItem {
-                    dx: 2.9,
-                    dy: 3.8,
-                    payload_bytes: 32,
-                    entity: 0,
-                    ring: 0,
-                    vx: 0.0,
-                    vy: 0.0,
-                    trace: None,
-                }),
+                item(EncodedOrigin::Absolute(Point::new(0.1, 0.2)), 90, 7),
+                item(EncodedOrigin::Offset { dx: 2.9, dy: 3.8 }, 32, 0),
             ],
         };
         let bytes = codec_v2::encode_server_frame(&down, FrameMeta::default(), true);
         assert_eq!(round_trip(bytes), Frame::Server(down));
+    }
+
+    /// A near-ring, velocity-free, untraced batch item.
+    fn item(origin: EncodedOrigin, payload_bytes: usize, entity: u64) -> BatchItem {
+        BatchItem {
+            origin,
+            payload_bytes,
+            entity,
+            ring: 0,
+            vx: 0.0,
+            vy: 0.0,
+            trace: None,
+        }
     }
 
     #[test]
@@ -925,42 +842,17 @@ mod tests {
         let first = reconstruct_updates(
             &mut base,
             &[
-                BatchItem::Absolute(UpdateItem {
-                    origin: Point::new(10.0, 10.0),
-                    payload_bytes: 4,
-                    entity: 3,
-                    ring: 0,
-                    vx: 0.0,
-                    vy: 0.0,
-                    trace: None,
-                }),
-                BatchItem::Delta(DeltaItem {
-                    dx: 1.5,
-                    dy: -0.5,
-                    payload_bytes: 8,
-                    entity: 4,
-                    ring: 0,
-                    vx: 0.0,
-                    vy: 0.0,
-                    trace: None,
-                }),
+                item(EncodedOrigin::Absolute(Point::new(10.0, 10.0)), 4, 3),
+                item(EncodedOrigin::Offset { dx: 1.5, dy: -0.5 }, 8, 4),
             ],
         )
         .unwrap();
         assert_eq!(first[1].origin, Point::new(11.5, 9.5));
+        assert_eq!((first[1].payload_bytes, first[1].entity), (8, 4));
         // The next batch's leading delta chains off the threaded base.
         let second = reconstruct_updates(
             &mut base,
-            &[BatchItem::Delta(DeltaItem {
-                dx: 0.5,
-                dy: 0.5,
-                payload_bytes: 1,
-                entity: 3,
-                ring: 0,
-                vx: 0.0,
-                vy: 0.0,
-                trace: None,
-            })],
+            &[item(EncodedOrigin::Offset { dx: 0.5, dy: 0.5 }, 1, 3)],
         )
         .unwrap();
         assert_eq!(second[0].origin, Point::new(12.0, 10.0));
@@ -968,16 +860,7 @@ mod tests {
         assert_eq!(
             reconstruct_updates(
                 &mut None,
-                &[BatchItem::Delta(DeltaItem {
-                    dx: 1.0,
-                    dy: 1.0,
-                    payload_bytes: 0,
-                    entity: 0,
-                    ring: 0,
-                    vx: 0.0,
-                    vy: 0.0,
-                    trace: None,
-                })]
+                &[item(EncodedOrigin::Offset { dx: 1.0, dy: 1.0 }, 0, 0)]
             ),
             None
         );

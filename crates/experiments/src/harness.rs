@@ -922,10 +922,10 @@ impl Cluster {
                 // the numbers into its per-ring freshness histograms.
                 let apply_us = self.now.as_micros();
                 for item in &updates {
-                    if let Some(tag) = item.trace() {
+                    if let Some(tag) = item.trace {
                         self.traced_deliveries += 1;
                         let ack = ClientToGame::TraceAck {
-                            ring: item.ring(),
+                            ring: item.ring,
                             latency_us: tag.latency_us(apply_us),
                             staleness_us: tag.staleness_us(apply_us),
                         };

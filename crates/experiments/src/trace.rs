@@ -288,7 +288,7 @@ pub fn run_rt(scale: Scale) -> RtLeg {
                     };
                     let apply_us = cluster.router().now().as_micros();
                     for item in &updates {
-                        let Some(tag) = item.trace() else { continue };
+                        let Some(tag) = item.trace else { continue };
                         leg.traced_items += 1;
                         let latency = tag.latency_us(apply_us);
                         let staleness = tag.staleness_us(apply_us);
@@ -296,7 +296,7 @@ pub fn run_rt(scale: Scale) -> RtLeg {
                         leg.staleness_us.record(staleness as f64);
                         let _ = c
                             .send(&ClientToGame::TraceAck {
-                                ring: item.ring(),
+                                ring: item.ring,
                                 latency_us: latency,
                                 staleness_us: staleness,
                             })

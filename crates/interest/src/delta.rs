@@ -33,6 +33,10 @@
 //! ([`DeltaEncoder::begin_flush`]), fed one origin at a time and
 //! committed at the end, so the caller builds its wire items in the same
 //! pass and never materialises a list of origins or of encodings.
+//!
+//! [`EncodedOrigin`] is both halves of the stream: the sender's wire
+//! items carry it as is, and the receiver resolves each one against the
+//! base it holds with [`EncodedOrigin::decode`] — the one decode step.
 
 use matrix_geometry::Point;
 use std::collections::BTreeMap;
@@ -58,6 +62,23 @@ impl EncodedOrigin {
     /// Whether this is an absolute keyframe item.
     pub fn is_keyframe(&self) -> bool {
         matches!(self, EncodedOrigin::Absolute(_))
+    }
+
+    /// Resolves this origin against the receiver's stream `base` (the
+    /// last origin it reconstructed; `None` on a fresh or resynced
+    /// stream) and advances the base to the result. Returns `None` for
+    /// an offset arriving with no base — a protocol violation, since the
+    /// sender keyframes after every resync.
+    pub fn decode(self, base: &mut Option<Point>) -> Option<Point> {
+        let origin = match self {
+            EncodedOrigin::Absolute(p) => p,
+            EncodedOrigin::Offset { dx, dy } => {
+                let b = (*base)?;
+                Point::new(b.x + dx, b.y + dy)
+            }
+        };
+        *base = Some(origin);
+        Some(origin)
     }
 }
 
@@ -90,12 +111,11 @@ struct StreamState {
 ///
 /// # Resync
 ///
-/// [`DeltaEncoder::reset`] marks a client's stream dirty so its next
-/// flush starts with a keyframe — call it whenever the receiver may have
-/// lost state (join, re-join after a server switch, handover).
-/// [`DeltaEncoder::forget`] additionally drops the bookkeeping for
-/// departed clients, and [`DeltaEncoder::clear`] wipes every stream
-/// (driver shutdown), so a later rejoin can never be fed a stale base.
+/// [`DeltaEncoder::reset`] drops a client's stream so its next flush
+/// starts with a keyframe — call it whenever the receiver may have lost
+/// state (join, re-join after a server switch, handover) and when it
+/// departs. [`DeltaEncoder::clear`] wipes every stream (driver
+/// shutdown), so a later rejoin can never be fed a stale base.
 #[derive(Debug, Clone)]
 pub struct DeltaEncoder<K: Ord> {
     keyframe_every: u32,
@@ -186,14 +206,10 @@ impl<K: Ord + Copy> DeltaEncoder<K> {
         }
     }
 
-    /// Resync: the receiver may have lost its base (join, re-join,
-    /// handover) — its next flush starts with a keyframe.
+    /// Drops `client`'s stream: the receiver may have lost its base
+    /// (join, re-join, handover) or departed — its next flush, if any,
+    /// starts with a keyframe.
     pub fn reset(&mut self, client: K) {
-        self.streams.remove(&client);
-    }
-
-    /// Drops all stream bookkeeping for a departed client.
-    pub fn forget(&mut self, client: K) {
         self.streams.remove(&client);
     }
 
@@ -292,47 +308,6 @@ pub fn quantize(p: Point, quantum: f64) -> Point {
     Point::new(snap(p.x), snap(p.y))
 }
 
-/// Receiver-side mirror of one client's delta stream.
-///
-/// Feed it every [`EncodedOrigin`] in arrival order;
-/// [`DeltaStream::apply`] returns the reconstructed absolute origin.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeltaStream {
-    base: Option<Point>,
-}
-
-impl DeltaStream {
-    /// A stream with no base yet (fresh connection).
-    pub fn new() -> DeltaStream {
-        DeltaStream::default()
-    }
-
-    /// The last reconstructed origin, if any item arrived yet.
-    pub fn base(&self) -> Option<Point> {
-        self.base
-    }
-
-    /// Applies one item, returning its absolute origin. Returns `None`
-    /// for an offset arriving with no base — a protocol violation (the
-    /// sender must keyframe after every resync).
-    pub fn apply(&mut self, item: EncodedOrigin) -> Option<Point> {
-        let origin = match item {
-            EncodedOrigin::Absolute(p) => p,
-            EncodedOrigin::Offset { dx, dy } => {
-                let b = self.base?;
-                Point::new(b.x + dx, b.y + dy)
-            }
-        };
-        self.base = Some(origin);
-        Some(origin)
-    }
-
-    /// Drops the base (the client re-joined or switched servers).
-    pub fn reset(&mut self) {
-        self.base = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,10 +324,10 @@ mod tests {
         out
     }
 
-    fn decode(items: &[EncodedOrigin], stream: &mut DeltaStream) -> Vec<Point> {
+    fn decode(items: &[EncodedOrigin], base: &mut Option<Point>) -> Vec<Point> {
         items
             .iter()
-            .map(|&i| stream.apply(i).expect("decodable"))
+            .map(|i| i.decode(base).expect("decodable"))
             .collect()
     }
 
@@ -368,14 +343,14 @@ mod tests {
         assert!(items[0].is_keyframe());
         assert!(!items[1].is_keyframe());
         assert!(!items[2].is_keyframe());
-        let mut stream = DeltaStream::new();
-        assert_eq!(decode(&items, &mut stream), origins);
+        let mut base = None;
+        assert_eq!(decode(&items, &mut base), origins);
 
         // Next flush chains off the last origin without a keyframe.
         let next = [Point::new(12.5, 9.0)];
         let items = encode_flush(&mut enc, 1, &next);
         assert!(!items[0].is_keyframe());
-        assert_eq!(decode(&items, &mut stream), next);
+        assert_eq!(decode(&items, &mut base), next);
     }
 
     #[test]
@@ -464,16 +439,13 @@ mod tests {
 
     #[test]
     fn offset_without_base_is_rejected() {
-        let mut stream = DeltaStream::new();
-        assert_eq!(
-            stream.apply(EncodedOrigin::Offset { dx: 1.0, dy: 0.0 }),
-            None
-        );
-        assert!(stream
-            .apply(EncodedOrigin::Absolute(Point::new(1.0, 2.0)))
-            .is_some());
-        assert!(stream
-            .apply(EncodedOrigin::Offset { dx: 1.0, dy: 0.0 })
-            .is_some());
+        let offset = EncodedOrigin::Offset { dx: 1.0, dy: 0.0 };
+        let mut base = None;
+        assert_eq!(offset.decode(&mut base), None);
+        assert_eq!(base, None, "a rejected item leaves the base alone");
+        let key = EncodedOrigin::Absolute(Point::new(1.0, 2.0));
+        assert_eq!(key.decode(&mut base), Some(Point::new(1.0, 2.0)));
+        assert_eq!(offset.decode(&mut base), Some(Point::new(2.0, 2.0)));
+        assert_eq!(base, Some(Point::new(2.0, 2.0)));
     }
 }

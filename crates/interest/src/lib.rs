@@ -28,12 +28,14 @@
 //!   or crowded clients degrade gracefully instead of queueing
 //!   unboundedly. It ranks indices in a reusable [`PolicyScratch`]; the
 //!   items themselves never move.
-//! * [`DeltaEncoder`] / [`DeltaStream`] — per-client delta compression
-//!   of update origins: each item is encoded as an offset from the
-//!   previous one, with periodic and threshold-triggered absolute
-//!   keyframes plus a resync path for joins and handovers. Offsets are
-//!   only used when reconstruction is bit-exact, so the decoded stream
-//!   always equals what an absolute-only encoder would have sent.
+//! * [`DeltaEncoder`] / [`EncodedOrigin`] — per-client delta
+//!   compression of update origins: each item is encoded as an offset
+//!   from the previous one, with periodic and threshold-triggered
+//!   absolute keyframes plus a resync path for joins and handovers, and
+//!   the receiver resolves each [`EncodedOrigin`] against its base with
+//!   [`EncodedOrigin::decode`]. Offsets are only used when
+//!   reconstruction is bit-exact, so the decoded stream always equals
+//!   what an absolute-only encoder would have sent.
 //! * [`RingSet`] / [`RingSampler`] — multi-tier areas of interest:
 //!   concentric vision rings with per-ring sampling rates (near = every
 //!   event, far = a deterministic sample), replacing the single binary
@@ -74,7 +76,7 @@ mod shard;
 mod tuner;
 
 pub use batch::UpdateBatcher;
-pub use delta::{quantize, DeltaEncoder, DeltaStream, EncodedOrigin, FlushEncoder};
+pub use delta::{quantize, DeltaEncoder, EncodedOrigin, FlushEncoder};
 pub use grid::InterestGrid;
 pub use matrix_predict::{
     extrapolate, quantize_velocity, Admission, Basis, Extrapolator, MotionModel, PredictedStream,

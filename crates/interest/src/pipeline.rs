@@ -533,7 +533,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         self.grid.remove(key);
         let si = self.shard_ix(key);
         let shard = &mut self.shards[si];
-        shard.encoder.forget(key);
+        shard.encoder.reset(key);
         shard.sampler.forget(key);
         shard.predicted.forget_receiver(key);
         if !shard.charges.is_empty() {
@@ -988,7 +988,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         batcher.drain_each(|receiver, queued| {
             let Some(viewer) = viewer_of(receiver) else {
                 orphaned += queued.len() as u64;
-                encoder.forget(receiver);
+                encoder.reset(receiver);
                 // The prediction mirror dies with the stream: these
                 // queued rebases never reached the receiver, so bases
                 // recorded for them describe state nobody holds.

@@ -5,11 +5,13 @@
 //! named server, and are otherwise oblivious to Matrix (§3.2.1).
 //!
 //! The client also mirrors the server's dissemination pipeline on the
-//! receive side: `UpdateBatch` items arrive delta-compressed
-//! ([`matrix_core::BatchItem`]), so the client threads a per-stream base
-//! through [`matrix_core::reconstruct_updates`] and resets it whenever
-//! the stream restarts (join, server switch) — exactly when the server's
-//! encoder keyframes.
+//! receive side: each `UpdateBatch` item ([`matrix_core::BatchItem`])
+//! carries its origin as the server's delta encoder emitted it, a
+//! keyframe or an offset ([`matrix_core::EncodedOrigin`]), so the client
+//! threads a per-stream base through [`matrix_core::reconstruct_updates`]
+//! and resets it whenever the stream restarts (join, server switch) —
+//! exactly when the server's encoder keyframes. Counters read the
+//! item's fields directly.
 //!
 //! Velocity-tagged items additionally feed a dead-reckoning
 //! [`Extrapolator`]: between flushes the client can render every
@@ -206,12 +208,12 @@ impl RtClient {
                 self.counters.batches += 1;
                 self.counters.updates += updates.len() as u64;
                 for item in updates {
-                    if item.is_keyframe() {
+                    if item.origin.is_keyframe() {
                         self.counters.keyframes += 1;
                     } else {
                         self.counters.deltas += 1;
                     }
-                    if item.ring() > 0 {
+                    if item.ring > 0 {
                         self.counters.far_items += 1;
                     }
                 }

@@ -75,9 +75,9 @@ async fn nearby_clients_see_each_other() {
     match &msg {
         GameToClient::UpdateBatch { updates } => {
             assert_eq!(updates.len(), 1, "{msg:?}");
-            assert_eq!(updates[0].payload_bytes(), 64);
+            assert_eq!(updates[0].payload_bytes, 64);
             assert!(
-                updates[0].is_keyframe(),
+                updates[0].origin.is_keyframe(),
                 "first item of a fresh stream is absolute"
             );
         }
@@ -248,8 +248,8 @@ async fn parallel_flush_loses_and_duplicates_nothing_under_churn() {
         for m in &msgs {
             if let GameToClient::UpdateBatch { updates } = m {
                 for u in updates {
-                    if u.payload_bytes() >= 300 {
-                        *seen.entry(u.payload_bytes()).or_default() += 1;
+                    if u.payload_bytes >= 300 {
+                        *seen.entry(u.payload_bytes).or_default() += 1;
                     }
                 }
             }
@@ -686,7 +686,7 @@ async fn ring_tagged_updates_cross_the_real_wire() {
         panic!("expected UpdateBatch, got {msg:?}");
     };
     assert_eq!(updates.len(), 1, "mid ring at rate 2 samples one of two");
-    assert_eq!(updates[0].ring(), 1, "mid-ring tag survives the codec");
+    assert_eq!(updates[0].ring, 1, "mid-ring tag survives the codec");
     cluster.shutdown().await;
 }
 

@@ -12,7 +12,7 @@
 use matrix_middleware::core::codec_v2::{
     self, Frame, FrameAccumulator, FrameMeta, FrameStatus, MAGIC,
 };
-use matrix_middleware::core::{BatchItem, ClientToGame, DeltaItem, GameToClient, UpdateItem};
+use matrix_middleware::core::{BatchItem, ClientToGame, EncodedOrigin, GameToClient};
 use matrix_middleware::geometry::{Point, ServerId};
 use matrix_middleware::sim::SimRng;
 
@@ -37,8 +37,8 @@ fn small_frame(rng: &mut SimRng) -> Frame {
         3 => Frame::Client(ClientToGame::Leave),
         _ => Frame::Server(GameToClient::UpdateBatch {
             updates: vec![
-                BatchItem::Absolute(UpdateItem {
-                    origin: Point::new(100.0, 200.5),
+                BatchItem {
+                    origin: EncodedOrigin::Absolute(Point::new(100.0, 200.5)),
                     payload_bytes: rng.uniform_u64(0, 200) as usize,
                     entity: rng.uniform_u64(0, 100),
                     ring: rng.uniform_u64(0, 4) as u8,
@@ -53,17 +53,16 @@ fn small_frame(rng: &mut SimRng) -> Frame {
                             rng.uniform_u64(0, 1 << 40),
                         )
                     }),
-                }),
-                BatchItem::Delta(DeltaItem {
-                    dx: 1.5,
-                    dy: -0.25,
+                },
+                BatchItem {
+                    origin: EncodedOrigin::Offset { dx: 1.5, dy: -0.25 },
                     payload_bytes: rng.uniform_u64(0, 200) as usize,
                     entity: rng.uniform_u64(0, 100),
                     ring: 0,
                     vx: 2.0,
                     vy: -1.5,
                     trace: None,
-                }),
+                },
             ],
         }),
     }

@@ -10,8 +10,8 @@
 
 use matrix_middleware::core::codec_v2::{self, Frame, FrameAccumulator, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
-    BatchItem, ClientId, ClientToGame, DeltaItem, GameToClient, RegionSnapshot, ReplicaBatch,
-    ReplicaOp, UpdateItem, MAX_RINGS,
+    BatchItem, ClientId, ClientToGame, Disseminated, EncodedOrigin, GameToClient, RegionSnapshot,
+    ReplicaBatch, ReplicaOp, UpdateItem, MAX_RINGS,
 };
 use matrix_middleware::geometry::{Point, Rect, ServerId};
 use matrix_middleware::predict::Basis;
@@ -104,27 +104,22 @@ fn trace(rng: &mut SimRng) -> Option<matrix_middleware::telemetry::TraceTag> {
 /// wide encodings.
 fn batch_item(rng: &mut SimRng) -> BatchItem {
     let (vx, vy) = velocity(rng);
-    if rng.chance(0.5) {
-        BatchItem::Absolute(UpdateItem {
-            origin: any_point(rng),
-            payload_bytes: payload(rng),
-            entity: entity(rng),
-            ring: ring(rng),
-            vx,
-            vy,
-            trace: trace(rng),
-        })
+    let origin = if rng.chance(0.5) {
+        EncodedOrigin::Absolute(any_point(rng))
     } else {
-        BatchItem::Delta(DeltaItem {
+        EncodedOrigin::Offset {
             dx: lattice_coord(rng) / 100.0,
             dy: lattice_coord(rng) / 100.0,
-            payload_bytes: payload(rng),
-            entity: entity(rng),
-            ring: ring(rng),
-            vx,
-            vy,
-            trace: trace(rng),
-        })
+        }
+    };
+    BatchItem {
+        origin,
+        payload_bytes: payload(rng),
+        entity: entity(rng),
+        ring: ring(rng),
+        vx,
+        vy,
+        trace: trace(rng),
     }
 }
 
@@ -374,7 +369,7 @@ fn frame_len_predicts_the_encoder_exactly() {
         let item_sum: usize = updates.iter().map(codec_v2::batch_item_wire_len).sum();
         // Trace tags ride in a frame-level section (u16 count + fixed
         // entries), not in per-item framing — compose it explicitly.
-        let traced = updates.iter().filter(|u| u.trace().is_some()).count();
+        let traced = updates.iter().filter(|u| u.trace.is_some()).count();
         let trace_section = if traced > 0 {
             2 + traced * codec_v2::TRACE_ENTRY_BYTES
         } else {
@@ -456,47 +451,36 @@ fn appending_encoders_equal_the_concatenated_owned_encoders() {
 /// binary item (lattice coords, narrow entity, narrow payload length).
 #[test]
 fn wire_bytes_constants_match_measured_frames() {
-    let keyframe = BatchItem::Absolute(UpdateItem {
-        origin: Point::new(100.0, -250.5),
+    let keyframe = BatchItem {
+        origin: EncodedOrigin::Absolute(Point::new(100.0, -250.5)),
         payload_bytes: 64,
         entity: 7,
         ring: 1,
         vx: 0.0,
         vy: 0.0,
         trace: None,
-    });
+    };
     assert_eq!(
         codec_v2::batch_item_wire_len(&keyframe),
         UpdateItem::WIRE_BYTES,
         "a canonical keyframe item measures UpdateItem::WIRE_BYTES"
     );
 
-    let delta = BatchItem::Delta(DeltaItem {
-        dx: 1.5,
-        dy: -0.25,
-        payload_bytes: 64,
-        entity: 7,
-        ring: 1,
-        vx: 0.0,
-        vy: 0.0,
-        trace: None,
-    });
+    let delta = BatchItem {
+        origin: EncodedOrigin::Offset { dx: 1.5, dy: -0.25 },
+        ..keyframe
+    };
     assert_eq!(
         codec_v2::batch_item_wire_len(&delta),
-        DeltaItem::WIRE_BYTES,
-        "a canonical delta item measures DeltaItem::WIRE_BYTES"
+        BatchItem::DELTA_WIRE_BYTES,
+        "a canonical delta item measures BatchItem::DELTA_WIRE_BYTES"
     );
 
-    let with_velocity = BatchItem::Delta(DeltaItem {
-        dx: 1.5,
-        dy: -0.25,
-        payload_bytes: 64,
-        entity: 7,
-        ring: 1,
+    let with_velocity = BatchItem {
         vx: 3.5,
         vy: -2.25,
-        trace: None,
-    });
+        ..delta
+    };
     assert_eq!(
         codec_v2::batch_item_wire_len(&with_velocity) - codec_v2::batch_item_wire_len(&delta),
         UpdateItem::VELOCITY_WIRE_BYTES,
@@ -515,17 +499,84 @@ fn wire_bytes_constants_match_measured_frames() {
         codec_v2::BATCH_OVERHEAD_BYTES
     );
 
-    // And the item model composes: wire_bytes() (which charges the
-    // declared payload on top of the framing) is the measured item
-    // length plus that payload, for canonically-encodable items.
-    assert_eq!(
-        keyframe.wire_bytes(),
-        codec_v2::batch_item_wire_len(&keyframe) + keyframe.payload_bytes()
-    );
-    assert_eq!(
-        with_velocity.wire_bytes(),
-        codec_v2::batch_item_wire_len(&with_velocity) + with_velocity.payload_bytes()
-    );
+    // And the budget policy's item model composes: an update's
+    // `Disseminated::wire_bytes` (which charges the declared payload on
+    // top of the framing) is the measured length of the keyframe it
+    // ships as plus that payload, with or without a velocity pair.
+    for item in [
+        keyframe,
+        BatchItem {
+            vx: 3.5,
+            ..keyframe
+        },
+    ] {
+        let update = UpdateItem {
+            origin: Point::new(100.0, -250.5),
+            payload_bytes: item.payload_bytes,
+            entity: item.entity,
+            ring: item.ring,
+            vx: item.vx,
+            vy: item.vy,
+            trace: None,
+        };
+        assert_eq!(
+            Disseminated::wire_bytes(&update),
+            codec_v2::batch_item_wire_len(&item) + item.payload_bytes
+        );
+    }
+}
+
+/// The arithmetic length function and the encoder agree on every item
+/// header the encoder can write, exhaustively rather than by chance:
+/// keyframe and delta, each of entity / payload length / offsets /
+/// velocity narrow and wide (velocity also absent), every ring. Each
+/// item is built to need exactly the bits of its header byte, and the
+/// encoder must write that byte.
+#[test]
+fn wire_len_audit_covers_every_header_combination() {
+    let mut shapes = 0;
+    for h in 0..=u8::MAX {
+        let bit = |b: u8| h & (1 << b) != 0;
+        let (delta, vel, wide_entity, wide_coords, wide_vel, wide_len) =
+            (bit(0), bit(3), bit(4), bit(5), bit(6), bit(7));
+        if (wide_coords && !delta) || (wide_vel && !vel) {
+            continue; // a keyframe's coordinates are always 2×f64
+        }
+        let item = BatchItem {
+            origin: if delta {
+                // -4096 is on the 1/256 lattice at the delta threshold;
+                // 0.1 is off it.
+                let dx = if wide_coords { 0.1 } else { -4096.0 };
+                EncodedOrigin::Offset { dx, dy: 2.5 }
+            } else {
+                EncodedOrigin::Absolute(Point::new(0.1, -7.0))
+            },
+            payload_bytes: if wide_len { 1 << 16 } else { u16::MAX as usize },
+            entity: if wide_entity { 1 << 24 } else { (1 << 24) - 1 },
+            ring: (h >> 1) & 0x03,
+            vx: match (vel, wide_vel) {
+                (false, _) => 0.0,
+                (true, false) => 3.5,
+                (true, true) => 0.3,
+            },
+            vy: if vel { -1.0 / 256.0 } else { 0.0 },
+            trace: None,
+        };
+        let msg = GameToClient::UpdateBatch {
+            updates: vec![item],
+        };
+        let bytes = codec_v2::encode_server_frame(&msg, FrameMeta::default(), false);
+        assert_eq!(bytes[codec_v2::HEADER_BYTES], h, "{item:?}");
+        assert_eq!(
+            bytes.len() - codec_v2::frame_overhead(false),
+            codec_v2::batch_item_wire_len(&item),
+            "{item:?}"
+        );
+        assert_binary_roundtrip(h as usize, &Frame::Server(msg), FrameMeta::default(), true);
+        shapes += 1;
+    }
+    // Per ring: 2 × 2 × 3 keyframe shapes and 2 × 2 × 2 × 3 delta ones.
+    assert_eq!(shapes, (12 + 24) * MAX_RINGS);
 }
 
 /// The extremes of every integer field (no `f64` anywhere on the
@@ -539,15 +590,15 @@ fn full_u64_values_survive_the_binary_codec() {
             resync: true,
         },
         Frame::Server(GameToClient::UpdateBatch {
-            updates: vec![BatchItem::Absolute(UpdateItem {
-                origin: Point::new(0.5, -0.5),
+            updates: vec![BatchItem {
+                origin: EncodedOrigin::Absolute(Point::new(0.5, -0.5)),
                 payload_bytes: usize::MAX >> 8,
                 entity: u64::MAX,
                 ring: 3,
                 vx: 1.0,
                 vy: -1.0,
                 trace: None,
-            })],
+            }],
         }),
         Frame::Replica(Box::new(ReplicaBatch {
             seq: u64::MAX,

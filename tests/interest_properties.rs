@@ -418,7 +418,7 @@ fn gameserver_fanout_counts_match_linear_scan() {
 /// magnitudes), decoding reproduces the absolute origins bit-for-bit.
 #[test]
 fn delta_codec_reconstructs_absolute_streams_exactly() {
-    use matrix_middleware::core::{quantize, DeltaStream};
+    use matrix_middleware::core::quantize;
 
     let quantum = DeltaEncoder::<u32>::DEFAULT_QUANTUM;
     let mut rng = SimRng::seed_from_u64(0x0DE1_7A57);
@@ -426,7 +426,8 @@ fn delta_codec_reconstructs_absolute_streams_exactly() {
         let keyframe_every = rng.uniform_u64(0, 7) as u32;
         let mut enc: DeltaEncoder<u32> = DeltaEncoder::new(keyframe_every);
         let clients = rng.uniform_u64(1, 5) as u32;
-        let mut streams: Vec<DeltaStream> = (0..clients).map(|_| DeltaStream::new()).collect();
+        // Each receiver's stream base, as `EncodedOrigin::decode` threads it.
+        let mut bases: Vec<Option<Point>> = vec![None; clients as usize];
         let mut cursors: Vec<Point> = (0..clients)
             .map(|_| Point::new(rng.uniform(0.0, 800.0), rng.uniform(0.0, 800.0)))
             .collect();
@@ -437,7 +438,7 @@ fn delta_codec_reconstructs_absolute_streams_exactly() {
             // A resync (join / handover) drops state on both sides.
             if rng.chance(0.1) {
                 enc.reset(cid);
-                streams[cid as usize].reset();
+                bases[cid as usize] = None;
             }
             let n = rng.uniform_u64(1, 9) as usize;
             let origins: Vec<Point> = (0..n)
@@ -469,9 +470,8 @@ fn delta_codec_reconstructs_absolute_streams_exactly() {
             deltas_seen += encoded.iter().filter(|e| !e.is_keyframe()).count();
             let decoded: Vec<Point> = encoded
                 .iter()
-                .map(|&e| {
-                    streams[cid as usize]
-                        .apply(e)
+                .map(|e| {
+                    e.decode(&mut bases[cid as usize])
                         .expect("sender keyframes after every resync")
                 })
                 .collect();
@@ -543,13 +543,11 @@ fn delta_node_streams_reconstruct_absolute_node_streams() {
     }
 
     fn absolutes(items: &[BatchItem]) -> Vec<UpdateItem> {
-        items
-            .iter()
-            .map(|i| match i {
-                BatchItem::Absolute(u) => *u,
-                BatchItem::Delta(_) => panic!("absolute node must never emit deltas"),
-            })
-            .collect()
+        assert!(
+            items.iter().all(|i| i.origin.is_keyframe()),
+            "absolute node must never emit deltas"
+        );
+        reconstruct_updates(&mut None, items).expect("keyframes need no base")
     }
 
     let mut rng = SimRng::seed_from_u64(0x5E0_0E11);
@@ -965,8 +963,8 @@ fn supersede_pass_matches_the_sort_based_selection() {
 fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
     use matrix_middleware::core::{
         codec_v2::{self, FrameMeta},
-        quantize, BatchItem, ClientId, ClientToGame, DeltaItem, GameAction, GameServerConfig,
-        GameServerNode, GameToClient, ServerId, UpdateBatcher, UpdateItem,
+        quantize, BatchItem, ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode,
+        GameToClient, ServerId, UpdateBatcher, UpdateItem,
     };
     use matrix_middleware::sim::{SimDuration, SimTime};
 
@@ -1014,7 +1012,7 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
             if self.clients.remove(&cid).is_some() {
                 self.grid.remove(cid);
                 self.batcher.forget(cid);
-                self.encoder.forget(cid);
+                self.encoder.reset(cid);
             }
         }
 
@@ -1074,7 +1072,7 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
             let mut out = Vec::new();
             for (cid, updates) in queued {
                 let Some(viewer) = self.clients.get(&cid).copied() else {
-                    self.encoder.forget(cid);
+                    self.encoder.reset(cid);
                     continue;
                 };
                 let (kept, _) = reference_select(
@@ -1091,30 +1089,14 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
                 let items: Vec<BatchItem> = kept
                     .into_iter()
                     .zip(encoded)
-                    .map(|(u, e)| match e {
-                        matrix_middleware::core::EncodedOrigin::Absolute(origin) => {
-                            BatchItem::Absolute(UpdateItem {
-                                origin,
-                                payload_bytes: u.payload_bytes,
-                                entity: u.entity,
-                                ring: 0,
-                                vx: 0.0,
-                                vy: 0.0,
-                                trace: None,
-                            })
-                        }
-                        matrix_middleware::core::EncodedOrigin::Offset { dx, dy } => {
-                            BatchItem::Delta(DeltaItem {
-                                dx,
-                                dy,
-                                payload_bytes: u.payload_bytes,
-                                entity: u.entity,
-                                ring: 0,
-                                vx: 0.0,
-                                vy: 0.0,
-                                trace: None,
-                            })
-                        }
+                    .map(|(u, origin)| BatchItem {
+                        origin,
+                        payload_bytes: u.payload_bytes,
+                        entity: u.entity,
+                        ring: 0,
+                        vx: 0.0,
+                        vy: 0.0,
+                        trace: None,
                     })
                     .collect();
                 out.push((cid, items));
@@ -1500,7 +1482,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
         }
 
         fn drop_receiver_state(&mut self, key: u32) {
-            self.encoder.forget(key);
+            self.encoder.reset(key);
             self.predicted.forget_receiver(key);
             self.charges.retain(|&(_, receiver), _| receiver != key);
         }

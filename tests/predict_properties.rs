@@ -31,7 +31,7 @@
 //! (fixed seeds, so failures are reproducible).
 
 use matrix_middleware::core::{
-    codec_v2, quantize, reconstruct_updates, BatchItem, ClientId, ClientToGame, DeltaItem,
+    codec_v2, quantize, reconstruct_updates, BatchItem, ClientId, ClientToGame, EncodedOrigin,
     Extrapolator, GameAction, GameServerConfig, GameServerNode, GameToClient, RingSet, ServerId,
     UpdateItem,
 };
@@ -251,29 +251,23 @@ fn velocity_fields_round_trip_and_legacy_frames_decode() {
             } else {
                 (0.0, 0.0)
             };
-            let item = if rng.chance(0.5) {
-                BatchItem::Absolute(UpdateItem {
-                    origin: Point::new(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4)),
-                    payload_bytes: rng.uniform_u64(0, 512) as usize,
-                    entity: rng.uniform_u64(0, 50),
-                    ring: rng.uniform_u64(0, 4) as u8,
-                    vx: vel.0,
-                    vy: vel.1,
-                    trace: None,
-                })
+            let origin = if rng.chance(0.5) {
+                EncodedOrigin::Absolute(Point::new(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4)))
             } else {
-                BatchItem::Delta(DeltaItem {
+                EncodedOrigin::Offset {
                     dx: rng.uniform(-100.0, 100.0),
                     dy: rng.uniform(-100.0, 100.0),
-                    payload_bytes: rng.uniform_u64(0, 512) as usize,
-                    entity: rng.uniform_u64(0, 50),
-                    ring: rng.uniform_u64(0, 4) as u8,
-                    vx: vel.0,
-                    vy: vel.1,
-                    trace: None,
-                })
+                }
             };
-            updates.push(item);
+            updates.push(BatchItem {
+                origin,
+                payload_bytes: rng.uniform_u64(0, 512) as usize,
+                entity: rng.uniform_u64(0, 50),
+                ring: rng.uniform_u64(0, 4) as u8,
+                vx: vel.0,
+                vy: vel.1,
+                trace: None,
+            });
         }
         let msg = GameToClient::UpdateBatch {
             updates: updates.clone(),
@@ -364,7 +358,7 @@ fn predict_off_leaves_the_wire_in_the_pr4_grammar() {
                 );
                 for len in measured_items(&msg).0 {
                     assert!(
-                        len == UpdateItem::WIRE_BYTES || len == DeltaItem::WIRE_BYTES,
+                        len == UpdateItem::WIRE_BYTES || len == BatchItem::DELTA_WIRE_BYTES,
                         "case {case}: a {len}-byte item is outside the PR 4 sizes: {msg:?}"
                     );
                 }

@@ -211,7 +211,10 @@ fn assert_failover_guarantee(
             };
             let base = bases.entry(*client).or_default();
             if base.is_none() {
-                assert!(updates[0].is_keyframe(), "case {case} {at}: {client:?}");
+                assert!(
+                    updates[0].origin.is_keyframe(),
+                    "case {case} {at}: {client:?}"
+                );
             }
             let items = reconstruct_updates(base, updates)
                 .unwrap_or_else(|| panic!("case {case} {at}: {client:?} lacks a base"));
