@@ -275,15 +275,6 @@ impl GameServerNode {
         self
     }
 
-    /// Runs flushes on one real worker thread per shard (used by the
-    /// async runtime when `flush_workers > 1`; the discrete-event
-    /// harness keeps the deterministic sequential interleaving, whose
-    /// output is byte-identical anyway).
-    pub fn with_parallel_flush(mut self) -> GameServerNode {
-        self.pipeline.set_parallel_flush(true);
-        self
-    }
-
     fn make_pipeline(
         bounds: Rect,
         cfg: &GameServerConfig,
@@ -2471,11 +2462,11 @@ mod tests {
 
     #[test]
     fn flush_workers_leave_stats_and_output_identical() {
-        // Same workload under 1, 4 (parallel) and 8 shards: the emitted
-        // actions and every GameStats counter must be byte-identical —
-        // flush_workers is purely a throughput knob, and the per-flush
-        // stat-delta merge keeps totals independent of the shard count.
-        let make = |workers: u32, parallel: bool| {
+        // Same workload under 1, 4 and 8 shards: the emitted actions and
+        // every GameStats counter must be byte-identical — flush_workers
+        // is purely a throughput knob, and the per-flush stat-delta merge
+        // keeps totals independent of the shard count.
+        let make = |workers: u32| {
             let mut cfg = GameServerConfig {
                 emit_updates: true,
                 flush_workers: workers,
@@ -2485,29 +2476,19 @@ mod tests {
             };
             cfg.set_rings(&[30.0, 120.0], &[1, 2]);
             let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
-            if parallel {
-                g = g.with_parallel_flush();
-            }
             g.register(world(), 120.0);
             g
         };
-        let mut reference = make(1, false);
+        let mut reference = make(1);
         let base_actions = drive_sharded_workload(&mut reference);
         let base_stats = *reference.stats();
         assert!(base_stats.batches_flushed > 0, "workload must flush");
         assert!(base_stats.updates_rate_limited > 0, "caps must engage");
-        for (workers, parallel) in [(4, false), (4, true), (8, false)] {
-            let mut g = make(workers, parallel);
+        for workers in [4, 8] {
+            let mut g = make(workers);
             let actions = drive_sharded_workload(&mut g);
-            assert_eq!(
-                actions, base_actions,
-                "{workers}-shard (parallel={parallel}) output diverged"
-            );
-            assert_eq!(
-                g.stats(),
-                &base_stats,
-                "{workers}-shard (parallel={parallel}) stats diverged"
-            );
+            assert_eq!(actions, base_actions, "{workers}-shard output diverged");
+            assert_eq!(g.stats(), &base_stats, "{workers}-shard stats diverged");
         }
     }
 

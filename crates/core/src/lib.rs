@@ -85,7 +85,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod baseline;
 pub mod codec_v2;
 mod config;
 mod coordinator;

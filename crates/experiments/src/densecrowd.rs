@@ -17,9 +17,9 @@
 //! the per-client rate limiter merged/dropped to keep each flush inside
 //! `max_updates_per_flush` / `client_budget_bytes` (those events are
 //! *deferred*, re-described by a later flush if still relevant, rather
-//! than queued without bound). The companion Criterion bench
-//! (`benches/fanout.rs`) measures the grid speedup in isolation; this
-//! run shows the subsystem working end to end under the full protocol.
+//! than queued without bound). The grid's receiver sets are
+//! property-tested against a linear scan in `tests/interest_properties.rs`;
+//! this run shows the subsystem working end to end under the full protocol.
 
 use crate::harness::{Cluster, ClusterConfig, ClusterReport};
 use matrix_games::{GameSpec, Placement, PopulationEvent, WorkloadSchedule};

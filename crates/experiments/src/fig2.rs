@@ -89,6 +89,39 @@ pub fn summary(report: &ClusterReport) -> Table {
     t
 }
 
+/// The §4.1 shape a Figure-2 run must reproduce: a handful of servers
+/// (3–6 at the peak), at least three splits and three reclaims, the
+/// fleet back at ≤ 2 servers by the end, and no work dropped on the way.
+pub fn verdict(report: &ClusterReport) -> Result<String, String> {
+    if !(3..=6).contains(&report.peak_servers) {
+        return Err(format!(
+            "peak servers {} outside 3..=6",
+            report.peak_servers
+        ));
+    }
+    if report.splits < 3 {
+        return Err(format!("{} splits < 3", report.splits));
+    }
+    if report.reclaims < 3 {
+        return Err(format!("{} reclaims < 3", report.reclaims));
+    }
+    let end = report
+        .servers_in_use
+        .last_value()
+        .ok_or("no servers-in-use samples")?;
+    if end > 2.0 {
+        return Err(format!("{end} servers at the end of the run > 2"));
+    }
+    if report.dropped_work != 0.0 {
+        return Err(format!("{:.0} work units dropped", report.dropped_work));
+    }
+    Ok(format!(
+        "E1/E2 verdict: PASS — peak {} servers, {} splits, {} reclaims, \
+         {end} server(s) at the end, no dropped work",
+        report.peak_servers, report.splits, report.reclaims
+    ))
+}
+
 /// Renders the adaptation timeline (when each split/reclaim happened).
 pub fn timeline(report: &ClusterReport) -> String {
     let mut out = String::from("adaptation timeline:\n");
@@ -115,20 +148,33 @@ pub fn to_csv(report: &ClusterReport) -> String {
 mod tests {
     use super::*;
 
-    /// The full Figure-2 scenario is exercised end-to-end in release-mode
-    /// integration tests and the bench harness; here we only check the
-    /// renderers on a cheap run.
-    #[test]
-    fn renderers_produce_output() {
+    /// A small steady crowd: cheap, and it never splits.
+    fn steady_run() -> ClusterReport {
         let spec = GameSpec::bzflag();
         let schedule = WorkloadSchedule::steady(30, matrix_sim::SimTime::from_secs(10));
         let mut cfg = ClusterConfig::adaptive(spec);
         cfg.seed = 7;
-        let report = Cluster::new(cfg, schedule).run();
+        Cluster::new(cfg, schedule).run()
+    }
+
+    /// The full Figure-2 scenario is checked by [`verdict`] in
+    /// `matrix-experiments fig2` (a CI step); here we only check the
+    /// renderers on a cheap run.
+    #[test]
+    fn renderers_produce_output() {
+        let report = steady_run();
         assert!(render_2a(&report).contains("Figure 2a"));
         assert!(render_2b(&report).contains("Figure 2b"));
         let table = summary(&report);
         assert!(table.render().contains("peak servers"));
         assert!(to_csv(&report).contains("time,value"));
+    }
+
+    #[test]
+    fn verdict_rejects_a_run_that_never_adapts() {
+        let report = steady_run();
+        assert_eq!(report.splits, 0);
+        let why = verdict(&report).unwrap_err();
+        assert!(why.contains("peak servers 1"), "{why}");
     }
 }

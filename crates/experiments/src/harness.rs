@@ -97,11 +97,15 @@ impl ClusterConfig {
             ..MatrixConfig::default()
         };
         let game = spec.game_config();
+        let coordinator = CoordinatorConfig {
+            metric: spec.metric,
+            ..CoordinatorConfig::default()
+        };
         ClusterConfig {
             spec,
             matrix,
             game,
-            coordinator: CoordinatorConfig::default(),
+            coordinator,
             net: NetConfig::default(),
             pool_size: 16,
             initial_servers: 1,
@@ -1140,6 +1144,23 @@ mod tests {
         spec.update_rate_hz = 2.0;
         spec.server_capacity = 300.0;
         spec
+    }
+
+    #[test]
+    fn every_node_measures_distance_with_the_games_metric() {
+        // The coordinator's consistency sets and overlap tables must use
+        // the metric the servers route and fan out with.
+        for spec in GameSpec::all().into_iter().chain([GameSpec::racer()]) {
+            let metric = spec.metric;
+            for cfg in [
+                ClusterConfig::adaptive(spec.clone()),
+                ClusterConfig::static_partition(spec.clone(), 2),
+            ] {
+                assert_eq!(cfg.matrix.metric, metric, "{}", spec.name);
+                assert_eq!(cfg.game.metric, metric, "{}", spec.name);
+                assert_eq!(cfg.coordinator.metric, metric, "{}", spec.name);
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! CSV). The `matrix-experiments` binary exposes them as subcommands:
 //!
 //! ```text
-//! matrix-experiments fig2        # E1/E2  Figure 2a + 2b
-//! matrix-experiments versus      # E3     Matrix vs static, 3 games
+//! matrix-experiments fig2        # E1/E2  Figure 2a + 2b (verdict enforced)
+//! matrix-experiments versus      # E3     Matrix vs static, 3 games (verdict enforced)
 //! matrix-experiments micro-switch# E4     switching latency
 //! matrix-experiments micro-mc    # E5     coordinator overhead
 //! matrix-experiments micro-traffic # E6   traffic vs overlap size
@@ -21,7 +21,8 @@
 //! matrix-experiments rings       # E14    multi-ring AOI + grid auto-tuning
 //! matrix-experiments predict     # E15    dead-reckoning suppression
 //! matrix-experiments trace       # E16    causal tracing + freshness SLOs
-//! matrix-experiments all         # everything, in order
+//! matrix-experiments all         # everything above, in order
+//! matrix-experiments overhead    # CI gates: telemetry cost, flush scaling
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,6 +34,7 @@ pub mod failover;
 pub mod fig2;
 pub mod harness;
 pub mod micro;
+pub mod overhead;
 pub mod predict;
 pub mod rings;
 pub mod scale;

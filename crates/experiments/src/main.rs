@@ -4,8 +4,8 @@
 //! tables, and CSV artefacts land in `./results/`.
 
 use matrix_experiments::{
-    ablation, densecrowd, failover, fig2, micro, predict, rings, scale, sweep, trace, userstudy,
-    versus,
+    ablation, densecrowd, failover, fig2, micro, overhead, predict, rings, scale, sweep, trace,
+    userstudy, versus,
 };
 use std::io::Write;
 
@@ -18,7 +18,7 @@ COMMANDS:
   fig2                 E1/E2: Figure 2a (clients/server) + 2b (queue length)
   fig2a                E1 only
   fig2b                E2 only
-  versus               E3: Matrix vs static partitioning (BzFlag, Quake2, Daimonin)
+  versus [--smoke]     E3: Matrix vs static partitioning (BzFlag, Quake2, Daimonin)
   micro-switch         E4: client switching latency sweep
   micro-mc             E5: coordinator overhead (recompute cost + traffic share)
   micro-traffic        E6: inter-server traffic vs overlap-region size
@@ -32,7 +32,13 @@ COMMANDS:
   trace [--smoke]      E16: end-to-end causal tracing + freshness SLO plane
   ablation-split       A1: split-strategy ablation
   ablation-hysteresis  A2: oscillation-prevention ablation
-  all                  run everything in order
+  all                  run everything above in order
+  overhead             CI gates: telemetry on ≤ 2% / 1/64 tracing ≤ 5% over
+                       off at 1 and 4 flush workers; flush at 4 workers
+                       ≥ 2.5x one worker (≥ 4 cores) or ≤ 3x its time
+
+Every command with a verdict (fig2, versus, dense … trace, overhead)
+exits 1 when it fails.
 
 `--flush-workers N` shards the dissemination flush across N workers
 (E12's knob; default 1 = the sequential path). Sharding is
@@ -77,7 +83,7 @@ fn main() {
         "fig2" => run_fig2(seed, true, true),
         "fig2a" => run_fig2(seed, true, false),
         "fig2b" => run_fig2(seed, false, true),
-        "versus" => run_versus(seed),
+        "versus" => run_versus(seed, smoke),
         "micro-switch" => run_micro_switch(seed),
         "micro-mc" => run_micro_mc(seed),
         "micro-traffic" => run_micro_traffic(seed),
@@ -91,9 +97,10 @@ fn main() {
         "trace" => run_trace(seed, smoke),
         "ablation-split" => run_ablation_split(seed),
         "ablation-hysteresis" => run_ablation_hysteresis(seed),
+        "overhead" => run_overhead(),
         "all" => {
             run_fig2(seed, true, true);
-            run_versus(seed);
+            run_versus(seed, false);
             run_micro_switch(seed);
             run_micro_mc(seed);
             run_micro_traffic(seed);
@@ -151,14 +158,36 @@ fn run_fig2(seed: u64, a: bool, b: bool) {
     }
     println!("{}", fig2::summary(&report).render());
     println!("{}", fig2::timeline(&report));
+    match fig2::verdict(&report) {
+        Ok(line) => println!("{line}"),
+        Err(why) => acceptance_failed("fig2", &why),
+    }
     save("fig2.csv", &fig2::to_csv(&report));
 }
 
-fn run_versus(seed: u64) {
-    let rows = versus::run(seed);
+fn run_versus(seed: u64, smoke: bool) {
+    let scale = if smoke {
+        versus::Scale::smoke()
+    } else {
+        versus::Scale::full()
+    };
+    let rows = versus::run(seed, scale);
     let table = versus::table(&rows);
     println!("{}", table.render());
+    match versus::verdict(&rows) {
+        Ok(line) => println!("{line}"),
+        Err(why) => acceptance_failed("versus", &why),
+    }
     save("versus.csv", &table.to_csv());
+}
+
+fn run_overhead() {
+    let report = overhead::run();
+    println!("{}", overhead::table(&report).render());
+    match overhead::verdict(&report) {
+        Ok(line) => println!("{line}"),
+        Err(why) => acceptance_failed("overhead", &why),
+    }
 }
 
 fn run_micro_switch(seed: u64) {

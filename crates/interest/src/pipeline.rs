@@ -65,21 +65,17 @@
 //! independent **shards** keyed by a stable hash of the receiver
 //! ([`ShardKey`](crate::ShardKey)). Stages 4–5 touch nothing but one
 //! receiver's own state, so a flush can process every shard
-//! independently: sequentially in shard-index order (the default, and
-//! the only mode the discrete-event harness uses), or on real
-//! `std::thread` workers behind [`with_parallel_flush`]
-//! (`matrix-rt`). Because receivers partition across shards and each
-//! shard drains in receiver order, merging the per-shard batch lists by
-//! receiver reconstructs the exact global order — the flush output is
-//! **byte-identical for any shard count**, parallel or not, which is
-//! what lets `flush_workers` be a pure performance knob
+//! independently, and with more than one shard each runs on its own
+//! scoped `std::thread` worker. Because receivers partition across
+//! shards and each shard drains in receiver order, merging the
+//! per-shard batch lists by receiver reconstructs the exact global
+//! order — the flush output is **byte-identical for any shard count**,
+//! which is what lets `flush_workers` be a pure performance knob
 //! (property-pinned in `tests/interest_properties.rs`).
-//!
-//! [`with_parallel_flush`]: DisseminationPipeline::with_parallel_flush
 //!
 //! The pipeline is deliberately payload-agnostic: anything implementing
 //! [`Disseminated`] flows through, so the middleware's update items, the
-//! property suites' synthetic payloads and the benches all drive the
+//! property suites' synthetic payloads and the benchmarks all drive the
 //! same code. With rings untiered and the tuner disabled, the pipeline's
 //! output is **byte-identical** to the hand-wired v2 flush path — a
 //! property test in `tests/interest_properties.rs` pins that equivalence
@@ -360,9 +356,6 @@ pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
     /// emptied (capacity kept) on every path that leaves nothing
     /// queued, so its length is bounded by one interval's events.
     log: Vec<U>,
-    /// Whether `flush` runs the shards on real `std::thread` workers
-    /// (one per shard) instead of in index order on the caller.
-    parallel: bool,
     /// Whether the trace plane's staleness charging is armed (the
     /// producer stamps trace tags): suppressed and policy-dropped
     /// events then charge their age to the next delivered rebase. Off
@@ -409,7 +402,6 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             spans: StageSpans::new(cfg.telemetry),
             shards: Vec::new(),
             log: Vec::new(),
-            parallel: false,
             trace_charging: false,
             scratch: Vec::new(),
             charged: Vec::new(),
@@ -427,20 +419,6 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         self.shards = (0..n).map(|_| self.make_shard()).collect();
         self.log.clear();
         self
-    }
-
-    /// Runs future flushes on one real `std::thread` worker per shard
-    /// (no effect with a single shard). The output stays byte-identical
-    /// to the sequential path — see the module docs.
-    pub fn with_parallel_flush(mut self) -> DisseminationPipeline<K, U> {
-        self.set_parallel_flush(true);
-        self
-    }
-
-    /// In-place form of [`DisseminationPipeline::with_parallel_flush`]
-    /// for drivers that configure an already-constructed pipeline.
-    pub fn set_parallel_flush(&mut self, on: bool) {
-        self.parallel = on;
     }
 
     /// Arms the trace plane's staleness charging (producers stamp
@@ -468,11 +446,6 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// The number of shards per-receiver state is partitioned into.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether flushes run the shards on real worker threads.
-    pub fn parallel_flush(&self) -> bool {
-        self.parallel
     }
 
     fn make_shard(&self) -> Shard<K> {
@@ -890,9 +863,8 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// [`FlushOutcome::orphaned`]). `emit` turns each kept payload and
     /// its encoded origin into the caller's wire item, in delivery
     /// order, with a per-batch accumulator for whatever the caller
-    /// tallies on the way ([`FlushBatch::tally`]). Sequential by default;
-    /// behind [`DisseminationPipeline::with_parallel_flush`] each shard
-    /// runs on its own scoped worker thread. Either way the batches come
+    /// tallies on the way ([`FlushBatch::tally`]). With more than one
+    /// shard each runs on its own scoped worker thread; the batches come
     /// back in global receiver order and the outcome is byte-identical
     /// for any shard count.
     pub fn flush<A, B>(
@@ -911,7 +883,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         let charging = self.trace_charging;
         // Every shard reads the same log; none writes it.
         let log = &self.log[..];
-        let per_shard: Vec<FlushOutcome<K, B, A>> = if self.parallel && self.shards.len() > 1 {
+        let per_shard: Vec<FlushOutcome<K, B, A>> = if self.shards.len() > 1 {
             let (viewer_of, emit) = (&viewer_of, &emit);
             std::thread::scope(|s| {
                 let handles: Vec<_> = self
@@ -1716,21 +1688,9 @@ mod tests {
             let outs = drive_workload(&mut p);
             assert_eq!(
                 outs, baseline,
-                "{shards}-shard flush output diverged from the sequential path"
+                "{shards}-shard flush output diverged from the single-shard path"
             );
         }
-    }
-
-    #[test]
-    fn parallel_flush_matches_the_sequential_path() {
-        let rings = RingSet::from_tiers(&[40.0, 150.0], &[1, 2]);
-        let mut seq =
-            DisseminationPipeline::<u32, Ev>::new(world(), 16, rings, cfg()).with_shards(4);
-        let mut par = DisseminationPipeline::<u32, Ev>::new(world(), 16, rings, cfg())
-            .with_shards(4)
-            .with_parallel_flush();
-        assert!(par.parallel_flush());
-        assert_eq!(drive_workload(&mut par), drive_workload(&mut seq));
     }
 
     #[test]

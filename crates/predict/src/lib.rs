@@ -11,7 +11,7 @@
 //! error budget.
 //!
 //! Three pieces, deliberately independent of the middleware's message
-//! types so the pipeline, the property suites and the benches all drive
+//! types so the pipeline, the property suites and the benchmarks all drive
 //! the same code:
 //!
 //! * [`MotionModel`] — sender-side per-entity velocity estimation over a

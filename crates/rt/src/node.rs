@@ -95,12 +95,8 @@ async fn run_node(
     router: Router,
     mut rx: mpsc::UnboundedReceiver<NodeMsg>,
 ) {
-    // Real clients hang off this runtime, so fan-out is emitted for real,
-    // and a sharded flush runs each shard's policy ranking and delta
-    // encoding on its own scoped worker.
-    let game = GameServerNode::new(id, gcfg)
-        .with_fanout()
-        .with_parallel_flush();
+    // Real clients hang off this runtime, so fan-out is emitted for real.
+    let game = GameServerNode::new(id, gcfg).with_fanout();
     let mut host = Host::new(game, MatrixServer::new(id, mcfg));
     let mut out = Vec::new();
     // Driver-side tick latency: how long a whole active tick takes

@@ -10,8 +10,8 @@
 //!   stages ([`Stage`]), accumulating per-flush stage latencies into
 //!   log-bucketed [`Histogram`]s. Disabled spans cost one branch and
 //!   **zero** clock reads, which is what keeps the telemetry-off build a
-//!   true no-op (enforced by `benches/telemetry.rs`: on vs off ≤ 2%
-//!   flush CPU).
+//!   true no-op (enforced by `matrix-experiments overhead`: on vs off
+//!   ≤ 2% flush CPU).
 //! * [`FlightRecorder`] — a fixed-capacity ring buffer of structured
 //!   [`TelemetryEvent`]s (joins, handovers, splits, standby churn,
 //!   failovers, promotions, retunes). The coordinator keeps one always

@@ -31,8 +31,8 @@
 //! budget edge.
 //!
 //! **Shard-count invariance**: a node flushing through any
-//! `flush_workers` in 1..=8 — shards walked sequentially or on real
-//! threads — must emit byte-identical wire frames in the same order;
+//! `flush_workers` in 1..=8 — every shard past the first on its own
+//! thread — must emit byte-identical wire frames in the same order;
 //! the sharded flush engine is a throughput knob, never a behaviour
 //! knob.
 //!
@@ -1242,16 +1242,15 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-count invariance (the parallel-flush pin)
+// Shard-count invariance (the sharded-flush pin)
 // ---------------------------------------------------------------------------
 
 /// The sharded flush engine must be invisible on the wire: for every
 /// random script of joins, moves, actions, leaves and ticks — with
 /// tiered rings, prediction, payload degradation and budgets all in
-/// play — a node flushing through any `flush_workers` in 2..=8 (odd
-/// counts on the sequential shard walk, even counts on real threads)
-/// emits **byte-identical** frames, in the same order, to the
-/// single-worker node. Sharding is a throughput knob, never a
+/// play — a node flushing through any `flush_workers` in 2..=8 (one
+/// real thread per shard) emits **byte-identical** frames, in the same
+/// order, to the single-worker node. Sharding is a throughput knob, never a
 /// behaviour knob.
 #[test]
 fn flush_worker_count_is_wire_invariant() {
@@ -1271,15 +1270,11 @@ fn flush_worker_count_is_wire_invariant() {
     /// client, in emission order.
     fn replay(
         cfg: GameServerConfig,
-        parallel: bool,
         world: Rect,
         radius: f64,
         script: &[Step],
     ) -> Vec<(ClientId, Vec<u8>)> {
         let mut node = GameServerNode::new(ServerId(1), cfg).with_fanout();
-        if parallel {
-            node = node.with_parallel_flush();
-        }
         node.register(world, radius);
         let mut frames = Vec::new();
         let mut collect = |actions: Vec<GameAction>| {
@@ -1377,7 +1372,7 @@ fn flush_worker_count_is_wire_invariant() {
         }
         script.push(Step::Tick(t + 100));
 
-        let reference = replay(cfg, false, world, radius, &script);
+        let reference = replay(cfg, world, radius, &script);
         assert!(
             !reference.is_empty(),
             "case {case}: the script must actually emit frames"
@@ -1388,7 +1383,6 @@ fn flush_worker_count_is_wire_invariant() {
                     flush_workers: workers,
                     ..cfg
                 },
-                workers % 2 == 0, // even counts exercise the real threads
                 world,
                 radius,
                 &script,
@@ -1414,8 +1408,8 @@ fn flush_worker_count_is_wire_invariant() {
 /// and sampled rings, position-only outer rings, dead-reckoning
 /// budgets, count and byte caps, trace charging, departures, rejoins
 /// and receivers that vanish between enqueue and flush, every flush of
-/// the pipeline — at 1, 2 and 4 shards, walked in order and on real
-/// threads — must equal the oracle's: receivers, item order, ring tags,
+/// the pipeline — at 1 shard and on 2 and 4 real threads — must equal
+/// the oracle's: receivers, item order, ring tags,
 /// stripped payloads, `stale_us` charges, encoded origins,
 /// `rate_limited` and `orphaned` counts. And `make` runs at most once
 /// per ring plus once per charged delivery, never once per receiver.
@@ -1664,17 +1658,13 @@ fn shared_event_log_matches_one_payload_per_delivery() {
         let trace_every = rng.uniform_u64(1, 4);
 
         let mut oracle = Oracle::new(cfg, rings);
-        // (shards, parallel): the sequential walk and real threads.
-        let layouts = [(1, false), (2, false), (4, false), (2, true), (4, true)];
-        let mut pipes: Vec<DisseminationPipeline<u32, UpdateItem>> = layouts
-            .iter()
-            .map(|&(shards, parallel)| {
-                let mut p =
-                    DisseminationPipeline::new(world, rng.uniform_u64(1, 24) as u32, rings, cfg)
-                        .with_shards(shards)
-                        .with_trace_charging();
-                p.set_parallel_flush(parallel);
-                p
+        let shard_counts = [1u32, 2, 4];
+        let mut pipes: Vec<DisseminationPipeline<u32, UpdateItem>> = shard_counts
+            .into_iter()
+            .map(|shards| {
+                DisseminationPipeline::new(world, rng.uniform_u64(1, 24) as u32, rings, cfg)
+                    .with_shards(shards)
+                    .with_trace_charging()
             })
             .collect();
 
@@ -1757,7 +1747,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                 );
                 charged_total += charged;
                 stripped_total += counts.3;
-                for (p, layout) in pipes.iter_mut().zip(layouts) {
+                for (p, shards) in pipes.iter_mut().zip(shard_counts) {
                     let made = Cell::new(0u64);
                     let stats = p.disseminate(
                         origin,
@@ -1781,11 +1771,11 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                             stats.stripped
                         ),
                         counts,
-                        "case {case} round {round} event {seq} {layout:?}"
+                        "case {case} round {round} event {seq}, {shards} shard(s)"
                     );
                     assert!(
                         made.get() <= MAX_RINGS as u64 + charged,
-                        "case {case} event {seq} {layout:?}: make ran {} times for {} \
+                        "case {case} event {seq}, {shards} shard(s): make ran {} times for {} \
                          deliveries ({charged} charged)",
                         made.get(),
                         counts.0
@@ -1815,7 +1805,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
             let gone = rng.chance(0.1).then(|| rng.uniform_u64(0, n as u64) as u32);
             let expected = oracle.flush(gone);
             limited_total += expected.batches.iter().map(|b| b.2).sum::<u64>();
-            for (p, layout) in pipes.iter_mut().zip(layouts) {
+            for (p, shards) in pipes.iter_mut().zip(shard_counts) {
                 let positions = &oracle.positions;
                 let outcome = p.flush(
                     |key| (Some(key) != gone).then(|| positions[&key]),
@@ -1829,7 +1819,10 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                         .collect(),
                     orphaned: outcome.orphaned,
                 };
-                assert_eq!(got, expected, "case {case} round {round} {layout:?}");
+                assert_eq!(
+                    got, expected,
+                    "case {case} round {round}, {shards} shard(s)"
+                );
                 assert!(!p.has_pending());
             }
             if let Some(key) = gone {
