@@ -54,8 +54,6 @@ pub struct MatrixConfig {
     /// expiry the coordinator promotes the standby instead of handing
     /// the orphaned range to a neighbour.
     pub standby_replication: bool,
-    /// Distance metric for range verification and exact-set fallbacks.
-    pub metric: Metric,
 }
 
 impl Default for MatrixConfig {
@@ -71,7 +69,6 @@ impl Default for MatrixConfig {
             split_strategy: SplitStrategy::SplitToLeft,
             heartbeat_every: SimDuration::from_secs(1),
             standby_replication: false,
-            metric: Metric::Euclidean,
         }
     }
 }
@@ -105,7 +102,8 @@ pub struct GameServerConfig {
     /// further than this outside the server's range, so crowds jittering
     /// on a partition boundary do not thrash between servers.
     pub handoff_margin: f64,
-    /// Metric for in-game distances.
+    /// The game's distance metric, and its one home: the Matrix servers
+    /// and the coordinator learn it by registration, with the radius.
     pub metric: Metric,
     /// Per-client area-of-interest radius for update fan-out. `0.0`
     /// inherits the game's registered radius of visibility. Distinct from
@@ -151,9 +149,6 @@ pub struct GameServerConfig {
     /// preserving the rings' delivery guarantee. Only meaningful with
     /// `predict` on.
     pub error_budgets: [f64; matrix_interest::MAX_RINGS],
-    /// Sliding-window length (observations) of the per-entity velocity
-    /// estimator feeding prediction; clamped to ≥ 2.
-    pub motion_window: u32,
     /// Fixed-point lattice shipped dead-reckoning velocities snap to,
     /// in world units per second (`0.0` = the origin lattice).
     /// Velocities tolerate a far coarser lattice than origins — the
@@ -259,7 +254,6 @@ impl Default for GameServerConfig {
             grid_autotune: false,
             predict: false,
             error_budgets: [0.0; matrix_interest::MAX_RINGS],
-            motion_window: 4,
             velocity_quantum: 0.125,
             position_only_ring: 0,
             emit_updates: false,
@@ -314,13 +308,6 @@ pub struct CoordinatorConfig {
     /// A server missing heartbeats for this long is declared dead and its
     /// partition reassigned.
     pub heartbeat_timeout: SimDuration,
-    /// Whether a dead server with a registered warm standby is failed
-    /// over (the standby promoted in place, clients kept) rather than
-    /// absorbed by a neighbour. Disable to measure the absorb-only
-    /// baseline with replication still running.
-    pub failover: bool,
-    /// Distance metric used when building overlap tables.
-    pub metric: Metric,
     /// Per-ring freshness SLO targets and error budget
     /// ([`matrix_telemetry::SloTargets`]). Fed by the per-ring
     /// staleness histograms riding node heartbeats (which exist only
@@ -334,8 +321,6 @@ impl Default for CoordinatorConfig {
     fn default() -> Self {
         CoordinatorConfig {
             heartbeat_timeout: SimDuration::from_secs(5),
-            failover: true,
-            metric: Metric::Euclidean,
             slo: matrix_telemetry::SloTargets::default(),
         }
     }

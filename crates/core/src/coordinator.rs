@@ -10,7 +10,9 @@
 
 use crate::config::CoordinatorConfig;
 use crate::messages::{CoordMsg, CoordReply};
-use matrix_geometry::{build_overlap, consistency_set, OverlapMap, PartitionMap, Rect, ServerId};
+use matrix_geometry::{
+    build_overlap, consistency_set, Metric, OverlapMap, PartitionMap, Rect, ServerId,
+};
 use matrix_sim::SimTime;
 use matrix_telemetry::{EventKind, FlightRecorder, SloTracker, TelemetrySnapshot, SLO_RINGS};
 use serde::{Deserialize, Serialize};
@@ -64,6 +66,8 @@ pub struct Coordinator {
     cfg: CoordinatorConfig,
     world: Option<Rect>,
     radius: f64,
+    /// The game's distance metric, registered with the world.
+    metric: Metric,
     extra_radii: Vec<f64>,
     map: Option<PartitionMap>,
     overlap: Option<OverlapMap>,
@@ -100,6 +104,7 @@ impl Coordinator {
             cfg,
             world: None,
             radius: 0.0,
+            metric: Metric::Euclidean,
             extra_radii: Vec::new(),
             map: None,
             overlap: None,
@@ -124,15 +129,18 @@ impl Coordinator {
     }
 
     /// Bootstraps with a pre-built multi-server map (static baseline and
-    /// test fixtures), immediately producing tables for every server.
+    /// test fixtures) and what registration would carry, immediately
+    /// producing tables for every server.
     pub fn with_map(
         cfg: CoordinatorConfig,
         map: PartitionMap,
         radius: f64,
+        metric: Metric,
     ) -> (Coordinator, Vec<CoordAction>) {
         let mut c = Coordinator::new(cfg);
         c.world = Some(map.world());
         c.radius = radius;
+        c.metric = metric;
         c.map = Some(map);
         let actions = c.recompute();
         (c, actions)
@@ -146,6 +154,11 @@ impl Coordinator {
     /// Current table epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The game's distance metric, as registered.
+    pub fn metric(&self) -> Metric {
+        self.metric
     }
 
     /// Counters for experiments.
@@ -240,11 +253,13 @@ impl Coordinator {
                 server,
                 world,
                 radius,
+                metric,
             } => {
                 self.heartbeats.insert(server, now);
                 if self.map.is_none() {
                     self.world = Some(world);
                     self.radius = radius;
+                    self.metric = metric;
                     self.map = Some(PartitionMap::new(world, server));
                 }
                 self.recompute()
@@ -390,7 +405,7 @@ impl Coordinator {
                         let owner = map.owner_of(point);
                         let r = radius.unwrap_or(self.radius);
                         let me = owner.unwrap_or(ServerId(u32::MAX));
-                        (owner, consistency_set(map, point, me, r, self.cfg.metric))
+                        (owner, consistency_set(map, point, me, r, self.metric))
                     }
                     None => (None, Vec::new()),
                 };
@@ -476,11 +491,11 @@ impl Coordinator {
         };
         self.epoch += 1;
         self.stats.recomputes += 1;
-        let overlap = build_overlap(map, self.radius, self.cfg.metric);
+        let overlap = build_overlap(map, self.radius, self.metric);
         self.extra_overlaps = self
             .extra_radii
             .iter()
-            .map(|&r| (r, build_overlap(map, r, self.cfg.metric)))
+            .map(|&r| (r, build_overlap(map, r, self.metric)))
             .collect();
         let mut actions = Vec::with_capacity(map.len());
         for (server, _) in map.iter() {
@@ -590,26 +605,24 @@ impl Coordinator {
                 ));
                 continue;
             }
-            if self.cfg.failover {
-                if let Some(standby) = self.standbys.get(&failed).copied() {
-                    // Promoting onto a node that is dead in this very
-                    // sweep would hand the region to a corpse; a shared
-                    // failure domain takes the absorb path instead.
-                    if !dead_set.contains(&standby) {
-                        actions.extend(self.promote_standby(now, failed, standby));
-                        continue;
-                    }
-                    self.standbys.remove(&failed);
-                    self.heartbeats.remove(&standby);
-                    self.stats.standbys_lost += 1;
-                    self.recorder.record(
-                        now,
-                        EventKind::StandbyLost {
-                            primary: failed,
-                            standby,
-                        },
-                    );
+            if let Some(standby) = self.standbys.get(&failed).copied() {
+                // Promoting onto a node that is dead in this very sweep
+                // would hand the region to a corpse; a shared failure
+                // domain takes the absorb path instead.
+                if !dead_set.contains(&standby) {
+                    actions.extend(self.promote_standby(now, failed, standby));
+                    continue;
                 }
+                self.standbys.remove(&failed);
+                self.heartbeats.remove(&standby);
+                self.stats.standbys_lost += 1;
+                self.recorder.record(
+                    now,
+                    EventKind::StandbyLost {
+                        primary: failed,
+                        standby,
+                    },
+                );
             }
             actions.extend(self.absorb_dead(now, failed));
         }
@@ -671,6 +684,7 @@ impl Coordinator {
                 failed,
                 range,
                 radius: self.radius,
+                metric: self.metric,
             },
         )];
         actions.extend(self.recompute());
@@ -737,6 +751,7 @@ mod tests {
                 server: ServerId(1),
                 world: world(),
                 radius: 50.0,
+                metric: Metric::Euclidean,
             },
         );
         (c, actions)
@@ -1080,46 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn failover_disabled_falls_back_to_absorption() {
-        let cfg = CoordinatorConfig {
-            failover: false,
-            ..CoordinatorConfig::default()
-        };
-        let mut c = Coordinator::new(cfg);
-        c.handle(
-            SimTime::ZERO,
-            CoordMsg::RegisterWorld {
-                server: ServerId(1),
-                world: world(),
-                radius: 50.0,
-            },
-        );
-        c.handle(
-            SimTime::from_secs(1),
-            CoordMsg::SplitOccurred {
-                parent: ServerId(1),
-                child: ServerId(2),
-                parent_range: Rect::from_coords(200.0, 0.0, 400.0, 400.0),
-                child_range: Rect::from_coords(0.0, 0.0, 200.0, 400.0),
-            },
-        );
-        c.handle(
-            SimTime::from_secs(1),
-            CoordMsg::StandbyAssigned {
-                primary: ServerId(2),
-                standby: ServerId(9),
-            },
-        );
-        keep_alive(&mut c, ServerId(1), 20);
-        keep_alive(&mut c, ServerId(9), 20);
-        let actions = c.check_liveness(SimTime::from_secs(24));
-        assert_eq!(c.stats().failovers, 0);
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, CoordAction::Send(_, CoordReply::AbsorbFailed { .. }))));
-    }
-
-    #[test]
     fn failover_reparents_children_onto_the_promoted_standby() {
         // 1 splits to 2 (parent: 2 -> 1); 1 is replicated to standby 9.
         // When 1 dies and 9 promotes, 2's parent link must be rewritten
@@ -1299,8 +1274,10 @@ mod tests {
     fn with_map_bootstraps_static_fixture() {
         let servers: Vec<ServerId> = (1..=4).map(ServerId).collect();
         let map = PartitionMap::static_grid(world(), &servers).unwrap();
-        let (c, actions) = Coordinator::with_map(CoordinatorConfig::default(), map, 25.0);
+        let (c, actions) =
+            Coordinator::with_map(CoordinatorConfig::default(), map, 25.0, Metric::Chebyshev);
         assert_eq!(c.server_count(), 4);
+        assert_eq!(c.metric(), Metric::Chebyshev);
         assert_eq!(actions.len(), 4);
     }
 }

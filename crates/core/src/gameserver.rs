@@ -296,14 +296,11 @@ impl GameServerNode {
                 // snapping and the lattice requirement).
                 keyframe_every: cfg.keyframe_every,
                 origin_quantum: cfg.origin_quantum,
-                autotune: if cfg.grid_autotune {
-                    AutoTunerConfig::enabled()
-                } else {
-                    AutoTunerConfig::default()
+                autotune: AutoTunerConfig {
+                    enabled: cfg.grid_autotune,
                 },
                 predict: if cfg.predict {
                     PredictorConfig {
-                        motion_window: cfg.motion_window,
                         velocity_quantum: cfg.velocity_quantum,
                         ..PredictorConfig::with_budgets(&cfg.error_budgets)
                     }
@@ -366,6 +363,7 @@ impl GameServerNode {
         vec![GameAction::ToMatrix(GameToMatrix::Register {
             world,
             radius,
+            metric: self.cfg.metric,
         })]
     }
 

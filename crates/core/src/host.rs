@@ -352,6 +352,47 @@ mod tests {
     }
 
     #[test]
+    fn the_matrix_side_checks_relevance_with_the_games_metric() {
+        // The Matrix config carries no metric: the game's is registered
+        // with the radius, so a Chebyshev game's peer update that is 40
+        // away on both axes (56.6 by Euclid) is inside its radius of 50.
+        let game = GameServerConfig {
+            metric: matrix_geometry::Metric::Chebyshev,
+            ..game_cfg()
+        };
+        let id = ServerId(1);
+        let mut h = Host::new(
+            GameServerNode::new(id, game).with_fanout(),
+            MatrixServer::new(id, MatrixConfig::default()),
+        );
+        let register = HostInput::Register {
+            world: world(),
+            radius: 50.0,
+        };
+        step(&mut h, 0, register);
+        let corner = Point::new(440.0, 440.0);
+        let pkt = crate::packet::GamePacket::synthetic(
+            ClientId(7),
+            crate::packet::SpatialTag::at(corner),
+            64,
+            0,
+        );
+        let update = HostInput::Peer {
+            from: ServerId(2),
+            msg: PeerMsg::Update(pkt),
+        };
+        let out = step(&mut h, 1, update);
+        assert_eq!(h.matrix().stats().peer_updates_in, 1, "{out:?}");
+        assert!(
+            matches!(
+                out.as_slice(),
+                [Outbound::Local(LocalDelivery::PeerUpdate { .. })]
+            ),
+            "{out:?}"
+        );
+    }
+
+    #[test]
     fn tick_on_an_idle_standby_heartbeats_and_leaves_the_game_side_alone() {
         // A vision radius of its own, so the unregistered game server
         // fans out and the test can leave it a batch it must not flush.
@@ -516,6 +557,7 @@ mod tests {
                         parent: from,
                         range: given,
                         radius: 50.0,
+                        metric: cfg.metric,
                         epoch: 0,
                     },
                 ),

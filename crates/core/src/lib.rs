@@ -48,7 +48,10 @@
 //! machine as [`Outbound`] entries. The discrete-event harness
 //! (`matrix-experiments`) and the tokio runtime (`matrix-rt`) both call
 //! that one `step` and supply only a transport, so simulation results and
-//! deployments cannot drift apart.
+//! deployments cannot drift apart. The client half is written once the
+//! same way: every client applies server messages through a
+//! [`ClientSession`], and the code around it only carries what it asks
+//! to send.
 //!
 //! # Example
 //!
@@ -66,8 +69,8 @@
 //! map.split(ServerId(1), ServerId(2), &SplitStrategy::SplitToLeft, &[]).unwrap();
 //! let overlap = build_overlap(&map, 50.0, Metric::Euclidean);
 //!
-//! let mut s1 = MatrixServer::with_range(
-//!     ServerId(1), MatrixConfig::default(), map.range_of(ServerId(1)).unwrap(), 50.0);
+//! let mut s1 = MatrixServer::with_range(ServerId(1), MatrixConfig::default(),
+//!     map.range_of(ServerId(1)).unwrap(), 50.0, Metric::Euclidean);
 //! s1.on_coord(SimTime::ZERO, CoordReply::Tables {
 //!     epoch: 1,
 //!     table: overlap.table_for(ServerId(1)).unwrap().clone(),
@@ -85,6 +88,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod client;
 pub mod codec_v2;
 mod config;
 mod coordinator;
@@ -96,6 +100,7 @@ mod packet;
 mod pool;
 mod server;
 
+pub use client::{trace_ack, ClientCounters, ClientSession};
 pub use config::{CoordinatorConfig, GameServerConfig, MatrixConfig, WireCodec};
 pub use coordinator::{CoordAction, Coordinator, CoordinatorStats};
 pub use gameserver::{GameAction, GameServerNode, GameStats};

@@ -13,7 +13,7 @@
 //! [`UpdateItem`]s with [`reconstruct_updates`].
 
 use crate::packet::{ClientId, GamePacket};
-use matrix_geometry::{OverlapTable, PartitionMap, Point, Rect, ServerId};
+use matrix_geometry::{Metric, OverlapTable, PartitionMap, Point, Rect, ServerId};
 use matrix_interest::EncodedOrigin;
 use matrix_telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
@@ -332,6 +332,8 @@ pub enum GameToMatrix {
         world: Rect,
         /// Radius of visibility for ordinary packets.
         radius: f64,
+        /// The game's distance metric, which that radius is measured in.
+        metric: Metric,
     },
     /// Registers an additional visibility radius for packets carrying a
     /// `radius_override` (§3.1: distinct overlap-region sets per radius).
@@ -507,6 +509,8 @@ pub enum PeerMsg {
         range: Rect,
         /// Radius of visibility of the game.
         radius: f64,
+        /// The game's distance metric.
+        metric: Metric,
         /// The parent's table epoch at split time.
         epoch: u64,
     },
@@ -603,6 +607,8 @@ pub enum CoordMsg {
         world: Rect,
         /// Primary radius of visibility.
         radius: f64,
+        /// The game's distance metric.
+        metric: Metric,
     },
     /// An extra visibility radius needs tables too.
     RegisterRadius {
@@ -721,6 +727,8 @@ pub enum CoordReply {
         range: Rect,
         /// Radius of visibility of the game.
         radius: f64,
+        /// The game's distance metric.
+        metric: Metric,
     },
     /// The receiver's warm standby died; replication must re-pair.
     StandbyLost {

@@ -19,7 +19,8 @@ use crate::messages::{
 };
 use crate::packet::{ClientId, GamePacket};
 use matrix_geometry::{
-    consistency_set_from_rects, OverlapTable, PartitionIndex, PartitionMap, Point, Rect, ServerId,
+    consistency_set_from_rects, Metric, OverlapTable, PartitionIndex, PartitionMap, Point, Rect,
+    ServerId,
 };
 use matrix_sim::SimTime;
 use matrix_telemetry::TelemetrySnapshot;
@@ -103,6 +104,8 @@ pub struct MatrixServer {
     cfg: MatrixConfig,
     lifecycle: Lifecycle,
     radius: f64,
+    /// The game's distance metric, learned with the radius.
+    metric: Metric,
     range: Option<Rect>,
     parent: Option<ServerId>,
     children: Vec<ServerId>,
@@ -149,6 +152,7 @@ impl MatrixServer {
             cfg,
             lifecycle: Lifecycle::Idle,
             radius: 0.0,
+            metric: Metric::Euclidean,
             range: None,
             parent: None,
             children: Vec::new(),
@@ -174,13 +178,20 @@ impl MatrixServer {
         }
     }
 
-    /// Creates a server that already owns `range` — used to bootstrap the
-    /// static-partitioning baseline and multi-server test fixtures without
-    /// running the registration handshake.
-    pub fn with_range(id: ServerId, cfg: MatrixConfig, range: Rect, radius: f64) -> MatrixServer {
+    /// Creates a server that already owns `range` — the static baseline
+    /// and test fixtures skip the registration handshake, so they hand it
+    /// what registration would carry: the radius and the game's metric.
+    pub fn with_range(
+        id: ServerId,
+        cfg: MatrixConfig,
+        range: Rect,
+        radius: f64,
+        metric: Metric,
+    ) -> MatrixServer {
         let mut s = MatrixServer::new(id, cfg);
         s.range = Some(range);
         s.radius = radius;
+        s.metric = metric;
         s.lifecycle = Lifecycle::Active;
         s
     }
@@ -227,6 +238,11 @@ impl MatrixServer {
         self.radius
     }
 
+    /// The game's distance metric, as registered.
+    pub fn metric(&self) -> Metric {
+        self.metric
+    }
+
     /// Most recently reported client count (0 before any report).
     pub fn client_count(&self) -> u32 {
         self.load.clients()
@@ -247,7 +263,11 @@ impl MatrixServer {
     /// Handles a message from the co-located game server.
     pub fn on_game(&mut self, now: SimTime, msg: GameToMatrix) -> Vec<Action> {
         match msg {
-            GameToMatrix::Register { world, radius } => self.handle_register(world, radius),
+            GameToMatrix::Register {
+                world,
+                radius,
+                metric,
+            } => self.handle_register(world, radius, metric),
             GameToMatrix::RegisterRadius { radius } => {
                 vec![Action::ToCoord(CoordMsg::RegisterRadius {
                     server: self.id,
@@ -298,8 +318,9 @@ impl MatrixServer {
         }
     }
 
-    fn handle_register(&mut self, world: Rect, radius: f64) -> Vec<Action> {
+    fn handle_register(&mut self, world: Rect, radius: f64, metric: Metric) -> Vec<Action> {
         self.radius = radius;
+        self.metric = metric;
         if self.range.is_none() && self.parent.is_none() {
             // Bootstrap: the very first server owns the whole world.
             self.range = Some(world);
@@ -308,10 +329,11 @@ impl MatrixServer {
                 server: self.id,
                 world,
                 radius,
+                metric,
             })]
         } else {
             // A re-register on an already-ranged server only refreshes the
-            // radius; tables for it exist already (split path).
+            // radius and metric; tables for it exist already (split path).
             Vec::new()
         }
     }
@@ -394,7 +416,7 @@ impl MatrixServer {
         match &self.map {
             Some(map) => {
                 let parts: Vec<(ServerId, Rect)> = map.iter().collect();
-                consistency_set_from_rects(&parts, origin, self.id, radius, self.cfg.metric)
+                consistency_set_from_rects(&parts, origin, self.id, radius, self.metric)
             }
             // No directory yet: fall back to the primary table. For
             // overrides below the primary radius this is conservative
@@ -418,8 +440,7 @@ impl MatrixServer {
                 .and_then(|i| i.owner_of(dest))
                 .or_else(|| map.owner_of(dest));
             let parts: Vec<(ServerId, Rect)> = map.iter().collect();
-            let mut set =
-                consistency_set_from_rects(&parts, dest, self.id, radius, self.cfg.metric);
+            let mut set = consistency_set_from_rects(&parts, dest, self.id, radius, self.metric);
             if let Some(o) = owner {
                 if o != self.id && !set.contains(&o) {
                     set.push(o);
@@ -541,8 +562,9 @@ impl MatrixServer {
                 parent,
                 range,
                 radius,
+                metric,
                 epoch,
-            } => self.adopt(now, parent, range, radius, epoch),
+            } => self.adopt(now, parent, range, radius, metric, epoch),
             PeerMsg::AdoptAck { child: _ } => Vec::new(),
             PeerMsg::StateTransfer { from, bytes } => {
                 vec![Action::ToGame(MatrixToGame::ReceiveState { from, bytes })]
@@ -629,7 +651,7 @@ impl MatrixServer {
         let radius = pkt.tag.radius_override.unwrap_or(self.radius);
         let relevant = self
             .range
-            .map(|r| r.distance_to(point, self.cfg.metric) <= radius)
+            .map(|r| r.distance_to(point, self.metric) <= radius)
             .unwrap_or(false);
         if !relevant {
             self.stats.misrouted_dropped += 1;
@@ -645,6 +667,7 @@ impl MatrixServer {
         parent: ServerId,
         range: Rect,
         radius: f64,
+        metric: Metric,
         epoch: u64,
     ) -> Vec<Action> {
         if self.lifecycle == Lifecycle::Active {
@@ -671,6 +694,7 @@ impl MatrixServer {
         self.parent = Some(parent);
         self.range = Some(range);
         self.radius = radius;
+        self.metric = metric;
         self.epoch = epoch;
         // A fresh child must not immediately split or be reclaimed.
         self.cooldown.arm(now, &self.cfg);
@@ -795,7 +819,8 @@ impl MatrixServer {
                 failed: _,
                 range,
                 radius,
-            } => self.promote_self(_now, range, radius),
+                metric,
+            } => self.promote_self(_now, range, radius, metric),
             CoordReply::StandbyLost { standby } => {
                 if self.standby == Some(standby) {
                     self.standby = None;
@@ -811,13 +836,20 @@ impl MatrixServer {
     /// Failover: this warm standby becomes the active owner of its dead
     /// primary's range. The co-located game server restores the
     /// replicated snapshot and re-points the surviving clients here.
-    fn promote_self(&mut self, now: SimTime, range: Rect, radius: f64) -> Vec<Action> {
+    fn promote_self(
+        &mut self,
+        now: SimTime,
+        range: Rect,
+        radius: f64,
+        metric: Metric,
+    ) -> Vec<Action> {
         if self.lifecycle == Lifecycle::Active {
             return Vec::new(); // duplicate promotion from a stale sweep
         }
         self.lifecycle = Lifecycle::Active;
         self.range = Some(range);
         self.radius = radius;
+        self.metric = metric;
         self.parent = None;
         self.standby_for = None;
         self.stats.promotions += 1;
@@ -979,6 +1011,7 @@ impl MatrixServer {
                     parent: self.id,
                     range: given,
                     radius: self.radius,
+                    metric: self.metric,
                     epoch: self.epoch,
                 },
             ),
@@ -1063,7 +1096,7 @@ mod tests {
     use super::*;
     use crate::messages::LoadReport;
     use crate::packet::SpatialTag;
-    use matrix_geometry::{build_overlap, Metric, PartitionMap, SplitStrategy};
+    use matrix_geometry::{build_overlap, PartitionMap, SplitStrategy};
 
     fn world() -> Rect {
         Rect::from_coords(0.0, 0.0, 400.0, 400.0)
@@ -1074,6 +1107,12 @@ mod tests {
             cooldown: matrix_sim::SimDuration::from_secs(1),
             ..MatrixConfig::default()
         }
+    }
+
+    /// A server that already owns `range`, measuring like the
+    /// fixtures' Euclidean tables.
+    fn ranged(id: u32, cfg: MatrixConfig, range: Rect, radius: f64) -> MatrixServer {
+        MatrixServer::with_range(ServerId(id), cfg, range, radius, Metric::Euclidean)
     }
 
     fn overloaded_report() -> GameToMatrix {
@@ -1092,10 +1131,8 @@ mod tests {
         map.split(ServerId(1), ServerId(2), &SplitStrategy::SplitToLeft, &[])
             .unwrap();
         let overlap = build_overlap(&map, 50.0, Metric::Euclidean);
-        let mut s1 =
-            MatrixServer::with_range(ServerId(1), cfg(), map.range_of(ServerId(1)).unwrap(), 50.0);
-        let mut s2 =
-            MatrixServer::with_range(ServerId(2), cfg(), map.range_of(ServerId(2)).unwrap(), 50.0);
+        let mut s1 = ranged(1, cfg(), map.range_of(ServerId(1)).unwrap(), 50.0);
+        let mut s2 = ranged(2, cfg(), map.range_of(ServerId(2)).unwrap(), 50.0);
         for s in [&mut s1, &mut s2] {
             s.on_coord(
                 SimTime::ZERO,
@@ -1118,13 +1155,18 @@ mod tests {
             GameToMatrix::Register {
                 world: world(),
                 radius: 50.0,
+                metric: Metric::Chebyshev,
             },
         );
         assert_eq!(s.range(), Some(world()));
         assert_eq!(s.lifecycle(), Lifecycle::Active);
+        assert_eq!(s.metric(), Metric::Chebyshev, "learned with the radius");
         assert!(matches!(
             actions.as_slice(),
-            [Action::ToCoord(CoordMsg::RegisterWorld { .. })]
+            [Action::ToCoord(CoordMsg::RegisterWorld {
+                metric: Metric::Chebyshev,
+                ..
+            })]
         ));
     }
 
@@ -1241,6 +1283,7 @@ mod tests {
                 parent: ServerId(1),
                 range: Rect::from_coords(200.0, 0.0, 300.0, 400.0),
                 radius: 50.0,
+                metric: Metric::Euclidean,
                 epoch: 3,
             },
         );
@@ -1285,7 +1328,7 @@ mod tests {
     fn unsplittable_range_returns_server_to_pool() {
         let tiny = Rect::from_coords(0.0, 0.0, 0.0, 10.0);
         // A degenerate strip cannot be split by any strategy.
-        let mut s = MatrixServer::with_range(ServerId(1), cfg(), tiny, 5.0);
+        let mut s = ranged(1, cfg(), tiny, 5.0);
         let t = SimTime::from_secs(10);
         s.on_game(t, overloaded_report());
         s.on_game(t, overloaded_report());
@@ -1394,12 +1437,7 @@ mod tests {
 
     #[test]
     fn loaded_child_denies_reclaim() {
-        let mut child = MatrixServer::with_range(
-            ServerId(7),
-            cfg(),
-            Rect::from_coords(0.0, 0.0, 100.0, 100.0),
-            10.0,
-        );
+        let mut child = ranged(7, cfg(), Rect::from_coords(0.0, 0.0, 100.0, 100.0), 10.0);
         let over = LoadReport {
             clients: 500,
             queue_backlog: 0.0,
@@ -1449,7 +1487,7 @@ mod tests {
     #[test]
     fn where_is_via_coordinator_before_the_first_table() {
         // `with_range` alone: no directory has been pushed yet.
-        let mut s = MatrixServer::with_range(ServerId(1), cfg(), world(), 50.0);
+        let mut s = ranged(1, cfg(), world(), 50.0);
         let actions = s.on_game(
             SimTime::ZERO,
             GameToMatrix::WhereIs {
@@ -1531,8 +1569,7 @@ mod tests {
 
     #[test]
     fn static_baseline_never_splits() {
-        let mut s =
-            MatrixServer::with_range(ServerId(1), MatrixConfig::static_baseline(), world(), 50.0);
+        let mut s = ranged(1, MatrixConfig::static_baseline(), world(), 50.0);
         for i in 0..50 {
             let actions = s.on_game(SimTime::from_secs(i), overloaded_report());
             assert!(actions.is_empty(), "static server must not adapt");
@@ -1588,6 +1625,7 @@ mod tests {
                 parent: ServerId(1),
                 range: Rect::from_coords(200.0, 0.0, 300.0, 400.0),
                 radius: 50.0,
+                metric: Metric::Euclidean,
                 epoch: 1,
             },
         );
@@ -1614,7 +1652,7 @@ mod tests {
     fn standby_replication_pairs_through_the_pool() {
         let mut cfg = cfg();
         cfg.standby_replication = true;
-        let mut s = MatrixServer::with_range(ServerId(1), cfg, world(), 50.0);
+        let mut s = ranged(1, cfg, world(), 50.0);
         let t = SimTime::from_millis(100);
         let actions = s.on_tick(t);
         assert!(actions.iter().any(|a| matches!(a,
@@ -1648,7 +1686,7 @@ mod tests {
     fn standby_denial_backs_off_a_cooldown() {
         let mut cfg = cfg();
         cfg.standby_replication = true;
-        let mut s = MatrixServer::with_range(ServerId(1), cfg, world(), 50.0);
+        let mut s = ranged(1, cfg, world(), 50.0);
         let t = SimTime::from_millis(100);
         s.on_tick(t);
         s.on_pool(
@@ -1746,6 +1784,7 @@ mod tests {
                 failed: ServerId(1),
                 range: world(),
                 radius: 50.0,
+                metric: Metric::Euclidean,
             },
         );
         assert_eq!(s.lifecycle(), Lifecycle::Active);
@@ -1763,6 +1802,7 @@ mod tests {
                     failed: ServerId(1),
                     range: world(),
                     radius: 50.0,
+                    metric: Metric::Euclidean,
                 },
             )
             .is_empty());
@@ -1780,6 +1820,7 @@ mod tests {
                 parent: ServerId(1),
                 range: Rect::from_coords(200.0, 0.0, 300.0, 400.0),
                 radius: 50.0,
+                metric: Metric::Euclidean,
                 epoch: 1,
             },
         );
@@ -1812,7 +1853,7 @@ mod tests {
     fn standby_lost_triggers_repair_and_repairing() {
         let mut cfg = cfg();
         cfg.standby_replication = true;
-        let mut s = MatrixServer::with_range(ServerId(1), cfg, world(), 50.0);
+        let mut s = ranged(1, cfg, world(), 50.0);
         s.on_tick(SimTime::from_millis(100));
         s.on_pool(
             SimTime::from_millis(200),

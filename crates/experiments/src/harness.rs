@@ -9,9 +9,10 @@
 //! deterministically for a given seed.
 
 use matrix_core::{
-    ClientId, ClientToGame, CoordAction, CoordMsg, CoordReply, Coordinator, CoordinatorConfig,
-    GameServerConfig, GameServerNode, GameStats, GameToClient, Host, HostInput, LocalDelivery,
-    MatrixConfig, MatrixServer, MatrixToGame, Outbound, PeerMsg, PoolMsg, PoolReply, ResourcePool,
+    trace_ack, ClientId, ClientToGame, CoordAction, CoordMsg, CoordReply, Coordinator,
+    CoordinatorConfig, GameServerConfig, GameServerNode, GameStats, GameToClient, Host, HostInput,
+    LocalDelivery, MatrixConfig, MatrixServer, MatrixToGame, Outbound, PeerMsg, PoolMsg, PoolReply,
+    ResourcePool,
 };
 use matrix_games::{ClientPop, GameSpec, PopulationEvent, WorkloadSchedule};
 use matrix_geometry::{Point, ServerId};
@@ -91,21 +92,11 @@ impl ClusterConfig {
     /// An adaptive single-bootstrap deployment of `spec` (the paper's
     /// Matrix configuration).
     pub fn adaptive(spec: GameSpec) -> ClusterConfig {
-        let matrix = MatrixConfig {
-            split_strategy: matrix_geometry::SplitStrategy::SplitToLeft,
-            metric: spec.metric,
-            ..MatrixConfig::default()
-        };
-        let game = spec.game_config();
-        let coordinator = CoordinatorConfig {
-            metric: spec.metric,
-            ..CoordinatorConfig::default()
-        };
         ClusterConfig {
+            game: spec.game_config(),
             spec,
-            matrix,
-            game,
-            coordinator,
+            matrix: MatrixConfig::default(),
+            coordinator: CoordinatorConfig::default(),
             net: NetConfig::default(),
             pool_size: 16,
             initial_servers: 1,
@@ -120,10 +111,7 @@ impl ClusterConfig {
     /// The static-partitioning baseline with `k` fixed servers.
     pub fn static_partition(spec: GameSpec, k: u32) -> ClusterConfig {
         let mut cfg = ClusterConfig::adaptive(spec);
-        cfg.matrix = MatrixConfig {
-            metric: cfg.matrix.metric,
-            ..MatrixConfig::static_baseline()
-        };
+        cfg.matrix = MatrixConfig::static_baseline();
         cfg.initial_servers = k.max(1);
         cfg.pool_size = 0;
         // Static servers have finite buffers; when they saturate they drop
@@ -480,10 +468,12 @@ impl Cluster {
                 let mut game = GameServerNode::new(s, self.cfg.game);
                 let _ = game.register(world, radius); // registers radius
                 game.on_matrix(SimTime::ZERO, MatrixToGame::SetRange { range, radius });
-                let matrix = MatrixServer::with_range(s, self.cfg.matrix, range, radius);
+                let metric = self.cfg.game.metric;
+                let matrix = MatrixServer::with_range(s, self.cfg.matrix, range, radius, metric);
                 self.nodes.insert(s, self.node_around(game, matrix));
             }
-            let (coordinator, actions) = Coordinator::with_map(self.cfg.coordinator, map, radius);
+            let (coordinator, actions) =
+                Coordinator::with_map(self.cfg.coordinator, map, radius, self.cfg.game.metric);
             self.coordinator = coordinator;
             for a in actions {
                 let CoordAction::Send(to, reply) = a;
@@ -520,16 +510,20 @@ impl Cluster {
 
     /// Runs to the schedule horizon and produces the report.
     pub fn run(mut self) -> ClusterReport {
-        let horizon = self.schedule.horizon;
+        self.advance_to(self.schedule.horizon);
+        self.report()
+    }
+
+    /// Handles every event due by `until`.
+    fn advance_to(&mut self, until: SimTime) {
         while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
+            if t > until {
                 break;
             }
             let (t, ev) = self.queue.pop().expect("peeked");
             self.now = t;
             self.handle(ev);
         }
-        self.report()
     }
 
     // -- event handling -------------------------------------------------------
@@ -919,8 +913,8 @@ impl Cluster {
                 // end-to-end and measure coalescing rates.
                 self.update_batches += 1;
                 self.batched_updates += updates.len() as u64;
-                // Close the causal trace loop exactly as a real client
-                // does: each traced item is measured against the apply
+                // Close the causal trace loop with the ack a real client
+                // builds: each traced item is measured against the apply
                 // instant (now — batches deliver on the driver's own
                 // timeline) and echoed to the serving node, which folds
                 // the numbers into its per-ring freshness histograms.
@@ -928,11 +922,7 @@ impl Cluster {
                 for item in &updates {
                     if let Some(tag) = item.trace {
                         self.traced_deliveries += 1;
-                        let ack = ClientToGame::TraceAck {
-                            ring: item.ring,
-                            latency_us: tag.latency_us(apply_us),
-                            staleness_us: tag.staleness_us(apply_us),
-                        };
+                        let ack = trace_ack(item.ring, tag, apply_us);
                         self.step(from, HostInput::Client(client, ack));
                     }
                 }
@@ -1136,6 +1126,7 @@ fn peer_msg_bytes(msg: &PeerMsg) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matrix_core::Lifecycle;
     use matrix_games::{Placement, WorkloadSchedule};
 
     fn small_spec() -> GameSpec {
@@ -1148,17 +1139,42 @@ mod tests {
 
     #[test]
     fn every_node_measures_distance_with_the_games_metric() {
-        // The coordinator's consistency sets and overlap tables must use
-        // the metric the servers route and fan out with.
-        for spec in GameSpec::all().into_iter().chain([GameSpec::racer()]) {
+        // The metric has one home, the game's config; every Matrix
+        // server and the coordinator learn it from registration (or the
+        // static bootstrap), so their consistency sets, overlap tables
+        // and relevance checks use the metric the servers fan out with.
+        // The adaptive run splits, so a child learns it by adoption.
+        for mut spec in GameSpec::all().into_iter().chain([GameSpec::racer()]) {
+            spec.update_rate_hz = 2.0;
             let metric = spec.metric;
-            for cfg in [
-                ClusterConfig::adaptive(spec.clone()),
-                ClusterConfig::static_partition(spec.clone(), 2),
+            let mut adaptive = ClusterConfig::adaptive(spec.clone());
+            adaptive.matrix.overload_clients = 40;
+            adaptive.matrix.underload_clients = 10;
+            for (cfg, servers) in [
+                (adaptive, 2..=usize::MAX),
+                (ClusterConfig::static_partition(spec.clone(), 2), 2..=2),
             ] {
-                assert_eq!(cfg.matrix.metric, metric, "{}", spec.name);
-                assert_eq!(cfg.game.metric, metric, "{}", spec.name);
-                assert_eq!(cfg.coordinator.metric, metric, "{}", spec.name);
+                let horizon = SimTime::from_secs(8);
+                let crowd = PopulationEvent::Join {
+                    n: 120,
+                    placement: Placement::Hotspot {
+                        center: spec.hotspot_a(),
+                        spread: spec.radius,
+                    },
+                };
+                let schedule = WorkloadSchedule::new(horizon).at(SimTime::ZERO, crowd);
+                let mut cluster = Cluster::new(cfg, schedule);
+                cluster.advance_to(horizon);
+                assert_eq!(cluster.coordinator.metric(), metric, "{}", spec.name);
+                let active: Vec<&Node> = cluster
+                    .nodes
+                    .values()
+                    .filter(|n| n.host.matrix().lifecycle() == Lifecycle::Active)
+                    .collect();
+                assert!(servers.contains(&active.len()), "{}", spec.name);
+                for node in active {
+                    assert_eq!(node.host.matrix().metric(), metric, "{}", spec.name);
+                }
             }
         }
     }

@@ -109,11 +109,12 @@ pub fn run_mc_cost() -> Vec<McRow> {
         let servers: Vec<ServerId> = (1..=n).map(ServerId).collect();
         let map = PartitionMap::static_grid(world, &servers).expect("grid");
         let started = std::time::Instant::now();
+        let metric = matrix_geometry::Metric::Euclidean;
         let (mut coordinator, _) =
-            Coordinator::with_map(CoordinatorConfig::default(), map.clone(), radius);
+            Coordinator::with_map(CoordinatorConfig::default(), map.clone(), radius, metric);
         let actions = coordinator.recompute();
         let elapsed = started.elapsed().as_secs_f64() * 1000.0;
-        let overlap = build_overlap(&map, radius, matrix_geometry::Metric::Euclidean);
+        let overlap = build_overlap(&map, radius, metric);
         rows.push(McRow {
             servers: n,
             recompute_ms: elapsed,

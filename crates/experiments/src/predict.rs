@@ -30,16 +30,17 @@
 //!   (`position_only_ring`), composing the two outer-ring levers.
 //!
 //! Alongside the node's own counters, the runner mirrors **every
-//! receiver**: an [`Extrapolator`] per client is fed exactly the
-//! batches the server emits, and at every movement event the harness
-//! measures the distance between the receiver's extrapolation and the
-//! entity's true (wire) position, bucketed by the receiver's vision
-//! ring. Because sender-side suppression simulates the receiver with
-//! the same arithmetic (`matrix_predict::extrapolate`) over the same
-//! bases, the measured receiver error at every suppressed event equals
-//! the sender's simulated error **bit-for-bit** — with per-event
-//! flushes the per-ring error budget is therefore a hard bound, and the
-//! experiment verifies it end-to-end rather than assuming it. (With a
+//! receiver**: a [`ClientSession`] per client — the receive side a live
+//! client runs — applies exactly what the server emits, and at every
+//! movement event the harness measures the distance between the
+//! receiver's extrapolation and the entity's true (wire) position,
+//! bucketed by the receiver's vision ring. Because sender-side
+//! suppression simulates the receiver with the same arithmetic
+//! (`matrix_predict::extrapolate`) over the same bases, the measured
+//! receiver error at every suppressed event equals the sender's
+//! simulated error **bit-for-bit** — with per-event flushes the
+//! per-ring error budget is therefore a hard bound, and the experiment
+//! verifies it end-to-end rather than assuming it. (With a
 //! coalescing `batch_interval`, admitted items wait up to one interval
 //! in the batcher and the budget holds *at admission time* — the same
 //! staleness window batching always had.)
@@ -52,8 +53,8 @@
 //! ring's budget is pinned to 0, so prediction never touches it.
 
 use matrix_core::{
-    quantize, reconstruct_updates, ClientId, ClientToGame, Extrapolator, GameAction,
-    GameServerConfig, GameServerNode, GameStats, GameToClient, RingSet, ServerId, MAX_RINGS,
+    quantize, ClientId, ClientSession, ClientToGame, GameAction, GameServerConfig, GameServerNode,
+    GameStats, RingSet, ServerId, MAX_RINGS,
 };
 use matrix_games::{ClientPop, GameSpec, Placement, PopulationEvent};
 use matrix_geometry::Point;
@@ -119,7 +120,7 @@ pub struct PredictRow {
     /// Receiver-measured position error per vision ring, in
     /// milli-world-units (×1000, so the log buckets resolve sub-unit
     /// errors): extrapolation vs true wire position at every movement
-    /// event, mirrored through real `Extrapolator`s.
+    /// event, mirrored through real `ClientSession`s.
     pub ring_error_mu: Vec<Histogram>,
     /// Wall-clock cost of the whole replay.
     pub wall_ms: u128,
@@ -188,11 +189,11 @@ pub fn run_one(spec: &GameSpec, mode: Mode, seed: u64, scale: Scale) -> PredictR
         ServerId(1),
     );
     let mut positions: BTreeMap<ClientId, Point> = BTreeMap::new();
-    let mut mirrors: BTreeMap<ClientId, (Extrapolator, Option<Point>)> = BTreeMap::new();
+    let mut mirrors: BTreeMap<ClientId, ClientSession> = BTreeMap::new();
     for &id in &ids {
         let pos = pop.get(id).expect("just joined").walker.pos;
         positions.insert(id, pos);
-        mirrors.insert(id, (Extrapolator::new(), None));
+        mirrors.insert(id, ClientSession::new(ServerId(1)));
         node.on_client(
             SimTime::ZERO,
             id,
@@ -216,31 +217,21 @@ pub fn run_one(spec: &GameSpec, mode: Mode, seed: u64, scale: Scale) -> PredictR
             positions.insert(id, pos);
             let wire = quantize(pos, gcfg.origin_quantum);
             let actions = node.on_client(now, id, ClientToGame::Move { pos });
-            // Mirror emitted batches into the receivers' extrapolators
-            // exactly as a live client would (delta reconstruction,
-            // then velocity-tagged items rebase the prediction).
+            // Each receiver applies what it was sent, as a live client
+            // does (untraced, so it never asks to send anything back).
             for a in actions {
-                let GameAction::ToClient(cid, GameToClient::UpdateBatch { updates }) = a else {
-                    continue;
-                };
-                let (extrap, base) = mirrors.get_mut(&cid).expect("known receiver");
-                if let Some(items) = reconstruct_updates(base, &updates) {
-                    for u in items {
-                        // Every item rebases, velocity-tagged or not —
-                        // the same rule `RtClient` applies (a zero
-                        // velocity pins the entity at its reported
-                        // position).
-                        extrap.update(u.entity, u.origin, (u.vx, u.vy), now.as_secs_f64());
-                    }
+                if let GameAction::ToClient(cid, msg) = a {
+                    let mirror = mirrors.get_mut(&cid).expect("known receiver");
+                    mirror.apply(now, &msg, &mut Vec::new());
                 }
             }
             // Measure: where does every in-AOI receiver believe this
             // entity is right now, versus where it actually is?
-            for (&rid, (extrap, _)) in &mirrors {
+            for (&rid, mirror) in &mirrors {
                 if rid == id {
                     continue;
                 }
-                let Some(predicted) = extrap.predict(id.0, now.as_secs_f64()) else {
+                let Some(predicted) = mirror.extrapolated(id.0, now) else {
                     continue; // never seen this entity
                 };
                 let d = positions[&rid].distance_by(pos, spec.metric);

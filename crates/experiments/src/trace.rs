@@ -33,13 +33,13 @@
 //!   and the traced share stays at the sample rate — tags are not
 //!   silently shed on the replication path.
 //! * **rt** — a real [`matrix_rt::RtCluster`] behind a TCP gateway:
-//!   remote clients receive traced items over the actual v2 wire,
-//!   measure latency/staleness against the cluster clock, ack over
+//!   remote clients apply traced items off the actual v2 wire with a
+//!   [`ClientSession`] each, at the cluster clock, send its acks over
 //!   TCP, and the coordinator's freshness-SLO tracker surfaces its
 //!   `slo_*` gauges on the live stats endpoint (pseudo-node `0`).
 
 use crate::harness::{Cluster, ClusterConfig, ClusterReport, TopologyEvent};
-use matrix_core::{ClientToGame, GameToClient, ServerId, SloTargets};
+use matrix_core::{ClientSession, ClientToGame, ServerId, SloTargets};
 use matrix_games::{GameSpec, Placement, PopulationEvent, WorkloadSchedule};
 use matrix_geometry::Point;
 use matrix_metrics::{Histogram, Table};
@@ -219,10 +219,10 @@ pub fn run_failover(seed: u64, scale: Scale) -> TraceRow {
 
 /// Runtime leg: a real cluster behind a TCP gateway. Remote clients
 /// join in one tight neighbourhood, move for `rt_steps` rounds, and
-/// close the trace loop themselves — measuring each traced item
-/// against the cluster clock and acking over the same socket. The
-/// coordinator runs a near-ring staleness SLO so its `slo_*` gauges
-/// are live on the stats endpoint.
+/// close the trace loop themselves — applying each traced item through
+/// a [`ClientSession`] at the cluster clock and sending the ack it
+/// builds over the same socket. The coordinator runs a near-ring
+/// staleness SLO so its `slo_*` gauges are live on the stats endpoint.
 pub fn run_rt(scale: Scale) -> RtLeg {
     tokio::runtime::block_on(async move {
         let mut cfg = RtConfig::default();
@@ -261,7 +261,8 @@ pub fn run_rt(scale: Scale) -> RtLeg {
             })
             .await
             .expect("join");
-            clients.push(c);
+            // The gateway owns the uplink: it re-joins after a switch.
+            clients.push((c, ClientSession::new(cluster.bootstrap_id())));
         }
 
         let mut leg = RtLeg {
@@ -272,39 +273,32 @@ pub fn run_rt(scale: Scale) -> RtLeg {
             slo_gauges_exposed: false,
         };
         let recv_window = std::time::Duration::from_millis(3);
+        let mut acks = Vec::new();
         for step in 0..scale.rt_steps {
-            for (i, c) in clients.iter_mut().enumerate() {
+            for (i, (c, _)) in clients.iter_mut().enumerate() {
                 let phase = (step as f64 / 10.0 + i as f64).sin();
                 let pos = Point::new(100.0 + i as f64 * 4.0 + phase * 8.0, 100.0 + phase * 8.0);
                 let _ = c.send(&ClientToGame::Move { pos }).await;
             }
             tokio::time::sleep(std::time::Duration::from_millis(15)).await;
-            for c in clients.iter_mut() {
+            for (c, session) in clients.iter_mut() {
                 // Drain whatever arrived this round; the timeout is the
                 // idle detector, not a correctness bound.
                 while let Ok(Ok(msg)) = tokio::time::timeout(recv_window, c.recv()).await {
-                    let GameToClient::UpdateBatch { updates } = msg else {
-                        continue;
-                    };
-                    let apply_us = cluster.router().now().as_micros();
-                    for item in &updates {
-                        let Some(tag) = item.trace else { continue };
-                        leg.traced_items += 1;
-                        let latency = tag.latency_us(apply_us);
-                        let staleness = tag.staleness_us(apply_us);
-                        leg.latency_us.record(latency as f64);
-                        leg.staleness_us.record(staleness as f64);
-                        let _ = c
-                            .send(&ClientToGame::TraceAck {
-                                ring: item.ring,
-                                latency_us: latency,
-                                staleness_us: staleness,
-                            })
-                            .await;
+                    let now = cluster.router().now();
+                    let apply_us = now.as_micros();
+                    let applied = session.apply(now, &msg, &mut acks);
+                    for tag in applied.iter().filter_map(|u| u.trace) {
+                        leg.latency_us.record(tag.latency_us(apply_us) as f64);
+                        leg.staleness_us.record(tag.staleness_us(apply_us) as f64);
+                    }
+                    for ack in acks.drain(..) {
+                        let _ = c.send(&ack).await;
                     }
                 }
             }
         }
+        leg.traced_items = clients.iter().map(|(_, s)| s.counters().traced_items).sum();
         // Let the final acks land and a heartbeat carry the histograms
         // to the coordinator before reading anything back.
         tokio::time::sleep(std::time::Duration::from_millis(1_500)).await;

@@ -161,9 +161,6 @@ pub struct PredictorConfig {
     /// pinned to `0.0` regardless of this entry — near means every
     /// event.
     pub error_budgets: [f64; MAX_RINGS],
-    /// Sliding-window length of the per-entity velocity estimator
-    /// (observations; clamped to ≥ 2).
-    pub motion_window: u32,
     /// Fixed-point lattice shipped velocities are snapped to, in world
     /// units per second (`0.0` = fall back to the origin lattice).
     /// Velocities tolerate a much coarser lattice than origins: a
@@ -180,7 +177,6 @@ impl Default for PredictorConfig {
         PredictorConfig {
             enabled: false,
             error_budgets: [0.0; MAX_RINGS],
-            motion_window: 4,
             velocity_quantum: 0.125,
         }
     }
@@ -398,7 +394,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             keyframe_every: cfg.keyframe_every,
             origin_quantum: cfg.origin_quantum,
             telemetry: cfg.telemetry,
-            motion: MotionModel::new(cfg.predict.motion_window),
+            motion: MotionModel::new(),
             spans: StageSpans::new(cfg.telemetry),
             shards: Vec::new(),
             log: Vec::new(),
@@ -1411,7 +1407,7 @@ mod tests {
             8,
             RingSet::single(50.0),
             PipelineConfig {
-                autotune: AutoTunerConfig::enabled(),
+                autotune: AutoTunerConfig { enabled: true },
                 ..cfg()
             },
         );
@@ -1420,7 +1416,7 @@ mod tests {
         }
         // 2000 subscribers at 4/cell want ~22 → pow2 16; wait out the streak.
         let mut retuned = None;
-        for _ in 0..AutoTunerConfig::default().streak {
+        for _ in 0..AutoTunerConfig::STREAK {
             retuned = p.maybe_retune();
         }
         assert_eq!(retuned, Some(16));
@@ -1438,7 +1434,7 @@ mod tests {
             64,
             RingSet::single(50.0),
             PipelineConfig {
-                autotune: AutoTunerConfig::enabled(),
+                autotune: AutoTunerConfig { enabled: true },
                 ..cfg()
             },
         );
@@ -1448,7 +1444,7 @@ mod tests {
             8,
             RingSet::single(50.0),
             PipelineConfig {
-                autotune: AutoTunerConfig::enabled(),
+                autotune: AutoTunerConfig { enabled: true },
                 ..cfg()
             },
         );

@@ -7,20 +7,22 @@
 //! magnitude over a region's life (a freshly split child starts near
 //! empty; a flash crowd packs thousands in). [`AutoTuner`] closes that
 //! loop: it watches the subscriber count and re-picks the resolution so
-//! the average cell holds roughly `target_per_cell` subscribers.
+//! the average cell holds roughly [`AutoTunerConfig::TARGET_PER_CELL`]
+//! subscribers.
 //!
 //! Two guards keep it from thrashing, mirroring the middleware's own
 //! anti-oscillation heuristics (§3.2.3 of the paper):
 //!
 //! * **ratio hysteresis** — a retune is only *proposed* when the ideal
 //!   resolution differs from the current one by at least
-//!   `hysteresis` (default 1.5×). Resolutions are quantised to powers of
-//!   two, and the proposal threshold sits strictly inside the
-//!   quantisation band (√2 ≈ 1.41 < 1.5), so density jitter around a
-//!   rounding boundary can never flip the choice;
-//! * **streak** — the proposal must repeat on `streak` consecutive
-//!   observations before the grid is actually rebuilt (rebuilds
-//!   re-index every subscriber, so they are rare by design).
+//!   [`AutoTunerConfig::HYSTERESIS`] (1.5×). Resolutions are quantised
+//!   to powers of two, and the proposal threshold sits strictly inside
+//!   the quantisation band (√2 ≈ 1.41 < 1.5), so density jitter around
+//!   a rounding boundary can never flip the choice;
+//! * **streak** — the proposal must repeat on
+//!   [`AutoTunerConfig::STREAK`] consecutive observations before the
+//!   grid is actually rebuilt (rebuilds re-index every subscriber, so
+//!   they are rare by design).
 //!
 //! The tuner's state is two integers, exported via
 //! [`AutoTuner::state`] and restored with [`AutoTuner::restore`] — the
@@ -28,65 +30,45 @@
 //! server inherits the tuned grid instead of re-learning the density
 //! from the configured default.
 
-/// Configuration of the grid auto-tuner.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Configuration of the grid auto-tuner: whether it may retune. Its
+/// density target, bounds and guards are constants.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AutoTunerConfig {
     /// Whether the tuner may retune at all (`false` = observe-only).
     pub enabled: bool,
-    /// Desired average subscribers per grid cell at uniform density.
-    pub target_per_cell: f64,
-    /// Lower bound on `cells_per_axis`.
-    pub min_cells: u32,
-    /// Upper bound on `cells_per_axis`.
-    pub max_cells: u32,
-    /// Minimum ratio between the ideal and current resolution before a
-    /// retune is proposed (must exceed √2, the power-of-two rounding
-    /// half-band, for the hysteresis to be real).
-    pub hysteresis: f64,
-    /// Consecutive agreeing observations required before retuning.
-    pub streak: u32,
-}
-
-impl Default for AutoTunerConfig {
-    fn default() -> Self {
-        AutoTunerConfig {
-            enabled: false,
-            target_per_cell: 4.0,
-            min_cells: 8,
-            max_cells: 256,
-            hysteresis: 1.5,
-            streak: 3,
-        }
-    }
 }
 
 impl AutoTunerConfig {
-    /// An enabled tuner with the default density targets.
-    pub fn enabled() -> AutoTunerConfig {
-        AutoTunerConfig {
-            enabled: true,
-            ..AutoTunerConfig::default()
-        }
-    }
+    /// Desired average subscribers per grid cell at uniform density.
+    pub const TARGET_PER_CELL: f64 = 4.0;
+    /// Lower bound on `cells_per_axis`.
+    pub const MIN_CELLS: u32 = 8;
+    /// Upper bound on `cells_per_axis`.
+    pub const MAX_CELLS: u32 = 256;
+    /// Minimum ratio between the ideal and current resolution before a
+    /// retune is proposed (it exceeds √2, the power-of-two rounding
+    /// half-band, so the hysteresis is real).
+    pub const HYSTERESIS: f64 = 1.5;
+    /// Consecutive agreeing observations required before retuning.
+    pub const STREAK: u32 = 3;
 
     /// The ideal (unquantised) cells-per-axis for a subscriber count:
     /// the axis resolution at which the average cell holds
-    /// `target_per_cell` subscribers.
-    fn ideal(&self, subscribers: usize) -> f64 {
-        (subscribers as f64 / self.target_per_cell.max(f64::MIN_POSITIVE))
-            .sqrt()
-            .max(1.0)
+    /// [`AutoTunerConfig::TARGET_PER_CELL`] subscribers.
+    fn ideal(subscribers: usize) -> f64 {
+        (subscribers as f64 / Self::TARGET_PER_CELL).sqrt().max(1.0)
     }
 
     /// The resolution the tuner would steady-state at for a subscriber
     /// count: the ideal axis quantised to the nearest power of two and
-    /// clamped to the configured bounds. Pure — benchmarks use it to
-    /// build "as-tuned" grids without running the observation loop.
-    pub fn cells_for(&self, subscribers: usize) -> u32 {
-        let ideal = self.ideal(subscribers);
+    /// clamped to [`AutoTunerConfig::MIN_CELLS`]..=[`AutoTunerConfig::MAX_CELLS`].
+    /// Pure — benchmarks use it to build "as-tuned" grids without
+    /// running the observation loop.
+    pub fn cells_for(subscribers: usize) -> u32 {
+        let ideal = Self::ideal(subscribers);
         let exp = ideal.log2().round().clamp(0.0, 30.0);
         let pow2 = 1u32 << (exp as u32);
-        pow2.clamp(self.min_cells.max(1), self.max_cells.max(1))
+        pow2.clamp(Self::MIN_CELLS, Self::MAX_CELLS)
     }
 }
 
@@ -124,20 +106,21 @@ impl AutoTuner {
 
     /// Feeds one density observation. Returns `Some(new_cells)` when the
     /// caller should rebuild the grid at the new resolution — i.e. when
-    /// `streak` consecutive observations were decisive (ideal outside
-    /// the hysteresis band) **and agreed on the same target**. An
-    /// observation proposing a different target restarts the streak at
-    /// it, so density oscillating between two regimes keeps resetting
-    /// the count instead of accumulating towards alternating rebuilds.
+    /// [`AutoTunerConfig::STREAK`] consecutive observations were
+    /// decisive (ideal outside the hysteresis band) **and agreed on the
+    /// same target**. An observation proposing a different target
+    /// restarts the streak at it, so density oscillating between two
+    /// regimes keeps resetting the count instead of accumulating towards
+    /// alternating rebuilds.
     pub fn observe(&mut self, subscribers: usize) -> Option<u32> {
         if !self.cfg.enabled {
             return None;
         }
-        let ideal = self.cfg.ideal(subscribers);
+        let ideal = AutoTunerConfig::ideal(subscribers);
         let current = self.current as f64;
-        let decisive =
-            ideal >= current * self.cfg.hysteresis || ideal <= current / self.cfg.hysteresis;
-        let want = self.cfg.cells_for(subscribers);
+        let decisive = ideal >= current * AutoTunerConfig::HYSTERESIS
+            || ideal <= current / AutoTunerConfig::HYSTERESIS;
+        let want = AutoTunerConfig::cells_for(subscribers);
         if !decisive || want == self.current {
             self.pending = 0;
             self.streak = 0;
@@ -149,7 +132,7 @@ impl AutoTuner {
             self.pending = want;
             self.streak = 1;
         }
-        if self.streak < self.cfg.streak.max(1) {
+        if self.streak < AutoTunerConfig::STREAK {
             return None;
         }
         self.pending = 0;
@@ -179,7 +162,7 @@ mod tests {
     use super::*;
 
     fn tuner(initial: u32) -> AutoTuner {
-        AutoTuner::new(AutoTunerConfig::enabled(), initial)
+        AutoTuner::new(AutoTunerConfig { enabled: true }, initial)
     }
 
     #[test]
@@ -196,7 +179,7 @@ mod tests {
         let mut t = tuner(8);
         // 10_000 subscribers at 4/cell want a 64-cell axis wall to wall.
         let mut changed = None;
-        for _ in 0..AutoTunerConfig::default().streak {
+        for _ in 0..AutoTunerConfig::STREAK {
             changed = t.observe(10_000);
         }
         assert_eq!(changed, Some(64));
@@ -214,7 +197,7 @@ mod tests {
         for _ in 0..3 {
             changed = t.observe(0);
         }
-        assert_eq!(changed, Some(AutoTunerConfig::default().min_cells));
+        assert_eq!(changed, Some(AutoTunerConfig::MIN_CELLS));
     }
 
     #[test]
@@ -240,12 +223,12 @@ mod tests {
 
     #[test]
     fn bounds_are_respected() {
-        let cfg = AutoTunerConfig::enabled();
-        assert_eq!(cfg.cells_for(0), cfg.min_cells);
-        assert_eq!(cfg.cells_for(usize::MAX / 4), cfg.max_cells);
-        let mid = cfg.cells_for(4_096);
-        assert!(mid >= cfg.min_cells && mid <= cfg.max_cells);
-        assert_eq!(mid, 32);
+        assert_eq!(AutoTunerConfig::cells_for(0), AutoTunerConfig::MIN_CELLS);
+        assert_eq!(
+            AutoTunerConfig::cells_for(usize::MAX / 4),
+            AutoTunerConfig::MAX_CELLS
+        );
+        assert_eq!(AutoTunerConfig::cells_for(4_096), 32);
     }
 
     #[test]
@@ -267,7 +250,7 @@ mod tests {
         // Regression: alternating decisive observations in opposite
         // directions must not count toward one streak — each proposal
         // change restarts it, so the tuner holds still instead of
-        // thrashing between resolutions every `streak` ticks.
+        // thrashing between resolutions every `STREAK` ticks.
         let mut t = tuner(32);
         for i in 0..30 {
             let n = if i % 2 == 0 { 10 } else { 100_000 };

@@ -15,7 +15,8 @@
 //! the same code:
 //!
 //! * [`MotionModel`] — sender-side per-entity velocity estimation over a
-//!   sliding window of recent positions. Purely observational: it sees
+//!   sliding window of the last [`MotionModel::WINDOW`] positions.
+//!   Purely observational: it sees
 //!   every event (including suppressed ones), so its estimate tracks the
 //!   true trajectory.
 //! * [`PredictedStream`] — the sender's mirror of each receiver's
@@ -98,25 +99,19 @@ pub fn quantize_velocity(vel: (f64, f64), quantum: f64) -> (f64, f64) {
 /// deterministic, and exact for the linear motion dead reckoning is
 /// good at. Entities that jitter in place estimate a near-zero velocity,
 /// which degrades gracefully into a plain change-threshold filter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MotionModel {
-    window: usize,
     tracks: IdHashMap<u64, VecDeque<(f64, Point)>>,
 }
 
 impl MotionModel {
-    /// A model remembering up to `window` observations per entity
-    /// (clamped to at least 2 — velocity needs a secant).
-    pub fn new(window: u32) -> MotionModel {
-        MotionModel {
-            window: (window as usize).max(2),
-            tracks: IdHashMap::default(),
-        }
-    }
+    /// Observations per entity the secant spans: short enough to follow
+    /// a swerve within a few events, long enough to smooth jitter.
+    pub const WINDOW: usize = 4;
 
-    /// The configured window length.
-    pub fn window(&self) -> usize {
-        self.window
+    /// A model that has observed nothing.
+    pub fn new() -> MotionModel {
+        MotionModel::default()
     }
 
     /// Number of entities currently tracked.
@@ -135,7 +130,7 @@ impl MotionModel {
             }
         }
         track.push_back((time, pos));
-        while track.len() > self.window {
+        while track.len() > Self::WINDOW {
             track.pop_front();
         }
     }
@@ -360,19 +355,9 @@ impl Extrapolator {
         self.bases.get(&entity).map(|b| b.predict(at))
     }
 
-    /// The raw basis held for `entity`, if any.
-    pub fn basis(&self, entity: u64) -> Option<Basis> {
-        self.bases.get(&entity).copied()
-    }
-
     /// Number of entities with a basis.
     pub fn tracked(&self) -> usize {
         self.bases.len()
-    }
-
-    /// Drops one entity (it left the area of interest).
-    pub fn forget(&mut self, entity: u64) {
-        self.bases.remove(&entity);
     }
 
     /// Drops every basis older than `cutoff` (seconds), returning how
@@ -408,7 +393,7 @@ mod tests {
 
     #[test]
     fn motion_model_estimates_linear_velocity_exactly() {
-        let mut m = MotionModel::new(4);
+        let mut m = MotionModel::new();
         for i in 0..6 {
             m.observe(
                 7,
@@ -423,7 +408,7 @@ mod tests {
 
     #[test]
     fn motion_model_needs_two_distinct_times() {
-        let mut m = MotionModel::new(4);
+        let mut m = MotionModel::new();
         assert_eq!(m.velocity(1), (0.0, 0.0), "unknown entity");
         m.observe(1, Point::new(5.0, 5.0), 1.0);
         assert_eq!(m.velocity(1), (0.0, 0.0), "one sample");
@@ -438,12 +423,15 @@ mod tests {
 
     #[test]
     fn motion_window_slides() {
-        let mut m = MotionModel::new(2);
+        let mut m = MotionModel::new();
         m.observe(1, Point::new(0.0, 0.0), 0.0);
         m.observe(1, Point::new(10.0, 0.0), 1.0); // 10 u/s
-        m.observe(1, Point::new(12.0, 0.0), 2.0); // window now [1s, 2s]: 2 u/s
+        for t in 2..=4 {
+            m.observe(1, Point::new(9.0 + t as f64, 0.0), t as f64);
+        }
+        // The window now spans [1s, 4s]: 3 units in 3 s.
         let (vx, _) = m.velocity(1);
-        assert!((vx - 2.0).abs() < 1e-9, "{vx}");
+        assert!((vx - 1.0).abs() < 1e-9, "{vx}");
         m.forget(1);
         assert_eq!(m.velocity(1), (0.0, 0.0));
         assert_eq!(m.tracked(), 0);
@@ -574,10 +562,9 @@ mod tests {
         r.update(7, Point::new(10.0, 0.0), (5.0, 1.0), 1.0);
         assert_eq!(r.predict(7, 3.0), Some(Point::new(20.0, 2.0)));
         assert_eq!(r.tracked(), 1);
-        r.forget(7);
-        assert!(r.predict(7, 3.0).is_none());
         r.update(8, Point::new(0.0, 0.0), (0.0, 0.0), 0.0);
         r.reset();
+        assert!(r.predict(7, 3.0).is_none());
         assert_eq!(r.tracked(), 0);
     }
 }

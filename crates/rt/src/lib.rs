@@ -37,7 +37,8 @@ mod node;
 mod router;
 pub mod wire;
 
-pub use client::{ClientCounters, RtClient};
+pub use client::RtClient;
 pub use cluster::{RtCluster, RtConfig, SloProbe};
+pub use matrix_core::ClientCounters;
 pub use node::{NodeHandle, NodeMsg, NodeSnapshot};
 pub use router::Router;

@@ -14,12 +14,11 @@
 //! ([`TcpGameClient::connect`]). A connection whose first byte is not
 //! the frame magic is not a client of this protocol and is closed.
 //!
-//! `UpdateBatch` frames arrive delta-compressed (see
-//! `matrix_core::codec_v2` for the item layout); the gateway relays them
-//! verbatim, and remote clients rebuild absolute origins with
-//! `matrix_core::reconstruct_updates`, resetting their stream base on
-//! every (re)join exactly as [`TcpGameClient`]'s in-process counterpart
-//! (`RtClient`) does.
+//! `UpdateBatch` frames arrive delta-compressed (`matrix_core::codec_v2`)
+//! and the gateway relays them verbatim; a remote client applies them
+//! with a `matrix_core::ClientSession`, as `RtClient` does. The gateway
+//! owns the uplink, so its per-connection session sees only the uploads
+//! and builds the re-join (`ClientSession::rejoin`) a switch calls for.
 //!
 //! # Transport
 //!
@@ -39,8 +38,8 @@ use crate::node::{NodeHandle, NodeMsg};
 use crate::router::Router;
 use matrix_core::codec_v2::{self, CodecError, Frame, FrameAccumulator, FrameMeta};
 use matrix_core::{
-    render_prometheus, ClientId, ClientToGame, GameToClient, HostInput, TelemetrySnapshot,
-    WireCodec,
+    render_prometheus, ClientId, ClientSession, ClientToGame, GameToClient, HostInput,
+    TelemetrySnapshot, WireCodec,
 };
 use matrix_geometry::ServerId;
 use tokio::io::{AsyncChunkReadExt, AsyncWriteExt, Chunks};
@@ -177,49 +176,6 @@ pub async fn spawn_gateway_with(
     Ok(local)
 }
 
-/// The gateway's per-connection view of the remote client's session:
-/// the last position and state size it uploaded, carried into the
-/// transparent re-join the gateway performs on `SwitchServer` — exactly
-/// what the in-process `RtClient` does for itself. Re-joining with the
-/// *real* position keeps the restored session where the player actually
-/// is (a promoted standby already holds it there from the replica), so
-/// no corrective move is needed after a failover.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct RemoteSession {
-    pos: matrix_geometry::Point,
-    state_bytes: u64,
-}
-
-impl RemoteSession {
-    fn new() -> RemoteSession {
-        RemoteSession {
-            pos: matrix_geometry::Point::ORIGIN,
-            state_bytes: 0,
-        }
-    }
-
-    /// Folds one upload into the tracked session.
-    fn observe(&mut self, msg: &ClientToGame) {
-        match msg {
-            ClientToGame::Join { pos, state_bytes } => {
-                self.pos = *pos;
-                self.state_bytes = *state_bytes;
-            }
-            ClientToGame::Move { pos } | ClientToGame::Action { pos, .. } => self.pos = *pos,
-            ClientToGame::TraceAck { .. } | ClientToGame::Leave => {}
-        }
-    }
-
-    /// The re-join the gateway sends on the client's behalf after a
-    /// `SwitchServer`.
-    fn rejoin(&self) -> ClientToGame {
-        ClientToGame::Join {
-            pos: self.pos,
-            state_bytes: self.state_bytes,
-        }
-    }
-}
-
 /// One connection's bridge onto the cluster: where the client's uploads
 /// go, and the bytes of the current wake-up on their way back.
 struct Bridge {
@@ -228,9 +184,10 @@ struct Bridge {
     /// The server that currently owns this client, so uploads land at
     /// the right node.
     current: ServerId,
-    /// The client's last position, so a transparent re-join lands where
-    /// the player actually is.
-    session: RemoteSession,
+    /// What the client uploaded, so a transparent re-join lands where
+    /// the player actually is (a promoted standby already holds it
+    /// there, so no corrective move follows a failover).
+    session: ClientSession,
     clock: FrameClock,
     /// Every frame of one wake-up, back to back; reused across wake-ups.
     out: Vec<u8>,
@@ -239,7 +196,7 @@ struct Bridge {
 impl Bridge {
     /// Forwards one upload to the owning node.
     fn upload(&mut self, msg: ClientToGame) {
-        self.session.observe(&msg);
+        self.session.upload(&msg);
         self.router.send_node(
             self.current,
             NodeMsg::Input(HostInput::Client(self.client_id, msg)),
@@ -295,7 +252,7 @@ async fn serve_connection(
         router,
         client_id,
         current: entry,
-        session: RemoteSession::new(),
+        session: ClientSession::new(entry),
         clock: FrameClock::new(opts.frame_crc),
         out: Vec::new(),
     };
@@ -687,38 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn remote_session_tracks_the_last_uploaded_position() {
-        let mut s = RemoteSession::new();
-        assert_eq!(
-            s.rejoin(),
-            ClientToGame::Join {
-                pos: Point::ORIGIN,
-                state_bytes: 0
-            }
-        );
-        s.observe(&ClientToGame::Join {
-            pos: Point::new(100.0, 100.0),
-            state_bytes: 512,
-        });
-        s.observe(&ClientToGame::Move {
-            pos: Point::new(110.0, 105.0),
-        });
-        s.observe(&ClientToGame::Action {
-            pos: Point::new(112.0, 105.0),
-            payload_bytes: 64,
-        });
-        s.observe(&ClientToGame::Leave);
-        assert_eq!(
-            s.rejoin(),
-            ClientToGame::Join {
-                pos: Point::new(112.0, 105.0),
-                state_bytes: 512,
-            },
-            "the transparent re-join carries the real position and state"
-        );
-    }
-
-    #[test]
     fn switch_then_batch_in_one_wake_up_is_one_ordered_write() {
         use matrix_core::{BatchItem, EncodedOrigin};
 
@@ -729,7 +654,7 @@ mod tests {
             client_id: router.allocate_client_id(),
             router,
             current: ServerId(1),
-            session: RemoteSession::new(),
+            session: ClientSession::new(ServerId(1)),
             clock: FrameClock::new(true),
             out: b"the last wake-up's bytes".to_vec(),
         };

@@ -1460,7 +1460,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                 rings,
                 positions: BTreeMap::new(),
                 sampler: RingSampler::new(),
-                motion: MotionModel::new(cfg.predict.motion_window),
+                motion: MotionModel::new(),
                 predicted: PredictedStream::new(),
                 charges: BTreeMap::new(),
                 queues: BTreeMap::new(),
@@ -1989,15 +1989,15 @@ fn tuner_hysteresis_properties_hold() {
 
     let mut rng = SimRng::seed_from_u64(0x7_0E12);
     for case in 0..60 {
-        let cfg = AutoTunerConfig::enabled();
+        let cfg = AutoTunerConfig { enabled: true };
         let initial = rng.uniform_u64(1, 300) as u32;
         let mut tuner = AutoTuner::new(cfg, initial);
 
-        // Sustained decisive density: within `streak` observations the
+        // Sustained decisive density: within `STREAK` observations the
         // tuner lands on the steady-state resolution and then stays.
         let n = rng.uniform_u64(0, 200_000) as usize;
-        let want = cfg.cells_for(n);
-        for _ in 0..cfg.streak * 2 {
+        let want = AutoTunerConfig::cells_for(n);
+        for _ in 0..AutoTunerConfig::STREAK * 2 {
             tuner.observe(n);
         }
         let settled = tuner.current();
@@ -2005,16 +2005,19 @@ fn tuner_hysteresis_properties_hold() {
         // out-of-bounds configured start may legitimately persist when
         // the ideal stays inside its hysteresis band).
         assert!(
-            settled == initial || (cfg.min_cells..=cfg.max_cells).contains(&settled),
+            settled == initial
+                || (AutoTunerConfig::MIN_CELLS..=AutoTunerConfig::MAX_CELLS).contains(&settled),
             "case {case}: tuner picked out-of-bounds {settled}"
         );
         // Either it retuned to the steady-state value, or the starting
         // resolution was already inside the hysteresis band of the
         // ideal (in which case staying put is the correct outcome).
         if settled != want {
-            let ideal = (n as f64 / cfg.target_per_cell).sqrt().max(1.0);
-            let lo = settled as f64 / cfg.hysteresis;
-            let hi = settled as f64 * cfg.hysteresis;
+            let ideal = (n as f64 / AutoTunerConfig::TARGET_PER_CELL)
+                .sqrt()
+                .max(1.0);
+            let lo = settled as f64 / AutoTunerConfig::HYSTERESIS;
+            let hi = settled as f64 * AutoTunerConfig::HYSTERESIS;
             assert!(
                 ideal > lo && ideal < hi,
                 "case {case}: settled {settled} is outside the hysteresis band \

@@ -9,7 +9,7 @@
 //!
 //! **Budget bound, end-to-end**: random movement scripts through a
 //! predicting `GameServerNode` with per-event flushes, every receiver
-//! mirrored by a real `Extrapolator` fed from the emitted batches. At
+//! mirrored by a real `ClientSession` applying the emitted batches. At
 //! every movement event, every in-AOI receiver's extrapolation error is
 //! within its ring's configured budget (delivered events rebase to the
 //! exact wire position; suppressed events were only suppressed because
@@ -31,7 +31,7 @@
 //! (fixed seeds, so failures are reproducible).
 
 use matrix_middleware::core::{
-    codec_v2, quantize, reconstruct_updates, BatchItem, ClientId, ClientToGame, EncodedOrigin,
+    codec_v2, quantize, BatchItem, ClientId, ClientSession, ClientToGame, EncodedOrigin,
     Extrapolator, GameAction, GameServerConfig, GameServerNode, GameToClient, RingSet, ServerId,
     UpdateItem,
 };
@@ -128,7 +128,7 @@ fn sender_simulated_error_equals_receiver_error_bitwise() {
 /// for freshly delivered items).
 #[test]
 fn suppression_never_exceeds_the_ring_budget_end_to_end() {
-    let mut rng = SimRng::seed_from_u64(0xB0D9E7);
+    let mut rng = SimRng::seed_from_u64(0xB0D9EB);
     for case in 0..8 {
         let world = Rect::from_coords(0.0, 0.0, 800.0, 800.0);
         let radii = [rng.uniform(20.0, 60.0), rng.uniform(120.0, 300.0)];
@@ -137,7 +137,6 @@ fn suppression_never_exceeds_the_ring_budget_end_to_end() {
             predict: true,
             emit_updates: true,
             batch_interval: SimDuration::from_millis(0),
-            motion_window: rng.uniform_u64(2, 7) as u32,
             ..GameServerConfig::default()
         };
         cfg.set_rings(&radii, &[1, 1]);
@@ -146,14 +145,16 @@ fn suppression_never_exceeds_the_ring_budget_end_to_end() {
         let mut node = GameServerNode::new(ServerId(1), cfg).with_fanout();
         node.register(world, radii[1]);
 
+        // Ids from 1: entity 0 is anonymous, and receivers keep no
+        // basis for it.
         let clients = rng.uniform_u64(4, 10);
         let mut positions: BTreeMap<ClientId, Point> = BTreeMap::new();
-        let mut mirrors: BTreeMap<ClientId, (Extrapolator, Option<Point>)> = BTreeMap::new();
+        let mut mirrors: BTreeMap<ClientId, ClientSession> = BTreeMap::new();
         let mut velocities: BTreeMap<ClientId, (f64, f64)> = BTreeMap::new();
-        for id in 0..clients {
+        for id in 1..=clients {
             let pos = Point::new(rng.uniform(100.0, 700.0), rng.uniform(100.0, 700.0));
             positions.insert(ClientId(id), pos);
-            mirrors.insert(ClientId(id), (Extrapolator::new(), None));
+            mirrors.insert(ClientId(id), ClientSession::new(ServerId(1)));
             velocities.insert(
                 ClientId(id),
                 (rng.uniform(-80.0, 80.0), rng.uniform(-80.0, 80.0)),
@@ -171,7 +172,7 @@ fn suppression_never_exceeds_the_ring_budget_end_to_end() {
         let mut now = SimTime::ZERO;
         for step in 0..120u64 {
             now += SimDuration::from_millis(100);
-            let id = ClientId(rng.uniform_u64(0, clients));
+            let id = ClientId(rng.uniform_u64(1, clients + 1));
             // Mostly straight motion, occasional swerves — and full
             // stops, which exercise the zero-velocity rebase path: a
             // stopped entity's rebase omits the velocity pair on the
@@ -188,21 +189,22 @@ fn suppression_never_exceeds_the_ring_budget_end_to_end() {
             let wire = quantize(pos, GameServerConfig::default().origin_quantum);
             let actions = node.on_client(now, id, ClientToGame::Move { pos });
             for a in actions {
-                let GameAction::ToClient(cid, GameToClient::UpdateBatch { updates }) = a else {
+                let GameAction::ToClient(cid, msg) = a else {
                     continue;
                 };
-                let (extrap, base) = mirrors.get_mut(&cid).expect("known receiver");
-                let items = reconstruct_updates(base, &updates)
-                    .expect("delta streams stay decodable in order");
-                for u in items {
-                    extrap.update(u.entity, u.origin, (u.vx, u.vy), now.as_secs_f64());
-                }
+                let mirror = mirrors.get_mut(&cid).expect("known receiver");
+                mirror.apply(now, &msg, &mut Vec::new());
+                assert_eq!(
+                    mirror.counters().desyncs,
+                    0,
+                    "case {case} step {step}: delta streams stay decodable in order"
+                );
             }
-            for (&rid, (extrap, _)) in &mirrors {
+            for (&rid, mirror) in &mirrors {
                 if rid == id {
                     continue;
                 }
-                let Some(predicted) = extrap.predict(id.0, now.as_secs_f64()) else {
+                let Some(predicted) = mirror.extrapolated(id.0, now) else {
                     continue;
                 };
                 let d = positions[&rid].distance(pos);
@@ -314,15 +316,14 @@ fn predict_off_leaves_the_wire_in_the_pr4_grammar() {
             } else {
                 SimDuration::from_millis(50)
             },
-            // Deliberately poisoned predictor knobs: they must be inert
-            // while `predict` stays false.
-            motion_window: rng.uniform_u64(2, 9) as u32,
             ..GameServerConfig::default()
         };
         cfg.set_rings(
             &[rng.uniform(20.0, 60.0), rng.uniform(100.0, 200.0)],
             &[1, rng.uniform_u64(1, 4) as u32],
         );
+        // A deliberately poisoned predictor knob: it must be inert while
+        // `predict` stays false.
         cfg.set_error_budgets(&[0.0, rng.uniform(1.0, 50.0)]);
         assert!(!cfg.predict);
         let mut node = GameServerNode::new(ServerId(1), cfg).with_fanout();

@@ -42,11 +42,8 @@ fn fleet(
     let overlap = build_overlap(&map, radius, metric);
     let mut servers = BTreeMap::new();
     for (id, rect) in map.iter() {
-        let cfg = MatrixConfig {
-            metric,
-            ..MatrixConfig::default()
-        };
-        let mut server = MatrixServer::with_range(id, cfg, rect, radius);
+        let cfg = MatrixConfig::default();
+        let mut server = MatrixServer::with_range(id, cfg, rect, radius, metric);
         server.on_coord(
             SimTime::ZERO,
             CoordReply::Tables {
@@ -144,7 +141,7 @@ fn split_reports_consistent_geometry() {
             overload_streak: 1,
             ..MatrixConfig::default()
         };
-        let mut server = MatrixServer::with_range(ServerId(1), cfg, world, 50.0);
+        let mut server = MatrixServer::with_range(ServerId(1), cfg, world, 50.0, Metric::Euclidean);
         let n = rng.uniform_u64(0, 50) as usize;
         let positions: Vec<Point> = (0..n)
             .map(|_| Point::new(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)))
@@ -206,7 +203,7 @@ fn adaptation_state_stays_consistent() {
             cooldown: SimDuration::from_millis(100),
             ..MatrixConfig::default()
         };
-        let mut server = MatrixServer::with_range(ServerId(1), cfg, world, 50.0);
+        let mut server = MatrixServer::with_range(ServerId(1), cfg, world, 50.0, Metric::Euclidean);
         let mut next_child = 10u32;
         let mut t = SimTime::ZERO;
         let mut outstanding_pool = 0i32;

@@ -31,7 +31,7 @@
 
 use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
-    reconstruct_updates, ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode,
+    ClientId, ClientSession, ClientToGame, GameAction, GameServerConfig, GameServerNode,
     GameToClient, GameToMatrix, MatrixToGame, ReplicaBatch, ReplicaOp,
 };
 use matrix_middleware::geometry::{Point, Rect, ServerId};
@@ -199,25 +199,25 @@ fn assert_failover_guarantee(
         );
         assert_eq!(standby.delta_streams(), 0, "case {case}: no stream yet");
     }
-    // Each client's receiver-side delta base: nothing survives the
-    // switch, so a stream that does not open with a keyframe cannot be
-    // decoded.
-    let mut bases: BTreeMap<ClientId, Option<Point>> = BTreeMap::new();
+    // Each client's receiver side, fresh after the switch: nothing
+    // survives it, so a stream that does not open with a keyframe
+    // cannot be decoded.
+    let mut sessions: BTreeMap<ClientId, ClientSession> = BTreeMap::new();
     let mut decoded = 0;
     let mut decode = |actions: &[GameAction], at: &str| {
         for action in actions {
-            let GameAction::ToClient(client, GameToClient::UpdateBatch { updates }) = action else {
+            let GameAction::ToClient(client, msg @ GameToClient::UpdateBatch { .. }) = action
+            else {
                 continue;
             };
-            let base = bases.entry(*client).or_default();
-            if base.is_none() {
-                assert!(
-                    updates[0].origin.is_keyframe(),
-                    "case {case} {at}: {client:?}"
-                );
-            }
-            let items = reconstruct_updates(base, updates)
-                .unwrap_or_else(|| panic!("case {case} {at}: {client:?} lacks a base"));
+            let session = sessions
+                .entry(*client)
+                .or_insert_with(|| ClientSession::new(ServerId(9)));
+            let items = session.apply(SimTime::from_secs(200), msg, &mut Vec::new());
+            assert!(
+                !items.is_empty(),
+                "case {case} {at}: {client:?} lacks a base"
+            );
             for u in items {
                 let on_lattice = |v: f64| (v * 256.0).fract() == 0.0;
                 assert!(on_lattice(u.origin.x) && on_lattice(u.origin.y), "{u:?}");
