@@ -7,11 +7,20 @@
 //! path: packet routing uses the distributed tables, and the MC is only
 //! consulted for rare non-proximal interactions and topology changes —
 //! which is why the paper argues a central MC scales.
+//!
+//! Each decision has one home. A directory edit is one checked
+//! [`PartitionMap`] operation: `cut` for a reported split, `reclaim` for a
+//! reclaim or a neighbour absorbing a dead or orphaned range, `rename` for
+//! a promotion. A report the directory does not match is counted as a
+//! divergence, never a panic. One function builds a server's table push,
+//! both for [`Coordinator::recompute`] and for the re-push a stale-epoch
+//! heartbeat asks for, and one helper forgets a server that left the
+//! directory.
 
 use crate::config::CoordinatorConfig;
 use crate::messages::{CoordMsg, CoordReply};
 use matrix_geometry::{
-    build_overlap, consistency_set, Metric, OverlapMap, PartitionMap, Rect, ServerId,
+    consistency_set, Metric, OverlapTable, PartitionMap, Rect, ServerId, SplitOutcome,
 };
 use matrix_sim::SimTime;
 use matrix_telemetry::{EventKind, FlightRecorder, SloTracker, TelemetrySnapshot, SLO_RINGS};
@@ -64,14 +73,13 @@ pub struct CoordinatorStats {
 #[derive(Debug, Clone)]
 pub struct Coordinator {
     cfg: CoordinatorConfig,
-    world: Option<Rect>,
-    radius: f64,
     /// The game's distance metric, registered with the world.
     metric: Metric,
-    extra_radii: Vec<f64>,
+    /// Every radius tables are built for, in registration order. Once the
+    /// world is registered the game's radius is first, so each push's
+    /// first table is the one ordinary routing reads.
+    radii: Vec<f64>,
     map: Option<PartitionMap>,
-    overlap: Option<OverlapMap>,
-    extra_overlaps: Vec<(f64, OverlapMap)>,
     epoch: u64,
     heartbeats: BTreeMap<ServerId, SimTime>,
     /// Parent relationships learned from splits, used to pick an heir on
@@ -102,13 +110,9 @@ impl Coordinator {
         let slo = SloTracker::new(cfg.slo);
         Coordinator {
             cfg,
-            world: None,
-            radius: 0.0,
             metric: Metric::Euclidean,
-            extra_radii: Vec::new(),
+            radii: Vec::new(),
             map: None,
-            overlap: None,
-            extra_overlaps: Vec::new(),
             epoch: 0,
             heartbeats: BTreeMap::new(),
             parents: BTreeMap::new(),
@@ -128,6 +132,21 @@ impl Coordinator {
         self.recorder.record(now, EventKind::Divergence);
     }
 
+    /// Drops what the coordinator keeps about a server that left the
+    /// directory: its liveness watch, its parent link and its standby
+    /// pairing.
+    fn forget(&mut self, server: ServerId) {
+        self.heartbeats.remove(&server);
+        self.parents.remove(&server);
+        self.standbys.remove(&server);
+    }
+
+    /// The game's radius of visibility. Registered with the world, so it
+    /// exists whenever the directory does.
+    fn game_radius(&self) -> f64 {
+        self.radii[0]
+    }
+
     /// Bootstraps with a pre-built multi-server map (static baseline and
     /// test fixtures) and what registration would carry, immediately
     /// producing tables for every server.
@@ -138,8 +157,7 @@ impl Coordinator {
         metric: Metric,
     ) -> (Coordinator, Vec<CoordAction>) {
         let mut c = Coordinator::new(cfg);
-        c.world = Some(map.world());
-        c.radius = radius;
+        c.radii = vec![radius];
         c.metric = metric;
         c.map = Some(map);
         let actions = c.recompute();
@@ -257,20 +275,16 @@ impl Coordinator {
             } => {
                 self.heartbeats.insert(server, now);
                 if self.map.is_none() {
-                    self.world = Some(world);
-                    self.radius = radius;
+                    self.radii.retain(|r| r.to_bits() != radius.to_bits());
+                    self.radii.insert(0, radius);
                     self.metric = metric;
                     self.map = Some(PartitionMap::new(world, server));
                 }
                 self.recompute()
             }
             CoordMsg::RegisterRadius { server: _, radius } => {
-                if !self
-                    .extra_radii
-                    .iter()
-                    .any(|r| r.to_bits() == radius.to_bits())
-                {
-                    self.extra_radii.push(radius);
+                if !self.radii.iter().any(|r| r.to_bits() == radius.to_bits()) {
+                    self.radii.push(radius);
                 }
                 self.recompute()
             }
@@ -285,15 +299,14 @@ impl Coordinator {
                     .record(now, EventKind::Split { parent, child });
                 self.heartbeats.insert(child, now);
                 self.parents.insert(child, parent);
+                // The directory mirrors the cut the splitting server made
+                // locally, checked against what the directory holds.
+                let cut = SplitOutcome {
+                    given: child_range,
+                    kept: parent_range,
+                };
                 if let Some(map) = &mut self.map {
-                    // Reconstruct the move: the directory must mirror what
-                    // the splitting server decided locally.
-                    if map.contains_server(parent) && !map.contains_server(child) {
-                        // Apply by direct surgery: shrink parent, add child.
-                        if !Self::apply_split(map, parent, child, parent_range, child_range) {
-                            self.note_divergence(now);
-                        }
-                    } else {
+                    if map.cut(parent, child, cut).is_err() {
                         self.note_divergence(now);
                     }
                 }
@@ -320,15 +333,14 @@ impl Coordinator {
                 self.stats.reclaims_seen += 1;
                 self.recorder
                     .record(now, EventKind::Reclaim { parent, child });
-                self.heartbeats.remove(&child);
-                self.parents.remove(&child);
-                self.standbys.remove(&child);
+                self.forget(child);
                 if let Some(map) = &mut self.map {
-                    if !map.contains_server(child) || map.reclaim(parent, child).is_err() {
+                    let merged = map.reclaim(parent, child).is_ok();
+                    let as_reported = map.range_of(parent) == Some(merged_range);
+                    if !merged {
                         self.note_divergence(now);
                     }
-                    let merged = self.map.as_ref().and_then(|m| m.range_of(parent));
-                    if merged != Some(merged_range) {
+                    if !as_reported {
                         // Tolerated, like every divergence: the directory
                         // resynchronises on the next topology report.
                         self.note_divergence(now);
@@ -350,11 +362,11 @@ impl Coordinator {
                 // Anti-entropy: a server routing with stale tables (a lost
                 // or delayed push) gets a targeted refresh instead of
                 // waiting for the next topology change.
-                if epoch < self.epoch
-                    && self.map.as_ref().is_some_and(|m| m.contains_server(server))
-                {
-                    self.stats.table_refreshes += 1;
-                    return self.tables_for(server).into_iter().collect();
+                if epoch < self.epoch {
+                    if let Some(push) = self.push(server) {
+                        self.stats.table_refreshes += 1;
+                        return vec![push];
+                    }
                 }
                 Vec::new()
             }
@@ -363,35 +375,22 @@ impl Coordinator {
                 child,
                 range,
             } => {
-                // The retired child's range needs a mergeable owner. Reuse
-                // the failure-absorption machinery: pick an heir among the
-                // child's mergeable neighbours and instruct it to absorb.
+                // The retired child's range needs a mergeable owner: the
+                // same absorption a failure gets, without a parent
+                // preference. With no heir yet (or the range already
+                // reassigned), a later topology change merges it.
                 self.recorder.record(now, EventKind::Orphan { child });
-                self.heartbeats.remove(&child);
-                self.parents.remove(&child);
-                self.standbys.remove(&child);
-                let Some(map) = &mut self.map else {
-                    return Vec::new();
-                };
-                if !map.contains_server(child) {
-                    return Vec::new(); // already reassigned
+                self.forget(child);
+                match self.absorb(child, None) {
+                    Some((heir, _)) => self.tell_and_recompute(
+                        heir,
+                        CoordReply::AbsorbFailed {
+                            failed: child,
+                            range,
+                        },
+                    ),
+                    None => Vec::new(),
                 }
-                let heir = map.mergeable_neighbours(child).into_iter().next();
-                let Some(heir) = heir else {
-                    return Vec::new(); // no heir yet; a later topology change will merge it
-                };
-                if map.absorb(heir, child).is_err() {
-                    return Vec::new();
-                }
-                let mut actions = vec![CoordAction::Send(
-                    heir,
-                    CoordReply::AbsorbFailed {
-                        failed: child,
-                        range,
-                    },
-                )];
-                actions.extend(self.recompute());
-                actions
             }
             CoordMsg::ResolvePoint {
                 server,
@@ -403,7 +402,7 @@ impl Coordinator {
                 let (owner, set) = match &self.map {
                     Some(map) => {
                         let owner = map.owner_of(point);
-                        let r = radius.unwrap_or(self.radius);
+                        let r = radius.unwrap_or(self.game_radius());
                         let me = owner.unwrap_or(ServerId(u32::MAX));
                         (owner, consistency_set(map, point, me, r, self.metric))
                     }
@@ -422,66 +421,7 @@ impl Coordinator {
         }
     }
 
-    /// Applies a split reported by a server onto the directory. Returns
-    /// false when the reported geometry does not match the directory (a
-    /// protocol error, tolerated by resynchronising to the report).
-    fn apply_split(
-        map: &mut PartitionMap,
-        parent: ServerId,
-        child: ServerId,
-        parent_range: Rect,
-        child_range: Rect,
-    ) -> bool {
-        let Some(current) = map.range_of(parent) else {
-            return false;
-        };
-        let expected = parent_range.merges_with(&child_range);
-        if expected != Some(current) {
-            return false;
-        }
-        // Perform the exact same cut the server made. The child gets
-        // `child_range`; the parent keeps `parent_range`. We re-cut the
-        // current rect along the shared edge.
-        let (axis, at) = if parent_range.min().x == child_range.max().x
-            || parent_range.max().x == child_range.min().x
-        {
-            (
-                matrix_geometry::Axis::X,
-                parent_range.min().x.max(child_range.min().x),
-            )
-        } else {
-            (
-                matrix_geometry::Axis::Y,
-                parent_range.min().y.max(child_range.min().y),
-            )
-        };
-        let Some((low, high)) = current.split_at(axis, at) else {
-            return false;
-        };
-        let (child_rect, parent_rect) = if low == child_range {
-            (low, high)
-        } else {
-            (high, low)
-        };
-        debug_assert_eq!(parent_rect, parent_range);
-        // Rebuild the map entry-by-entry (PartitionMap has no raw surgery
-        // API by design; splits go through split(), which needs a strategy.
-        // We use split_at semantics via a custom strategy-free path).
-        let mut rebuilt = Vec::new();
-        for (s, r) in map.iter() {
-            if s == parent {
-                rebuilt.push((parent, parent_rect));
-            } else {
-                rebuilt.push((s, r));
-            }
-        }
-        rebuilt.push((child, child_rect));
-        *map = PartitionMap::from_parts(map.world(), rebuilt)
-            .expect("split surgery preserves partition invariants");
-        true
-    }
-
-    /// Recomputes every server's overlap table and emits the pushes
+    /// Recomputes every server's overlap tables and emits the pushes
     /// (§3.2.4: "recomputes and redistributes overlap regions every time a
     /// new Matrix server is used or an existing Matrix server is
     /// reclaimed").
@@ -491,65 +431,66 @@ impl Coordinator {
         };
         self.epoch += 1;
         self.stats.recomputes += 1;
-        let overlap = build_overlap(map, self.radius, self.metric);
-        self.extra_overlaps = self
-            .extra_radii
-            .iter()
-            .map(|&r| (r, build_overlap(map, r, self.metric)))
-            .collect();
-        let mut actions = Vec::with_capacity(map.len());
-        for (server, _) in map.iter() {
-            let table = overlap
-                .table_for(server)
-                .expect("every server in the map has a table")
-                .clone();
-            let extra_tables: Vec<(u64, matrix_geometry::OverlapTable)> = self
-                .extra_overlaps
-                .iter()
-                .filter_map(|(r, om)| om.table_for(server).map(|t| (r.to_bits(), t.clone())))
-                .collect();
-            self.stats.tables_sent += 1;
-            actions.push(CoordAction::Send(
-                server,
-                CoordReply::Tables {
-                    epoch: self.epoch,
-                    table,
-                    extra_tables,
-                    map: map.clone(),
-                },
-            ));
-        }
-        self.overlap = Some(overlap);
+        let actions: Vec<CoordAction> = map.iter().filter_map(|(s, _)| self.push(s)).collect();
+        self.stats.tables_sent += actions.len() as u64;
         actions
     }
 
-    /// Builds the current-epoch table push for one server (no recompute).
-    fn tables_for(&self, server: ServerId) -> Option<CoordAction> {
+    /// The current epoch's table push for one server in the directory:
+    /// its overlap table for every registered radius, the game's first,
+    /// and the directory itself. Nothing it reads changes between
+    /// recomputes, so a stale-epoch re-push is exactly what the last
+    /// recompute sent.
+    fn push(&self, server: ServerId) -> Option<CoordAction> {
         let map = self.map.as_ref()?;
-        let overlap = self.overlap.as_ref()?;
-        let table = overlap.table_for(server)?.clone();
-        let extra_tables: Vec<(u64, matrix_geometry::OverlapTable)> = self
-            .extra_overlaps
+        let range = map.range_of(server)?;
+        let parts: Vec<(ServerId, Rect)> = map.iter().collect();
+        let tables = self
+            .radii
             .iter()
-            .filter_map(|(r, om)| om.table_for(server).map(|t| (r.to_bits(), t.clone())))
+            .map(|&r| {
+                let table = OverlapTable::build(server, range, &parts, r, self.metric);
+                (r.to_bits(), table)
+            })
             .collect();
         Some(CoordAction::Send(
             server,
             CoordReply::Tables {
                 epoch: self.epoch,
-                table,
-                extra_tables,
+                tables,
                 map: map.clone(),
             },
         ))
+    }
+
+    /// Sends `reply` to `to`, then the pushes of a recompute.
+    fn tell_and_recompute(&mut self, to: ServerId, reply: CoordReply) -> Vec<CoordAction> {
+        let mut actions = vec![CoordAction::Send(to, reply)];
+        actions.extend(self.recompute());
+        actions
+    }
+
+    /// Merges `dead`'s range into a mergeable neighbour — `preferred` if
+    /// it is one, else the lowest id — and returns the heir and the range
+    /// it took. `None` when no neighbour tiles with it (the last server
+    /// never has one) or `dead` owns no range.
+    fn absorb(&mut self, dead: ServerId, preferred: Option<ServerId>) -> Option<(ServerId, Rect)> {
+        let map = self.map.as_mut()?;
+        let range = map.range_of(dead)?;
+        let neighbours = map.mergeable_neighbours(dead);
+        let heir = preferred
+            .filter(|p| neighbours.contains(p))
+            .or_else(|| neighbours.first().copied())?;
+        map.reclaim(heir, dead).ok()?;
+        Some((heir, range))
     }
 
     /// Periodic liveness sweep. Servers with stale heartbeats are
     /// declared dead and handled by the best available recovery:
     ///
     /// * a dead **primary with a warm standby** is *failed over* — the
-    ///   standby is promoted in place under the directory's surgery, so
-    ///   its clients survive on their replicated sessions;
+    ///   standby takes over the range under its own id and is promoted,
+    ///   so its clients survive on their replicated sessions;
     /// * a dead server **without** a standby is *absorbed* — a
     ///   mergeable neighbour (preferring the parent) adopts the
     ///   orphaned range, and that node's sessions are lost;
@@ -629,38 +570,33 @@ impl Coordinator {
         actions
     }
 
-    /// Fast failover: rewrite the directory so `standby` owns the dead
-    /// primary's range under its own id, instruct it to promote, and
-    /// push fresh tables everywhere. Works even for the last server in
-    /// the map — unlike absorption, promotion needs no neighbour.
+    /// Fast failover: rename the dead primary's range to `standby` in the
+    /// directory, instruct it to promote, and push fresh tables
+    /// everywhere. Works even for the last server in the map — unlike
+    /// absorption, promotion needs no neighbour.
     fn promote_standby(
         &mut self,
         now: SimTime,
         failed: ServerId,
         standby: ServerId,
     ) -> Vec<CoordAction> {
-        let Some(map) = &mut self.map else {
-            return Vec::new();
-        };
-        let Some(range) = map.range_of(failed) else {
+        let Some(Ok(range)) = self.map.as_mut().map(|m| m.rename(failed, standby)) else {
+            // The standby already owns a range: the pairing and the
+            // directory disagree, so the pairing goes.
             self.standbys.remove(&failed);
+            self.note_divergence(now);
             return Vec::new();
         };
-        let rebuilt: Vec<(ServerId, Rect)> = map
-            .iter()
-            .map(|(s, r)| if s == failed { (standby, r) } else { (s, r) })
-            .collect();
-        *map = PartitionMap::from_parts(map.world(), rebuilt)
-            .expect("renaming one owner preserves partition invariants");
         self.stats.failures_declared += 1;
         self.stats.failovers += 1;
-        self.heartbeats.remove(&failed);
+        let inherited = self.parents.get(&failed).copied();
+        self.forget(failed);
         self.heartbeats.insert(standby, now);
         // Re-parent the family tree: the promoted standby inherits the
         // dead primary's parent (so an underloaded heir can still be
         // reclaimed upward) and adopts its children (so they reclaim
         // into the survivor instead of pointing at a ghost forever).
-        if let Some(parent) = self.parents.remove(&failed) {
+        if let Some(parent) = inherited {
             self.parents.insert(standby, parent);
         }
         for parent in self.parents.values_mut() {
@@ -668,7 +604,6 @@ impl Coordinator {
                 *parent = standby;
             }
         }
-        self.standbys.remove(&failed);
         self.recorder.record(
             now,
             EventKind::FailureDeclared {
@@ -678,57 +613,28 @@ impl Coordinator {
         );
         self.recorder
             .record(now, EventKind::Failover { failed, standby });
-        let mut actions = vec![CoordAction::Send(
-            standby,
-            CoordReply::Promote {
-                failed,
-                range,
-                radius: self.radius,
-                metric: self.metric,
-            },
-        )];
-        actions.extend(self.recompute());
-        actions
+        let promote = CoordReply::Promote {
+            failed,
+            range,
+            radius: self.game_radius(),
+            metric: self.metric,
+        };
+        self.tell_and_recompute(standby, promote)
     }
 
-    /// Legacy recovery for a dead server without a standby: a mergeable
-    /// neighbour absorbs the orphaned range (its sessions are lost).
+    /// Recovery for a dead server without a standby: a mergeable
+    /// neighbour, preferring its parent, absorbs the orphaned range (its
+    /// sessions are lost).
     fn absorb_dead(&mut self, now: SimTime, failed: ServerId) -> Vec<CoordAction> {
-        let Some(map) = &mut self.map else {
+        let parent = self.parents.get(&failed).copied();
+        let Some((heir, range)) = self.absorb(failed, parent) else {
             return Vec::new();
         };
-        if map.len() <= 1 {
-            return Vec::new(); // the last server has no heir
-        }
-        let Some(range) = map.range_of(failed) else {
-            return Vec::new();
-        };
-        // Prefer the parent as heir, else any mergeable neighbour.
-        let neighbours = map.mergeable_neighbours(failed);
-        let heir = self
-            .parents
-            .get(&failed)
-            .copied()
-            .filter(|p| neighbours.contains(p))
-            .or_else(|| neighbours.first().copied());
-        let Some(heir) = heir else {
-            return Vec::new();
-        };
-        if map.absorb(heir, failed).is_err() {
-            return Vec::new();
-        }
         self.stats.failures_declared += 1;
-        self.heartbeats.remove(&failed);
-        self.parents.remove(&failed);
-        self.standbys.remove(&failed);
+        self.forget(failed);
         self.recorder
             .record(now, EventKind::FailureDeclared { failed, heir });
-        let mut actions = vec![CoordAction::Send(
-            heir,
-            CoordReply::AbsorbFailed { failed, range },
-        )];
-        actions.extend(self.recompute());
-        actions
+        self.tell_and_recompute(heir, CoordReply::AbsorbFailed { failed, range })
     }
 }
 
@@ -935,11 +841,15 @@ mod tests {
                 radius: 120.0,
             },
         );
-        let CoordAction::Send(_, CoordReply::Tables { extra_tables, .. }) = &actions[0] else {
+        let CoordAction::Send(_, CoordReply::Tables { tables, .. }) = &actions[0] else {
             panic!("expected tables");
         };
-        assert_eq!(extra_tables.len(), 1);
-        assert_eq!(extra_tables[0].0, 120.0f64.to_bits());
+        let radii: Vec<u64> = tables.iter().map(|(bits, _)| *bits).collect();
+        assert_eq!(
+            radii,
+            vec![50.0f64.to_bits(), 120.0f64.to_bits()],
+            "the game's radius leads, the extra radius follows"
+        );
     }
 
     #[test]

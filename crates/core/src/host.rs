@@ -622,8 +622,10 @@ mod tests {
                 matrix_geometry::build_overlap(&map, 50.0, matrix_geometry::Metric::Euclidean);
             let tables = CoordReply::Tables {
                 epoch: 1,
-                table: overlap.table_for(ServerId(1)).unwrap().clone(),
-                extra_tables: Vec::new(),
+                tables: vec![(
+                    overlap.radius().to_bits(),
+                    overlap.table_for(ServerId(1)).unwrap().clone(),
+                )],
                 map,
             };
             step(h, 701, HostInput::Coord(tables));

@@ -73,8 +73,7 @@
 //!     map.range_of(ServerId(1)).unwrap(), 50.0, Metric::Euclidean);
 //! s1.on_coord(SimTime::ZERO, CoordReply::Tables {
 //!     epoch: 1,
-//!     table: overlap.table_for(ServerId(1)).unwrap().clone(),
-//!     extra_tables: vec![],
+//!     tables: vec![(50f64.to_bits(), overlap.table_for(ServerId(1)).unwrap().clone())],
 //!     map: map.clone(),
 //! });
 //!

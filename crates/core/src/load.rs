@@ -53,11 +53,6 @@ impl LoadTracker {
         self.reports += 1;
     }
 
-    /// Most recent report, if any arrived yet.
-    pub fn last(&self) -> Option<&LoadReport> {
-        self.last.as_ref()
-    }
-
     /// Client count from the most recent report (0 before the first).
     pub fn clients(&self) -> u32 {
         self.last.as_ref().map_or(0, |r| r.clients)

@@ -490,8 +490,6 @@ pub enum MatrixToGame {
 pub struct LoadSnapshot {
     /// Client count.
     pub clients: u32,
-    /// Queue backlog.
-    pub queue_backlog: f64,
     /// Whether this server has live children of its own.
     pub has_children: bool,
 }
@@ -688,14 +686,14 @@ pub enum CoordMsg {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CoordReply {
     /// Fresh overlap tables after a topology change. Each server receives
-    /// its own table plus the partition directory for owner lookups.
+    /// its own tables plus the partition directory for owner lookups.
     Tables {
         /// Monotone epoch of the recomputation.
         epoch: u64,
-        /// This server's overlap table for the primary radius.
-        table: OverlapTable,
-        /// Tables for additional registered radii, keyed by radius bits.
-        extra_tables: Vec<(u64, OverlapTable)>,
+        /// This server's overlap table for every registered radius, keyed
+        /// by the radius's bits: the game's radius first, then each
+        /// `RegisterRadius` in arrival order.
+        tables: Vec<(u64, OverlapTable)>,
         /// Snapshot of the full partition map (the directory).
         map: PartitionMap,
     },
@@ -796,7 +794,6 @@ mod tests {
     fn load_snapshot_is_copy() {
         let s = LoadSnapshot {
             clients: 10,
-            queue_backlog: 1.0,
             has_children: false,
         };
         let t = s;

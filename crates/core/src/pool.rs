@@ -72,11 +72,6 @@ impl ResourcePool {
         self
     }
 
-    /// Tags (or re-tags) one server's zone.
-    pub fn set_zone(&mut self, server: ServerId, zone: u32) {
-        self.zones.insert(server, zone);
-    }
-
     /// The zone a server is tagged with, if any.
     pub fn zone_of(&self, server: ServerId) -> Option<u32> {
         self.zones.get(&server).copied()
@@ -98,12 +93,13 @@ impl ResourcePool {
     }
 
     /// Handles an acquire/release message, producing the reply (if any).
-    /// Standby acquisitions use the requester's zone tag (when known)
-    /// to prefer a spare in a different failure domain.
+    /// This is the pool's one entry point: every allocation names its
+    /// requester, whose zone tag (when known) steers a standby grant to a
+    /// different failure domain.
     pub fn handle(&mut self, msg: PoolMsg) -> Option<PoolReply> {
         match msg {
             PoolMsg::Acquire { requester, purpose } => {
-                Some(self.acquire_placed(purpose, Some(requester)))
+                Some(self.acquire_placed(purpose, requester))
             }
             PoolMsg::Release { server } => {
                 self.release(server);
@@ -112,33 +108,18 @@ impl ResourcePool {
         }
     }
 
-    /// Allocates the lowest-numbered spare for a split, or denies.
-    pub fn acquire(&mut self) -> PoolReply {
-        self.acquire_placed(PoolPurpose::Split, None)
-    }
-
-    /// Allocates the lowest-numbered spare for `purpose`, or denies —
-    /// with no placement preference (requester unknown). The purpose is
-    /// echoed in the reply so a requester with both a split and a
-    /// standby acquisition in flight can tell them apart.
-    pub fn acquire_for(&mut self, purpose: PoolPurpose) -> PoolReply {
-        self.acquire_placed(purpose, None)
-    }
-
-    /// Allocates a spare for `purpose`, applying the standby placement
-    /// policy: when the requester's zone is known, a standby grant
-    /// prefers the lowest-numbered spare *not* provably in that zone
-    /// (untagged spares qualify — they cannot be shown co-located),
-    /// falling back to any spare. Splits always take the lowest id:
-    /// a split target serves live load next to its parent anyway.
-    pub fn acquire_placed(
-        &mut self,
-        purpose: PoolPurpose,
-        requester: Option<ServerId>,
-    ) -> PoolReply {
-        let primary_zone = match (purpose, requester) {
-            (PoolPurpose::Standby, Some(r)) => self.zone_of(r),
-            _ => None,
+    /// Allocates a spare for `purpose`, or denies. The purpose is echoed
+    /// in the reply so a requester with both a split and a standby
+    /// acquisition in flight can tell them apart. Standby placement: when
+    /// the requester's zone is known, a standby grant prefers the
+    /// lowest-numbered spare *not* provably in that zone (untagged spares
+    /// qualify — they cannot be shown co-located), falling back to any
+    /// spare. Splits always take the lowest id: a split target serves
+    /// live load next to its parent anyway.
+    fn acquire_placed(&mut self, purpose: PoolPurpose, requester: ServerId) -> PoolReply {
+        let primary_zone = match purpose {
+            PoolPurpose::Standby => self.zone_of(requester),
+            PoolPurpose::Split => None,
         };
         let preferred = primary_zone.and_then(|zone| {
             self.free
@@ -172,7 +153,7 @@ impl ResourcePool {
 
     /// Returns a server to the pool. Unknown ids are tolerated (a release
     /// can race a failure declaration) but not double-counted.
-    pub fn release(&mut self, server: ServerId) {
+    fn release(&mut self, server: ServerId) {
         if self.allocated.remove(&server) {
             self.free.insert(server);
             self.stats.releases += 1;
@@ -184,25 +165,39 @@ impl ResourcePool {
 mod tests {
     use super::*;
 
+    /// One acquisition through the pool's message interface.
+    fn acquire(pool: &mut ResourcePool, requester: u32, purpose: PoolPurpose) -> PoolReply {
+        pool.handle(PoolMsg::Acquire {
+            requester: ServerId(requester),
+            purpose,
+        })
+        .expect("an acquisition is always answered")
+    }
+
+    /// One release through the pool's message interface.
+    fn release(pool: &mut ResourcePool, server: ServerId) {
+        assert_eq!(pool.handle(PoolMsg::Release { server }), None);
+    }
+
     #[test]
     fn grants_until_exhausted() {
         let mut pool = ResourcePool::with_capacity(10, 2);
         assert_eq!(
-            pool.acquire(),
+            acquire(&mut pool, 1, PoolPurpose::Split),
             PoolReply::Grant {
                 server: ServerId(10),
                 purpose: PoolPurpose::Split,
             }
         );
         assert_eq!(
-            pool.acquire_for(PoolPurpose::Standby),
+            acquire(&mut pool, 1, PoolPurpose::Standby),
             PoolReply::Grant {
                 server: ServerId(11),
                 purpose: PoolPurpose::Standby,
             }
         );
         assert_eq!(
-            pool.acquire(),
+            acquire(&mut pool, 1, PoolPurpose::Split),
             PoolReply::Denied {
                 purpose: PoolPurpose::Split
             }
@@ -216,13 +211,13 @@ mod tests {
     #[test]
     fn release_recycles_servers() {
         let mut pool = ResourcePool::with_capacity(10, 1);
-        let PoolReply::Grant { server, .. } = pool.acquire() else {
+        let PoolReply::Grant { server, .. } = acquire(&mut pool, 1, PoolPurpose::Split) else {
             panic!()
         };
-        pool.release(server);
+        release(&mut pool, server);
         assert_eq!(pool.available(), 1);
         assert_eq!(
-            pool.acquire(),
+            acquire(&mut pool, 1, PoolPurpose::Split),
             PoolReply::Grant {
                 server,
                 purpose: PoolPurpose::Split
@@ -233,11 +228,11 @@ mod tests {
     #[test]
     fn double_release_is_idempotent() {
         let mut pool = ResourcePool::with_capacity(1, 1);
-        let PoolReply::Grant { server, .. } = pool.acquire() else {
+        let PoolReply::Grant { server, .. } = acquire(&mut pool, 9, PoolPurpose::Split) else {
             panic!()
         };
-        pool.release(server);
-        pool.release(server);
+        release(&mut pool, server);
+        release(&mut pool, server);
         assert_eq!(pool.stats().releases, 1);
         assert_eq!(pool.available(), 1);
     }
@@ -245,7 +240,7 @@ mod tests {
     #[test]
     fn release_of_unknown_server_is_ignored() {
         let mut pool = ResourcePool::with_capacity(1, 1);
-        pool.release(ServerId(99));
+        release(&mut pool, ServerId(99));
         assert_eq!(pool.available(), 1);
         assert_eq!(pool.stats().releases, 0);
     }
@@ -258,31 +253,23 @@ mod tests {
             (ServerId(10), 0),
             (ServerId(11), 1),
         ]);
-        let reply = pool.handle(PoolMsg::Acquire {
-            requester: ServerId(1),
-            purpose: PoolPurpose::Standby,
-        });
         assert_eq!(
-            reply,
-            Some(PoolReply::Grant {
+            acquire(&mut pool, 1, PoolPurpose::Standby),
+            PoolReply::Grant {
                 server: ServerId(11),
                 purpose: PoolPurpose::Standby,
-            }),
+            },
             "the zone-1 spare is preferred over the lower-numbered zone-0 one"
         );
         assert_eq!(pool.stats().cross_zone_grants, 1);
 
         // Only the co-zoned spare remains: fall back rather than deny.
-        let reply = pool.handle(PoolMsg::Acquire {
-            requester: ServerId(1),
-            purpose: PoolPurpose::Standby,
-        });
         assert_eq!(
-            reply,
-            Some(PoolReply::Grant {
+            acquire(&mut pool, 1, PoolPurpose::Standby),
+            PoolReply::Grant {
                 server: ServerId(10),
                 purpose: PoolPurpose::Standby,
-            }),
+            },
             "a co-located standby still beats none"
         );
         assert_eq!(pool.stats().cross_zone_grants, 1);
@@ -296,16 +283,12 @@ mod tests {
             (ServerId(10), 0),
             (ServerId(11), 1),
         ]);
-        let reply = pool.handle(PoolMsg::Acquire {
-            requester: ServerId(1),
-            purpose: PoolPurpose::Split,
-        });
         assert_eq!(
-            reply,
-            Some(PoolReply::Grant {
+            acquire(&mut pool, 1, PoolPurpose::Split),
+            PoolReply::Grant {
                 server: ServerId(10),
                 purpose: PoolPurpose::Split,
-            }),
+            },
             "splits take the lowest id regardless of zones"
         );
     }
@@ -317,16 +300,12 @@ mod tests {
         // but not counted as a confirmed cross-zone placement.
         let mut pool =
             ResourcePool::with_capacity(10, 2).with_zones([(ServerId(1), 3), (ServerId(10), 3)]);
-        let reply = pool.handle(PoolMsg::Acquire {
-            requester: ServerId(1),
-            purpose: PoolPurpose::Standby,
-        });
         assert_eq!(
-            reply,
-            Some(PoolReply::Grant {
+            acquire(&mut pool, 1, PoolPurpose::Standby),
+            PoolReply::Grant {
                 server: ServerId(11),
                 purpose: PoolPurpose::Standby,
-            })
+            }
         );
         assert_eq!(
             pool.stats().cross_zone_grants,
@@ -334,28 +313,23 @@ mod tests {
             "zone unknown, not counted"
         );
         // An untagged primary gets no preference at all.
-        pool.release(ServerId(11));
-        let reply = pool.handle(PoolMsg::Acquire {
-            requester: ServerId(99),
-            purpose: PoolPurpose::Standby,
-        });
+        release(&mut pool, ServerId(11));
         assert_eq!(
-            reply,
-            Some(PoolReply::Grant {
+            acquire(&mut pool, 99, PoolPurpose::Standby),
+            PoolReply::Grant {
                 server: ServerId(10),
                 purpose: PoolPurpose::Standby,
-            })
+            }
         );
     }
 
     #[test]
     fn zone_tags_survive_release_cycles() {
-        let mut pool = ResourcePool::with_capacity(10, 1);
-        pool.set_zone(ServerId(10), 7);
-        let PoolReply::Grant { server, .. } = pool.acquire() else {
+        let mut pool = ResourcePool::with_capacity(10, 1).with_zones([(ServerId(10), 7)]);
+        let PoolReply::Grant { server, .. } = acquire(&mut pool, 1, PoolPurpose::Split) else {
             panic!()
         };
-        pool.release(server);
+        release(&mut pool, server);
         assert_eq!(pool.zone_of(ServerId(10)), Some(7));
     }
 

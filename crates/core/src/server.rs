@@ -19,8 +19,7 @@ use crate::messages::{
 };
 use crate::packet::{ClientId, GamePacket};
 use matrix_geometry::{
-    consistency_set_from_rects, Metric, OverlapTable, PartitionIndex, PartitionMap, Point, Rect,
-    ServerId,
+    consistency_set, Metric, OverlapTable, PartitionIndex, PartitionMap, Point, Rect, ServerId,
 };
 use matrix_sim::SimTime;
 use matrix_telemetry::TelemetrySnapshot;
@@ -115,8 +114,9 @@ pub struct MatrixServer {
     /// reclaim candidates.
     child_ranges: BTreeMap<ServerId, Rect>,
     epoch: u64,
-    table: Option<OverlapTable>,
-    extra_tables: BTreeMap<u64, OverlapTable>,
+    /// The coordinator's last push: an overlap table per registered
+    /// radius, keyed by radius bits, the game's radius first.
+    tables: Vec<(u64, OverlapTable)>,
     map: Option<PartitionMap>,
     /// Grid index over `map` for O(1) owner resolution.
     map_index: Option<PartitionIndex>,
@@ -159,8 +159,7 @@ impl MatrixServer {
             child_load: BTreeMap::new(),
             child_ranges: BTreeMap::new(),
             epoch: 0,
-            table: None,
-            extra_tables: BTreeMap::new(),
+            tables: Vec::new(),
             map: None,
             map_index: None,
             load: LoadTracker::new(),
@@ -363,7 +362,6 @@ impl MatrixServer {
     fn load_snapshot(&self) -> LoadSnapshot {
         LoadSnapshot {
             clients: self.load.clients(),
-            queue_backlog: self.load.last().map_or(0.0, |r| r.queue_backlog),
             has_children: !self.children.is_empty(),
         }
     }
@@ -382,8 +380,9 @@ impl MatrixServer {
         }
         let origin = pkt.tag.origin;
         let set: Vec<ServerId> = match pkt.tag.radius_override {
-            None => match &self.table {
-                Some(t) => t.lookup(origin).to_vec(),
+            // The game radius's table leads every push.
+            None => match self.tables.first() {
+                Some((_, table)) => table.lookup(origin).to_vec(),
                 None => {
                     self.stats.routed_without_table += 1;
                     Vec::new()
@@ -391,71 +390,68 @@ impl MatrixServer {
             },
             Some(r) => {
                 self.stats.override_routes += 1;
-                self.set_for_radius(origin, r)
+                match self.tables.iter().find(|(bits, _)| *bits == r.to_bits()) {
+                    Some((_, table)) => table.lookup(origin).to_vec(),
+                    None => self.exact_set(origin, r).unwrap_or_default(),
+                }
             }
         };
         let mut out = Vec::with_capacity(set.len());
         for peer in set {
-            if peer == self.id {
-                continue;
+            if peer != self.id {
+                out.push(self.send_update(peer, &pkt));
             }
-            self.stats.peer_updates_out += 1;
-            self.stats.bytes_to_peers += pkt.wire_size() as u64;
-            out.push(Action::ToPeer(peer, PeerMsg::Update(pkt.clone())));
         }
         out
     }
 
-    /// Consistency set for a packet with a radius override: served from the
-    /// override's dedicated table when the coordinator built one, otherwise
-    /// computed exactly from the cached directory.
-    fn set_for_radius(&mut self, origin: Point, radius: f64) -> Vec<ServerId> {
-        if let Some(t) = self.extra_tables.get(&radius.to_bits()) {
-            return t.lookup(origin).to_vec();
-        }
-        match &self.map {
-            Some(map) => {
-                let parts: Vec<(ServerId, Rect)> = map.iter().collect();
-                consistency_set_from_rects(&parts, origin, self.id, radius, self.metric)
+    /// Equation 1 on the installed directory, for a set no table answers:
+    /// a radius with no registered table, or a non-proximal event's
+    /// destination. `None` before the first directory arrives.
+    fn exact_set(&self, point: Point, radius: f64) -> Option<Vec<ServerId>> {
+        let map = self.map.as_ref()?;
+        Some(consistency_set(map, point, self.id, radius, self.metric))
+    }
+
+    /// Sends `pkt` to `peer` as a consistency update, counting it: the
+    /// one place a peer update leaves this server.
+    fn send_update(&mut self, peer: ServerId, pkt: &GamePacket) -> Action {
+        self.stats.peer_updates_out += 1;
+        self.stats.bytes_to_peers += pkt.wire_size() as u64;
+        Action::ToPeer(peer, PeerMsg::Update(pkt.clone()))
+    }
+
+    /// Delivers a non-proximal update to `set` and to the destination's
+    /// `owner`: a peer update to each other server, a local delivery
+    /// where that is this one.
+    fn deliver_non_proximal(
+        &mut self,
+        pkt: GamePacket,
+        mut set: Vec<ServerId>,
+        owner: Option<ServerId>,
+    ) -> Vec<Action> {
+        if let Some(o) = owner {
+            if !set.contains(&o) {
+                set.push(o);
             }
-            // No directory yet: fall back to the primary table. For
-            // overrides below the primary radius this is conservative
-            // (a superset); for larger ones some peers may be missed until
-            // tables arrive.
-            None => self
-                .table
-                .as_ref()
-                .map(|t| t.lookup(origin).to_vec())
-                .unwrap_or_default(),
         }
+        set.into_iter()
+            .map(|peer| {
+                if peer == self.id {
+                    Action::ToGame(MatrixToGame::Deliver(pkt.clone()))
+                } else {
+                    self.send_update(peer, &pkt)
+                }
+            })
+            .collect()
     }
 
     fn route_non_proximal(&mut self, pkt: GamePacket, dest: Point) -> Vec<Action> {
         let radius = pkt.tag.radius_override.unwrap_or(self.radius);
-        if let Some(map) = &self.map {
+        if let Some(set) = self.exact_set(dest, radius) {
             self.stats.local_resolves += 1;
-            let owner = self
-                .map_index
-                .as_ref()
-                .and_then(|i| i.owner_of(dest))
-                .or_else(|| map.owner_of(dest));
-            let parts: Vec<(ServerId, Rect)> = map.iter().collect();
-            let mut set = consistency_set_from_rects(&parts, dest, self.id, radius, self.metric);
-            if let Some(o) = owner {
-                if o != self.id && !set.contains(&o) {
-                    set.push(o);
-                }
-            }
-            let mut out = Vec::new();
-            for peer in set {
-                self.stats.peer_updates_out += 1;
-                self.stats.bytes_to_peers += pkt.wire_size() as u64;
-                out.push(Action::ToPeer(peer, PeerMsg::Update(pkt.clone())));
-            }
-            if owner == Some(self.id) {
-                out.push(Action::ToGame(MatrixToGame::Deliver(pkt)));
-            }
-            return out;
+            let owner = self.map_index.as_ref().and_then(|i| i.owner_of(dest));
+            return self.deliver_non_proximal(pkt, set, owner);
         }
         // No directory yet (before the first table push): ask the MC for
         // the consistency set of this particular interaction (§3.2.4).
@@ -612,11 +608,7 @@ impl MatrixServer {
                 // coordinator watches standby heartbeats too.
                 vec![
                     Action::ToGame(MatrixToGame::ReplicaReset),
-                    Action::ToCoord(CoordMsg::Heartbeat {
-                        server: self.id,
-                        epoch: self.epoch,
-                        telemetry: None,
-                    }),
+                    self.heartbeat(None),
                 ]
             }
             PeerMsg::StandbyRelease { primary } => {
@@ -675,38 +667,27 @@ impl MatrixServer {
             // a stale retry; ignore it.
             return Vec::new();
         }
-        // A retired server's id can be handed out again by the pool; wipe
-        // every trace of its previous life before adopting.
-        self.children.clear();
-        self.child_load.clear();
-        self.child_ranges.clear();
-        self.load = LoadTracker::new();
-        self.pending_pool = false;
-        self.pending_reclaim = None;
-        self.pending_resolves.clear();
-        self.table = None;
-        self.extra_tables.clear();
-        self.standby = None;
-        self.pending_standby = false;
-        self.standby_retry_at = None;
-        self.standby_for = None;
-        self.lifecycle = Lifecycle::Active;
-        self.parent = Some(parent);
-        self.range = Some(range);
-        self.radius = radius;
-        self.metric = metric;
-        self.epoch = epoch;
+        // A retired server's id can be handed out again by the pool: start
+        // from a fresh server, keeping only its identity, the directory
+        // cache, the heartbeat clock, undelivered telemetry and the
+        // counters.
+        *self = MatrixServer {
+            parent: Some(parent),
+            epoch,
+            map: self.map.take(),
+            map_index: self.map_index.take(),
+            last_heartbeat: self.last_heartbeat,
+            pending_telemetry: self.pending_telemetry.take(),
+            stats: self.stats,
+            ..MatrixServer::with_range(self.id, self.cfg, range, radius, metric)
+        };
         // A fresh child must not immediately split or be reclaimed.
         self.cooldown.arm(now, &self.cfg);
         vec![
             Action::ToGame(MatrixToGame::ReplicaReset),
             Action::ToGame(MatrixToGame::SetRange { range, radius }),
             Action::ToPeer(parent, PeerMsg::AdoptAck { child: self.id }),
-            Action::ToCoord(CoordMsg::Heartbeat {
-                server: self.id,
-                epoch: self.epoch,
-                telemetry: None,
-            }),
+            self.heartbeat(None),
         ]
     }
 
@@ -792,18 +773,12 @@ impl MatrixServer {
     /// Handles a reply from the coordinator.
     pub fn on_coord(&mut self, _now: SimTime, msg: CoordReply) -> Vec<Action> {
         match msg {
-            CoordReply::Tables {
-                epoch,
-                table,
-                extra_tables,
-                map,
-            } => {
+            CoordReply::Tables { epoch, tables, map } => {
                 if epoch < self.epoch {
                     return Vec::new(); // stale recomputation in flight
                 }
                 self.epoch = epoch;
-                self.table = Some(table);
-                self.extra_tables = extra_tables.into_iter().collect();
+                self.tables = tables;
                 self.map_index = Some(PartitionIndex::build_auto(&map));
                 self.map = Some(map);
                 Vec::new()
@@ -857,11 +832,7 @@ impl MatrixServer {
         self.cooldown.arm(now, &self.cfg);
         vec![
             Action::ToGame(MatrixToGame::Promote { range, radius }),
-            Action::ToCoord(CoordMsg::Heartbeat {
-                server: self.id,
-                epoch: self.epoch,
-                telemetry: None,
-            }),
+            self.heartbeat(None),
         ]
     }
 
@@ -873,40 +844,20 @@ impl MatrixServer {
         set: Vec<ServerId>,
     ) -> Vec<Action> {
         let mut out = Vec::new();
-        let mut remaining = Vec::new();
-        for pending in self.pending_resolves.drain(..) {
-            if pending.client == client && pending.point == point {
-                match pending.packet {
-                    Some(pkt) => {
-                        let mut targets = set.clone();
-                        if let Some(o) = owner {
-                            if !targets.contains(&o) {
-                                targets.push(o);
-                            }
-                        }
-                        for peer in targets {
-                            if peer == self.id {
-                                out.push(Action::ToGame(MatrixToGame::Deliver(pkt.clone())));
-                            } else {
-                                self.stats.peer_updates_out += 1;
-                                self.stats.bytes_to_peers += pkt.wire_size() as u64;
-                                out.push(Action::ToPeer(peer, PeerMsg::Update(pkt.clone())));
-                            }
-                        }
-                    }
-                    None => {
-                        out.push(Action::ToGame(MatrixToGame::Owner {
-                            client,
-                            point,
-                            owner,
-                        }));
-                    }
-                }
-            } else {
-                remaining.push(pending);
+        for pending in std::mem::take(&mut self.pending_resolves) {
+            if pending.client != client || pending.point != point {
+                self.pending_resolves.push(pending);
+                continue;
+            }
+            match pending.packet {
+                Some(pkt) => out.extend(self.deliver_non_proximal(pkt, set.clone(), owner)),
+                None => out.push(Action::ToGame(MatrixToGame::Owner {
+                    client,
+                    point,
+                    owner,
+                })),
             }
         }
-        self.pending_resolves = remaining;
         out
     }
 
@@ -1034,6 +985,28 @@ impl MatrixServer {
 
     // -- timer input ----------------------------------------------------------
 
+    /// A liveness heartbeat carrying the installed table epoch, so the
+    /// coordinator can re-push lost tables, and any telemetry given.
+    fn heartbeat(&self, telemetry: Option<Box<TelemetrySnapshot>>) -> Action {
+        Action::ToCoord(CoordMsg::Heartbeat {
+            server: self.id,
+            epoch: self.epoch,
+            telemetry,
+        })
+    }
+
+    /// Whether the periodic heartbeat is due at `now`; if it is, its
+    /// interval restarts.
+    fn heartbeat_due(&mut self, now: SimTime) -> bool {
+        let due = self
+            .last_heartbeat
+            .is_none_or(|t| now.since(t) >= self.cfg.heartbeat_every);
+        if due {
+            self.last_heartbeat = Some(now);
+        }
+        due
+    }
+
     /// Periodic tick: heartbeats, child load pushes, standby pairing and
     /// adaptation checks that must not depend on load-report arrival
     /// alone.
@@ -1041,32 +1014,15 @@ impl MatrixServer {
         if self.lifecycle != Lifecycle::Active {
             // Idle standbys heartbeat too: the coordinator must notice a
             // dead standby so the primary can re-pair.
-            if self.standby_for.is_some() {
-                let due = self
-                    .last_heartbeat
-                    .is_none_or(|t| now.since(t) >= self.cfg.heartbeat_every);
-                if due {
-                    self.last_heartbeat = Some(now);
-                    return vec![Action::ToCoord(CoordMsg::Heartbeat {
-                        server: self.id,
-                        epoch: self.epoch,
-                        telemetry: None,
-                    })];
-                }
+            if self.standby_for.is_some() && self.heartbeat_due(now) {
+                return vec![self.heartbeat(None)];
             }
             return Vec::new();
         }
         let mut out = Vec::new();
-        let due = self
-            .last_heartbeat
-            .is_none_or(|t| now.since(t) >= self.cfg.heartbeat_every);
-        if due {
-            self.last_heartbeat = Some(now);
-            out.push(Action::ToCoord(CoordMsg::Heartbeat {
-                server: self.id,
-                epoch: self.epoch,
-                telemetry: self.pending_telemetry.take(),
-            }));
+        if self.heartbeat_due(now) {
+            let telemetry = self.pending_telemetry.take();
+            out.push(self.heartbeat(telemetry));
             if let Some(parent) = self.parent {
                 out.push(Action::ToPeer(
                     parent,
@@ -1138,8 +1094,7 @@ mod tests {
                 SimTime::ZERO,
                 CoordReply::Tables {
                     epoch: 1,
-                    table: overlap.table_for(s.id()).unwrap().clone(),
-                    extra_tables: Vec::new(),
+                    tables: vec![(50f64.to_bits(), overlap.table_for(s.id()).unwrap().clone())],
                     map: map.clone(),
                 },
             );
@@ -1375,7 +1330,6 @@ mod tests {
             ServerId(7),
             PeerMsg::LoadStatus(LoadSnapshot {
                 clients: 10,
-                queue_backlog: 0.0,
                 has_children: false,
             }),
         );
@@ -1542,8 +1496,10 @@ mod tests {
         let overlap = build_overlap(&map, 50.0, Metric::Euclidean);
         let stale = CoordReply::Tables {
             epoch: 0,
-            table: overlap.table_for(ServerId(1)).unwrap().clone(),
-            extra_tables: Vec::new(),
+            tables: vec![(
+                50f64.to_bits(),
+                overlap.table_for(ServerId(1)).unwrap().clone(),
+            )],
             map: map.clone(),
         };
         s1.on_coord(SimTime::ZERO, stale);

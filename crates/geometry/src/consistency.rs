@@ -6,13 +6,14 @@
 //! comes within the radius of visibility `R` of σ. An update at σ must be
 //! applied at σ's owner and at every member of `C(σ)`.
 //!
-//! The functions here are the brute-force ground truth (`O(N)` in the number
-//! of servers). The forwarding path never calls them — it uses the
-//! precomputed [`crate::OverlapTable`] — but tests verify the table against
-//! this definition, and the Matrix Coordinator falls back to it for
-//! non-proximal interactions.
+//! [`consistency_set`] is the brute-force ground truth (`O(N)` in the number
+//! of servers). Ordinary forwarding uses the precomputed
+//! [`crate::OverlapTable`] instead, and tests verify the table against this
+//! definition. It answers what no table covers: the coordinator's point
+//! resolutions, and a Matrix server's sets for a non-proximal event or a
+//! radius no table was built for, computed on its copy of the directory.
 
-use crate::{Metric, PartitionMap, Point, Rect, ServerId};
+use crate::{Metric, PartitionMap, Point, ServerId};
 
 /// Computes `C(σ)` exactly from a partition map.
 ///
@@ -35,28 +36,10 @@ pub fn consistency_set(
         .collect()
 }
 
-/// Like [`consistency_set`] but over a raw `(server, rect)` slice, for
-/// callers (the coordinator) that keep their own registry representation.
-pub fn consistency_set_from_rects(
-    parts: &[(ServerId, Rect)],
-    origin: Point,
-    owner: ServerId,
-    radius: f64,
-    metric: Metric,
-) -> Vec<ServerId> {
-    let mut out: Vec<ServerId> = parts
-        .iter()
-        .filter(|(s, r)| *s != owner && r.distance_to(origin, metric) <= radius)
-        .map(|(s, _)| *s)
-        .collect();
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SplitStrategy;
+    use crate::{Rect, SplitStrategy};
 
     /// World [0,400]², S1 right half [200..400], S2 left half [0..200].
     fn two_way() -> PartitionMap {
@@ -200,19 +183,5 @@ mod tests {
             Metric::Chebyshev,
         );
         assert_eq!(c.len(), 3, "L∞ ball of 10 touches all quadrants: {c:?}");
-    }
-
-    #[test]
-    fn from_rects_matches_map_variant() {
-        let map = two_way();
-        let rects: Vec<(ServerId, Rect)> = map.iter().collect();
-        for x in [10.0, 150.0, 199.0, 201.0, 390.0] {
-            let p = Point::new(x, 77.0);
-            let owner = map.owner_of(p).unwrap();
-            assert_eq!(
-                consistency_set(&map, p, owner, 25.0, Metric::Euclidean),
-                consistency_set_from_rects(&rects, p, owner, 25.0, Metric::Euclidean),
-            );
-        }
     }
 }

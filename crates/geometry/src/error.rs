@@ -13,6 +13,8 @@ pub enum GeometryError {
     Unsplittable(ServerId),
     /// The two partitions do not share a full edge and cannot be merged.
     NotMergeable(ServerId, ServerId),
+    /// The pieces of a recorded split do not tile the owner's partition.
+    SplitMismatch(ServerId),
 }
 
 impl std::fmt::Display for GeometryError {
@@ -25,6 +27,9 @@ impl std::fmt::Display for GeometryError {
             }
             GeometryError::NotMergeable(a, b) => {
                 write!(f, "partitions of {a} and {b} do not tile a rectangle")
+            }
+            GeometryError::SplitMismatch(s) => {
+                write!(f, "split pieces do not tile the partition owned by {s}")
             }
         }
     }

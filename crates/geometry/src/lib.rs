@@ -45,7 +45,7 @@ mod point;
 mod rect;
 mod split;
 
-pub use consistency::{consistency_set, consistency_set_from_rects};
+pub use consistency::consistency_set;
 pub use error::GeometryError;
 pub use index::PartitionIndex;
 pub use overlap::{build_overlap, OverlapMap, OverlapRegion, OverlapTable};

@@ -5,13 +5,21 @@
 //! Si" (§3.1). The number of servers and each server's range change
 //! dynamically through splits and reclamations; this module maintains that
 //! assignment and its invariants.
+//!
+//! Every edit of the directory is one checked operation here: a split
+//! ([`PartitionMap::split`] picks the cut, [`PartitionMap::cut`] records
+//! it), a merge ([`PartitionMap::reclaim`], also used when a neighbour
+//! absorbs a dead server's range) and a promotion
+//! ([`PartitionMap::rename`]). Each checks only the partitions it touches
+//! and reports a mismatch as an error, so the map stays valid without a
+//! whole-map re-check.
 
 use crate::{GeometryError, Point, Rect, ServerId, SplitStrategy};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Result of a successful split: which rectangle was handed off and which
-/// was kept.
+/// The two pieces of a split: which rectangle is handed off and which is
+/// kept.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitOutcome {
     /// Rectangle transferred to the new server.
@@ -40,25 +48,6 @@ impl PartitionMap {
         let mut parts = BTreeMap::new();
         parts.insert(initial, world);
         PartitionMap { world, parts }
-    }
-
-    /// Reconstructs a map from explicit `(server, rect)` assignments,
-    /// validating the partition invariants.
-    ///
-    /// Used by the coordinator to mirror splits that peers performed
-    /// locally. Returns `None` when the parts overlap, escape the world, or
-    /// fail to cover it.
-    pub fn from_parts(
-        world: Rect,
-        parts: impl IntoIterator<Item = (ServerId, Rect)>,
-    ) -> Option<PartitionMap> {
-        let parts: BTreeMap<ServerId, Rect> = parts.into_iter().collect();
-        if parts.is_empty() {
-            return None;
-        }
-        let map = PartitionMap { world, parts };
-        map.validate().ok()?;
-        Some(map)
     }
 
     /// The world rectangle `Z`.
@@ -113,7 +102,8 @@ impl PartitionMap {
             .map(|(s, _)| *s)
     }
 
-    /// Splits the partition of `owner`, handing one piece to `new_server`.
+    /// Splits the partition of `owner`, handing one piece to `new_server`:
+    /// the strategy decides the cut, [`PartitionMap::cut`] records it.
     ///
     /// `clients` are the positions currently on `owner` (used only by
     /// load-aware strategies).
@@ -121,8 +111,8 @@ impl PartitionMap {
     /// # Errors
     ///
     /// * [`GeometryError::UnknownServer`] if `owner` has no partition;
-    /// * [`GeometryError::ServerExists`] if `new_server` already owns one;
-    /// * [`GeometryError::Unsplittable`] if the rectangle cannot be cut.
+    /// * [`GeometryError::Unsplittable`] if the rectangle cannot be cut;
+    /// * [`GeometryError::ServerExists`] if `new_server` already owns one.
     pub fn split(
         &mut self,
         owner: ServerId,
@@ -131,22 +121,52 @@ impl PartitionMap {
         clients: &[Point],
     ) -> Result<SplitOutcome, GeometryError> {
         let rect = self
-            .parts
-            .get(&owner)
-            .copied()
+            .range_of(owner)
+            .ok_or(GeometryError::UnknownServer(owner))?;
+        let (given, kept) = strategy
+            .split(&rect, clients)
+            .ok_or(GeometryError::Unsplittable(owner))?;
+        let outcome = SplitOutcome { given, kept };
+        self.cut(owner, new_server, outcome)?;
+        Ok(outcome)
+    }
+
+    /// Records a split already decided: `owner` keeps `cut.kept` and
+    /// `new_server` takes `cut.given`. The coordinator mirrors a split a
+    /// server reports through this, so the pieces are checked, not
+    /// trusted.
+    ///
+    /// # Errors
+    ///
+    /// * [`GeometryError::UnknownServer`] if `owner` has no partition;
+    /// * [`GeometryError::ServerExists`] if `new_server` already owns one;
+    /// * [`GeometryError::SplitMismatch`] unless both pieces have area and
+    ///   together tile exactly `owner`'s current partition.
+    pub fn cut(
+        &mut self,
+        owner: ServerId,
+        new_server: ServerId,
+        cut: SplitOutcome,
+    ) -> Result<(), GeometryError> {
+        let rect = self
+            .range_of(owner)
             .ok_or(GeometryError::UnknownServer(owner))?;
         if self.parts.contains_key(&new_server) {
             return Err(GeometryError::ServerExists(new_server));
         }
-        let (given, kept) = strategy
-            .split(&rect, clients)
-            .ok_or(GeometryError::Unsplittable(owner))?;
-        self.parts.insert(owner, kept);
-        self.parts.insert(new_server, given);
-        Ok(SplitOutcome { given, kept })
+        let tiles = cut.kept.merges_with(&cut.given) == Some(rect)
+            && !cut.kept.is_degenerate()
+            && !cut.given.is_degenerate();
+        if !tiles {
+            return Err(GeometryError::SplitMismatch(owner));
+        }
+        self.parts.insert(owner, cut.kept);
+        self.parts.insert(new_server, cut.given);
+        Ok(())
     }
 
-    /// Merges `child`'s partition back into `parent` (a reclamation).
+    /// Merges `child`'s partition into `parent`'s: a reclamation, or a
+    /// neighbour absorbing a dead or orphaned server's range.
     ///
     /// # Errors
     ///
@@ -172,14 +192,24 @@ impl PartitionMap {
         Ok(merged)
     }
 
-    /// Transfers `victim`'s entire partition to `heir` by merging, used for
-    /// crash recovery when the failed server's neighbour absorbs its range.
+    /// Hands `from`'s partition, unchanged, to `to` — a promotion, where
+    /// a warm standby takes over its dead primary's range under its own id.
+    /// Returns the range.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PartitionMap::reclaim`].
-    pub fn absorb(&mut self, heir: ServerId, victim: ServerId) -> Result<Rect, GeometryError> {
-        self.reclaim(heir, victim)
+    /// * [`GeometryError::UnknownServer`] if `from` has no partition;
+    /// * [`GeometryError::ServerExists`] if `to` already owns one.
+    pub fn rename(&mut self, from: ServerId, to: ServerId) -> Result<Rect, GeometryError> {
+        let rect = self
+            .range_of(from)
+            .ok_or(GeometryError::UnknownServer(from))?;
+        if self.parts.contains_key(&to) {
+            return Err(GeometryError::ServerExists(to));
+        }
+        self.parts.remove(&from);
+        self.parts.insert(to, rect);
+        Ok(rect)
     }
 
     /// Servers whose partitions would merge cleanly with `server`'s.
@@ -293,6 +323,58 @@ mod tests {
             .split(ServerId(1), ServerId(2), &SplitStrategy::SplitToLeft, &[])
             .unwrap_err();
         assert_eq!(err, GeometryError::ServerExists(ServerId(2)));
+    }
+
+    #[test]
+    fn cut_records_a_reported_split() {
+        let mut map = PartitionMap::new(world(), ServerId(1));
+        let cut = SplitOutcome {
+            given: Rect::from_coords(0.0, 0.0, 400.0, 100.0),
+            kept: Rect::from_coords(0.0, 100.0, 400.0, 400.0),
+        };
+        map.cut(ServerId(1), ServerId(2), cut).unwrap();
+        assert_eq!(map.range_of(ServerId(1)), Some(cut.kept));
+        assert_eq!(map.range_of(ServerId(2)), Some(cut.given));
+        map.validate().unwrap();
+    }
+
+    #[test]
+    fn cut_rejects_pieces_that_do_not_tile_the_owner() {
+        let mut map = PartitionMap::new(world(), ServerId(1));
+        let before = map.clone();
+        let half = Rect::from_coords(0.0, 0.0, 200.0, 400.0);
+        for (given, kept) in [
+            // Tiles a smaller rectangle, not the owner's range.
+            (half, Rect::from_coords(200.0, 0.0, 300.0, 400.0)),
+            // A zero-width piece beside the whole range.
+            (Rect::from_coords(0.0, 0.0, 0.0, 400.0), world()),
+        ] {
+            let err = map
+                .cut(ServerId(1), ServerId(2), SplitOutcome { given, kept })
+                .unwrap_err();
+            assert_eq!(err, GeometryError::SplitMismatch(ServerId(1)));
+        }
+        assert_eq!(map, before, "a rejected cut leaves the map untouched");
+    }
+
+    #[test]
+    fn rename_hands_the_range_to_a_new_id() {
+        let mut map = PartitionMap::new(world(), ServerId(1));
+        map.split(ServerId(1), ServerId(2), &SplitStrategy::SplitToLeft, &[])
+            .unwrap();
+        let range = map.range_of(ServerId(2)).unwrap();
+        assert_eq!(map.rename(ServerId(2), ServerId(9)), Ok(range));
+        assert_eq!(map.range_of(ServerId(9)), Some(range));
+        assert!(!map.contains_server(ServerId(2)));
+        map.validate().unwrap();
+        assert_eq!(
+            map.rename(ServerId(9), ServerId(1)),
+            Err(GeometryError::ServerExists(ServerId(1)))
+        );
+        assert_eq!(
+            map.rename(ServerId(2), ServerId(3)),
+            Err(GeometryError::UnknownServer(ServerId(2)))
+        );
     }
 
     #[test]
