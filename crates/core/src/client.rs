@@ -6,7 +6,7 @@
 //! sends the trace acks `apply` appends and, after a switch, the
 //! [`ClientSession::rejoin`] that [`ClientSession::upload`] keeps current.
 
-use crate::messages::{reconstruct_updates, ClientToGame, GameToClient, UpdateItem};
+use crate::messages::{reconstruct_counting_keyframes, ClientToGame, GameToClient, UpdateItem};
 use matrix_geometry::{Point, ServerId};
 use matrix_interest::{Extrapolator, ANON_ENTITY};
 use matrix_sim::SimTime;
@@ -38,7 +38,9 @@ pub struct ClientCounters {
     /// Server switches performed.
     pub switches: u64,
     /// Batches rejected because a delta item arrived with no base: the
-    /// base is dropped and the stream recovers on the next keyframe.
+    /// base is dropped and the stream recovers on the next keyframe. A
+    /// rejected batch counts in `batches` and `updates`, not in the
+    /// per-item counters above.
     pub desyncs: u64,
 }
 
@@ -165,19 +167,22 @@ impl ClientSession {
             // A singleton update is outside the batch stream and its base.
             GameToClient::Update { .. } => self.counters.updates += 1,
             GameToClient::UpdateBatch { updates } => {
-                let keyframes = updates.iter().filter(|i| i.origin.is_keyframe()).count();
                 self.counters.batches += 1;
                 self.counters.updates += updates.len() as u64;
-                self.counters.keyframes += keyframes as u64;
-                self.counters.deltas += (updates.len() - keyframes) as u64;
-                self.counters.far_items += updates.iter().filter(|i| i.ring > 0).count() as u64;
-                let applied = reconstruct_updates(&mut self.base, updates).unwrap_or_else(|| {
+                // One pass over the bytes; the loop below reads the
+                // items it produced.
+                let Some((applied, keyframes)) =
+                    reconstruct_counting_keyframes(&mut self.base, updates)
+                else {
                     self.base = None;
                     self.counters.desyncs += 1;
-                    Vec::new()
-                });
+                    return Vec::new();
+                };
+                self.counters.keyframes += keyframes;
+                self.counters.deltas += applied.len() as u64 - keyframes;
                 let at = now.as_secs_f64();
                 for u in &applied {
+                    self.counters.far_items += u64::from(u.ring > 0);
                     self.counters.velocity_items += u64::from(u.has_velocity());
                     if u.entity != ANON_ENTITY {
                         self.extrap.update(u.entity, u.origin, (u.vx, u.vy), at);
@@ -197,7 +202,7 @@ impl ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::BatchItem;
+    use crate::messages::{BatchItem, WireBatch};
     use matrix_interest::EncodedOrigin;
 
     fn item(origin: EncodedOrigin, entity: u64) -> BatchItem {
@@ -216,8 +221,10 @@ mod tests {
         item(EncodedOrigin::Absolute(Point::new(x, y)), entity)
     }
 
-    fn batch(updates: Vec<BatchItem>) -> GameToClient {
-        GameToClient::UpdateBatch { updates }
+    fn batch(items: &[BatchItem]) -> GameToClient {
+        GameToClient::UpdateBatch {
+            updates: WireBatch::from_items(items),
+        }
     }
 
     fn at(ms: u64) -> SimTime {
@@ -231,7 +238,7 @@ mod tests {
             vx: 10.0,
             ..keyframe(100.0, 100.0, 7)
         };
-        s.apply(at(0), &batch(vec![moving]), &mut Vec::new());
+        s.apply(at(0), &batch(&[moving]), &mut Vec::new());
         assert_eq!(s.last_update_origin(), Some(Point::new(100.0, 100.0)));
         assert_eq!(s.extrapolated_entities(), 1);
         s
@@ -331,7 +338,7 @@ mod tests {
         assert_eq!(s.counters().updates, 2);
         assert_eq!(s.last_update_origin(), Some(Point::new(100.0, 100.0)));
         // The next delta still chains off the batch stream's base.
-        let next = batch(vec![item(EncodedOrigin::Offset { dx: 1.0, dy: 0.0 }, 8)]);
+        let next = batch(&[item(EncodedOrigin::Offset { dx: 1.0, dy: 0.0 }, 8)]);
         let applied = s.apply(at(20), &next, &mut Vec::new());
         assert_eq!(applied[0].origin, Point::new(101.0, 100.0));
     }
@@ -347,7 +354,7 @@ mod tests {
         // The entity stopped: its rebase carries no velocity.
         s.apply(
             at(1_000),
-            &batch(vec![keyframe(110.0, 100.0, 7)]),
+            &batch(&[keyframe(110.0, 100.0, 7)]),
             &mut Vec::new(),
         );
         assert_eq!(s.extrapolated(7, at(5_000)), Some(Point::new(110.0, 100.0)));
@@ -359,7 +366,7 @@ mod tests {
         let mut s = ClientSession::new(ServerId(1));
         let applied = s.apply(
             at(0),
-            &batch(vec![keyframe(1.0, 2.0, ANON_ENTITY), keyframe(3.0, 4.0, 5)]),
+            &batch(&[keyframe(1.0, 2.0, ANON_ENTITY), keyframe(3.0, 4.0, 5)]),
             &mut Vec::new(),
         );
         assert_eq!(applied.len(), 2);
@@ -379,7 +386,7 @@ mod tests {
         };
         let plain = keyframe(11.0, 10.0, 5);
         let mut uploads = Vec::new();
-        s.apply(at(3), &batch(vec![traced, plain, traced]), &mut uploads);
+        s.apply(at(3), &batch(&[traced, plain, traced]), &mut uploads);
         let ack = ClientToGame::TraceAck {
             ring: 2,
             latency_us: 2_000,
@@ -393,13 +400,13 @@ mod tests {
     #[test]
     fn a_delta_without_a_base_is_counted_and_the_next_keyframe_recovers() {
         let mut s = ClientSession::new(ServerId(1));
-        let orphan = batch(vec![item(EncodedOrigin::Offset { dx: 1.0, dy: 1.0 }, 3)]);
+        let orphan = batch(&[item(EncodedOrigin::Offset { dx: 1.0, dy: 1.0 }, 3)]);
         let mut uploads = Vec::new();
         assert!(s.apply(at(0), &orphan, &mut uploads).is_empty());
         assert_eq!(s.counters().desyncs, 1);
         assert_eq!(s.last_update_origin(), None);
         assert_eq!(s.extrapolated_entities(), 0, "nothing of the batch applied");
-        let recovered = batch(vec![
+        let recovered = batch(&[
             keyframe(20.0, 20.0, 3),
             item(EncodedOrigin::Offset { dx: 1.0, dy: 1.0 }, 3),
         ]);

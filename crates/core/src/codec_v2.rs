@@ -49,17 +49,25 @@
 //! followed by the entity id, the payload length, the coordinates
 //! (absolute: always 2×f64; delta: 2×i24 fixed-point on the 1/256
 //! lattice, or 2×f64 when the wide bit is set) and, when present, the
-//! velocity pair (same i24/f64 split). An item is one [`BatchItem`]
-//! whose [`EncodedOrigin`] picks keyframe or delta; one function decides
-//! its header byte and lattice values, and both the encoder and the
-//! arithmetic [`batch_item_wire_len`] follow it. The canonical shapes
-//! measure exactly what the accounting constants claim: an absolute
-//! item is [`UpdateItem::WIRE_BYTES`] = 22, a delta
+//! velocity pair (same i24/f64 split).
+//!
+//! In memory a batch is its body: a [`WireBatch`] holds the bytes above
+//! (trace section, then items), its item count and where the items
+//! start. Stage 5 of the flush writes each item once, through a
+//! [`BatchWriter`] and the one function that decides an item's header
+//! byte and lattice values; the encoder copies the body, the decoder
+//! checks every item's header and length and keeps the body, and a
+//! receiver parses it once ([`crate::reconstruct_updates`]).
+//! [`BatchItem`] is only what a test builds a batch from
+//! ([`WireBatch::from_items`]) and what inspection yields
+//! ([`WireBatch::items`]). The canonical shapes measure exactly what the
+//! accounting constants claim: an absolute item is
+//! [`UpdateItem::WIRE_BYTES`] = 22, a delta
 //! [`BatchItem::DELTA_WIRE_BYTES`] = 12, a velocity pair
 //! [`UpdateItem::VELOCITY_WIRE_BYTES`] = 6 (the wire-bytes audit in
-//! `tests/codec_v2_properties.rs` pins this). Payload *content* is never
-//! materialized: the length is a declared number — the simulation ships
-//! sizes, not state.
+//! `tests/codec_v2_properties.rs` pins this on the bytes written).
+//! Payload *content* is never materialized: the length is a declared
+//! number — the simulation ships sizes, not state.
 //!
 //! # Robustness
 //!
@@ -81,6 +89,7 @@ use matrix_geometry::{Point, Rect, ServerId};
 use matrix_interest::EncodedOrigin;
 use matrix_predict::Basis;
 use matrix_replication::{ReplicaPayload, SessionState, TunerState};
+use matrix_telemetry::TraceTag;
 
 /// A malformed frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,9 +133,15 @@ pub const CRC_BYTES: usize = 4;
 pub const BATCH_OVERHEAD_BYTES: usize = HEADER_BYTES + CRC_BYTES;
 
 /// Upper bound on a body length a decoder will accept. Far above any
-/// real frame (batches cap at `max_updates_per_flush` items); bounds
-/// the memory a corrupt length prefix can make a receiver reserve.
+/// real frame (a batch carries at most [`MAX_BATCH_ITEMS`] items: about
+/// 4.9 MB in the widest item shape with every item traced); bounds the
+/// memory a corrupt length prefix can make a receiver reserve.
 pub const MAX_BODY_BYTES: u32 = 1 << 24;
+
+/// Most items one `UpdateBatch` carries: trace entries name their item
+/// by a `u16` index. The game server caps its flush policy here, so a
+/// surplus is rate-limited like any other policy drop.
+pub const MAX_BATCH_ITEMS: usize = u16::MAX as usize;
 
 /// Flag bit in the type byte: frame carries a CRC32 trailer.
 const FLAG_CRC: u8 = 0x80;
@@ -447,27 +462,6 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    fn u24(&mut self, what: &str) -> Result<u32, CodecError> {
-        let b = self.take(3, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], 0]))
-    }
-
-    fn i24(&mut self, what: &str) -> Result<i32, CodecError> {
-        let raw = self.u24(what)?;
-        // Sign-extend from bit 23.
-        Ok(((raw << 8) as i32) >> 8)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, CodecError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
     fn f64(&mut self, what: &str) -> Result<f64, CodecError> {
         let b = self.take(8, what)?;
         Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
@@ -485,19 +479,6 @@ impl<'a> Reader<'a> {
             Ok(p)
         } else {
             Err(CodecError::new(format!("non-finite {what}")))
-        }
-    }
-
-    /// A pair written by `put_pair`: 2×f64 when `wide`, else 2×i24 on
-    /// the lattice.
-    fn pair(&mut self, wide: bool, what: &str) -> Result<(f64, f64), CodecError> {
-        if wide {
-            Ok((self.f64(what)?, self.f64(what)?))
-        } else {
-            Ok((
-                self.i24(what)? as f64 / LATTICE,
-                self.i24(what)? as f64 / LATTICE,
-            ))
         }
     }
 
@@ -582,22 +563,11 @@ pub fn encode_client_frame(msg: &ClientToGame, meta: FrameMeta, crc: bool) -> Ve
     out
 }
 
-/// Room reserved per batch item: the largest canonical shape, a
-/// keyframe with a velocity pair. Every lattice-representable item fits,
-/// so the buffer is allocated exactly once; a batch of wide escapes or
-/// with a trace section outgrows it and reallocates, which is still
-/// correct. (Sizing exactly with [`update_batch_frame_len`] walks the
-/// items a second time and was measured to cost more than the
-/// reallocations it saves.)
-const ITEM_RESERVE_BYTES: usize = UpdateItem::WIRE_BYTES + UpdateItem::VELOCITY_WIRE_BYTES;
-
 /// Encodes a server message as a frame, without wrapping it in an
 /// owned [`Frame`] first.
 pub fn encode_server_frame(msg: &GameToClient, meta: FrameMeta, crc: bool) -> Vec<u8> {
     let capacity = match msg {
-        GameToClient::UpdateBatch { updates } => {
-            BATCH_OVERHEAD_BYTES + updates.len() * ITEM_RESERVE_BYTES
-        }
+        GameToClient::UpdateBatch { updates } => BATCH_OVERHEAD_BYTES + updates.body().len(),
         _ => SMALL_FRAME_BYTES,
     };
     let mut out = Vec::with_capacity(capacity);
@@ -731,31 +701,12 @@ fn encode_server_body(msg: &GameToClient, out: &mut Vec<u8>) -> u8 {
             T_UPDATE
         }
         GameToClient::UpdateBatch { updates } => {
-            // Sampled trace section, present only when at least one item
-            // is traced (the frame then carries `FLAG_TRACE` in its type
-            // byte); untraced batches encode byte-identically to
-            // pre-trace frames.
-            let traced = updates.iter().filter(|u| u.trace.is_some()).count();
-            debug_assert!(
-                updates.len() <= u16::MAX as usize,
-                "batch exceeds the u16 trace index space"
-            );
-            if traced > 0 {
-                put_u16(out, traced as u16);
-                for (i, item) in updates.iter().enumerate() {
-                    if let Some(tag) = item.trace {
-                        put_u16(out, i as u16);
-                        put_u32(out, tag.origin);
-                        put_u32(out, tag.seq);
-                        put_u64(out, tag.ingest_us);
-                        put_u64(out, tag.stale_us);
-                    }
-                }
-            }
-            for item in updates {
-                encode_batch_item(out, item);
-            }
-            if traced > 0 {
+            // The batch already is its body; a leading trace section
+            // (only when some item is traced) sets `FLAG_TRACE`, so
+            // untraced batches encode byte-identically to pre-trace
+            // frames.
+            out.extend_from_slice(updates.body());
+            if updates.traced() {
                 T_BATCH | FLAG_TRACE
             } else {
                 T_BATCH
@@ -768,35 +719,275 @@ fn encode_server_body(msg: &GameToClient, out: &mut Vec<u8>) -> u8 {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Batch bodies: written once, checked once, parsed once
+// ---------------------------------------------------------------------------
+
+/// An `UpdateBatch` in its wire form: the frame body exactly as
+/// `docs/WIRE.md` lays it out — the trace section when an item is
+/// traced, then the items — beside the item count and the offset where
+/// the items start.
+///
+/// Only [`BatchWriter::finish`] and the decoder make one (besides
+/// `Default`, the empty batch), and the decoder checks every item's
+/// header and length first, so a parse of the body cannot fail on
+/// structure. Equality is equality of the wire bytes.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct WireBatch {
+    body: Vec<u8>,
+    len: u32,
+    /// `0` without a trace section, else its length.
+    items_at: u32,
+}
+
+impl WireBatch {
+    /// The batch of `items`, in order, written as stage 5 writes one
+    /// (tests and tools build batches this way).
+    pub fn from_items(items: &[BatchItem]) -> WireBatch {
+        let mut writer = BatchWriter::with_capacity(items.len());
+        for item in items {
+            writer.push_item(item);
+        }
+        writer.finish()
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the batch holds no item.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The frame body, byte for byte.
+    pub fn body(&self) -> &[u8] {
+        &self.body
+    }
+
+    /// Whether the body opens with a trace section (the frame then
+    /// carries `FLAG_TRACE`).
+    pub(crate) fn traced(&self) -> bool {
+        self.items_at > 0
+    }
+
+    /// The items in order, each rebuilt as a [`BatchItem`] with its trace
+    /// tag: for tests and inspection. Receivers reconstruct with
+    /// [`crate::reconstruct_updates`], which makes the same single pass.
+    pub fn items(&self) -> BatchItems<'_> {
+        let at = self.items_at as usize;
+        BatchItems {
+            items: &self.body[at..],
+            traces: self.body.get(2..at).unwrap_or_default(),
+            index: 0,
+        }
+    }
+
+    /// Checks a received body: trace entries with strictly ascending
+    /// in-range item indices, then items whose header bytes are ones an
+    /// encoder writes and whose lengths those headers fix, up to the
+    /// last byte. Keeps the body as it came.
+    fn decode(body: &[u8], traced: bool) -> Result<WireBatch, CodecError> {
+        let mut items_at = 0;
+        let mut last_traced = None;
+        if traced {
+            let mut r = Reader::new(body);
+            let n = r.u16("trace entry count")? as usize;
+            if n * TRACE_ENTRY_BYTES > r.remaining() {
+                return Err(CodecError::new("trace section exceeds frame size"));
+            }
+            for _ in 0..n {
+                let index = r.u16("trace item index")?;
+                r.take(TRACE_ENTRY_BYTES - 2, "trace entry")?;
+                if last_traced.is_some_and(|last| index <= last) {
+                    return Err(CodecError::new("trace entry indices not ascending"));
+                }
+                last_traced = Some(index);
+            }
+            items_at = r.pos;
+        }
+        let mut at = items_at;
+        let mut len = 0u32;
+        while at < body.len() {
+            let n = item_len(body[at])?;
+            if body.len() - at < n {
+                return Err(CodecError::new("truncated batch item"));
+            }
+            at += n;
+            len += 1;
+        }
+        if last_traced.is_some_and(|last| u32::from(last) >= len) {
+            return Err(CodecError::new("trace entry index out of range"));
+        }
+        Ok(WireBatch {
+            body: body.to_vec(),
+            len,
+            items_at: items_at as u32,
+        })
+    }
+}
+
+/// Prints the items as a list: `[BatchItem { .. }, ..]`.
+impl std::fmt::Debug for WireBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.items()).finish()
+    }
+}
+
+/// Writes one batch body item by item: stage 5 of the flush pushes each
+/// kept item once, in its most compact admissible shape, and
+/// [`finish`](BatchWriter::finish) puts the trace section in front.
+#[derive(Debug, Default)]
+pub struct BatchWriter {
+    body: Vec<u8>,
+    len: u32,
+    /// Trace entries of the traced items so far, in item order.
+    traces: Vec<u8>,
+}
+
+/// Room reserved per batch item: the largest canonical shape, a
+/// keyframe with a velocity pair. Every lattice-representable item fits,
+/// so a batch is allocated exactly once; one with wide escapes or a
+/// trace section outgrows it and reallocates, which is still correct.
+const ITEM_RESERVE_BYTES: usize = UpdateItem::WIRE_BYTES + UpdateItem::VELOCITY_WIRE_BYTES;
+
+impl BatchWriter {
+    /// A writer with room for `items` items of any canonical shape.
+    pub fn with_capacity(items: usize) -> BatchWriter {
+        BatchWriter {
+            body: Vec::with_capacity(items * ITEM_RESERVE_BYTES),
+            ..BatchWriter::default()
+        }
+    }
+
+    /// Appends one item and returns the bytes it took. The fields mean
+    /// what they do on [`UpdateItem`], with the origin as the delta
+    /// encoder emitted it.
+    ///
+    /// # Panics
+    ///
+    /// On a traced item at index [`MAX_BATCH_ITEMS`] or beyond, which a
+    /// trace entry could not name.
+    pub fn push(
+        &mut self,
+        origin: EncodedOrigin,
+        payload_bytes: usize,
+        entity: u64,
+        ring: u8,
+        (vx, vy): (f64, f64),
+        trace: Option<TraceTag>,
+    ) -> usize {
+        let start = self.body.len();
+        let out = &mut self.body;
+        let shape = item_shape(origin, payload_bytes, entity, ring, (vx, vy));
+        let h = shape.header;
+        out.push(h);
+        if h & ITEM_WIDE_ENTITY != 0 {
+            put_u64(out, entity);
+        } else {
+            put_u24(out, entity as u32);
+        }
+        if h & ITEM_WIDE_LEN != 0 {
+            put_u64(out, payload_bytes as u64);
+        } else {
+            put_u16(out, payload_bytes as u16);
+        }
+        match origin {
+            EncodedOrigin::Absolute(p) => put_point(out, p),
+            EncodedOrigin::Offset { dx, dy } => put_pair(out, shape.offsets, dx, dy),
+        }
+        if h & ITEM_VEL != 0 {
+            put_pair(out, shape.velocity, vx, vy);
+        }
+        if let Some(tag) = trace {
+            assert!(
+                (self.len as usize) < MAX_BATCH_ITEMS,
+                "traced item {} is past the u16 trace index space",
+                self.len
+            );
+            put_u16(&mut self.traces, self.len as u16);
+            put_u32(&mut self.traces, tag.origin);
+            put_u32(&mut self.traces, tag.seq);
+            put_u64(&mut self.traces, tag.ingest_us);
+            put_u64(&mut self.traces, tag.stale_us);
+        }
+        self.len += 1;
+        self.body.len() - start
+    }
+
+    /// [`push`](BatchWriter::push) for an item spelled out as a
+    /// [`BatchItem`] (tests and tools).
+    pub fn push_item(&mut self, i: &BatchItem) -> usize {
+        self.push(
+            i.origin,
+            i.payload_bytes,
+            i.entity,
+            i.ring,
+            (i.vx, i.vy),
+            i.trace,
+        )
+    }
+
+    /// The finished batch: the trace section (entry count, then the
+    /// entries) moved in front of the items when any item is traced.
+    pub fn finish(self) -> WireBatch {
+        let BatchWriter {
+            mut body,
+            len,
+            traces,
+        } = self;
+        if traces.is_empty() {
+            return WireBatch {
+                body,
+                len,
+                items_at: 0,
+            };
+        }
+        let (items, section) = (body.len(), 2 + traces.len());
+        body.resize(items + section, 0);
+        body.copy_within(..items, section);
+        let entries = (traces.len() / TRACE_ENTRY_BYTES) as u16;
+        body[..2].copy_from_slice(&entries.to_le_bytes());
+        body[2..section].copy_from_slice(&traces);
+        WireBatch {
+            body,
+            len,
+            items_at: section as u32,
+        }
+    }
+}
+
 /// How one batch item goes on the wire: its header byte (delta, ring,
 /// velocity and wide bits) and the lattice forms of its offsets and
 /// velocity where they have one. [`item_shape`] is the only place these
-/// are decided; the encoder writes what it says and
-/// [`batch_item_wire_len`] measures it.
+/// are decided, and [`BatchWriter::push`] writes what it says.
 struct ItemShape {
     header: u8,
     offsets: Option<(i32, i32)>,
     velocity: Option<(i32, i32)>,
 }
 
-/// The most compact admissible shape of `item`.
+/// The most compact admissible shape of an item.
 ///
 /// Encoder contract: `ring < MAX_RINGS` (4) — the header byte has two
 /// ring bits, exactly matching the pipeline's ring cap.
-fn item_shape(item: &BatchItem) -> ItemShape {
-    debug_assert!(
-        item.ring < 4,
-        "ring {} does not fit the v2 item header",
-        item.ring
-    );
-    let mut header = (item.ring & 0x03) << ITEM_RING_SHIFT;
-    if item.entity > 0x00FF_FFFF {
+fn item_shape(
+    origin: EncodedOrigin,
+    payload_bytes: usize,
+    entity: u64,
+    ring: u8,
+    (vx, vy): (f64, f64),
+) -> ItemShape {
+    debug_assert!(ring < 4, "ring {ring} does not fit the v2 item header");
+    let mut header = (ring & 0x03) << ITEM_RING_SHIFT;
+    if entity > 0x00FF_FFFF {
         header |= ITEM_WIDE_ENTITY;
     }
-    if item.payload_bytes > u16::MAX as usize {
+    if payload_bytes > u16::MAX as usize {
         header |= ITEM_WIDE_LEN;
     }
-    let offsets = match item.origin {
+    let offsets = match origin {
         EncodedOrigin::Absolute(_) => None,
         EncodedOrigin::Offset { dx, dy } => {
             header |= ITEM_DELTA;
@@ -808,9 +999,10 @@ fn item_shape(item: &BatchItem) -> ItemShape {
         }
     };
     let mut velocity = None;
-    if item.has_velocity() {
+    // The rule of `UpdateItem::has_velocity`: zero is "none".
+    if vx != 0.0 || vy != 0.0 {
         header |= ITEM_VEL;
-        velocity = lattice_pair(item.vx, item.vy);
+        velocity = lattice_pair(vx, vy);
         if velocity.is_none() {
             header |= ITEM_WIDE_VEL;
         }
@@ -822,27 +1014,135 @@ fn item_shape(item: &BatchItem) -> ItemShape {
     }
 }
 
-/// Appends one batch item in its most compact admissible shape.
-fn encode_batch_item(out: &mut Vec<u8>, item: &BatchItem) {
-    let shape = item_shape(item);
-    let h = shape.header;
-    out.push(h);
-    if h & ITEM_WIDE_ENTITY != 0 {
-        put_u64(out, item.entity);
+/// An item's encoded length, fixed by its header byte alone; an error
+/// for a header no encoder writes.
+fn item_len(h: u8) -> Result<usize, CodecError> {
+    let delta = h & ITEM_DELTA != 0;
+    if !delta && h & ITEM_WIDE_COORDS != 0 {
+        return Err(CodecError::new("wide-coordinate flag on an absolute item"));
+    }
+    if h & ITEM_WIDE_VEL != 0 && h & ITEM_VEL == 0 {
+        return Err(CodecError::new("wide-velocity flag without a velocity"));
+    }
+    // A pair is 2×i24 on the lattice or 2×f64 under its wide bit.
+    let pair = |wide_bit: u8| if h & wide_bit != 0 { 16 } else { 6 };
+    let entity = if h & ITEM_WIDE_ENTITY != 0 { 8 } else { 3 };
+    let plen = if h & ITEM_WIDE_LEN != 0 { 8 } else { 2 };
+    let coords = if delta { pair(ITEM_WIDE_COORDS) } else { 16 };
+    let vel = if h & ITEM_VEL != 0 {
+        pair(ITEM_WIDE_VEL)
     } else {
-        put_u24(out, item.entity as u32);
-    }
-    if h & ITEM_WIDE_LEN != 0 {
-        put_u64(out, item.payload_bytes as u64);
+        0
+    };
+    Ok(1 + entity + plen + coords + vel)
+}
+
+fn le_u16(b: &[u8]) -> u16 {
+    u16::from_le_bytes([b[0], b[1]])
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+fn le_f64(b: &[u8]) -> f64 {
+    f64::from_bits(le_u64(b))
+}
+
+/// A pair at the front of `b` as [`put_pair`] wrote it, and its length.
+#[inline(always)]
+fn le_pair(b: &[u8], wide: bool) -> ((f64, f64), usize) {
+    if wide {
+        ((le_f64(b), le_f64(&b[8..])), 16)
     } else {
-        put_u16(out, item.payload_bytes as u16);
+        let i24 = |b: &[u8]| ((u32::from_le_bytes([0, b[0], b[1], b[2]]) as i32) >> 8) as f64;
+        ((i24(b) / LATTICE, i24(&b[3..]) / LATTICE), 6)
     }
-    match item.origin {
-        EncodedOrigin::Absolute(p) => put_point(out, p),
-        EncodedOrigin::Offset { dx, dy } => put_pair(out, shape.offsets, dx, dy),
-    }
-    if h & ITEM_VEL != 0 {
-        put_pair(out, shape.velocity, item.vx, item.vy);
+}
+
+/// The item at the front of a checked body (no trace tag), and its
+/// length. Never fails: [`WireBatch::decode`] or [`BatchWriter`] already
+/// vouched for the header and the length.
+#[inline(always)]
+fn parse_item(b: &[u8]) -> (BatchItem, usize) {
+    let h = b[0];
+    let mut at = 1;
+    let entity = if h & ITEM_WIDE_ENTITY != 0 {
+        at += 8;
+        le_u64(&b[1..])
+    } else {
+        at += 3;
+        u64::from(u32::from_le_bytes([b[1], b[2], b[3], 0]))
+    };
+    let payload_bytes = if h & ITEM_WIDE_LEN != 0 {
+        at += 8;
+        le_u64(&b[at - 8..]) as usize
+    } else {
+        at += 2;
+        usize::from(le_u16(&b[at - 2..]))
+    };
+    let origin = if h & ITEM_DELTA != 0 {
+        let ((dx, dy), n) = le_pair(&b[at..], h & ITEM_WIDE_COORDS != 0);
+        at += n;
+        EncodedOrigin::Offset { dx, dy }
+    } else {
+        at += 16;
+        EncodedOrigin::Absolute(Point::new(le_f64(&b[at - 16..]), le_f64(&b[at - 8..])))
+    };
+    let (vx, vy) = if h & ITEM_VEL != 0 {
+        let (v, n) = le_pair(&b[at..], h & ITEM_WIDE_VEL != 0);
+        at += n;
+        v
+    } else {
+        (0.0, 0.0)
+    };
+    let item = BatchItem {
+        origin,
+        payload_bytes,
+        entity,
+        ring: (h & ITEM_RING_MASK) >> ITEM_RING_SHIFT,
+        vx,
+        vy,
+        trace: None,
+    };
+    (item, at)
+}
+
+/// The items of a [`WireBatch`] in order ([`WireBatch::items`]): one
+/// pass over the item bytes with the trace entries merged in by index.
+#[derive(Debug)]
+pub struct BatchItems<'a> {
+    items: &'a [u8],
+    traces: &'a [u8],
+    index: u32,
+}
+
+impl Iterator for BatchItems<'_> {
+    type Item = BatchItem;
+
+    #[inline]
+    fn next(&mut self) -> Option<BatchItem> {
+        if self.items.is_empty() {
+            return None;
+        }
+        let (mut item, n) = parse_item(self.items);
+        self.items = &self.items[n..];
+        if self.traces.len() >= TRACE_ENTRY_BYTES && u32::from(le_u16(self.traces)) == self.index {
+            let e = self.traces;
+            item.trace = Some(TraceTag {
+                origin: le_u32(&e[2..]),
+                seq: le_u32(&e[6..]),
+                ingest_us: le_u64(&e[10..]),
+                stale_us: le_u64(&e[18..]),
+            });
+            self.traces = &e[TRACE_ENTRY_BYTES..];
+        }
+        self.index += 1;
+        Some(item)
     }
 }
 
@@ -1057,45 +1357,9 @@ fn decode_body(ty: u8, traced: bool, body: &[u8]) -> Result<Frame, CodecError> {
             payload_bytes: r.varint("update payload size")? as usize,
         }),
         T_BATCH => {
-            // Trace section first (present only under FLAG_TRACE), so
-            // untraced bodies parse exactly as before the flag existed.
-            let mut tags = Vec::new();
-            if traced {
-                let n = r.u16("trace entry count")? as usize;
-                if n * TRACE_ENTRY_BYTES > r.remaining() {
-                    return Err(CodecError::new("trace section exceeds frame size"));
-                }
-                for _ in 0..n {
-                    let idx = r.u16("trace item index")? as usize;
-                    let origin = r.u32("trace origin")?;
-                    let seq = r.u32("trace seq")?;
-                    let ingest_us = r.u64("trace ingest time")?;
-                    let stale_us = r.u64("trace staleness")?;
-                    tags.push((
-                        idx,
-                        matrix_telemetry::TraceTag {
-                            origin,
-                            seq,
-                            ingest_us,
-                            stale_us,
-                        },
-                    ));
-                }
-            }
-            // The smallest item is a narrow delta, so the bytes left
-            // bound the item count: one allocation, never more than the
-            // frame could hold.
-            let mut updates = Vec::with_capacity(r.remaining() / BatchItem::DELTA_WIRE_BYTES);
-            while r.remaining() > 0 {
-                updates.push(decode_batch_item(&mut r)?);
-            }
-            for (idx, tag) in tags {
-                let item = updates
-                    .get_mut(idx)
-                    .ok_or_else(|| CodecError::new("trace entry index out of range"))?;
-                item.trace = Some(tag);
-            }
-            Frame::Server(GameToClient::UpdateBatch { updates })
+            return Ok(Frame::Server(GameToClient::UpdateBatch {
+                updates: WireBatch::decode(body, traced)?,
+            }))
         }
         T_SWITCH => Frame::Server(GameToClient::SwitchServer {
             to: ServerId(r.varu32("switch server id")?),
@@ -1129,49 +1393,6 @@ fn frame_name(ty: u8) -> &'static str {
         T_TRACE_ACK => "trace-ack",
         _ => "unknown",
     }
-}
-
-fn decode_batch_item(r: &mut Reader<'_>) -> Result<BatchItem, CodecError> {
-    let h = r.u8("item header")?;
-    let delta = h & ITEM_DELTA != 0;
-    if !delta && h & ITEM_WIDE_COORDS != 0 {
-        return Err(CodecError::new("wide-coordinate flag on an absolute item"));
-    }
-    if h & ITEM_WIDE_VEL != 0 && h & ITEM_VEL == 0 {
-        return Err(CodecError::new("wide-velocity flag without a velocity"));
-    }
-    let ring = (h & ITEM_RING_MASK) >> ITEM_RING_SHIFT;
-    let entity = if h & ITEM_WIDE_ENTITY != 0 {
-        r.u64("item entity")?
-    } else {
-        r.u24("item entity")? as u64
-    };
-    let payload_bytes = if h & ITEM_WIDE_LEN != 0 {
-        let v = r.u64("item payload size")?;
-        usize::try_from(v).map_err(|_| CodecError::new("item payload size out of range"))?
-    } else {
-        r.u16("item payload size")? as usize
-    };
-    let origin = if delta {
-        let (dx, dy) = r.pair(h & ITEM_WIDE_COORDS != 0, "item offsets")?;
-        EncodedOrigin::Offset { dx, dy }
-    } else {
-        EncodedOrigin::Absolute(r.point("item origin")?)
-    };
-    let (vx, vy) = if h & ITEM_VEL != 0 {
-        r.pair(h & ITEM_WIDE_VEL != 0, "item velocity")?
-    } else {
-        (0.0, 0.0)
-    };
-    Ok(BatchItem {
-        origin,
-        payload_bytes,
-        entity,
-        ring,
-        vx,
-        vy,
-        trace: None,
-    })
 }
 
 fn decode_replica_body(r: &mut Reader<'_>) -> Result<ReplicaBatch, CodecError> {
@@ -1272,60 +1493,13 @@ fn decode_snapshot_body(r: &mut Reader<'_>) -> Result<RegionSnapshot, CodecError
 }
 
 // ---------------------------------------------------------------------------
-// Arithmetic frame lengths (accounting without encoding)
+// Frame lengths (accounting without encoding)
 // ---------------------------------------------------------------------------
 
-/// Fixed per-frame overhead: header plus the CRC trailer when on.
+/// Fixed per-frame overhead: header plus the CRC trailer when on. A
+/// batch frame is this plus its [`WireBatch::body`].
 pub fn frame_overhead(crc: bool) -> usize {
     HEADER_BYTES + if crc { CRC_BYTES } else { 0 }
-}
-
-/// Encoded size of one batch item, computed arithmetically from the
-/// header byte the encoder would write (the header alone fixes every
-/// field's width). Pinned equal to the length [`encode_frame`] actually
-/// produces by the property suite, so byte accounting can skip the
-/// allocation.
-pub fn batch_item_wire_len(item: &BatchItem) -> usize {
-    let h = item_shape(item).header;
-    // A pair is 2×i24 on the lattice or 2×f64 under its wide bit.
-    let pair = |wide_bit: u8| if h & wide_bit != 0 { 16 } else { 6 };
-    let entity = if h & ITEM_WIDE_ENTITY != 0 { 8 } else { 3 };
-    let plen = if h & ITEM_WIDE_LEN != 0 { 8 } else { 2 };
-    let coords = if h & ITEM_DELTA != 0 {
-        pair(ITEM_WIDE_COORDS)
-    } else {
-        16
-    };
-    let vel = if h & ITEM_VEL != 0 {
-        pair(ITEM_WIDE_VEL)
-    } else {
-        0
-    };
-    1 + entity + plen + coords + vel
-}
-
-/// Wire size of a whole `UpdateBatch` frame holding `items`, computed
-/// arithmetically (no allocation, no encoding). Payload *content* is
-/// not included — the items declare payload sizes, they do not carry
-/// the bytes. A sampled trace section (present when any item carries a
-/// tag) adds its count prefix plus one fixed-width entry per traced
-/// item.
-pub fn update_batch_frame_len(items: &[BatchItem], crc: bool) -> usize {
-    let traced = items.iter().filter(|u| u.trace.is_some()).count();
-    let item_bytes = items.iter().map(batch_item_wire_len).sum();
-    update_batch_frame_len_of(item_bytes, traced, crc)
-}
-
-/// [`update_batch_frame_len`] for a caller that already summed its
-/// items' [`batch_item_wire_len`]s and counted the traced ones while
-/// building the batch.
-pub fn update_batch_frame_len_of(item_bytes: usize, traced: usize, crc: bool) -> usize {
-    let trace_section = if traced > 0 {
-        2 + traced * TRACE_ENTRY_BYTES
-    } else {
-        0
-    };
-    frame_overhead(crc) + trace_section + item_bytes
 }
 
 // ---------------------------------------------------------------------------
@@ -1587,19 +1761,24 @@ mod tests {
             vy: -2.0,
             ..abs
         };
-        assert_eq!(batch_item_wire_len(&abs), UpdateItem::WIRE_BYTES);
+        let mut writer = BatchWriter::with_capacity(2);
+        let pushed = [writer.push_item(&abs), writer.push_item(&delta)];
         assert_eq!(
-            batch_item_wire_len(&delta),
-            BatchItem::DELTA_WIRE_BYTES + UpdateItem::VELOCITY_WIRE_BYTES
+            pushed,
+            [
+                UpdateItem::WIRE_BYTES,
+                BatchItem::DELTA_WIRE_BYTES + UpdateItem::VELOCITY_WIRE_BYTES
+            ]
         );
-        let frame = Frame::Server(GameToClient::UpdateBatch {
-            updates: vec![abs, delta],
-        });
+        let updates = writer.finish();
+        assert_eq!(updates, WireBatch::from_items(&[abs, delta]));
+        assert_eq!(updates.items().collect::<Vec<_>>(), [abs, delta]);
+        let frame = Frame::Server(GameToClient::UpdateBatch { updates });
         let bytes = encode_frame(&frame, FrameMeta::default(), true);
         assert_eq!(
             bytes.len(),
-            update_batch_frame_len(&[abs, delta], true),
-            "arithmetic length must match the encoder"
+            frame_overhead(true) + pushed.iter().sum::<usize>(),
+            "the bytes written are the frame body"
         );
         round_trip(frame);
     }
@@ -1621,10 +1800,47 @@ mod tests {
             vy: 0.0,
             trace: None,
         };
-        assert_eq!(batch_item_wire_len(&item), 1 + 8 + 8 + 16 + 16);
-        round_trip(Frame::Server(GameToClient::UpdateBatch {
-            updates: vec![item],
-        }));
+        let mut writer = BatchWriter::default();
+        assert_eq!(writer.push_item(&item), 1 + 8 + 8 + 16 + 16);
+        let updates = writer.finish();
+        assert_eq!(updates.items().collect::<Vec<_>>(), [item]);
+        round_trip(Frame::Server(GameToClient::UpdateBatch { updates }));
+    }
+
+    #[test]
+    fn trace_entries_must_name_ascending_items() {
+        // Stage 5 writes one entry per traced item, in item order; a
+        // repeated or out-of-order index is a shape no encoder writes.
+        let tag = |seq| TraceTag::new(1, seq, 500);
+        let item = |seq| BatchItem {
+            origin: EncodedOrigin::Absolute(Point::new(1.0, 2.0)),
+            payload_bytes: 8,
+            entity: 3,
+            ring: 0,
+            vx: 0.0,
+            vy: 0.0,
+            trace: Some(tag(seq)),
+        };
+        let frame = Frame::Server(GameToClient::UpdateBatch {
+            updates: WireBatch::from_items(&[item(7), item(8)]),
+        });
+        round_trip(frame.clone());
+        let good = encode_frame(&frame, FrameMeta::default(), false);
+        // Entry k's index sits at body offset 2 + k × TRACE_ENTRY_BYTES.
+        let second = HEADER_BYTES + 2 + TRACE_ENTRY_BYTES;
+        for (index, why) in [(0u16, "not ascending"), (2, "out of range")] {
+            let mut bad = good.clone();
+            bad[second..second + 2].copy_from_slice(&index.to_le_bytes());
+            let err = decode_frame(&bad).expect_err("rejected");
+            assert!(err.reason.contains(why), "index {index}: {err}");
+        }
+        // Swapping the two entries wholesale is out of order too.
+        let mut swapped = good.clone();
+        let first = HEADER_BYTES + 2;
+        let (a, b) = swapped[first..second + TRACE_ENTRY_BYTES].split_at_mut(TRACE_ENTRY_BYTES);
+        a.swap_with_slice(b);
+        let err = decode_frame(&swapped).expect_err("rejected");
+        assert!(err.reason.contains("not ascending"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! mirroring how Matrix "supports the distributed operation of various
 //! MMOGs without actually needing to understand the game logic".
 
-use crate::codec_v2;
+use crate::codec_v2::{self, BatchWriter};
 use crate::config::GameServerConfig;
 use crate::messages::{
     BatchItem, ClientToGame, GameToClient, GameToMatrix, LoadReport, MatrixToGame, RegionSnapshot,
@@ -168,18 +168,15 @@ impl GameStats {
     }
 }
 
-/// What `flush_updates` counts per client batch while it builds the
-/// batch's wire items (the pipeline's per-batch accumulator).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// One client's batch as `flush_updates` builds it (the pipeline's
+/// per-batch accumulator): the wire bytes, and what it counts on the way.
+#[derive(Debug)]
 struct BatchTally {
+    items: BatchWriter,
     keyframe_items: u64,
     ring_items: [u64; MAX_RINGS],
     /// Declared payload sizes, summed.
     payload_bytes: usize,
-    /// The items' encoded sizes, summed, and how
-    /// many carry a trace tag — the two inputs of the frame length.
-    item_wire_bytes: usize,
-    traced_items: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -287,7 +284,14 @@ impl GameServerNode {
             PipelineConfig {
                 metric: cfg.metric,
                 policy: FlushPolicy {
-                    max_items: cfg.max_updates_per_flush as usize,
+                    // A batch holds at most `MAX_BATCH_ITEMS` items (its
+                    // trace entries index them with a u16), unlimited
+                    // included: the surplus is rate-limited here like
+                    // any other policy drop, before stage 5 writes it.
+                    max_items: match cfg.max_updates_per_flush as usize {
+                        0 => codec_v2::MAX_BATCH_ITEMS,
+                        cap => cap.min(codec_v2::MAX_BATCH_ITEMS),
+                    },
                     budget_bytes: cfg.client_budget_bytes as usize,
                 },
                 // The encoder's lattice check must match the quantum
@@ -727,12 +731,13 @@ impl GameServerNode {
     /// surviving origins are chained as exact delta offsets with
     /// periodic keyframes, shrinking each item from
     /// [`UpdateItem::WIRE_BYTES`] to [`BatchItem::DELTA_WIRE_BYTES`] of
-    /// framing. Each delivered item is copied once — out of the
+    /// framing. Each delivered item is written once — read out of the
     /// pipeline's event log, which holds one payload per event and ring
-    /// however many receivers queued it, into a [`BatchItem`] (its
-    /// fields plus stage 5's [`EncodedOrigin`]) in the `Vec<BatchItem>`
-    /// the `UpdateBatch` carries — and ring, keyframe and byte
-    /// accounting ride in that same pass.
+    /// however many receivers queued it, straight into the wire bytes
+    /// the `UpdateBatch` carries (a [`codec_v2::WireBatch`], sized from
+    /// the kept count: one allocation per receiver) — and ring and
+    /// keyframe accounting ride in that same pass. Byte accounting is
+    /// the bytes written.
     ///
     /// Drivers call this from their tick path (both the discrete-event
     /// harness and the async runtime tick through [`GameServerNode::on_tick`],
@@ -750,37 +755,40 @@ impl GameServerNode {
         // the pipeline orphans its items instead of delivering them.
         let clients = &self.clients;
         // The pipeline's stage 5 hands each surviving item over with
-        // its encoded origin; this turns it into the wire item and
-        // tallies the batch in the same pass (on the flush worker that
-        // owns the receiver, when there are several).
+        // its encoded origin; this writes its wire bytes and tallies the
+        // batch in the same pass (on the flush worker that owns the
+        // receiver, when there are several).
         let outcome = self.pipeline.flush(
             |cid| clients.get(&cid).map(|rec| rec.pos),
-            |tally: &mut BatchTally, u: UpdateItem, origin: EncodedOrigin| {
-                let item = BatchItem {
-                    origin,
-                    payload_bytes: u.payload_bytes,
-                    entity: u.entity,
-                    ring: u.ring,
-                    vx: u.vx,
-                    vy: u.vy,
-                    trace: u.trace,
-                };
+            |kept| BatchTally {
+                items: BatchWriter::with_capacity(kept),
+                keyframe_items: 0,
+                ring_items: [0; MAX_RINGS],
+                payload_bytes: 0,
+            },
+            |tally: &mut BatchTally, u: &UpdateItem, origin: EncodedOrigin| {
                 tally.keyframe_items += u64::from(origin.is_keyframe());
                 tally.ring_items[(u.ring as usize).min(MAX_RINGS - 1)] += 1;
                 tally.payload_bytes += u.payload_bytes;
-                tally.item_wire_bytes += codec_v2::batch_item_wire_len(&item);
-                tally.traced_items += usize::from(u.trace.is_some());
-                item
+                tally.items.push(
+                    origin,
+                    u.payload_bytes,
+                    u.entity,
+                    u.ring,
+                    (u.vx, u.vy),
+                    u.trace,
+                );
             },
         );
         self.stats.updates_dropped += outcome.orphaned;
         let mut out = Vec::with_capacity(outcome.batches.len());
         for batch in outcome.batches {
-            let tally = batch.tally;
-            let delta_items = batch.items.len() as u64 - tally.keyframe_items;
+            let tally = batch.acc;
+            let updates = tally.items.finish();
+            let delta_items = updates.len() as u64 - tally.keyframe_items;
             self.stats.updates_rate_limited += batch.rate_limited;
             self.stats.batches_flushed += 1;
-            self.stats.updates_batched += batch.items.len() as u64;
+            self.stats.updates_batched += updates.len() as u64;
             self.stats.keyframe_items += tally.keyframe_items;
             self.stats.delta_items += delta_items;
             self.stats.delta_bytes_saved +=
@@ -788,22 +796,14 @@ impl GameServerNode {
             for (total, n) in self.stats.ring_items.iter_mut().zip(tally.ring_items) {
                 *total += n;
             }
-            // Bytes-on-wire accounting is *measured* against the codec,
-            // not modelled: the frame length comes from the codec's
-            // arithmetic mirror of its encoder (pinned equal by the
-            // property suite). Declared payload sizes ride on top — the
-            // sim ships sizes, not state.
-            let frame = codec_v2::update_batch_frame_len_of(
-                tally.item_wire_bytes,
-                tally.traced_items,
-                self.cfg.frame_crc,
-            );
+            // Bytes-on-wire accounting is *measured*, not modelled: the
+            // frame is its overhead plus the body just written. Declared
+            // payload sizes ride on top — the sim ships sizes, not state.
+            let frame = codec_v2::frame_overhead(self.cfg.frame_crc) + updates.body().len();
             self.stats.batch_bytes += (frame + tally.payload_bytes) as u64;
             out.push(GameAction::ToClient(
                 batch.receiver,
-                GameToClient::UpdateBatch {
-                    updates: batch.items,
-                },
+                GameToClient::UpdateBatch { updates },
             ));
         }
         if let Some(t0) = t0 {
@@ -883,7 +883,7 @@ impl GameServerNode {
         self.stats.replica_bytes_out += batch.wire_bytes() as u64;
         vec![GameAction::ToMatrix(GameToMatrix::Replica {
             to: standby,
-            batch,
+            batch: Box::new(batch),
         })]
     }
 
@@ -987,7 +987,7 @@ impl GameServerNode {
             }
             MatrixToGame::ReplicaBatch { from, batch } => {
                 self.stats.replica_batches_in += 1;
-                let ack = self.receiver.apply(batch);
+                let ack = self.receiver.apply(*batch);
                 if ack.resync {
                     self.stats.replica_resyncs += 1;
                 }
@@ -1216,6 +1216,7 @@ impl GameServerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::WireBatch;
     use matrix_geometry::Metric;
     use matrix_sim::SimTime;
 
@@ -1342,7 +1343,7 @@ mod tests {
         let actions = g.on_tick(SimTime::from_millis(100), 0.0);
         assert!(actions.iter().any(|a| matches!(a,
             GameAction::ToClient(c, GameToClient::UpdateBatch { updates })
-                if *c == ClientId(2) && updates.len() == 1 && updates[0].payload_bytes == 10)));
+                if *c == ClientId(2) && updates.len() == 1 && head(updates).payload_bytes == 10)));
         assert_eq!(g.stats().batches_flushed, 1);
         assert_eq!(g.stats().updates_batched, 1);
         assert!(g.stats().batch_bytes > 0);
@@ -1693,7 +1694,12 @@ mod tests {
         assert_eq!(g.stats().state_bytes_in, 1_000_000);
     }
 
-    fn batch_for(actions: &[GameAction], cid: ClientId) -> Option<Vec<BatchItem>> {
+    /// A batch's first item (batches are never empty).
+    fn head(batch: &WireBatch) -> BatchItem {
+        batch.items().next().expect("a batch is never empty")
+    }
+
+    fn batch_for(actions: &[GameAction], cid: ClientId) -> Option<WireBatch> {
         actions.iter().find_map(|a| match a {
             GameAction::ToClient(c, GameToClient::UpdateBatch { updates }) if *c == cid => {
                 Some(updates.clone())
@@ -1718,7 +1724,7 @@ mod tests {
             },
         );
         let first = batch_for(&g.on_tick(SimTime::from_millis(100), 0.0), ClientId(2)).unwrap();
-        assert!(first[0].origin.is_keyframe());
+        assert!(head(&first).origin.is_keyframe());
 
         let mut actions = g.on_client(
             SimTime::from_millis(150),
@@ -1731,7 +1737,7 @@ mod tests {
         actions.extend(g.on_tick(SimTime::from_millis(200), 0.0));
         let second = batch_for(&actions, ClientId(2)).unwrap();
         assert!(
-            !second[0].origin.is_keyframe(),
+            !head(&second).origin.is_keyframe(),
             "nearby follow-up must ship as a delta: {second:?}"
         );
         assert_eq!(g.stats().delta_items, 1);
@@ -1746,6 +1752,60 @@ mod tests {
         assert_eq!(a[0].origin, Point::new(100.0, 100.0));
         let b = crate::messages::reconstruct_updates(&mut base, &second).unwrap();
         assert_eq!(b[0].origin, Point::new(101.5, 100.0));
+    }
+
+    #[test]
+    fn a_batch_holds_at_most_the_trace_index_space() {
+        // Unlimited flushes (`max_updates_per_flush` 0) still cap a batch
+        // at what a u16 trace index can name: 70 000 events queued for
+        // one receiver ship as the nearest `MAX_BATCH_ITEMS`, the rest
+        // rate-limited, and the frame decodes with every tag on its own
+        // item.
+        let cfg = GameServerConfig {
+            batch_interval: matrix_sim::SimDuration::from_millis(100),
+            max_updates_per_flush: 0,
+            trace_sample_rate: 1000,
+            ..GameServerConfig::default()
+        };
+        let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
+        g.register(world(), 400.0);
+        join(&mut g, 1, Point::new(200.0, 200.0));
+        // Event i: entity 1000 + i at its own lattice point.
+        let at = |i: u64| Point::new(60.0 + (i % 280) as f64, 75.0 + (i / 280) as f64);
+        for i in 0..70_000 {
+            let tag = SpatialTag::at(at(i));
+            let pkt = GamePacket::synthetic(ClientId(1000 + i), tag, 16, i);
+            g.on_matrix(SimTime::ZERO, MatrixToGame::Deliver(pkt));
+        }
+        let actions = g.flush_updates(SimTime::ZERO);
+        let batch = batch_for(&actions, ClientId(1)).expect("one batch");
+        assert_eq!(batch.len(), codec_v2::MAX_BATCH_ITEMS);
+        let surplus = 70_000 - codec_v2::MAX_BATCH_ITEMS as u64;
+        assert_eq!(g.stats().updates_rate_limited, surplus);
+
+        let msg = GameToClient::UpdateBatch { updates: batch };
+        let bytes = codec_v2::encode_server_frame(&msg, codec_v2::FrameMeta::default(), true);
+        let Ok(codec_v2::FrameStatus::Complete {
+            frame: codec_v2::Frame::Server(decoded),
+            ..
+        }) = codec_v2::decode_frame(&bytes)
+        else {
+            panic!("the capped batch must decode");
+        };
+        assert_eq!(decoded, msg);
+        let GameToClient::UpdateBatch { updates } = &decoded else {
+            unreachable!()
+        };
+        let items = crate::messages::reconstruct_updates(&mut None, updates).unwrap();
+        let mut traced = 0;
+        for u in &items {
+            let Some(tag) = u.trace else { continue };
+            // The tag's ingest sequence is the event index.
+            let i = u64::from(tag.seq);
+            assert_eq!((u.entity, u.origin), (1000 + i, at(i)), "{tag:?}");
+            traced += 1;
+        }
+        assert!(traced > 60, "{traced} traced items");
     }
 
     #[test]
@@ -1858,7 +1918,7 @@ mod tests {
         actions.extend(g.on_tick(SimTime::from_millis(300), 0.0));
         let batch = batch_for(&actions, ClientId(2)).unwrap();
         assert!(
-            batch[0].origin.is_keyframe(),
+            head(&batch).origin.is_keyframe(),
             "post-shutdown stream must restart with a keyframe: {batch:?}"
         );
     }
@@ -1893,7 +1953,10 @@ mod tests {
         );
         actions.extend(g.on_tick(SimTime::from_millis(400), 0.0));
         let batch = batch_for(&actions, ClientId(2)).unwrap();
-        assert!(batch[0].origin.is_keyframe(), "resync path must keyframe");
+        assert!(
+            head(&batch).origin.is_keyframe(),
+            "resync path must keyframe"
+        );
     }
 
     /// Failover as production runs it: `standby` is handed the
@@ -1907,10 +1970,10 @@ mod tests {
             at,
             MatrixToGame::ReplicaBatch {
                 from: primary.id(),
-                batch: crate::messages::ReplicaBatch {
+                batch: Box::new(crate::messages::ReplicaBatch {
                     seq: 1,
                     payload: matrix_replication::ReplicaPayload::Full(primary.snapshot()),
-                },
+                }),
             },
         );
         standby.on_matrix(
@@ -2113,7 +2176,7 @@ mod tests {
         actions.extend(standby.on_tick(SimTime::from_secs(8), 0.0));
         let batch = batch_for(&actions, ClientId(2)).expect("updates keep flowing");
         assert!(
-            batch[0].origin.is_keyframe(),
+            head(&batch).origin.is_keyframe(),
             "post-failover streams resync"
         );
     }
@@ -2236,7 +2299,7 @@ mod tests {
     /// Drives client 1 on a straight 10 u/s run past client 2 (outer
     /// ring) starting at `t0_ms`, returning the emitted batches for
     /// client 2.
-    fn straight_run(g: &mut GameServerNode, t0_ms: u64, steps: u64) -> Vec<Vec<BatchItem>> {
+    fn straight_run(g: &mut GameServerNode, t0_ms: u64, steps: u64) -> Vec<WireBatch> {
         let mut batches = Vec::new();
         for i in 0..steps {
             let actions = g.on_client(
@@ -2275,7 +2338,10 @@ mod tests {
         // Once the motion model locks on, transmitted items carry the
         // 10 u/s velocity for the receiver to extrapolate with.
         assert!(
-            batches.iter().flatten().any(|item| item.vx > 5.0),
+            batches
+                .iter()
+                .flat_map(WireBatch::items)
+                .any(|item| item.vx > 5.0),
             "rebasing items must ship the estimated velocity: {batches:?}"
         );
         assert!(g.prediction_receivers() > 0);
@@ -2331,7 +2397,10 @@ mod tests {
         assert_eq!(g.stats().updates_suppressed, 0);
         assert_eq!(batches.len(), 10, "every event ships");
         assert!(
-            batches.iter().flatten().all(|i| !i.has_velocity()),
+            batches
+                .iter()
+                .flat_map(WireBatch::items)
+                .all(|i| !i.has_velocity()),
             "prediction off ⇒ no velocity fields on the wire"
         );
         assert_eq!(g.prediction_receivers(), 0);
@@ -2399,8 +2468,8 @@ mod tests {
         );
         let near = batch_for(&actions, ClientId(2)).unwrap();
         let far = batch_for(&actions, ClientId(3)).unwrap();
-        assert_eq!(near[0].payload_bytes, 64);
-        assert_eq!(far[0].payload_bytes, 0, "far ring ships position-only");
+        assert_eq!(head(&near).payload_bytes, 64);
+        assert_eq!(head(&far).payload_bytes, 0, "far ring ships position-only");
         assert_eq!(g.stats().payloads_stripped, 1);
     }
 

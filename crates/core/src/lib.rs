@@ -32,13 +32,13 @@
 //!   [`FlushPolicy`] ranks pending items by relevance and merges/drops
 //!   the farthest first to fit the `max_updates_per_flush` /
 //!   `client_budget_bytes` budgets, and a [`DeltaEncoder`] compresses
-//!   item origins into exact deltas (a [`BatchItem`] whose
-//!   [`EncodedOrigin`] is an offset) with periodic keyframes
-//!   (`keyframe_every`) and resync on join/handover — receivers rebuild
-//!   absolute positions with [`reconstruct_updates`]. A density-driven
-//!   [`AutoTuner`] (`grid_autotune`) re-picks the grid resolution as
-//!   regions fill and drain, and replicates its learned state to warm
-//!   standbys.
+//!   item origins into exact deltas (an [`EncodedOrigin`] offset,
+//!   written straight into the batch's wire form, a [`WireBatch`]) with
+//!   periodic keyframes (`keyframe_every`) and resync on join/handover —
+//!   receivers rebuild absolute positions with [`reconstruct_updates`].
+//!   A density-driven [`AutoTuner`] (`grid_autotune`) re-picks the grid
+//!   resolution as regions fill and drain, and replicates its learned
+//!   state to warm standbys.
 //!
 //! Every component is a **sans-io state machine**: handlers take one input
 //! message and return the actions to perform. A [`Host`] owns one
@@ -108,7 +108,7 @@ pub use load::{Cooldown, LoadTracker};
 pub use messages::{
     reconstruct_updates, BatchItem, ClientToGame, CoordMsg, CoordReply, GameToClient, GameToMatrix,
     LoadReport, LoadSnapshot, MatrixToGame, PeerMsg, PoolMsg, PoolPurpose, PoolReply,
-    RegionSnapshot, ReplicaBatch, ReplicaOp, UpdateItem,
+    RegionSnapshot, ReplicaBatch, ReplicaOp, UpdateItem, WireBatch,
 };
 pub use packet::{ClientId, GamePacket, SpatialTag};
 pub use pool::{PoolStats, ResourcePool};

@@ -6,13 +6,17 @@
 //! resource pool. All messages are plain data so the same protocol runs
 //! under the discrete-event harness and the tokio runtime.
 //!
-//! A client-bound [`GameToClient::UpdateBatch`] carries one
-//! [`BatchItem`] per event: the fields of an [`UpdateItem`] with the
-//! origin in the [`EncodedOrigin`] form the delta encoder produced
-//! (keyframe or offset). Receivers turn a batch back into
-//! [`UpdateItem`]s with [`reconstruct_updates`].
+//! A client-bound [`GameToClient::UpdateBatch`] carries its events in
+//! wire form, a [`WireBatch`]: per event, the fields of an
+//! [`UpdateItem`] with the origin in the [`EncodedOrigin`] form the delta
+//! encoder produced (keyframe or offset), written once by the flush.
+//! Receivers turn a batch back into [`UpdateItem`]s with
+//! [`reconstruct_updates`].
 
+pub use crate::codec_v2::WireBatch;
+use crate::gameserver::GameAction;
 use crate::packet::{ClientId, GamePacket};
+use crate::server::Action;
 use matrix_geometry::{Metric, OverlapTable, PartitionMap, Point, Rect, ServerId};
 use matrix_interest::EncodedOrigin;
 use matrix_telemetry::TelemetrySnapshot;
@@ -138,11 +142,16 @@ impl UpdateItem {
     }
 }
 
-/// One item of a [`GameToClient::UpdateBatch`]: an [`UpdateItem`] whose
-/// origin travels as the delta encoder emitted it — an absolute keyframe
-/// or an offset from the previous item's reconstructed origin (for the
-/// first item of a batch, from the last origin of the previous batch on
-/// the same client stream).
+/// One item of a [`GameToClient::UpdateBatch`], spelled out: an
+/// [`UpdateItem`] whose origin travels as the delta encoder emitted it —
+/// an absolute keyframe or an offset from the previous item's
+/// reconstructed origin (for the first item of a batch, from the last
+/// origin of the previous batch on the same client stream).
+///
+/// The send path never builds one: a batch is its wire bytes
+/// ([`WireBatch`]). This is the value a test builds a batch from
+/// ([`WireBatch::from_items`]) and what inspection yields
+/// ([`WireBatch::items`]).
 ///
 /// Senders only emit offsets that reproduce the absolute origin
 /// bit-for-bit (see [`DeltaEncoder`](matrix_interest::DeltaEncoder)), so
@@ -169,9 +178,11 @@ pub struct BatchItem {
     pub trace: Option<matrix_telemetry::TraceTag>,
 }
 
-// Stage 5 writes one of these per delivered item — megabytes per flush
-// in a crowd — so its size is a send-path cost: hold it at 96 bytes.
-const _: () = assert!(std::mem::size_of::<BatchItem>() <= 96);
+// Every driver moves these per event, and a crowd makes many events:
+// hold the action types and the client message at their sizes.
+const _: () = assert!(std::mem::size_of::<GameAction>() <= 96);
+const _: () = assert!(std::mem::size_of::<Action>() <= 104);
+const _: () = assert!(std::mem::size_of::<GameToClient>() <= 32);
 
 impl BatchItem {
     /// Per-item overhead on the wire of a delta item beyond the payload,
@@ -195,14 +206,24 @@ impl BatchItem {
 /// per-stream delta base across calls (`base` is the last origin of the
 /// previous batch; pass a fresh `None` after a join or server switch).
 ///
+/// One pass over the batch's bytes, straight into [`UpdateItem`]s.
+///
 /// Returns `None` if a delta item arrives with no base — a protocol
 /// violation, since senders keyframe after every resync.
-pub fn reconstruct_updates(
+pub fn reconstruct_updates(base: &mut Option<Point>, batch: &WireBatch) -> Option<Vec<UpdateItem>> {
+    reconstruct_counting_keyframes(base, batch).map(|(items, _)| items)
+}
+
+/// [`reconstruct_updates`], also counting the keyframes it met on the
+/// way (the one thing an [`UpdateItem`] no longer shows).
+pub(crate) fn reconstruct_counting_keyframes(
     base: &mut Option<Point>,
-    items: &[BatchItem],
-) -> Option<Vec<UpdateItem>> {
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
+    batch: &WireBatch,
+) -> Option<(Vec<UpdateItem>, u64)> {
+    let mut out = Vec::with_capacity(batch.len());
+    let mut keyframes = 0;
+    for item in batch.items() {
+        keyframes += u64::from(item.origin.is_keyframe());
         out.push(UpdateItem {
             origin: item.origin.decode(base)?,
             payload_bytes: item.payload_bytes,
@@ -213,7 +234,7 @@ pub fn reconstruct_updates(
             trace: item.trace,
         });
     }
-    Some(out)
+    Some((out, keyframes))
 }
 
 /// The pipeline's view of an [`UpdateItem`]: origin, source entity and
@@ -284,12 +305,15 @@ pub enum GameToClient {
     ///
     /// Batching replaces per-update message overhead with per-batch
     /// overhead; items are delta-compressed against the client's stream
-    /// ([`BatchItem`]) and ordered most relevant (nearest the client)
-    /// first, as produced by the flush policy. Traffic is tracked in
+    /// and ordered most relevant (nearest the client) first, as produced
+    /// by the flush policy. The batch travels as its frame body
+    /// ([`WireBatch`]): the flush writes each item's bytes once, the
+    /// encoder copies them, and a receiver parses them once with
+    /// [`reconstruct_updates`]. Traffic is tracked in
     /// `GameStats::batch_bytes` / `GameStats::delta_bytes_saved`.
     UpdateBatch {
-        /// The events, most relevant first. Never empty.
-        updates: Vec<BatchItem>,
+        /// The events in wire form, most relevant first. Never empty.
+        updates: WireBatch,
     },
     /// Instruction to reconnect to a different game server (§3.2.1: "the
     /// client is informed of these switches by its current game server and
@@ -377,8 +401,9 @@ pub enum GameToMatrix {
     Replica {
         /// The standby server.
         to: ServerId,
-        /// The batch.
-        batch: ReplicaBatch,
+        /// The batch. Boxed, as in every message that carries one: it
+        /// would otherwise set the size of every action a driver moves.
+        batch: Box<ReplicaBatch>,
     },
     /// A standby's acknowledgement of a replication batch, bound for
     /// the primary it mirrors.
@@ -458,8 +483,8 @@ pub enum MatrixToGame {
     ReplicaBatch {
         /// The primary server.
         from: ServerId,
-        /// The batch.
-        batch: ReplicaBatch,
+        /// The batch (boxed; see [`GameToMatrix::Replica`]).
+        batch: Box<ReplicaBatch>,
     },
     /// The standby's acknowledgement of a replication batch this node
     /// shipped.
@@ -576,8 +601,8 @@ pub enum PeerMsg {
     Replica {
         /// The shipping primary.
         from: ServerId,
-        /// The batch.
-        batch: ReplicaBatch,
+        /// The batch (boxed; see [`GameToMatrix::Replica`]).
+        batch: Box<ReplicaBatch>,
     },
     /// A replication acknowledgement, standby → primary.
     ReplicaAck {
@@ -819,10 +844,10 @@ mod tests {
         assert_eq!(round_trip(bytes), Frame::Client(up));
 
         let down = GameToClient::UpdateBatch {
-            updates: vec![
+            updates: WireBatch::from_items(&[
                 item(EncodedOrigin::Absolute(Point::new(0.1, 0.2)), 90, 7),
                 item(EncodedOrigin::Offset { dx: 2.9, dy: 3.8 }, 32, 0),
-            ],
+            ]),
         };
         let bytes = codec_v2::encode_server_frame(&down, FrameMeta::default(), true);
         assert_eq!(round_trip(bytes), Frame::Server(down));
@@ -846,10 +871,10 @@ mod tests {
         let mut base = None;
         let first = reconstruct_updates(
             &mut base,
-            &[
+            &WireBatch::from_items(&[
                 item(EncodedOrigin::Absolute(Point::new(10.0, 10.0)), 4, 3),
                 item(EncodedOrigin::Offset { dx: 1.5, dy: -0.5 }, 8, 4),
-            ],
+            ]),
         )
         .unwrap();
         assert_eq!(first[1].origin, Point::new(11.5, 9.5));
@@ -857,7 +882,7 @@ mod tests {
         // The next batch's leading delta chains off the threaded base.
         let second = reconstruct_updates(
             &mut base,
-            &[item(EncodedOrigin::Offset { dx: 0.5, dy: 0.5 }, 1, 3)],
+            &WireBatch::from_items(&[item(EncodedOrigin::Offset { dx: 0.5, dy: 0.5 }, 1, 3)]),
         )
         .unwrap();
         assert_eq!(second[0].origin, Point::new(12.0, 10.0));
@@ -865,7 +890,7 @@ mod tests {
         assert_eq!(
             reconstruct_updates(
                 &mut None,
-                &[item(EncodedOrigin::Offset { dx: 1.0, dy: 1.0 }, 0, 0)]
+                &WireBatch::from_items(&[item(EncodedOrigin::Offset { dx: 1.0, dy: 1.0 }, 0, 0)])
             ),
             None
         );

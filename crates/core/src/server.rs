@@ -1703,7 +1703,7 @@ mod tests {
             ServerId(1),
             PeerMsg::Replica {
                 from: ServerId(1),
-                batch: batch.clone(),
+                batch: Box::new(batch.clone()),
             },
         );
         assert!(actions

@@ -919,7 +919,7 @@ impl Cluster {
                 // timeline) and echoed to the serving node, which folds
                 // the numbers into its per-ring freshness histograms.
                 let apply_us = self.now.as_micros();
-                for item in &updates {
+                for item in updates.items() {
                     if let Some(tag) = item.trace {
                         self.traced_deliveries += 1;
                         let ack = trace_ack(item.ring, tag, apply_us);

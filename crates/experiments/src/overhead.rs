@@ -335,13 +335,14 @@ fn flush_round(workers: u32, crowd: &[Point]) -> (Duration, u64) {
         let t0 = Instant::now();
         let outcome = p.flush(
             |k: u64| Some(crowd[k as usize]),
-            |_: &mut (), item, origin| (item, origin),
+            Vec::with_capacity,
+            |acc: &mut Vec<_>, item, origin| acc.push((*item, origin)),
         );
         flush_time += t0.elapsed();
         items += outcome
             .batches
             .iter()
-            .map(|b| b.items.len() as u64)
+            .map(|b| b.acc.len() as u64)
             .sum::<u64>();
         black_box(&outcome);
     }

@@ -32,8 +32,9 @@
 //!    entry, the queue staying where it is;
 //! 5. **delta encoding** — [`DeltaEncoder`](crate::DeltaEncoder) turns
 //!    surviving origins into exact offsets with periodic keyframes,
-//!    one item at a time, and the caller's emitter turns each
-//!    `(payload, encoded origin)` pair straight into its wire item.
+//!    one item at a time, and the caller's emitter writes each
+//!    `(payload, encoded origin)` pair straight into the receiver's
+//!    batch (the middleware writes its wire bytes there).
 //!
 //! # One event, many receivers
 //!
@@ -45,10 +46,11 @@
 //! index of that log entry. The one per-receiver payload is the rare
 //! item that picks up a staleness charge
 //! ([`Disseminated::trace_charge`]), which gets a log entry of its own.
-//! Stage 4 ranks a queue through the log, stage 5 clones each survivor
-//! out of it — the flush's one copy per delivered item, into the
-//! finished per-receiver list, which is its one allocation per receiver
-//! — and the log is emptied, its memory kept, whenever nothing is left
+//! Stage 4 ranks a queue through the log, stage 5 hands each survivor
+//! to the caller's emitter by reference — the emitter writes what the
+//! receiver gets into a per-receiver accumulator opened at the kept
+//! count, the flush's one allocation per receiver — and the log is
+//! emptied, its memory kept, whenever nothing is left
 //! queued: at the end of a flush, and when the last queued receiver
 //! departs between flushes. The queues, the log and the ranking scratch
 //! ([`PolicyScratch`](crate::PolicyScratch), one per shard) keep their
@@ -238,29 +240,26 @@ pub struct PipelineConfig {
 
 /// One receiver's flushed batch, already in the caller's wire form:
 /// the flush hands every kept payload and its [`EncodedOrigin`] to the
-/// caller's emitter ([`DisseminationPipeline::flush`]) and collects what
-/// it returns, so no intermediate list of payloads or encodings exists.
+/// caller's emitter ([`DisseminationPipeline::flush`]), which writes it
+/// into `acc`, so no intermediate list of payloads or encodings exists.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FlushBatch<K, B, A> {
+pub struct FlushBatch<K, A> {
     /// The receiving subscriber.
     pub receiver: K,
-    /// The emitter's output per kept payload, most relevant first.
-    /// Never empty.
-    pub items: Vec<B>,
-    /// The emitter's accumulator for this batch (starts at
-    /// `A::default()`, sees every item): whatever the caller counts per
-    /// batch — rings, keyframes, wire bytes — in the pass that builds
-    /// `items`.
-    pub tally: A,
+    /// The emitter's accumulator for this batch: opened with the kept
+    /// count, it saw every kept payload, most relevant first (at least
+    /// one) — the batch itself plus whatever the caller counts per batch
+    /// on the way (rings, keyframes).
+    pub acc: A,
     /// Items merged or dropped by the budget policy for this receiver.
     pub rate_limited: u64,
 }
 
 /// Everything one flush produced.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlushOutcome<K, B, A> {
+pub struct FlushOutcome<K, A> {
     /// Per-receiver batches, in receiver order.
-    pub batches: Vec<FlushBatch<K, B, A>>,
+    pub batches: Vec<FlushBatch<K, A>>,
     /// Queued items discarded because their receiver vanished between
     /// enqueue and flush.
     pub orphaned: u64,
@@ -856,38 +855,40 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// shard by shard. `viewer_of` resolves a receiver's current
     /// position; `None` means the receiver vanished between enqueue and
     /// flush (its items are discarded and counted in
-    /// [`FlushOutcome::orphaned`]). `emit` turns each kept payload and
-    /// its encoded origin into the caller's wire item, in delivery
-    /// order, with a per-batch accumulator for whatever the caller
-    /// tallies on the way ([`FlushBatch::tally`]). With more than one
+    /// [`FlushOutcome::orphaned`]). For every receiver with something
+    /// kept, `open` makes the batch's accumulator from the kept count
+    /// and `emit` writes each kept payload and its encoded origin into
+    /// it, in delivery order ([`FlushBatch::acc`]). With more than one
     /// shard each runs on its own scoped worker thread; the batches come
     /// back in global receiver order and the outcome is byte-identical
     /// for any shard count.
-    pub fn flush<A, B>(
+    pub fn flush<A>(
         &mut self,
         viewer_of: impl Fn(K) -> Option<Point> + Sync,
-        emit: impl Fn(&mut A, U, EncodedOrigin) -> B + Sync,
-    ) -> FlushOutcome<K, B, A>
+        open: impl Fn(usize) -> A + Sync,
+        emit: impl Fn(&mut A, &U, EncodedOrigin) + Sync,
+    ) -> FlushOutcome<K, A>
     where
         K: Send + Sync,
-        U: Clone + Send + Sync,
-        A: Default + Send,
-        B: Send,
+        U: Sync,
+        A: Send,
     {
         let metric = self.metric;
         let policy = self.policy;
         let charging = self.trace_charging;
         // Every shard reads the same log; none writes it.
         let log = &self.log[..];
-        let per_shard: Vec<FlushOutcome<K, B, A>> = if self.shards.len() > 1 {
-            let (viewer_of, emit) = (&viewer_of, &emit);
+        let (viewer_of, emitter) = (&viewer_of, (&open, &emit));
+        let per_shard: Vec<FlushOutcome<K, A>> = if self.shards.len() > 1 {
             std::thread::scope(|s| {
                 let handles: Vec<_> = self
                     .shards
                     .iter_mut()
                     .map(|shard| {
                         s.spawn(move || {
-                            Self::flush_shard(shard, log, metric, policy, charging, viewer_of, emit)
+                            Self::flush_shard(
+                                shard, log, metric, policy, charging, viewer_of, emitter,
+                            )
                         })
                     })
                     .collect();
@@ -900,7 +901,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             self.shards
                 .iter_mut()
                 .map(|shard| {
-                    Self::flush_shard(shard, log, metric, policy, charging, &viewer_of, &emit)
+                    Self::flush_shard(shard, log, metric, policy, charging, viewer_of, emitter)
                 })
                 .collect()
         };
@@ -928,18 +929,15 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// Stages 4–5 over one shard. Writes nothing outside the shard (the
     /// event log is only read), so concurrent calls on distinct shards
     /// are race-free by construction.
-    fn flush_shard<A: Default, B>(
+    fn flush_shard<A>(
         shard: &mut Shard<K>,
         log: &[U],
         metric: Metric,
         policy: FlushPolicy,
         charging: bool,
         viewer_of: &impl Fn(K) -> Option<Point>,
-        emit: &impl Fn(&mut A, U, EncodedOrigin) -> B,
-    ) -> FlushOutcome<K, B, A>
-    where
-        U: Clone,
-    {
+        (open, emit): (&impl Fn(usize) -> A, &impl Fn(&mut A, &U, EncodedOrigin)),
+    ) -> FlushOutcome<K, A> {
         let Shard {
             batcher,
             encoder,
@@ -1013,23 +1011,20 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 }
             }
             spans.lap(Stage::Policy);
-            // Stage 5, fused with the caller's wire-item assembly: each
-            // survivor is copied out of the log once, straight into the
-            // finished list — the flush's one allocation for this
-            // receiver.
-            let mut tally = A::default();
-            let mut items = Vec::with_capacity(ranking.kept().len());
+            // Stage 5, fused with the caller's batch assembly: each
+            // survivor is read out of the log once, straight into the
+            // batch opened for the kept count — the flush's one
+            // allocation for this receiver.
+            let mut acc = open(ranking.kept().len());
             let mut stream = encoder.begin_flush(receiver);
             for i in ranking.kept() {
-                let item = logged(&queued[i]).clone();
-                let origin = stream.encode(item.origin());
-                items.push(emit(&mut tally, item, origin));
+                let item = logged(&queued[i]);
+                emit(&mut acc, item, stream.encode(item.origin()));
             }
             stream.finish();
             batches.push(FlushBatch {
                 receiver,
-                items,
-                tally,
+                acc,
                 rate_limited: dropped as u64,
             });
             spans.lap(Stage::Delta);
@@ -1185,14 +1180,16 @@ mod tests {
     }
 
     /// What the unit suite flushes into: each kept payload beside its
-    /// encoded origin, nothing tallied.
-    type Pairs<U> = FlushOutcome<u32, (U, EncodedOrigin), ()>;
+    /// encoded origin.
+    type Pairs<U> = FlushOutcome<u32, Vec<(U, EncodedOrigin)>>;
 
     fn flush_pairs<U: Disseminated + Clone + Send + Sync>(
         p: &mut DisseminationPipeline<u32, U>,
         viewer_of: impl Fn(u32) -> Option<Point> + Sync,
     ) -> Pairs<U> {
-        p.flush(viewer_of, |_: &mut (), item, origin| (item, origin))
+        p.flush(viewer_of, Vec::with_capacity, |acc, item, origin| {
+            acc.push((item.clone(), origin))
+        })
     }
 
     fn cfg() -> PipelineConfig {
@@ -1241,8 +1238,8 @@ mod tests {
         let out = flush_pairs(&mut p, |_| Some(Point::new(130.0, 100.0)));
         assert_eq!(out.batches.len(), 1);
         assert_eq!(out.batches[0].receiver, 2);
-        assert_eq!(out.batches[0].items[0].0.ring, 0);
-        assert!(out.batches[0].items[0].1.is_keyframe());
+        assert_eq!(out.batches[0].acc[0].0.ring, 0);
+        assert!(out.batches[0].acc[0].1.is_keyframe());
     }
 
     #[test]
@@ -1266,10 +1263,10 @@ mod tests {
         });
         let near = out.batches.iter().find(|b| b.receiver == 1).unwrap();
         let far = out.batches.iter().find(|b| b.receiver == 2).unwrap();
-        assert_eq!(near.items.len(), 4, "near ring gets every event");
-        assert!(near.items.iter().all(|i| i.0.ring == 0));
-        assert_eq!(far.items.len(), 2, "far ring at rate 2 gets half");
-        assert!(far.items.iter().all(|i| i.0.ring == 1));
+        assert_eq!(near.acc.len(), 4, "near ring gets every event");
+        assert!(near.acc.iter().all(|i| i.0.ring == 0));
+        assert_eq!(far.acc.len(), 2, "far ring at rate 2 gets half");
+        assert!(far.acc.iter().all(|i| i.0.ring == 1));
     }
 
     #[test]
@@ -1500,7 +1497,7 @@ mod tests {
         assert!(p.prediction_receivers() > 0);
         // Only the transmitted events were queued.
         let out = flush_pairs(&mut p, |_| Some(Point::new(100.0, 300.0)));
-        assert_eq!(out.batches[0].items.len() as u64, stats.delivered);
+        assert_eq!(out.batches[0].acc.len() as u64, stats.delivered);
     }
 
     #[test]
@@ -1602,8 +1599,8 @@ mod tests {
         });
         let near = out.batches.iter().find(|b| b.receiver == 1).unwrap();
         let far = out.batches.iter().find(|b| b.receiver == 2).unwrap();
-        assert_eq!(near.items[0].0.bytes, 8, "near ships the full payload");
-        assert_eq!(far.items[0].0.bytes, 0, "far ships position-only");
+        assert_eq!(near.acc[0].0.bytes, 8, "near ships the full payload");
+        assert_eq!(far.acc[0].0.bytes, 0, "far ships position-only");
     }
 
     // -- sharding ------------------------------------------------------------
@@ -1731,11 +1728,11 @@ mod tests {
         let payloads = |out: Pairs<Ev>| -> Vec<(u32, Vec<Ev>)> {
             out.batches
                 .into_iter()
-                .map(|b| (b.receiver, b.items.into_iter().map(|i| i.0).collect()))
+                .map(|b| (b.receiver, b.acc.into_iter().map(|i| i.0).collect()))
                 .collect()
         };
         let fq = flush_pairs(&mut standby, |_| Some(Point::new(100.0, 300.0)));
-        assert!(fq.batches.iter().all(|b| b.items[0].1.is_keyframe()));
+        assert!(fq.batches.iter().all(|b| b.acc[0].1.is_keyframe()));
         let fp = flush_pairs(&mut primary, |_| Some(Point::new(100.0, 300.0)));
         assert_eq!(payloads(fp), payloads(fq));
     }
@@ -1850,7 +1847,7 @@ mod tests {
             "the drive must produce at least one charged rebase: {expected:?}"
         );
         let out = flush_pairs(&mut p, |_| Some(Point::new(100.0, 300.0)));
-        let items = &out.batches[0].items;
+        let items = &out.batches[0].acc;
         assert_eq!(items.len(), expected.len());
         for ((item, _), (seq, stale)) in items.iter().zip(expected) {
             let tag = item.tag.expect("every delivered item stays traced");
@@ -1900,13 +1897,13 @@ mod tests {
         send(&mut p, 8, 120.0, 0, 0);
         send(&mut p, 9, 105.0, 1, 100_000);
         let out = flush_pairs(&mut p, |_| Some(Point::new(100.0, 100.0)));
-        assert_eq!(out.batches[0].items.len(), 1);
-        assert_eq!(out.batches[0].items[0].0.entity, 9);
+        assert_eq!(out.batches[0].acc.len(), 1);
+        assert_eq!(out.batches[0].acc[0].0.entity, 9);
         assert_eq!(out.batches[0].rate_limited, 1);
         // The next rebase of entity 8 carries the dropped event's age.
         send(&mut p, 8, 121.0, 2, 300_000);
         let out = flush_pairs(&mut p, |_| Some(Point::new(100.0, 100.0)));
-        let tag = out.batches[0].items[0].0.tag.unwrap();
+        let tag = out.batches[0].acc[0].0.tag.unwrap();
         assert_eq!(tag.seq, 2);
         assert_eq!(tag.stale_us, 300_000, "charged from the dropped seq 0");
         assert_eq!(tag.staleness_us(450_000), 150_000 + 300_000);

@@ -645,7 +645,7 @@ mod tests {
 
     #[test]
     fn switch_then_batch_in_one_wake_up_is_one_ordered_write() {
-        use matrix_core::{BatchItem, EncodedOrigin};
+        use matrix_core::{BatchItem, EncodedOrigin, WireBatch};
 
         let router = Router::new();
         let (node_tx, mut new_owner) = mpsc::unbounded_channel();
@@ -666,7 +666,7 @@ mod tests {
         // What the node queued before the connection task woke up.
         let switch = GameToClient::SwitchServer { to: ServerId(2) };
         let batch = GameToClient::UpdateBatch {
-            updates: vec![BatchItem {
+            updates: WireBatch::from_items(&[BatchItem {
                 origin: EncodedOrigin::Absolute(Point::new(41.0, 30.0)),
                 payload_bytes: 64,
                 entity: 9,
@@ -674,7 +674,7 @@ mod tests {
                 vx: 0.0,
                 vy: 0.0,
                 trace: None,
-            }],
+            }]),
         };
         let (inbox_tx, mut inbox) = mpsc::unbounded_channel();
         inbox_tx.send(batch.clone()).unwrap();

@@ -75,9 +75,10 @@ async fn nearby_clients_see_each_other() {
     match &msg {
         GameToClient::UpdateBatch { updates } => {
             assert_eq!(updates.len(), 1, "{msg:?}");
-            assert_eq!(updates[0].payload_bytes, 64);
+            let first = updates.items().next().expect("one item");
+            assert_eq!(first.payload_bytes, 64);
             assert!(
-                updates[0].origin.is_keyframe(),
+                first.origin.is_keyframe(),
                 "first item of a fresh stream is absolute"
             );
         }
@@ -247,7 +248,7 @@ async fn parallel_flush_loses_and_duplicates_nothing_under_churn() {
         let mut seen: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
         for m in &msgs {
             if let GameToClient::UpdateBatch { updates } = m {
-                for u in updates {
+                for u in updates.items() {
                     if u.payload_bytes >= 300 {
                         *seen.entry(u.payload_bytes).or_default() += 1;
                     }
@@ -686,7 +687,8 @@ async fn ring_tagged_updates_cross_the_real_wire() {
         panic!("expected UpdateBatch, got {msg:?}");
     };
     assert_eq!(updates.len(), 1, "mid ring at rate 2 samples one of two");
-    assert_eq!(updates[0].ring, 1, "mid-ring tag survives the codec");
+    let first = updates.items().next().expect("one item");
+    assert_eq!(first.ring, 1, "mid-ring tag survives the codec");
     cluster.shutdown().await;
 }
 

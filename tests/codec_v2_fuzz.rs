@@ -3,7 +3,11 @@
 //! panic or over-read — malformed input surfaces as `Err` (or
 //! `Incomplete` for a plausible prefix), CRC-protected frames reject
 //! every single-bit corruption, and a frame stream resynchronizes at
-//! the next magic boundary after a corrupt region.
+//! the next magic boundary after a corrupt region. Batch bodies are
+//! checked against an independent reference of the batch grammar: the
+//! decoder accepts exactly what it accepts, less the one shape it
+//! names (trace indices that do not ascend), and a receiver's parse of
+//! an accepted body never panics and reads what the reference reads.
 //!
 //! Randomization is driven by the workspace's own seeded [`SimRng`]
 //! (fixed seeds, so failures are reproducible) instead of an external
@@ -12,9 +16,13 @@
 use matrix_middleware::core::codec_v2::{
     self, Frame, FrameAccumulator, FrameMeta, FrameStatus, MAGIC,
 };
-use matrix_middleware::core::{BatchItem, ClientToGame, EncodedOrigin, GameToClient};
+use matrix_middleware::core::{
+    reconstruct_updates, BatchItem, ClientToGame, EncodedOrigin, GameToClient, UpdateItem,
+    WireBatch,
+};
 use matrix_middleware::geometry::{Point, ServerId};
 use matrix_middleware::sim::SimRng;
+use matrix_middleware::telemetry::TraceTag;
 
 /// A small valid frame with a deliberately low-entropy body (lattice
 /// coordinates, small integers): realistic traffic that is very
@@ -36,7 +44,7 @@ fn small_frame(rng: &mut SimRng) -> Frame {
         }),
         3 => Frame::Client(ClientToGame::Leave),
         _ => Frame::Server(GameToClient::UpdateBatch {
-            updates: vec![
+            updates: WireBatch::from_items(&[
                 BatchItem {
                     origin: EncodedOrigin::Absolute(Point::new(100.0, 200.5)),
                     payload_bytes: rng.uniform_u64(0, 200) as usize,
@@ -63,7 +71,7 @@ fn small_frame(rng: &mut SimRng) -> Frame {
                     vy: -1.5,
                     trace: None,
                 },
-            ],
+            ]),
         }),
     }
 }
@@ -92,11 +100,17 @@ fn random_bytes_never_panic_the_decoder() {
             buf[2] = codec_v2::WIRE_VERSION;
         }
         match codec_v2::decode_frame(&buf) {
-            Ok(FrameStatus::Complete { consumed, .. }) => {
+            Ok(FrameStatus::Complete {
+                consumed, frame, ..
+            }) => {
                 assert!(
                     consumed <= buf.len(),
                     "decoder over-read: {consumed} > {len}"
-                )
+                );
+                if let Frame::Server(GameToClient::UpdateBatch { updates }) = frame {
+                    let _ = reconstruct_updates(&mut None, &updates);
+                    let _ = reconstruct_updates(&mut Some(Point::ORIGIN), &updates);
+                }
             }
             Ok(FrameStatus::Incomplete) | Err(_) => {}
         }
@@ -249,4 +263,241 @@ fn streams_resync_at_the_next_magic_boundary() {
         assert!(errors >= 1, "case {case}: the corruption must be reported");
         assert_eq!(acc.pending_bytes(), 0, "case {case}: stream fully consumed");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Batch bodies against a reference grammar
+// ---------------------------------------------------------------------------
+
+/// The batch-body grammar of `docs/WIRE.md`, parsed field by field with
+/// no code shared with the codec: `None` where the body does not parse.
+/// Trace entries attach by index, in any order (a repeated index keeps
+/// the last tag) — the one latitude the decoder does not grant.
+fn reference_parse(body: &[u8], traced: bool) -> Option<(Vec<BatchItem>, Vec<u16>)> {
+    struct Cur<'a>(&'a [u8]);
+    impl Cur<'_> {
+        fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+            let (head, rest) = self.0.split_at_checked(N)?;
+            self.0 = rest;
+            head.try_into().ok()
+        }
+        fn u64(&mut self) -> Option<u64> {
+            self.take::<8>().map(u64::from_le_bytes)
+        }
+        fn f64(&mut self) -> Option<f64> {
+            self.take::<8>().map(f64::from_le_bytes)
+        }
+        fn i24(&mut self) -> Option<f64> {
+            let [a, b, c] = self.take::<3>()?;
+            Some(((i32::from_le_bytes([a, b, c, 0]) << 8) >> 8) as f64 / 256.0)
+        }
+        fn pair(&mut self, wide: bool) -> Option<(f64, f64)> {
+            if wide {
+                Some((self.f64()?, self.f64()?))
+            } else {
+                Some((self.i24()?, self.i24()?))
+            }
+        }
+    }
+    let mut cur = Cur(body);
+    let mut tags = Vec::new();
+    if traced {
+        let n = u16::from_le_bytes(cur.take::<2>()?);
+        for _ in 0..n {
+            let index = u16::from_le_bytes(cur.take::<2>()?);
+            let origin = u32::from_le_bytes(cur.take::<4>()?);
+            let seq = u32::from_le_bytes(cur.take::<4>()?);
+            let ingest_us = cur.u64()?;
+            let stale_us = cur.u64()?;
+            tags.push((
+                index,
+                TraceTag {
+                    origin,
+                    seq,
+                    ingest_us,
+                    stale_us,
+                },
+            ));
+        }
+    }
+    let mut items = Vec::new();
+    while !cur.0.is_empty() {
+        let [h] = cur.take::<1>()?;
+        let delta = h & 0x01 != 0;
+        if (!delta && h & 0x20 != 0) || (h & 0x40 != 0 && h & 0x08 == 0) {
+            return None;
+        }
+        let entity = if h & 0x10 != 0 {
+            cur.u64()?
+        } else {
+            let [a, b, c] = cur.take::<3>()?;
+            u64::from(u32::from_le_bytes([a, b, c, 0]))
+        };
+        let payload_bytes = if h & 0x80 != 0 {
+            cur.u64()? as usize
+        } else {
+            usize::from(u16::from_le_bytes(cur.take::<2>()?))
+        };
+        let origin = if delta {
+            let (dx, dy) = cur.pair(h & 0x20 != 0)?;
+            EncodedOrigin::Offset { dx, dy }
+        } else {
+            EncodedOrigin::Absolute(Point::new(cur.f64()?, cur.f64()?))
+        };
+        let (vx, vy) = if h & 0x08 != 0 {
+            cur.pair(h & 0x40 != 0)?
+        } else {
+            (0.0, 0.0)
+        };
+        items.push(BatchItem {
+            origin,
+            payload_bytes,
+            entity,
+            ring: (h >> 1) & 0x03,
+            vx,
+            vy,
+            trace: None,
+        });
+    }
+    let mut indices = Vec::new();
+    for (index, tag) in tags {
+        items.get_mut(usize::from(index))?.trace = Some(tag);
+        indices.push(index);
+    }
+    Some((items, indices))
+}
+
+/// `f64` fields compared by their printed form, which is exact and
+/// treats two NaNs alike.
+fn same<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
+/// Random batch bodies — any header byte, random field bytes, random
+/// trace sections with indices in and out of order, truncations and
+/// trailing junk — framed and decoded. The decoder accepts a body
+/// exactly when the reference grammar parses it and its trace indices
+/// strictly ascend; an accepted body reads back as the reference's
+/// items, and `reconstruct_updates` over it never panics and equals the
+/// per-item `EncodedOrigin::decode` fold over those items.
+#[test]
+fn batch_bodies_decode_exactly_as_the_reference_grammar() {
+    let mut rng = SimRng::seed_from_u64(0xF022_0007);
+    let (mut accepted, mut out_of_order) = (0, 0);
+    for case in 0..4000 {
+        let mut items = Vec::new();
+        let count = rng.uniform_u64(0, 6);
+        for _ in 0..count {
+            // Mostly headers an encoder writes, so bodies get far.
+            let mut h = rng.uniform_u64(0, 256) as u8;
+            if rng.chance(0.8) {
+                h &= if h & 0x01 == 0 { !0x20 } else { 0xFF };
+                if h & 0x08 == 0 {
+                    h &= !0x40;
+                }
+            }
+            let pair = |wide| if wide { 16 } else { 6 };
+            let len = (if h & 0x10 != 0 { 8 } else { 3 })
+                + (if h & 0x80 != 0 { 8 } else { 2 })
+                + (if h & 0x01 != 0 {
+                    pair(h & 0x20 != 0)
+                } else {
+                    16
+                })
+                + (if h & 0x08 != 0 {
+                    pair(h & 0x40 != 0)
+                } else {
+                    0
+                });
+            items.push(h);
+            items.extend((0..len).map(|_| rng.uniform_u64(0, 256) as u8));
+        }
+        let traced = rng.chance(0.5);
+        let mut body = Vec::new();
+        if traced {
+            let n = rng.uniform_u64(0, 4) as u16;
+            // In range but for the odd one past the last item.
+            let mut indices: Vec<u16> = (0..n)
+                .map(|_| rng.uniform_u64(0, count.max(1) + 1) as u16)
+                .collect();
+            if rng.chance(0.6) {
+                indices.sort_unstable();
+                indices.dedup();
+            }
+            body.extend((indices.len() as u16).to_le_bytes());
+            for index in indices {
+                body.extend(index.to_le_bytes());
+                body.extend((0..24).map(|_| rng.uniform_u64(0, 256) as u8));
+            }
+        }
+        body.extend(items);
+        if rng.chance(0.1) && !body.is_empty() {
+            body.truncate(rng.uniform_u64(0, body.len() as u64) as usize);
+        }
+        if rng.chance(0.1) {
+            body.extend((0..rng.uniform_u64(1, 4)).map(|_| rng.uniform_u64(0, 256) as u8));
+        }
+
+        let mut frame = vec![MAGIC[0], MAGIC[1], codec_v2::WIRE_VERSION];
+        frame.push(8 | if traced { 0x40 } else { 0 });
+        frame.extend((body.len() as u32).to_le_bytes());
+        frame.extend([0; 12]);
+        frame.extend(&body);
+
+        let reference = reference_parse(&body, traced);
+        let ascending = reference
+            .as_ref()
+            .is_some_and(|(_, ix)| ix.windows(2).all(|w| w[0] < w[1]));
+        out_of_order += usize::from(reference.is_some() && !ascending);
+        let decoded = match codec_v2::decode_frame(&frame) {
+            Ok(FrameStatus::Complete {
+                frame: Frame::Server(GameToClient::UpdateBatch { updates }),
+                consumed,
+                ..
+            }) => {
+                assert_eq!(consumed, frame.len(), "case {case}");
+                Some(updates)
+            }
+            Ok(other) => panic!("case {case}: a whole batch frame gave {other:?}"),
+            Err(_) => None,
+        };
+        assert_eq!(
+            decoded.is_some(),
+            ascending,
+            "case {case}: decoder and reference disagree on {body:?}"
+        );
+        let (Some(updates), Some((items, _))) = (decoded, reference) else {
+            continue;
+        };
+        accepted += 1;
+        assert_eq!(updates.len(), items.len(), "case {case}");
+        assert!(
+            same(&updates.items().collect::<Vec<_>>(), &items),
+            "case {case}"
+        );
+        for start in [None, Some(Point::new(5.0, -3.0))] {
+            let (mut fold_base, mut byte_base) = (start, start);
+            let fold: Option<Vec<UpdateItem>> = items
+                .iter()
+                .map(|i| {
+                    Some(UpdateItem {
+                        origin: i.origin.decode(&mut fold_base)?,
+                        payload_bytes: i.payload_bytes,
+                        entity: i.entity,
+                        ring: i.ring,
+                        vx: i.vx,
+                        vy: i.vy,
+                        trace: i.trace,
+                    })
+                })
+                .collect();
+            let got = reconstruct_updates(&mut byte_base, &updates);
+            assert!(same(&got, &fold), "case {case} from {start:?}");
+        }
+    }
+    assert!(accepted > 1000, "accepted bodies: {accepted}");
+    assert!(
+        out_of_order > 40,
+        "out-of-order trace sections: {out_of_order}"
+    );
 }

@@ -1,17 +1,20 @@
 //! Property tests of the wire protocol (`docs/WIRE.md`): for every
 //! frame type, the round-trip is the identity over random messages,
-//! full-width integers and wide escapes included. Also pins the
-//! interest layer's `WIRE_BYTES` constants to the *measured* encoded
-//! lengths of the corresponding items.
+//! full-width integers and wide escapes included; a batch's one-pass
+//! reconstruction equals the per-item delta fold. Also pins the
+//! interest layer's `WIRE_BYTES` constants to the bytes the batch writer
+//! actually writes for the corresponding items.
 //!
 //! Randomization is driven by the workspace's own seeded [`SimRng`]
 //! (fixed seeds, so failures are reproducible) instead of an external
 //! property-testing framework, keeping the build offline-friendly.
 
-use matrix_middleware::core::codec_v2::{self, Frame, FrameAccumulator, FrameMeta, FrameStatus};
+use matrix_middleware::core::codec_v2::{
+    self, BatchWriter, Frame, FrameAccumulator, FrameMeta, FrameStatus,
+};
 use matrix_middleware::core::{
-    BatchItem, ClientId, ClientToGame, Disseminated, EncodedOrigin, GameToClient, RegionSnapshot,
-    ReplicaBatch, ReplicaOp, UpdateItem, MAX_RINGS,
+    reconstruct_updates, BatchItem, ClientId, ClientToGame, Disseminated, EncodedOrigin,
+    GameToClient, RegionSnapshot, ReplicaBatch, ReplicaOp, UpdateItem, WireBatch, MAX_RINGS,
 };
 use matrix_middleware::geometry::{Point, Rect, ServerId};
 use matrix_middleware::predict::Basis;
@@ -123,6 +126,11 @@ fn batch_item(rng: &mut SimRng) -> BatchItem {
     }
 }
 
+/// The bytes one item takes on the wire, as the writer measures them.
+fn wire_len(item: &BatchItem) -> usize {
+    BatchWriter::default().push_item(item)
+}
+
 fn client_msg(rng: &mut SimRng) -> ClientToGame {
     match rng.uniform_u64(0, 5) {
         0 => ClientToGame::Join {
@@ -160,11 +168,14 @@ fn server_msg(rng: &mut SimRng) -> GameToClient {
         3 => GameToClient::SwitchServer {
             to: ServerId(rng.uniform_u64(1, 1 << 20) as u32),
         },
-        _ => GameToClient::UpdateBatch {
-            updates: (0..rng.uniform_u64(0, 12))
+        _ => {
+            let items: Vec<BatchItem> = (0..rng.uniform_u64(0, 12))
                 .map(|_| batch_item(rng))
-                .collect(),
-        },
+                .collect();
+            GameToClient::UpdateBatch {
+                updates: WireBatch::from_items(&items),
+            }
+        }
     }
 }
 
@@ -311,15 +322,77 @@ fn server_frames_roundtrip() {
 fn every_batch_item_shape_roundtrips() {
     // The full optional-field matrix, deliberately: absolute and delta
     // items, entity/ring/velocity present and absent, narrow lattice
-    // and wide-escape encodings — one batch per cell combination.
+    // and wide-escape encodings, traced items at random positions —
+    // built, encoded and decoded; the decoded bytes read back as the
+    // items the batch was built from.
     let mut rng = SimRng::seed_from_u64(0xC0DE_C003);
     for case in 0..CASES * 4 {
-        let updates: Vec<BatchItem> = (0..rng.uniform_u64(1, 8))
+        let items: Vec<BatchItem> = (0..rng.uniform_u64(1, 8))
             .map(|_| batch_item(&mut rng))
             .collect();
-        let msg = GameToClient::UpdateBatch { updates };
-        assert_binary_roundtrip(case, &Frame::Server(msg), meta(&mut rng), true);
+        let msg = GameToClient::UpdateBatch {
+            updates: WireBatch::from_items(&items),
+        };
+        let crc = rng.chance(0.5);
+        let decoded = assert_binary_roundtrip(case, &Frame::Server(msg), meta(&mut rng), crc);
+        let Frame::Server(GameToClient::UpdateBatch { updates }) = decoded else {
+            unreachable!("a batch decodes as a batch");
+        };
+        assert_eq!(updates.len(), items.len(), "case {case}");
+        assert_eq!(updates.items().collect::<Vec<_>>(), items, "case {case}");
     }
+}
+
+/// A receiver's one pass over the bytes equals the reference fold: each
+/// item's `EncodedOrigin::decode` against the stream base, in order,
+/// with the base threaded across batches — and both reject a delta that
+/// arrives with no base.
+#[test]
+fn reconstruct_over_the_bytes_equals_the_per_item_decode_fold() {
+    fn fold(base: &mut Option<Point>, items: &[BatchItem]) -> Option<Vec<UpdateItem>> {
+        items
+            .iter()
+            .map(|i| {
+                Some(UpdateItem {
+                    origin: i.origin.decode(base)?,
+                    payload_bytes: i.payload_bytes,
+                    entity: i.entity,
+                    ring: i.ring,
+                    vx: i.vx,
+                    vy: i.vy,
+                    trace: i.trace,
+                })
+            })
+            .collect()
+    }
+    let mut rng = SimRng::seed_from_u64(0xC0DE_C00B);
+    let (mut rejected, mut applied) = (0, 0);
+    for case in 0..CASES * 2 {
+        // A stream of batches; each one a fresh stream now and then.
+        let (mut fold_base, mut byte_base) = (None, None);
+        for step in 0..rng.uniform_u64(1, 6) {
+            if rng.chance(0.2) {
+                (fold_base, byte_base) = (None, None);
+            }
+            let items: Vec<BatchItem> = (0..rng.uniform_u64(1, 10))
+                .map(|_| batch_item(&mut rng))
+                .collect();
+            let expected = fold(&mut fold_base, &items);
+            let got = reconstruct_updates(&mut byte_base, &WireBatch::from_items(&items));
+            assert_eq!(got, expected, "case {case} step {step}");
+            if expected.is_none() {
+                rejected += 1;
+                (fold_base, byte_base) = (None, None);
+            } else {
+                applied += 1;
+                assert_eq!(byte_base, fold_base, "case {case} step {step}: base");
+            }
+        }
+    }
+    assert!(
+        rejected > 0 && applied > 0,
+        "{rejected} rejected, {applied} applied"
+    );
 }
 
 #[test]
@@ -350,36 +423,38 @@ fn hello_frames_roundtrip() {
 
 #[test]
 fn frame_len_predicts_the_encoder_exactly() {
-    // The byte-accounting path (`update_batch_frame_len`) never
-    // allocates a frame; it must agree with the real encoder on every
-    // random batch, with and without the CRC trailer.
+    // Byte accounting is the bytes the writer wrote: per-item pushes
+    // plus the trace section compose the body, and the frame is the
+    // body plus its overhead, with and without the CRC trailer.
     let mut rng = SimRng::seed_from_u64(0xC0DE_C007);
     for case in 0..CASES * 2 {
-        let updates: Vec<BatchItem> = (0..rng.uniform_u64(0, 20))
+        let items: Vec<BatchItem> = (0..rng.uniform_u64(0, 20))
             .map(|_| batch_item(&mut rng))
             .collect();
-        for crc in [false, true] {
-            let predicted = codec_v2::update_batch_frame_len(&updates, crc);
-            let msg = GameToClient::UpdateBatch {
-                updates: updates.clone(),
-            };
-            let actual = codec_v2::encode_server_frame(&msg, FrameMeta::default(), crc).len();
-            assert_eq!(predicted, actual, "case {case} crc={crc}: {updates:?}");
-        }
-        let item_sum: usize = updates.iter().map(codec_v2::batch_item_wire_len).sum();
+        let mut writer = BatchWriter::with_capacity(items.len());
+        let item_sum: usize = items.iter().map(|i| writer.push_item(i)).sum();
+        let updates = writer.finish();
         // Trace tags ride in a frame-level section (u16 count + fixed
         // entries), not in per-item framing — compose it explicitly.
-        let traced = updates.iter().filter(|u| u.trace.is_some()).count();
+        let traced = items.iter().filter(|u| u.trace.is_some()).count();
         let trace_section = if traced > 0 {
             2 + traced * codec_v2::TRACE_ENTRY_BYTES
         } else {
             0
         };
         assert_eq!(
-            codec_v2::update_batch_frame_len(&updates, true),
-            codec_v2::frame_overhead(true) + item_sum + trace_section,
+            updates.body().len(),
+            item_sum + trace_section,
             "case {case}: per-item lengths must compose"
         );
+        for crc in [false, true] {
+            let predicted = codec_v2::frame_overhead(crc) + updates.body().len();
+            let msg = GameToClient::UpdateBatch {
+                updates: updates.clone(),
+            };
+            let actual = codec_v2::encode_server_frame(&msg, FrameMeta::default(), crc).len();
+            assert_eq!(predicted, actual, "case {case} crc={crc}: {items:?}");
+        }
     }
 }
 
@@ -447,8 +522,9 @@ fn appending_encoders_equal_the_concatenated_owned_encoders() {
 }
 
 /// The interest layer's modeled byte constants are *measured* truth:
-/// each one equals the encoded length of the corresponding canonical
-/// binary item (lattice coords, narrow entity, narrow payload length).
+/// each one equals the bytes the batch writer pushes for the
+/// corresponding canonical item (lattice coords, narrow entity, narrow
+/// payload length).
 #[test]
 fn wire_bytes_constants_match_measured_frames() {
     let keyframe = BatchItem {
@@ -461,7 +537,7 @@ fn wire_bytes_constants_match_measured_frames() {
         trace: None,
     };
     assert_eq!(
-        codec_v2::batch_item_wire_len(&keyframe),
+        wire_len(&keyframe),
         UpdateItem::WIRE_BYTES,
         "a canonical keyframe item measures UpdateItem::WIRE_BYTES"
     );
@@ -471,7 +547,7 @@ fn wire_bytes_constants_match_measured_frames() {
         ..keyframe
     };
     assert_eq!(
-        codec_v2::batch_item_wire_len(&delta),
+        wire_len(&delta),
         BatchItem::DELTA_WIRE_BYTES,
         "a canonical delta item measures BatchItem::DELTA_WIRE_BYTES"
     );
@@ -482,14 +558,16 @@ fn wire_bytes_constants_match_measured_frames() {
         ..delta
     };
     assert_eq!(
-        codec_v2::batch_item_wire_len(&with_velocity) - codec_v2::batch_item_wire_len(&delta),
+        wire_len(&with_velocity) - wire_len(&delta),
         UpdateItem::VELOCITY_WIRE_BYTES,
         "the velocity tag measures VELOCITY_WIRE_BYTES"
     );
 
     // The per-batch overhead constant is the measured empty frame.
     let empty = codec_v2::encode_server_frame(
-        &GameToClient::UpdateBatch { updates: vec![] },
+        &GameToClient::UpdateBatch {
+            updates: WireBatch::default(),
+        },
         FrameMeta::default(),
         true,
     );
@@ -521,17 +599,17 @@ fn wire_bytes_constants_match_measured_frames() {
         };
         assert_eq!(
             Disseminated::wire_bytes(&update),
-            codec_v2::batch_item_wire_len(&item) + item.payload_bytes
+            wire_len(&item) + item.payload_bytes
         );
     }
 }
 
-/// The arithmetic length function and the encoder agree on every item
+/// The bytes the writer counts and the encoded frame agree on every item
 /// header the encoder can write, exhaustively rather than by chance:
 /// keyframe and delta, each of entity / payload length / offsets /
 /// velocity narrow and wide (velocity also absent), every ring. Each
-/// item is built to need exactly the bits of its header byte, and the
-/// encoder must write that byte.
+/// item is built to need exactly the bits of its header byte, the
+/// writer must write that byte, and the item must read back intact.
 #[test]
 fn wire_len_audit_covers_every_header_combination() {
     let mut shapes = 0;
@@ -562,14 +640,16 @@ fn wire_len_audit_covers_every_header_combination() {
             vy: if vel { -1.0 / 256.0 } else { 0.0 },
             trace: None,
         };
-        let msg = GameToClient::UpdateBatch {
-            updates: vec![item],
-        };
+        let mut writer = BatchWriter::default();
+        let pushed = writer.push_item(&item);
+        let updates = writer.finish();
+        assert_eq!(updates.items().collect::<Vec<_>>(), [item]);
+        let msg = GameToClient::UpdateBatch { updates };
         let bytes = codec_v2::encode_server_frame(&msg, FrameMeta::default(), false);
         assert_eq!(bytes[codec_v2::HEADER_BYTES], h, "{item:?}");
         assert_eq!(
             bytes.len() - codec_v2::frame_overhead(false),
-            codec_v2::batch_item_wire_len(&item),
+            pushed,
             "{item:?}"
         );
         assert_binary_roundtrip(h as usize, &Frame::Server(msg), FrameMeta::default(), true);
@@ -590,7 +670,7 @@ fn full_u64_values_survive_the_binary_codec() {
             resync: true,
         },
         Frame::Server(GameToClient::UpdateBatch {
-            updates: vec![BatchItem {
+            updates: WireBatch::from_items(&[BatchItem {
                 origin: EncodedOrigin::Absolute(Point::new(0.5, -0.5)),
                 payload_bytes: usize::MAX >> 8,
                 entity: u64::MAX,
@@ -598,7 +678,7 @@ fn full_u64_values_survive_the_binary_codec() {
                 vx: 1.0,
                 vy: -1.0,
                 trace: None,
-            }],
+            }]),
         }),
         Frame::Replica(Box::new(ReplicaBatch {
             seq: u64::MAX,

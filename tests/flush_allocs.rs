@@ -1,7 +1,8 @@
 //! Allocation pin for the send path.
 //!
-//! A flush allocates once per receiver — the finished `Vec<BatchItem>`
-//! that travels in the `UpdateBatch` — plus a constant for the action
+//! A flush allocates once per receiver — the wire bytes of its batch,
+//! sized from the kept count, that travel in the `UpdateBatch` as a
+//! `WireBatch` — plus a constant for the action
 //! and batch lists; ingesting a move allocates a constant, because the
 //! event log and every receiver's queue keep their memory across
 //! flushes. This test holds

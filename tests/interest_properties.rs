@@ -504,13 +504,13 @@ fn delta_codec_reconstructs_absolute_streams_exactly() {
 #[test]
 fn delta_node_streams_reconstruct_absolute_node_streams() {
     use matrix_middleware::core::{
-        reconstruct_updates, BatchItem, ClientId, ClientToGame, GameAction, GameServerConfig,
-        GameServerNode, GameToClient, ServerId, UpdateItem,
+        reconstruct_updates, ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode,
+        GameToClient, ServerId, UpdateItem, WireBatch,
     };
     use matrix_middleware::sim::{SimDuration, SimTime};
     use std::collections::BTreeMap;
 
-    type Batches = BTreeMap<ClientId, Vec<Vec<BatchItem>>>;
+    type Batches = BTreeMap<ClientId, Vec<WireBatch>>;
 
     // One scripted input stream, replayed into differently configured
     // nodes.
@@ -542,12 +542,12 @@ fn delta_node_streams_reconstruct_absolute_node_streams() {
         batches
     }
 
-    fn absolutes(items: &[BatchItem]) -> Vec<UpdateItem> {
+    fn absolutes(batch: &WireBatch) -> Vec<UpdateItem> {
         assert!(
-            items.iter().all(|i| i.origin.is_keyframe()),
+            batch.items().all(|i| i.origin.is_keyframe()),
             "absolute node must never emit deltas"
         );
-        reconstruct_updates(&mut None, items).expect("keyframes need no base")
+        reconstruct_updates(&mut None, batch).expect("keyframes need no base")
     }
 
     let mut rng = SimRng::seed_from_u64(0x5E0_0E11);
@@ -964,7 +964,7 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
     use matrix_middleware::core::{
         codec_v2::{self, FrameMeta},
         quantize, BatchItem, ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode,
-        GameToClient, ServerId, UpdateBatcher, UpdateItem,
+        GameToClient, ServerId, UpdateBatcher, UpdateItem, WireBatch,
     };
     use matrix_middleware::sim::{SimDuration, SimTime};
 
@@ -1105,7 +1105,7 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
         }
     }
 
-    fn batches_of(actions: &[GameAction]) -> Vec<(ClientId, Vec<BatchItem>)> {
+    fn batches_of(actions: &[GameAction]) -> Vec<(ClientId, WireBatch)> {
         actions
             .iter()
             .filter_map(|a| match a {
@@ -1222,18 +1222,16 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
                 assert_eq!(nc, rc, "case {case} step {step}: receiver order");
                 // Byte-identical on the actual wire: compare the encoded
                 // frames (under one fixed header), not just the structs.
-                let frame = |updates: &Vec<BatchItem>| {
+                let frame = |updates: WireBatch| {
                     codec_v2::encode_server_frame(
-                        &GameToClient::UpdateBatch {
-                            updates: updates.clone(),
-                        },
+                        &GameToClient::UpdateBatch { updates },
                         FrameMeta::default(),
                         true,
                     )
                 };
                 assert_eq!(
-                    frame(nb),
-                    frame(rb),
+                    frame(nb.clone()),
+                    frame(WireBatch::from_items(rb)),
                     "case {case} step {step} {nc:?}: wire bytes diverged"
                 );
             }
@@ -1809,13 +1807,14 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                 let positions = &oracle.positions;
                 let outcome = p.flush(
                     |key| (Some(key) != gone).then(|| positions[&key]),
-                    |_: &mut (), item, encoded| (item, encoded),
+                    Vec::with_capacity,
+                    |acc: &mut Vec<_>, item, encoded| acc.push((*item, encoded)),
                 );
                 let got = Flushed {
                     batches: outcome
                         .batches
                         .into_iter()
-                        .map(|b| (b.receiver, b.items, b.rate_limited))
+                        .map(|b| (b.receiver, b.acc, b.rate_limited))
                         .collect(),
                     orphaned: outcome.orphaned,
                 };
@@ -1937,12 +1936,13 @@ fn ring_membership_and_sampling_are_exact() {
 
         let outcome = pipe.flush(
             |k| positions.get(k as usize).copied(),
-            |_: &mut (), item, _| item,
+            Vec::with_capacity,
+            |acc: &mut Vec<UpdateItem>, item, _| acc.push(*item),
         );
         assert_eq!(outcome.orphaned, 0);
         let mut delivered: HashMap<(u32, u8), u64> = HashMap::new();
         for batch in &outcome.batches {
-            for item in &batch.items {
+            for item in &batch.acc {
                 // Membership: the tag matches the enqueue-time distance
                 // tier (receivers are static, so it is checkable here).
                 let d = positions[batch.receiver as usize].distance_by(item.origin, metric);

@@ -33,26 +33,28 @@
 use matrix_middleware::core::{
     codec_v2, quantize, BatchItem, ClientId, ClientSession, ClientToGame, EncodedOrigin,
     Extrapolator, GameAction, GameServerConfig, GameServerNode, GameToClient, RingSet, ServerId,
-    UpdateItem,
+    UpdateItem, WireBatch,
 };
 use matrix_middleware::geometry::{Point, Rect};
 use matrix_middleware::predict::{extrapolate, quantize_velocity, Admission, PredictedStream};
 use matrix_middleware::sim::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 
-/// Encodes `msg` (an `UpdateBatch`) as a wire frame, checks the frame
-/// is exactly the frame overhead plus the codec's arithmetic item
-/// lengths, and returns those per-item lengths with the frame bytes.
+/// Encodes `msg` (an `UpdateBatch`) as a wire frame, checks
+/// the frame is exactly the frame overhead plus the bytes the batch
+/// writer pushes per item, and returns those per-item lengths with the
+/// frame bytes.
 fn measured_items(msg: &GameToClient) -> (Vec<usize>, Vec<u8>) {
     let GameToClient::UpdateBatch { updates } = msg else {
         panic!("expected a batch");
     };
     let bytes = codec_v2::encode_server_frame(msg, codec_v2::FrameMeta::default(), true);
-    let lens: Vec<usize> = updates.iter().map(codec_v2::batch_item_wire_len).collect();
+    let mut writer = codec_v2::BatchWriter::default();
+    let lens: Vec<usize> = updates.items().map(|i| writer.push_item(&i)).collect();
     assert_eq!(
         bytes.len(),
         codec_v2::frame_overhead(true) + lens.iter().sum::<usize>(),
-        "the arithmetic item lengths are the encoded bytes"
+        "the pushed item lengths are the encoded bytes"
     );
     (lens, bytes)
 }
@@ -272,7 +274,7 @@ fn velocity_fields_round_trip_and_legacy_frames_decode() {
             });
         }
         let msg = GameToClient::UpdateBatch {
-            updates: updates.clone(),
+            updates: WireBatch::from_items(&updates),
         };
         let (lens, bytes) = measured_items(&msg);
         match codec_v2::decode_frame(&bytes) {
@@ -354,7 +356,7 @@ fn predict_off_leaves_the_wire_in_the_pr4_grammar() {
                     unreachable!()
                 };
                 assert!(
-                    updates.iter().all(|u| !u.has_velocity()),
+                    updates.items().all(|u| !u.has_velocity()),
                     "case {case}: velocity leaked onto a predict-off wire"
                 );
                 for len in measured_items(&msg).0 {

@@ -147,7 +147,7 @@ fn ship_full_snapshot(primary: &mut GameServerNode) -> ReplicaBatch {
         .on_tick(now, 0.0)
         .into_iter()
         .find_map(|a| match a {
-            GameAction::ToMatrix(GameToMatrix::Replica { batch, .. }) => Some(batch),
+            GameAction::ToMatrix(GameToMatrix::Replica { batch, .. }) => Some(*batch),
             _ => None,
         })
         .expect("a fresh pairing ships on the next tick");
@@ -163,7 +163,7 @@ fn promoted_standby(cfg: GameServerConfig, batch: ReplicaBatch) -> GameServerNod
         now,
         MatrixToGame::ReplicaBatch {
             from: ServerId(1),
-            batch,
+            batch: Box::new(batch),
         },
     );
     let switched = standby.on_matrix(
