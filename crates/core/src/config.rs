@@ -201,7 +201,7 @@ pub struct GameServerConfig {
     pub replica_interval: SimDuration,
     /// Master telemetry switch: per-stage pipeline span timers, tick and
     /// flush latency histograms, the per-node flight recorder (including
-    /// the per-shard span dump of any flush that overran its cadence,
+    /// the span dump of any flush that overran its cadence,
     /// [`matrix_telemetry::EventKind::SlowFlush`]), and the telemetry
     /// snapshot attached to load reports (which then rides the
     /// heartbeat to the coordinator — snapshot cadence is therefore
@@ -215,15 +215,6 @@ pub struct GameServerConfig {
     /// by default: corrupted frames are then rejected and the stream
     /// resynchronizes at the next magic boundary.
     pub frame_crc: bool,
-    /// Number of shards the dissemination flush is partitioned into
-    /// (clamped to ≥ 1). Per-client send-path state (delta streams,
-    /// sampling phase, prediction mirrors, queued batches) lives in
-    /// `flush_workers` independent shards keyed by a stable client-id
-    /// hash; under the async runtime each shard flushes on its own
-    /// worker thread. The flush output is byte-identical for any value
-    /// — this is purely a throughput knob. `1` (the default) is the
-    /// sequential single-shard path.
-    pub flush_workers: u32,
     /// Causal trace sampling: every `trace_sample_rate`-th ingested
     /// event (by the node's event sequence number, deterministically) is
     /// stamped with a [`matrix_telemetry::TraceTag`] that rides the
@@ -265,7 +256,6 @@ impl Default for GameServerConfig {
             telemetry: false,
             codec: WireCodec::BinaryV2,
             frame_crc: true,
-            flush_workers: 1,
             trace_sample_rate: 0,
         }
     }

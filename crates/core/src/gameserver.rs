@@ -314,8 +314,7 @@ impl GameServerNode {
                 position_only_ring: cfg.position_only_ring,
                 telemetry: cfg.telemetry,
             },
-        )
-        .with_shards(cfg.flush_workers);
+        );
         // Staleness charging (suppressed/dropped event ages charged to
         // the next delivered rebase) only runs when events can actually
         // carry tags — with sampling off the charge maps stay untouched
@@ -434,22 +433,10 @@ impl GameServerNode {
         snap.counter("grid_retunes", self.stats.grid_retunes);
         snap.counter("promotions", self.stats.promotions);
         for stage in Stage::ALL {
-            // Stages 1–3 time on the driver thread, stages 4–5 in the
-            // per-shard spans; `stage_histogram` is the merged view.
-            let h = self.pipeline.stage_histogram(stage);
-            snap.hist(format!("stage_{}_us", stage.name()), &h);
+            let h = self.pipeline.spans().histogram(stage);
+            snap.hist(format!("stage_{}_us", stage.name()), h);
         }
         snap.hist("flush_us", &self.flush_hist);
-        // Shard balance of the sharded flush (PR 9): max/mean of the
-        // per-shard stage-5 (delta/encode) time, in basis points.
-        // 10 000 = perfectly even; 2× the mean on the worst shard reads
-        // as 20 000. Only meaningful once something actually flushed.
-        let sums = self.pipeline.shard_stage_sums(Stage::Delta);
-        let mean = sums.iter().sum::<f64>() / sums.len().max(1) as f64;
-        if mean > 0.0 {
-            let max = sums.iter().cloned().fold(0.0_f64, f64::max);
-            snap.counter("flush_shard_imbalance_bp", (max / mean * 10_000.0) as u64);
-        }
         // The causal trace plane: stamped/acked volumes and the per-ring
         // end-to-end freshness histograms the coordinator's SLO tracker
         // consumes. Omitted entirely while tracing never ran, keeping
@@ -756,8 +743,7 @@ impl GameServerNode {
         let clients = &self.clients;
         // The pipeline's stage 5 hands each surviving item over with
         // its encoded origin; this writes its wire bytes and tallies the
-        // batch in the same pass (on the flush worker that owns the
-        // receiver, when there are several).
+        // batch in the same pass.
         let outcome = self.pipeline.flush(
             |cid| clients.get(&cid).map(|rec| rec.pos),
             |kept| BatchTally {
@@ -810,26 +796,22 @@ impl GameServerNode {
             let us = t0.elapsed().as_secs_f64() * 1e6;
             self.flush_hist.record(us);
             // Slow-flush capture: a flush is slow when it overran the
-            // cadence it runs on. Its per-stage, per-shard span
-            // breakdown goes into the flight recorder — the post-mortem
-            // answers "which stage, which shard" without re-running the
-            // workload.
+            // cadence it runs on. Its per-stage span breakdown goes into
+            // the flight recorder — the post-mortem answers "which
+            // stage" without re-running the workload.
             let cadence_us = match self.cfg.batch_interval.as_micros() {
                 0 => self.cfg.tick.as_micros(),
                 interval => interval,
             };
             if us as u64 >= cadence_us {
-                for (shard, spans) in self.pipeline.last_flush_spans().into_iter().enumerate() {
-                    self.recorder.record(
-                        now,
-                        EventKind::SlowFlush {
-                            server: self.id,
-                            shard: shard as u32,
-                            total_us: us as u64,
-                            stages: spans.map(|s| s as u64),
-                        },
-                    );
-                }
+                self.recorder.record(
+                    now,
+                    EventKind::SlowFlush {
+                        server: self.id,
+                        total_us: us as u64,
+                        stages: self.pipeline.spans().last_flush_us().map(|s| s as u64),
+                    },
+                );
             }
         }
         out
@@ -2487,88 +2469,15 @@ mod tests {
         assert_eq!(g.stats().moves, 1, "counted but not processed");
     }
 
-    /// Drives a mixed workload — joins, a crowd of moves/actions, a
-    /// leave, tick flushes — and returns the node's final actions.
-    fn drive_sharded_workload(g: &mut GameServerNode) -> Vec<GameAction> {
-        for i in 0..24u64 {
-            join(
-                g,
-                i,
-                Point::new(80.0 + (i % 8) as f64 * 10.0, 100.0 + (i / 8) as f64 * 15.0),
-            );
-        }
-        let mut out = Vec::new();
-        for step in 0..6u64 {
-            for i in 0..24u64 {
-                let t = SimTime::from_millis(step * 100 + i);
-                let pos = Point::new(
-                    80.0 + ((i + step) % 8) as f64 * 10.0,
-                    100.0 + (i / 8) as f64 * 15.0 + step as f64,
-                );
-                let msg = if i % 5 == 0 {
-                    ClientToGame::Action {
-                        pos,
-                        payload_bytes: 16 + (i as usize % 3) * 8,
-                    }
-                } else {
-                    ClientToGame::Move { pos }
-                };
-                out.extend(g.on_client(t, ClientId(i), msg));
-            }
-            if step == 3 {
-                out.extend(g.on_client(
-                    SimTime::from_millis(step * 100 + 50),
-                    ClientId(7),
-                    ClientToGame::Leave,
-                ));
-            }
-            out.extend(g.on_tick(SimTime::from_millis((step + 1) * 100), 0.0));
-        }
-        out
-    }
-
     #[test]
-    fn flush_workers_leave_stats_and_output_identical() {
-        // Same workload under 1, 4 and 8 shards: the emitted actions and
-        // every GameStats counter must be byte-identical — flush_workers
-        // is purely a throughput knob, and the per-flush stat-delta merge
-        // keeps totals independent of the shard count.
-        let make = |workers: u32| {
-            let mut cfg = GameServerConfig {
-                emit_updates: true,
-                flush_workers: workers,
-                max_updates_per_flush: 4,
-                client_budget_bytes: 256,
-                ..GameServerConfig::default()
-            };
-            cfg.set_rings(&[30.0, 120.0], &[1, 2]);
-            let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
-            g.register(world(), 120.0);
-            g
-        };
-        let mut reference = make(1);
-        let base_actions = drive_sharded_workload(&mut reference);
-        let base_stats = *reference.stats();
-        assert!(base_stats.batches_flushed > 0, "workload must flush");
-        assert!(base_stats.updates_rate_limited > 0, "caps must engage");
-        for workers in [4, 8] {
-            let mut g = make(workers);
-            let actions = drive_sharded_workload(&mut g);
-            assert_eq!(actions, base_actions, "{workers}-shard output diverged");
-            assert_eq!(g.stats(), &base_stats, "{workers}-shard stats diverged");
-        }
-    }
-
-    #[test]
-    fn a_flush_that_overruns_its_cadence_is_captured_per_shard() {
+    fn a_flush_that_overruns_its_cadence_is_captured() {
         // Nothing sets a threshold: with telemetry on, a flush slower
         // than the cadence it runs on (here a 1 µs batch interval, so
-        // any real flush) dumps one span breakdown per shard.
-        let slow_flushes = |telemetry: bool, workers: u32| {
+        // any real flush) dumps its span breakdown, once.
+        let slow_flushes = |telemetry: bool| {
             let cfg = GameServerConfig {
                 telemetry,
                 batch_interval: matrix_sim::SimDuration::from_micros(1),
-                flush_workers: workers,
                 ..GameServerConfig::default()
             };
             let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
@@ -2594,79 +2503,20 @@ mod tests {
                 .events()
                 .filter_map(|e| match e.kind {
                     EventKind::SlowFlush {
-                        shard,
-                        total_us,
-                        stages,
-                        ..
-                    } => Some((shard, total_us, stages)),
+                        total_us, stages, ..
+                    } => Some((total_us, stages)),
                     _ => None,
                 })
                 .collect::<Vec<_>>()
         };
-        assert!(slow_flushes(false, 1).is_empty(), "telemetry off: nothing");
-        for workers in [1u32, 4] {
-            let events = slow_flushes(true, workers);
-            let shards: Vec<u32> = events.iter().map(|e| e.0).collect();
-            assert_eq!(shards, (0..workers).collect::<Vec<_>>());
-            for (shard, total_us, stages) in events {
-                assert!(total_us >= 1, "shard {shard}");
-                // Stages 4–5 are the shard's share of this flush; 1–3
-                // accrue at ingest, outside the flush timer.
-                let own = stages[Stage::Policy as usize] + stages[Stage::Delta as usize];
-                assert!(own <= total_us, "shard {shard}: {stages:?} vs {total_us}");
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_restores_across_differing_flush_workers() {
-        // A standby running a different flush_workers than the primary
-        // must promote to an equivalent region: the snapshot's
-        // per-client state re-routes to the local shards on import.
-        let make = |workers: u32| {
-            let cfg = GameServerConfig {
-                emit_updates: true,
-                flush_workers: workers,
-                predict: true,
-                ..GameServerConfig::default()
-            };
-            let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
-            g.register(world(), 50.0);
-            g
-        };
-        let drive = |g: &mut GameServerNode, step: u64| {
-            let mut out = Vec::new();
-            for i in 0..12u64 {
-                out.extend(g.on_client(
-                    SimTime::from_millis(step * 100 + i),
-                    ClientId(i),
-                    ClientToGame::Move {
-                        pos: Point::new(100.0 + i as f64 * 4.0 + step as f64, 100.0),
-                    },
-                ));
-            }
-            out.extend(g.on_tick(SimTime::from_millis((step + 1) * 100), 0.0));
-            out
-        };
-        let mut primary = make(4);
-        for i in 0..12u64 {
-            join(&mut primary, i, Point::new(100.0 + i as f64 * 4.0, 100.0));
-        }
-        for s in 0..4 {
-            drive(&mut primary, s);
-        }
-        let at = SimTime::from_millis(450);
-        let mut two = promote_from(&primary, make(2), at);
-        let mut four = promote_from(&primary, make(4), at);
-        // Same sessions and prediction bases, same output from there on.
-        assert_eq!(two.snapshot(), primary.snapshot());
-        assert_eq!(two.prediction_receivers(), primary.prediction_receivers());
-        assert!(two.prediction_receivers() > 0);
-        for s in 5..9 {
-            let actions = drive(&mut two, s);
-            assert!(!actions.is_empty());
-            assert_eq!(actions, drive(&mut four, s), "step {s}");
-        }
-        assert_eq!(two.stats(), four.stats());
+        assert!(slow_flushes(false).is_empty(), "telemetry off: nothing");
+        let events = slow_flushes(true);
+        assert_eq!(events.len(), 1, "one event per overrun");
+        let (total_us, stages) = events[0];
+        assert!(total_us >= 1);
+        // Stages 4–5 are this flush's own; 1–3 accrue at ingest,
+        // outside the flush timer.
+        let own = stages[Stage::Policy as usize] + stages[Stage::Delta as usize];
+        assert!(own <= total_us, "{stages:?} vs {total_us}");
     }
 }

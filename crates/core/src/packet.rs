@@ -25,17 +25,6 @@ impl std::fmt::Display for ClientId {
     }
 }
 
-/// Stable shard routing for the sharded flush engine: the global id
-/// itself is the hash, so a client lands in the same shard on every
-/// node and every run — which is what lets region snapshots re-route
-/// per-client state between primaries and standbys whose
-/// `flush_workers` differ.
-impl matrix_interest::ShardKey for ClientId {
-    fn shard_hash(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The spatial tag a game server attaches to every packet it forwards.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpatialTag {

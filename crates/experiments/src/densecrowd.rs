@@ -81,13 +81,12 @@ pub fn config(spec: GameSpec, seed: u64) -> ClusterConfig {
     cfg
 }
 
-/// Runs the dense-crowd scenario for one crowd size, per-client
-/// downlink budget (`0` = unlimited) and flush shard count.
+/// Runs the dense-crowd scenario for one crowd size and per-client
+/// downlink budget (`0` = unlimited).
 pub fn run_one(
     spec: &GameSpec,
     clients: u32,
     budget_bytes: u32,
-    flush_workers: u32,
     horizon_secs: u64,
     seed: u64,
 ) -> DenseCrowdRow {
@@ -107,7 +106,6 @@ pub fn run_one(
     );
     let mut cfg = config(spec, seed);
     cfg.game.client_budget_bytes = budget_bytes;
-    cfg.game.flush_workers = flush_workers;
     let report = Cluster::new(cfg, schedule).run();
     DenseCrowdRow {
         clients,
@@ -118,14 +116,11 @@ pub fn run_one(
 
 /// Runs the scenario across crowd sizes (2k+ exercises the acceptance
 /// target at full scale), plus a tight-downlink variant of the largest
-/// crowd showing the rate limiter degrading gracefully. `flush_workers`
-/// shards the lone server's flush; by the shard-count invariance
-/// property the table must come out identical for any value — which is
-/// exactly what the CI smoke run at 4 workers pins.
-pub fn run(seed: u64, scale: Scale, flush_workers: u32) -> Vec<DenseCrowdRow> {
+/// crowd showing the rate limiter degrading gracefully.
+pub fn run(seed: u64, scale: Scale) -> Vec<DenseCrowdRow> {
     let spec = GameSpec::bzflag();
     let max = scale.max_crowd;
-    let row = |n, budget| run_one(&spec, n, budget, flush_workers, scale.horizon_secs, seed);
+    let row = |n, budget| run_one(&spec, n, budget, scale.horizon_secs, seed);
     let mut rows: Vec<DenseCrowdRow> = [max / 4, max / 2, max]
         .into_iter()
         .map(|n| row(n, 0))
@@ -235,7 +230,7 @@ mod tests {
     #[test]
     fn dense_crowd_delivers_batched_updates_end_to_end() {
         let spec = GameSpec::bzflag();
-        let row = run_one(&spec, 300, 0, 1, 20, 7);
+        let row = run_one(&spec, 300, 0, 20, 7);
         let r = &row.report;
         assert!(r.update_batches_delivered > 0, "batches must reach clients");
         assert!(r.batched_updates_delivered >= r.update_batches_delivered);
@@ -256,8 +251,8 @@ mod tests {
     #[test]
     fn bigger_crowds_fan_out_more() {
         let spec = GameSpec::bzflag();
-        let small = run_one(&spec, 100, 0, 1, 20, 11).report.game.updates_fanned;
-        let large = run_one(&spec, 400, 0, 1, 20, 11).report.game.updates_fanned;
+        let small = run_one(&spec, 100, 0, 20, 11).report.game.updates_fanned;
+        let large = run_one(&spec, 400, 0, 20, 11).report.game.updates_fanned;
         assert!(
             large > 4 * small,
             "fan-out grows superlinearly with crowd density: {small} -> {large}"
@@ -267,8 +262,8 @@ mod tests {
     #[test]
     fn tight_downlink_budget_rate_limits_instead_of_queueing() {
         let spec = GameSpec::bzflag();
-        let free = run_one(&spec, 300, 0, 1, 20, 13).report;
-        let tight = run_one(&spec, 300, 512, 1, 20, 13).report;
+        let free = run_one(&spec, 300, 0, 20, 13).report;
+        let tight = run_one(&spec, 300, 512, 20, 13).report;
         assert!(
             tight.game.updates_rate_limited > free.game.updates_rate_limited,
             "a 512-byte downlink must defer updates: {} vs {}",

@@ -12,7 +12,7 @@ use std::io::Write;
 const HELP: &str = "\
 matrix-experiments — regenerate the Matrix paper's evaluation
 
-USAGE: matrix-experiments [--seed N] [--smoke] [--flush-workers N] <command>
+USAGE: matrix-experiments [--seed N] [--smoke] <command>
 
 COMMANDS:
   fig2                 E1/E2: Figure 2a (clients/server) + 2b (queue length)
@@ -33,24 +33,17 @@ COMMANDS:
   ablation-split       A1: split-strategy ablation
   ablation-hysteresis  A2: oscillation-prevention ablation
   all                  run everything above in order
-  overhead             CI gates: telemetry on ≤ 2% / 1/64 tracing ≤ 5% over
-                       off at 1 and 4 flush workers; flush at 4 workers
-                       ≥ 2.5x one worker (≥ 4 cores) or ≤ 3x its time
+  overhead             CI gate: telemetry on ≤ 2% / 1/64 tracing ≤ 5%
+                       flush CPU over off
 
 Every command with a verdict (fig2, versus, dense … trace, overhead)
 exits 1 when it fails.
-
-`--flush-workers N` shards the dissemination flush across N workers
-(E12's knob; default 1 = the sequential path). Sharding is
-byte-invariant on the wire, so every verdict must hold unchanged at
-any worker count.
 ";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed = 42u64;
     let mut smoke = false;
-    let mut flush_workers = 1u32;
     let mut command = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -62,12 +55,6 @@ fn main() {
                     .unwrap_or_else(|| die("--seed needs an integer"));
             }
             "--smoke" => smoke = true,
-            "--flush-workers" => {
-                flush_workers = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--flush-workers needs an integer"));
-            }
             "--help" | "-h" => {
                 println!("{HELP}");
                 return;
@@ -90,7 +77,7 @@ fn main() {
         "userstudy" => run_userstudy(seed),
         "scale" => run_scale(),
         "sweep" => run_sweep(seed),
-        "dense" => run_dense(seed, smoke, flush_workers),
+        "dense" => run_dense(seed, smoke),
         "failover" => run_failover(seed, smoke),
         "rings" => run_rings(seed, smoke),
         "predict" => run_predict(seed, smoke),
@@ -107,7 +94,7 @@ fn main() {
             run_userstudy(seed);
             run_scale();
             run_sweep(seed);
-            run_dense(seed, false, flush_workers);
+            run_dense(seed, false);
             run_failover(seed, false);
             run_rings(seed, false);
             run_predict(seed, false);
@@ -227,13 +214,13 @@ fn run_sweep(seed: u64) {
     save("sweep.csv", &table.to_csv());
 }
 
-fn run_dense(seed: u64, smoke: bool, flush_workers: u32) {
+fn run_dense(seed: u64, smoke: bool) {
     let scale = if smoke {
         densecrowd::Scale::smoke()
     } else {
         densecrowd::Scale::full()
     };
-    let rows = densecrowd::run(seed, scale, flush_workers);
+    let rows = densecrowd::run(seed, scale);
     let table = densecrowd::table(&rows);
     println!("{}", table.render());
     match densecrowd::verdict(&rows) {

@@ -8,7 +8,7 @@
 //! answers it causally instead of statistically — a deterministic
 //! 1-in-`trace_sample_rate` subset of ingested events is stamped with a
 //! [`matrix_core::TraceTag`] at ingest, the tag rides through all five
-//! pipeline stages, the sharded flush, the wire codec and (on the
+//! pipeline stages, the flush, the wire codec and (on the
 //! hard paths) replication to a warm standby, and the receiver closes
 //! the loop: at apply it measures delivery latency and
 //! staleness-at-apply on its own clock and echoes a `TraceAck`, which

@@ -170,7 +170,7 @@ impl GameSpec {
     /// The game-server configuration this title asks for: its per-title
     /// values over the defaults. This is the one place a spec field is
     /// copied into a config field; dissemination policy (rings,
-    /// prediction, budgets, sharding) is set on the returned
+    /// prediction, budgets) is set on the returned
     /// [`GameServerConfig`], where it lives.
     pub fn game_config(&self) -> GameServerConfig {
         GameServerConfig {
@@ -361,7 +361,6 @@ mod tests {
             assert!(!cfg.rings_configured(), "{}", spec.name);
             assert!(!cfg.grid_autotune, "{}", spec.name);
             assert!(!cfg.predict, "{}: prediction is opt-in", spec.name);
-            assert_eq!(cfg.flush_workers, 1, "{}: sharding is opt-in", spec.name);
         }
     }
 

@@ -72,7 +72,6 @@ mod grid;
 mod pipeline;
 mod policy;
 mod rings;
-mod shard;
 mod tuner;
 
 pub use batch::UpdateBatcher;
@@ -87,5 +86,4 @@ pub use pipeline::{
 };
 pub use policy::{FlushPolicy, PolicyScratch, ANON_ENTITY};
 pub use rings::{RingSampler, RingSet, MAX_RINGS};
-pub use shard::{shard_of, ShardKey};
 pub use tuner::{AutoTuner, AutoTunerConfig};

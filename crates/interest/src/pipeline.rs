@@ -53,27 +53,17 @@
 //! emptied, its memory kept, whenever nothing is left
 //! queued: at the end of a flush, and when the last queued receiver
 //! departs between flushes. The queues, the log and the ranking scratch
-//! ([`PolicyScratch`](crate::PolicyScratch), one per shard) keep their
-//! memory from flush to flush.
+//! ([`PolicyScratch`](crate::PolicyScratch)) keep their memory from
+//! flush to flush.
 //!
 //! A density-driven [`AutoTuner`](crate::AutoTuner) re-picks the grid
 //! resolution as the subscriber count drifts (stage 1's only tunable),
 //! rebuilding the index in place.
 //!
-//! # Sharding
-//!
-//! All per-*receiver* state — queued batches, sampling phase, delta
-//! streams, prediction mirrors, the stage-4/5 span timers — lives in N
-//! independent **shards** keyed by a stable hash of the receiver
-//! ([`ShardKey`](crate::ShardKey)). Stages 4–5 touch nothing but one
-//! receiver's own state, so a flush can process every shard
-//! independently, and with more than one shard each runs on its own
-//! scoped `std::thread` worker. Because receivers partition across
-//! shards and each shard drains in receiver order, merging the
-//! per-shard batch lists by receiver reconstructs the exact global
-//! order — the flush output is **byte-identical for any shard count**,
-//! which is what lets `flush_workers` be a pure performance knob
-//! (property-pinned in `tests/interest_properties.rs`).
+//! A flush runs on the calling thread and drains receivers in key
+//! order. A node that cannot keep up is relieved by splitting its
+//! region onto another server (Matrix's answer to overload), not by
+//! threading its flush.
 //!
 //! The pipeline is deliberately payload-agnostic: anything implementing
 //! [`Disseminated`] flows through, so the middleware's update items, the
@@ -88,14 +78,13 @@ use crate::delta::{DeltaEncoder, EncodedOrigin};
 use crate::grid::InterestGrid;
 use crate::policy::{FlushPolicy, PolicyScratch, ANON_ENTITY};
 use crate::rings::{RingSampler, RingSet, MAX_RINGS};
-use crate::shard::{shard_of, ShardKey};
 use crate::tuner::{AutoTuner, AutoTunerConfig};
 use crate::UpdateBatcher;
 use matrix_geometry::{Metric, Point, Rect};
 use matrix_predict::{
     quantize_velocity, Admission, Basis, IdHashMap, MotionModel, PredictedStream,
 };
-use matrix_telemetry::{Histogram, Stage, StageSpans};
+use matrix_telemetry::{Stage, StageSpans};
 use std::hash::Hash;
 
 /// What the pipeline needs to know about a payload to rank, merge,
@@ -287,20 +276,27 @@ pub struct DisseminateStats {
     pub pred_error_max: f64,
 }
 
-/// One shard of per-receiver state. Every structure in here is keyed by
-/// the receiver and every flush-time access touches exactly one
-/// receiver's entry, so shards are fully independent during a flush —
-/// the invariant the parallel path rests on.
+/// The composed dissemination pipeline (see the module docs for the
+/// stage walk-through).
 #[derive(Debug, Clone)]
-struct Shard<K: Ord> {
+pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
+    metric: Metric,
+    policy: FlushPolicy,
+    rings: RingSet,
+    grid: InterestGrid<K>,
+    tuner: AutoTuner,
+    predict: PredictorConfig,
+    position_only_ring: u8,
+    vel_quantum: f64,
+    motion: MotionModel,
+    /// Per-stage lap timers: disseminations time stages 1–3, a flush
+    /// times stages 4–5 and closes the cycle.
+    spans: StageSpans,
     sampler: RingSampler<K>,
-    /// Per-receiver queues of indices into the pipeline's event log.
+    /// Per-receiver queues of indices into the event log.
     batcher: UpdateBatcher<K, u32>,
     encoder: DeltaEncoder<K>,
     predicted: PredictedStream<K>,
-    /// Stage-4/5 lap timers; stages 1–3 run on the driver thread and
-    /// time into the pipeline-level spans.
-    spans: StageSpans,
     /// Trace-plane staleness charges: entity → receiver → earliest
     /// undelivered event time (µs). Populated when a suppressed or
     /// policy-dropped item leaves a gap in the receiver's view; drained
@@ -314,42 +310,15 @@ struct Shard<K: Ord> {
     /// key or an order-blind `retain`.
     charges: IdHashMap<u64, IdHashMap<K, u64>>,
     /// Stage 4's ranking memory, reused across receivers and flushes.
-    /// Per shard, so parallel flush workers share nothing.
     ranking: PolicyScratch,
     /// Queue positions of the traced items the policy kept for the
     /// receiver at hand (trace charging only).
     kept_traced: Vec<usize>,
-}
-
-/// The composed dissemination pipeline (see the module docs for the
-/// stage walk-through).
-#[derive(Debug, Clone)]
-pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
-    metric: Metric,
-    policy: FlushPolicy,
-    rings: RingSet,
-    grid: InterestGrid<K>,
-    tuner: AutoTuner,
-    predict: PredictorConfig,
-    position_only_ring: u8,
-    vel_quantum: f64,
-    keyframe_every: u32,
-    origin_quantum: f64,
-    telemetry: bool,
-    motion: MotionModel,
-    /// Driver-thread spans: stages 1–3 (Query, Tier, Predict). The
-    /// per-shard spans cover stages 4–5 (Policy, Delta);
-    /// [`DisseminationPipeline::stage_histogram`] merges the two views.
-    spans: StageSpans,
-    /// Per-receiver state, partitioned by stable receiver hash. Always
-    /// at least one shard; the single-shard default is exactly the
-    /// pre-sharding pipeline.
-    shards: Vec<Shard<K>>,
     /// The event log of the open flush interval: every payload queued
     /// since the last flush, once per *(event, ring)* plus once per
-    /// charged delivery. The shards' queues index into it; it is
-    /// emptied (capacity kept) on every path that leaves nothing
-    /// queued, so its length is bounded by one interval's events.
+    /// charged delivery. The queues index into it; it is emptied
+    /// (capacity kept) on every path that leaves nothing queued, so its
+    /// length is bounded by one interval's events.
     log: Vec<U>,
     /// Whether the trace plane's staleness charging is armed (the
     /// producer stamps trace tags): suppressed and policy-dropped
@@ -360,16 +329,11 @@ pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
     /// Reused per-dissemination candidate buffer `(key, pos, ring)` —
     /// stage 1 fills it, stages 2–3 compact and drain it in place.
     scratch: Vec<(K, Point, u8)>,
-    /// Reused per-dissemination "shard holds charges for this entity"
-    /// flags, one per shard: probed once per event so the delivery loop
-    /// skips the charge-map lookup for the (overwhelmingly common)
-    /// uncharged entities.
-    charged: Vec<bool>,
 }
 
-impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipeline<K, U> {
+impl<K: Ord + Copy + Eq + Hash, U: Disseminated> DisseminationPipeline<K, U> {
     /// Builds a pipeline over `bounds` at `cells_per_axis`, with the
-    /// given ring tiers and a single shard (the sequential path).
+    /// given ring tiers.
     pub fn new(
         bounds: Rect,
         cells_per_axis: u32,
@@ -377,7 +341,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         cfg: PipelineConfig,
     ) -> DisseminationPipeline<K, U> {
         let cells = cells_per_axis.max(1);
-        let mut p = DisseminationPipeline {
+        DisseminationPipeline {
             metric: cfg.metric,
             policy: cfg.policy,
             rings,
@@ -390,30 +354,19 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             } else {
                 cfg.origin_quantum
             },
-            keyframe_every: cfg.keyframe_every,
-            origin_quantum: cfg.origin_quantum,
-            telemetry: cfg.telemetry,
             motion: MotionModel::new(),
             spans: StageSpans::new(cfg.telemetry),
-            shards: Vec::new(),
+            sampler: RingSampler::new(),
+            batcher: UpdateBatcher::new(),
+            encoder: DeltaEncoder::new(cfg.keyframe_every).with_quantum(cfg.origin_quantum),
+            predicted: PredictedStream::new(),
+            charges: IdHashMap::default(),
+            ranking: PolicyScratch::default(),
+            kept_traced: Vec::new(),
             log: Vec::new(),
             trace_charging: false,
             scratch: Vec::new(),
-            charged: Vec::new(),
-        };
-        p.shards = vec![p.make_shard()];
-        p
-    }
-
-    /// Re-partitions per-receiver state across `shards` shards (clamped
-    /// to ≥ 1). Intended at construction, before any state accumulates:
-    /// existing queued batches, streams and bases are discarded, not
-    /// re-routed.
-    pub fn with_shards(mut self, shards: u32) -> DisseminationPipeline<K, U> {
-        let n = (shards as usize).max(1);
-        self.shards = (0..n).map(|_| self.make_shard()).collect();
-        self.log.clear();
-        self
+        }
     }
 
     /// Arms the trace plane's staleness charging (producers stamp
@@ -438,36 +391,6 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         self.trace_charging
     }
 
-    /// The number of shards per-receiver state is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn make_shard(&self) -> Shard<K> {
-        Shard {
-            sampler: RingSampler::new(),
-            batcher: UpdateBatcher::new(),
-            encoder: DeltaEncoder::new(self.keyframe_every).with_quantum(self.origin_quantum),
-            predicted: PredictedStream::new(),
-            spans: StageSpans::new(self.telemetry),
-            charges: IdHashMap::default(),
-            ranking: PolicyScratch::default(),
-            kept_traced: Vec::new(),
-        }
-    }
-
-    /// The shard a receiver's state lives in. The single-shard default
-    /// skips the hash entirely — the sequential path pays nothing for
-    /// the sharding seam.
-    #[inline]
-    fn shard_ix(&self, key: K) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            shard_of(key.shard_hash(), self.shards.len())
-        }
-    }
-
     /// Hold jittering subscribers in their cell for a tenth of a cell;
     /// the grid widens queries by the same margin, so results are exact.
     fn make_grid(bounds: Rect, cells: u32) -> InterestGrid<K> {
@@ -483,10 +406,8 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// nothing, so the sender's mirror must be empty too).
     pub fn subscribe(&mut self, key: K, pos: Point) {
         self.grid.insert(key, pos);
-        let si = self.shard_ix(key);
-        let shard = &mut self.shards[si];
-        shard.encoder.reset(key);
-        shard.predicted.forget_receiver(key);
+        self.encoder.reset(key);
+        self.predicted.forget_receiver(key);
     }
 
     /// Repositions a subscriber.
@@ -499,18 +420,16 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// died with it.
     pub fn unsubscribe(&mut self, key: K) -> usize {
         self.grid.remove(key);
-        let si = self.shard_ix(key);
-        let shard = &mut self.shards[si];
-        shard.encoder.reset(key);
-        shard.sampler.forget(key);
-        shard.predicted.forget_receiver(key);
-        if !shard.charges.is_empty() {
-            shard.charges.retain(|_, owed| {
+        self.encoder.reset(key);
+        self.sampler.forget(key);
+        self.predicted.forget_receiver(key);
+        if !self.charges.is_empty() {
+            self.charges.retain(|_, owed| {
                 owed.remove(&key);
                 !owed.is_empty()
             });
         }
-        let dropped = shard.batcher.forget(key);
+        let dropped = self.batcher.forget(key);
         // If that was the last queued item, nothing refers to the log
         // any more — and no flush may come to empty it: a driver that
         // sees nothing pending skips the flush, so entries left behind
@@ -527,13 +446,11 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// *receiver*: a client is usually both.
     pub fn forget_entity(&mut self, entity: u64) {
         self.motion.forget(entity);
-        for shard in &mut self.shards {
-            shard.predicted.forget_entity(entity);
-            // A departed entity never rebases again; its staleness
-            // charges are undeliverable and would otherwise pin the
-            // charge map non-empty forever.
-            shard.charges.remove(&entity);
-        }
+        self.predicted.forget_entity(entity);
+        // A departed entity never rebases again; its staleness charges
+        // are undeliverable and would otherwise pin the charge map
+        // non-empty forever.
+        self.charges.remove(&entity);
     }
 
     /// Re-anchors the grid to a new range with the given subscriber set
@@ -546,9 +463,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         }
         // Receivers that left with the old set must not keep a retained
         // (empty) queue behind; queues with items in them stay pending.
-        for shard in &mut self.shards {
-            shard.batcher.release_idle();
-        }
+        self.batcher.release_idle();
     }
 
     /// Replaces the ring tiers (the registered radius changed).
@@ -571,68 +486,12 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         self.grid.cells_per_axis()
     }
 
-    /// The driver-thread span timers — stages 1–3 (a no-op sink unless
-    /// the pipeline was built with [`PipelineConfig::telemetry`] on).
-    /// Stage 4–5 time lands in per-shard spans;
-    /// [`DisseminationPipeline::stage_histogram`] is the merged view.
+    /// The per-stage span timers (a no-op sink unless the pipeline was
+    /// built with [`PipelineConfig::telemetry`] on): one histogram
+    /// sample per stage per flush, and the most recent flush's
+    /// breakdown for the slow-flush capture.
     pub fn spans(&self) -> &StageSpans {
         &self.spans
-    }
-
-    /// The per-flush latency histogram of one stage (µs), merged across
-    /// the driver-thread spans (stages 1–3) and every shard's spans
-    /// (stages 4–5). With one shard this is exactly the pre-sharding
-    /// histogram; with N shards the Policy/Delta histograms carry one
-    /// sample per shard per flush.
-    pub fn stage_histogram(&self, stage: Stage) -> Histogram {
-        match stage {
-            Stage::Query | Stage::Tier | Stage::Predict => self.spans.histogram(stage).clone(),
-            Stage::Policy | Stage::Delta => {
-                let mut merged = Histogram::new();
-                for shard in &self.shards {
-                    merged.merge(shard.spans.histogram(stage));
-                }
-                merged
-            }
-        }
-    }
-
-    /// Per-shard, per-stage breakdown (µs) of the most recent completed
-    /// flush — the slow-flush capture's raw material. One entry per
-    /// shard: stages 1–3 are the driver-thread spans (identical in
-    /// every entry — disseminations are not sharded), stages 4–5 that
-    /// shard's own. All zeros before the first flush or with telemetry
-    /// off.
-    pub fn last_flush_spans(&self) -> Vec<[f64; matrix_telemetry::STAGE_COUNT]> {
-        let driver = self.spans.last_flush_us();
-        self.shards
-            .iter()
-            .map(|shard| {
-                let own = shard.spans.last_flush_us();
-                let mut row = driver;
-                row[Stage::Policy as usize] = own[Stage::Policy as usize];
-                row[Stage::Delta as usize] = own[Stage::Delta as usize];
-                row
-            })
-            .collect()
-    }
-
-    /// Cumulative per-shard time (µs) spent in one of the sharded
-    /// stages (Policy or Delta) — the flush-imbalance gauge's raw
-    /// material: `max / mean` over this vector says how unevenly the
-    /// receiver hash spread the stage-5 work. Stages 1–3 run unsharded
-    /// on the driver thread, so they yield a single-element vector.
-    pub fn shard_stage_sums(&self, stage: Stage) -> Vec<f64> {
-        match stage {
-            Stage::Query | Stage::Tier | Stage::Predict => {
-                vec![self.spans.histogram(stage).sum()]
-            }
-            Stage::Policy | Stage::Delta => self
-                .shards
-                .iter()
-                .map(|shard| shard.spans.histogram(stage).sum())
-                .collect(),
-        }
     }
 
     // -- stages 1–3: query, tier, sample, predict, queue ---------------------
@@ -722,8 +581,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         let mut kept = 0;
         for i in 0..candidates.len() {
             let (key, pos, ring) = candidates[i];
-            let si = self.shard_ix(key);
-            if !self.shards[si].sampler.admit(&rings, key, ring) {
+            if !self.sampler.admit(&rings, key, ring) {
                 stats.sampled_out += 1;
                 continue;
             }
@@ -732,23 +590,18 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         }
         candidates.truncate(kept);
         self.spans.lap(Stage::Tier);
-        // One charge-map probe per shard for the whole event: the
-        // entity is fixed across its receiver set, so these flags tell
-        // the delivery loop below whether any receiver can possibly owe
-        // a charge. Suppressions during this loop only insert charges
-        // for receivers that were *not* delivered, so a pre-loop
-        // snapshot cannot miss a drainable charge.
-        if charging {
-            self.charged.clear();
-            self.charged
-                .extend(self.shards.iter().map(|s| s.charges.contains_key(&entity)));
-        }
+        // One charge-map probe for the whole event: the entity is fixed
+        // across its receiver set, so this flag tells the delivery loop
+        // below whether any receiver can possibly owe a charge.
+        // Suppressions during this loop only insert charges for
+        // receivers that were *not* delivered, so a pre-loop snapshot
+        // cannot miss a drainable charge.
+        let charged = charging && self.charges.contains_key(&entity);
         // Stage 3: dead-reckoning admission, payload stripping, queueing.
         // The payload is built and logged once per ring that admits
         // anyone; `logged` remembers where.
         let mut logged: [Option<u32>; MAX_RINGS] = [None; MAX_RINGS];
         for &(key, _, ring) in &candidates {
-            let si = self.shard_ix(key);
             if predicting {
                 // Non-suppressible events admit with budget 0:
                 // always transmitted, and the transmission rebases
@@ -758,14 +611,10 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 } else {
                     0.0
                 };
-                match self.shards[si].predicted.admit(
-                    key,
-                    entity,
-                    wire_origin,
-                    vel,
-                    now_secs,
-                    budget,
-                ) {
+                match self
+                    .predicted
+                    .admit(key, entity, wire_origin, vel, now_secs, budget)
+                {
                     Admission::Suppress { error } => {
                         stats.suppressed += 1;
                         stats.pred_error_sum += error;
@@ -776,8 +625,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                             // uncovered event time so the next delivered
                             // rebase carries the staleness it papered
                             // over.
-                            self.shards[si]
-                                .charges
+                            self.charges
                                 .entry(entity)
                                 .or_default()
                                 .entry(key)
@@ -806,11 +654,11 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 // charge (observed only if this item is traced — sampled
                 // observability) and clear it.
                 let mut owed_since = None;
-                if charging && self.charged[si] {
-                    if let Some(owed) = self.shards[si].charges.get_mut(&entity) {
+                if charged {
+                    if let Some(owed) = self.charges.get_mut(&entity) {
                         owed_since = owed.remove(&key);
                         if owed.is_empty() {
-                            self.shards[si].charges.remove(&entity);
+                            self.charges.remove(&entity);
                         }
                     }
                 }
@@ -824,7 +672,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                     *logged[(ring as usize).min(MAX_RINGS - 1)]
                         .get_or_insert_with(|| push_logged(&mut self.log, variant()))
                 };
-                self.shards[si].batcher.push(key, at);
+                self.batcher.push(key, at);
             }
         }
         self.spans.lap(Stage::Predict);
@@ -835,110 +683,37 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
 
     /// Whether any updates are queued.
     pub fn has_pending(&self) -> bool {
-        self.shards.iter().any(|s| !s.batcher.is_empty())
+        !self.batcher.is_empty()
     }
 
     /// Drops every queued update and all sampling phase (promotions: a
     /// promoted node starts with no queue).
     pub fn clear_pending(&mut self) {
-        for shard in &mut self.shards {
-            shard.batcher = UpdateBatcher::new();
-            shard.sampler.clear();
-            shard.charges.clear();
-        }
+        self.batcher = UpdateBatcher::new();
+        self.sampler.clear();
+        self.charges.clear();
         self.log.clear();
     }
 
     // -- stages 4+5: merge, budget, encode -----------------------------------
 
     /// Flushes every queued batch through the policy and the encoder,
-    /// shard by shard. `viewer_of` resolves a receiver's current
+    /// in receiver order. `viewer_of` resolves a receiver's current
     /// position; `None` means the receiver vanished between enqueue and
     /// flush (its items are discarded and counted in
     /// [`FlushOutcome::orphaned`]). For every receiver with something
     /// kept, `open` makes the batch's accumulator from the kept count
     /// and `emit` writes each kept payload and its encoded origin into
-    /// it, in delivery order ([`FlushBatch::acc`]). With more than one
-    /// shard each runs on its own scoped worker thread; the batches come
-    /// back in global receiver order and the outcome is byte-identical
-    /// for any shard count.
+    /// it, in delivery order ([`FlushBatch::acc`]).
     pub fn flush<A>(
         &mut self,
-        viewer_of: impl Fn(K) -> Option<Point> + Sync,
-        open: impl Fn(usize) -> A + Sync,
-        emit: impl Fn(&mut A, &U, EncodedOrigin) + Sync,
-    ) -> FlushOutcome<K, A>
-    where
-        K: Send + Sync,
-        U: Sync,
-        A: Send,
-    {
-        let metric = self.metric;
-        let policy = self.policy;
-        let charging = self.trace_charging;
-        // Every shard reads the same log; none writes it.
-        let log = &self.log[..];
-        let (viewer_of, emitter) = (&viewer_of, (&open, &emit));
-        let per_shard: Vec<FlushOutcome<K, A>> = if self.shards.len() > 1 {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .map(|shard| {
-                        s.spawn(move || {
-                            Self::flush_shard(
-                                shard, log, metric, policy, charging, viewer_of, emitter,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("flush worker panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards
-                .iter_mut()
-                .map(|shard| {
-                    Self::flush_shard(shard, log, metric, policy, charging, viewer_of, emitter)
-                })
-                .collect()
-        };
-        let mut per_shard = per_shard.into_iter();
-        let mut outcome = per_shard.next().expect("a pipeline has at least one shard");
-        for shard in per_shard {
-            outcome.batches.extend(shard.batches);
-            outcome.orphaned += shard.orphaned;
-        }
-        // Receivers partition across shards and each shard drains in
-        // receiver order, so one sort by receiver reconstructs the
-        // exact global order the single-shard drain produces.
-        if self.shards.len() > 1 {
-            outcome.batches.sort_by_key(|b| b.receiver);
-        }
-        // One flush cycle ends here: the driver spans fold the time the
-        // disseminations attributed to stages 1–3 into one histogram
-        // sample each (the shard spans did the same for stages 4–5).
-        self.spans.end_flush();
-        // Every queue was drained, so nothing refers to the log now.
-        self.log.clear();
-        outcome
-    }
-
-    /// Stages 4–5 over one shard. Writes nothing outside the shard (the
-    /// event log is only read), so concurrent calls on distinct shards
-    /// are race-free by construction.
-    fn flush_shard<A>(
-        shard: &mut Shard<K>,
-        log: &[U],
-        metric: Metric,
-        policy: FlushPolicy,
-        charging: bool,
-        viewer_of: &impl Fn(K) -> Option<Point>,
-        (open, emit): (&impl Fn(usize) -> A, &impl Fn(&mut A, &U, EncodedOrigin)),
+        viewer_of: impl Fn(K) -> Option<Point>,
+        open: impl Fn(usize) -> A,
+        emit: impl Fn(&mut A, &U, EncodedOrigin),
     ) -> FlushOutcome<K, A> {
-        let Shard {
+        let DisseminationPipeline {
+            metric,
+            policy,
             batcher,
             encoder,
             predicted,
@@ -946,8 +721,11 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             charges,
             ranking,
             kept_traced,
+            log,
+            trace_charging,
             ..
-        } = shard;
+        } = self;
+        let (metric, policy, charging) = (*metric, *policy, *trace_charging);
         let mut batches = Vec::with_capacity(batcher.receivers());
         let mut orphaned = 0u64;
         spans.begin();
@@ -1030,7 +808,12 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             spans.lap(Stage::Delta);
             true
         });
+        // One flush cycle ends here: every stage's time since the last
+        // flush — stages 1–3 from the disseminations, 4–5 from this
+        // drain — becomes one histogram sample.
         spans.end_flush();
+        // Every queue was drained, so nothing refers to the log now.
+        log.clear();
         FlushOutcome { batches, orphaned }
     }
 
@@ -1038,61 +821,42 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
 
     /// Wipes every delta stream (driver shutdown, promotions).
     pub fn clear_streams(&mut self) {
-        for shard in &mut self.shards {
-            shard.encoder.clear();
-        }
+        self.encoder.clear();
     }
 
     /// Number of receivers currently holding a delta base.
     pub fn streams(&self) -> usize {
-        self.shards.iter().map(|s| s.encoder.streams()).sum()
+        self.encoder.streams()
     }
 
     // -- prediction bases ----------------------------------------------------
 
     /// Exports every prediction basis as `(receiver, [(entity, basis)])`
-    /// in global key order (region snapshots): what each receiver
+    /// in key order (region snapshots): what each receiver
     /// currently extrapolates each entity from.
     pub fn export_bases(&self) -> Vec<(K, Vec<(u64, Basis)>)> {
-        let mut out: Vec<(K, Vec<(u64, Basis)>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.predicted.export())
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
+        self.predicted.export()
     }
 
-    /// Replaces the prediction-basis table with exported state,
-    /// re-routing each receiver to its shard under the *local* shard
-    /// count. A promoted standby importing the primary's bases keeps
-    /// suppressing consistently with what the receivers actually hold,
-    /// instead of rebasing (and retransmitting) every entity at
-    /// failover — even when its `flush_workers` differs from the
-    /// primary's.
+    /// Replaces the prediction-basis table with exported state. A
+    /// promoted standby importing the primary's bases keeps suppressing
+    /// consistently with what the receivers actually hold, instead of
+    /// rebasing (and retransmitting) every entity at failover.
     pub fn import_bases(&mut self, bases: impl IntoIterator<Item = (K, Vec<(u64, Basis)>)>) {
-        let mut per_shard = vec![Vec::new(); self.shards.len()];
-        for entry in bases {
-            per_shard[self.shard_ix(entry.0)].push(entry);
-        }
-        for (shard, entries) in self.shards.iter_mut().zip(per_shard) {
-            shard.predicted.import(entries);
-        }
+        self.predicted.import(bases);
     }
 
     /// Wipes every prediction basis and motion track (driver shutdown:
     /// reconnecting receivers start extrapolating from nothing).
     pub fn clear_bases(&mut self) {
-        for shard in &mut self.shards {
-            shard.predicted.clear();
-        }
+        self.predicted.clear();
         self.motion.clear();
     }
 
     /// Number of receivers currently holding at least one prediction
     /// basis (observability for drivers and tests).
     pub fn prediction_receivers(&self) -> usize {
-        self.shards.iter().map(|s| s.predicted.receivers()).sum()
+        self.predicted.receivers()
     }
 
     // -- auto-tuning ---------------------------------------------------------
@@ -1183,9 +947,9 @@ mod tests {
     /// encoded origin.
     type Pairs<U> = FlushOutcome<u32, Vec<(U, EncodedOrigin)>>;
 
-    fn flush_pairs<U: Disseminated + Clone + Send + Sync>(
+    fn flush_pairs<U: Disseminated + Clone>(
         p: &mut DisseminationPipeline<u32, U>,
-        viewer_of: impl Fn(u32) -> Option<Point> + Sync,
+        viewer_of: impl Fn(u32) -> Option<Point>,
     ) -> Pairs<U> {
         p.flush(viewer_of, Vec::with_capacity, |acc, item, origin| {
             acc.push((item.clone(), origin))
@@ -1286,12 +1050,12 @@ mod tests {
     // -- bounded queue memory ------------------------------------------------
 
     fn queue_entries(p: &DisseminationPipeline<u32, Ev>) -> usize {
-        p.shards.iter().map(|s| s.batcher.entries()).sum()
+        p.batcher.entries()
     }
 
     #[test]
     fn departed_receivers_leave_no_queue_behind() {
-        let mut p = pipe(RingSet::single(50.0)).with_shards(3);
+        let mut p = pipe(RingSet::single(50.0));
         let at = Point::new(100.0, 100.0);
         p.subscribe(0, at); // the resident event source
         for k in 1..=10_000u32 {
@@ -1321,7 +1085,7 @@ mod tests {
         // Right after a flush every retained queue is empty, and nothing
         // that reports pending work may list one.
         assert!(!p.has_pending());
-        assert!(p.shards.iter().all(|s| s.batcher.receivers() == 0));
+        assert_eq!(p.batcher.receivers(), 0);
         // A re-anchor releases the idle queues and keeps the busy one
         // (only receiver 2 is still in range of the event).
         for k in [0, 1, 3] {
@@ -1351,7 +1115,7 @@ mod tests {
         // One interval's worth: no delivery is charged here.
         const BOUND: usize = EVENTS * MAX_RINGS;
         let rings = RingSet::from_tiers(&[20.0, 200.0], &[1, 1]);
-        let mut p = pipe(rings).with_shards(3).with_trace_charging();
+        let mut p = pipe(rings).with_trace_charging();
         let at = Point::new(100.0, 100.0);
         let far = Point::new(100.0, 250.0);
         p.subscribe(0, at); // the resident event source
@@ -1603,142 +1367,8 @@ mod tests {
         assert_eq!(far.acc[0].0.bytes, 0, "far ships position-only");
     }
 
-    // -- sharding ------------------------------------------------------------
-
-    /// Drives a moderately messy workload — joins, moves, tiered
-    /// disseminations, an unsubscribe, a vanished receiver — and
-    /// returns every flush outcome.
-    fn drive_workload(p: &mut DisseminationPipeline<u32, Ev>) -> Vec<Pairs<Ev>> {
-        let mut rng: u64 = 0x5eed;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        for k in 0..40u32 {
-            let x = (next() % 400) as f64;
-            let y = (next() % 400) as f64;
-            p.subscribe(k, Point::new(x, y));
-        }
-        let mut outs = Vec::new();
-        for round in 0..6u32 {
-            for i in 0..25u32 {
-                let at = Point::new((next() % 400) as f64, (next() % 400) as f64);
-                let entity = next() % 8 + 1;
-                let t = (round * 25 + i) as f64 * 0.05;
-                p.disseminate(
-                    at,
-                    at,
-                    entity,
-                    t,
-                    i % 3 != 0,
-                    Some(i % 40),
-                    true,
-                    |ring, _| Ev {
-                        at,
-                        entity,
-                        bytes: 8 + (entity as usize % 4) * 16,
-                        ring,
-                    },
-                );
-            }
-            if round == 2 {
-                p.unsubscribe(7);
-            }
-            let gone = 5 + round; // receiver vanished between enqueue and flush
-            outs.push(flush_pairs(p, move |k| {
-                if k == gone {
-                    None
-                } else {
-                    Some(Point::new((k % 20) as f64 * 20.0, (k / 20) as f64 * 20.0))
-                }
-            }));
-        }
-        outs
-    }
-
     #[test]
-    fn flush_output_is_byte_identical_for_any_shard_count() {
-        let rings = RingSet::from_tiers(&[40.0, 90.0, 150.0], &[1, 2, 4]);
-        let make = |shards: u32| {
-            let cfg = PipelineConfig {
-                policy: FlushPolicy {
-                    max_items: 6,
-                    budget_bytes: 200,
-                },
-                predict: PredictorConfig::with_budgets(&[0.0, 1.5, 3.0]),
-                position_only_ring: 2,
-                ..cfg()
-            };
-            DisseminationPipeline::<u32, Ev>::new(world(), 16, rings, cfg).with_shards(shards)
-        };
-        let mut reference = make(1);
-        let baseline = drive_workload(&mut reference);
-        for shards in 2..=8u32 {
-            let mut p = make(shards);
-            assert_eq!(p.shard_count(), shards as usize);
-            let outs = drive_workload(&mut p);
-            assert_eq!(
-                outs, baseline,
-                "{shards}-shard flush output diverged from the single-shard path"
-            );
-        }
-    }
-
-    #[test]
-    fn exports_reroute_across_differing_shard_counts() {
-        let rings = RingSet::from_tiers(&[20.0, 200.0], &[1, 1]);
-        let make = |shards: u32| {
-            DisseminationPipeline::<u32, Ev>::new(
-                world(),
-                16,
-                rings,
-                PipelineConfig {
-                    predict: PredictorConfig::with_budgets(&[0.0, 2.0]),
-                    ..cfg()
-                },
-            )
-            .with_shards(shards)
-        };
-        let mut primary = make(4);
-        for k in 0..12u32 {
-            primary.subscribe(k, Point::new(100.0 + k as f64 * 5.0, 300.0));
-        }
-        for i in 0..10u32 {
-            let at = Point::new(100.0 + i as f64, 200.0);
-            primary.disseminate(at, at, 9, i as f64 * 0.1, true, None, true, |ring, _| {
-                ev(at, ring)
-            });
-        }
-        flush_pairs(&mut primary, |_| Some(Point::new(100.0, 300.0)));
-        // Promote onto a standby running a different worker count (the
-        // promotion flow: re-anchor the grid, then import the bases).
-        let mut standby = make(2);
-        let subs: Vec<(u32, Point)> = primary.grid().subscribers().collect();
-        standby.reset(world(), subs);
-        standby.import_bases(primary.export_bases());
-        assert_eq!(standby.export_bases(), primary.export_bases());
-        // Both make identical decisions on the next event and flush the
-        // same payloads; the standby, holding no stream, keyframes.
-        let at = Point::new(111.0, 200.0);
-        let sp = primary.disseminate(at, at, 9, 1.1, true, None, true, |ring, _| ev(at, ring));
-        let sq = standby.disseminate(at, at, 9, 1.1, true, None, true, |ring, _| ev(at, ring));
-        assert_eq!(sp, sq);
-        let payloads = |out: Pairs<Ev>| -> Vec<(u32, Vec<Ev>)> {
-            out.batches
-                .into_iter()
-                .map(|b| (b.receiver, b.acc.into_iter().map(|i| i.0).collect()))
-                .collect()
-        };
-        let fq = flush_pairs(&mut standby, |_| Some(Point::new(100.0, 300.0)));
-        assert!(fq.batches.iter().all(|b| b.acc[0].1.is_keyframe()));
-        let fp = flush_pairs(&mut primary, |_| Some(Point::new(100.0, 300.0)));
-        assert_eq!(payloads(fp), payloads(fq));
-    }
-
-    #[test]
-    fn stage_histograms_merge_across_shards() {
+    fn stage_histograms_take_one_sample_per_flush() {
         let rings = RingSet::single(150.0);
         let mut p = DisseminationPipeline::<u32, Ev>::new(
             world(),
@@ -1748,30 +1378,23 @@ mod tests {
                 telemetry: true,
                 ..cfg()
             },
-        )
-        .with_shards(4);
+        );
         for k in 0..16u32 {
             p.subscribe(k, Point::new(100.0 + k as f64, 100.0));
         }
         let origin = Point::new(100.0, 100.0);
         for _ in 0..3 {
-            p.disseminate(origin, origin, 1, 0.0, true, None, true, |ring, _| {
-                ev(origin, ring)
-            });
+            for _ in 0..2 {
+                p.disseminate(origin, origin, 1, 0.0, true, None, true, |ring, _| {
+                    ev(origin, ring)
+                });
+            }
             flush_pairs(&mut p, |_| Some(origin));
         }
-        // Driver-thread stages: one sample per flush.
-        assert_eq!(p.stage_histogram(Stage::Query).count(), 3);
-        assert_eq!(p.stage_histogram(Stage::Tier).count(), 3);
-        assert_eq!(p.stage_histogram(Stage::Predict).count(), 3);
-        // Sharded stages: one sample per shard per flush.
-        assert_eq!(p.stage_histogram(Stage::Policy).count(), 12);
-        assert_eq!(p.stage_histogram(Stage::Delta).count(), 12);
-        // The retained last-flush breakdown mirrors the shard layout.
-        let spans = p.last_flush_spans();
-        assert_eq!(spans.len(), 4, "one breakdown row per shard");
-        assert_eq!(p.shard_stage_sums(Stage::Delta).len(), 4);
-        assert_eq!(p.shard_stage_sums(Stage::Query).len(), 1);
+        // Two disseminations and 16 receivers per flush, one sample.
+        for stage in Stage::ALL {
+            assert_eq!(p.spans().histogram(stage).count(), 3, "{}", stage.name());
+        }
     }
 
     // -- trace charging ------------------------------------------------------

@@ -30,7 +30,7 @@
 //! first sighting is the newest update and gets a key; every later one
 //! is superseded and costs neither a distance nor a place in the sort.
 //! The set is stamped rather than cleared — a slot belongs to the
-//! current call only if it carries the call's stamp — so a shard's
+//! current call only if it carries the call's stamp — so a flush's
 //! thousand receivers share one table without a thousand wipes.
 
 use matrix_geometry::{Metric, Point};

@@ -36,8 +36,9 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The splitmix64 finalizer: a fixed bijective bit mixer on `u64`. Also
-/// the mixer behind `matrix_interest::shard_of`, so its output must
-/// never change — region snapshots are re-routed by it across nodes.
+/// the slot hash of the flush policy's supersede set
+/// (`matrix_interest::FlushPolicy`), so sequential ids spread instead
+/// of striping.
 #[inline]
 pub fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -166,18 +166,15 @@ async fn overload_splits_the_cluster_live() {
 }
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn parallel_flush_loses_and_duplicates_nothing_under_churn() {
-    // The race smoke for the sharded flush engine: a node running 4
-    // real flush workers is hammered with joins, moves, actions and
-    // leaves for many ticks. Every action carries a unique payload
-    // size, so per-receiver delivery is exactly countable: each
+async fn flush_loses_and_duplicates_nothing_under_churn() {
+    // A node is hammered with joins, moves, actions and leaves for many
+    // ticks on a multi-threaded runtime. Every action carries a unique
+    // payload size, so per-receiver delivery is exactly countable: each
     // observer must see each action exactly once — a lost batch shows
     // up as a missing payload, a duplicated batch as a repeated one.
     // The final actions are still queued when the cluster stops, so
-    // `shutdown_flush` itself runs the parallel path and must deliver
-    // what the batcher holds.
+    // `shutdown_flush` itself must deliver what the batcher holds.
     let mut cfg = RtConfig::default();
-    cfg.game.flush_workers = 4;
     cfg.game.tick = SimDuration::from_millis(20);
     // Unlimited per-flush budgets: rate limiting would merge or defer
     // items and break exact accounting.
@@ -203,7 +200,7 @@ async fn parallel_flush_loses_and_duplicates_nothing_under_churn() {
 
     // Hammer: every round everyone jitters, every third client fires a
     // uniquely sized action, and churn clients join/move/leave
-    // concurrently with the flush workers.
+    // between flushes.
     let mut sent_by: Vec<Vec<usize>> = vec![Vec::new(); CORE];
     let mut next_payload = 300usize;
     for round in 0..30u64 {
@@ -219,8 +216,8 @@ async fn parallel_flush_loses_and_duplicates_nothing_under_churn() {
         }
         if round % 3 == 0 {
             // Churn rider: joins inside the crowd, moves, leaves. Its
-            // own deliveries are not asserted — it exists to race the
-            // shard map against subscribe/unsubscribe.
+            // own deliveries are not asserted — it exists to interleave
+            // subscribe/unsubscribe with the flushes.
             let mut rider = cluster.client(Point::new(210.0, 190.0));
             let _ = tokio::time::timeout(Duration::from_secs(2), rider.recv()).await;
             rider.move_to(Point::new(195.0, 205.0));
@@ -442,13 +439,12 @@ async fn gateway_client_resumes_at_its_real_position_after_failover() {
     cluster.shutdown().await;
 }
 
-#[tokio::test]
-async fn replica_batches_cross_a_real_tcp_socket() {
+/// A primary-shaped snapshot travels the wire and lands in a standby
+/// receiver on the other end, which acks back over the same socket;
+/// `crc` puts CRC trailers on the frames in both directions.
+async fn replica_batches_round_trip(crc: bool) {
     use matrix_core::{ReplicaPayload, ReplicaReceiver};
 
-    // A primary-shaped snapshot travels the wire (frames without CRC
-    // trailers) and lands in a standby receiver on the other end, which
-    // acks back over the same socket.
     let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
         .await
         .expect("bind");
@@ -456,7 +452,7 @@ async fn replica_batches_cross_a_real_tcp_socket() {
 
     let standby = tokio::spawn(async move {
         let (stream, _) = listener.accept().await.expect("accept");
-        let mut link = wire::ReplicaStream::new(stream, false);
+        let mut link = wire::ReplicaStream::new(stream, crc);
         let mut receiver: ReplicaReceiver<matrix_core::ClientId> = ReplicaReceiver::new();
         // Snapshot, then one ops batch.
         for _ in 0..2 {
@@ -467,7 +463,7 @@ async fn replica_batches_cross_a_real_tcp_socket() {
         receiver
     });
 
-    let mut link = wire::ReplicaStream::connect(addr, false)
+    let mut link = wire::ReplicaStream::connect(addr, crc)
         .await
         .expect("connect");
     let mut snapshot = matrix_core::RegionSnapshot {
@@ -489,7 +485,7 @@ async fn replica_batches_cross_a_real_tcp_socket() {
     })
     .await
     .expect("send snapshot");
-    assert_eq!(link.recv_ack().await.expect("ack"), (1, false));
+    assert_eq!(link.recv_ack().await.expect("ack"), (1, false), "crc {crc}");
 
     link.send_batch(&matrix_core::ReplicaBatch {
         seq: 2,
@@ -500,15 +496,25 @@ async fn replica_batches_cross_a_real_tcp_socket() {
     })
     .await
     .expect("send ops");
-    assert_eq!(link.recv_ack().await.expect("ack"), (2, false));
+    assert_eq!(link.recv_ack().await.expect("ack"), (2, false), "crc {crc}");
 
     let receiver = standby.await.expect("standby task");
     let snap = receiver.snapshot().expect("warm");
     assert_eq!(
         snap.clients[&matrix_core::ClientId(7)].pos,
         Point::new(11.0, 20.0),
-        "the op applied on the far side of the socket"
+        "crc {crc}: the op applied on the far side of the socket"
     );
+}
+
+#[tokio::test]
+async fn replica_batches_cross_a_real_tcp_socket() {
+    replica_batches_round_trip(false).await;
+}
+
+#[tokio::test]
+async fn replica_batches_cross_the_socket_in_binary() {
+    replica_batches_round_trip(true).await;
 }
 
 #[tokio::test]
@@ -863,71 +869,4 @@ async fn stats_endpoint_outlives_a_peer_that_floods_it() {
     .expect("the next reader is still answered");
     assert!(text.contains("# TYPE"), "{text}");
     cluster.shutdown().await;
-}
-
-#[tokio::test]
-async fn replica_batches_cross_the_socket_in_binary() {
-    use matrix_core::{ReplicaPayload, ReplicaReceiver};
-
-    // Same primary/standby exchange as the test above, with CRC
-    // trailers on both directions.
-    let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
-        .await
-        .expect("bind");
-    let addr = listener.local_addr().expect("addr");
-
-    let standby = tokio::spawn(async move {
-        let (stream, _) = listener.accept().await.expect("accept");
-        let mut link = wire::ReplicaStream::new(stream, true);
-        let mut receiver: ReplicaReceiver<matrix_core::ClientId> = ReplicaReceiver::new();
-        for _ in 0..2 {
-            let batch = link.recv_batch().await.expect("batch");
-            let ack = receiver.apply(batch);
-            link.send_ack(ack.seq, ack.resync).await.expect("ack");
-        }
-        receiver
-    });
-
-    let mut link = wire::ReplicaStream::connect(addr, true)
-        .await
-        .expect("connect");
-    let mut snapshot = matrix_core::RegionSnapshot {
-        range: Some(matrix_geometry::Rect::from_coords(0.0, 0.0, 800.0, 800.0)),
-        radius: 100.0,
-        ready: true,
-        ..matrix_core::RegionSnapshot::default()
-    };
-    snapshot.clients.insert(
-        matrix_core::ClientId(7),
-        matrix_core::SessionState {
-            pos: Point::new(10.0, 20.0),
-            state_bytes: 512,
-        },
-    );
-    link.send_batch(&matrix_core::ReplicaBatch {
-        seq: 1,
-        payload: ReplicaPayload::Full(snapshot),
-    })
-    .await
-    .expect("send snapshot");
-    assert_eq!(link.recv_ack().await.expect("ack"), (1, false));
-
-    link.send_batch(&matrix_core::ReplicaBatch {
-        seq: 2,
-        payload: ReplicaPayload::Ops(vec![matrix_core::ReplicaOp::Move {
-            client: matrix_core::ClientId(7),
-            pos: Point::new(11.0, 20.0),
-        }]),
-    })
-    .await
-    .expect("send ops");
-    assert_eq!(link.recv_ack().await.expect("ack"), (2, false));
-
-    let receiver = standby.await.expect("standby task");
-    let snap = receiver.snapshot().expect("warm");
-    assert_eq!(
-        snap.clients[&matrix_core::ClientId(7)].pos,
-        Point::new(11.0, 20.0),
-        "the op applied on the far side of the binary socket"
-    );
 }

@@ -12,9 +12,6 @@ fn metric_help(name: &str) -> &'static str {
         "recorder_capacity" => "Flight-recorder ring capacity in events (0 = disabled)",
         "events_seen" => "Flight-recorder events ever recorded",
         "events_dropped" => "Flight-recorder events evicted before being read",
-        "flush_shard_imbalance_bp" => {
-            "Max/mean per-shard stage-5 (delta) flush time, basis points (10000 = balanced)"
-        }
         n if n.starts_with("slo_burn_bp_") => {
             "Freshness SLO error-budget burn rate, basis points (10000 = 1.0)"
         }

@@ -25,7 +25,7 @@
 //!   histograms aggregate into cluster-wide distributions.
 //! * [`TraceTag`] — the causal trace plane: a compact tag stamped on a
 //!   sampled subset of ingested events (`trace_sample_rate`), carried
-//!   through every pipeline stage, the sharded flush and the wire, and
+//!   through every pipeline stage, the flush and the wire, and
 //!   read back on the client to compute end-to-end delivery latency and
 //!   staleness-at-apply — including the charged age of suppressed or
 //!   policy-dropped predecessors.

@@ -98,14 +98,11 @@ pub enum EventKind {
         burn_bp: u64,
     },
     /// A flush overran the cadence it runs on (the node's
-    /// `batch_interval`, or `tick` when that is zero): one event per
-    /// shard, carrying that flush's per-stage span breakdown (µs;
-    /// stages 1–3 are pipeline-wide, 4–5 are this shard's own).
+    /// `batch_interval`, or `tick` when that is zero), carrying its
+    /// per-stage span breakdown (µs).
     SlowFlush {
         /// The flushing server.
         server: ServerId,
-        /// Shard index within the flush (0 when unsharded).
-        shard: u32,
         /// Whole-flush duration (µs).
         total_us: u64,
         /// Per-stage time of this flush, [`STAGE_COUNT`] slots in
@@ -144,13 +141,12 @@ impl std::fmt::Display for EventKind {
             }
             EventKind::SlowFlush {
                 server,
-                shard,
                 total_us,
                 stages,
             } => {
                 write!(
                     f,
-                    "slow-flush {server} shard {shard} total {total_us}us \
+                    "slow-flush {server} total {total_us}us \
                      stages {}/{}/{}/{}/{}us",
                     stages[0], stages[1], stages[2], stages[3], stages[4]
                 )

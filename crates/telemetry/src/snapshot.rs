@@ -71,12 +71,12 @@ pub struct TelemetrySnapshot {
 }
 
 /// Whether a name-keyed metric is a point-in-time gauge (recorder
-/// occupancy, SLO burn state, shard imbalance) rather than a monotone
+/// capacity, SLO burn state) rather than a monotone
 /// counter. The exposition types it accordingly and a second reading
 /// of the same name keeps the larger one instead of adding ratios and
 /// capacities up.
 pub(crate) fn is_gauge(name: &str) -> bool {
-    name.starts_with("slo_") || name.starts_with("recorder_") || name == "flush_shard_imbalance_bp"
+    name.starts_with("slo_") || name.starts_with("recorder_")
 }
 
 /// Folds a second reading of `name` into `mine`: counters add, gauges
@@ -129,8 +129,7 @@ impl TelemetrySnapshot {
     }
 
     /// Folds another node's snapshot into this one: counters sum by
-    /// name, gauges (`slo_*`, `recorder_*`, `flush_shard_imbalance_bp`)
-    /// keep the larger reading, histograms merge by name, recorder
+    /// name, gauges (`slo_*`, `recorder_*`) keep the larger reading, histograms merge by name, recorder
     /// tallies add up.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         for (name, v) in &other.counters {
@@ -210,21 +209,20 @@ mod tests {
 
     #[test]
     fn merged_gauges_take_the_max() {
-        // Three perfectly balanced nodes are a balanced cluster, not a
-        // "3× imbalance"; a ring capacity is not a running total.
-        let node = |imbalance, joins| {
+        // A ring capacity is not a running total: nodes with 256-,
+        // 1024- and 256-event recorders have no 1536-event ring between
+        // them, and the largest is the one an operator sizes against.
+        let node = |capacity, joins| {
             let mut s = TelemetrySnapshot::new();
-            s.counter("flush_shard_imbalance_bp", imbalance);
-            s.counter("recorder_capacity", 256);
+            s.counter("recorder_capacity", capacity);
             s.counter("joins", joins);
             s
         };
         let mut merged = TelemetrySnapshot::new();
-        for snap in [node(10_000, 2), node(12_500, 3), node(10_000, 4)] {
+        for snap in [node(256, 2), node(1024, 3), node(256, 4)] {
             merged.merge(&snap);
         }
-        assert_eq!(merged.get_counter("flush_shard_imbalance_bp"), Some(12_500));
-        assert_eq!(merged.get_counter("recorder_capacity"), Some(256));
+        assert_eq!(merged.get_counter("recorder_capacity"), Some(1024));
         assert_eq!(merged.get_counter("joins"), Some(9), "counters still add");
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`TraceTag`] is stamped on a *sampled* subset of ingested events at
 //! the game server (`trace_sample_rate`), rides the event through every
-//! pipeline stage, the sharded flush and the wire, and is read back on
+//! pipeline stage, the flush and the wire, and is read back on
 //! the receiving client, which computes two numbers per traced item:
 //!
 //! * **delivery latency** — apply time minus ingest time: how long the

@@ -30,18 +30,12 @@
 //! entities, repeated origins, distance ties, mixed sizes and every
 //! budget edge.
 //!
-//! **Shard-count invariance**: a node flushing through any
-//! `flush_workers` in 1..=8 — every shard past the first on its own
-//! thread — must emit byte-identical wire frames in the same order;
-//! the sharded flush engine is a throughput knob, never a behaviour
-//! knob.
-//!
 //! **Shared event log**: storing an event's payload once per ring in a
 //! shared log, with 4-byte indices in the per-receiver queues, must
 //! flush exactly what one owned payload per delivery flushes — under
 //! tiered and sampled rings, position-only rings, prediction budgets,
-//! caps, trace charging and churn, at any shard count, and without
-//! calling the producer's `make` per receiver.
+//! caps, trace charging and churn, and without calling the producer's
+//! `make` per receiver.
 //!
 //! **Ring membership / sampling**: every delivered item carries the
 //! ring its receiver's enqueue-time distance falls in, nothing outside
@@ -727,7 +721,7 @@ fn delta_node_streams_reconstruct_absolute_node_streams() {
 /// count cap in {0, 1, n−1, n, n+1} crossed with byte budgets of 0,
 /// less than one item, about half the queue and more than all of it.
 /// One scratch serves every case, as it serves every receiver of a
-/// shard.
+/// flush.
 #[test]
 fn select_matches_the_reference_policy() {
     /// `(origin, size, entity, arrival)` — the arrival index identifies
@@ -1240,160 +1234,6 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-count invariance (the sharded-flush pin)
-// ---------------------------------------------------------------------------
-
-/// The sharded flush engine must be invisible on the wire: for every
-/// random script of joins, moves, actions, leaves and ticks — with
-/// tiered rings, prediction, payload degradation and budgets all in
-/// play — a node flushing through any `flush_workers` in 2..=8 (one
-/// real thread per shard) emits **byte-identical** frames, in the same
-/// order, to the single-worker node. Sharding is a throughput knob, never a
-/// behaviour knob.
-#[test]
-fn flush_worker_count_is_wire_invariant() {
-    use matrix_middleware::core::{
-        codec_v2, ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode,
-        GameToClient, ServerId,
-    };
-    use matrix_middleware::sim::{SimDuration, SimTime};
-
-    #[derive(Clone)]
-    enum Step {
-        Client(u64, ClientId, ClientToGame),
-        Tick(u64),
-    }
-
-    /// Replays the script and returns every wire frame sent to any
-    /// client, in emission order.
-    fn replay(
-        cfg: GameServerConfig,
-        world: Rect,
-        radius: f64,
-        script: &[Step],
-    ) -> Vec<(ClientId, Vec<u8>)> {
-        let mut node = GameServerNode::new(ServerId(1), cfg).with_fanout();
-        node.register(world, radius);
-        let mut frames = Vec::new();
-        let mut collect = |actions: Vec<GameAction>| {
-            for a in actions {
-                if let GameAction::ToClient(cid, msg @ GameToClient::UpdateBatch { .. }) = a {
-                    let meta = codec_v2::FrameMeta::default();
-                    frames.push((cid, codec_v2::encode_server_frame(&msg, meta, true)));
-                }
-            }
-        };
-        for step in script {
-            match step {
-                Step::Client(t, cid, msg) => {
-                    collect(node.on_client(SimTime::from_millis(*t), *cid, msg.clone()))
-                }
-                Step::Tick(t) => collect(node.on_tick(SimTime::from_millis(*t), 0.0)),
-            }
-        }
-        frames
-    }
-
-    let mut rng = SimRng::seed_from_u64(0x5AAD_C0DE);
-    for case in 0..8 {
-        let world = Rect::from_coords(0.0, 0.0, 800.0, 800.0);
-        let radius = rng.uniform(60.0, 200.0);
-        let mut cfg = GameServerConfig {
-            emit_updates: true,
-            batch_interval: SimDuration::from_millis(50),
-            keyframe_every: rng.uniform_u64(0, 7) as u32,
-            max_updates_per_flush: rng.uniform_u64(0, 5) as u32,
-            client_budget_bytes: if rng.chance(0.4) { 256 } else { 0 },
-            predict: rng.chance(0.5),
-            position_only_ring: rng.uniform_u64(0, 3) as u8,
-            metric: metric_of(rng.uniform_u64(0, 3)),
-            ..GameServerConfig::default()
-        };
-        if rng.chance(0.7) {
-            cfg.set_rings(&[radius * 0.3, radius * 0.6, radius], &[1, 2, 4]);
-        }
-        if cfg.predict {
-            cfg.set_error_budgets(&[0.0, 1.5, 3.0, 6.0]);
-        }
-
-        let clients = rng.uniform_u64(6, 20);
-        let mut pos: Vec<Point> = Vec::new();
-        let mut script = Vec::new();
-        for id in 0..clients {
-            let p = Point::new(rng.uniform(200.0, 600.0), rng.uniform(200.0, 600.0));
-            pos.push(p);
-            script.push(Step::Client(
-                0,
-                ClientId(id),
-                ClientToGame::Join {
-                    pos: p,
-                    state_bytes: 0,
-                },
-            ));
-        }
-        let mut t = 0u64;
-        for _ in 0..150 {
-            t += rng.uniform_u64(5, 30);
-            let id = rng.uniform_u64(0, clients);
-            match rng.uniform_u64(0, 10) {
-                0..=5 => {
-                    let p = Point::new(
-                        (pos[id as usize].x + rng.uniform(-10.0, 10.0)).clamp(0.0, 800.0),
-                        (pos[id as usize].y + rng.uniform(-10.0, 10.0)).clamp(0.0, 800.0),
-                    );
-                    pos[id as usize] = p;
-                    script.push(Step::Client(t, ClientId(id), ClientToGame::Move { pos: p }));
-                }
-                6..=7 => script.push(Step::Client(
-                    t,
-                    ClientId(id),
-                    ClientToGame::Action {
-                        pos: pos[id as usize],
-                        payload_bytes: rng.uniform_u64(0, 120) as usize,
-                    },
-                )),
-                8 => script.push(Step::Tick(t)),
-                _ => {
-                    script.push(Step::Client(t, ClientId(id), ClientToGame::Leave));
-                    let p = Point::new(rng.uniform(200.0, 600.0), rng.uniform(200.0, 600.0));
-                    pos[id as usize] = p;
-                    script.push(Step::Client(
-                        t,
-                        ClientId(id),
-                        ClientToGame::Join {
-                            pos: p,
-                            state_bytes: 0,
-                        },
-                    ));
-                }
-            }
-        }
-        script.push(Step::Tick(t + 100));
-
-        let reference = replay(cfg, world, radius, &script);
-        assert!(
-            !reference.is_empty(),
-            "case {case}: the script must actually emit frames"
-        );
-        for workers in 2..=8u32 {
-            let sharded = replay(
-                GameServerConfig {
-                    flush_workers: workers,
-                    ..cfg
-                },
-                world,
-                radius,
-                &script,
-            );
-            assert_eq!(
-                sharded, reference,
-                "case {case}: {workers} flush workers diverged from 1 on the wire"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shared event log (one payload per event and ring) vs one per delivery
 // ---------------------------------------------------------------------------
 
@@ -1402,12 +1242,11 @@ fn flush_worker_count_is_wire_invariant() {
 /// is the send path with the storage it had before: one owned payload
 /// per delivery — `make(ring, vel)`, strip, charge, push onto that
 /// receiver's own `Vec` — found by a brute-force scan instead of the
-/// grid, flushed by one unsharded walk. Over random crowds with tiered
+/// grid, flushed by one plain walk. Over random crowds with tiered
 /// and sampled rings, position-only outer rings, dead-reckoning
 /// budgets, count and byte caps, trace charging, departures, rejoins
 /// and receivers that vanish between enqueue and flush, every flush of
-/// the pipeline — at 1 shard and on 2 and 4 real threads — must equal
-/// the oracle's: receivers, item order, ring tags,
+/// the pipeline must equal the oracle's: receivers, item order, ring tags,
 /// stripped payloads, `stale_us` charges, encoded origins,
 /// `rate_limited` and `orphaned` counts. And `make` runs at most once
 /// per ring plus once per charged delivery, never once per receiver.
@@ -1656,15 +1495,9 @@ fn shared_event_log_matches_one_payload_per_delivery() {
         let trace_every = rng.uniform_u64(1, 4);
 
         let mut oracle = Oracle::new(cfg, rings);
-        let shard_counts = [1u32, 2, 4];
-        let mut pipes: Vec<DisseminationPipeline<u32, UpdateItem>> = shard_counts
-            .into_iter()
-            .map(|shards| {
-                DisseminationPipeline::new(world, rng.uniform_u64(1, 24) as u32, rings, cfg)
-                    .with_shards(shards)
-                    .with_trace_charging()
-            })
-            .collect();
+        let mut pipe: DisseminationPipeline<u32, UpdateItem> =
+            DisseminationPipeline::new(world, rng.uniform_u64(1, 24) as u32, rings, cfg)
+                .with_trace_charging();
 
         // A crowd around one spot, wide enough to span every ring.
         let n = rng.uniform_u64(8, 28) as u32;
@@ -1682,9 +1515,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
         let mut present = vec![true; n as usize];
         for (k, (pos, _)) in bodies.iter().enumerate() {
             oracle.subscribe(k as u32, *pos);
-            for p in &mut pipes {
-                p.subscribe(k as u32, *pos);
-            }
+            pipe.subscribe(k as u32, *pos);
         }
 
         let (mut seq, mut now) = (0u64, 0.0f64);
@@ -1718,9 +1549,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                     );
                     if present[k] {
                         oracle.positions.insert(k as u32, *pos);
-                        for p in &mut pipes {
-                            p.reposition(k as u32, *pos);
-                        }
+                        pipe.reposition(k as u32, *pos);
                     }
                 }
                 let origin = bodies[k].0;
@@ -1745,40 +1574,38 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                 );
                 charged_total += charged;
                 stripped_total += counts.3;
-                for (p, shards) in pipes.iter_mut().zip(shard_counts) {
-                    let made = Cell::new(0u64);
-                    let stats = p.disseminate(
-                        origin,
-                        wire_origin,
-                        entity,
-                        now,
-                        suppressible,
-                        exclude,
-                        true,
-                        |ring, vel| {
-                            made.set(made.get() + 1);
-                            rings_used[ring as usize] = true;
-                            make(ring, vel)
-                        },
-                    );
-                    assert_eq!(
-                        (
-                            stats.delivered,
-                            stats.sampled_out,
-                            stats.suppressed,
-                            stats.stripped
-                        ),
-                        counts,
-                        "case {case} round {round} event {seq}, {shards} shard(s)"
-                    );
-                    assert!(
-                        made.get() <= MAX_RINGS as u64 + charged,
-                        "case {case} event {seq}, {shards} shard(s): make ran {} times for {} \
-                         deliveries ({charged} charged)",
-                        made.get(),
-                        counts.0
-                    );
-                }
+                let made = Cell::new(0u64);
+                let stats = pipe.disseminate(
+                    origin,
+                    wire_origin,
+                    entity,
+                    now,
+                    suppressible,
+                    exclude,
+                    true,
+                    |ring, vel| {
+                        made.set(made.get() + 1);
+                        rings_used[ring as usize] = true;
+                        make(ring, vel)
+                    },
+                );
+                assert_eq!(
+                    (
+                        stats.delivered,
+                        stats.sampled_out,
+                        stats.suppressed,
+                        stats.stripped
+                    ),
+                    counts,
+                    "case {case} round {round} event {seq}"
+                );
+                assert!(
+                    made.get() <= MAX_RINGS as u64 + charged,
+                    "case {case} event {seq}: make ran {} times for {} deliveries ({charged} \
+                     charged)",
+                    made.get(),
+                    counts.0
+                );
             }
             // Churn between flushes: someone leaves with a queue
             // behind them, someone comes back.
@@ -1787,15 +1614,11 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                 if present[k] {
                     let dropped = oracle.unsubscribe(k as u32);
                     oracle.forget_entity(k as u64 + 1);
-                    for p in &mut pipes {
-                        assert_eq!(p.unsubscribe(k as u32), dropped, "case {case}");
-                        p.forget_entity(k as u64 + 1);
-                    }
+                    assert_eq!(pipe.unsubscribe(k as u32), dropped, "case {case}");
+                    pipe.forget_entity(k as u64 + 1);
                 } else {
                     oracle.subscribe(k as u32, bodies[k].0);
-                    for p in &mut pipes {
-                        p.subscribe(k as u32, bodies[k].0);
-                    }
+                    pipe.subscribe(k as u32, bodies[k].0);
                 }
                 present[k] = !present[k];
             }
@@ -1803,35 +1626,28 @@ fn shared_event_log_matches_one_payload_per_delivery() {
             let gone = rng.chance(0.1).then(|| rng.uniform_u64(0, n as u64) as u32);
             let expected = oracle.flush(gone);
             limited_total += expected.batches.iter().map(|b| b.2).sum::<u64>();
-            for (p, shards) in pipes.iter_mut().zip(shard_counts) {
-                let positions = &oracle.positions;
-                let outcome = p.flush(
-                    |key| (Some(key) != gone).then(|| positions[&key]),
-                    Vec::with_capacity,
-                    |acc: &mut Vec<_>, item, encoded| acc.push((*item, encoded)),
-                );
-                let got = Flushed {
-                    batches: outcome
-                        .batches
-                        .into_iter()
-                        .map(|b| (b.receiver, b.acc, b.rate_limited))
-                        .collect(),
-                    orphaned: outcome.orphaned,
-                };
-                assert_eq!(
-                    got, expected,
-                    "case {case} round {round}, {shards} shard(s)"
-                );
-                assert!(!p.has_pending());
-            }
+            let positions = &oracle.positions;
+            let outcome = pipe.flush(
+                |key| (Some(key) != gone).then(|| positions[&key]),
+                Vec::with_capacity,
+                |acc: &mut Vec<_>, item, encoded| acc.push((*item, encoded)),
+            );
+            let got = Flushed {
+                batches: outcome
+                    .batches
+                    .into_iter()
+                    .map(|b| (b.receiver, b.acc, b.rate_limited))
+                    .collect(),
+                orphaned: outcome.orphaned,
+            };
+            assert_eq!(got, expected, "case {case} round {round}");
+            assert!(!pipe.has_pending());
             if let Some(key) = gone {
                 // The driver's view catches up with the vanished
                 // receiver (its queue is already gone).
                 if std::mem::take(&mut present[key as usize]) {
                     oracle.unsubscribe(key);
-                    for p in &mut pipes {
-                        p.unsubscribe(key);
-                    }
+                    pipe.unsubscribe(key);
                 }
             }
         }

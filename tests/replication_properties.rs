@@ -4,9 +4,8 @@
 //! standby fed the primary's own `ReplicaBatch` and then promoted (the
 //! path production runs: `MatrixToGame::ReplicaBatch` → `Promote`) holds
 //! the primary's client set, positions, range, readiness, tuner state
-//! and prediction bases; two such standbys — differing in
-//! `flush_workers` — produce identical action lists for an identical
-//! future event stream; and every client's post-promotion stream opens
+//! and prediction bases; two such standbys produce identical action
+//! lists for an identical future event stream; and every client's post-promotion stream opens
 //! with a keyframe and decodes with no missing base onto the wire
 //! lattice. Delta bases, queued updates and the flush clock are *not*
 //! replicated: a promoted node starts with no stream and no queue.
@@ -52,11 +51,8 @@ fn node(id: u32) -> GameServerNode {
 /// The failover suites' node config: odd cases run rings, dead
 /// reckoning and the grid auto-tuner, so the snapshot's tuner state and
 /// prediction bases are exercised, not just carried empty.
-fn failover_cfg(case: usize, flush_workers: u32) -> GameServerConfig {
-    let mut cfg = GameServerConfig {
-        flush_workers,
-        ..GameServerConfig::default()
-    };
+fn failover_cfg(case: usize) -> GameServerConfig {
+    let mut cfg = GameServerConfig::default();
     if case % 2 == 1 {
         cfg.predict = true;
         cfg.grid_autotune = true;
@@ -253,13 +249,12 @@ fn restore_of_snapshot_is_observably_equivalent() {
     let mut rng = SimRng::seed_from_u64(0xFA11_0E57);
     let mut decoded = 0;
     for case in 0..25 {
-        let mut g = GameServerNode::new(ServerId(1), failover_cfg(case, 1)).with_fanout();
+        let mut g = GameServerNode::new(ServerId(1), failover_cfg(case)).with_fanout();
         g.register(world(), 80.0);
         let mut population = random_drive(&mut g, &mut rng, 120);
         let batch = ship_full_snapshot(&mut g);
-        // A standby's own flush_workers must not show.
-        let mut a = promoted_standby(failover_cfg(case, 1), batch.clone());
-        let mut b = promoted_standby(failover_cfg(case, 4), batch);
+        let mut a = promoted_standby(failover_cfg(case), batch.clone());
+        let mut b = promoted_standby(failover_cfg(case), batch);
         decoded += assert_failover_guarantee(&g, &mut a, &mut b, &mut population, case);
     }
     assert!(decoded > 100, "the drive must deliver batches: {decoded}");
@@ -270,7 +265,7 @@ fn snapshot_survives_the_versioned_wire_format() {
     let mut rng = SimRng::seed_from_u64(0x57AB_1E57);
     let mut decoded = 0;
     for case in 0..25 {
-        let mut g = GameServerNode::new(ServerId(1), failover_cfg(case, 1)).with_fanout();
+        let mut g = GameServerNode::new(ServerId(1), failover_cfg(case)).with_fanout();
         g.register(world(), 80.0);
         let mut population = random_drive(&mut g, &mut rng, 100);
         let batch = ship_full_snapshot(&mut g);
@@ -286,8 +281,8 @@ fn snapshot_survives_the_versioned_wire_format() {
             over_the_wire, batch,
             "case {case}: codec must be transparent"
         );
-        let mut a = promoted_standby(failover_cfg(case, 1), batch);
-        let mut b = promoted_standby(failover_cfg(case, 1), over_the_wire);
+        let mut a = promoted_standby(failover_cfg(case), batch);
+        let mut b = promoted_standby(failover_cfg(case), over_the_wire);
         decoded += assert_failover_guarantee(&g, &mut a, &mut b, &mut population, case);
     }
     assert!(decoded > 100, "the drive must deliver batches: {decoded}");
