@@ -14,13 +14,13 @@
 //! Ranking only pays if it costs less than the traffic it sheds, and the
 //! receivers that need it most are exactly the ones with the longest
 //! queues. [`FlushPolicy::select`] therefore never moves an item: it
-//! ranks one `u128` key per item over the borrowed queue — the bits of
-//! the item's distance above its arrival index, so relevance order is a
-//! plain integer sort — merges by compacting that key array, and leaves
-//! the surviving *indices* in a reusable [`PolicyScratch`] for the
-//! caller to gather from — one pass over the survivors, no per-receiver
-//! allocation once the scratch has grown to the largest queue. What the
-//! queue holds is the caller's business: the dissemination pipeline
+//! ranks one `u64` key per item over the borrowed queue — the high half
+//! of the distance's bits above the arrival index, a plain integer sort,
+//! then one linear pass re-sorts the rare runs of tied high halves by
+//! the low halves kept aside — merges by compacting that key array, and
+//! leaves the surviving *indices* in a reusable [`PolicyScratch`], no
+//! per-receiver allocation once it has grown to the largest queue. What
+//! the queue holds is the caller's business: the dissemination pipeline
 //! hands it 4-byte indices into its shared event log and projections
 //! that read through them.
 //!
@@ -66,7 +66,10 @@ pub struct PolicyScratch {
     /// One [`rank_key`] per item still in the running; the arrival
     /// index in the low half makes each key unique, so an unstable sort
     /// is deterministic and equals the stable order.
-    ranked: Vec<u128>,
+    ranked: Vec<u64>,
+    /// The low 32 distance bits of each keyed item, by item index: what
+    /// breaks ties between keys whose high halves are equal.
+    low: Vec<u32>,
     /// The `(entity, size)` pairs a degraded flush has met so far on
     /// its way from the newest item to the oldest.
     seen: SeenSet,
@@ -131,34 +134,38 @@ impl SeenSet {
     }
 }
 
+/// The distance half of a [`rank_key`].
+const HIGH: u64 = !(u32::MAX as u64);
+
 /// The ranking key of the item that arrived `index`-th at `distance`
-/// from the viewer: the distance's bit pattern in the high 64 bits, the
-/// arrival index in the low 64. A non-negative, non-NaN `f64` orders by
-/// its bits exactly as it orders by value, so comparing two keys as
-/// integers is comparing `(distance, index)` — "nearest first, ties in
-/// arrival order" — with no float comparison in the sort.
+/// from the viewer — the distance's high 32 bits above the arrival
+/// index — and the low 32 bits it leaves out. A non-negative, non-NaN
+/// `f64` orders by its bits as it orders by value, and truncating keeps
+/// that order (not strictly): keys compare as `(high half, index)`, and
+/// `select`'s tie pass finishes on the low halves.
 #[inline]
-fn rank_key(distance: f64, index: usize) -> u128 {
+fn rank_key(distance: f64, index: usize) -> (u64, u32) {
     debug_assert!(
         distance >= 0.0,
         "distances are non-negative and never NaN, got {distance}"
     );
     // `+ 0.0` turns a `-0.0` (equal to `0.0`, but with the sign bit
     // set) into `+0.0`; every other value is unchanged.
-    (u128::from((distance + 0.0).to_bits()) << 64) | index as u128
+    let bits = (distance + 0.0).to_bits();
+    ((bits & HIGH) | index as u32 as u64, bits as u32)
 }
 
-/// The distance half of a [`rank_key`], as bits (equal bits ⇔ equal
-/// distances, given the key's precondition).
+/// A [`rank_key`]'s full distance bits, its low half read back from
+/// `low` (equal bits ⇔ equal distances, given the key's precondition).
 #[inline]
-fn key_distance_bits(key: u128) -> u64 {
-    (key >> 64) as u64
+fn key_distance_bits(key: u64, low: &[u32]) -> u64 {
+    (key & HIGH) | u64::from(low[key_index(key)])
 }
 
 /// The arrival-index half of a [`rank_key`].
 #[inline]
-fn key_index(key: u128) -> usize {
-    key as u64 as usize
+fn key_index(key: u64) -> usize {
+    key as u32 as usize
 }
 
 impl PolicyScratch {
@@ -185,7 +192,8 @@ impl FlushPolicy {
     /// position, source entity and estimated wire cost; the policy
     /// stays generic over the payload type so drivers and tests can
     /// reuse it. Pass [`ANON_ENTITY`] from `entity_of` to opt an item
-    /// out of per-entity superseding.
+    /// out of per-entity superseding. Panics on more than `u32::MAX`
+    /// items (a key carries a 32-bit arrival index).
     #[allow(clippy::too_many_arguments)] // three projections + the scratch, by design
     pub fn select<U>(
         &self,
@@ -197,9 +205,15 @@ impl FlushPolicy {
         items: &[U],
         scratch: &mut PolicyScratch,
     ) -> usize {
-        let PolicyScratch { ranked, seen } = scratch;
+        assert!(items.len() <= u32::MAX as usize, "over u32::MAX items");
+        let PolicyScratch { ranked, low, seen } = scratch;
         ranked.clear();
-        let key = |i: usize| rank_key(origin_of(&items[i]).distance_by(viewer, metric), i);
+        low.resize(low.len().max(items.len()), 0);
+        let mut key_of = |i: usize| {
+            let (key, bits) = rank_key(origin_of(&items[i]).distance_by(viewer, metric), i);
+            low[i] = bits;
+            key
+        };
 
         let over_count = self.max_items > 0 && items.len() > self.max_items;
         let over_bytes =
@@ -220,15 +234,21 @@ impl FlushPolicy {
             for (i, u) in items.iter().enumerate().rev() {
                 let entity = entity_of(u);
                 if entity == ANON_ENTITY || seen.insert(entity, size_of(u)) {
-                    ranked.push(key(i));
+                    ranked.push(key_of(i));
                 }
             }
         } else {
-            ranked.extend((0..items.len()).map(key));
+            ranked.extend((0..items.len()).map(key_of));
         }
         // Relevance order: distance, then arrival — one integer compare
-        // per pair (see `rank_key`).
+        // per pair, then, only if some neighbours' high halves tie, a
+        // pass re-sorting each tied run by low half (see `rank_key`).
         ranked.sort_unstable();
+        if ranked.windows(2).any(|w| (w[0] ^ w[1]) & HIGH == 0) {
+            for run in ranked.chunk_by_mut(|a, b| a & HIGH == b & HIGH) {
+                run.sort_unstable_by_key(|&key| (low[key_index(key)], key));
+            }
+        }
 
         if degraded {
             // Merge exact-duplicate origins down to the most recent item:
@@ -236,36 +256,28 @@ impl FlushPolicy {
             // interval supersede each other once the flush is degraded.
             // Same origin sorts adjacently (equal distance, arrival
             // order), so compacting in place keeps the newest.
-            let mut len = 0;
-            for r in 0..ranked.len() {
-                let key = ranked[r];
-                if len > 0 && key_distance_bits(ranked[len - 1]) == key_distance_bits(key) {
-                    let last = key_index(ranked[len - 1]);
-                    if origin_of(&items[last]) == origin_of(&items[key_index(key)]) {
-                        ranked[len - 1] = key;
-                        continue;
-                    }
+            ranked.dedup_by(|key, prev| {
+                let same = key_distance_bits(*key, low) == key_distance_bits(*prev, low)
+                    && origin_of(&items[key_index(*key)]) == origin_of(&items[key_index(*prev)]);
+                if same {
+                    *prev = *key;
                 }
-                ranked[len] = key;
-                len += 1;
+                same
+            });
+            // Deliver the nearest prefix that fits both budgets (never
+            // fewer than one item). An undegraded flush fits whole by
+            // definition.
+            if self.max_items > 0 {
+                ranked.truncate(self.max_items);
             }
-            ranked.truncate(len);
-            // Deliver the nearest prefix that fits (never fewer than one
-            // item). An undegraded flush fits whole by definition.
-            let mut kept = 0;
-            let mut bytes = 0usize;
-            for &key in ranked.iter() {
-                if self.max_items > 0 && kept >= self.max_items {
-                    break;
-                }
-                let cost = size_of(&items[key_index(key)]);
-                if self.budget_bytes > 0 && kept > 0 && bytes + cost > self.budget_bytes {
-                    break;
-                }
-                bytes += cost;
-                kept += 1;
+            if self.budget_bytes > 0 {
+                let mut bytes = 0;
+                let fits = ranked.iter().enumerate().take_while(|&(n, &key)| {
+                    bytes += size_of(&items[key_index(key)]);
+                    n == 0 || bytes <= self.budget_bytes
+                });
+                ranked.truncate(fits.count());
             }
-            ranked.truncate(kept);
         }
         items.len() - ranked.len()
     }
@@ -470,14 +482,28 @@ mod tests {
         // The comparator the keys replaced.
         let by_distance_then_arrival =
             |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        // The keys alone order by the distance's high half, then
+        // arrival, and that order is a coarsening of the comparator's:
+        // the high half never contradicts the distance, and the key
+        // carries the rest of the bits aside.
         let check = |mut pairs: Vec<(f64, usize)>| {
-            let mut keys: Vec<u128> = pairs.iter().map(|&(d, i)| rank_key(d, i)).collect();
+            let mut keys: Vec<u64> = pairs
+                .iter()
+                .map(|&(d, i)| {
+                    let (key, low) = rank_key(d, i);
+                    assert_eq!((key & HIGH) | u64::from(low), (d + 0.0).to_bits());
+                    key
+                })
+                .collect();
             keys.sort_unstable();
             pairs.sort_by(by_distance_then_arrival);
+            let mut by_high = pairs.clone();
+            by_high.sort_by_key(|&(d, i)| (d.to_bits() >> 32, i));
             assert_eq!(keys.len(), pairs.len());
-            for (key, (d, i)) in keys.into_iter().zip(pairs) {
-                assert_eq!((key_distance_bits(key), key_index(key)), (d.to_bits(), i));
+            for (key, (d, i)) in keys.into_iter().zip(by_high) {
+                assert_eq!((key >> 32, key_index(key)), (d.to_bits() >> 32, i));
             }
+            assert!(pairs.is_sorted_by_key(|&(d, _)| d.to_bits() >> 32));
         };
         // Every distance at several arrival indices, highest index
         // first, so equal distances must be told apart by arrival alone.
@@ -493,7 +519,7 @@ mod tests {
             f64::MAX,
             f64::INFINITY,
         ];
-        let indices = [usize::MAX, u32::MAX as usize + 1, 7, 1, 0];
+        let indices = [u32::MAX as usize, 7, 1, 0];
         check(
             distances
                 .iter()
@@ -520,7 +546,8 @@ mod tests {
             .iter()
             .flat_map(|&x| coords.iter().map(move |&y| Point::new(x, y)))
             .collect();
-        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
+        let metrics = [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev];
+        for metric in metrics {
             for viewer in [
                 Point::new(0.0, 0.0),
                 Point::new(1.0, -1.0),
@@ -538,6 +565,78 @@ mod tests {
         // No distance is `-0.0`; were one to appear it must rank as the
         // `0.0` it equals, not by its sign bit.
         assert_eq!(rank_key(-0.0, 3), rank_key(0.0, 3));
+
+        // `select` itself, where the high half cannot break the ties:
+        // distances that share their high 32 bits and differ below,
+        // each reached along both axes (equal distances, distinct
+        // origins), arriving farthest first so arrival inverts
+        // distance. Kept in full, or cut to all but one, the order must
+        // be the comparator's.
+        let twins = [
+            5e-324,
+            1e-323,
+            1.5e-323,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.0 + 2.0 * f64::EPSILON,
+            1.0 + 3.0 * f64::EPSILON,
+        ];
+        let mut offsets: Vec<f64> = twins.to_vec();
+        offsets.sort_by(|a, b| b.total_cmp(a));
+        let viewer = Point::new(0.0, 0.0);
+        let origins: Vec<Point> = offsets
+            .iter()
+            .flat_map(|&d| [Point::new(d, 0.0), Point::new(0.0, d)])
+            .chain(offsets.iter().rev().map(|&d| Point::new(-d, 0.0)))
+            .collect();
+        let mut scratch = PolicyScratch::default();
+        for metric in metrics {
+            let mut want: Vec<(f64, usize)> = origins
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.distance_by(viewer, metric), i))
+                .collect();
+            let tied_high = want.iter().any(|a| {
+                want.iter()
+                    .any(|b| a.0 != b.0 && a.0.to_bits() >> 32 == b.0.to_bits() >> 32)
+            });
+            assert!(
+                tied_high,
+                "{metric:?}: some distances tie on the high half only"
+            );
+            want.sort_by(by_distance_then_arrival);
+            let want: Vec<usize> = want.into_iter().map(|(_, i)| i).collect();
+            for max_items in [0, origins.len() - 1] {
+                let policy = FlushPolicy {
+                    max_items,
+                    budget_bytes: 0,
+                };
+                let dropped = policy.select(
+                    viewer,
+                    metric,
+                    |p: &Point| *p,
+                    |_| ANON_ENTITY,
+                    |_| 8,
+                    &origins,
+                    &mut scratch,
+                );
+                let kept = want.len() - dropped;
+                assert_eq!(
+                    kept,
+                    if max_items == 0 {
+                        want.len()
+                    } else {
+                        max_items
+                    }
+                );
+                assert_eq!(
+                    scratch.kept().collect::<Vec<_>>(),
+                    want[..kept],
+                    "{metric:?}, max_items {max_items}"
+                );
+            }
+        }
     }
 
     #[test]
