@@ -29,8 +29,7 @@
 //!    [`FlushPolicy`](crate::FlushPolicy) ranks the queued items by
 //!    relevance, supersedes per-entity duplicates under pressure and
 //!    enforces the count/byte budgets — over one `u64` key per queue
-//!    entry, the queue staying where it is; log entries no other entry
-//!    could supersede skip the supersede probe;
+//!    entry, the queue staying where it is;
 //! 5. **delta encoding** — [`DeltaEncoder`](crate::DeltaEncoder) turns
 //!    surviving origins into exact offsets with periodic keyframes,
 //!    one item at a time, and the caller's emitter writes each
@@ -312,11 +311,6 @@ pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
     charges: IdHashMap<u64, IdHashMap<K, u64>>,
     /// Stage 4's ranking memory, reused across receivers and flushes.
     ranking: PolicyScratch,
-    /// Per log entry, the entity stage 4 supersedes it under, and each
-    /// pair's first entry ([`mark_lone`]); empty outside a flush until
-    /// its first degraded receiver marks the log.
-    supersede_entity: Vec<u64>,
-    first_of_pair: IdHashMap<(u64, usize), u32>,
     /// Queue positions of the traced items the policy kept for the
     /// receiver at hand (trace charging only).
     kept_traced: Vec<usize>,
@@ -368,8 +362,6 @@ impl<K: Ord + Copy + Eq + Hash, U: Disseminated> DisseminationPipeline<K, U> {
             predicted: PredictedStream::new(),
             charges: IdHashMap::default(),
             ranking: PolicyScratch::default(),
-            supersede_entity: Vec::new(),
-            first_of_pair: IdHashMap::default(),
             kept_traced: Vec::new(),
             log: Vec::new(),
             trace_charging: false,
@@ -724,8 +716,6 @@ impl<K: Ord + Copy + Eq + Hash, U: Disseminated> DisseminationPipeline<K, U> {
             spans,
             charges,
             ranking,
-            supersede_entity,
-            first_of_pair,
             kept_traced,
             log,
             trace_charging,
@@ -754,19 +744,13 @@ impl<K: Ord + Copy + Eq + Hash, U: Disseminated> DisseminationPipeline<K, U> {
                 return false;
             };
             // Stage 4 ranks positions in the queue, reading each entry's
-            // payload through the log; nothing moves yet. A degraded
-            // queue supersedes: the flush's first marks the lone entries.
-            let degraded = policy.budget_bytes > 0
-                || (policy.max_items > 0 && queued.len() > policy.max_items);
-            if degraded && supersede_entity.is_empty() {
-                mark_lone(log, supersede_entity, first_of_pair);
-            }
+            // payload through the log; nothing moves yet.
             let logged = |at: &u32| &log[*at as usize];
             let dropped = policy.select(
                 viewer,
                 metric,
                 |at| logged(at).origin(),
-                |at| supersede_entity[*at as usize],
+                |at| logged(at).entity(),
                 |at| logged(at).wire_bytes(),
                 queued,
                 ranking,
@@ -826,7 +810,6 @@ impl<K: Ord + Copy + Eq + Hash, U: Disseminated> DisseminationPipeline<K, U> {
         spans.end_flush();
         // Every queue was drained, so nothing refers to the log now.
         log.clear();
-        supersede_entity.clear();
         FlushOutcome { batches, orphaned }
     }
 
@@ -912,28 +895,6 @@ impl<K: Ord + Copy + Eq + Hash, U: Disseminated> DisseminationPipeline<K, U> {
             for (key, pos) in subscribers {
                 self.grid.insert(key, pos);
             }
-        }
-    }
-}
-
-/// Gives each log entry the entity [`FlushPolicy::select`] supersedes
-/// it under: its own if another entry shares its `(entity, wire_bytes)`
-/// pair, else [`ANON_ENTITY`]. A queue holds an entry at most once, so a
-/// *lone* entry meets no twin in any queue: nothing to supersede.
-fn mark_lone<U: Disseminated>(
-    log: &[U],
-    supersede_entity: &mut Vec<u64>,
-    first_of_pair: &mut IdHashMap<(u64, usize), u32>,
-) {
-    supersede_entity.clear();
-    supersede_entity.resize(log.len(), ANON_ENTITY);
-    first_of_pair.clear();
-    for (at, u) in log.iter().enumerate() {
-        let pair = (u.entity(), u.wire_bytes());
-        let first = *first_of_pair.entry(pair).or_insert(at as u32) as usize;
-        if first != at {
-            supersede_entity[first] = u.entity();
-            supersede_entity[at] = u.entity();
         }
     }
 }

@@ -17,7 +17,7 @@
 //! ranks one `u64` key per item over the borrowed queue — the high half
 //! of the distance's bits above the arrival index, a plain integer sort,
 //! then one linear pass re-sorts the rare runs of tied high halves by
-//! the low halves kept aside — merges by compacting that key array, and
+//! their full distances — merges by compacting that key array, and
 //! leaves the surviving *indices* in a reusable [`PolicyScratch`], no
 //! per-receiver allocation once it has grown to the largest queue. What
 //! the queue holds is the caller's business: the dissemination pipeline
@@ -67,9 +67,6 @@ pub struct PolicyScratch {
     /// index in the low half makes each key unique, so an unstable sort
     /// is deterministic and equals the stable order.
     ranked: Vec<u64>,
-    /// The low 32 distance bits of each keyed item, by item index: what
-    /// breaks ties between keys whose high halves are equal.
-    low: Vec<u32>,
     /// The `(entity, size)` pairs a degraded flush has met so far on
     /// its way from the newest item to the oldest.
     seen: SeenSet,
@@ -137,29 +134,27 @@ impl SeenSet {
 /// The distance half of a [`rank_key`].
 const HIGH: u64 = !(u32::MAX as u64);
 
-/// The ranking key of the item that arrived `index`-th at `distance`
-/// from the viewer — the distance's high 32 bits above the arrival
-/// index — and the low 32 bits it leaves out. A non-negative, non-NaN
-/// `f64` orders by its bits as it orders by value, and truncating keeps
-/// that order (not strictly): keys compare as `(high half, index)`, and
-/// `select`'s tie pass finishes on the low halves.
+/// A distance's bit pattern, which orders as the distance does: a
+/// non-negative, non-NaN `f64` orders by its bits as it orders by value.
 #[inline]
-fn rank_key(distance: f64, index: usize) -> (u64, u32) {
+fn distance_bits(distance: f64) -> u64 {
     debug_assert!(
         distance >= 0.0,
         "distances are non-negative and never NaN, got {distance}"
     );
     // `+ 0.0` turns a `-0.0` (equal to `0.0`, but with the sign bit
     // set) into `+0.0`; every other value is unchanged.
-    let bits = (distance + 0.0).to_bits();
-    ((bits & HIGH) | index as u32 as u64, bits as u32)
+    (distance + 0.0).to_bits()
 }
 
-/// A [`rank_key`]'s full distance bits, its low half read back from
-/// `low` (equal bits ⇔ equal distances, given the key's precondition).
+/// The ranking key of the item that arrived `index`-th at `distance`
+/// from the viewer: the high 32 bits of [`distance_bits`] above the
+/// arrival index. Truncating keeps the distance order, not strictly:
+/// keys compare as `(high half, index)`, and `select`'s tie pass
+/// finishes on the full bits.
 #[inline]
-fn key_distance_bits(key: u64, low: &[u32]) -> u64 {
-    (key & HIGH) | u64::from(low[key_index(key)])
+fn rank_key(distance: f64, index: usize) -> u64 {
+    (distance_bits(distance) & HIGH) | index as u32 as u64
 }
 
 /// The arrival-index half of a [`rank_key`].
@@ -206,14 +201,10 @@ impl FlushPolicy {
         scratch: &mut PolicyScratch,
     ) -> usize {
         assert!(items.len() <= u32::MAX as usize, "over u32::MAX items");
-        let PolicyScratch { ranked, low, seen } = scratch;
+        let PolicyScratch { ranked, seen } = scratch;
         ranked.clear();
-        low.resize(low.len().max(items.len()), 0);
-        let mut key_of = |i: usize| {
-            let (key, bits) = rank_key(origin_of(&items[i]).distance_by(viewer, metric), i);
-            low[i] = bits;
-            key
-        };
+        let distance_of = |i: usize| origin_of(&items[i]).distance_by(viewer, metric);
+        let key_of = |i| rank_key(distance_of(i), i);
 
         let over_count = self.max_items > 0 && items.len() > self.max_items;
         let over_bytes =
@@ -241,12 +232,17 @@ impl FlushPolicy {
             ranked.extend((0..items.len()).map(key_of));
         }
         // Relevance order: distance, then arrival — one integer compare
-        // per pair, then, only if some neighbours' high halves tie, a
-        // pass re-sorting each tied run by low half (see `rank_key`).
+        // per pair. Then, only if some neighbours' high halves tie (a
+        // branch-free scan, cheap on the short queues most receivers
+        // have), re-sort each tied run by full distance bits,
+        // recomputed: such runs are rare.
         ranked.sort_unstable();
-        if ranked.windows(2).any(|w| (w[0] ^ w[1]) & HIGH == 0) {
-            for run in ranked.chunk_by_mut(|a, b| a & HIGH == b & HIGH) {
-                run.sort_unstable_by_key(|&key| (low[key_index(key)], key));
+        if ranked
+            .windows(2)
+            .fold(false, |tied, w| tied | ((w[0] ^ w[1]) & HIGH == 0))
+        {
+            for run in ranked.chunk_by_mut(|a, b| (a ^ b) & HIGH == 0) {
+                run.sort_unstable_by_key(|&key| (distance_bits(distance_of(key_index(key))), key));
             }
         }
 
@@ -255,9 +251,10 @@ impl FlushPolicy {
             // repeated events from one point inside a single flush
             // interval supersede each other once the flush is degraded.
             // Same origin sorts adjacently (equal distance, arrival
-            // order), so compacting in place keeps the newest.
+            // order), so compacting in place keeps the newest. Equal
+            // origins have equal distances: the high halves filter.
             ranked.dedup_by(|key, prev| {
-                let same = key_distance_bits(*key, low) == key_distance_bits(*prev, low)
+                let same = (*key ^ *prev) & HIGH == 0
                     && origin_of(&items[key_index(*key)]) == origin_of(&items[key_index(*prev)]);
                 if same {
                     *prev = *key;
@@ -479,34 +476,69 @@ mod tests {
 
     #[test]
     fn integer_rank_keys_order_exactly_like_distance_then_arrival() {
-        // The comparator the keys replaced.
-        let by_distance_then_arrival =
-            |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-        // The keys alone order by the distance's high half, then
-        // arrival, and that order is a coarsening of the comparator's:
-        // the high half never contradicts the distance, and the key
-        // carries the rest of the bits aside.
-        let check = |mut pairs: Vec<(f64, usize)>| {
-            let mut keys: Vec<u64> = pairs
+        // `select` over `origins` (in arrival order) must keep them in
+        // the order of the comparator the keys replaced, distance then
+        // arrival: in full, and cut to all but one (a degraded flush).
+        let mut scratch = PolicyScratch::default();
+        let mut check = |viewer: Point, metric: Metric, origins: &[Point]| {
+            let mut want: Vec<(f64, usize)> = origins
                 .iter()
-                .map(|&(d, i)| {
-                    let (key, low) = rank_key(d, i);
-                    assert_eq!((key & HIGH) | u64::from(low), (d + 0.0).to_bits());
-                    key
-                })
+                .enumerate()
+                .map(|(i, p)| (p.distance_by(viewer, metric), i))
                 .collect();
-            keys.sort_unstable();
-            pairs.sort_by(by_distance_then_arrival);
-            let mut by_high = pairs.clone();
-            by_high.sort_by_key(|&(d, i)| (d.to_bits() >> 32, i));
-            assert_eq!(keys.len(), pairs.len());
-            for (key, (d, i)) in keys.into_iter().zip(by_high) {
-                assert_eq!((key >> 32, key_index(key)), (d.to_bits() >> 32, i));
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let want: Vec<usize> = want.into_iter().map(|(_, i)| i).collect();
+            for max_items in [0, origins.len() - 1] {
+                let policy = FlushPolicy {
+                    max_items,
+                    budget_bytes: 0,
+                };
+                let dropped = policy.select(
+                    viewer,
+                    metric,
+                    |p: &Point| *p,
+                    |_| ANON_ENTITY,
+                    |_| 8,
+                    origins,
+                    &mut scratch,
+                );
+                let kept = if max_items == 0 {
+                    want.len()
+                } else {
+                    max_items
+                };
+                assert_eq!(dropped, want.len() - kept);
+                assert_eq!(
+                    scratch.kept().collect::<Vec<_>>(),
+                    want[..kept],
+                    "{metric:?} from {viewer:?}, max_items {max_items}"
+                );
             }
-            assert!(pairs.is_sorted_by_key(|&(d, _)| d.to_bits() >> 32));
         };
-        // Every distance at several arrival indices, highest index
-        // first, so equal distances must be told apart by arrival alone.
+        let metrics = [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev];
+        let origin = Point::new(0.0, 0.0);
+        // Each distance reached along all four half-axes (equal
+        // distances, distinct origins), arriving farthest first, so
+        // arrival inverts distance and breaks the ties alone.
+        let along_axes = |distances: &[f64]| -> Vec<Point> {
+            let mut far_first = distances.to_vec();
+            far_first.sort_by(|a, b| b.total_cmp(a));
+            far_first
+                .iter()
+                .flat_map(|&d| {
+                    if d == 0.0 {
+                        vec![origin]
+                    } else {
+                        vec![
+                            Point::new(d, 0.0),
+                            Point::new(0.0, d),
+                            Point::new(-d, 0.0),
+                            Point::new(0.0, -d),
+                        ]
+                    }
+                })
+                .collect()
+        };
         let distances = [
             0.0,
             5e-324, // the smallest subnormal
@@ -519,17 +551,35 @@ mod tests {
             f64::MAX,
             f64::INFINITY,
         ];
-        let indices = [u32::MAX as usize, 7, 1, 0];
-        check(
-            distances
-                .iter()
-                .rev()
-                .flat_map(|&d| indices.iter().map(move |&i| (d, i)))
-                .collect(),
-        );
-        // The same through what `select` really feeds the keys:
-        // `distance_by` under each metric, over coordinates that
-        // underflow, cancel exactly and overflow.
+        // Distances that share their high 32 bits and differ below:
+        // there the keys tie and the tie pass alone orders them.
+        let twins = [
+            5e-324,
+            1e-323,
+            1.5e-323,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.0 + 2.0 * f64::EPSILON,
+            1.0 + 3.0 * f64::EPSILON,
+        ];
+        for metric in metrics {
+            check(origin, metric, &along_axes(&distances));
+            let origins = along_axes(&twins);
+            let tied_high = origins.iter().any(|a| {
+                origins.iter().any(|b| {
+                    let (da, db) = (a.distance_by(origin, metric), b.distance_by(origin, metric));
+                    da != db && da.to_bits() >> 32 == db.to_bits() >> 32
+                })
+            });
+            assert!(
+                tied_high,
+                "{metric:?}: some distances tie on the high half only"
+            );
+            check(origin, metric, &origins);
+        }
+        // What `distance_by` really feeds the keys, over coordinates
+        // that underflow, cancel exactly and overflow.
         let coords = [
             0.0,
             5e-324,
@@ -546,97 +596,14 @@ mod tests {
             .iter()
             .flat_map(|&x| coords.iter().map(move |&y| Point::new(x, y)))
             .collect();
-        let metrics = [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev];
         for metric in metrics {
-            for viewer in [
-                Point::new(0.0, 0.0),
-                Point::new(1.0, -1.0),
-                Point::new(f64::MAX, 3.0),
-            ] {
-                check(
-                    points
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| (p.distance_by(viewer, metric), i))
-                        .collect(),
-                );
+            for viewer in [origin, Point::new(1.0, -1.0), Point::new(f64::MAX, 3.0)] {
+                check(viewer, metric, &points);
             }
         }
         // No distance is `-0.0`; were one to appear it must rank as the
         // `0.0` it equals, not by its sign bit.
         assert_eq!(rank_key(-0.0, 3), rank_key(0.0, 3));
-
-        // `select` itself, where the high half cannot break the ties:
-        // distances that share their high 32 bits and differ below,
-        // each reached along both axes (equal distances, distinct
-        // origins), arriving farthest first so arrival inverts
-        // distance. Kept in full, or cut to all but one, the order must
-        // be the comparator's.
-        let twins = [
-            5e-324,
-            1e-323,
-            1.5e-323,
-            1.0 - f64::EPSILON / 2.0,
-            1.0,
-            1.0 + f64::EPSILON,
-            1.0 + 2.0 * f64::EPSILON,
-            1.0 + 3.0 * f64::EPSILON,
-        ];
-        let mut offsets: Vec<f64> = twins.to_vec();
-        offsets.sort_by(|a, b| b.total_cmp(a));
-        let viewer = Point::new(0.0, 0.0);
-        let origins: Vec<Point> = offsets
-            .iter()
-            .flat_map(|&d| [Point::new(d, 0.0), Point::new(0.0, d)])
-            .chain(offsets.iter().rev().map(|&d| Point::new(-d, 0.0)))
-            .collect();
-        let mut scratch = PolicyScratch::default();
-        for metric in metrics {
-            let mut want: Vec<(f64, usize)> = origins
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.distance_by(viewer, metric), i))
-                .collect();
-            let tied_high = want.iter().any(|a| {
-                want.iter()
-                    .any(|b| a.0 != b.0 && a.0.to_bits() >> 32 == b.0.to_bits() >> 32)
-            });
-            assert!(
-                tied_high,
-                "{metric:?}: some distances tie on the high half only"
-            );
-            want.sort_by(by_distance_then_arrival);
-            let want: Vec<usize> = want.into_iter().map(|(_, i)| i).collect();
-            for max_items in [0, origins.len() - 1] {
-                let policy = FlushPolicy {
-                    max_items,
-                    budget_bytes: 0,
-                };
-                let dropped = policy.select(
-                    viewer,
-                    metric,
-                    |p: &Point| *p,
-                    |_| ANON_ENTITY,
-                    |_| 8,
-                    &origins,
-                    &mut scratch,
-                );
-                let kept = want.len() - dropped;
-                assert_eq!(
-                    kept,
-                    if max_items == 0 {
-                        want.len()
-                    } else {
-                        max_items
-                    }
-                );
-                assert_eq!(
-                    scratch.kept().collect::<Vec<_>>(),
-                    want[..kept],
-                    "{metric:?}, max_items {max_items}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1250,10 +1250,8 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
 /// stripped payloads, `stale_us` charges, encoded origins,
 /// `rate_limited` and `orphaned` counts. And `make` runs at most once
 /// per ring plus once per charged delivery, never once per receiver.
-/// The generator reaches both supersede paths of a degraded queue: an
-/// entry superseded by its twin, and a *lone* entry (its `(entity,
-/// wire_bytes)` pair logged once in the interval) that the pipeline
-/// exempts from the supersede probe.
+/// The generator reaches superseding: degraded queues that hold an
+/// entry and its twin (same `(entity, wire_bytes)`).
 #[test]
 fn shared_event_log_matches_one_payload_per_delivery() {
     use matrix_middleware::core::{
@@ -1292,14 +1290,8 @@ fn shared_event_log_matches_one_payload_per_delivery() {
         queues: BTreeMap<u32, Vec<UpdateItem>>,
         encoder: DeltaEncoder<u32>,
         scratch: PolicyScratch,
-        /// How many entries the pipeline's event log holds per
-        /// `(entity, wire_bytes)` pair this interval: one per event and
-        /// ring that delivered, plus one per charged delivery.
-        log_pairs: BTreeMap<(u64, usize), u32>,
-        /// Flushes with a degraded queue holding a twin, and with one
-        /// holding a lone entry.
+        /// Flushes with a degraded queue holding a twin.
         flushes_with_twin: u32,
-        flushes_with_lone: u32,
     }
 
     impl Oracle {
@@ -1315,9 +1307,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                 queues: BTreeMap::new(),
                 encoder: DeltaEncoder::new(cfg.keyframe_every).with_quantum(cfg.origin_quantum),
                 scratch: PolicyScratch::default(),
-                log_pairs: BTreeMap::new(),
                 flushes_with_twin: 0,
-                flushes_with_lone: 0,
             }
         }
 
@@ -1337,11 +1327,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
             self.positions.remove(&key);
             self.sampler.forget(key);
             self.drop_receiver_state(key);
-            let dropped = self.queues.remove(&key).map_or(0, |q| q.len());
-            if self.queues.values().all(Vec::is_empty) {
-                self.log_pairs.clear();
-            }
-            dropped
+            self.queues.remove(&key).map_or(0, |q| q.len())
         }
 
         fn forget_entity(&mut self, entity: u64) {
@@ -1387,7 +1373,6 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                     Some((key, ring))
                 })
                 .collect();
-            let mut logged = [false; MAX_RINGS];
             for (key, ring) in candidates {
                 if !self.sampler.admit(&self.rings, key, ring) {
                     sampled_out += 1;
@@ -1415,16 +1400,9 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                     stripped += 1;
                     item.strip_payload();
                 }
-                let owed = self.charges.remove(&(entity, key));
-                if let Some(first_us) = owed {
+                if let Some(first_us) = self.charges.remove(&(entity, key)) {
                     charged += 1;
                     item.trace_charge(now_us.saturating_sub(first_us));
-                }
-                if owed.is_some() || !std::mem::replace(&mut logged[ring as usize], true) {
-                    *self
-                        .log_pairs
-                        .entry((item.entity, item.wire_bytes()))
-                        .or_default() += 1;
                 }
                 self.queues.entry(key).or_default().push(item);
             }
@@ -1436,8 +1414,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                 batches: Vec::new(),
                 orphaned: 0,
             };
-            let log_pairs = std::mem::take(&mut self.log_pairs);
-            let (mut twin, mut lone) = (false, false);
+            let mut twin = false;
             for (receiver, queued) in std::mem::take(&mut self.queues) {
                 if Some(receiver) == gone {
                     out.orphaned += queued.len() as u64;
@@ -1453,7 +1430,6 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                     for u in queued.iter().filter(|u| u.entity != ANON_ENTITY) {
                         let pair = (u.entity, u.wire_bytes());
                         *in_queue.entry(pair).or_insert(0u32) += 1;
-                        lone |= log_pairs[&pair] == 1;
                     }
                     twin |= in_queue.values().any(|&n| n > 1);
                 }
@@ -1484,7 +1460,6 @@ fn shared_event_log_matches_one_payload_per_delivery() {
                 out.batches.push((receiver, items, dropped as u64));
             }
             self.flushes_with_twin += u32::from(twin);
-            self.flushes_with_lone += u32::from(lone);
             out
         }
     }
@@ -1493,7 +1468,7 @@ fn shared_event_log_matches_one_payload_per_delivery() {
     let mut rng = SimRng::seed_from_u64(0x0024_106f);
     let (mut cases_charged, mut cases_stripped, mut cases_limited, mut cases_two_rings) =
         (0, 0, 0, 0);
-    let (mut flushes, mut flushes_with_twin, mut flushes_with_lone) = (0, 0, 0);
+    let (mut flushes, mut flushes_with_twin) = (0, 0);
     for case in 0..24 {
         // 2–4 ascending tiers; the near ring ships every event, outer
         // rings sample 1-in-1…3.
@@ -1566,7 +1541,8 @@ fn shared_event_log_matches_one_payload_per_delivery() {
         let (mut seq, mut now) = (0u64, 0.0f64);
         let (mut charged_total, mut stripped_total, mut limited_total) = (0u64, 0u64, 0u64);
         let mut rings_used = [false; MAX_RINGS];
-        for round in 0..30 {
+        let rounds = 30;
+        for round in 0..rounds {
             for _ in 0..rng.uniform_u64(1, 3 * n as u64) {
                 now += 0.004;
                 seq += 1;
@@ -1700,11 +1676,9 @@ fn shared_event_log_matches_one_payload_per_delivery() {
         cases_stripped += usize::from(stripped_total > 0);
         cases_limited += usize::from(limited_total > 0);
         cases_two_rings += usize::from(rings_used.iter().filter(|&&used| used).count() > 1);
-        flushes += 30;
+        flushes += rounds;
         flushes_with_twin += oracle.flushes_with_twin;
-        flushes_with_lone += oracle.flushes_with_lone;
     }
-
     // The generator reaches what the property is about.
     assert!(
         cases_two_rings >= 20,
@@ -1722,10 +1696,6 @@ fn shared_event_log_matches_one_payload_per_delivery() {
     assert!(
         flushes_with_twin > flushes / 3,
         "only {flushes_with_twin} of {flushes} flushes superseded a twin"
-    );
-    assert!(
-        flushes_with_lone > flushes / 3,
-        "only {flushes_with_lone} of {flushes} flushes exempted a lone entry"
     );
 }
 
