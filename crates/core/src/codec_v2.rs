@@ -1,10 +1,10 @@
 //! The wire protocol: length-prefixed binary frames.
 //!
 //! Every message the middleware puts on a real wire — the client
-//! session and replication — is one [`Frame`] here; `docs/WIRE.md` is
-//! the byte-level reference. A session opens with a [`Frame::Hello`]
-//! carrying the protocol version, which the gateway answers with its
-//! own. The only other format in the program is the Prometheus text
+//! session — is one [`Frame`] here; `docs/WIRE.md` is the byte-level
+//! reference. A session opens with a [`Frame::Hello`] carrying the
+//! protocol version, which the gateway answers with its own. The only
+//! other format in the program is the Prometheus text
 //! the operator stats port writes (`matrix_telemetry::render_prometheus`);
 //! that port reads nothing, so frames are the only input parsed off a
 //! socket.
@@ -81,14 +81,9 @@
 //! magic boundary. The fuzz suite (`tests/codec_v2_fuzz.rs`) drives
 //! random bytes, truncations and bit flips through every decoder.
 
-use crate::messages::{
-    BatchItem, ClientToGame, GameToClient, RegionSnapshot, ReplicaBatch, ReplicaOp, UpdateItem,
-};
-use crate::packet::ClientId;
-use matrix_geometry::{Point, Rect, ServerId};
+use crate::messages::{BatchItem, ClientToGame, GameToClient, UpdateItem};
+use matrix_geometry::{Point, ServerId};
 use matrix_interest::EncodedOrigin;
-use matrix_predict::Basis;
-use matrix_replication::{ReplicaPayload, SessionState, TunerState};
 use matrix_telemetry::TraceTag;
 
 /// A malformed frame.
@@ -167,11 +162,9 @@ const T_ACK: u8 = 6;
 const T_UPDATE: u8 = 7;
 const T_BATCH: u8 = 8;
 const T_SWITCH: u8 = 9;
-const T_REPLICA: u8 = 10;
-const T_REPLICA_ACK: u8 = 11;
-/// Type codes 12–14 are reserved: unassigned, and a frame bearing one
+/// Type codes 10–14 are reserved: unassigned, and a frame bearing one
 /// is rejected as unknown.
-const RESERVED_TYPES: std::ops::RangeInclusive<u8> = 12..=14;
+const RESERVED_TYPES: std::ops::RangeInclusive<u8> = 10..=14;
 const T_TRACE_ACK: u8 = 15;
 
 /// Wire size of one trace-section entry (item index + origin + seq +
@@ -195,16 +188,6 @@ const ITEM_WIDE_LEN: u8 = 0x80;
 const LATTICE: f64 = 256.0;
 /// Largest magnitude an i24 lattice component can carry.
 const I24_MAX: i32 = (1 << 23) - 1;
-
-/// Replica-payload kind codes.
-const P_FULL: u8 = 0;
-const P_OPS: u8 = 1;
-
-/// Replica-op tag codes.
-const OP_JOIN: u8 = 0;
-const OP_MOVE: u8 = 1;
-const OP_LEAVE: u8 = 2;
-const OP_RANGE: u8 = 3;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE), table-driven eight bytes per step, built at compile time
@@ -312,16 +295,6 @@ pub enum Frame {
     /// A game-to-client message (`joined` / `ack` / `update` / `batch`
     /// / `switch`).
     Server(GameToClient),
-    /// A replication batch (full snapshot or incremental ops). Boxed:
-    /// snapshots are bulky, the other variants are not.
-    Replica(Box<ReplicaBatch>),
-    /// A replication acknowledgement.
-    ReplicaAck {
-        /// Highest batch sequence number applied.
-        seq: u64,
-        /// Whether the standby needs a full snapshot resync.
-        resync: bool,
-    },
 }
 
 /// Outcome of [`decode_frame`] on a (possibly partial) buffer.
@@ -504,26 +477,6 @@ impl<'a> Reader<'a> {
         u32::try_from(v).map_err(|_| CodecError::new(format!("{what} out of u32 range")))
     }
 
-    /// Varint length prefix used to size a `Vec::with_capacity`:
-    /// additionally bounded by the bytes actually left in the body
-    /// (each element costs ≥ 1 byte), so a corrupt count cannot make
-    /// the decoder reserve unbounded memory.
-    fn count(&mut self, what: &str) -> Result<usize, CodecError> {
-        let n = self.varint(what)?;
-        if n > self.remaining() as u64 {
-            return Err(CodecError::new(format!("{what} exceeds frame size")));
-        }
-        Ok(n as usize)
-    }
-
-    fn bool(&mut self, what: &str) -> Result<bool, CodecError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(CodecError::new(format!("{what} must be 0 or 1, got {b}"))),
-        }
-    }
-
     fn finish(self, what: &str) -> Result<(), CodecError> {
         if self.remaining() != 0 {
             return Err(CodecError::new(format!(
@@ -572,17 +525,6 @@ pub fn encode_server_frame(msg: &GameToClient, meta: FrameMeta, crc: bool) -> Ve
     };
     let mut out = Vec::with_capacity(capacity);
     encode_server_frame_into(&mut out, msg, meta, crc);
-    out
-}
-
-/// Encodes a replication batch as a frame, without wrapping it in an
-/// owned [`Frame`] first (snapshots are bulky; no clone).
-pub fn encode_replica_batch_frame(batch: &ReplicaBatch, meta: FrameMeta, crc: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + 96 + CRC_BYTES);
-    frame_into(&mut out, meta, crc, |body| {
-        encode_replica_body(batch, body);
-        T_REPLICA
-    });
     out
 }
 
@@ -640,15 +582,6 @@ fn encode_body(frame: &Frame, out: &mut Vec<u8>) -> u8 {
         }
         Frame::Client(msg) => encode_client_body(msg, out),
         Frame::Server(msg) => encode_server_body(msg, out),
-        Frame::Replica(batch) => {
-            encode_replica_body(batch, out);
-            T_REPLICA
-        }
-        Frame::ReplicaAck { seq, resync } => {
-            put_varint(out, *seq);
-            out.push(u8::from(*resync));
-            T_REPLICA_ACK
-        }
     }
 }
 
@@ -1146,96 +1079,6 @@ impl Iterator for BatchItems<'_> {
     }
 }
 
-fn encode_replica_body(batch: &ReplicaBatch, out: &mut Vec<u8>) {
-    put_varint(out, RegionSnapshot::VERSION as u64);
-    put_varint(out, batch.seq);
-    match &batch.payload {
-        ReplicaPayload::Full(snap) => {
-            out.push(P_FULL);
-            encode_snapshot_body(snap, out);
-        }
-        ReplicaPayload::Ops(ops) => {
-            out.push(P_OPS);
-            put_varint(out, ops.len() as u64);
-            for op in ops {
-                match *op {
-                    ReplicaOp::Join {
-                        client,
-                        pos,
-                        state_bytes,
-                    } => {
-                        out.push(OP_JOIN);
-                        put_varint(out, client.0);
-                        put_point(out, pos);
-                        put_varint(out, state_bytes);
-                    }
-                    ReplicaOp::Move { client, pos } => {
-                        out.push(OP_MOVE);
-                        put_varint(out, client.0);
-                        put_point(out, pos);
-                    }
-                    ReplicaOp::Leave { client } => {
-                        out.push(OP_LEAVE);
-                        put_varint(out, client.0);
-                    }
-                    ReplicaOp::Range { range, radius } => {
-                        out.push(OP_RANGE);
-                        put_rect(out, &range);
-                        put_f64(out, radius);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn put_rect(out: &mut Vec<u8>, r: &Rect) {
-    put_point(out, r.min());
-    put_point(out, r.max());
-}
-
-fn encode_snapshot_body(snap: &RegionSnapshot, out: &mut Vec<u8>) {
-    let mut flags = 0u8;
-    if snap.ready {
-        flags |= 0x01;
-    }
-    if snap.range.is_some() {
-        flags |= 0x02;
-    }
-    if snap.tuner.is_some() {
-        flags |= 0x04;
-    }
-    out.push(flags);
-    if let Some(range) = &snap.range {
-        put_rect(out, range);
-    }
-    put_f64(out, snap.radius);
-    put_varint(out, snap.seq);
-    if let Some(t) = &snap.tuner {
-        put_varint(out, t.cells as u64);
-        put_varint(out, t.streak as u64);
-        put_varint(out, t.pending as u64);
-    }
-    put_varint(out, snap.clients.len() as u64);
-    for (id, s) in &snap.clients {
-        put_varint(out, id.0);
-        put_point(out, s.pos);
-        put_varint(out, s.state_bytes);
-    }
-    put_varint(out, snap.bases.len() as u64);
-    for (id, bases) in &snap.bases {
-        put_varint(out, id.0);
-        put_varint(out, bases.len() as u64);
-        for (entity, b) in bases {
-            put_varint(out, *entity);
-            put_point(out, b.pos);
-            put_f64(out, b.vel.0);
-            put_f64(out, b.vel.1);
-            put_f64(out, b.time);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Frame decode
 // ---------------------------------------------------------------------------
@@ -1364,11 +1207,6 @@ fn decode_body(ty: u8, traced: bool, body: &[u8]) -> Result<Frame, CodecError> {
         T_SWITCH => Frame::Server(GameToClient::SwitchServer {
             to: ServerId(r.varu32("switch server id")?),
         }),
-        T_REPLICA => Frame::Replica(Box::new(decode_replica_body(&mut r)?)),
-        T_REPLICA_ACK => Frame::ReplicaAck {
-            seq: r.varint("replica-ack sequence")?,
-            resync: r.bool("replica-ack resync")?,
-        },
         _ => unreachable!("type range checked by decode_frame"),
     };
     let what = frame_name(ty);
@@ -1388,108 +1226,9 @@ fn frame_name(ty: u8) -> &'static str {
         T_UPDATE => "update",
         T_BATCH => "batch",
         T_SWITCH => "switch",
-        T_REPLICA => "replica",
-        T_REPLICA_ACK => "replica-ack",
         T_TRACE_ACK => "trace-ack",
         _ => "unknown",
     }
-}
-
-fn decode_replica_body(r: &mut Reader<'_>) -> Result<ReplicaBatch, CodecError> {
-    let v = r.varu32("snapshot version")?;
-    if v != RegionSnapshot::VERSION {
-        return Err(CodecError::new(format!(
-            "unsupported snapshot version {v} (expected {})",
-            RegionSnapshot::VERSION
-        )));
-    }
-    let seq = r.varint("replica sequence")?;
-    let payload = match r.u8("replica payload kind")? {
-        P_FULL => ReplicaPayload::Full(decode_snapshot_body(r)?),
-        P_OPS => {
-            let n = r.count("op count")?;
-            let mut ops = Vec::with_capacity(n);
-            for _ in 0..n {
-                let op = match r.u8("op tag")? {
-                    OP_JOIN => ReplicaOp::Join {
-                        client: ClientId(r.varint("op client")?),
-                        pos: r.point("op position")?,
-                        state_bytes: r.varint("op state size")?,
-                    },
-                    OP_MOVE => ReplicaOp::Move {
-                        client: ClientId(r.varint("op client")?),
-                        pos: r.point("op position")?,
-                    },
-                    OP_LEAVE => ReplicaOp::Leave {
-                        client: ClientId(r.varint("op client")?),
-                    },
-                    OP_RANGE => ReplicaOp::Range {
-                        range: read_rect(r)?,
-                        radius: r.f64("op radius")?,
-                    },
-                    t => return Err(CodecError::new(format!("unknown op tag {t}"))),
-                };
-                ops.push(op);
-            }
-            ReplicaPayload::Ops(ops)
-        }
-        k => return Err(CodecError::new(format!("unknown replica payload kind {k}"))),
-    };
-    Ok(ReplicaBatch { seq, payload })
-}
-
-fn read_rect(r: &mut Reader<'_>) -> Result<Rect, CodecError> {
-    let min = r.point("rect")?;
-    let max = r.point("rect")?;
-    Ok(Rect::from_coords(min.x, min.y, max.x, max.y))
-}
-
-fn decode_snapshot_body(r: &mut Reader<'_>) -> Result<RegionSnapshot, CodecError> {
-    let flags = r.u8("snapshot flags")?;
-    if flags & !0x07 != 0 {
-        return Err(CodecError::new("reserved snapshot flags set"));
-    }
-    let mut snap = RegionSnapshot {
-        ready: flags & 0x01 != 0,
-        ..Default::default()
-    };
-    if flags & 0x02 != 0 {
-        snap.range = Some(read_rect(r)?);
-    }
-    snap.radius = r.f64("snapshot radius")?;
-    snap.seq = r.varint("snapshot sequence")?;
-    if flags & 0x04 != 0 {
-        snap.tuner = Some(TunerState {
-            cells: r.varu32("tuner cells")?,
-            streak: r.varu32("tuner streak")?,
-            pending: r.varu32("tuner pending")?,
-        });
-    }
-    let n = r.count("client count")?;
-    for _ in 0..n {
-        let id = ClientId(r.varint("client id")?);
-        let pos = r.point("client position")?;
-        let state_bytes = r.varint("client state size")?;
-        snap.clients.insert(id, SessionState { pos, state_bytes });
-    }
-    let n = r.count("basis count")?;
-    for _ in 0..n {
-        let id = ClientId(r.varint("basis id")?);
-        let k = r.count("basis entry count")?;
-        let mut bases = Vec::with_capacity(k);
-        for _ in 0..k {
-            bases.push((
-                r.varint("basis entity")?,
-                Basis {
-                    pos: r.point("basis position")?,
-                    vel: (r.f64("basis velocity")?, r.f64("basis velocity")?),
-                    time: r.f64("basis time")?,
-                },
-            ));
-        }
-        snap.bases.insert(id, bases);
-    }
-    Ok(snap)
 }
 
 // ---------------------------------------------------------------------------
@@ -1642,18 +1381,17 @@ mod tests {
         round_trip(Frame::Server(GameToClient::SwitchServer {
             to: ServerId(u32::MAX),
         }));
-        round_trip(Frame::ReplicaAck {
-            seq: 42,
-            resync: true,
-        });
     }
 
     #[test]
     fn reserved_frame_types_are_rejected() {
-        // Well-formed bodies of the frames these codes once carried (a
+        // Well-formed bodies of the frames these codes once carried (an
+        // empty replica batch at snapshot version 2, a replica ack, a
         // stats query, an empty stats reply, a bare load report), so the
         // type code is the only thing on trial.
-        let bodies: [(u8, &[u8]); 3] = [
+        let bodies: [(u8, &[u8]); 5] = [
+            (10, &[2, 4, 1, 0]),
+            (11, &[42, 1]),
             (12, &[1, 0]),
             (13, &[1, 0]),
             (14, &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
@@ -1921,26 +1659,6 @@ mod tests {
         );
         assert!(errors >= 1, "the corrupt frame must surface as an error");
         assert_eq!(acc.pending_bytes(), 0);
-    }
-
-    #[test]
-    fn unsupported_snapshot_versions_are_rejected() {
-        // A standby must fail loudly, not mis-decode state it is about
-        // to adopt a region from. The replication format version leads
-        // the replica body.
-        let batch = ReplicaBatch {
-            seq: 4,
-            payload: ReplicaPayload::Ops(vec![]),
-        };
-        let mut bytes = encode_replica_batch_frame(&batch, FrameMeta::default(), false);
-        assert_eq!(u32::from(bytes[HEADER_BYTES]), RegionSnapshot::VERSION);
-        // Version 1 (the snapshot that still carried delta bases, queued
-        // updates and the flush clock) and a future version alike.
-        for version in [1, RegionSnapshot::VERSION as u8 + 1] {
-            bytes[HEADER_BYTES] = version;
-            let err = decode_frame(&bytes).unwrap_err();
-            assert!(err.reason.contains(&format!("version {version}")), "{err}");
-        }
     }
 
     #[test]

@@ -86,7 +86,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 mod client;
 pub mod codec_v2;
 mod config;

@@ -4,8 +4,8 @@
 //! tables, and CSV artefacts land in `./results/`.
 
 use matrix_experiments::{
-    ablation, densecrowd, failover, fig2, micro, overhead, predict, rings, scale, sweep, trace,
-    userstudy, versus,
+    ablation, densecrowd, failover, fig2, micro, overhead, predict, rings, sweep, trace, userstudy,
+    versus,
 };
 use std::io::Write;
 
@@ -23,7 +23,6 @@ COMMANDS:
   micro-mc             E5: coordinator overhead (recompute cost + traffic share)
   micro-traffic        E6: inter-server traffic vs overlap-region size
   userstudy            E7: latency-perception proxy for the user study
-  scale                E8: asymptotic scalability analysis
   sweep                E11: adaptivity scaling vs crowd size
   dense [--smoke]      E12: dense-crowd interest management (2k clients, one server)
   failover [--smoke]   E13: warm-standby failover (kill a region server mid-run)
@@ -75,7 +74,6 @@ fn main() {
         "micro-mc" => run_micro_mc(seed),
         "micro-traffic" => run_micro_traffic(seed),
         "userstudy" => run_userstudy(seed),
-        "scale" => run_scale(),
         "sweep" => run_sweep(seed),
         "dense" => run_dense(seed, smoke),
         "failover" => run_failover(seed, smoke),
@@ -92,7 +90,6 @@ fn main() {
             run_micro_mc(seed);
             run_micro_traffic(seed);
             run_userstudy(seed);
-            run_scale();
             run_sweep(seed);
             run_dense(seed, false);
             run_failover(seed, false);
@@ -291,12 +288,6 @@ fn run_trace(seed: u64, smoke: bool) {
         Err(why) => acceptance_failed("trace", &why),
     }
     save("trace.csv", &trace::to_csv(&dense, &failover, &rt));
-}
-
-fn run_scale() {
-    for table in scale::run() {
-        println!("{}", table.render());
-    }
 }
 
 fn run_ablation_split(seed: u64) {

@@ -29,9 +29,9 @@
 //!
 //! Like `matrix-interest`, everything here is generic over the client
 //! key and independent of the middleware's message taxonomy:
-//! `matrix-core` instantiates it with `ClientId`, wraps batches in
-//! protocol messages, and gives them a versioned wire form in
-//! `matrix_core::codec_v2`.
+//! `matrix-core` instantiates it with `ClientId` and wraps batches in
+//! peer messages (`PeerMsg::Replica`), which the driver's transport
+//! carries as values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

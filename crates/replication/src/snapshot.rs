@@ -27,17 +27,15 @@ pub struct TunerState {
     pub pending: u32,
 }
 
-/// A versioned, restorable image of one region: everything a standby
-/// needs to take over a dead primary's game server without the clients
+/// A restorable image of one region: everything a standby needs to
+/// take over a dead primary's game server without the clients
 /// reconnecting.
 ///
 /// The snapshot is plain data, and exactly what promotion installs:
 /// sessions, range, tuner state and prediction bases. The send path's
 /// in-flight state (delta bases, queued updates, the flush clock) is
 /// not part of it — a promoted node starts every stream with a
-/// keyframe and an empty queue. The wire form lives in
-/// `matrix_core::codec_v2` and carries [`RegionSnapshot::VERSION`] so
-/// incompatible peers fail loudly instead of mis-decoding.
+/// keyframe and an empty queue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionSnapshot<K: Ord> {
     /// Managed map range, if one was assigned.
@@ -49,8 +47,7 @@ pub struct RegionSnapshot<K: Ord> {
     /// The packet sequence counter at snapshot time.
     pub seq: u64,
     /// The grid auto-tuner's learned state (`None` when the primary
-    /// runs a static grid; the wire form omits it then, keeping
-    /// static-grid frames identical to pre-tuner ones).
+    /// runs a static grid).
     pub tuner: Option<TunerState>,
     /// Connected clients and their sessions.
     pub clients: BTreeMap<K, SessionState>,
@@ -78,13 +75,6 @@ impl<K: Ord> Default for RegionSnapshot<K> {
 }
 
 impl<K: Ord + Copy> RegionSnapshot<K> {
-    /// Wire-format version of the snapshot codec. Bumped on any
-    /// incompatible change to the snapshot's field set; decoders reject
-    /// other versions. Optional, default-omitted extensions (the tuner
-    /// state) stay within a version — frames without them decode to the
-    /// defaults, and defaults encode without them.
-    pub const VERSION: u32 = 2;
-
     /// Connected client count.
     pub fn client_count(&self) -> usize {
         self.clients.len()

@@ -22,11 +22,11 @@
 //!
 //! # Transport
 //!
-//! Every game and replica socket runs with `TCP_NODELAY` on — a 20 Hz
-//! stream of small frames must not wait out a delayed ACK — and the
-//! gateway issues one write per wake-up, carrying every frame that was
-//! ready. Frame boundaries are therefore never packet or read
-//! boundaries: receivers delimit frames with the [`FrameAccumulator`].
+//! Every game socket runs with `TCP_NODELAY` on — a 20 Hz stream of
+//! small frames must not wait out a delayed ACK — and the gateway
+//! issues one write per wake-up, carrying every frame that was ready.
+//! Frame boundaries are therefore never packet or read boundaries:
+//! receivers delimit frames with the [`FrameAccumulator`].
 //!
 //! # Stats port
 //!
@@ -288,9 +288,9 @@ async fn serve_connection(
                             }
                         }
                         Ok((Frame::Client(msg), _)) => bridge.upload(msg),
-                        // A client has no business sending server or
-                        // replica frames.
-                        Ok(_) => break 'conn,
+                        // A client has no business sending server
+                        // frames.
+                        Ok((Frame::Server(_), _)) => break 'conn,
                         // Corrupt region: the accumulator already
                         // resynced at the next magic boundary.
                         Err(_) => continue,
@@ -424,110 +424,6 @@ impl FrameReader {
     }
 }
 
-/// Splits a connected socket into the frame reader and the write half.
-fn split_framed(stream: TcpStream) -> (FrameReader, OwnedWriteHalf) {
-    let (read_half, write_half) = stream.into_split();
-    let reader = FrameReader {
-        chunks: read_half.into_chunks(),
-        acc: FrameAccumulator::new(),
-    };
-    (reader, write_half)
-}
-
-/// A replication stream over a real TCP socket: `Frame::Replica` /
-/// `Frame::ReplicaAck` frames.
-///
-/// The in-process cluster ships replica batches over the router; this
-/// endpoint carries the same batches between *machines* — a primary
-/// connects to its standby's listener (or vice versa; the framing is
-/// symmetric) and streams snapshots + ops, reading acks off the same
-/// socket. Replication-format version mismatches surface as
-/// [`WireError::BadFrame`] before any state is adopted.
-pub struct ReplicaStream {
-    reader: FrameReader,
-    writer: OwnedWriteHalf,
-    clock: FrameClock,
-}
-
-impl ReplicaStream {
-    /// Wraps an accepted or established socket; `frame_crc` appends
-    /// CRC32 trailers to outgoing frames.
-    pub fn new(stream: TcpStream, frame_crc: bool) -> ReplicaStream {
-        // Best effort: a socket that refuses the option still works.
-        let _ = stream.set_nodelay(true);
-        let (reader, writer) = split_framed(stream);
-        ReplicaStream {
-            reader,
-            writer,
-            clock: FrameClock::new(frame_crc),
-        }
-    }
-
-    /// Connects to a listening peer.
-    ///
-    /// # Errors
-    ///
-    /// Returns connection errors from the operating system.
-    pub async fn connect(
-        addr: impl ToSocketAddrs,
-        frame_crc: bool,
-    ) -> Result<ReplicaStream, WireError> {
-        Ok(ReplicaStream::new(
-            TcpStream::connect(addr).await?,
-            frame_crc,
-        ))
-    }
-
-    /// Ships one replication batch (snapshot or ops).
-    ///
-    /// # Errors
-    ///
-    /// Socket errors; encoding cannot fail.
-    pub async fn send_batch(&mut self, batch: &matrix_core::ReplicaBatch) -> Result<(), WireError> {
-        let bytes = codec_v2::encode_replica_batch_frame(batch, self.clock.meta(), self.clock.crc);
-        self.writer.write_all(&bytes).await?;
-        Ok(())
-    }
-
-    /// Receives the next replication batch.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Closed`] on hangup; [`WireError::BadFrame`] for
-    /// malformed frames or an unsupported replication format version.
-    pub async fn recv_batch(&mut self) -> Result<matrix_core::ReplicaBatch, WireError> {
-        match self.reader.next_frame().await? {
-            Frame::Replica(batch) => Ok(*batch),
-            _ => Err(bad_frame("expected a replica frame")),
-        }
-    }
-
-    /// Acknowledges a batch (`resync` requests a fresh full snapshot).
-    ///
-    /// # Errors
-    ///
-    /// Socket errors; encoding cannot fail.
-    pub async fn send_ack(&mut self, seq: u64, resync: bool) -> Result<(), WireError> {
-        let frame = Frame::ReplicaAck { seq, resync };
-        let bytes = codec_v2::encode_frame(&frame, self.clock.meta(), self.clock.crc);
-        self.writer.write_all(&bytes).await?;
-        Ok(())
-    }
-
-    /// Receives the next acknowledgement as `(seq, resync)`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Closed`] on hangup; [`WireError::BadFrame`] for
-    /// malformed or version-mismatched frames.
-    pub async fn recv_ack(&mut self) -> Result<(u64, bool), WireError> {
-        match self.reader.next_frame().await? {
-            Frame::ReplicaAck { seq, resync } => Ok((seq, resync)),
-            _ => Err(bad_frame("expected a replica-ack frame")),
-        }
-    }
-}
-
 /// A remote TCP game client.
 pub struct TcpGameClient {
     reader: FrameReader,
@@ -549,7 +445,11 @@ impl TcpGameClient {
     pub async fn connect(addr: impl ToSocketAddrs) -> Result<TcpGameClient, WireError> {
         let stream = TcpStream::connect(addr).await?;
         stream.set_nodelay(true)?;
-        let (mut reader, mut writer) = split_framed(stream);
+        let (read_half, mut writer) = stream.into_split();
+        let mut reader = FrameReader {
+            chunks: read_half.into_chunks(),
+            acc: FrameAccumulator::new(),
+        };
         let mut clock = FrameClock::new(true);
         let hello = codec_v2::encode_frame(
             &Frame::Hello {

@@ -439,84 +439,6 @@ async fn gateway_client_resumes_at_its_real_position_after_failover() {
     cluster.shutdown().await;
 }
 
-/// A primary-shaped snapshot travels the wire and lands in a standby
-/// receiver on the other end, which acks back over the same socket;
-/// `crc` puts CRC trailers on the frames in both directions.
-async fn replica_batches_round_trip(crc: bool) {
-    use matrix_core::{ReplicaPayload, ReplicaReceiver};
-
-    let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
-        .await
-        .expect("bind");
-    let addr = listener.local_addr().expect("addr");
-
-    let standby = tokio::spawn(async move {
-        let (stream, _) = listener.accept().await.expect("accept");
-        let mut link = wire::ReplicaStream::new(stream, crc);
-        let mut receiver: ReplicaReceiver<matrix_core::ClientId> = ReplicaReceiver::new();
-        // Snapshot, then one ops batch.
-        for _ in 0..2 {
-            let batch = link.recv_batch().await.expect("batch");
-            let ack = receiver.apply(batch);
-            link.send_ack(ack.seq, ack.resync).await.expect("ack");
-        }
-        receiver
-    });
-
-    let mut link = wire::ReplicaStream::connect(addr, crc)
-        .await
-        .expect("connect");
-    let mut snapshot = matrix_core::RegionSnapshot {
-        range: Some(matrix_geometry::Rect::from_coords(0.0, 0.0, 800.0, 800.0)),
-        radius: 100.0,
-        ready: true,
-        ..matrix_core::RegionSnapshot::default()
-    };
-    snapshot.clients.insert(
-        matrix_core::ClientId(7),
-        matrix_core::SessionState {
-            pos: Point::new(10.0, 20.0),
-            state_bytes: 512,
-        },
-    );
-    link.send_batch(&matrix_core::ReplicaBatch {
-        seq: 1,
-        payload: ReplicaPayload::Full(snapshot),
-    })
-    .await
-    .expect("send snapshot");
-    assert_eq!(link.recv_ack().await.expect("ack"), (1, false), "crc {crc}");
-
-    link.send_batch(&matrix_core::ReplicaBatch {
-        seq: 2,
-        payload: ReplicaPayload::Ops(vec![matrix_core::ReplicaOp::Move {
-            client: matrix_core::ClientId(7),
-            pos: Point::new(11.0, 20.0),
-        }]),
-    })
-    .await
-    .expect("send ops");
-    assert_eq!(link.recv_ack().await.expect("ack"), (2, false), "crc {crc}");
-
-    let receiver = standby.await.expect("standby task");
-    let snap = receiver.snapshot().expect("warm");
-    assert_eq!(
-        snap.clients[&matrix_core::ClientId(7)].pos,
-        Point::new(11.0, 20.0),
-        "crc {crc}: the op applied on the far side of the socket"
-    );
-}
-
-#[tokio::test]
-async fn replica_batches_cross_a_real_tcp_socket() {
-    replica_batches_round_trip(false).await;
-}
-
-#[tokio::test]
-async fn replica_batches_cross_the_socket_in_binary() {
-    replica_batches_round_trip(true).await;
-}
-
 #[tokio::test]
 async fn tcp_gateway_round_trip() {
     let cluster = RtCluster::start(RtConfig::default()).await;
@@ -842,6 +764,70 @@ async fn gateway_closes_a_connection_that_does_not_open_with_a_frame() {
         .expect("join reply")
         .expect("valid frame");
     assert!(matches!(msg, GameToClient::Joined { .. }), "{msg:?}");
+    cluster.shutdown().await;
+}
+
+#[tokio::test]
+async fn gateway_skips_a_frame_of_a_retired_type() {
+    use matrix_core::codec_v2::{self, Frame, FrameAccumulator, FrameMeta};
+    use std::io::{Read, Write};
+
+    let cluster = RtCluster::start(RtConfig::default()).await;
+    let addr = wire::spawn_gateway(
+        "127.0.0.1:0",
+        cluster.router().clone(),
+        cluster.bootstrap_id(),
+    )
+    .await
+    .expect("bind gateway");
+
+    // The client's side of the session, spoken by hand so that a frame
+    // no encoder writes any more can be put on the wire.
+    let mut socket = std::net::TcpStream::connect(addr).expect("connect");
+    socket
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    let mut acc = FrameAccumulator::new();
+    let mut next_frame = |socket: &mut std::net::TcpStream| loop {
+        if let Some(frame) = acc.next() {
+            return frame.expect("valid frame").0;
+        }
+        let mut chunk = [0u8; 512];
+        let n = socket.read(&mut chunk).expect("reply within the timeout");
+        assert!(n > 0, "the gateway hung up");
+        acc.push(&chunk[..n]);
+    };
+    let hello = Frame::Hello {
+        version: codec_v2::WIRE_VERSION,
+    };
+    let meta = |seq| FrameMeta { seq, stamp_ms: 0 };
+    socket
+        .write_all(&codec_v2::encode_frame(&hello, meta(0), true))
+        .expect("hello");
+    assert!(matches!(next_frame(&mut socket), Frame::Hello { .. }));
+
+    // A well-formed replica batch as type code 10 once carried it:
+    // snapshot version 2, batch sequence 1, an ops payload of zero ops;
+    // frame sequence 1, CRC on. The type is reserved now, so the gateway
+    // skips the frame and keeps the session.
+    let mut retired = vec![0xD7, 0x4D, 2, 10 | 0x80, 4, 0, 0, 0];
+    retired.extend_from_slice(&1u64.to_le_bytes());
+    retired.extend_from_slice(&0u32.to_le_bytes());
+    retired.extend_from_slice(&[2, 1, 1, 0]);
+    retired.extend_from_slice(&codec_v2::crc32(&retired).to_le_bytes());
+    socket.write_all(&retired).expect("retired frame");
+    let join = ClientToGame::Join {
+        pos: Point::new(60.0, 60.0),
+        state_bytes: 64,
+    };
+    socket
+        .write_all(&codec_v2::encode_client_frame(&join, meta(2), true))
+        .expect("join");
+    let reply = next_frame(&mut socket);
+    assert!(
+        matches!(reply, Frame::Server(GameToClient::Joined { .. })),
+        "{reply:?}"
+    );
     cluster.shutdown().await;
 }
 

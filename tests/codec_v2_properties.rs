@@ -13,12 +13,10 @@ use matrix_middleware::core::codec_v2::{
     self, BatchWriter, Frame, FrameAccumulator, FrameMeta, FrameStatus,
 };
 use matrix_middleware::core::{
-    reconstruct_updates, BatchItem, ClientId, ClientToGame, Disseminated, EncodedOrigin,
-    GameToClient, RegionSnapshot, ReplicaBatch, ReplicaOp, UpdateItem, WireBatch, MAX_RINGS,
+    reconstruct_updates, BatchItem, ClientToGame, Disseminated, EncodedOrigin, GameToClient,
+    UpdateItem, WireBatch, MAX_RINGS,
 };
-use matrix_middleware::geometry::{Point, Rect, ServerId};
-use matrix_middleware::predict::Basis;
-use matrix_middleware::replication::{ReplicaPayload, SessionState, TunerState};
+use matrix_middleware::geometry::{Point, ServerId};
 use matrix_middleware::sim::SimRng;
 
 const CASES: usize = 64;
@@ -179,97 +177,6 @@ fn server_msg(rng: &mut SimRng) -> GameToClient {
     }
 }
 
-fn snapshot(rng: &mut SimRng) -> RegionSnapshot {
-    let mut snap = RegionSnapshot {
-        range: if rng.chance(0.8) {
-            let a = raw_point(rng);
-            Some(Rect::from_coords(
-                a.x,
-                a.y,
-                a.x + rng.uniform(1.0, 1000.0),
-                a.y + rng.uniform(1.0, 1000.0),
-            ))
-        } else {
-            None
-        },
-        radius: rng.uniform(0.0, 500.0),
-        ready: rng.chance(0.5),
-        seq: rng.uniform_u64(0, u64::MAX),
-        tuner: if rng.chance(0.5) {
-            Some(TunerState {
-                cells: rng.uniform_u64(1, 512) as u32,
-                streak: rng.uniform_u64(0, 10) as u32,
-                pending: rng.uniform_u64(0, 512) as u32,
-            })
-        } else {
-            None
-        },
-        ..RegionSnapshot::default()
-    };
-    for _ in 0..rng.uniform_u64(0, 6) {
-        let id = ClientId(rng.uniform_u64(1, 1 << 30));
-        snap.clients.insert(
-            id,
-            SessionState {
-                pos: any_point(rng),
-                state_bytes: rng.uniform_u64(0, 1 << 32),
-            },
-        );
-        if rng.chance(0.3) {
-            snap.bases.insert(
-                id,
-                (0..rng.uniform_u64(1, 3))
-                    .map(|_| {
-                        let basis = Basis {
-                            pos: any_point(rng),
-                            vel: (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)),
-                            time: rng.uniform(0.0, 1.0e6),
-                        };
-                        (entity(rng), basis)
-                    })
-                    .collect(),
-            );
-        }
-    }
-    snap
-}
-
-fn replica_batch(rng: &mut SimRng) -> ReplicaBatch {
-    let payload = if rng.chance(0.5) {
-        ReplicaPayload::Full(snapshot(rng))
-    } else {
-        ReplicaPayload::Ops(
-            (0..rng.uniform_u64(0, 8))
-                .map(|_| match rng.uniform_u64(0, 4) {
-                    0 => ReplicaOp::Join {
-                        client: ClientId(rng.uniform_u64(1, 1 << 30)),
-                        pos: any_point(rng),
-                        state_bytes: rng.uniform_u64(0, 1 << 32),
-                    },
-                    1 => ReplicaOp::Move {
-                        client: ClientId(rng.uniform_u64(1, 1 << 30)),
-                        pos: any_point(rng),
-                    },
-                    2 => ReplicaOp::Leave {
-                        client: ClientId(rng.uniform_u64(1, 1 << 30)),
-                    },
-                    _ => {
-                        let a = raw_point(rng);
-                        ReplicaOp::Range {
-                            range: Rect::from_coords(a.x, a.y, a.x + 100.0, a.y + 50.0),
-                            radius: rng.uniform(0.0, 500.0),
-                        }
-                    }
-                })
-                .collect(),
-        )
-    };
-    ReplicaBatch {
-        seq: rng.uniform_u64(0, u64::MAX),
-        payload,
-    }
-}
-
 fn meta(rng: &mut SimRng) -> FrameMeta {
     FrameMeta {
         seq: rng.uniform_u64(0, u64::MAX),
@@ -396,19 +303,6 @@ fn reconstruct_over_the_bytes_equals_the_per_item_decode_fold() {
 }
 
 #[test]
-fn replica_frames_roundtrip() {
-    let mut rng = SimRng::seed_from_u64(0xC0DE_C004);
-    for case in 0..CASES {
-        let batch = replica_batch(&mut rng);
-        let m = meta(&mut rng);
-        assert_binary_roundtrip(case, &Frame::Replica(Box::new(batch)), m, rng.chance(0.5));
-
-        let (seq, resync) = (rng.uniform_u64(0, u64::MAX), rng.chance(0.5));
-        assert_binary_roundtrip(case, &Frame::ReplicaAck { seq, resync }, m, true);
-    }
-}
-
-#[test]
 fn hello_frames_roundtrip() {
     // Any version byte survives: rejecting a version the peer cannot
     // speak is the receiver's decision, not the codec's.
@@ -491,11 +385,10 @@ fn appending_encoders_equal_the_concatenated_owned_encoders() {
                 }
                 _ => {
                     let frame = match rng.uniform_u64(0, 3) {
-                        0 => Frame::ReplicaAck {
-                            seq: rng.uniform_u64(0, u64::MAX),
-                            resync: rng.chance(0.5),
+                        0 => Frame::Hello {
+                            version: rng.uniform_u64(0, 256) as u8,
                         },
-                        1 => Frame::Replica(Box::new(replica_batch(&mut rng))),
+                        1 => Frame::Client(client_msg(&mut rng)),
                         _ => Frame::Server(server_msg(&mut rng)),
                     };
                     codec_v2::encode_frame_into(&mut appended, &frame, m, crc);
@@ -665,10 +558,11 @@ fn wire_len_audit_covers_every_header_combination() {
 fn full_u64_values_survive_the_binary_codec() {
     let frames = [
         Frame::Server(GameToClient::Ack { seq: u64::MAX }),
-        Frame::ReplicaAck {
-            seq: u64::MAX - 1,
-            resync: true,
-        },
+        Frame::Client(ClientToGame::TraceAck {
+            ring: 3,
+            latency_us: u64::MAX - 1,
+            staleness_us: u64::MAX,
+        }),
         Frame::Server(GameToClient::UpdateBatch {
             updates: WireBatch::from_items(&[BatchItem {
                 origin: EncodedOrigin::Absolute(Point::new(0.5, -0.5)),
@@ -680,10 +574,10 @@ fn full_u64_values_survive_the_binary_codec() {
                 trace: None,
             }]),
         }),
-        Frame::Replica(Box::new(ReplicaBatch {
-            seq: u64::MAX,
-            payload: ReplicaPayload::Ops(vec![]),
-        })),
+        Frame::Client(ClientToGame::Join {
+            pos: Point::new(0.5, -0.5),
+            state_bytes: u64::MAX,
+        }),
     ];
     let m = FrameMeta {
         seq: u64::MAX,
