@@ -235,6 +235,9 @@ pub struct GameServerNode {
     /// Wall-clock latency of `flush_updates` (µs); empty with telemetry
     /// off.
     flush_hist: Histogram,
+    /// The zero payload forwarded events carry, shared by every event of
+    /// its size: Matrix never reads payload bytes, only their length.
+    zero_payload: Bytes,
 }
 
 impl GameServerNode {
@@ -261,6 +264,7 @@ impl GameServerNode {
             stats: GameStats::default(),
             recorder: FlightRecorder::new(if cfg.telemetry { RECORDER_EVENTS } else { 0 }),
             flush_hist: Histogram::new(),
+            zero_payload: Bytes::new(),
             cfg,
         }
     }
@@ -622,10 +626,13 @@ impl GameServerNode {
     ) -> Vec<GameAction> {
         let seq = self.seq;
         self.seq += 1;
+        if self.zero_payload.len() != payload_bytes {
+            self.zero_payload = Bytes::from(vec![0u8; payload_bytes]);
+        }
         let pkt = GamePacket {
             client: Some(client),
             tag: SpatialTag::at(pos),
-            payload: Bytes::from(vec![0u8; payload_bytes]),
+            payload: self.zero_payload.clone(),
             seq,
         };
         vec![GameAction::ToMatrix(GameToMatrix::Forward(pkt))]

@@ -49,6 +49,11 @@ pub struct InterestGrid<K> {
     index: IdHashMap<K, Entry>,
 }
 
+/// Smallest bucket `query_tiered` bounds as a whole: below this, the
+/// rectangle clamp, corner distance and two `ring_of` calls cost more
+/// than testing the members one by one.
+const MIN_BOUNDED_BUCKET: usize = 4;
+
 #[derive(Debug, Clone)]
 struct CellBucket<K> {
     keys: Vec<K>,
@@ -255,11 +260,13 @@ impl<K: Copy + Eq + Hash> InterestGrid<K> {
 
     /// Visits every subscriber within `radius` of `origin` and grades
     /// each one's vision ring in the same pass, amortizing the work per
-    /// occupied cell: a cell whose conservative distance bounds fall
-    /// entirely outside the radius is skipped whole, one entirely
+    /// occupied cell whose bucket holds at least `MIN_BOUNDED_BUCKET`
+    /// subscribers: such a cell whose conservative distance bounds
+    /// fall entirely outside the radius is skipped whole, one entirely
     /// inside admits its whole bucket without per-subscriber distance
     /// tests, and one whose bounds land inside a single ring annulus
-    /// classifies the whole bucket at once. The visited `(key, pos,
+    /// classifies the whole bucket at once. Smaller buckets take the
+    /// exact per-subscriber tests directly. The visited `(key, pos,
     /// ring)` set — and its order — is **identical** to running
     /// [`InterestGrid::query`] and grading each match with
     /// [`RingSet::ring_of`] individually: the cell bounds are inflated
@@ -302,21 +309,28 @@ impl<K: Copy + Eq + Hash> InterestGrid<K> {
             let cy = cell / self.cells_per_axis;
             // Interior cells only: edge buckets hold clamped
             // out-of-bounds subscribers arbitrarily far from the cell.
-            if last > 0 && cx > 0 && cx < last && cy > 0 && cy < last {
+            if bucket.keys.len() >= MIN_BOUNDED_BUCKET
+                && last > 0
+                && cx > 0
+                && cx < last
+                && cy > 0
+                && cy < last
+            {
                 let rect = self.cell_rect(cell);
                 let dmin = rect.distance_to(origin, metric);
-                // All three metrics are convex, so the farthest point
-                // of the rectangle is a corner.
+                // Every metric is non-decreasing in |dx| and |dy|, so
+                // the rectangle's farthest point is the corner farthest
+                // along each axis.
                 let (lo_c, hi_c) = (rect.min(), rect.max());
-                let dmax = [
-                    lo_c,
-                    hi_c,
-                    Point::new(lo_c.x, hi_c.y),
-                    Point::new(hi_c.x, lo_c.y),
-                ]
-                .into_iter()
-                .map(|c| c.distance_by(origin, metric))
-                .fold(0.0f64, f64::max);
+                let far = |lo: f64, hi: f64, o: f64| {
+                    if (lo - o).abs() >= (hi - o).abs() {
+                        lo
+                    } else {
+                        hi
+                    }
+                };
+                let dmax = Point::new(far(lo_c.x, hi_c.x, origin.x), far(lo_c.y, hi_c.y, origin.y))
+                    .distance_by(origin, metric);
                 // Conservative bounds on any bucket member's distance:
                 // widen by the hysteresis slack, then by a relative
                 // epsilon that dwarfs the rounding of the exact
@@ -607,44 +621,79 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
-            for rings in [
-                RingSet::single(35.0),
-                RingSet::from_tiers(&[12.0, 30.0, 55.0], &[1, 2, 4]),
-                RingSet::from_tiers(&[5.0, 90.0], &[1, 3]),
-            ] {
-                let mut g: InterestGrid<u32> = InterestGrid::new(world(), 8).with_hysteresis(1.5);
-                for k in 0..300u32 {
-                    // Mostly in bounds; some clamp into edge cells.
-                    let x = (next() % 140) as f64 - 20.0;
-                    let y = (next() % 140) as f64 - 20.0;
-                    g.insert(k, Point::new(x, y));
-                }
-                // Jitter a third of them so hysteresis holds some
-                // subscribers outside their bucket's rectangle.
-                for k in 0..100u32 {
-                    if let Some(p) = g.position_of(k) {
-                        g.update(k, Point::new(p.x + 1.0, p.y - 1.0));
+        // 8 cells per axis: ~5 subscribers per bucket, so interior
+        // cells take the bounded fast paths. 100: mostly empty or lone
+        // buckets below `MIN_BOUNDED_BUCKET`, a few clumps straddling
+        // it, and removals that shrink some of them back below it.
+        for cells in [8u32, 100] {
+            for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
+                for rings in [
+                    RingSet::single(35.0),
+                    RingSet::from_tiers(&[12.0, 30.0, 55.0], &[1, 2, 4]),
+                    RingSet::from_tiers(&[5.0, 90.0], &[1, 3]),
+                ] {
+                    let mut g: InterestGrid<u32> =
+                        InterestGrid::new(world(), cells).with_hysteresis(1.5);
+                    for k in 0..300u32 {
+                        // Mostly in bounds; some clamp into edge cells.
+                        let x = (next() % 140) as f64 - 20.0;
+                        let y = (next() % 140) as f64 - 20.0;
+                        g.insert(k, Point::new(x, y));
                     }
-                }
-                for _ in 0..40 {
-                    let origin =
-                        Point::new((next() % 120) as f64 - 10.0, (next() % 120) as f64 - 10.0);
-                    let radius = rings.outer_radius();
-                    let mut expect: Vec<(u32, u8)> = Vec::new();
-                    g.query(origin, radius, metric, |k, pos| {
-                        let ring = rings
-                            .ring_of(pos.distance_by(origin, metric))
-                            .unwrap_or((rings.len() - 1) as u8);
-                        expect.push((k, ring));
-                    });
-                    let mut got: Vec<(u32, u8)> = Vec::new();
-                    g.query_tiered(origin, radius, metric, &rings, |k, _, ring| {
-                        got.push((k, ring));
-                    });
-                    assert_eq!(got, expect, "metric {metric:?} origin {origin:?}");
+                    // Jitter a third of them so hysteresis holds some
+                    // subscribers outside their bucket's rectangle.
+                    for k in 0..100u32 {
+                        if let Some(p) = g.position_of(k) {
+                            g.update(k, Point::new(p.x + 1.0, p.y - 1.0));
+                        }
+                    }
+                    if cells == 100 {
+                        // Clumps of 3, 4 and 5 in one bucket each.
+                        for c in 0..12u32 {
+                            let x = (next() % 96) as f64 + 2.0;
+                            let y = (next() % 96) as f64 + 2.0;
+                            for j in 0..3 + c % 3 {
+                                g.insert(300 + c * 8 + j, Point::new(x + 0.1 * j as f64, y));
+                            }
+                        }
+                        for k in (0..300u32).step_by(3) {
+                            g.remove(k);
+                        }
+                    }
+                    check_tiered(&g, &rings, metric, &mut next);
                 }
             }
+        }
+    }
+
+    /// Runs 40 random queries of `g` and asserts `query_tiered` visits
+    /// exactly what `query` plus `ring_of` does, in the same order.
+    fn check_tiered(
+        g: &InterestGrid<u32>,
+        rings: &RingSet,
+        metric: Metric,
+        next: &mut impl FnMut() -> u64,
+    ) {
+        for _ in 0..40 {
+            let origin = Point::new((next() % 120) as f64 - 10.0, (next() % 120) as f64 - 10.0);
+            let radius = rings.outer_radius();
+            let mut expect: Vec<(u32, u8)> = Vec::new();
+            g.query(origin, radius, metric, |k, pos| {
+                let ring = rings
+                    .ring_of(pos.distance_by(origin, metric))
+                    .unwrap_or((rings.len() - 1) as u8);
+                expect.push((k, ring));
+            });
+            let mut got: Vec<(u32, u8)> = Vec::new();
+            g.query_tiered(origin, radius, metric, rings, |k, _, ring| {
+                got.push((k, ring));
+            });
+            assert_eq!(
+                got,
+                expect,
+                "{} cells, metric {metric:?} origin {origin:?}",
+                g.cells_per_axis()
+            );
         }
     }
 

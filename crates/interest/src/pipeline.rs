@@ -10,9 +10,10 @@
 //! 1. **interest query** — the [`InterestGrid`](crate::InterestGrid)
 //!    answers "who can see this point" within the outermost ring, and
 //!    grades each receiver's vision ring while it is at it: one query
-//!    serves every subscriber of an occupied cell, and cells whose
-//!    conservative distance bounds fall inside a single ring annulus
-//!    classify their whole bucket at once
+//!    serves every subscriber of an occupied cell, and an interior
+//!    bucket of four or more subscribers whose conservative distance
+//!    bounds fall inside a single ring annulus is classified whole;
+//!    smaller buckets test each member
 //!    ([`InterestGrid::query_tiered`]);
 //! 2. **ring tiering** — [`RingSampler`](crate::RingSampler)
 //!    deterministically samples the outer tiers (near = every event);

@@ -155,7 +155,7 @@ fn steady_state_send_path_allocations_stay_under_the_ceiling() {
         }
     }
     assert!(
-        worst_move <= 5,
+        worst_move <= 1,
         "on_client(Move) made up to {worst_move} allocations (mean {:.2})",
         move_allocs as f64 / moves as f64
     );

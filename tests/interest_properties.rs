@@ -53,7 +53,8 @@
 //! (fixed seeds, so failures are reproducible).
 
 use matrix_middleware::core::{
-    DeltaEncoder, EncodedOrigin, FlushPolicy, InterestGrid, PolicyScratch, ANON_ENTITY,
+    AutoTunerConfig, DeltaEncoder, EncodedOrigin, FlushPolicy, InterestGrid, PolicyScratch,
+    ANON_ENTITY,
 };
 use matrix_middleware::geometry::{Metric, Point, Rect};
 use matrix_middleware::sim::SimRng;
@@ -191,7 +192,8 @@ fn grid_matches_linear_scan_on_random_crowds() {
         let w = rng.uniform(10.0, 2000.0);
         let h = rng.uniform(10.0, 2000.0);
         let world = Rect::from_coords(x0, y0, x0 + w, y0 + h);
-        let cells = rng.uniform_u64(1, 64) as u32;
+        // Up to the tuner's ceiling: the finest grid a server runs.
+        let cells = rng.uniform_u64(1, AutoTunerConfig::MAX_CELLS as u64 + 1) as u32;
         let hysteresis = if rng.chance(0.5) {
             0.0
         } else {
@@ -240,7 +242,7 @@ fn grid_stays_equivalent_under_incremental_moves() {
     let mut rng = SimRng::seed_from_u64(0x00DD_50CC);
     for case in 0..40 {
         let world = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let cells = rng.uniform_u64(2, 40) as u32;
+        let cells = rng.uniform_u64(2, 200) as u32;
         let cell = 1000.0 / cells as f64;
         let mut grid: InterestGrid<u32> =
             InterestGrid::new(world, cells).with_hysteresis(cell * 0.2);
