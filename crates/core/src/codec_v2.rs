@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic 0xD7 0x4D
-//! 2       1     protocol version (2)
+//! 2       1     protocol version (3)
 //! 3       1     frame type (low 5 bits) | flags (high 3 bits; 0x80 = CRC)
 //! 4       4     body length, u32 LE
 //! 8       8     sender sequence number, u64 LE
@@ -34,22 +34,22 @@
 //!
 //! `UpdateBatch` bodies are a plain concatenation of items (the frame
 //! length delimits them; no count prefix). Each item leads with a
-//! header byte:
+//! header byte of four 2-bit class fields:
 //!
 //! ```text
-//! bit 0   kind: 0 = absolute keyframe, 1 = delta
-//! bit 1-2 vision ring (0..=3)
-//! bit 3   velocity pair present
-//! bit 4   wide entity id (u64 LE instead of u24 LE)
-//! bit 5   wide delta offsets (2×f64 instead of 2×i24 lattice)
-//! bit 6   wide velocity (2×f64 instead of 2×i24 lattice)
-//! bit 7   wide payload length (u64 LE instead of u16 LE)
+//! bits 0-1 origin:   0 absolute 2×f64 | delta 1 2×i16, 2 2×i24, 3 2×f64
+//! bits 2-3 vision ring (0..=3)
+//! bits 4-5 velocity: 0 none | 1 2×i16, 2 2×i24, 3 2×f64
+//! bits 6-7 scalars:  0 u16 entity + u8 length | 1 u24 + u16
+//!                    | 2 u64 + u64 | 3 reserved (rejected)
 //! ```
 //!
-//! followed by the entity id, the payload length, the coordinates
-//! (absolute: always 2×f64; delta: 2×i24 fixed-point on the 1/256
-//! lattice, or 2×f64 when the wide bit is set) and, when present, the
-//! velocity pair (same i24/f64 split).
+//! followed by the entity id, the payload length, the coordinates and,
+//! when present, the velocity pair, all little-endian. The i16 and i24
+//! pair classes are fixed-point on the 1/256 lattice, with magnitudes up
+//! to 2¹⁵−1 and 2²³−1 steps. The encoder puts every field in the
+//! narrowest class that holds its values exactly, and an item's length
+//! follows from its header byte alone.
 //!
 //! In memory a batch is its body: a [`WireBatch`] holds the bytes above
 //! (trace section, then items), its item count and where the items
@@ -62,9 +62,9 @@
 //! ([`WireBatch::from_items`]) and what inspection yields
 //! ([`WireBatch::items`]). The canonical shapes measure exactly what the
 //! accounting constants claim: an absolute item is
-//! [`UpdateItem::WIRE_BYTES`] = 22, a delta
-//! [`BatchItem::DELTA_WIRE_BYTES`] = 12, a velocity pair
-//! [`UpdateItem::VELOCITY_WIRE_BYTES`] = 6 (the wire-bytes audit in
+//! [`UpdateItem::WIRE_BYTES`] = 20, a delta
+//! [`BatchItem::DELTA_WIRE_BYTES`] = 8, a velocity pair
+//! [`UpdateItem::VELOCITY_WIRE_BYTES`] = 4 (the wire-bytes audit in
 //! `tests/codec_v2_properties.rs` pins this on the bytes written).
 //! Payload *content* is never materialized: the length is a declared
 //! number — the simulation ships sizes, not state.
@@ -113,7 +113,7 @@ impl std::error::Error for CodecError {}
 pub const MAGIC: [u8; 2] = [0xD7, 0x4D];
 
 /// Protocol version carried in byte 2 of every frame.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Fixed frame-header size (magic, version, type/flags, length, seq,
 /// timestamp).
@@ -146,7 +146,7 @@ const FLAG_CRC: u8 = 0x80;
 /// staleness µs). Only valid on `T_BATCH`; untraced batches never set
 /// it, so their frames stay byte-identical to pre-trace ones.
 const FLAG_TRACE: u8 = 0x40;
-/// Reserved flag bits — must be zero in v2.
+/// Reserved flag bits — must be zero.
 const FLAG_RESERVED: u8 = 0x20;
 /// Frame-type mask in the type byte.
 const TYPE_MASK: u8 = 0x1F;
@@ -172,15 +172,27 @@ const T_TRACE_ACK: u8 = 15;
 /// sim's bandwidth model) can compose frame lengths without encoding.
 pub const TRACE_ENTRY_BYTES: usize = 2 + 4 + 4 + 8 + 8;
 
-// Batch-item header-byte bits (module docs above).
-const ITEM_DELTA: u8 = 0x01;
-const ITEM_RING_SHIFT: u8 = 1;
-const ITEM_RING_MASK: u8 = 0x06;
-const ITEM_VEL: u8 = 0x08;
-const ITEM_WIDE_ENTITY: u8 = 0x10;
-const ITEM_WIDE_COORDS: u8 = 0x20;
-const ITEM_WIDE_VEL: u8 = 0x40;
-const ITEM_WIDE_LEN: u8 = 0x80;
+// Batch-item header byte: four 2-bit class fields (module docs above).
+const ITEM_CLASS_MASK: u8 = 0x03;
+const ITEM_RING_SHIFT: u8 = 2;
+const ITEM_VEL_SHIFT: u8 = 4;
+const ITEM_SCALARS_SHIFT: u8 = 6;
+/// Pair classes of the origin field (where 0 is an absolute keyframe)
+/// and the velocity field (where 0 is "no velocity").
+const PAIR_I16: u8 = 1;
+const PAIR_I24: u8 = 2;
+const PAIR_F64: u8 = 3;
+/// Scalar classes: entity id and payload length together. Class 3 is
+/// reserved and rejected.
+const SCALARS_U16_U8: u8 = 0;
+const SCALARS_U24_U16: u8 = 1;
+const SCALARS_U64_U64: u8 = 2;
+/// Bytes of an item's origin, by origin class.
+const ORIGIN_BYTES: [usize; 4] = [16, 4, 6, 16];
+/// Bytes of an item's velocity, by velocity class.
+const VELOCITY_BYTES: [usize; 4] = [0, 4, 6, 16];
+/// Bytes of an item's entity id and payload length, by scalar class.
+const SCALAR_BYTES: [usize; 3] = [3, 5, 16];
 
 /// The fixed-point lattice the compact delta/velocity encodings live
 /// on: 1/256 world units, the same quantum the delta encoder snaps
@@ -188,6 +200,9 @@ const ITEM_WIDE_LEN: u8 = 0x80;
 const LATTICE: f64 = 256.0;
 /// Largest magnitude an i24 lattice component can carry.
 const I24_MAX: i32 = (1 << 23) - 1;
+/// Largest magnitude an i16 lattice component carries: the classes are
+/// symmetric, so neither writes its most negative two's-complement value.
+const I16_MAX: u32 = i16::MAX as u32;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE), table-driven eight bytes per step, built at compile time
@@ -377,20 +392,32 @@ fn lattice_i24(v: f64) -> Option<i32> {
     (i as f64 == scaled).then_some(i)
 }
 
-/// A pair (offsets or velocity) in its compact lattice form, or `None`
-/// when either component needs the wide escape.
-fn lattice_pair(x: f64, y: f64) -> Option<(i32, i32)> {
-    Some((lattice_i24(x)?, lattice_i24(y)?))
+/// The narrowest class of a pair (offsets or velocity) and its lattice
+/// form: 2×i16 or 2×i24 when both components are lattice values of that
+/// magnitude, else 2×f64 (the lattice form is then unused).
+fn pair_class(x: f64, y: f64) -> (u8, (i32, i32)) {
+    match (lattice_i24(x), lattice_i24(y)) {
+        (Some(a), Some(b)) if a.unsigned_abs().max(b.unsigned_abs()) <= I16_MAX => {
+            (PAIR_I16, (a, b))
+        }
+        (Some(a), Some(b)) => (PAIR_I24, (a, b)),
+        _ => (PAIR_F64, (0, 0)),
+    }
 }
 
-/// Writes a pair as 2×i24 when it has a lattice form, else as 2×f64.
-fn put_pair(out: &mut Vec<u8>, lattice: Option<(i32, i32)>, x: f64, y: f64) {
-    match lattice {
-        Some((a, b)) => {
+/// Writes a pair in `class`: its lattice form as 2×i16 or 2×i24, or
+/// `(x, y)` as 2×f64.
+fn put_pair(out: &mut Vec<u8>, class: u8, (a, b): (i32, i32), x: f64, y: f64) {
+    match class {
+        PAIR_I16 => {
+            out.extend_from_slice(&(a as i16).to_le_bytes());
+            out.extend_from_slice(&(b as i16).to_le_bytes());
+        }
+        PAIR_I24 => {
             put_i24(out, a);
             put_i24(out, b);
         }
-        None => {
+        _ => {
             put_f64(out, x);
             put_f64(out, y);
         }
@@ -780,9 +807,10 @@ pub struct BatchWriter {
 }
 
 /// Room reserved per batch item: the largest canonical shape, a
-/// keyframe with a velocity pair. Every lattice-representable item fits,
-/// so a batch is allocated exactly once; one with wide escapes or a
-/// trace section outgrows it and reallocates, which is still correct.
+/// keyframe with an i16 velocity pair. A batch of canonical items is
+/// allocated exactly once; one whose items average more (wider classes)
+/// or that carries a trace section can outgrow it and reallocate, which
+/// is still correct.
 const ITEM_RESERVE_BYTES: usize = UpdateItem::WIRE_BYTES + UpdateItem::VELOCITY_WIRE_BYTES;
 
 impl BatchWriter {
@@ -816,22 +844,29 @@ impl BatchWriter {
         let shape = item_shape(origin, payload_bytes, entity, ring, (vx, vy));
         let h = shape.header;
         out.push(h);
-        if h & ITEM_WIDE_ENTITY != 0 {
-            put_u64(out, entity);
-        } else {
-            put_u24(out, entity as u32);
-        }
-        if h & ITEM_WIDE_LEN != 0 {
-            put_u64(out, payload_bytes as u64);
-        } else {
-            put_u16(out, payload_bytes as u16);
+        match h >> ITEM_SCALARS_SHIFT {
+            SCALARS_U16_U8 => {
+                put_u16(out, entity as u16);
+                out.push(payload_bytes as u8);
+            }
+            SCALARS_U24_U16 => {
+                put_u24(out, entity as u32);
+                put_u16(out, payload_bytes as u16);
+            }
+            _ => {
+                put_u64(out, entity);
+                put_u64(out, payload_bytes as u64);
+            }
         }
         match origin {
             EncodedOrigin::Absolute(p) => put_point(out, p),
-            EncodedOrigin::Offset { dx, dy } => put_pair(out, shape.offsets, dx, dy),
+            EncodedOrigin::Offset { dx, dy } => {
+                put_pair(out, h & ITEM_CLASS_MASK, shape.offsets, dx, dy);
+            }
         }
-        if h & ITEM_VEL != 0 {
-            put_pair(out, shape.velocity, vx, vy);
+        let vel = (h >> ITEM_VEL_SHIFT) & ITEM_CLASS_MASK;
+        if vel != 0 {
+            put_pair(out, vel, shape.velocity, vx, vy);
         }
         if let Some(tag) = trace {
             assert!(
@@ -891,17 +926,19 @@ impl BatchWriter {
     }
 }
 
-/// How one batch item goes on the wire: its header byte (delta, ring,
-/// velocity and wide bits) and the lattice forms of its offsets and
-/// velocity where they have one. [`item_shape`] is the only place these
-/// are decided, and [`BatchWriter::push`] writes what it says.
+/// How one batch item goes on the wire: its header byte (the origin,
+/// ring, velocity and scalar classes) and the lattice forms of its
+/// offsets and velocity where their class has one. [`item_shape`] is the
+/// only place these are decided, and [`BatchWriter::push`] writes what
+/// it says.
 struct ItemShape {
     header: u8,
-    offsets: Option<(i32, i32)>,
-    velocity: Option<(i32, i32)>,
+    offsets: (i32, i32),
+    velocity: (i32, i32),
 }
 
-/// The most compact admissible shape of an item.
+/// The shape of an item: every field in the narrowest class that holds
+/// its values exactly.
 ///
 /// Encoder contract: `ring < MAX_RINGS` (4) — the header byte has two
 /// ring bits, exactly matching the pipeline's ring cap.
@@ -912,62 +949,43 @@ fn item_shape(
     ring: u8,
     (vx, vy): (f64, f64),
 ) -> ItemShape {
-    debug_assert!(ring < 4, "ring {ring} does not fit the v2 item header");
-    let mut header = (ring & 0x03) << ITEM_RING_SHIFT;
-    if entity > 0x00FF_FFFF {
-        header |= ITEM_WIDE_ENTITY;
-    }
-    if payload_bytes > u16::MAX as usize {
-        header |= ITEM_WIDE_LEN;
-    }
-    let offsets = match origin {
-        EncodedOrigin::Absolute(_) => None,
-        EncodedOrigin::Offset { dx, dy } => {
-            header |= ITEM_DELTA;
-            let lattice = lattice_pair(dx, dy);
-            if lattice.is_none() {
-                header |= ITEM_WIDE_COORDS;
-            }
-            lattice
-        }
+    debug_assert!(ring < 4, "ring {ring} does not fit the item header");
+    let scalars = if entity <= 0xFFFF && payload_bytes <= 0xFF {
+        SCALARS_U16_U8
+    } else if entity <= 0x00FF_FFFF && payload_bytes <= 0xFFFF {
+        SCALARS_U24_U16
+    } else {
+        SCALARS_U64_U64
     };
-    let mut velocity = None;
+    let (origin_class, offsets) = match origin {
+        EncodedOrigin::Absolute(_) => (0, (0, 0)),
+        EncodedOrigin::Offset { dx, dy } => pair_class(dx, dy),
+    };
     // The rule of `UpdateItem::has_velocity`: zero is "none".
-    if vx != 0.0 || vy != 0.0 {
-        header |= ITEM_VEL;
-        velocity = lattice_pair(vx, vy);
-        if velocity.is_none() {
-            header |= ITEM_WIDE_VEL;
-        }
-    }
+    let (vel_class, velocity) = if vx != 0.0 || vy != 0.0 {
+        pair_class(vx, vy)
+    } else {
+        (0, (0, 0))
+    };
     ItemShape {
-        header,
+        header: origin_class
+            | (ring & ITEM_CLASS_MASK) << ITEM_RING_SHIFT
+            | vel_class << ITEM_VEL_SHIFT
+            | scalars << ITEM_SCALARS_SHIFT,
         offsets,
         velocity,
     }
 }
 
 /// An item's encoded length, fixed by its header byte alone; an error
-/// for a header no encoder writes.
+/// for the reserved scalar class, the one header no encoder writes.
 fn item_len(h: u8) -> Result<usize, CodecError> {
-    let delta = h & ITEM_DELTA != 0;
-    if !delta && h & ITEM_WIDE_COORDS != 0 {
-        return Err(CodecError::new("wide-coordinate flag on an absolute item"));
-    }
-    if h & ITEM_WIDE_VEL != 0 && h & ITEM_VEL == 0 {
-        return Err(CodecError::new("wide-velocity flag without a velocity"));
-    }
-    // A pair is 2×i24 on the lattice or 2×f64 under its wide bit.
-    let pair = |wide_bit: u8| if h & wide_bit != 0 { 16 } else { 6 };
-    let entity = if h & ITEM_WIDE_ENTITY != 0 { 8 } else { 3 };
-    let plen = if h & ITEM_WIDE_LEN != 0 { 8 } else { 2 };
-    let coords = if delta { pair(ITEM_WIDE_COORDS) } else { 16 };
-    let vel = if h & ITEM_VEL != 0 {
-        pair(ITEM_WIDE_VEL)
-    } else {
-        0
-    };
-    Ok(1 + entity + plen + coords + vel)
+    let scalars = SCALAR_BYTES
+        .get(usize::from(h >> ITEM_SCALARS_SHIFT))
+        .ok_or_else(|| CodecError::new("reserved scalar class in a batch item header"))?;
+    let origin = ORIGIN_BYTES[usize::from(h & ITEM_CLASS_MASK)];
+    let vel = VELOCITY_BYTES[usize::from((h >> ITEM_VEL_SHIFT) & ITEM_CLASS_MASK)];
+    Ok(1 + scalars + origin + vel)
 }
 
 fn le_u16(b: &[u8]) -> u16 {
@@ -986,14 +1004,20 @@ fn le_f64(b: &[u8]) -> f64 {
     f64::from_bits(le_u64(b))
 }
 
-/// A pair at the front of `b` as [`put_pair`] wrote it, and its length.
+/// A pair of `class` at the front of `b` as [`put_pair`] wrote it, and
+/// its length.
 #[inline(always)]
-fn le_pair(b: &[u8], wide: bool) -> ((f64, f64), usize) {
-    if wide {
-        ((le_f64(b), le_f64(&b[8..])), 16)
-    } else {
-        let i24 = |b: &[u8]| ((u32::from_le_bytes([0, b[0], b[1], b[2]]) as i32) >> 8) as f64;
-        ((i24(b) / LATTICE, i24(&b[3..]) / LATTICE), 6)
+fn le_pair(b: &[u8], class: u8) -> ((f64, f64), usize) {
+    match class {
+        PAIR_I16 => {
+            let i16 = |b: &[u8]| f64::from(i16::from_le_bytes([b[0], b[1]]));
+            ((i16(b) / LATTICE, i16(&b[2..]) / LATTICE), 4)
+        }
+        PAIR_I24 => {
+            let i24 = |b: &[u8]| ((u32::from_le_bytes([0, b[0], b[1], b[2]]) as i32) >> 8) as f64;
+            ((i24(b) / LATTICE, i24(&b[3..]) / LATTICE), 6)
+        }
+        _ => ((le_f64(b), le_f64(&b[8..])), 16),
     }
 }
 
@@ -1003,41 +1027,39 @@ fn le_pair(b: &[u8], wide: bool) -> ((f64, f64), usize) {
 #[inline(always)]
 fn parse_item(b: &[u8]) -> (BatchItem, usize) {
     let h = b[0];
-    let mut at = 1;
-    let entity = if h & ITEM_WIDE_ENTITY != 0 {
-        at += 8;
-        le_u64(&b[1..])
-    } else {
-        at += 3;
-        u64::from(u32::from_le_bytes([b[1], b[2], b[3], 0]))
+    let (entity, payload_bytes, mut at) = match h >> ITEM_SCALARS_SHIFT {
+        SCALARS_U16_U8 => (u64::from(le_u16(&b[1..])), usize::from(b[3]), 4),
+        SCALARS_U24_U16 => (
+            u64::from(u32::from_le_bytes([b[1], b[2], b[3], 0])),
+            usize::from(le_u16(&b[4..])),
+            6,
+        ),
+        _ => (le_u64(&b[1..]), le_u64(&b[9..]) as usize, 17),
     };
-    let payload_bytes = if h & ITEM_WIDE_LEN != 0 {
-        at += 8;
-        le_u64(&b[at - 8..]) as usize
-    } else {
-        at += 2;
-        usize::from(le_u16(&b[at - 2..]))
+    let origin = match h & ITEM_CLASS_MASK {
+        0 => {
+            at += 16;
+            EncodedOrigin::Absolute(Point::new(le_f64(&b[at - 16..]), le_f64(&b[at - 8..])))
+        }
+        class => {
+            let ((dx, dy), n) = le_pair(&b[at..], class);
+            at += n;
+            EncodedOrigin::Offset { dx, dy }
+        }
     };
-    let origin = if h & ITEM_DELTA != 0 {
-        let ((dx, dy), n) = le_pair(&b[at..], h & ITEM_WIDE_COORDS != 0);
-        at += n;
-        EncodedOrigin::Offset { dx, dy }
-    } else {
-        at += 16;
-        EncodedOrigin::Absolute(Point::new(le_f64(&b[at - 16..]), le_f64(&b[at - 8..])))
-    };
-    let (vx, vy) = if h & ITEM_VEL != 0 {
-        let (v, n) = le_pair(&b[at..], h & ITEM_WIDE_VEL != 0);
-        at += n;
-        v
-    } else {
-        (0.0, 0.0)
+    let (vx, vy) = match (h >> ITEM_VEL_SHIFT) & ITEM_CLASS_MASK {
+        0 => (0.0, 0.0),
+        class => {
+            let (v, n) = le_pair(&b[at..], class);
+            at += n;
+            v
+        }
     };
     let item = BatchItem {
         origin,
         payload_bytes,
         entity,
-        ring: (h & ITEM_RING_MASK) >> ITEM_RING_SHIFT,
+        ring: (h >> ITEM_RING_SHIFT) & ITEM_CLASS_MASK,
         vx,
         vy,
         trace: None,

@@ -118,20 +118,21 @@ pub struct UpdateItem {
 
 impl UpdateItem {
     /// Per-item overhead on the wire beyond the payload itself, used
-    /// for bandwidth accounting: full 8-byte coordinates (2×f64), a
-    /// 2-byte length and a 4-byte entity tag (a header byte plus a
-    /// 3-byte id) — exactly what the v2 binary codec emits for a
-    /// canonical keyframe (`matrix_core::codec_v2`; the wire-bytes
-    /// audit pins the equality). The ring tier rides in two spare bits
-    /// of the entity tag's header byte, so it costs no extra wire
-    /// bytes.
-    pub const WIRE_BYTES: usize = 22;
+    /// for bandwidth accounting: a header byte, a 2-byte entity id, a
+    /// 1-byte length and full 8-byte coordinates (2×f64) — exactly what
+    /// the binary codec emits for a canonical keyframe
+    /// (`matrix_core::codec_v2`: entity ≤ 65 535, payload ≤ 255; the
+    /// wire-bytes audit pins the equality). Larger ids or lengths take a
+    /// wider class. The ring tier rides in two bits of the header byte,
+    /// so it costs no extra wire bytes.
+    pub const WIRE_BYTES: usize = 20;
 
-    /// Extra wire cost of a velocity-carrying item: two 3-byte signed
+    /// Extra wire cost of a velocity-carrying item: two 2-byte signed
     /// fixed-point components on the same 1/256 lattice as delta
-    /// offsets (velocities are quantised before transmission). Charged
-    /// only when a velocity is present.
-    pub const VELOCITY_WIRE_BYTES: usize = 6;
+    /// offsets (velocities are quantised before transmission; one
+    /// beyond ±128 per axis takes the 3-byte class). Charged only when
+    /// a velocity is present.
+    pub const VELOCITY_WIRE_BYTES: usize = 4;
 
     /// Whether this item carries a dead-reckoning velocity. A true zero
     /// velocity carries no information — extrapolating it reproduces
@@ -186,14 +187,15 @@ const _: () = assert!(std::mem::size_of::<GameToClient>() <= 32);
 
 impl BatchItem {
     /// Per-item overhead on the wire of a delta item beyond the payload,
-    /// the counterpart of [`UpdateItem::WIRE_BYTES`]: two 3-byte signed
-    /// fixed-point offsets, a 2-byte length and a 4-byte entity tag (a
-    /// header byte plus a 3-byte id) instead of the keyframe's full
-    /// coordinates — attainable because the encoder only emits offsets
-    /// that are exact multiples of the 1/256 wire quantum within the
-    /// ±4096 threshold (21 bits per axis); anything else ships as an
-    /// absolute keyframe.
-    pub const DELTA_WIRE_BYTES: usize = 12;
+    /// the counterpart of [`UpdateItem::WIRE_BYTES`]: two 2-byte signed
+    /// fixed-point offsets instead of the keyframe's full coordinates,
+    /// beside the same header byte, 2-byte entity id and 1-byte length —
+    /// attainable because the encoder only emits offsets that are exact
+    /// multiples of the 1/256 wire quantum. Offsets within ±128 per axis
+    /// fit 2×i16; larger ones, up to the ±4096 threshold (21 bits per
+    /// axis), take the 2×i24 class at 4 bytes more; anything else ships
+    /// as an absolute keyframe.
+    pub const DELTA_WIRE_BYTES: usize = 8;
 
     /// Whether this item carries a dead-reckoning velocity (the rule of
     /// [`UpdateItem::has_velocity`]).

@@ -287,15 +287,20 @@ fn reference_parse(body: &[u8], traced: bool) -> Option<(Vec<BatchItem>, Vec<u16
         fn f64(&mut self) -> Option<f64> {
             self.take::<8>().map(f64::from_le_bytes)
         }
+        fn i16(&mut self) -> Option<f64> {
+            self.take::<2>()
+                .map(|b| f64::from(i16::from_le_bytes(b)) / 256.0)
+        }
         fn i24(&mut self) -> Option<f64> {
             let [a, b, c] = self.take::<3>()?;
             Some(((i32::from_le_bytes([a, b, c, 0]) << 8) >> 8) as f64 / 256.0)
         }
-        fn pair(&mut self, wide: bool) -> Option<(f64, f64)> {
-            if wide {
-                Some((self.f64()?, self.f64()?))
-            } else {
-                Some((self.i24()?, self.i24()?))
+        /// A pair of class 1 (2×i16), 2 (2×i24) or 3 (2×f64).
+        fn pair(&mut self, class: u8) -> Option<(f64, f64)> {
+            match class {
+                1 => Some((self.i16()?, self.i16()?)),
+                2 => Some((self.i24()?, self.i24()?)),
+                _ => Some((self.f64()?, self.f64()?)),
             }
         }
     }
@@ -323,37 +328,37 @@ fn reference_parse(body: &[u8], traced: bool) -> Option<(Vec<BatchItem>, Vec<u16
     let mut items = Vec::new();
     while !cur.0.is_empty() {
         let [h] = cur.take::<1>()?;
-        let delta = h & 0x01 != 0;
-        if (!delta && h & 0x20 != 0) || (h & 0x40 != 0 && h & 0x08 == 0) {
-            return None;
-        }
-        let entity = if h & 0x10 != 0 {
-            cur.u64()?
-        } else {
-            let [a, b, c] = cur.take::<3>()?;
-            u64::from(u32::from_le_bytes([a, b, c, 0]))
+        let (entity, payload_bytes) = match h >> 6 {
+            0 => {
+                let [a, b, len] = cur.take::<3>()?;
+                (u64::from(u16::from_le_bytes([a, b])), usize::from(len))
+            }
+            1 => {
+                let [a, b, c, l0, l1] = cur.take::<5>()?;
+                (
+                    u64::from(u32::from_le_bytes([a, b, c, 0])),
+                    usize::from(u16::from_le_bytes([l0, l1])),
+                )
+            }
+            2 => (cur.u64()?, cur.u64()? as usize),
+            _ => return None,
         };
-        let payload_bytes = if h & 0x80 != 0 {
-            cur.u64()? as usize
-        } else {
-            usize::from(u16::from_le_bytes(cur.take::<2>()?))
+        let origin = match h & 0x03 {
+            0 => EncodedOrigin::Absolute(Point::new(cur.f64()?, cur.f64()?)),
+            class => {
+                let (dx, dy) = cur.pair(class)?;
+                EncodedOrigin::Offset { dx, dy }
+            }
         };
-        let origin = if delta {
-            let (dx, dy) = cur.pair(h & 0x20 != 0)?;
-            EncodedOrigin::Offset { dx, dy }
-        } else {
-            EncodedOrigin::Absolute(Point::new(cur.f64()?, cur.f64()?))
-        };
-        let (vx, vy) = if h & 0x08 != 0 {
-            cur.pair(h & 0x40 != 0)?
-        } else {
-            (0.0, 0.0)
+        let (vx, vy) = match (h >> 4) & 0x03 {
+            0 => (0.0, 0.0),
+            class => cur.pair(class)?,
         };
         items.push(BatchItem {
             origin,
             payload_bytes,
             entity,
-            ring: (h >> 1) & 0x03,
+            ring: (h >> 2) & 0x03,
             vx,
             vy,
             trace: None,
@@ -390,25 +395,13 @@ fn batch_bodies_decode_exactly_as_the_reference_grammar() {
         for _ in 0..count {
             // Mostly headers an encoder writes, so bodies get far.
             let mut h = rng.uniform_u64(0, 256) as u8;
-            if rng.chance(0.8) {
-                h &= if h & 0x01 == 0 { !0x20 } else { 0xFF };
-                if h & 0x08 == 0 {
-                    h &= !0x40;
-                }
+            if rng.chance(0.8) && h >> 6 == 3 {
+                h &= 0x7F; // the reserved scalar class becomes u24 + u16
             }
-            let pair = |wide| if wide { 16 } else { 6 };
-            let len = (if h & 0x10 != 0 { 8 } else { 3 })
-                + (if h & 0x80 != 0 { 8 } else { 2 })
-                + (if h & 0x01 != 0 {
-                    pair(h & 0x20 != 0)
-                } else {
-                    16
-                })
-                + (if h & 0x08 != 0 {
-                    pair(h & 0x40 != 0)
-                } else {
-                    0
-                });
+            let pair = |class: u8| [0, 4, 6, 16][usize::from(class)];
+            let len = [3, 5, 16, 0][usize::from(h >> 6)]
+                + (if h & 0x03 == 0 { 16 } else { pair(h & 0x03) })
+                + pair((h >> 4) & 0x03);
             items.push(h);
             items.extend((0..len).map(|_| rng.uniform_u64(0, 256) as u8));
         }

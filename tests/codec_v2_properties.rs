@@ -498,43 +498,66 @@ fn wire_bytes_constants_match_measured_frames() {
 }
 
 /// The bytes the writer counts and the encoded frame agree on every item
-/// header the encoder can write, exhaustively rather than by chance:
-/// keyframe and delta, each of entity / payload length / offsets /
-/// velocity narrow and wide (velocity also absent), every ring. Each
-/// item is built to need exactly the bits of its header byte, the
-/// writer must write that byte, and the item must read back intact.
+/// header byte, exhaustively rather than by chance: each origin class
+/// (keyframe, delta as 2×i16 / 2×i24 / 2×f64), every ring, each
+/// velocity class (none, 2×i16 / 2×i24 / 2×f64) and each scalar class
+/// (u16 + u8, u24 + u16, u64 + u64). Each item is built to need exactly
+/// the classes of its header byte; the writer must write that byte, at
+/// the length the classes fix, and the item must read back intact. The
+/// reserved scalar class is the one header byte no encoder writes, and
+/// the decoder rejects it.
 #[test]
 fn wire_len_audit_covers_every_header_combination() {
-    let mut shapes = 0;
+    let (mut checked, mut rejected) = (0, 0);
     for h in 0..=u8::MAX {
-        let bit = |b: u8| h & (1 << b) != 0;
-        let (delta, vel, wide_entity, wide_coords, wide_vel, wide_len) =
-            (bit(0), bit(3), bit(4), bit(5), bit(6), bit(7));
-        if (wide_coords && !delta) || (wide_vel && !vel) {
-            continue; // a keyframe's coordinates are always 2×f64
-        }
-        let item = BatchItem {
-            origin: if delta {
-                // -4096 is on the 1/256 lattice at the delta threshold;
-                // 0.1 is off it.
-                let dx = if wide_coords { 0.1 } else { -4096.0 };
-                EncodedOrigin::Offset { dx, dy: 2.5 }
-            } else {
-                EncodedOrigin::Absolute(Point::new(0.1, -7.0))
+        let (origin, ring, vel, scalars) = (h & 3, (h >> 2) & 3, (h >> 4) & 3, h >> 6);
+        let build = |scalars: u8| BatchItem {
+            // ±32 767 lattice steps is the i16 edge; -4096 is on the
+            // lattice at the delta threshold, in i24; 0.1 is off it.
+            origin: match origin {
+                0 => EncodedOrigin::Absolute(Point::new(0.1, -7.0)),
+                1 => EncodedOrigin::Offset {
+                    dx: -32_767.0 / 256.0,
+                    dy: 2.5,
+                },
+                2 => EncodedOrigin::Offset {
+                    dx: -4096.0,
+                    dy: 2.5,
+                },
+                _ => EncodedOrigin::Offset { dx: 0.1, dy: 2.5 },
             },
-            payload_bytes: if wide_len { 1 << 16 } else { u16::MAX as usize },
-            entity: if wide_entity { 1 << 24 } else { (1 << 24) - 1 },
-            ring: (h >> 1) & 0x03,
-            vx: match (vel, wide_vel) {
-                (false, _) => 0.0,
-                (true, false) => 3.5,
-                (true, true) => 0.3,
-            },
-            vy: if vel { -1.0 / 256.0 } else { 0.0 },
+            payload_bytes: [0xFF, 0xFFFF, 1 << 16][usize::from(scalars)],
+            entity: [0xFFFF, 0xFF_FFFF, 1 << 24][usize::from(scalars)],
+            ring,
+            vx: [0.0, 3.5, 200.0, 0.3][usize::from(vel)],
+            vy: if vel != 0 { -1.0 / 256.0 } else { 0.0 },
             trace: None,
         };
+        if scalars == 3 {
+            // The u64 + u64 item with its header byte patched to the
+            // reserved class: the header alone is on trial.
+            let msg = GameToClient::UpdateBatch {
+                updates: WireBatch::from_items(&[build(2)]),
+            };
+            let mut bytes = codec_v2::encode_server_frame(&msg, FrameMeta::default(), false);
+            assert_eq!(bytes[codec_v2::HEADER_BYTES], h & !0x40);
+            bytes[codec_v2::HEADER_BYTES] = h;
+            let err = codec_v2::decode_frame(&bytes).expect_err("reserved class must be rejected");
+            assert!(
+                err.reason.contains("reserved scalar class"),
+                "{h:#04x}: {err}"
+            );
+            rejected += 1;
+            continue;
+        }
+        let item = build(scalars);
+        let expected = 1
+            + [3, 5, 16][usize::from(scalars)]
+            + [16, 4, 6, 16][usize::from(origin)]
+            + [0, 4, 6, 16][usize::from(vel)];
         let mut writer = BatchWriter::default();
         let pushed = writer.push_item(&item);
+        assert_eq!(pushed, expected, "{h:#04x}: {item:?}");
         let updates = writer.finish();
         assert_eq!(updates.items().collect::<Vec<_>>(), [item]);
         let msg = GameToClient::UpdateBatch { updates };
@@ -546,10 +569,101 @@ fn wire_len_audit_covers_every_header_combination() {
             "{item:?}"
         );
         assert_binary_roundtrip(h as usize, &Frame::Server(msg), FrameMeta::default(), true);
-        shapes += 1;
+        checked += 1;
     }
-    // Per ring: 2 × 2 × 3 keyframe shapes and 2 × 2 × 2 × 3 delta ones.
-    assert_eq!(shapes, (12 + 24) * MAX_RINGS);
+    // Three scalar classes of 64 header bytes each; the fourth is reserved.
+    assert_eq!((checked, rejected), (192, 64));
+    assert_eq!(MAX_RINGS, 4, "the header byte carries exactly the ring cap");
+}
+
+/// Every value at the edge of a class round-trips bit for bit through
+/// `WireBatch::from_items` → `items()` and lands in the narrowest class
+/// that holds it: offsets and velocities at ±32 767 / ±32 768 lattice
+/// steps (i16 / i24), at the i24 limit and just past it, and off the
+/// lattice (f64); entity ids and payload lengths at the u16/u8,
+/// u24/u16 and u64 edges. A frame of the previous protocol version is
+/// rejected outright.
+#[test]
+fn class_edges_round_trip_in_the_narrowest_class() {
+    const I24_MAX: f64 = ((1 << 23) - 1) as f64;
+    let (i16_class, i24_class, f64_class) = (1u8, 2, 3);
+    let pairs = [
+        (32_767.0 / 256.0, i16_class),
+        (-32_767.0 / 256.0, i16_class),
+        (32_768.0 / 256.0, i24_class),
+        (-32_768.0 / 256.0, i24_class),
+        (I24_MAX / 256.0, i24_class),
+        (-I24_MAX / 256.0, i24_class),
+        ((I24_MAX + 1.0) / 256.0, f64_class),
+        (-(I24_MAX + 1.0) / 256.0, f64_class),
+        (0.1, f64_class),
+        (0.5 / 256.0, f64_class),
+    ];
+    let base = BatchItem {
+        origin: EncodedOrigin::Absolute(Point::new(3.0, 4.0)),
+        payload_bytes: 32,
+        entity: 7,
+        ring: 2,
+        vx: 0.0,
+        vy: 0.0,
+        trace: None,
+    };
+    // The item's header byte, after checking it reads back bit for bit.
+    let header = |item: BatchItem| {
+        let updates = WireBatch::from_items(&[item]);
+        let back: Vec<BatchItem> = updates.items().collect();
+        assert_eq!(format!("{back:?}"), format!("{:?}", [item]), "{item:?}");
+        updates.body()[0]
+    };
+    for (v, class) in pairs {
+        for (x, y) in [(v, 0.0), (0.0, v), (v, v)] {
+            let delta = BatchItem {
+                origin: EncodedOrigin::Offset { dx: x, dy: y },
+                ..base
+            };
+            assert_eq!(header(delta) & 0x03, class, "offsets ({x}, {y})");
+            let moving = BatchItem {
+                vx: x,
+                vy: y,
+                ..base
+            };
+            assert_eq!((header(moving) >> 4) & 0x03, class, "velocity ({x}, {y})");
+        }
+    }
+    let (u16_u8, u24_u16, u64_u64) = (0u8, 1, 2);
+    for (entity, class) in [
+        (0xFFFF, u16_u8),
+        (0x1_0000, u24_u16),
+        (0xFF_FFFF, u24_u16),
+        (0x100_0000, u64_u64),
+        (u64::MAX, u64_u64),
+    ] {
+        let item = BatchItem { entity, ..base };
+        assert_eq!(header(item) >> 6, class, "entity {entity:#x}");
+    }
+    for (payload_bytes, class) in [
+        (255, u16_u8),
+        (256, u24_u16),
+        (65_535, u24_u16),
+        (65_536, u64_u64),
+    ] {
+        let item = BatchItem {
+            payload_bytes,
+            ..base
+        };
+        assert_eq!(header(item) >> 6, class, "payload {payload_bytes}");
+    }
+
+    let msg = GameToClient::UpdateBatch {
+        updates: WireBatch::from_items(&[base]),
+    };
+    for crc in [false, true] {
+        let mut bytes = codec_v2::encode_server_frame(&msg, FrameMeta::default(), crc);
+        assert_eq!(bytes[2], codec_v2::WIRE_VERSION);
+        bytes[2] = 2;
+        let err = codec_v2::decode_frame(&bytes).expect_err("a v2 frame must be rejected");
+        assert!(err.reason.contains("unsupported wire version"), "{err}");
+    }
 }
 
 /// The extremes of every integer field (no `f64` anywhere on the

@@ -16,14 +16,14 @@
 //! the — identical — simulation stayed within budget).
 //!
 //! **Velocity codec round-trips**: velocity-tagged batch items survive
-//! encode/decode exactly and cost exactly
-//! `UpdateItem::VELOCITY_WIRE_BYTES`; velocity-free items keep their
-//! pre-prediction size and decode as velocity-free.
+//! encode/decode exactly and cost the bytes of their velocity class
+//! (`UpdateItem::VELOCITY_WIRE_BYTES` for a 2×i16 pair); velocity-free
+//! items keep their pre-prediction size and decode as velocity-free.
 //!
-//! **Byte-identical when off**: with `predict` off, a ringed node's
-//! wire items keep their PR 4 sizes — no velocity bytes, no
-//! suppression — so switching the feature off really does restore the
-//! previous deployment's bytes. (The untiered half of this pin lives in
+//! **No velocity when off**: with `predict` off, a ringed node's wire
+//! items carry no velocity class and nothing is suppressed, so
+//! switching the feature off really does restore the pre-prediction
+//! item shapes. (The untiered half of this pin lives in
 //! `tests/interest_properties.rs`:
 //! `pipeline_is_byte_identical_to_the_hand_wired_flush_path`.)
 //!
@@ -240,9 +240,10 @@ fn suppression_never_exceeds_the_ring_budget_end_to_end() {
 // ---------------------------------------------------------------------------
 
 /// Random velocity-tagged batches round-trip exactly; a velocity pair
-/// (on the lattice senders snap to) costs exactly
-/// `VELOCITY_WIRE_BYTES` and a velocity-free item carries none of it —
-/// the pre-prediction item shape, which decodes as velocity-free.
+/// (on the lattice senders snap to) costs the bytes of its class —
+/// `VELOCITY_WIRE_BYTES` as 2×i16, two more as 2×i24 — and a
+/// velocity-free item carries none of it: the pre-prediction item
+/// shape, which decodes as velocity-free.
 #[test]
 fn velocity_fields_round_trip_and_legacy_frames_decode() {
     let mut rng = SimRng::seed_from_u64(0x7E10C17);
@@ -284,28 +285,37 @@ fn velocity_fields_round_trip_and_legacy_frames_decode() {
             }) => assert_eq!(decoded, msg, "case {case}"),
             other => panic!("case {case}: {other:?}"),
         }
-        // Entities and payloads here are narrow and the raw delta
-        // offsets take the wide escape (as large as a keyframe's
-        // coordinates), so every item is the pre-prediction keyframe
-        // size plus the velocity pair, when it has one.
+        // Entities here are narrow and the raw delta offsets take the
+        // 2×f64 class (as large as a keyframe's coordinates), so every
+        // item is the pre-prediction keyframe size, plus two length
+        // bytes for a payload past a u8 (the u24 + u16 scalar class),
+        // plus its velocity pair: 2×i16 within ±32 767 lattice steps
+        // per axis, 2×i24 beyond.
         for (item, len) in updates.iter().zip(lens) {
-            let vel = if item.has_velocity() {
+            let scalars = if item.payload_bytes > 0xFF { 2 } else { 0 };
+            let vel = if !item.has_velocity() {
+                0
+            } else if item.vx.abs().max(item.vy.abs()) * 256.0 <= 32_767.0 {
                 UpdateItem::VELOCITY_WIRE_BYTES
             } else {
-                0
+                UpdateItem::VELOCITY_WIRE_BYTES + 2
             };
-            assert_eq!(len, UpdateItem::WIRE_BYTES + vel, "case {case}: {item:?}");
+            assert_eq!(
+                len,
+                UpdateItem::WIRE_BYTES + scalars + vel,
+                "case {case}: {item:?}"
+            );
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Byte-identical when off
+// No velocity when off
 // ---------------------------------------------------------------------------
 
-/// With `predict` off, a ringed node emits items of the PR 4 sizes:
-/// nothing is suppressed and no item carries a velocity — the feature
-/// leaves no trace on the wire when disabled.
+/// With `predict` off, a ringed node's items carry no velocity: the
+/// velocity class bits of every item header are 0 and nothing is
+/// suppressed — the feature leaves no trace on the wire when disabled.
 #[test]
 fn predict_off_leaves_the_wire_in_the_pr4_grammar() {
     let mut rng = SimRng::seed_from_u64(0x0FF0FF);
@@ -359,11 +369,17 @@ fn predict_off_leaves_the_wire_in_the_pr4_grammar() {
                     updates.items().all(|u| !u.has_velocity()),
                     "case {case}: velocity leaked onto a predict-off wire"
                 );
-                for len in measured_items(&msg).0 {
-                    assert!(
-                        len == UpdateItem::WIRE_BYTES || len == BatchItem::DELTA_WIRE_BYTES,
-                        "case {case}: a {len}-byte item is outside the PR 4 sizes: {msg:?}"
+                // The items end at the CRC trailer; a trace section
+                // would sit in front of them.
+                let (lens, bytes) = measured_items(&msg);
+                let mut at = bytes.len() - codec_v2::CRC_BYTES - lens.iter().sum::<usize>();
+                for len in lens {
+                    assert_eq!(
+                        bytes[at] & 0x30,
+                        0,
+                        "case {case}: an item header has a velocity class: {msg:?}"
                     );
+                    at += len;
                 }
             }
         }
